@@ -5,7 +5,8 @@ only trustworthy referee is the loss function itself: perturb each
 parameter by +/- h and difference the loss. This script runs that
 audit for the matching, KL, and alignment terms and their weighted
 sum, over a spread of random instances, and prints the worst relative
-error seen for each.
+error seen for each. One sweep per instance serves all four terms:
+every probe is a value-only evaluation of the episode loss.
 """
 
 from protodetect.gradcheck import TERMS, check_term, random_instance, run_suite
@@ -20,10 +21,11 @@ def main():
               f"{'ok' if err <= 1e-4 else 'FAIL'}")
 
     # sanity-check the checker: a deliberately corrupted gradient
-    # entry must be flagged
-    err = check_term(random_instance(0), "total", corrupt=True)
-    print(f"\ncorrupted-gradient probe reports {err:.3e} "
-          f"({'detected' if err > 1e-4 else 'MISSED'})")
+    # entry must be flagged for every term
+    print()
+    for term, err in check_term(random_instance(0), corrupt=True).items():
+        print(f"corrupted {term:5s} gradient reports {err:.3e} "
+              f"({'detected' if err > 1e-4 else 'MISSED'})")
 
 
 if __name__ == "__main__":

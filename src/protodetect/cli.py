@@ -164,8 +164,6 @@ def build_parser():
         sp.add_argument("--config", required=True)
         sp.add_argument("--set", action="append", metavar="PATH=VALUE",
                         help="override a config value by dot path")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads (default 1 for determinism)")
 
     sp = sub.add_parser("gen-data", help="generate a synthetic dataset")
     common(sp)

@@ -1,7 +1,14 @@
 """Finite-difference verification of every analytic gradient.
 
-Central differences (h = 1e-6) against the episode objective. The
-reported error for a term is
+One central-difference sweep (h = 1e-6) per instance audits every term
+at once. Each parameter entry is moved by +h and by -h, and each of the
+two probes is a single value-only `episode_loss` call (grads=False: the
+same forward arithmetic, no backward pass) whose bundle yields the
+match, kl, align and total values together. The analytic gradient of
+each term comes from one gradient-path `episode_loss` call with that
+term's weights.
+
+The reported error for a term is
 
     max_i |analytic_i - numeric_i| / max(scale, 1e-8)
 
@@ -22,12 +29,14 @@ from .numeric import make_rng
 from .prototypes import SupportSet
 
 TERMS = ("match", "kl", "align", "total")
-TERM_WEIGHTS = {
-    "match": (1.0, 0.0, 0.0),
-    "kl": (0.0, 1.0, 0.0),
-    "align": (0.0, 0.0, 1.0),
-    "total": None,  # cfg weights
-}
+
+
+def _grad_weights(term, cfg):
+    """(match, kl, align) weights whose gradient is that term's."""
+    return {"match": (1.0, 0.0, 0.0),
+            "kl": (0.0, 1.0, 0.0),
+            "align": (0.0, 0.0, 1.0),
+            "total": (1.0, cfg.lambda_kl, cfg.lambda_align)}[term]
 
 
 @dataclass
@@ -61,47 +70,52 @@ def _term_value(bundle, term):
             "align": bundle.l_align, "total": bundle.l_total}[term]
 
 
-def check_term(inst, term, h=1e-6, corrupt=False):
-    """Max per-block relative error between analytic and numeric grads.
-
-    `corrupt` perturbs one analytic entry before comparison; the
-    harness must then report a failure (sanity check of the check).
-    """
-    bundle = episode_loss(inst.net, inst.clf, inst.support,
-                          inst.query_features, inst.query_labels, inst.cfg,
-                          bg_features=inst.bg_features,
-                          grad_weights=TERM_WEIGHTS[term])
-    analytic = bundle.grads.flat()
-    if corrupt:
-        analytic[0].flat[0] += 1.0
-    params = all_params(inst.net, inst.clf)
-
-    def value():
-        b = episode_loss(inst.net, inst.clf, inst.support,
-                         inst.query_features, inst.query_labels, inst.cfg,
-                         bg_features=inst.bg_features)
-        return _term_value(b, term)
-
-    numeric = []
-    for p in params:
-        g_n = np.zeros_like(p)
-        it = np.nditer(p, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            orig = p[idx]
-            p[idx] = orig + h
-            f_plus = value()
-            p[idx] = orig - h
-            f_minus = value()
-            p[idx] = orig
-            g_n[idx] = (f_plus - f_minus) / (2.0 * h)
-            it.iternext()
-        numeric.append(g_n)
-
+def _max_rel_err(analytic, numeric):
     scale = max(max(float(np.max(np.abs(g))) for g in analytic),
                 max(float(np.max(np.abs(g))) for g in numeric), 1e-8)
     return max(float(np.max(np.abs(g_a - g_n))) / scale
                for g_a, g_n in zip(analytic, numeric))
+
+
+def check_term(inst, terms=TERMS, h=1e-6, corrupt=False):
+    """{term: max per-block relative error between analytic and numeric grads}.
+
+    One sweep over the parameters serves every term in `terms`.
+    `corrupt` perturbs one analytic entry of each term before
+    comparison; the harness must then report a failure for every term
+    (sanity check of the check).
+    """
+    def loss(**kw):
+        return episode_loss(inst.net, inst.clf, inst.support,
+                            inst.query_features, inst.query_labels, inst.cfg,
+                            bg_features=inst.bg_features, **kw)
+
+    analytic = {}
+    for t in terms:
+        grads = loss(grad_weights=_grad_weights(t, inst.cfg)).grads.flat()
+        if corrupt:
+            grads[0].flat[0] += 1.0
+        analytic[t] = [g.ravel() for g in grads]
+
+    def values():
+        bundle = loss(grads=False)
+        return np.array([_term_value(bundle, t) for t in terms])
+
+    # numeric[k][j, i]: d(term j) / d(entry i of parameter block k)
+    params = all_params(inst.net, inst.clf)
+    numeric = [np.zeros((len(terms), p.size)) for p in params]
+    for p, g_n in zip(params, numeric):
+        for i in range(p.size):
+            orig = p.flat[i]
+            p.flat[i] = orig + h
+            f_plus = values()
+            p.flat[i] = orig - h
+            f_minus = values()
+            p.flat[i] = orig
+            g_n[:, i] = (f_plus - f_minus) / (2.0 * h)
+
+    return {t: _max_rel_err(analytic[t], [g_n[j] for g_n in numeric])
+            for j, t in enumerate(terms)}
 
 
 def run_suite(seeds=range(20), terms=TERMS, instance_kwargs=None,
@@ -113,7 +127,8 @@ def run_suite(seeds=range(20), terms=TERMS, instance_kwargs=None,
     instance_kwargs = instance_kwargs or {}
     results = {t: 0.0 for t in terms}
     for seed in seeds:
-        inst = random_instance(seed, **instance_kwargs)
+        errors = check_term(random_instance(seed, **instance_kwargs), terms,
+                            corrupt=corrupt)
         for t in terms:
-            results[t] = max(results[t], check_term(inst, t, corrupt=corrupt))
+            results[t] = max(results[t], errors[t])
     return results

@@ -13,13 +13,18 @@ Gradients are derived by hand and flow into the query embeddings,
 the prototypes, and the classifier. `episode_loss` closes the loop:
 it rebuilds prototypes through the current net, so prototype
 gradients reach the net through the support embeddings too.
+
+Every loss takes `grads`: with grads=False it computes the same value
+by the same arithmetic and skips the gradient algebra, returning None
+in place of each gradient. Training and the gradient audit's probes
+share this one implementation.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import log_softmax, softmax, sq_distances
+from .numeric import log_softmax, sq_distances
 from .prototypes import BACKGROUND_ID, PrototypeBank, build_prototypes
 
 
@@ -75,13 +80,6 @@ class ParamGrads:
     def flat(self):
         return [g for pair in self.net_grads for g in pair] + list(self.clf_grads)
 
-    def global_norm(self):
-        return float(np.sqrt(sum(float(np.sum(g * g)) for g in self.flat())))
-
-    def scale(self, factor):
-        for g in self.flat():
-            g *= factor
-
 
 @dataclass
 class LossBundle:
@@ -91,7 +89,8 @@ class LossBundle:
     l_total: float
     raw: dict              # un-normalized sums of the same quantities
     n_queries: int
-    grads: ParamGrads = None
+    bank: PrototypeBank = None   # the episode's prototypes, background included
+    grads: ParamGrads = None     # None on the value-only path
 
 
 def _label_indices(labels, bank):
@@ -103,11 +102,13 @@ def _label_indices(labels, bank):
     return np.asarray(idx, dtype=np.int64)
 
 
-def _matching_core(Q, y_idx, P):
+def _matching_core(Q, y_idx, P, grads=True):
     Z = -sq_distances(Q, P)
     logp = log_softmax(Z, axis=1)
     n = Q.shape[0]
     value = -float(np.sum(logp[np.arange(n), y_idx]))
+    if not grads:
+        return value, None, None
     G = np.exp(logp)
     G[np.arange(n), y_idx] -= 1.0
     # dZ/dq = -2(q - p_k), dZ/dp_k = 2(q - p_k)
@@ -116,7 +117,7 @@ def _matching_core(Q, y_idx, P):
     return value, dQ, dP
 
 
-def _kl_core(Q, P, clf, stop_teacher):
+def _kl_core(Q, P, clf, stop_teacher, grads=True):
     Z = -sq_distances(Q, P)
     logp_proto = log_softmax(Z, axis=1)
     p_proto = np.exp(logp_proto)
@@ -125,6 +126,8 @@ def _kl_core(Q, P, clf, stop_teacher):
     delta_log = logp_proto - logp_clf
     row_kl = np.sum(p_proto * delta_log, axis=1)
     value = float(np.sum(row_kl))
+    if not grads:
+        return value, None, None, None, None
 
     dU = np.exp(logp_clf) - p_proto
     dWc = dU.T @ Q
@@ -138,11 +141,13 @@ def _kl_core(Q, P, clf, stop_teacher):
     return value, dQ, dP, dWc, dbc
 
 
-def _align_core(Q, y_idx, P, tau):
+def _align_core(Q, y_idx, P, tau, grads=True):
     S = (Q @ P.T) / tau
     logp = log_softmax(S, axis=1)
     n = Q.shape[0]
     value = -float(np.sum(logp[np.arange(n), y_idx]))
+    if not grads:
+        return value, None, None
     G = np.exp(logp)
     G[np.arange(n), y_idx] -= 1.0
     dQ = (G @ P) / tau
@@ -152,13 +157,13 @@ def _align_core(Q, y_idx, P, tau):
 
 # --- public per-batch operations (embeddings already computed) ---------------
 
-def matching_loss(batch, bank):
+def matching_loss(batch, bank, grads=True):
     """NLL of the true class under energy posteriors; grads wrt Q and P."""
     y_idx = _label_indices(batch.labels, bank)
-    return _matching_core(batch.Q, y_idx, bank.P)
+    return _matching_core(batch.Q, y_idx, bank.P, grads)
 
 
-def kl_loss(batch, bank, clf, stop_teacher=False):
+def kl_loss(batch, bank, clf, stop_teacher=False, grads=True):
     """Sum of KL(P_proto || P_clf); grads wrt Q, P, and classifier params.
 
     Probabilities never appear inside logs directly; everything is
@@ -166,10 +171,10 @@ def kl_loss(batch, bank, clf, stop_teacher=False):
     """
     if clf.n_classes != len(bank):
         raise ValueError("classifier width must equal bank size")
-    return _kl_core(batch.Q, bank.P, clf, stop_teacher)
+    return _kl_core(batch.Q, bank.P, clf, stop_teacher, grads)
 
 
-def alignment_loss(batch, bank, tau, include_background=True):
+def alignment_loss(batch, bank, tau, include_background=True, grads=True):
     """InfoNCE-style NLL over similarities s = <q, p>/tau.
 
     With include_background=False the softmax runs over class
@@ -179,31 +184,24 @@ def alignment_loss(batch, bank, tau, include_background=True):
         raise ValueError("tau must be positive")
     if include_background or not bank.has(BACKGROUND_ID):
         y_idx = _label_indices(batch.labels, bank)
-        return _align_core(batch.Q, y_idx, bank.P, tau)
+        return _align_core(batch.Q, y_idx, bank.P, tau, grads)
     keep_cols = [i for i, c in enumerate(bank.ids) if c != BACKGROUND_ID]
     sub_ids = [bank.ids[i] for i in keep_cols]
     rows = [i for i, y in enumerate(batch.labels) if int(y) != BACKGROUND_ID]
-    dQ = np.zeros_like(batch.Q)
-    dP = np.zeros_like(bank.P)
+    dQ = np.zeros_like(batch.Q) if grads else None
+    dP = np.zeros_like(bank.P) if grads else None
     if not rows:
         return 0.0, dQ, dP
     Qs = batch.Q[rows]
     y_idx = np.asarray([sub_ids.index(int(batch.labels[i])) for i in rows])
-    value, dQs, dPs = _align_core(Qs, y_idx, bank.P[keep_cols], tau)
-    dQ[rows] = dQs
-    dP[keep_cols] = dPs
+    value, dQs, dPs = _align_core(Qs, y_idx, bank.P[keep_cols], tau, grads)
+    if grads:
+        dQ[rows] = dQs
+        dP[keep_cols] = dPs
     return value, dQ, dP
 
 
-def total_loss_values(batch, bank, clf, cfg):
-    """Loss values only (no parameter grads); see episode_loss for training."""
-    m, _, _ = matching_loss(batch, bank)
-    k, _, _, _, _ = kl_loss(batch, bank, clf, cfg.kl_stop_teacher)
-    a, _, _ = alignment_loss(batch, bank, cfg.tau, cfg.align_include_background)
-    return _bundle(m, k, a, len(batch), cfg)
-
-
-def _bundle(m, k, a, n, cfg, grads=None):
+def _bundle(m, k, a, n, cfg, bank):
     scale = 1.0 / n if cfg.normalize else 1.0
     lm, lk, la = m * scale, k * scale, a * scale
     return LossBundle(
@@ -211,12 +209,13 @@ def _bundle(m, k, a, n, cfg, grads=None):
         l_total=lm + cfg.lambda_kl * lk + cfg.lambda_align * la,
         raw={"l_match": m, "l_kl": k, "l_align": a,
              "l_total": m + cfg.lambda_kl * k + cfg.lambda_align * a},
-        n_queries=n, grads=grads,
+        n_queries=n, bank=bank,
     )
 
 
 def episode_loss(net, clf, support, query_features, query_labels, cfg,
-                 bg_features=None, frozen_p0=None, grad_weights=None):
+                 bg_features=None, frozen_p0=None, grad_weights=None,
+                 grads=True):
     """Full training objective for one episode, with parameter gradients.
 
     Prototypes are rebuilt through the current net (gradients flow into
@@ -228,6 +227,10 @@ def episode_loss(net, clf, support, query_features, query_labels, cfg,
     used for the returned gradients only; the gradient-check harness
     uses this to isolate a single term. Defaults to (1, lambda_kl,
     lambda_align).
+
+    grads=False returns the loss values only (bundle.grads is None):
+    the forward pass, the loss values and every input check are the
+    same as with gradients, but no backward pass runs.
     """
     bank_cls, sup_caches = build_prototypes(net, support)
     entries = list(zip(bank_cls.ids, bank_cls.P))
@@ -244,9 +247,14 @@ def episode_loss(net, clf, support, query_features, query_labels, cfg,
     Q, q_cache = net.forward_batch(X)
     batch = QueryBatch(Q, query_labels)
 
-    m_val, dQ_m, dP_m = matching_loss(batch, bank)
-    k_val, dQ_k, dP_k, dWc, dbc = kl_loss(batch, bank, clf, cfg.kl_stop_teacher)
-    a_val, dQ_a, dP_a = alignment_loss(batch, bank, cfg.tau, cfg.align_include_background)
+    m_val, dQ_m, dP_m = matching_loss(batch, bank, grads=grads)
+    k_val, dQ_k, dP_k, dWc, dbc = kl_loss(batch, bank, clf, cfg.kl_stop_teacher,
+                                          grads=grads)
+    a_val, dQ_a, dP_a = alignment_loss(batch, bank, cfg.tau,
+                                       cfg.align_include_background, grads=grads)
+    bundle = _bundle(m_val, k_val, a_val, len(batch), cfg, bank)
+    if not grads:
+        return bundle
 
     w_m, w_k, w_a = grad_weights if grad_weights is not None \
         else (1.0, cfg.lambda_kl, cfg.lambda_align)
@@ -287,7 +295,6 @@ def episode_loss(net, clf, support, query_features, query_labels, cfg,
         pairs, _ = net.backward_batch(p0_cache, d_emb)
         accumulate(pairs)
 
-    grads = ParamGrads(net_grads=[tuple(p) for p in net_grads], clf_grads=clf_grads)
-    bundle = _bundle(m_val, k_val, a_val, len(batch), cfg, grads=grads)
-    bundle.bank = bank
+    bundle.grads = ParamGrads(net_grads=[tuple(p) for p in net_grads],
+                              clf_grads=clf_grads)
     return bundle

@@ -214,14 +214,8 @@ def train(world, cfg):
             kwargs = {"bg_features": bg}
         else:
             kwargs = {"frozen_p0": last_p0}
-        try:
-            bundle = episode_loss(net, clf, proto_support, qfeats, qlabels,
-                                  loss_cfg, **kwargs)
-        except ValueError as e:
-            # overflow in the forward pass surfaces as non-finite logits
-            if "non-finite" in str(e):
-                raise FloatingPointError(f"diverged at step {step}") from e
-            raise
+        bundle = episode_loss(net, clf, proto_support, qfeats, qlabels,
+                              loss_cfg, **kwargs)
         if bg:
             last_p0 = bundle.bank.get(BACKGROUND_ID)
 

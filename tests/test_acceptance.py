@@ -46,7 +46,7 @@ def test_a1_gradient_fidelity():
     results = run_suite(seeds=range(20))
     elapsed = time.time() - t0
     worst = max(results.values())
-    corrupted = check_term(random_instance(0), "total", corrupt=True)
+    corrupted = min(check_term(random_instance(0), corrupt=True).values())
     ok = worst <= 1e-4 and elapsed < 30.0 and corrupted > 1e-4
     report("A1 gradient fidelity", ok,
            f"max rel err {worst:.2e}, {elapsed:.1f}s, corrupt hook {corrupted:.2e}")

@@ -6,8 +6,7 @@ import pytest
 from protodetect.embedder import LinearClassifier
 from protodetect.gradcheck import check_term, random_instance
 from protodetect.losses import (LossConfig, QueryBatch, alignment_loss,
-                                episode_loss, kl_loss, matching_loss,
-                                total_loss_values)
+                                episode_loss, kl_loss, matching_loss)
 from protodetect.numeric import make_rng
 from protodetect.prototypes import PrototypeBank
 
@@ -182,37 +181,85 @@ def test_bundle_reports_raw_and_normalized():
     assert bundle.l_match == pytest.approx(bundle.raw["l_match"] / n, rel=1e-12)
 
 
+def _episode(inst, cfg=None, **kw):
+    kw.setdefault("bg_features", inst.bg_features)
+    return episode_loss(inst.net, inst.clf, inst.support, inst.query_features,
+                        inst.query_labels, cfg or inst.cfg, **kw)
+
+
 def test_losses_nonnegative():
-    inst = random_instance(10)
-    bundle = total_loss_values(
-        QueryBatch(*_embed(inst)), _bank_of(inst), inst.clf, inst.cfg)
+    bundle = _episode(random_instance(10), grads=False)
     assert bundle.l_match >= 0 and bundle.l_kl >= -1e-12 and bundle.l_align >= 0
 
 
-def _embed(inst):
-    Q, _ = inst.net.forward_batch(inst.query_features)
-    return Q, inst.query_labels
+@pytest.mark.parametrize("variant", [
+    {"cfg": LossConfig.for_stage(1)},
+    {},
+    {"cfg": LossConfig.for_stage(2, 1.0, 1.0, tau=10.0, kl_stop_teacher=True)},
+    {"cfg": LossConfig.for_stage(2, 1.0, 1.0, tau=10.0,
+                                 align_include_background=False)},
+    {"bg_features": None, "frozen_p0": np.linspace(-1.0, 1.0, 6)},
+    {"cfg": LossConfig.for_stage(2, 0.5, 2.0, tau=3.0, normalize=False)},
+], ids=["stage1", "stage2", "stop_teacher", "align_no_background", "frozen_p0",
+        "unnormalized"])
+def test_value_only_path_equals_gradient_path(variant, monkeypatch):
+    inst = random_instance(12)
+    full = _episode(inst, **variant)
+
+    def no_backward(*args):
+        raise AssertionError("value-only path ran a backward pass")
+
+    monkeypatch.setattr(inst.net, "backward_batch", no_backward)
+    values = _episode(inst, **variant, grads=False)
+    assert values.grads is None and full.grads is not None
+    for name in ("l_match", "l_kl", "l_align", "l_total"):
+        assert getattr(values, name) == getattr(full, name)
+    assert values.raw == full.raw
+    assert values.bank.ids == full.bank.ids
+    assert np.array_equal(values.bank.P, full.bank.P)
 
 
-def _bank_of(inst):
-    from protodetect.prototypes import build_prototypes
-    bank, _ = build_prototypes(inst.net, inst.support)
-    bg_emb, _ = inst.net.forward_batch(inst.bg_features)
-    return bank.with_entry(0, bg_emb.mean(axis=0))
+def test_value_only_path_keeps_input_checks():
+    inst = random_instance(13)
+    inst.query_labels = inst.query_labels.copy()
+    inst.query_labels[0] = 9
+    with pytest.raises(ValueError, match="label 9"):
+        _episode(inst, grads=False)
+    inst.query_labels[:] = 1     # every label has a prototype without p0
+    with pytest.raises(ValueError, match="classifier width"):
+        _episode(inst, bg_features=None, grads=False)
+    batch = QueryBatch(np.zeros((1, 1)), [1])
+    with pytest.raises(ValueError, match="tau"):
+        alignment_loss(batch, PrototypeBank([(1, [0.0])]), tau=0.0, grads=False)
 
 
 @pytest.mark.parametrize("term", ["match", "kl", "align", "total"])
 def test_gradients_match_finite_differences(term):
-    worst = max(check_term(random_instance(seed), term) for seed in range(5))
+    worst = max(check_term(random_instance(seed), (term,))[term]
+                for seed in range(5))
     assert worst <= 1e-4
 
 
 def test_gradients_without_background_in_alignment():
     cfg = LossConfig.for_stage(2, 1.0, 1.0, tau=10.0,
                                align_include_background=False)
-    worst = max(check_term(random_instance(seed, cfg=cfg), "total")
+    worst = max(check_term(random_instance(seed, cfg=cfg), ("total",))["total"]
                 for seed in range(3))
     assert worst <= 1e-4
+
+
+def test_one_sweep_matches_per_term_sweeps():
+    inst = random_instance(14)
+    together = check_term(inst)
+    assert list(together) == ["match", "kl", "align", "total"]
+    for term, err in together.items():
+        assert check_term(inst, (term,)) == {term: err}
+
+
+def test_corrupted_gradient_is_flagged_for_every_term():
+    errors = check_term(random_instance(0), corrupt=True)
+    assert set(errors) == {"match", "kl", "align", "total"}
+    assert all(err > 1e-4 for err in errors.values())
 
 
 def test_stop_teacher_freezes_prototype_branch_only():
