@@ -63,8 +63,11 @@ def cmd_gen_data(args):
 def _load_world_checked(cfg, dataset_path):
     try:
         world = load_world(dataset_path)
-    except (OSError, ValueError, KeyError) as e:
+        world.config.validate()
+    except (OSError, ValueError, KeyError, TypeError) as e:
         raise CliError(f"cannot read dataset: {e}")
+    if not world.train_scenes:
+        raise CliError("dataset has no training scenes")
     if cfg.expected_dataset_digest:
         digest = file_digest(dataset_path)
         if digest != cfg.expected_dataset_digest:
@@ -128,8 +131,11 @@ def cmd_eval(args):
     world = _load_world_checked(cfg, args.dataset)
     try:
         net, clf = load_checkpoint(args.checkpoint)
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError, KeyError, TypeError) as e:
         raise CliError(f"cannot read checkpoint: {e}")
+    if net.in_dim != world.config.d:
+        raise CliError(f"checkpoint expects {net.in_dim}-dim features, "
+                       f"dataset has d={world.config.d}")
     per_scene, report = run_protocol(cfg, world, net, mode)
     header = _provenance(cfg, args.dataset)
     header["mode"] = mode
@@ -143,8 +149,10 @@ def cmd_eval(args):
 
 
 def cmd_gradcheck(args):
-    load_run_config(args.config, args.set or ())  # validates only
-    results = run_suite()
+    cfg = load_run_config(args.config, args.set or ())
+    # small d=8 shapes, but the depth and stage-2 loss the config trains
+    results = run_suite(instance_kwargs={"depth": cfg.train.mlp_depth,
+                                         "cfg": cfg.train.loss_config(2)})
     tol = 1e-4
     failed = [t for t, e in results.items() if e > tol]
     for term, err in results.items():

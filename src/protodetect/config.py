@@ -7,6 +7,7 @@ overrides. Defaults reproduce the published hyperparameters
 import dataclasses
 import hashlib
 import json
+import math
 
 from .simulator import WorldConfig
 from .trainer import TrainConfig
@@ -16,11 +17,33 @@ class ConfigError(ValueError):
     pass
 
 
+def _type_ok(value, typ):
+    """JSON value fits a field of type typ: numbers are finite, and a
+    bool is no number."""
+    if typ in (int, float):
+        number = isinstance(value, int) or (typ is float and isinstance(value, float))
+        return number and not isinstance(value, bool) and math.isfinite(value)
+    if typ is tuple:
+        return isinstance(value, (list, tuple)) and all(_type_ok(x, float) for x in value)
+    return isinstance(value, typ)
+
+
+def _section(doc, key):
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"'{key}' must be an object")
+    return dict(value)
+
+
 def _build_dataclass(cls, doc, section):
     names = {f.name for f in dataclasses.fields(cls)}
     unknown = set(doc) - names
     if unknown:
         raise ConfigError(f"unknown keys in '{section}': {sorted(unknown)}")
+    for f in dataclasses.fields(cls):
+        if f.name in doc and not _type_ok(doc[f.name], f.type):
+            raise ConfigError(f"'{section}.{f.name}' must be of type "
+                              f"{f.type.__name__}, got {doc[f.name]!r}")
     try:
         return cls(**doc)
     except (TypeError, ValueError) as e:
@@ -43,12 +66,12 @@ class RunConfig:
         unknown = set(doc) - _TOP_KEYS
         if unknown:
             raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-        wdoc = dict(doc.get("world", {}))
-        if "box_size_range" in wdoc:
+        wdoc = _section(doc, "world")
+        if isinstance(wdoc.get("box_size_range"), list):
             wdoc["box_size_range"] = tuple(wdoc["box_size_range"])
         world = _build_dataclass(WorldConfig, wdoc, "world")
-        train = _build_dataclass(TrainConfig, dict(doc.get("train", {})), "train")
-        proto = dict(doc.get("protocol", {}))
+        train = _build_dataclass(TrainConfig, _section(doc, "train"), "train")
+        proto = _section(doc, "protocol")
         bad = set(proto) - _PROTOCOL_KEYS
         if bad:
             raise ConfigError(f"unknown keys in 'protocol': {sorted(bad)}")
@@ -100,6 +123,8 @@ def load_run_config(path, overrides=()):
             doc = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
     return RunConfig.from_dict(apply_overrides(doc, overrides))
 
 

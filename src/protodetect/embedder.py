@@ -4,7 +4,9 @@ Forward and backward passes are written out by hand (no autodiff).
 The net maps raw proposal features (dim d) to embeddings (dim e)
 through ReLU hidden layers; depth is configurable (2/3/4 linear
 layers, default 2). The classifier produces C+1 logits, index 0
-being the background class.
+being the background class. For training, the parameters of both
+live in one contiguous vector (`bind_params`); checkpoints keep the
+per-layer v1 JSON format.
 """
 
 import json
@@ -106,17 +108,6 @@ class EmbeddingNet:
         grads, dX = self.backward_batch(cache, np.asarray(dq, dtype=np.float64)[None, :])
         return grads, dX[0]
 
-    def params(self):
-        out = []
-        for W, b in self.layers:
-            out.extend([W, b])
-        return out
-
-    def zero_grads(self):
-        return [np.zeros_like(p) for p in self.params()]
-
-    def copy(self):
-        return EmbeddingNet([(W.copy(), b.copy()) for W, b in self.layers])
 
 
 class LinearClassifier:
@@ -145,24 +136,35 @@ class LinearClassifier:
     def logits(self, q):
         return self.logits_batch(np.asarray(q, dtype=np.float64)[None, :])[0]
 
-    def params(self):
-        return [self.W, self.b]
-
-    def zero_grads(self):
-        return [np.zeros_like(self.W), np.zeros_like(self.b)]
-
-    def copy(self):
-        return LinearClassifier(self.W.copy(), self.b.copy())
 
 
-def all_params(net, clf):
-    return net.params() + clf.params()
+# --- the parameter vector ----------------------------------------------------
+# Every trainable parameter lives in one contiguous float64 vector, in the
+# order W1, b1, ..., Wk, bk (the net's layers), then the classifier's W and
+# b, each row-major. Gradients use the same layout, so the optimizer and the
+# gradient audit work on plain vectors.
+
+def flatten(layers, clf_pair):
+    """One vector in the parameter layout from the net's (W, b) pairs and
+    the classifier's (W, b) pair (parameters or their gradients)."""
+    return np.concatenate([a.ravel() for pair in (*layers, clf_pair) for a in pair])
 
 
-def set_all_params(net, clf, flat_list):
-    """Write parameter arrays back in the all_params() order (in place)."""
-    for target, src in zip(all_params(net, clf), flat_list):
-        target[...] = src
+def bind_params(net, clf):
+    """Move the parameters of (net, clf) into one vector and return it.
+
+    Afterwards every W and b of the net and the classifier is a view
+    into the returned vector, so writing to the vector moves the model.
+    """
+    theta = flatten(net.layers, (clf.W, clf.b))
+    views, at = [], 0
+    for W, b in (*net.layers, (clf.W, clf.b)):
+        for a in (W, b):
+            views.append(theta[at:at + a.size].reshape(a.shape))
+            at += a.size
+    net.layers = list(zip(views[0:-2:2], views[1:-2:2]))
+    clf.W, clf.b = views[-2:]
+    return theta
 
 
 # --- checkpoint serialization ------------------------------------------------
@@ -213,8 +215,12 @@ def load_checkpoint(path):
 
 
 def default_net_and_classifier(seed, in_dim, hidden_dim, emb_dim, n_classes, depth=2):
-    """Seeded init of the (net, classifier) pair used throughout."""
+    """Seeded init of the (net, classifier) pair used throughout.
+
+    Returns (net, clf, theta): theta is the one parameter vector that
+    the net's and the classifier's arrays are views into (`bind_params`).
+    """
     rng = make_rng(seed)
     net = EmbeddingNet.init(rng, in_dim, hidden_dim, emb_dim, depth)
     clf = LinearClassifier.init(rng, n_classes + 1, emb_dim)
-    return net, clf
+    return net, clf, bind_params(net, clf)

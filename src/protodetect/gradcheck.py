@@ -8,23 +8,26 @@ match, kl, align and total values together. The analytic gradient of
 each term comes from one gradient-path `episode_loss` call with that
 term's weights.
 
-The reported error for a term is
+The parameters of net and classifier are views into one vector
+(`embedder.bind_params`) and `episode_loss` returns its gradient in
+the same layout, so the sweep moves entries of that vector. The
+reported error for a term is
 
     max_i |analytic_i - numeric_i| / max(scale, 1e-8)
 
-where scale is the largest gradient entry (analytic or numeric) over
-all parameter blocks of that term. Blocks whose true gradient is
-exactly zero (the matching loss is translation invariant, so the last
-bias has none) would otherwise amplify finite-difference round-off
-into spurious failures.
+where scale is the largest gradient entry (analytic or numeric) of
+that term over the whole vector. Per-entry relative errors would
+amplify finite-difference round-off into spurious failures where the
+true gradient is exactly zero (the matching loss is translation
+invariant, so the last bias has none).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .embedder import all_params, default_net_and_classifier
-from .losses import LossConfig, episode_loss
+from .embedder import default_net_and_classifier
+from .losses import LossConfig, episode_loss, proto_log_posteriors
 from .numeric import make_rng
 from .prototypes import SupportSet
 
@@ -43,26 +46,34 @@ def _grad_weights(term, cfg):
 class GradCheckInstance:
     net: object
     clf: object
+    theta: np.ndarray          # the parameter vector net and clf are views into
     support: SupportSet
     bg_features: np.ndarray
     query_features: np.ndarray
     query_labels: np.ndarray
     cfg: LossConfig
+    frozen_p0: np.ndarray = None   # constant background prototype when bg_features is None
 
 
 def random_instance(seed, d=8, hidden=10, e=6, n_classes=3, shots=3,
                     n_queries=12, n_bg=4, depth=2, cfg=None):
     """Small random episode for gradient checking."""
     rng = make_rng(seed)
-    net, clf = default_net_and_classifier(seed, d, hidden, e, n_classes, depth)
+    net, clf, theta = default_net_and_classifier(seed, d, hidden, e, n_classes, depth)
     support = SupportSet({c: rng.normal(size=(shots, d))
                           for c in range(1, n_classes + 1)})
     bg = rng.normal(size=(n_bg, d))
     X = rng.normal(size=(n_queries, d))
     labels = rng.integers(0, n_classes + 1, size=n_queries)
+    # A layer fed by ReLU outputs gets exact zeros from a row that is dead
+    # in the layer before; with a zero bias that row then sits on the next
+    # ReLU's kink, where finite differences are undefined. Those biases
+    # (none at depth 2) are drawn at random.
+    for _, b in net.layers[1:-1]:
+        b[...] = rng.normal(scale=0.1, size=b.shape)
     if cfg is None:
         cfg = LossConfig.for_stage(2, 1.0, 1.0, tau=10.0)
-    return GradCheckInstance(net, clf, support, bg, X, labels, cfg)
+    return GradCheckInstance(net, clf, theta, support, bg, X, labels, cfg)
 
 
 def _term_value(bundle, term):
@@ -71,58 +82,61 @@ def _term_value(bundle, term):
 
 
 def _max_rel_err(analytic, numeric):
-    scale = max(max(float(np.max(np.abs(g))) for g in analytic),
-                max(float(np.max(np.abs(g))) for g in numeric), 1e-8)
-    return max(float(np.max(np.abs(g_a - g_n))) / scale
-               for g_a, g_n in zip(analytic, numeric))
+    scale = max(float(np.max(np.abs(analytic))), float(np.max(np.abs(numeric))), 1e-8)
+    return float(np.max(np.abs(analytic - numeric))) / scale
 
 
 def check_term(inst, terms=TERMS, h=1e-6, corrupt=False):
-    """{term: max per-block relative error between analytic and numeric grads}.
+    """{term: max relative error between analytic and numeric grads}.
 
-    One sweep over the parameters serves every term in `terms`.
-    `corrupt` perturbs one analytic entry of each term before
-    comparison; the harness must then report a failure for every term
-    (sanity check of the check).
+    One sweep over the entries of the parameter vector serves every
+    term in `terms`. `corrupt` perturbs one analytic entry of each
+    term before comparison; the harness must then report a failure
+    for every term (sanity check of the check).
     """
     def loss(**kw):
         return episode_loss(inst.net, inst.clf, inst.support,
                             inst.query_features, inst.query_labels, inst.cfg,
-                            bg_features=inst.bg_features, **kw)
+                            bg_features=inst.bg_features,
+                            frozen_p0=inst.frozen_p0, **kw)
 
     analytic = {}
     for t in terms:
-        grads = loss(grad_weights=_grad_weights(t, inst.cfg)).grads.flat()
+        analytic[t] = loss(grad_weights=_grad_weights(t, inst.cfg)).grads
         if corrupt:
-            grads[0].flat[0] += 1.0
-        analytic[t] = [g.ravel() for g in grads]
+            analytic[t][0] += 1.0
+
+    # A stop-gradient KL trains the gradient of KL(P_proto held at the
+    # unperturbed parameters || P_clf): the probes difference that.
+    teacher = None
+    if inst.cfg.kl_stop_teacher:
+        Q0, _ = inst.net.forward_batch(inst.query_features)
+        teacher = proto_log_posteriors(Q0, loss(grads=False).bank.P)
 
     def values():
-        bundle = loss(grads=False)
+        bundle = loss(grads=False, kl_teacher=teacher)
         return np.array([_term_value(bundle, t) for t in terms])
 
-    # numeric[k][j, i]: d(term j) / d(entry i of parameter block k)
-    params = all_params(inst.net, inst.clf)
-    numeric = [np.zeros((len(terms), p.size)) for p in params]
-    for p, g_n in zip(params, numeric):
-        for i in range(p.size):
-            orig = p.flat[i]
-            p.flat[i] = orig + h
-            f_plus = values()
-            p.flat[i] = orig - h
-            f_minus = values()
-            p.flat[i] = orig
-            g_n[:, i] = (f_plus - f_minus) / (2.0 * h)
+    # numeric[j, i]: d(term j) / d(entry i of the parameter vector)
+    theta = inst.theta
+    numeric = np.zeros((len(terms), theta.size))
+    for i in range(theta.size):
+        orig = theta[i]
+        theta[i] = orig + h
+        f_plus = values()
+        theta[i] = orig - h
+        f_minus = values()
+        theta[i] = orig
+        numeric[:, i] = (f_plus - f_minus) / (2.0 * h)
 
-    return {t: _max_rel_err(analytic[t], [g_n[j] for g_n in numeric])
-            for j, t in enumerate(terms)}
+    return {t: _max_rel_err(analytic[t], numeric[j]) for j, t in enumerate(terms)}
 
 
 def run_suite(seeds=range(20), terms=TERMS, instance_kwargs=None,
               corrupt=False):
     """Gradient-check every loss term over seeded random instances.
 
-    Returns {term: max error over all seeds and parameter blocks}.
+    Returns {term: max error over all seeds}.
     """
     instance_kwargs = instance_kwargs or {}
     results = {t: 0.0 for t in terms}

@@ -93,7 +93,7 @@ def assemble_protocol(spec, seen_support, unseen_support, net, p0):
                 raise ValueError("missing support set for requested mode")
             merged.update(s.by_class)
         from .prototypes import SupportSet
-        bank, _ = build_prototypes(net, SupportSet(merged))
+        bank = build_prototypes(net, SupportSet(merged))
         return bank.with_entry(BACKGROUND_ID, p0)
 
     if spec.mode == FEWSHOT:

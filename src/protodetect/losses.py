@@ -11,8 +11,12 @@ Three terms over a query batch and a prototype bank:
 
 Gradients are derived by hand and flow into the query embeddings,
 the prototypes, and the classifier. `episode_loss` closes the loop:
-it rebuilds prototypes through the current net, so prototype
-gradients reach the net through the support embeddings too.
+one forward pass embeds support rows, background pool and queries
+together, prototypes are segment means of that output, and one
+backward pass carries the query gradients and the prototype
+gradients (each support or pool row receiving dP / n of its segment)
+into the net. Its gradient is one vector in the parameter layout of
+`embedder.flatten`.
 
 Every loss takes `grads`: with grads=False it computes the same value
 by the same arithmetic and skips the gradient algebra, returning None
@@ -24,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .embedder import flatten
 from .numeric import log_softmax, sq_distances
-from .prototypes import BACKGROUND_ID, PrototypeBank, build_prototypes
+from .prototypes import BACKGROUND_ID, PrototypeBank, segment_means
 
 
 @dataclass
@@ -72,16 +77,6 @@ class QueryBatch:
 
 
 @dataclass
-class ParamGrads:
-    """Gradients in all_params(net, clf) order: W1,b1,...,Wc,bc."""
-    net_grads: list
-    clf_grads: list
-
-    def flat(self):
-        return [g for pair in self.net_grads for g in pair] + list(self.clf_grads)
-
-
-@dataclass
 class LossBundle:
     l_match: float
     l_kl: float
@@ -90,21 +85,27 @@ class LossBundle:
     raw: dict              # un-normalized sums of the same quantities
     n_queries: int
     bank: PrototypeBank = None   # the episode's prototypes, background included
-    grads: ParamGrads = None     # None on the value-only path
+    grads: np.ndarray = None     # parameter-vector gradient; None on the value-only path
 
 
 def _label_indices(labels, bank):
-    idx = []
-    for y in labels:
-        if not bank.has(int(y)):
-            raise ValueError(f"label {int(y)} has no prototype in bank")
-        idx.append(bank.index_of(int(y)))
-    return np.asarray(idx, dtype=np.int64)
+    """Bank row of each label (bank ids ascend); raises on the first
+    label with no prototype."""
+    ids = np.asarray(bank.ids)
+    idx = np.minimum(np.searchsorted(ids, labels), len(ids) - 1)
+    missing = ids[idx] != labels
+    if missing.any():
+        raise ValueError(f"label {int(labels[missing][0])} has no prototype in bank")
+    return idx
+
+
+def proto_log_posteriors(Q, P):
+    """log P(prototype k | q) for each query row: log-softmax of -|q - p_k|^2."""
+    return log_softmax(-sq_distances(Q, P), axis=1)
 
 
 def _matching_core(Q, y_idx, P, grads=True):
-    Z = -sq_distances(Q, P)
-    logp = log_softmax(Z, axis=1)
+    logp = proto_log_posteriors(Q, P)
     n = Q.shape[0]
     value = -float(np.sum(logp[np.arange(n), y_idx]))
     if not grads:
@@ -117,9 +118,11 @@ def _matching_core(Q, y_idx, P, grads=True):
     return value, dQ, dP
 
 
-def _kl_core(Q, P, clf, stop_teacher, grads=True):
-    Z = -sq_distances(Q, P)
-    logp_proto = log_softmax(Z, axis=1)
+def _kl_core(Q, P, clf, stop_teacher, grads=True, teacher=None):
+    if teacher is not None:
+        logp_proto, stop_teacher = teacher, True
+    else:
+        logp_proto = proto_log_posteriors(Q, P)
     p_proto = np.exp(logp_proto)
     U = clf.logits_batch(Q)
     logp_clf = log_softmax(U, axis=1)
@@ -163,15 +166,20 @@ def matching_loss(batch, bank, grads=True):
     return _matching_core(batch.Q, y_idx, bank.P, grads)
 
 
-def kl_loss(batch, bank, clf, stop_teacher=False, grads=True):
+def kl_loss(batch, bank, clf, stop_teacher=False, grads=True, teacher=None):
     """Sum of KL(P_proto || P_clf); grads wrt Q, P, and classifier params.
 
     Probabilities never appear inside logs directly; everything is
     phrased through log-sum-exp, so classifier underflow is harmless.
+    stop_teacher drops the gradient through P_proto. `teacher`, when
+    given, is a constant (queries x bank) array of log P_proto used in
+    place of the one computed from (Q, P): the value is then the
+    function whose gradient stop_teacher trains, which is what the
+    gradient audit differences.
     """
     if clf.n_classes != len(bank):
         raise ValueError("classifier width must equal bank size")
-    return _kl_core(batch.Q, bank.P, clf, stop_teacher, grads)
+    return _kl_core(batch.Q, bank.P, clf, stop_teacher, grads, teacher)
 
 
 def alignment_loss(batch, bank, tau, include_background=True, grads=True):
@@ -215,41 +223,50 @@ def _bundle(m, k, a, n, cfg, bank):
 
 def episode_loss(net, clf, support, query_features, query_labels, cfg,
                  bg_features=None, frozen_p0=None, grad_weights=None,
-                 grads=True):
+                 grads=True, kl_teacher=None):
     """Full training objective for one episode, with parameter gradients.
 
-    Prototypes are rebuilt through the current net (gradients flow into
-    the support embeddings, each receiving dP_j / n_j). The background
-    prototype comes from bg_features when given, otherwise frozen_p0 is
-    used as a constant (no gradient).
+    One forward pass embeds the stacked rows [support; background pool;
+    queries]. Class prototypes, and p0 when bg_features is given, are
+    the means of their segments of that output (`segment_means`); with
+    no pool, frozen_p0 is used as a constant (no gradient). The
+    prototype gradient dP goes back to the rows it was averaged from,
+    row j of class k receiving dP[k] / n_k, and one backward pass over
+    every row yields all net gradients.
 
     grad_weights optionally overrides the (match, kl, align) weights
     used for the returned gradients only; the gradient-check harness
     uses this to isolate a single term. Defaults to (1, lambda_kl,
-    lambda_align).
+    lambda_align). kl_teacher is passed to `kl_loss` as its constant
+    teacher (the gradient audit of a kl_stop_teacher config).
 
-    grads=False returns the loss values only (bundle.grads is None):
-    the forward pass, the loss values and every input check are the
-    same as with gradients, but no backward pass runs.
+    bundle.grads is one vector in the parameter layout of
+    `embedder.flatten` (net layers, then classifier). grads=False
+    returns the loss values only (bundle.grads is None): the forward
+    pass, the loss values and every input check are the same as with
+    gradients, but no backward pass runs.
     """
-    bank_cls, sup_caches = build_prototypes(net, support)
-    entries = list(zip(bank_cls.ids, bank_cls.P))
-    p0_cache = None
-    if bg_features is not None and len(bg_features) > 0:
-        bg = np.asarray(bg_features, dtype=np.float64)
-        bg_emb, p0_cache = net.forward_batch(bg)
-        entries.append((BACKGROUND_ID, bg_emb.mean(axis=0)))
-    elif frozen_p0 is not None:
+    X_sup, counts = support.rows()
+    seg_ids = list(support.class_ids)
+    parts = [X_sup]
+    has_pool = bg_features is not None and len(bg_features) > 0
+    if has_pool:
+        parts.append(np.asarray(bg_features, dtype=np.float64))
+        seg_ids.append(BACKGROUND_ID)
+        counts.append(len(bg_features))
+    n_proto_rows = sum(counts)
+    parts.append(np.asarray(query_features, dtype=np.float64))
+    E, cache = net.forward_batch(np.concatenate(parts))
+
+    entries = list(zip(seg_ids, segment_means(E, counts)))
+    if not has_pool and frozen_p0 is not None:
         entries.append((BACKGROUND_ID, np.asarray(frozen_p0, dtype=np.float64)))
     bank = PrototypeBank(entries)
-
-    X = np.asarray(query_features, dtype=np.float64)
-    Q, q_cache = net.forward_batch(X)
-    batch = QueryBatch(Q, query_labels)
+    batch = QueryBatch(E[n_proto_rows:], query_labels)
 
     m_val, dQ_m, dP_m = matching_loss(batch, bank, grads=grads)
     k_val, dQ_k, dP_k, dWc, dbc = kl_loss(batch, bank, clf, cfg.kl_stop_teacher,
-                                          grads=grads)
+                                          grads=grads, teacher=kl_teacher)
     a_val, dQ_a, dP_a = alignment_loss(batch, bank, cfg.tau,
                                        cfg.align_include_background, grads=grads)
     bundle = _bundle(m_val, k_val, a_val, len(batch), cfg, bank)
@@ -258,43 +275,15 @@ def episode_loss(net, clf, support, query_features, query_labels, cfg,
 
     w_m, w_k, w_a = grad_weights if grad_weights is not None \
         else (1.0, cfg.lambda_kl, cfg.lambda_align)
-    dQ = w_m * dQ_m + w_k * dQ_k + w_a * dQ_a
-    dP = w_m * dP_m + w_k * dP_k + w_a * dP_a
-    clf_grads = clf.zero_grads()
-    clf_grads[0] += w_k * dWc
-    clf_grads[1] += w_k * dbc
-
     scale = 1.0 / len(batch) if cfg.normalize else 1.0
-    dQ *= scale
-    dP *= scale
-    clf_grads[0] *= scale
-    clf_grads[1] *= scale
+    dQ = (w_m * dQ_m + w_k * dQ_k + w_a * dQ_a) * scale
+    dP = (w_m * dP_m + w_k * dP_k + w_a * dP_a) * scale
 
-    # queries -> net params
-    layer_grads, _ = net.backward_batch(q_cache, dQ)
-    net_grads = [list(pair) for pair in layer_grads]
-
-    def accumulate(pairs):
-        for dst, (dW, db) in zip(net_grads, pairs):
-            dst[0] += dW
-            dst[1] += db
-
-    # class prototypes -> support embeddings -> net params
-    for cid in support.class_ids:
-        n_sup = support.shots(cid)
-        dP_row = dP[bank.index_of(cid)]
-        d_emb = np.tile(dP_row / n_sup, (n_sup, 1))
-        pairs, _ = net.backward_batch(sup_caches[cid], d_emb)
-        accumulate(pairs)
-
-    # background prototype -> pool embeddings -> net params
-    if p0_cache is not None:
-        n_bg = p0_cache[0].shape[0]
-        dP_row = dP[bank.index_of(BACKGROUND_ID)]
-        d_emb = np.tile(dP_row / n_bg, (n_bg, 1))
-        pairs, _ = net.backward_batch(p0_cache, d_emb)
-        accumulate(pairs)
-
-    bundle.grads = ParamGrads(net_grads=[tuple(p) for p in net_grads],
-                              clf_grads=clf_grads)
+    # each support / pool row receives its prototype's gradient over the
+    # segment size; then one backward pass over every row
+    seg_rows = np.repeat([bank.index_of(c) for c in seg_ids], counts)
+    seg_size = np.repeat(counts, counts).astype(np.float64)
+    dE = np.concatenate([dP[seg_rows] / seg_size[:, None], dQ])
+    layer_grads, _ = net.backward_batch(cache, dE)
+    bundle.grads = flatten(layer_grads, ((w_k * dWc) * scale, (w_k * dbc) * scale))
     return bundle

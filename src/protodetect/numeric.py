@@ -15,26 +15,6 @@ def make_rng(seed):
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
-def as_vec(x):
-    """Coerce to a finite 1-D float64 array, validating shape and content."""
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError(f"expected nonempty 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("non-finite entries in vector")
-    return v
-
-
-def as_mat(x):
-    """Coerce to a finite 2-D float64 array."""
-    m = np.asarray(x, dtype=np.float64)
-    if m.ndim != 2 or m.size == 0:
-        raise ValueError(f"expected nonempty 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("non-finite entries in matrix")
-    return m
-
-
 def logsumexp(z, axis=-1, keepdims=False):
     """Stable log(sum(exp(z))) via max subtraction."""
     z = np.asarray(z, dtype=np.float64)

@@ -42,8 +42,11 @@ class SupportSet:
     def shots(self, cid):
         return self.by_class[cid].shape[0]
 
-    def subset(self, class_ids):
-        return SupportSet({c: self.by_class[c] for c in class_ids})
+    def rows(self):
+        """(every support row class-major in class_ids order, shots per class)."""
+        ids = self.class_ids
+        return (np.concatenate([self.by_class[c] for c in ids]),
+                [self.shots(c) for c in ids])
 
 
 class PrototypeBank:
@@ -105,21 +108,18 @@ class PrototypeBank:
             return cls.from_dict(json.load(f))
 
 
-def build_prototypes(net, support):
-    """Mean embedding per class through the current net (classes only).
+def segment_means(E, counts):
+    """Mean of each consecutive block of rows of E; block k has counts[k] rows."""
+    ends = np.cumsum(counts)
+    return [E[end - n:end].mean(axis=0) for n, end in zip(counts, ends)]
 
-    Returns (bank, caches) where caches[cid] is the forward cache of
-    that class's support batch, so gradients can flow back into the
-    net (each support embedding receives dP/n).
-    """
-    entries = []
-    caches = {}
-    for cid in support.class_ids:
-        feats = support.by_class[cid]
-        emb, cache = net.forward_batch(feats)
-        entries.append((cid, emb.mean(axis=0)))
-        caches[cid] = cache
-    return PrototypeBank(entries), caches
+
+def build_prototypes(net, support):
+    """Bank of class prototypes (no background) through the current net:
+    one forward over every support row, then one mean per class."""
+    X, counts = support.rows()
+    emb, _ = net.forward_batch(X)
+    return PrototypeBank(zip(support.class_ids, segment_means(emb, counts)))
 
 
 def background_pool(proposals, gt_boxes, threshold=0.3):

@@ -86,8 +86,21 @@ class WorldConfig:
     seed: int = 0
 
     def validate(self):
-        if self.delta <= 0 or self.sigma_f <= 0 or self.c_seen < 1:
-            raise ValueError("invalid world config")
+        """Raise ValueError naming every field whose value is out of range."""
+        sizes = tuple(self.box_size_range)
+        bad = [name for name, ok in (
+            ("c_seen", self.c_seen >= 1), ("c_unseen", self.c_unseen >= 0),
+            ("d", self.d >= 1), ("delta", self.delta > 0),
+            ("sigma_f", self.sigma_f > 0), ("scene_size", self.scene_size > 0),
+            ("objects_per_scene", self.objects_per_scene >= 0),
+            ("box_jitter", self.box_jitter >= 0),
+            ("bg_feature_std", self.bg_feature_std >= 0),
+            ("box_size_range", len(sizes) == 2 and 0 < sizes[0] <= sizes[1]),
+            ("shots", self.shots >= 1), ("n_train_scenes", self.n_train_scenes >= 1),
+            ("n_test_scenes", self.n_test_scenes >= 1), ("seed", self.seed >= 0),
+        ) if not ok]
+        if bad:
+            raise ValueError(f"invalid world config: {', '.join(bad)} out of range")
         if self.proposals_per_scene < self.objects_per_scene:
             raise ValueError("proposals must be >= objects per scene")
 
@@ -210,26 +223,33 @@ def generate_world(cfg):
 def augment_feature(rng, v, strength, sigma_f=1.0):
     """Feature-space stand-in for photometric/geometric augmentation.
 
-    v' = R (gamma * v) + eps with gamma ~ U[1-s, 1+s], R a rotation by
-    angle <= s*pi/8 in a random 2-coordinate plane, eps ~ N(0, (s*sigma_f)^2).
-    strength 0 is the identity.
+    Row by row, v' = R (gamma * v) + eps with gamma ~ U[1-s, 1+s], R a
+    rotation by angle theta ~ U[-s*pi/8, s*pi/8] in the plane of two
+    distinct random coordinates, eps ~ N(0, (s*sigma_f)^2). v is an
+    (n, d) matrix of rows or one (d,) row; the result has its shape.
+    Each row gets its own draws, and every quantity is drawn once for
+    the whole batch, in this order: gamma (n), the first coordinate
+    (n), the offset of the second from the first (n, in 1..d-1),
+    theta (n), the noise (n, d). strength 0 is the identity.
     """
     if strength < 0:
         raise ValueError("strength must be >= 0")
-    v = np.asarray(v, dtype=np.float64)
-    gamma = rng.uniform(1.0 - strength, 1.0 + strength)
-    out = gamma * v
-    d = v.shape[0]
+    V = np.asarray(v, dtype=np.float64)
+    X = V.reshape(-1, V.shape[-1])
+    n, d = X.shape
+    gamma = rng.uniform(1.0 - strength, 1.0 + strength, size=n)
+    out = gamma[:, None] * X
     if d >= 2:
-        i, j = rng.choice(d, size=2, replace=False)
-        theta = rng.uniform(-strength * np.pi / 8.0, strength * np.pi / 8.0)
+        rows = np.arange(n)
+        i = rng.integers(d, size=n)
+        j = (i + rng.integers(1, d, size=n)) % d
+        theta = rng.uniform(-strength * np.pi / 8.0, strength * np.pi / 8.0, size=n)
         c, s = np.cos(theta), np.sin(theta)
-        vi, vj = out[i], out[j]
-        out = out.copy()
-        out[i] = c * vi - s * vj
-        out[j] = s * vi + c * vj
-    out = out + rng.normal(size=d) * (strength * sigma_f)
-    return out
+        vi, vj = out[rows, i], out[rows, j]
+        out[rows, i] = c * vi - s * vj
+        out[rows, j] = s * vi + c * vj
+    out += rng.normal(size=(n, d)) * (strength * sigma_f)
+    return out.reshape(V.shape)
 
 
 def label_proposals(scene):

@@ -1,12 +1,16 @@
 """Two-stage episodic training loop with hand-rolled AdamW.
 
 Stage 1 optimizes the matching loss alone (lambda_kl = lambda_align = 0);
-stage 2 activates the KL and alignment terms. Each step rebuilds the
-prototypes through the current net, assembles an episode (augmented
-queries from the support set plus background queries from a scene),
-evaluates the full objective, clips the gradient, and applies one
-AdamW update. The loop is single-threaded and fully deterministic in
-(config, dataset, seed).
+stage 2 activates the KL and alignment terms. Each step assembles an
+episode (queries augmented from the support set by one batched
+`augment_feature` call, plus background queries from a scene), then
+evaluates the full objective with one forward and one backward pass
+through the net (`losses.episode_loss`, which also rebuilds the
+prototypes through the current net). The gradient comes back as one
+vector in the layout of the parameter vector (`embedder.bind_params`),
+so clipping and the AdamW update are a few in-place vector operations.
+The loop is single-threaded in Python and fully deterministic in
+(config, dataset, seed), whatever the BLAS thread count.
 """
 
 import json
@@ -14,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedder import all_params, default_net_and_classifier
+from .embedder import default_net_and_classifier
 from .losses import LossConfig, episode_loss
 from .numeric import make_rng
 from .prototypes import (BACKGROUND_ID, PrototypeBank, SupportSet,
@@ -52,10 +56,21 @@ class TrainConfig:
     normalize_loss: bool = True
 
     def validate(self):
-        if self.lr <= 0 or self.stage1_steps < 0 or self.stage2_steps < 0:
-            raise ValueError("invalid training config")
-        if self.shots < 1 or self.queries_per_support < 1:
-            raise ValueError("shots and queries_per_support must be >= 1")
+        """Raise ValueError naming every field whose value is out of range."""
+        bad = [name for name, ok in (
+            ("lr", self.lr > 0), ("weight_decay", self.weight_decay >= 0),
+            ("beta1", 0 <= self.beta1 < 1), ("beta2", 0 <= self.beta2 < 1),
+            ("eps", self.eps > 0), ("stage1_steps", self.stage1_steps >= 0),
+            ("stage2_steps", self.stage2_steps >= 0), ("shots", self.shots >= 1),
+            ("queries_per_support", self.queries_per_support >= 1),
+            ("tau", self.tau > 0), ("lambda_kl", self.lambda_kl >= 0),
+            ("lambda_align", self.lambda_align >= 0), ("seed", self.seed >= 0),
+            ("augment_strength", self.augment_strength >= 0),
+            ("hidden_dim", self.hidden_dim >= 1), ("emb_dim", self.emb_dim >= 1),
+            ("mlp_depth", self.mlp_depth >= 2), ("grad_clip", self.grad_clip >= 0),
+        ) if not ok]
+        if bad:
+            raise ValueError(f"invalid training config: {', '.join(bad)} out of range")
         if self.support_query_split not in (FULL_SPLIT, PARTIAL_SPLIT):
             raise ValueError(f"unknown split mode {self.support_query_split!r}")
 
@@ -68,74 +83,79 @@ class TrainConfig:
 
 
 class AdamW:
-    """Decoupled weight decay Adam; state shapes mirror the parameters."""
+    """Decoupled weight decay Adam over the parameter vector.
+
+    The moments are vectors of the same layout; every update runs in
+    place through one scratch vector, so a step allocates nothing.
+    """
 
     def __init__(self, params, cfg):
         self.cfg = cfg
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._scratch = np.empty_like(params)
         self.t = 0
 
     def step(self, params, grads):
-        for g in grads:
-            if not np.all(np.isfinite(g)):
-                raise FloatingPointError("non-finite gradient")
-        c = self.cfg
+        if not np.all(np.isfinite(grads)):
+            raise FloatingPointError("non-finite gradient")
+        c, m, v, s = self.cfg, self.m, self.v, self._scratch
         self.t += 1
         bc1 = 1.0 - c.beta1 ** self.t
-        bc2 = 1.0 - c.beta2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= c.beta1
-            m += (1.0 - c.beta1) * g
-            v *= c.beta2
-            v += (1.0 - c.beta2) * g * g
-            # decay is decoupled from the adaptive update
-            p -= c.lr * c.weight_decay * p
-            p -= c.lr * (m / bc1) / (np.sqrt(v / bc2) + c.eps)
+        sqrt_bc2 = np.sqrt(1.0 - c.beta2 ** self.t)
+        m *= c.beta1
+        np.multiply(grads, 1.0 - c.beta1, out=s)
+        m += s
+        v *= c.beta2
+        np.multiply(grads, grads, out=s)
+        s *= 1.0 - c.beta2
+        v += s
+        # decay is decoupled from the adaptive update
+        params *= 1.0 - c.lr * c.weight_decay
+        # (m / bc1) / (sqrt(v / bc2) + eps), with the bias corrections
+        # folded into two scalars
+        np.sqrt(v, out=s)
+        s += c.eps * sqrt_bc2
+        np.divide(m, s, out=s)
+        s *= c.lr * sqrt_bc2 / bc1
+        params -= s
 
 
 def clip_global_norm(grads, max_norm):
-    """Scale grads in place so their global norm is <= max_norm; returns the pre-clip norm."""
-    norm = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads)))
+    """Scale the gradient vector in place to norm <= max_norm; returns the pre-clip norm."""
+    # np.sum, not a BLAS dot: its result does not depend on the thread count
+    norm = float(np.sqrt(np.sum(np.square(grads))))
     if max_norm > 0 and norm > max_norm:
-        scale = max_norm / norm
-        for g in grads:
-            g *= scale
+        grads *= max_norm / norm
     return norm
 
 
 def make_episode(rng, support, cfg, sigma_f=1.0):
     """Support/query split for one step.
 
-    full: prototypes from all support vectors, queries are m augmented
-    copies of each. partial (requires 5 shots): 3/5 build prototypes,
-    2/5 serve as queries (m augmented copies each when augmentation is
-    on, otherwise used as-is).
+    full: prototypes from all support vectors, queries are m copies of
+    each. partial (requires 5 shots): 3/5 build prototypes, 2/5 serve
+    as queries (m copies each when augmentation is on, otherwise used
+    as-is). Queries are class-major, the m copies of a vector next to
+    each other; with augmentation on, one `augment_feature` call
+    augments them all.
     """
-    strength = cfg.augment_strength if cfg.augment else 0.0
-    feats, labels = [], []
-    if cfg.support_query_split == FULL_SPLIT:
-        proto_support = support
-        for cid in support.class_ids:
-            for v in support.by_class[cid]:
-                for _ in range(cfg.queries_per_support):
-                    feats.append(augment_feature(rng, v, strength, sigma_f))
-                    labels.append(cid)
+    full = cfg.support_query_split == FULL_SPLIT
+    if full:
+        proto_support, held = support, support.by_class
     else:
         if any(support.shots(c) != 5 for c in support.class_ids):
             raise ValueError("split requires 5 shots")
         proto_support = SupportSet(
             {c: support.by_class[c][:3] for c in support.class_ids})
-        for cid in support.class_ids:
-            for v in support.by_class[cid][3:]:
-                if cfg.augment:
-                    for _ in range(cfg.queries_per_support):
-                        feats.append(augment_feature(rng, v, strength, sigma_f))
-                        labels.append(cid)
-                else:
-                    feats.append(np.asarray(v, dtype=np.float64))
-                    labels.append(cid)
-    return proto_support, np.stack(feats), np.asarray(labels, dtype=np.int64)
+        held = {c: support.by_class[c][3:] for c in support.class_ids}
+    copies = cfg.queries_per_support if full or cfg.augment else 1
+    ids = support.class_ids
+    feats = np.repeat(np.concatenate([held[c] for c in ids]), copies, axis=0)
+    labels = np.repeat(ids, [len(held[c]) * copies for c in ids]).astype(np.int64)
+    if cfg.augment:
+        feats = augment_feature(rng, feats, cfg.augment_strength, sigma_f)
+    return proto_support, feats, labels
 
 
 def scene_background_features(scene, threshold=0.3):
@@ -191,11 +211,11 @@ def train(world, cfg):
     cfg.validate()
     support = SupportSet(world.support_seen)
     n_classes = len(support.class_ids)
-    net, clf = default_net_and_classifier(
+    net, clf, theta = default_net_and_classifier(
         cfg.seed, support.feature_dim, cfg.hidden_dim, cfg.emb_dim,
         n_classes, cfg.mlp_depth)
     rng = make_rng(cfg.seed + 1)
-    opt = AdamW(all_params(net, clf), cfg)
+    opt = AdamW(theta, cfg)
     sigma_f = world.config.sigma_f
 
     log = []
@@ -222,16 +242,15 @@ def train(world, cfg):
         if not np.isfinite(bundle.l_total):
             raise FloatingPointError(f"diverged at step {step}")
 
-        flat = bundle.grads.flat()
-        grad_norm = clip_global_norm(flat, cfg.grad_clip)
-        opt.step(all_params(net, clf), flat)
+        grad_norm = clip_global_norm(bundle.grads, cfg.grad_clip)
+        opt.step(theta, bundle.grads)
 
         log.append({"step": step, "stage": stage,
                     "l_match": bundle.l_match, "l_kl": bundle.l_kl,
                     "l_align": bundle.l_align, "l_total": bundle.l_total,
                     "grad_norm": grad_norm})
 
-    bank, _ = build_prototypes(net, support)
+    bank = build_prototypes(net, support)
     all_bg = [f for s in world.train_scenes for f in scene_background_features(s)]
     if all_bg:
         bg_emb, _ = net.forward_batch(np.asarray(all_bg))

@@ -1,6 +1,14 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import protodetect
 
 from protodetect.cli import main
 from protodetect.config import (ConfigError, RunConfig, apply_overrides,
@@ -213,12 +221,102 @@ def test_eval_missing_checkpoint_exit_2(trained, tmp_path):
     assert rc == 2
 
 
+# --- exit codes on malformed input -----------------------------------------
+
+def test_train_non_numeric_lr_exit_2(trained, tmp_path, capsys):
+    cfg, data, _, _ = trained
+    rc = main(["train", "--config", cfg, "--dataset", str(data),
+               "--out", str(tmp_path / "x.json"), "--set", 'train.lr="abc"'])
+    assert rc == 2
+    assert "train.lr" in capsys.readouterr().err
+
+
+def test_zero_training_scenes_exit_2(trained, tmp_path):
+    cfg, data, _, _ = trained
+    assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "d.json"),
+                 "--set", "world.n_train_scenes=0"]) == 2
+    # a dataset written without training scenes is refused before training
+    doc = json.loads(data.read_text())
+    doc["config"]["n_train_scenes"] = 0
+    doc["train_scenes"] = []
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps(doc))
+    assert main(["train", "--config", cfg, "--dataset", str(empty),
+                 "--out", str(tmp_path / "x.json")]) == 2
+
+
+def test_train_zero_hidden_dim_exit_2(trained, tmp_path):
+    cfg, data, _, _ = trained
+    out = tmp_path / "x.json"
+    assert main(["train", "--config", cfg, "--dataset", str(data),
+                 "--out", str(out), "--set", "train.hidden_dim=0"]) == 2
+    assert not out.exists()
+
+
+def test_eval_checkpoint_dataset_dim_mismatch_exit_2(trained, tmp_path, capsys):
+    cfg, _, ckpt, _ = trained      # trained at d=8
+    wide = tmp_path / "wide.json"
+    assert main(["gen-data", "--config", cfg, "--out", str(wide),
+                 "--set", "world.d=16"]) == 0
+    prefix = tmp_path / "r"
+    assert main(["eval", "--config", cfg, "--dataset", str(wide),
+                 "--checkpoint", str(ckpt), "--out-prefix", str(prefix)]) == 2
+    assert "d=16" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+# --- byte identity across BLAS thread counts ---------------------------------
+
+def test_artifacts_identical_across_thread_counts(tmp_path):
+    # A3 layer sizes (d=64, hidden 512, emb 128), so the matrix products
+    # are large enough for BLAS to split them across threads
+    cfg = write_cfg(tmp_path / "c.json", {
+        "world": {"n_train_scenes": 4, "n_test_scenes": 2, "seed": 3},
+        "train": {"stage1_steps": 3, "stage2_steps": 2, "seed": 3}})
+    src = str(Path(protodetect.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        d = tmp_path / f"t{threads}"
+        d.mkdir()
+        for argv in (["gen-data", "--config", cfg, "--out", str(d / "data.json")],
+                     ["train", "--config", cfg, "--dataset", str(d / "data.json"),
+                      "--out", str(d / "ckpt.json")]):
+            subprocess.run([sys.executable, "-m", "protodetect.cli", *argv],
+                           env=env, check=True, capture_output=True, timeout=120)
+        outputs.append([(d / n).read_bytes()
+                        for n in ("ckpt.json", "ckpt.json.log.jsonl")])
+    assert outputs[0] == outputs[1]
+
+
 # --- gradcheck --------------------------------------------------------------
 
-def test_gradcheck_command_passes(tmp_path, capsys):
-    cfg = write_cfg(tmp_path / "c.json")
-    assert main(["gradcheck", "--config", cfg]) == 0
-    out = capsys.readouterr().out
+@pytest.fixture(scope="module")
+def default_gradcheck(tmp_path_factory):
+    cfg = write_cfg(tmp_path_factory.mktemp("gradcheck") / "c.json")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(["gradcheck", "--config", cfg])
+    return cfg, rc, out.getvalue()
+
+
+def test_gradcheck_command_passes(default_gradcheck):
+    _, rc, out = default_gradcheck
+    assert rc == 0
     for term in ("match", "kl", "align", "total"):
         assert term in out
     assert "FAIL" not in out
+
+
+def test_gradcheck_audits_configured_loss(default_gradcheck, capsys):
+    cfg, _, default_out = default_gradcheck
+    assert main(["gradcheck", "--config", cfg,
+                 "--set", "train.mlp_depth=3", "--set", "train.tau=2.0",
+                 "--set", "train.kl_stop_teacher=true",
+                 "--set", "train.align_include_background=false"]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out
+    assert out != default_out

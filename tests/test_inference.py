@@ -134,7 +134,7 @@ def test_protocol_openset_unknown_composition_flag():
         seen, None, net, p0)
     assert not np.allclose(bank_bg.get(99), bank_nobg.get(99))
     from protodetect.prototypes import build_prototypes
-    class_bank, _ = build_prototypes(net, seen)
+    class_bank = build_prototypes(net, seen)
     assert np.allclose(bank_nobg.get(99), class_bank.P.mean(axis=0), atol=1e-12)
 
 

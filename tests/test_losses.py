@@ -8,7 +8,7 @@ from protodetect.gradcheck import check_term, random_instance
 from protodetect.losses import (LossConfig, QueryBatch, alignment_loss,
                                 episode_loss, kl_loss, matching_loss)
 from protodetect.numeric import make_rng
-from protodetect.prototypes import PrototypeBank
+from protodetect.prototypes import PrototypeBank, SupportSet
 
 
 def two_proto_bank(D):
@@ -152,14 +152,19 @@ def test_alignment_tau_scale_consistency():
     assert abs(v0 - v1) <= 1e-9
 
 
+def _clf_size(inst):
+    """Entries of the parameter vector that belong to the classifier (its tail)."""
+    return inst.clf.W.size + inst.clf.b.size
+
+
 def test_stage1_total_equals_match():
     inst = random_instance(7, cfg=LossConfig.for_stage(1))
     bundle = episode_loss(inst.net, inst.clf, inst.support,
                           inst.query_features, inst.query_labels, inst.cfg,
                           bg_features=inst.bg_features)
     assert bundle.l_total == bundle.l_match
-    # stage-1 grads must not touch the classifier
-    assert all(np.all(g == 0) for g in bundle.grads.clf_grads)
+    # stage-1 grads must not touch the classifier (the vector's tail)
+    assert np.all(bundle.grads[-_clf_size(inst):] == 0)
 
 
 def test_stage2_unit_weights_sum():
@@ -248,6 +253,40 @@ def test_gradients_without_background_in_alignment():
     assert worst <= 1e-4
 
 
+def test_gradients_with_stop_teacher_and_deeper_nets():
+    # the stop-gradient KL is checked against a teacher held at the
+    # unperturbed parameters; depth 3 and 4 add hidden-to-hidden layers
+    stop = LossConfig.for_stage(2, 1.0, 1.0, tau=2.0, kl_stop_teacher=True)
+    worst = max(max(check_term(random_instance(seed, depth=depth, cfg=cfg)).values())
+                for seed in range(3) for depth, cfg in ((2, stop), (3, None), (4, stop)))
+    assert worst <= 1e-4
+    corrupted = check_term(random_instance(0, depth=3, cfg=stop), corrupt=True)
+    assert all(err > 1e-4 for err in corrupted.values())
+
+
+def _segment_case(seed, case):
+    """Instances whose stacked forward has uneven or missing segments."""
+    inst = random_instance(seed)
+    rng = make_rng(1000 + seed)
+    d = inst.query_features.shape[1]
+    if case == "unequal_shots":
+        inst.support = SupportSet({c: rng.normal(size=(n, d))
+                                   for c, n in ((1, 1), (2, 3), (3, 5))})
+    elif case == "one_pool_row":
+        inst.bg_features = rng.normal(size=(1, d))
+    else:  # frozen_p0: no pool rows at all
+        inst.bg_features = None
+        inst.frozen_p0 = rng.normal(size=inst.net.out_dim)
+    return inst
+
+
+@pytest.mark.parametrize("case", ["unequal_shots", "one_pool_row", "frozen_p0"])
+def test_fused_segments_match_finite_differences(case):
+    worst = max(max(check_term(_segment_case(seed, case)).values())
+                for seed in range(3))
+    assert worst <= 1e-4
+
+
 def test_one_sweep_matches_per_term_sweeps():
     inst = random_instance(14)
     together = check_term(inst)
@@ -276,10 +315,9 @@ def test_stop_teacher_freezes_prototype_branch_only():
 
     g_full = kl_grads(inst.cfg)
     g_frozen = kl_grads(frozen_cfg)
-    assert all(np.array_equal(a, b) for a, b in
-               zip(g_full.clf_grads, g_frozen.clf_grads))
-    assert any(not np.allclose(a, b)
-               for (a, _), (b, _) in zip(g_full.net_grads, g_frozen.net_grads))
+    n_clf = _clf_size(inst)
+    assert np.array_equal(g_full[-n_clf:], g_frozen[-n_clf:])
+    assert not np.allclose(g_full[:-n_clf], g_frozen[:-n_clf])
 
 
 def test_stage1_forces_zero_weights():

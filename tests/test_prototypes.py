@@ -20,7 +20,7 @@ def random_net(seed=0, d=6, hidden=8, e=4):
 def test_single_shot_prototype_is_embedding():
     net = random_net()
     v = make_rng(1).normal(size=6)
-    bank, _ = build_prototypes(net, SupportSet({1: v[None, :]}))
+    bank = build_prototypes(net, SupportSet({1: v[None, :]}))
     q, _ = net.forward(v)
     assert np.allclose(bank.get(1), q, atol=1e-15)
 
@@ -28,7 +28,7 @@ def test_single_shot_prototype_is_embedding():
 def test_identical_support_gives_same_prototype():
     net = random_net()
     v = make_rng(2).normal(size=6)
-    bank, _ = build_prototypes(net, SupportSet({1: np.tile(v, (5, 1))}))
+    bank = build_prototypes(net, SupportSet({1: np.tile(v, (5, 1))}))
     q, _ = net.forward(v)
     assert np.allclose(bank.get(1), q, atol=1e-12)
 
@@ -36,7 +36,7 @@ def test_identical_support_gives_same_prototype():
 def test_prototype_matches_scalar_averaging_oracle():
     net = random_net(3)
     feats = make_rng(4).normal(size=(5, 6))
-    bank, _ = build_prototypes(net, SupportSet({2: feats}))
+    bank = build_prototypes(net, SupportSet({2: feats}))
     # scalar-loop oracle over individual forward passes
     acc = np.zeros(4)
     for v in feats:
@@ -47,10 +47,10 @@ def test_prototype_matches_scalar_averaging_oracle():
 def test_prototype_linearity_in_embeddings():
     net = random_net(5)
     feats = make_rng(6).normal(size=(4, 6))
-    bank, _ = build_prototypes(net, SupportSet({1: feats}))
+    bank = build_prototypes(net, SupportSet({1: feats}))
     scaled = EmbeddingNet([(net.layers[0][0], net.layers[0][1]),
                            (2.0 * net.layers[1][0], 2.0 * net.layers[1][1])])
-    bank2, _ = build_prototypes(scaled, SupportSet({1: feats}))
+    bank2 = build_prototypes(scaled, SupportSet({1: feats}))
     assert np.allclose(bank2.get(1), 2.0 * bank.get(1), atol=1e-12)
 
 

@@ -126,21 +126,46 @@ def test_augment_displacement_grows_with_strength():
 
 
 def test_augment_rotation_only_preserves_norm():
-    # gamma fixed at 1 and no additive noise when sigma_f = 0 and the
-    # scale range collapses: emulate via strength>0, sigma_f=0 and
-    # checking the rotation component alone
+    # sigma_f = 0 leaves scale and rotation: each row's norm is gamma_r |v_r|,
+    # gamma being the batch's first draw
     rng = make_rng(2)
-    v = rng.normal(size=8)
-    # strength controls gamma too, so compare against gamma*|v|
-    for _ in range(100):
-        state = rng.bit_generator.state
-        out = augment_feature(rng, v, 0.3, sigma_f=0.0)
-        rng.bit_generator.state = state
-        gamma = rng.uniform(0.7, 1.3)
-        rng.choice(8, size=2, replace=False)
-        rng.uniform(-0.3 * np.pi / 8, 0.3 * np.pi / 8)
-        rng.normal(size=8)
-        assert np.linalg.norm(out) == pytest.approx(gamma * np.linalg.norm(v), abs=1e-9)
+    V = rng.normal(size=(100, 8))
+    state = rng.bit_generator.state
+    out = augment_feature(rng, V, 0.3, sigma_f=0.0)
+    rng.bit_generator.state = state
+    gamma = rng.uniform(1.0 - 0.3, 1.0 + 0.3, size=100)
+    assert np.allclose(np.linalg.norm(out, axis=1),
+                       gamma * np.linalg.norm(V, axis=1), rtol=0.0, atol=1e-9)
+
+
+def test_augment_zero_strength_is_identity_for_matrix():
+    V = make_rng(3).normal(size=(7, 5))
+    assert np.array_equal(augment_feature(make_rng(4), V, 0.0, sigma_f=2.0), V)
+
+
+def test_augment_rotates_a_distinct_pair_per_row():
+    rng = make_rng(5)
+    V = rng.normal(size=(200, 6))
+    state = rng.bit_generator.state
+    out = augment_feature(rng, V, 0.8, sigma_f=0.0)
+    # replay the draw order: gamma, first coordinate, offset of the second
+    rng.bit_generator.state = state
+    gamma = rng.uniform(1.0 - 0.8, 1.0 + 0.8, size=200)
+    i = rng.integers(6, size=200)
+    j = (i + rng.integers(1, 6, size=200)) % 6
+    assert np.all(i != j)
+    changed = out != gamma[:, None] * V
+    expected = np.zeros_like(changed)
+    expected[np.arange(200), i] = expected[np.arange(200), j] = True
+    assert np.array_equal(changed, expected)
+    assert len({(a, b) for a, b in zip(i, j)}) > 20   # pairs differ across rows
+
+
+def test_augment_vector_is_one_row():
+    v = make_rng(6).normal(size=9)
+    one = augment_feature(make_rng(7), v, 0.5)
+    assert one.shape == (9,)
+    assert np.array_equal(one, augment_feature(make_rng(7), v[None, :], 0.5)[0])
 
 
 def test_label_proposals_bands():

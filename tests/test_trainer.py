@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from protodetect.embedder import all_params, checkpoint_dict
+from protodetect.embedder import checkpoint_dict, flatten
 from protodetect.numeric import make_rng
 from protodetect.prototypes import SupportSet
-from protodetect.simulator import WorldConfig, generate_world
+from protodetect.simulator import WorldConfig, augment_feature, generate_world
 from protodetect.trainer import (FULL_SPLIT, PARTIAL_SPLIT, AdamW,
                                  TrainConfig, clip_global_norm, make_episode,
                                  train)
@@ -64,6 +64,17 @@ def test_episode_partial_split_requires_five_shots():
         make_episode(make_rng(0), random_support(shots=4), cfg)
 
 
+def test_episode_keeps_class_major_order_with_one_augment_call():
+    cfg = small_train_cfg(queries_per_support=3)
+    support = random_support(C=3, shots=5)
+    _, feats, labels = make_episode(make_rng(11), support, cfg, sigma_f=0.7)
+    rows = np.repeat(np.concatenate([support.by_class[c] for c in (1, 2, 3)]),
+                     3, axis=0)
+    expected = augment_feature(make_rng(11), rows, cfg.augment_strength, 0.7)
+    assert np.array_equal(feats, expected)
+    assert labels.tolist() == [1] * 15 + [2] * 15 + [3] * 15
+
+
 def test_episode_deterministic():
     cfg = small_train_cfg()
     support = random_support()
@@ -76,50 +87,70 @@ def test_episode_deterministic():
 
 def test_adamw_zero_grads_no_decay_keeps_params():
     cfg = small_train_cfg(weight_decay=0.0)
-    p = [np.array([1.0, -2.0])]
+    p = np.array([1.0, -2.0])
     opt = AdamW(p, cfg)
-    opt.step(p, [np.zeros(2)])
-    assert np.array_equal(p[0], [1.0, -2.0])
+    opt.step(p, np.zeros(2))
+    assert np.array_equal(p, [1.0, -2.0])
 
 
 def test_adamw_zero_grads_pure_decay_shrink():
     cfg = small_train_cfg(lr=0.1, weight_decay=0.5)
-    p = [np.array([2.0, -4.0])]
+    p = np.array([2.0, -4.0])
     opt = AdamW(p, cfg)
-    opt.step(p, [np.zeros(2)])
-    assert np.allclose(p[0], np.array([2.0, -4.0]) * (1.0 - 0.1 * 0.5), atol=1e-15)
+    opt.step(p, np.zeros(2))
+    assert np.allclose(p, np.array([2.0, -4.0]) * (1.0 - 0.1 * 0.5), atol=1e-15)
 
 
 def test_adamw_first_step_hand_computation():
     cfg = small_train_cfg(lr=1e-3, weight_decay=0.0)
     theta0 = 0.7
     g = 0.31
-    p = [np.array([theta0])]
+    p = np.array([theta0])
     opt = AdamW(p, cfg)
-    opt.step(p, [np.array([g])])
+    opt.step(p, np.array([g]))
     # scalar hand computation of one bias-corrected Adam step
     m = (1 - cfg.beta1) * g / (1 - cfg.beta1)
     v = (1 - cfg.beta2) * g * g / (1 - cfg.beta2)
     expected = theta0 - cfg.lr * m / (np.sqrt(v) + cfg.eps)
-    assert p[0][0] == pytest.approx(expected, rel=1e-12)
+    assert p[0] == pytest.approx(expected, rel=1e-12)
+
+
+def test_adamw_matches_per_entry_reference_over_steps():
+    # scalar-loop reference of decoupled AdamW, several steps with decay
+    cfg = small_train_cfg(lr=1e-2, weight_decay=0.1)
+    rng = make_rng(3)
+    p = rng.normal(size=7)
+    ref = [float(x) for x in p]
+    m_ref, v_ref = [0.0] * 7, [0.0] * 7
+    opt = AdamW(p, cfg)
+    for t in range(1, 6):
+        g = rng.normal(size=7)
+        opt.step(p, g)
+        for i in range(7):
+            m_ref[i] = cfg.beta1 * m_ref[i] + (1 - cfg.beta1) * g[i]
+            v_ref[i] = cfg.beta2 * v_ref[i] + (1 - cfg.beta2) * g[i] * g[i]
+            ref[i] -= cfg.lr * cfg.weight_decay * ref[i]
+            ref[i] -= cfg.lr * (m_ref[i] / (1 - cfg.beta1 ** t)) / (
+                np.sqrt(v_ref[i] / (1 - cfg.beta2 ** t)) + cfg.eps)
+    assert np.allclose(p, ref, rtol=1e-13, atol=0.0)
 
 
 def test_adamw_rejects_non_finite_grads():
     cfg = small_train_cfg()
-    p = [np.zeros(2)]
+    p = np.zeros(2)
     opt = AdamW(p, cfg)
     with pytest.raises(FloatingPointError):
-        opt.step(p, [np.array([np.nan, 0.0])])
+        opt.step(p, np.array([np.nan, 0.0]))
 
 
 def test_clip_global_norm():
-    g = [np.array([3.0, 0.0]), np.array([0.0, 4.0])]
+    g = np.array([3.0, 0.0, 0.0, 4.0])
     norm = clip_global_norm(g, 1.0)
     assert norm == pytest.approx(5.0)
-    assert np.sqrt(sum(np.sum(x * x) for x in g)) == pytest.approx(1.0)
-    g2 = [np.array([0.1])]
+    assert np.sqrt(np.sum(g * g)) == pytest.approx(1.0)
+    g2 = np.array([0.1])
     assert clip_global_norm(g2, 1.0) == pytest.approx(0.1)
-    assert g2[0][0] == 0.1
+    assert g2[0] == 0.1
 
 
 # --- training loop ----------------------------------------------------------
@@ -151,11 +182,11 @@ def test_zero_lr_is_rejected_and_tiny_lr_keeps_params_close():
     res = train(world, cfg)
     from protodetect.embedder import default_net_and_classifier
     support = SupportSet(world.support_seen)
-    net0, clf0 = default_net_and_classifier(
+    _, _, theta0 = default_net_and_classifier(
         cfg.seed, support.feature_dim, cfg.hidden_dim, cfg.emb_dim,
         len(support.class_ids), cfg.mlp_depth)
-    for a, b in zip(all_params(res.net, res.clf), all_params(net0, clf0)):
-        assert np.allclose(a, b, atol=1e-290)
+    assert np.allclose(flatten(res.net.layers, (res.clf.W, res.clf.b)), theta0,
+                       atol=1e-290)
 
 
 def test_training_deterministic_bit_identical():
