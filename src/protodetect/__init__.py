@@ -5,13 +5,13 @@ training with hand-derived gradients, and COCO-style evaluation."""
 from .embedder import EmbeddingNet, LinearClassifier
 from .losses import LossConfig, QueryBatch, episode_loss
 from .prototypes import (PrototypeBank, SupportSet, build_prototypes,
-                         compose_unknown_prototype, posteriors)
+                         compose_unknown_prototype, posteriors_batch)
 from .simulator import Box, WorldConfig, generate_world, iou
 from .trainer import TrainConfig, train
 
 __all__ = [
     "EmbeddingNet", "LinearClassifier", "LossConfig", "QueryBatch",
     "episode_loss", "PrototypeBank", "SupportSet", "build_prototypes",
-    "compose_unknown_prototype", "posteriors", "Box", "WorldConfig",
+    "compose_unknown_prototype", "posteriors_batch", "Box", "WorldConfig",
     "generate_world", "iou", "TrainConfig", "train",
 ]

@@ -12,21 +12,17 @@ input error, 3 numerical divergence, 4 gradient-check failure.
 """
 
 import argparse
-import json
 import sys
-
-import numpy as np
 
 from .config import ConfigError, file_digest, load_run_config
 from .embedder import load_checkpoint, save_checkpoint
 from .evaluation import evaluate, evaluate_openset
 from .gradcheck import run_suite
-from .inference import (FEWSHOT, MODES, OPENSET, ZS_MPS, ZS_MPU, ZS_UO,
-                        Detection, ProtocolSpec, assemble_protocol,
-                        detect_scene, save_detections)
+from .inference import (MODES, OPENSET, ZS_MPS, ZS_MPU, ZS_UO, ProtocolSpec,
+                        assemble_protocol, detect_scene, save_detections)
 from .prototypes import SupportSet
 from .simulator import generate_world, load_world, save_world
-from .trainer import heldout_accuracy, scene_background_features, train
+from .trainer import background_prototype, heldout_accuracy, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -94,25 +90,19 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def _background_prototype_from(world, net):
-    feats = [f for s in world.train_scenes for f in scene_background_features(s)]
-    if not feats:
-        raise CliError("no background pool in training scenes")
-    emb, _ = net.forward_batch(np.asarray(feats))
-    return emb.mean(axis=0)
-
-
 def run_protocol(cfg, world, net, mode):
     """Shared by cmd_eval and tests: detections + report for one mode."""
     seen = SupportSet(world.support_seen)
     unseen = SupportSet(world.support_unseen) if world.support_unseen else None
     if mode in (ZS_UO, ZS_MPU, ZS_MPS, OPENSET) and unseen is None:
         raise CliError(f"mode {mode} requires unseen support classes")
-    p0 = _background_prototype_from(world, net)
+    p0 = background_prototype(net, world.train_scenes)
+    if p0 is None:
+        raise CliError("no background pool in training scenes")
     unknown_id = max(world.seen_ids + world.unseen_ids) + 1
-    spec = ProtocolSpec(mode=mode, unknown_id=unknown_id,
-                        unknown_includes_background=cfg.protocol.get(
-                            "unknown_includes_background", True))
+    spec = ProtocolSpec(
+        mode=mode, unknown_id=unknown_id,
+        unknown_includes_background=cfg.protocol.unknown_includes_background)
     bank, eval_ids = assemble_protocol(spec, seen, unseen, net, p0)
     per_scene = [detect_scene(s, net, bank) for s in world.test_scenes]
     if mode == OPENSET:
@@ -125,9 +115,7 @@ def run_protocol(cfg, world, net, mode):
 
 def cmd_eval(args):
     cfg = load_run_config(args.config, args.set or ())
-    mode = args.mode or cfg.protocol["mode"]
-    if mode not in MODES:
-        raise CliError(f"unknown mode {mode!r}")
+    mode = args.mode or cfg.protocol.mode
     world = _load_world_checked(cfg, args.dataset)
     try:
         net, clf = load_checkpoint(args.checkpoint)

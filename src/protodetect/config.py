@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 
+from .inference import FEWSHOT, MODES
 from .simulator import WorldConfig
 from .trainer import TrainConfig
 
@@ -50,7 +51,16 @@ def _build_dataclass(cls, doc, section):
         raise ConfigError(f"invalid '{section}' config: {e}") from e
 
 
-_PROTOCOL_KEYS = {"mode", "unknown_includes_background"}
+@dataclasses.dataclass
+class ProtocolConfig:
+    mode: str = FEWSHOT
+    unknown_includes_background: bool = True
+
+    def validate(self):
+        if self.mode not in MODES:
+            raise ValueError(f"unknown protocol mode {self.mode!r}")
+
+
 _TOP_KEYS = {"world", "train", "protocol", "expected_dataset_digest"}
 
 
@@ -58,7 +68,7 @@ _TOP_KEYS = {"world", "train", "protocol", "expected_dataset_digest"}
 class RunConfig:
     world: WorldConfig
     train: TrainConfig
-    protocol: dict
+    protocol: ProtocolConfig
     expected_dataset_digest: str = None
 
     @classmethod
@@ -71,15 +81,11 @@ class RunConfig:
             wdoc["box_size_range"] = tuple(wdoc["box_size_range"])
         world = _build_dataclass(WorldConfig, wdoc, "world")
         train = _build_dataclass(TrainConfig, _section(doc, "train"), "train")
-        proto = _section(doc, "protocol")
-        bad = set(proto) - _PROTOCOL_KEYS
-        if bad:
-            raise ConfigError(f"unknown keys in 'protocol': {sorted(bad)}")
-        proto.setdefault("mode", "fewshot")
-        proto.setdefault("unknown_includes_background", True)
+        proto = _build_dataclass(ProtocolConfig, _section(doc, "protocol"), "protocol")
         try:
             world.validate()
             train.validate()
+            proto.validate()
         except ValueError as e:
             raise ConfigError(str(e)) from e
         return cls(world=world, train=train, protocol=proto,
@@ -89,7 +95,7 @@ class RunConfig:
         w = dataclasses.asdict(self.world)
         w["box_size_range"] = list(w["box_size_range"])
         return {"world": w, "train": dataclasses.asdict(self.train),
-                "protocol": self.protocol,
+                "protocol": dataclasses.asdict(self.protocol),
                 "expected_dataset_digest": self.expected_dataset_digest}
 
     def digest(self):

@@ -31,6 +31,8 @@ class EmbeddingNet:
     def __init__(self, layers):
         self.layers = [(np.asarray(W, dtype=np.float64), np.asarray(b, dtype=np.float64))
                        for W, b in layers]
+        if not self.layers:
+            raise ValueError("net has no layers")
         for W, b in self.layers:
             if W.ndim != 2 or b.ndim != 1 or W.shape[0] != b.shape[0]:
                 raise ValueError("inconsistent layer shapes")
@@ -45,10 +47,6 @@ class EmbeddingNet:
     @property
     def out_dim(self):
         return self.layers[-1][0].shape[0]
-
-    @property
-    def depth(self):
-        return len(self.layers)
 
     @classmethod
     def init(cls, rng, in_dim, hidden_dim=512, out_dim=128, depth=2):
@@ -81,7 +79,8 @@ class EmbeddingNet:
     def backward_batch(self, cache, dQ):
         """Backprop dQ (N, e) through a cached forward.
 
-        Returns (layer grads [(dW, db), ...], dX (N, d)).
+        Returns the layer grads [(dW, db), ...]; the input gradient is
+        never formed.
         """
         acts = cache
         dQ = np.asarray(dQ, dtype=np.float64)
@@ -90,24 +89,11 @@ class EmbeddingNet:
         grads = [None] * len(self.layers)
         dh = dQ
         for i in range(len(self.layers) - 1, -1, -1):
-            W, _ = self.layers[i]
-            a_in = acts[i]
-            grads[i] = (dh.T @ a_in, dh.sum(axis=0))
-            dh = dh @ W
+            grads[i] = (dh.T @ acts[i], dh.sum(axis=0))
             if i > 0:
                 # acts[i] holds relu output of layer i-1; relu' at 0 is 0
-                dh = dh * (acts[i] > 0.0)
-        return grads, dh
-
-    def forward(self, v):
-        """Single-vector convenience wrapper: returns (q, cache)."""
-        q, cache = self.forward_batch(np.asarray(v, dtype=np.float64)[None, :])
-        return q[0], cache
-
-    def backward(self, cache, dq):
-        grads, dX = self.backward_batch(cache, np.asarray(dq, dtype=np.float64)[None, :])
-        return grads, dX[0]
-
+                dh = (dh @ self.layers[i][0]) * (acts[i] > 0.0)
+        return grads
 
 
 class LinearClassifier:
@@ -132,10 +118,6 @@ class LinearClassifier:
         if Q.shape[1] != self.W.shape[1]:
             raise ValueError("embedding dim mismatch")
         return Q @ self.W.T + self.b
-
-    def logits(self, q):
-        return self.logits_batch(np.asarray(q, dtype=np.float64)[None, :])[0]
-
 
 
 # --- the parameter vector ----------------------------------------------------
@@ -187,7 +169,8 @@ def checkpoint_dict(net, clf):
 
 
 def checkpoint_from_dict(doc):
-    if doc.get("format") != "protodetect-checkpoint-v1":
+    """Rebuild (net, clf); ValueError on a malformed or non-finite document."""
+    if not isinstance(doc, dict) or doc.get("format") != "protodetect-checkpoint-v1":
         raise ValueError("not a protodetect checkpoint")
     layers = []
     for entry in doc["embedding_layers"]:
@@ -198,6 +181,8 @@ def checkpoint_from_dict(doc):
     c = doc["classifier"]
     clf = LinearClassifier(np.array(c["W"], dtype=np.float64).reshape(tuple(c["shape"])),
                            np.array(c["b"], dtype=np.float64))
+    if not np.all(np.isfinite(flatten(net.layers, (clf.W, clf.b)))):
+        raise ValueError("non-finite weights in checkpoint")
     return net, clf
 
 

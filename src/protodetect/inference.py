@@ -1,10 +1,11 @@
-"""Test-time pipeline: embed proposals, classify by prototype distance,
-reject background, assemble protocol-specific prototype banks.
+"""Test-time pipeline: embed proposals, assign each to its nearest
+prototype, reject background, assemble protocol-specific prototype banks.
 
-A proposal whose nearest prototype is the background one is dropped
-as a spurious detection; everything else is scored with its energy
-posterior over the full bank (background included in the
-normalization, so scores are calibrated against it).
+A proposal goes to the argmax of its `prototypes.posteriors_batch` row
+(the nearest prototype, lowest id on ties). One assigned to the
+background prototype is dropped as a spurious detection; everything
+else is scored with that posterior over the full bank (background
+included in the normalization, so scores are calibrated against it).
 """
 
 import json
@@ -12,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .prototypes import (BACKGROUND_ID, PrototypeBank, build_prototypes,
+from .prototypes import (BACKGROUND_ID, SupportSet, build_prototypes,
                          compose_unknown_prototype, posteriors_batch)
-
-REJECT = "reject"
 
 FEWSHOT = "fewshot"
 OPENSET = "openset"
@@ -43,38 +42,20 @@ class ProtocolSpec:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
-def classify_proposal(q, bank):
-    """(class_id, score) or (REJECT, score); ties go to the lowest id.
-
-    Requires the background prototype in the bank.
-    """
+def detect_scene(scene, net, bank):
+    """Embed every proposal; keep those whose nearest prototype is not p0."""
     if not bank.has(BACKGROUND_ID):
         raise ValueError("bank is missing the background prototype")
-    probs = posteriors_batch(np.asarray(q, dtype=np.float64)[None, :], bank)[0]
-    d = ((bank.P - np.asarray(q, dtype=np.float64)) ** 2).sum(axis=1)
-    best = int(np.argmin(d))  # ids ascend, argmin takes the first minimum
-    cid = bank.ids[best]
-    score = float(probs[best])
-    if cid == BACKGROUND_ID:
-        return REJECT, score
-    return cid, score
-
-
-def detect_scene(scene, net, bank):
-    """Embed every proposal and keep the non-rejected classifications."""
     if not scene.proposals:
         return []
-    X = np.stack([f for _, f in scene.proposals])
-    Q, _ = net.forward_batch(X)
+    Q, _ = net.forward_batch(np.stack([f for _, f in scene.proposals]))
     probs = posteriors_batch(Q, bank)
-    d = ((Q[:, None, :] - bank.P[None, :, :]) ** 2).sum(axis=2)
-    best = np.argmin(d, axis=1)
+    best = np.argmax(probs, axis=1)
     out = []
-    for i, (box, _) in enumerate(scene.proposals):
-        cid = bank.ids[int(best[i])]
-        if cid == BACKGROUND_ID:
-            continue
-        out.append(Detection(box=box, class_id=cid, score=float(probs[i, best[i]])))
+    for (box, _), j, row in zip(scene.proposals, best, probs):
+        cid = bank.ids[j]
+        if cid != BACKGROUND_ID:
+            out.append(Detection(box=box, class_id=cid, score=float(row[j])))
     return out
 
 
@@ -92,7 +73,6 @@ def assemble_protocol(spec, seen_support, unseen_support, net, p0):
             if s is None:
                 raise ValueError("missing support set for requested mode")
             merged.update(s.by_class)
-        from .prototypes import SupportSet
         bank = build_prototypes(net, SupportSet(merged))
         return bank.with_entry(BACKGROUND_ID, p0)
 

@@ -284,6 +284,6 @@ def episode_loss(net, clf, support, query_features, query_labels, cfg,
     seg_rows = np.repeat([bank.index_of(c) for c in seg_ids], counts)
     seg_size = np.repeat(counts, counts).astype(np.float64)
     dE = np.concatenate([dP[seg_rows] / seg_size[:, None], dQ])
-    layer_grads, _ = net.backward_batch(cache, dE)
+    layer_grads = net.backward_batch(cache, dE)
     bundle.grads = flatten(layer_grads, ((w_k * dWc) * scale, (w_k * dbc) * scale))
     return bundle

@@ -43,16 +43,6 @@ def softmax(logits, axis=-1):
     return np.exp(log_softmax(z, axis=axis))
 
 
-def sq_euclidean(a, b):
-    """Squared Euclidean distance between two vectors of equal dim."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dim mismatch: {a.shape} vs {b.shape}")
-    d = a - b
-    return float(np.dot(d, d))
-
-
 def sq_distances(Q, P):
     """Pairwise squared distances, rows of Q vs rows of P -> (N, K).
 
@@ -62,21 +52,7 @@ def sq_distances(Q, P):
     """
     Q = np.asarray(Q, dtype=np.float64)
     P = np.asarray(P, dtype=np.float64)
+    if Q.ndim != 2 or P.ndim != 2 or Q.shape[1] != P.shape[1]:
+        raise ValueError(f"dim mismatch: {Q.shape} vs {P.shape}")
     diff = Q[:, None, :] - P[None, :, :]
     return np.einsum("nkd,nkd->nk", diff, diff)
-
-
-def dot(a, b):
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dim mismatch: {a.shape} vs {b.shape}")
-    return float(np.dot(a, b))
-
-
-def matvec(M, x):
-    M = np.asarray(M, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if M.ndim != 2 or x.ndim != 1 or M.shape[1] != x.shape[0]:
-        raise ValueError(f"shape mismatch: {M.shape} @ {x.shape}")
-    return M @ x

@@ -2,11 +2,12 @@
 
 A prototype is the mean embedding of a class's support examples.
 Posteriors over a bank are a softmax over negative squared Euclidean
-distances (the energy), so the argmax class is always the nearest
-prototype, ties broken toward the lowest class id.
+distances (the energy). `posteriors_batch` is the one decision kernel:
+the nearest prototype of a query is the argmax of its posterior row,
+and `np.argmax` takes the first maximum, so ties go to the lowest id.
+The background prototype p0 is the mean embedding of the low-overlap
+proposals that `background_pool` collects.
 """
-
-import json
 
 import numpy as np
 
@@ -74,10 +75,6 @@ class PrototypeBank:
     def __len__(self):
         return len(self.ids)
 
-    @property
-    def emb_dim(self):
-        return self.P.shape[1]
-
     def index_of(self, cid):
         return self.ids.index(int(cid))
 
@@ -90,22 +87,6 @@ class PrototypeBank:
     def with_entry(self, cid, p):
         entries = list(zip(self.ids, self.P)) + [(cid, p)]
         return PrototypeBank(entries)
-
-    def to_dict(self):
-        return {"class_ids": self.ids, "prototypes": self.P.tolist()}
-
-    @classmethod
-    def from_dict(cls, doc):
-        return cls(zip(doc["class_ids"], doc["prototypes"]))
-
-    def save(self, path):
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, sort_keys=True)
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
 
 
 def segment_means(E, counts):
@@ -132,19 +113,6 @@ def background_pool(proposals, gt_boxes, threshold=0.3):
     return pool
 
 
-def build_background_prototype(net, proposals, gt_boxes, threshold=0.3):
-    """Mean embedding over low-overlap (IoU < threshold) proposals.
-
-    Raises ValueError when no proposal qualifies; the trainer falls
-    back to its most recent background prototype in that case.
-    """
-    pool = background_pool(proposals, gt_boxes, threshold)
-    if not pool:
-        raise ValueError("no background pool")
-    emb, cache = net.forward_batch(np.asarray(pool, dtype=np.float64))
-    return emb.mean(axis=0), cache
-
-
 def compose_unknown_prototype(bank, include_background=True):
     """Average of the class prototypes, plus p_0 when the flag is set."""
     ids = [c for c in bank.ids if c != BACKGROUND_ID]
@@ -155,24 +123,7 @@ def compose_unknown_prototype(bank, include_background=True):
     return np.mean([bank.get(c) for c in ids], axis=0)
 
 
-def posteriors(q, bank):
-    """P(class j | q) = softmax over negative squared distances.
-
-    Output follows the bank's id order.
-    """
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape != (bank.emb_dim,):
-        raise ValueError("embedding dim mismatch")
-    d = sq_distances(q[None, :], bank.P)[0]
-    return softmax(-d)
-
-
 def posteriors_batch(Q, bank):
+    """P(class j | q) for every row q of Q -> (N, len(bank)), columns in
+    the bank's id order: a softmax over negative squared distances."""
     return softmax(-sq_distances(Q, bank.P), axis=1)
-
-
-def nearest_prototype(q, bank):
-    """(class_id, distances) of the nearest prototype, lowest id on ties."""
-    d = sq_distances(np.asarray(q, dtype=np.float64)[None, :], bank.P)[0]
-    # ids are sorted ascending, argmin returns the first minimum
-    return bank.ids[int(np.argmin(d))], d

@@ -279,10 +279,25 @@ def _scene_to_dict(scene):
     }
 
 
-def _scene_from_dict(doc):
+def _scene_from_dict(doc, d):
     gt = [(Box(*e["box"]), int(e["label"])) for e in doc["gt"]]
-    props = [(Box(*e["box"]), np.array(e["feature"], dtype=np.float64)) for e in doc["proposals"]]
+    props = [(Box(*e["box"]), _features(e["feature"], d, 1)) for e in doc["proposals"]]
     return Scene(gt=gt, proposals=props)
+
+
+def _features(value, d, ndim):
+    """value as float64 features of dim d: one (d,) vector (ndim 1) or
+    n >= 1 rows (ndim 2); ValueError on any other shape."""
+    a = np.array(value, dtype=np.float64)
+    if a.ndim != ndim or a.shape[-1] != d or a.size == 0:
+        raise ValueError(f"features of shape {a.shape}, expected {ndim}-d with dim {d}")
+    return a
+
+
+def _supports(doc, d):
+    if not isinstance(doc, dict):
+        raise ValueError("support sets must be objects")
+    return {int(c): _features(v, d, 2) for c, v in doc.items()}
 
 
 def world_to_dict(world):
@@ -304,7 +319,8 @@ def world_to_dict(world):
 
 
 def world_from_dict(doc):
-    if doc.get("format") != "protodetect-dataset-v1":
+    """Rebuild a World; ValueError on a document of the wrong shape."""
+    if not isinstance(doc, dict) or doc.get("format") != "protodetect-dataset-v1":
         raise ValueError("not a protodetect dataset")
     cfg_doc = dict(doc["config"])
     cfg_doc["box_size_range"] = tuple(cfg_doc["box_size_range"])
@@ -314,12 +330,14 @@ def world_from_dict(doc):
                                              float(m["sigma_f"]),
                                              tuple(m["box_size_range"]))
               for m in doc["class_models"]}
+    support_seen = _supports(doc["support_seen"], cfg.d)
+    if not support_seen:
+        raise ValueError("dataset has no seen support classes")
     return World(
         cfg, models,
-        [_scene_from_dict(s) for s in doc["train_scenes"]],
-        [_scene_from_dict(s) for s in doc["test_scenes"]],
-        {int(c): np.array(v, dtype=np.float64) for c, v in doc["support_seen"].items()},
-        {int(c): np.array(v, dtype=np.float64) for c, v in doc["support_unseen"].items()},
+        [_scene_from_dict(s, cfg.d) for s in doc["train_scenes"]],
+        [_scene_from_dict(s, cfg.d) for s in doc["test_scenes"]],
+        support_seen, _supports(doc["support_unseen"], cfg.d),
     )
 
 

@@ -11,6 +11,10 @@ vector in the layout of the parameter vector (`embedder.bind_params`),
 so clipping and the AdamW update are a few in-place vector operations.
 The loop is single-threaded in Python and fully deterministic in
 (config, dataset, seed), whatever the BLAS thread count.
+
+`background_prototype` computes p0 for the final bank and for
+evaluation alike; `heldout_accuracy` scores the nearest-prototype
+decision of `prototypes.posteriors_batch`.
 """
 
 import json
@@ -22,7 +26,7 @@ from .embedder import default_net_and_classifier
 from .losses import LossConfig, episode_loss
 from .numeric import make_rng
 from .prototypes import (BACKGROUND_ID, PrototypeBank, SupportSet,
-                         background_pool, build_prototypes)
+                         background_pool, build_prototypes, posteriors_batch)
 from .simulator import IGNORE, augment_feature, label_proposals
 
 FULL_SPLIT = "full"
@@ -163,14 +167,14 @@ def scene_background_features(scene, threshold=0.3):
     return background_pool(scene.proposals, gts, threshold)
 
 
-def nearest_prototype_accuracy(net, bank, features, labels):
-    """Fraction of features whose nearest prototype matches their label."""
-    if len(features) == 0:
-        return float("nan")
-    Q, _ = net.forward_batch(np.asarray(features, dtype=np.float64))
-    d = ((Q[:, None, :] - bank.P[None, :, :]) ** 2).sum(axis=2)
-    pred = np.asarray(bank.ids)[np.argmin(d, axis=1)]
-    return float(np.mean(pred == np.asarray(labels)))
+def background_prototype(net, scenes):
+    """p0: the mean embedding of the scenes' background pools, or None
+    when every pool is empty."""
+    feats = [f for s in scenes for f in scene_background_features(s)]
+    if not feats:
+        return None
+    emb, _ = net.forward_batch(np.asarray(feats))
+    return emb.mean(axis=0)
 
 
 def heldout_accuracy(net, bank, scenes):
@@ -178,6 +182,7 @@ def heldout_accuracy(net, bank, scenes):
 
     Proposals in the IoU ignore band or labeled with classes outside
     the bank are skipped; background proposals count with label 0.
+    NaN when no proposal counts.
     """
     feats, labels = [], []
     for scene in scenes:
@@ -186,7 +191,11 @@ def heldout_accuracy(net, bank, scenes):
                 continue
             feats.append(scene.proposals[idx][1])
             labels.append(y)
-    return nearest_prototype_accuracy(net, bank, feats, labels)
+    if not feats:
+        return float("nan")
+    Q, _ = net.forward_batch(np.asarray(feats, dtype=np.float64))
+    pred = np.asarray(bank.ids)[np.argmax(posteriors_batch(Q, bank), axis=1)]
+    return float(np.mean(pred == np.asarray(labels)))
 
 
 @dataclass
@@ -250,11 +259,7 @@ def train(world, cfg):
                     "l_align": bundle.l_align, "l_total": bundle.l_total,
                     "grad_norm": grad_norm})
 
-    bank = build_prototypes(net, support)
-    all_bg = [f for s in world.train_scenes for f in scene_background_features(s)]
-    if all_bg:
-        bg_emb, _ = net.forward_batch(np.asarray(all_bg))
-        last_p0 = bg_emb.mean(axis=0)
-    entries = list(zip(bank.ids, bank.P)) + [(BACKGROUND_ID, last_p0)]
-    final_bank = PrototypeBank(entries)
-    return TrainResult(net=net, clf=clf, bank=final_bank, log=log)
+    p0 = background_prototype(net, world.train_scenes)
+    bank = build_prototypes(net, support).with_entry(
+        BACKGROUND_ID, last_p0 if p0 is None else p0)
+    return TrainResult(net=net, clf=clf, bank=bank, log=log)

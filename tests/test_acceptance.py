@@ -6,7 +6,7 @@ scorecard. The numbered criteria:
   A1 gradient fidelity        analytic vs finite differences
   A2 distribution sanity      posterior sums, KL sign, invariances
   A3 convergence              accuracy and few-shot mAP on a separable world
-  A4 open-set rejection       background REJECT rate, unknown recall
+  A4 open-set rejection       background reject rate, unknown recall
   A5 evaluator oracle         bit-equal AP vs brute-force PR curve
   A6 schedule correctness     stage-1 loss identity and switch arithmetic
   A7 determinism              byte-identical artifact re-runs
@@ -24,12 +24,12 @@ from protodetect.cli import main, run_protocol
 from protodetect.config import RunConfig
 from protodetect.evaluation import average_precision
 from protodetect.gradcheck import check_term, random_instance, run_suite
-from protodetect.inference import FEWSHOT, OPENSET, REJECT, classify_proposal
+from protodetect.inference import FEWSHOT, OPENSET
 from protodetect.losses import QueryBatch, alignment_loss, matching_loss, kl_loss
 from protodetect.numeric import make_rng
-from protodetect.prototypes import PrototypeBank, posteriors
+from protodetect.prototypes import BACKGROUND_ID, PrototypeBank, posteriors_batch
 from protodetect.simulator import IGNORE, Box, generate_world, iou, label_proposals
-from protodetect.trainer import heldout_accuracy, train
+from protodetect.trainer import background_prototype, heldout_accuracy, train
 
 from test_evaluation import oracle_ap
 
@@ -61,7 +61,7 @@ def test_a2_distribution_sanity():
     for _ in range(1000):
         bank = PrototypeBank([(c, rng.normal(size=3)) for c in range(4)])
         q = rng.normal(size=3)
-        p = posteriors(q, bank)
+        p = posteriors_batch(q[None, :], bank)[0]
         worst_sum = max(worst_sum, abs(float(np.sum(p)) - 1.0))
         from protodetect.embedder import LinearClassifier
         clf = LinearClassifier(rng.normal(size=(4, 3)), rng.normal(size=4))
@@ -129,11 +129,10 @@ def test_a4_open_set_rejection(a3_run):
     cfg, world, result, _ = a3_run
     unknown_id = max(world.seen_ids + world.unseen_ids) + 1
 
-    # background REJECT rate with the open-set bank in place
+    # background reject rate with the open-set bank in place
     from protodetect.inference import ProtocolSpec, assemble_protocol
     from protodetect.prototypes import SupportSet
-    from protodetect.cli import _background_prototype_from
-    p0 = _background_prototype_from(world, result.net)
+    p0 = background_prototype(result.net, world.train_scenes)
     spec = ProtocolSpec(mode=OPENSET, unknown_id=unknown_id)
     bank, _ = assemble_protocol(spec, SupportSet(world.support_seen),
                                 SupportSet(world.support_unseen),
@@ -146,10 +145,10 @@ def test_a4_open_set_rejection(a3_run):
                 continue
             feat = scene.proposals[idx][1]
             emb, _ = result.net.forward_batch(feat[None, :])
-            cid, _ = classify_proposal(emb[0], bank)
+            cid = bank.ids[int(np.argmax(posteriors_batch(emb, bank)[0]))]
             if y == 0:
                 n_bg += 1
-                n_rej += cid == REJECT
+                n_rej += cid == BACKGROUND_ID
             elif y in world.seen_ids:
                 seen_total += 1
                 seen_correct += cid == y

@@ -35,7 +35,10 @@ def test_config_defaults_from_empty_doc(tmp_path):
     cfg = load_run_config(write_cfg(tmp_path / "c.json", {}))
     assert cfg.train.lr == 1e-4
     assert cfg.train.tau == 10.0
-    assert cfg.protocol["mode"] == "fewshot"
+    assert cfg.protocol.mode == "fewshot"
+    # config_digest hashes this dict, so every provenance digest depends on it
+    assert cfg.to_dict()["protocol"] == {"mode": "fewshot",
+                                         "unknown_includes_background": True}
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -60,7 +63,23 @@ def test_config_overrides_dot_paths():
     cfg = RunConfig.from_dict(doc)
     assert cfg.train.lr == 0.01
     assert cfg.world.c_seen == 7
-    assert cfg.protocol["mode"] == "openset"
+    assert cfg.protocol.mode == "openset"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-data", "--set", 'protocol.unknown_includes_background="x"'],
+    ["gen-data", "--set", "protocol.unknown_includes_background=1"],
+    ["gen-data", "--set", 'protocol.mode="bogus"'],
+    ["train", "--set", 'protocol.mode="bogus"'],
+])
+def test_protocol_section_checked_at_load(tmp_path, argv, capsys):
+    cfg = write_cfg(tmp_path / "c.json")
+    out = tmp_path / "d.json"
+    extra = ["--out", str(out)] if argv[0] == "gen-data" else [
+        "--dataset", str(tmp_path / "absent.json"), "--out", str(out)]
+    assert main([argv[0], "--config", cfg, *argv[1:], *extra]) == 2
+    assert "protocol" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_override_bad_format():
@@ -262,6 +281,65 @@ def test_eval_checkpoint_dataset_dim_mismatch_exit_2(trained, tmp_path, capsys):
     assert main(["eval", "--config", cfg, "--dataset", str(wide),
                  "--checkpoint", str(ckpt), "--out-prefix", str(prefix)]) == 2
     assert "d=16" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def _mutated(src, dst, mutate):
+    doc = json.loads(src.read_text())
+    dst.write_text(json.dumps(mutate(doc) or doc))
+    return str(dst)
+
+
+def _set_test_feature(doc):
+    doc["test_scenes"][0]["proposals"][0]["feature"] = [1.0]
+
+
+def _set_support_rows(doc):
+    doc["support_seen"]["1"] = [[1.0] * 7 for _ in doc["support_seen"]["1"]]
+
+
+def _set_support_class_empty(doc):
+    doc["support_seen"]["1"] = []
+
+
+def _set_support_empty(doc):
+    doc["support_seen"] = {}
+
+
+def _set_support_list(doc):
+    doc["support_seen"] = list(doc["support_seen"].values())
+
+
+@pytest.mark.parametrize("mutate", [
+    _set_test_feature, _set_support_rows, _set_support_class_empty,
+    _set_support_empty, _set_support_list, lambda doc: [doc],
+], ids=["test_feature_length_1", "support_row_length", "support_class_empty",
+        "support_empty", "support_list", "top_level_list"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_malformed_dataset_exit_2(trained, tmp_path, mutate, command, capsys):
+    cfg, data, ckpt, _ = trained
+    bad = _mutated(data, tmp_path / "bad.json", mutate)
+    out = tmp_path / "out"
+    argv = (["--out", str(out)] if command == "train" else
+            ["--checkpoint", str(ckpt), "--out-prefix", str(out)])
+    assert main([command, "--config", cfg, "--dataset", bad, *argv]) == 2
+    assert "cannot read dataset" in capsys.readouterr().err
+
+
+def _set_nan_weight(doc):
+    doc["embedding_layers"][0]["W"][0] = float("nan")
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda doc: doc.update(embedding_layers=[]), lambda doc: [doc],
+    _set_nan_weight,
+], ids=["no_layers", "top_level_list", "nan_weight"])
+def test_malformed_checkpoint_exit_2(trained, tmp_path, mutate, capsys):
+    cfg, data, ckpt, _ = trained
+    bad = _mutated(ckpt, tmp_path / "bad.json", mutate)
+    assert main(["eval", "--config", cfg, "--dataset", str(data),
+                 "--checkpoint", bad, "--out-prefix", str(tmp_path / "r")]) == 2
+    assert "cannot read checkpoint" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
 
 

@@ -11,39 +11,44 @@ def small_net(seed=0, d=5, hidden=7, e=4, depth=2):
     return EmbeddingNet.init(make_rng(seed), d, hidden, e, depth)
 
 
+def forward(net, v):
+    """Embedding and cache of one input vector."""
+    Q, cache = net.forward_batch(np.asarray(v, dtype=np.float64)[None, :])
+    return Q[0], cache
+
+
 def test_zero_net_gives_zero_output():
     net = EmbeddingNet([(np.zeros((3, 2)), np.zeros(3)),
                         (np.zeros((2, 3)), np.zeros(2))])
-    q, _ = net.forward([1.0, -1.0])
+    q, _ = forward(net, [1.0, -1.0])
     assert np.array_equal(q, np.zeros(2))
 
 
 def test_identity_net_passes_positive_input_through():
     net = EmbeddingNet([(np.eye(3), np.zeros(3)), (np.eye(3), np.zeros(3))])
     v = np.array([1.0, 2.0, 0.5])
-    q, _ = net.forward(v)
+    q, _ = forward(net, v)
     assert np.array_equal(q, v)
 
 
 def test_forward_deterministic():
     net = small_net(3)
     v = make_rng(9).normal(size=5)
-    q1, _ = net.forward(v)
-    q2, _ = net.forward(v)
+    q1, _ = forward(net, v)
+    q2, _ = forward(net, v)
     assert np.array_equal(q1, q2)
 
 
 def test_forward_dim_mismatch():
     with pytest.raises(ValueError):
-        small_net().forward(np.zeros(6))
+        small_net().forward_batch(np.zeros((1, 6)))
 
 
 def test_backward_zero_grad_is_zero():
     net = small_net(1)
-    _, cache = net.forward(make_rng(2).normal(size=5))
-    grads, dv = net.backward(cache, np.zeros(4))
+    _, cache = net.forward_batch(make_rng(2).normal(size=(3, 5)))
+    grads = net.backward_batch(cache, np.zeros((3, 4)))
     assert all(np.all(dW == 0) and np.all(db == 0) for dW, db in grads)
-    assert np.all(dv == 0)
 
 
 def test_backward_linear_layer_outer_product():
@@ -52,42 +57,54 @@ def test_backward_linear_layer_outer_product():
     net = EmbeddingNet([(np.eye(3), np.zeros(3)),
                         (make_rng(4).normal(size=(2, 3)), np.zeros(2))])
     v = np.array([0.3, 1.2, 2.0])
-    _, cache = net.forward(v)
+    _, cache = forward(net, v)
     dq = np.array([1.5, -0.7])
-    grads, _ = net.backward(cache, dq)
+    grads = net.backward_batch(cache, dq[None, :])
     assert np.allclose(grads[1][0], np.outer(dq, v), atol=1e-12)
     assert np.allclose(grads[1][1], dq, atol=1e-12)
 
 
 @pytest.mark.parametrize("depth", [2, 3, 4])
 def test_jacobian_matches_finite_differences(depth):
+    # loss = sum(G * forward(X)), so backward_batch(cache, G) is its
+    # gradient; check every layer's dW and db by central differences
     net = small_net(11, depth=depth)
-    v = make_rng(12).normal(size=5)
-    q, cache = net.forward(v)
+    X = make_rng(12).normal(size=(3, 5))
+    G = make_rng(13).normal(size=(3, 4))
+    _, cache = net.forward_batch(X)
+    grads = net.backward_batch(cache, G)
+
+    def loss():
+        return float(np.sum(G * net.forward_batch(X)[0]))
+
     h = 1e-6
-    for k in range(4):
-        dq = np.zeros(4)
-        dq[k] = 1.0
-        _, dv = net.backward(cache, dq)
-        for i in range(5):
-            vp, vm = v.copy(), v.copy()
-            vp[i] += h
-            vm[i] -= h
-            num = (net.forward(vp)[0][k] - net.forward(vm)[0][k]) / (2 * h)
-            assert dv[i] == pytest.approx(num, rel=1e-5, abs=1e-8)
+    for (W, b), (dW, db) in zip(net.layers, grads):
+        for param, analytic in ((W, dW), (b, db)):
+            assert analytic.shape == param.shape
+            for idx in np.ndindex(param.shape):
+                orig = param[idx]
+                param[idx] = orig + h
+                up = loss()
+                param[idx] = orig - h
+                down = loss()
+                param[idx] = orig
+                num = (up - down) / (2 * h)
+                assert analytic[idx] == pytest.approx(num, rel=1e-5, abs=1e-8)
 
 
 def test_relu_derivative_at_zero_is_zero():
-    # input exactly at the kink: backward must not propagate through it
+    # hidden unit 0 sits exactly at the kink: backward must not
+    # propagate through it, so its row of dW1 and its db1 entry are zero
     net = EmbeddingNet([(np.eye(2), np.zeros(2)), (np.eye(2), np.zeros(2))])
-    _, cache = net.forward(np.array([0.0, 1.0]))
-    _, dv = net.backward(cache, np.array([1.0, 1.0]))
-    assert dv[0] == 0.0 and dv[1] == 1.0
+    _, cache = forward(net, np.array([0.0, 1.0]))
+    (dW1, db1), _ = net.backward_batch(cache, np.array([[1.0, 1.0]]))
+    assert np.all(dW1[0] == 0.0) and db1[0] == 0.0
+    assert np.array_equal(dW1[1], [0.0, 1.0]) and db1[1] == 1.0
 
 
 def test_classifier_uniform_at_zero_params():
     clf = LinearClassifier(np.zeros((4, 3)), np.zeros(4))
-    p = softmax(clf.logits(np.array([1.0, 2.0, 3.0])))
+    p = softmax(clf.logits_batch(np.array([[1.0, 2.0, 3.0]]))[0])
     assert np.allclose(p, 0.25, atol=1e-15)
 
 
@@ -96,7 +113,7 @@ def test_classifier_constructed_logit():
     W = np.zeros((3, 3))
     W[2] = q / np.dot(q, q)
     clf = LinearClassifier(W, np.zeros(3))
-    logits = clf.logits(q)
+    logits = clf.logits_batch(q[None, :])[0]
     assert logits[2] == pytest.approx(1.0)
     assert logits[0] == logits[1] == 0.0
 

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from protodetect.embedder import EmbeddingNet
-from protodetect.inference import (FEWSHOT, OPENSET, REJECT, ZS_MPS, ZS_MPU,
-                                   ZS_UO, ProtocolSpec, assemble_protocol,
-                                   classify_proposal, detect_scene)
+from protodetect.inference import (FEWSHOT, OPENSET, ZS_MPS, ZS_MPU, ZS_UO,
+                                   ProtocolSpec, assemble_protocol,
+                                   detect_scene)
 from protodetect.numeric import make_rng
-from protodetect.prototypes import PrototypeBank, SupportSet
+from protodetect.prototypes import BACKGROUND_ID, PrototypeBank, SupportSet
 from protodetect.simulator import Box, Scene
 
 
@@ -18,40 +18,68 @@ def simple_bank():
     return PrototypeBank([(0, [0.0, 0.0]), (1, [4.0, 0.0]), (2, [0.0, 4.0])])
 
 
+def classify(q, bank):
+    """(class id, score) that detect_scene gives one proposal embedded at
+    q (entries >= 0, so the identity net passes it through), or
+    (BACKGROUND_ID, None) when it rejects the proposal."""
+    q = np.asarray(q, dtype=np.float64)
+    scene = Scene(gt=[], proposals=[(Box(0, 0, 1, 1), q)])
+    dets = detect_scene(scene, identity_net(len(q)), bank)
+    return (dets[0].class_id, dets[0].score) if dets else (BACKGROUND_ID, None)
+
+
 def test_classify_at_background_rejects():
-    cid, score = classify_proposal(np.array([0.0, 0.0]), simple_bank())
-    assert cid == REJECT
-    assert 0 < score <= 1
+    assert classify([0.0, 0.0], simple_bank()) == (BACKGROUND_ID, None)
 
 
 def test_classify_at_class_prototype():
-    cid, score = classify_proposal(np.array([4.0, 0.0]), simple_bank())
+    cid, score = classify([4.0, 0.0], simple_bank())
     assert cid == 1
     assert 0 < score <= 1
 
 
 def test_classify_tie_rejects_via_lowest_id():
     bank = PrototypeBank([(0, [0.0, 0.0]), (1, [4.0, 0.0])])
-    cid, _ = classify_proposal(np.array([2.0, 0.0]), bank)
-    assert cid == REJECT
+    assert classify([2.0, 0.0], bank) == (BACKGROUND_ID, None)
 
 
 def test_classify_requires_background():
     bank = PrototypeBank([(1, [0.0, 0.0])])
-    with pytest.raises(ValueError):
-        classify_proposal(np.zeros(2), bank)
+    with pytest.raises(ValueError, match="background"):
+        classify([0.0, 0.0], bank)
+    with pytest.raises(ValueError, match="background"):
+        detect_scene(Scene(gt=[], proposals=[]), identity_net(2), bank)
 
 
 def test_classify_decision_depends_only_on_distance_order():
     rng = make_rng(0)
-    bank = PrototypeBank([(c, rng.normal(size=3)) for c in range(4)])
+    bank = PrototypeBank([(c, rng.uniform(0, 2, size=3)) for c in range(4)])
+    # monotone transform of distances: scale all embeddings
+    scaled = PrototypeBank([(c, 3.0 * bank.get(c)) for c in bank.ids])
     for _ in range(50):
-        q = rng.normal(size=3)
-        cid, _ = classify_proposal(q, bank)
-        # monotone transform of distances: scale all embeddings
-        scaled = PrototypeBank([(c, 3.0 * bank.get(c)) for c in bank.ids])
-        cid2, _ = classify_proposal(3.0 * q, scaled)
-        assert cid == cid2
+        q = rng.uniform(0, 2, size=3)
+        assert classify(q, bank)[0] == classify(3.0 * q, scaled)[0]
+
+
+def test_detect_scene_is_nearest_prototype_scored_by_posterior():
+    # scalar-loop oracle: nearest prototype by squared distance (first
+    # minimum, so the lowest id on ties), score its energy posterior
+    rng = make_rng(3)
+    bank = PrototypeBank([(c, rng.uniform(0, 3, size=4)) for c in range(5)])
+    proposals = [(Box(i, i, i + 1, i + 1), rng.uniform(0, 3, size=4))
+                 for i in range(40)]
+    dets = detect_scene(Scene(gt=[], proposals=proposals), identity_net(4), bank)
+    expected = []
+    for box, q in proposals:
+        d = [sum((q[i] - p[i]) ** 2 for i in range(4)) for p in bank.P]
+        best = min(range(len(d)), key=lambda j: (d[j], j))
+        if bank.ids[best] != BACKGROUND_ID:
+            z = np.exp(-(np.array(d) - min(d)))
+            expected.append((box, bank.ids[best], z[best] / z.sum()))
+    assert 0 < len(expected) < len(proposals)
+    assert [(d.box, d.class_id) for d in dets] == [e[:2] for e in expected]
+    assert np.allclose([d.score for d in dets], [e[2] for e in expected],
+                       rtol=1e-12, atol=0)
 
 
 def test_detect_empty_scene():

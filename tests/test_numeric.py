@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from protodetect.numeric import (dot, logsumexp, make_rng, matvec, softmax,
-                                 sq_euclidean)
+from protodetect.numeric import logsumexp, make_rng, softmax, sq_distances
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -56,25 +55,35 @@ def test_softmax_permutation_equivariant(logits, rnd):
     assert np.allclose(a, b, atol=1e-12)
 
 
+# sq_distances is the one distance kernel: these check it pair by pair
+
 def test_sq_euclidean_identity_and_pythagorean():
-    assert sq_euclidean([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
-    assert sq_euclidean([0.0, 0.0], [3.0, 4.0]) == 25.0
+    assert sq_distances([[1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0]]) == [[0.0]]
+    assert np.array_equal(sq_distances([[0.0, 0.0], [1.0, 1.0]],
+                                       [[3.0, 4.0], [0.0, 0.0], [1.0, 1.0]]),
+                          [[25.0, 0.0, 2.0], [13.0, 2.0, 0.0]])
 
 
 def test_sq_euclidean_matches_scalar_loop():
     rng = make_rng(0)
-    a = rng.normal(size=17)
-    b = rng.normal(size=17)
+    Q = rng.normal(size=(5, 17))
+    P = rng.normal(size=(3, 17))
     # scalar-loop oracle
-    expected = 0.0
-    for x, y in zip(a, b):
-        expected += (x - y) ** 2
-    assert sq_euclidean(a, b) == pytest.approx(expected, rel=1e-12)
+    expected = np.zeros((5, 3))
+    for n in range(5):
+        for k in range(3):
+            for x, y in zip(Q[n], P[k]):
+                expected[n, k] += (x - y) ** 2
+    assert np.allclose(sq_distances(Q, P), expected, rtol=1e-12, atol=0)
 
 
 def test_sq_euclidean_dim_mismatch():
-    with pytest.raises(ValueError):
-        sq_euclidean([1.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="dim mismatch"):
+        sq_distances(np.zeros((1, 1)), np.zeros((1, 2)))
+    with pytest.raises(ValueError, match="dim mismatch"):
+        sq_distances(np.zeros((2, 3)), np.zeros((2, 4)))
+    with pytest.raises(ValueError, match="dim mismatch"):
+        sq_distances(np.zeros(3), np.zeros((2, 3)))
 
 
 @given(st.lists(finite_floats, min_size=1, max_size=8),
@@ -82,35 +91,11 @@ def test_sq_euclidean_dim_mismatch():
 def test_sq_euclidean_properties(a, b):
     n = min(len(a), len(b))
     a, b = a[:n], b[:n]
-    d = sq_euclidean(a, b)
+    d = sq_distances([a], [b])[0, 0]
     assert d >= 0
-    assert d == pytest.approx(sq_euclidean(b, a), abs=1e-12)
+    assert d == pytest.approx(sq_distances([b], [a])[0, 0], abs=1e-12)
     if a == b:
         assert d <= 1e-12
-
-
-def test_dot_and_matvec_hand_cases():
-    assert dot([1.0, 2.0], [3.0, 4.0]) == 11.0
-    x = np.array([1.0, -2.0, 3.0])
-    assert np.array_equal(matvec(np.eye(3), x), x)
-
-
-def test_matvec_matches_triple_loop_oracle():
-    rng = make_rng(1)
-    M = rng.normal(size=(4, 6))
-    x = rng.normal(size=6)
-    expected = np.zeros(4)
-    for i in range(4):
-        for j in range(6):
-            expected[i] += M[i, j] * x[j]
-    assert np.allclose(matvec(M, x), expected, atol=1e-12)
-
-
-def test_matvec_shape_mismatch():
-    with pytest.raises(ValueError):
-        matvec(np.eye(3), np.zeros(4))
-    with pytest.raises(ValueError):
-        dot([1.0], [1.0, 2.0])
 
 
 def test_rng_equal_seeds_equal_streams():

@@ -1,27 +1,38 @@
-import math
-
 import numpy as np
 import pytest
 
 from protodetect.embedder import EmbeddingNet
 from protodetect.numeric import make_rng
 from protodetect.prototypes import (PrototypeBank, SupportSet,
-                                    build_background_prototype,
                                     build_prototypes,
                                     compose_unknown_prototype,
-                                    nearest_prototype, posteriors)
-from protodetect.simulator import Box
+                                    posteriors_batch)
+from protodetect.simulator import Box, Scene
+from protodetect.trainer import background_prototype
 
 
 def random_net(seed=0, d=6, hidden=8, e=4):
     return EmbeddingNet.init(make_rng(seed), d, hidden, e)
 
 
+def embed(net, v):
+    return net.forward_batch(np.asarray(v)[None, :])[0][0]
+
+
+def posteriors(q, bank):
+    return posteriors_batch(np.asarray(q)[None, :], bank)[0]
+
+
+def background_of(net, proposals, gt_boxes):
+    return background_prototype(net, [Scene(gt=[(b, 1) for b in gt_boxes],
+                                            proposals=proposals)])
+
+
 def test_single_shot_prototype_is_embedding():
     net = random_net()
     v = make_rng(1).normal(size=6)
     bank = build_prototypes(net, SupportSet({1: v[None, :]}))
-    q, _ = net.forward(v)
+    q = embed(net, v)
     assert np.allclose(bank.get(1), q, atol=1e-15)
 
 
@@ -29,7 +40,7 @@ def test_identical_support_gives_same_prototype():
     net = random_net()
     v = make_rng(2).normal(size=6)
     bank = build_prototypes(net, SupportSet({1: np.tile(v, (5, 1))}))
-    q, _ = net.forward(v)
+    q = embed(net, v)
     assert np.allclose(bank.get(1), q, atol=1e-12)
 
 
@@ -40,7 +51,7 @@ def test_prototype_matches_scalar_averaging_oracle():
     # scalar-loop oracle over individual forward passes
     acc = np.zeros(4)
     for v in feats:
-        acc += net.forward(v)[0]
+        acc += embed(net, v)
     assert np.allclose(bank.get(2), acc / 5, atol=1e-12)
 
 
@@ -63,8 +74,8 @@ def test_background_prototype_single_qualifier():
     net = random_net()
     gt = [Box(0, 0, 10, 10)]
     far = (Box(50, 50, 60, 60), make_rng(7).normal(size=6))
-    p0, _ = build_background_prototype(net, [far], gt)
-    assert np.allclose(p0, net.forward(far[1])[0], atol=1e-15)
+    p0 = background_of(net, [far], gt)
+    assert np.allclose(p0, embed(net, far[1]), atol=1e-15)
 
 
 def test_background_excludes_overlapping_proposal():
@@ -72,8 +83,8 @@ def test_background_excludes_overlapping_proposal():
     gt = [Box(0, 0, 10, 10)]
     on_gt = (Box(0, 0, 10, 10), np.ones(6))          # IoU = 1, excluded
     far = (Box(50, 50, 60, 60), make_rng(8).normal(size=6))
-    p0, _ = build_background_prototype(net, [on_gt, far], gt)
-    assert np.allclose(p0, net.forward(far[1])[0], atol=1e-15)
+    p0 = background_of(net, [on_gt, far], gt)
+    assert np.allclose(p0, embed(net, far[1]), atol=1e-15)
 
 
 def test_background_mixed_pool_matches_filter_oracle():
@@ -87,16 +98,17 @@ def test_background_mixed_pool_matches_filter_oracle():
     from protodetect.simulator import iou
     pool = [f for b, f in proposals if max(iou(b, g) for g in gt) < 0.3]
     assert pool  # oracle needs a nonempty pool for this seed
-    expected = np.mean([net.forward(f)[0] for f in pool], axis=0)
-    p0, _ = build_background_prototype(net, proposals, gt)
+    expected = np.mean([embed(net, f) for f in pool], axis=0)
+    p0 = background_of(net, proposals, gt)
     assert np.allclose(p0, expected, atol=1e-12)
 
 
 def test_background_empty_pool_errors():
+    # no qualifying proposal: no p0, and the callers decide what that means
     net = random_net()
     gt = [Box(0, 0, 10, 10)]
-    with pytest.raises(ValueError, match="no background pool"):
-        build_background_prototype(net, [(Box(0, 0, 10, 10), np.ones(6))], gt)
+    assert background_of(net, [(Box(0, 0, 10, 10), np.ones(6))], gt) is None
+    assert background_prototype(net, []) is None
 
 
 def test_compose_unknown_single_class():
@@ -158,19 +170,11 @@ def test_posteriors_sum_to_one_and_translation_equivariance():
 
 
 def test_nearest_tie_breaks_to_lowest_id():
+    # the decision is the argmax of the posterior row, first maximum wins
     bank = PrototypeBank([(0, [1.0, 0.0]), (1, [-1.0, 0.0])])
-    cid, _ = nearest_prototype(np.array([0.0, 0.0]), bank)
-    assert cid == 0
-
-
-def test_bank_export_roundtrip(tmp_path):
-    rng = make_rng(14)
-    bank = PrototypeBank([(c, rng.normal(size=3)) for c in range(3)])
-    path = tmp_path / "bank.json"
-    bank.save(path)
-    bank2 = PrototypeBank.load(path)
-    assert bank2.ids == bank.ids
-    assert np.array_equal(bank2.P, bank.P)
+    p = posteriors(np.array([0.0, 0.0]), bank)
+    assert p[0] == p[1]
+    assert bank.ids[int(np.argmax(p))] == 0
 
 
 def test_bank_rejects_duplicates():
