@@ -6,12 +6,12 @@ from .embedder import EmbeddingNet, LinearClassifier
 from .losses import LossConfig, QueryBatch, episode_loss
 from .prototypes import (PrototypeBank, SupportSet, build_prototypes,
                          compose_unknown_prototype, posteriors_batch)
-from .simulator import Box, WorldConfig, generate_world, iou
+from .simulator import Scene, WorldConfig, generate_world, iou
 from .trainer import TrainConfig, train
 
 __all__ = [
     "EmbeddingNet", "LinearClassifier", "LossConfig", "QueryBatch",
     "episode_loss", "PrototypeBank", "SupportSet", "build_prototypes",
-    "compose_unknown_prototype", "posteriors_batch", "Box", "WorldConfig",
+    "compose_unknown_prototype", "posteriors_batch", "Scene", "WorldConfig",
     "generate_world", "iou", "TrainConfig", "train",
 ]

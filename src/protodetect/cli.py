@@ -1,10 +1,13 @@
 """Operator entry point.
 
-    protodetect gen-data  --config cfg.json --out dataset.json
-    protodetect train     --config cfg.json --dataset dataset.json --out ckpt.json
-    protodetect eval      --config cfg.json --dataset dataset.json \
+    protodetect gen-data  --config cfg.json --out dataset.npz
+    protodetect train     --config cfg.json --dataset dataset.npz --out ckpt.json
+    protodetect eval      --config cfg.json --dataset dataset.npz \
                           --checkpoint ckpt.json --mode fewshot --out-prefix report
     protodetect gradcheck --config cfg.json
+
+gen-data writes the dataset at exactly --out, whatever its suffix;
+train and eval also read datasets in the older JSON format.
 
 Every command is a pure function of (config, input files, seed);
 re-runs produce byte-identical outputs. Exit codes: 0 ok, 2 config or
@@ -59,7 +62,6 @@ def cmd_gen_data(args):
 def _load_world_checked(cfg, dataset_path):
     try:
         world = load_world(dataset_path)
-        world.config.validate()
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise CliError(f"cannot read dataset: {e}")
     if not world.train_scenes:
@@ -103,8 +105,12 @@ def run_protocol(cfg, world, net, mode):
     spec = ProtocolSpec(
         mode=mode, unknown_id=unknown_id,
         unknown_includes_background=cfg.protocol.unknown_includes_background)
-    bank, eval_ids = assemble_protocol(spec, seen, unseen, net, p0)
-    per_scene = [detect_scene(s, net, bank) for s in world.test_scenes]
+    try:
+        bank, eval_ids = assemble_protocol(spec, seen, unseen, net, p0)
+        per_scene = [detect_scene(s, net, bank) for s in world.test_scenes]
+    except FloatingPointError:
+        # finite weights whose activations overflow: bad input, not divergence
+        raise CliError("cannot evaluate checkpoint: non-finite embeddings")
     if mode == OPENSET:
         report = evaluate_openset(per_scene, world.test_scenes,
                                   seen.class_ids, unknown_id, world.unseen_ids)

@@ -4,8 +4,9 @@
 Matching is greedy per scene: detections in descending score order
 (ties stable by input order) each take the highest-IoU unmatched
 ground-truth box of their class at or above the threshold; every GT
-box is matched at most once. Classes with zero ground truth are
-excluded from the means.
+box is matched at most once. The IoU matrix of each scene and class
+is computed once and reused across the thresholds. Classes with zero
+ground truth are excluded from the means.
 """
 
 import csv
@@ -21,26 +22,23 @@ RECALL_GRID = np.linspace(0.0, 1.0, 101)
 MAX_DETS = 100
 
 
-def match_at_threshold(detections, gt_boxes, threshold):
-    """TP/FP flags for score-sorted detections of one class in one scene.
-
-    detections: [(box, score)] already sorted by descending score.
+def match_at_threshold(ious, threshold):
+    """TP/FP flags (n_det,) for the score-sorted detections of one class
+    in one scene, given their IoU matrix (n_det, n_gt) against its GT
+    boxes (`simulator.iou`). Each detection takes the first unmatched GT
+    box of maximal IoU, if that IoU is positive and at least threshold.
     """
-    matched = [False] * len(gt_boxes)
-    flags = []
-    for box, _score in detections:
-        best_iou, best_j = 0.0, -1
-        for j, g in enumerate(gt_boxes):
-            if matched[j]:
-                continue
-            v = iou(box, g)
-            if v > best_iou:
-                best_iou, best_j = v, j
-        if best_j >= 0 and best_iou >= threshold:
-            matched[best_j] = True
-            flags.append(True)
-        else:
-            flags.append(False)
+    n_det, n_gt = ious.shape
+    flags = np.zeros(n_det, dtype=bool)
+    if n_gt == 0:
+        return flags
+    unmatched = np.ones(n_gt, dtype=bool)
+    for i in range(n_det):
+        row = np.where(unmatched, ious[i], 0.0)
+        j = int(np.argmax(row))
+        if row[j] > 0.0 and row[j] >= threshold:
+            unmatched[j] = False
+            flags[i] = True
     return flags
 
 
@@ -122,50 +120,45 @@ def evaluate(per_scene_detections, scenes, eval_class_ids, protocol="fewshot",
              gt_label_map=None, max_dets=MAX_DETS):
     """Score detections against scene ground truth.
 
-    per_scene_detections: list (parallel to scenes) of Detection lists.
-    gt_label_map: optional relabeling applied to GT class ids before
-    filtering (open-set maps unseen classes to the unknown id). GT
-    outside eval_class_ids is dropped; detections on it count as FP.
+    per_scene_detections: list (parallel to scenes) of Detections.
+    gt_label_map: optional relabeling of a scene's GT label array,
+    applied before filtering (open-set maps unseen classes to the
+    unknown id). GT outside eval_class_ids is dropped; detections on it
+    count as FP.
     """
     if len(per_scene_detections) != len(scenes):
         raise ValueError("detections and scenes are not parallel")
     eval_ids = sorted(set(int(c) for c in eval_class_ids))
 
-    # cap per scene at max_dets by score (stable), then split per class
+    # cap per scene at max_dets by score (stable), highest first
     capped = []
     for dets in per_scene_detections:
-        order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-        capped.append([dets[i] for i in order[:max_dets]])
+        order = np.argsort(-dets.scores, kind="stable")[:max_dets]
+        capped.append((dets.boxes[order], dets.class_ids[order], dets.scores[order]))
+    gt_labels = [s.labels if gt_label_map is None else gt_label_map(s.labels)
+                 for s in scenes]
 
     report = EvalReport(protocol=protocol)
-    report.n_detections = sum(len(d) for d in capped)
+    report.n_detections = sum(len(scores) for _, _, scores in capped)
 
     for cid in eval_ids:
-        gt_per_scene = []
-        det_per_scene = []
-        for dets, scene in zip(capped, scenes):
-            gts = []
-            for box, label in scene.gt:
-                label = int(label) if gt_label_map is None else int(gt_label_map(int(label)))
-                if label == cid:
-                    gts.append(box)
-            gt_per_scene.append(gts)
-            det_per_scene.append([(d.box, d.score) for d in dets if d.class_id == cid])
-        n_gt = sum(len(g) for g in gt_per_scene)
+        # one IoU matrix per scene, shared by every threshold
+        ious, scores = [], []
+        for (boxes, ids, det_scores), scene, labels in zip(capped, scenes, gt_labels):
+            mine = ids == cid
+            ious.append(iou(boxes[mine], scene.gt[labels == cid]))
+            scores.append(det_scores[mine])
+        n_gt = sum(m.shape[1] for m in ious)
         report.n_gt[cid] = n_gt
         if n_gt == 0:
             continue
+        # the class's detections by descending score; ties by scene, then rank
+        order = np.argsort(-np.concatenate(scores), kind="stable")
         for t in IOU_THRESHOLDS:
-            scored_flags = []
-            for si, (dets, gts) in enumerate(zip(det_per_scene, gt_per_scene)):
-                flags = match_at_threshold(dets, gts, t)
-                for di, ((_, score), tp) in enumerate(zip(dets, flags)):
-                    scored_flags.append((-score, si, di, tp))
-            scored_flags.sort()
-            flags = [tp for *_, tp in scored_flags]
-            ap = average_precision(flags, n_gt)
-            n_tp = sum(flags)
-            report.cells[(cid, t)] = {"ap": ap, "ar": n_tp / n_gt}
+            flags = np.concatenate([match_at_threshold(m, t) for m in ious])[order]
+            n_tp = int(flags.sum())
+            report.cells[(cid, t)] = {"ap": average_precision(flags, n_gt),
+                                      "ar": n_tp / n_gt}
             if t == IOU_THRESHOLDS[0]:
                 report.n_matches += n_tp
 
@@ -179,10 +172,8 @@ def evaluate_openset(per_scene_detections, scenes, seen_ids, unknown_id,
                      unseen_ids, max_dets=MAX_DETS):
     """Open-set report: all unseen GT collapses to the unknown class;
     adds separate Known / Unknown aggregate rows."""
-    unseen = set(int(c) for c in unseen_ids)
-
-    def relabel(cid):
-        return unknown_id if cid in unseen else cid
+    def relabel(labels):
+        return np.where(np.isin(labels, list(unseen_ids)), unknown_id, labels)
 
     report = evaluate(per_scene_detections, scenes,
                       list(seen_ids) + [unknown_id], protocol="openset",

@@ -25,10 +25,15 @@ MODES = (FEWSHOT, OPENSET, ZS_UO, ZS_MPU, ZS_MPS)
 
 
 @dataclass(frozen=True)
-class Detection:
-    box: object
-    class_id: int
-    score: float
+class Detections:
+    """One scene's detections, row-aligned: boxes (n, 4), class ids (n,)
+    and scores (n,)."""
+    boxes: np.ndarray
+    class_ids: np.ndarray
+    scores: np.ndarray
+
+    def __len__(self):
+        return len(self.scores)
 
 
 @dataclass
@@ -43,20 +48,23 @@ class ProtocolSpec:
 
 
 def detect_scene(scene, net, bank):
-    """Embed every proposal; keep those whose nearest prototype is not p0."""
+    """Embed every proposal; keep those whose nearest prototype is not p0.
+
+    FloatingPointError when an embedding is not finite.
+    """
     if not bank.has(BACKGROUND_ID):
         raise ValueError("bank is missing the background prototype")
-    if not scene.proposals:
-        return []
-    Q, _ = net.forward_batch(np.stack([f for _, f in scene.proposals]))
+    ids = np.asarray(bank.ids)
+    if not len(scene.proposals):
+        return Detections(scene.proposals, ids[:0], np.empty(0))
+    Q, _ = net.forward_batch(scene.features)
+    if not np.isfinite(Q).all():
+        raise FloatingPointError("non-finite embeddings")
     probs = posteriors_batch(Q, bank)
     best = np.argmax(probs, axis=1)
-    out = []
-    for (box, _), j, row in zip(scene.proposals, best, probs):
-        cid = bank.ids[j]
-        if cid != BACKGROUND_ID:
-            out.append(Detection(box=box, class_id=cid, score=float(row[j])))
-    return out
+    keep = ids[best] != BACKGROUND_ID
+    return Detections(scene.proposals[keep], ids[best[keep]],
+                      probs[np.arange(len(best)), best][keep])
 
 
 def assemble_protocol(spec, seen_support, unseen_support, net, p0):
@@ -66,6 +74,7 @@ def assemble_protocol(spec, seen_support, unseen_support, net, p0):
     unseen. zs-mpu / zs-mps: seen+unseen prototypes, eval on unseen /
     seen. openset: seen prototypes plus a composed unknown prototype;
     unknowns are evaluated as one class under spec.unknown_id.
+    FloatingPointError when a prototype is not finite.
     """
     def bank_from(support_sets):
         merged = {}
@@ -96,15 +105,19 @@ def assemble_protocol(spec, seen_support, unseen_support, net, p0):
             unknown_id = max(bank.ids) + 1
         bank = bank.with_entry(unknown_id, unk)
         eval_ids = list(seen_support.class_ids) + [unknown_id]
+    if not np.isfinite(bank.P).all():
+        raise FloatingPointError("non-finite embeddings")
     return bank, eval_ids
 
 
 def detections_to_dict(per_scene):
-    """per_scene: list of detection lists, indexed by scene id."""
+    """per_scene: list of Detections, indexed by scene id."""
     return [
         {"scene_id": i,
-         "detections": [{"box": d.box.to_list(), "class_id": d.class_id,
-                         "score": d.score} for d in dets]}
+         "detections": [{"box": box, "class_id": cid, "score": score}
+                        for box, cid, score in zip(dets.boxes.tolist(),
+                                                   dets.class_ids.tolist(),
+                                                   dets.scores.tolist())]}
         for i, dets in enumerate(per_scene)
     ]
 

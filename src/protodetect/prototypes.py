@@ -103,14 +103,9 @@ def build_prototypes(net, support):
     return PrototypeBank(zip(support.class_ids, segment_means(emb, counts)))
 
 
-def background_pool(proposals, gt_boxes, threshold=0.3):
-    """Features of proposals whose max IoU to any GT is below threshold."""
-    pool = []
-    for box, feat in proposals:
-        best = max((iou(box, g) for g in gt_boxes), default=0.0)
-        if best < threshold:
-            pool.append(feat)
-    return pool
+def background_pool(proposals, features, gt_boxes, threshold=0.3):
+    """Rows of features whose proposal's max IoU to any GT box is below threshold."""
+    return features[iou(proposals, gt_boxes).max(axis=1, initial=0.0) < threshold]
 
 
 def compose_unknown_prototype(bank, include_background=True):

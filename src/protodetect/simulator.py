@@ -7,11 +7,21 @@ means, background features cluster around the origin, and feature
 space augmentation (scale + partial rotation + noise) replaces image
 space augmentation.
 
-Datasets are fully determined by (config, seed) and serialize to JSON
-with shortest round-trip decimals, so regeneration is byte-identical.
+A scene is columnar: one array of proposal boxes, one of their
+features, one of ground-truth boxes and one of their labels. Boxes are
+(x1, y1, x2, y2) rows, and `iou` compares every row of one box array
+with every row of another.
+
+Datasets are fully determined by (config, seed). `save_world` writes
+one uncompressed .npz archive (format protodetect-dataset-v2) whose
+bytes depend on the world only, so regeneration is byte-identical.
+`load_world` reads it, and also the JSON documents of format
+protodetect-dataset-v1; both become the same columnar world, after one
+set of checks (shapes, offsets, finite values, non-degenerate boxes).
 """
 
 import json
+import zipfile
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -21,49 +31,34 @@ from .numeric import make_rng
 IGNORE = -1  # proposals in the [0.3, 0.5) IoU band are excluded from training
 
 
-@dataclass(frozen=True)
-class Box:
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-
-    def __post_init__(self):
-        if not all(np.isfinite([self.x1, self.y1, self.x2, self.y2])):
-            raise ValueError("non-finite box")
-        if self.x2 <= self.x1 or self.y2 <= self.y1:
-            raise ValueError("degenerate box")
-
-    @property
-    def area(self):
-        return (self.x2 - self.x1) * (self.y2 - self.y1)
-
-    def to_list(self):
-        return [self.x1, self.y1, self.x2, self.y2]
-
-
 def iou(a, b):
-    """Intersection over union of two boxes, 0 when disjoint."""
-    ix = min(a.x2, b.x2) - max(a.x1, b.x1)
-    iy = min(a.y2, b.y2) - max(a.y1, b.y1)
-    if ix <= 0.0 or iy <= 0.0:
-        return 0.0
+    """Pairwise intersection over union: rows of a (n, 4) against rows
+    of b (m, 4) -> (n, m), 0 where two boxes do not overlap.
+
+    Every entry takes the scalar formula's operations in its order
+    (min - max per axis, ix * iy, inter / (area_a + area_b - inter)),
+    so it is bit-equal to the scalar formula.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    ix = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
+    iy = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
     inter = ix * iy
-    return inter / (a.area + b.area - inter)
-
-
-@dataclass
-class ClassModel:
-    class_id: int
-    mean: np.ndarray          # feature cluster center, dim d
-    sigma_f: float            # per-coordinate feature noise std
-    box_size_range: tuple     # (min, max) side length in scene units
+    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
+    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+    return np.divide(inter, area_a[:, None] + area_b[None, :] - inter,
+                     out=np.zeros_like(inter), where=(ix > 0.0) & (iy > 0.0))
 
 
 @dataclass
 class Scene:
-    gt: list        # [(Box, class_id)]
-    proposals: list  # [(Box, feature ndarray)]
+    """One scene, row-aligned arrays: proposal boxes (P, 4) and their raw
+    features (P, d), ground-truth boxes (G, 4) and their class ids (G,)
+    int64. The first G proposals are the GT boxes, jittered, in GT order."""
+    proposals: np.ndarray
+    features: np.ndarray
+    gt: np.ndarray
+    labels: np.ndarray
 
 
 @dataclass
@@ -108,7 +103,7 @@ class WorldConfig:
 @dataclass
 class World:
     config: WorldConfig
-    class_models: dict          # class_id -> ClassModel (seen and unseen)
+    class_means: np.ndarray     # (c_seen + c_unseen, d); class id c is row c - 1
     train_scenes: list
     test_scenes: list
     support_seen: dict          # class_id -> (shots, d) array
@@ -163,61 +158,57 @@ def _random_box(rng, scene_size, size_range):
     h = rng.uniform(*size_range)
     x1 = rng.uniform(0.0, scene_size - w)
     y1 = rng.uniform(0.0, scene_size - h)
-    return Box(x1, y1, x1 + w, y1 + h)
+    return x1, y1, x1 + w, y1 + h
 
 
 def _jitter_box(rng, box, jitter):
     # draws are unconditional so the stream is identical for jitter=0
     dx1, dy1, dx2, dy2 = rng.uniform(-1.0, 1.0, size=4) * jitter
-    x1, y1, x2, y2 = box.x1 + dx1, box.y1 + dy1, box.x2 + dx2, box.y2 + dy2
+    x1, y1, x2, y2 = box[0] + dx1, box[1] + dy1, box[2] + dx2, box[3] + dy2
     if x2 <= x1 or y2 <= y1:
         return box
-    return Box(x1, y1, x2, y2)
+    return x1, y1, x2, y2
 
 
-def _make_scene(rng, cfg, class_pool, models):
-    gt = []
-    proposals = []
-    k = cfg.objects_per_scene
+def _make_scene(rng, cfg, class_pool, means):
+    k, n = cfg.objects_per_scene, cfg.proposals_per_scene
     classes = [class_pool[rng.integers(len(class_pool))] for _ in range(k)]
-    for cid in classes:
-        model = models[cid]
-        box = _random_box(rng, cfg.scene_size, model.box_size_range)
-        gt.append((box, cid))
-        feat = model.mean + rng.normal(size=cfg.d) * model.sigma_f
-        proposals.append((_jitter_box(rng, box, cfg.box_jitter), feat))
-    for _ in range(cfg.proposals_per_scene - k):
-        box = _random_box(rng, cfg.scene_size, cfg.box_size_range)
-        feat = rng.normal(size=cfg.d) * cfg.bg_feature_std
-        proposals.append((box, feat))
-    return Scene(gt=gt, proposals=proposals)
+    gt = np.empty((k, 4))
+    proposals = np.empty((n, 4))
+    features = np.empty((n, cfg.d))
+    for i, cid in enumerate(classes):
+        gt[i] = _random_box(rng, cfg.scene_size, cfg.box_size_range)
+        features[i] = means[cid - 1] + rng.normal(size=cfg.d) * cfg.sigma_f
+        proposals[i] = _jitter_box(rng, gt[i], cfg.box_jitter)
+    for i in range(k, n):
+        proposals[i] = _random_box(rng, cfg.scene_size, cfg.box_size_range)
+        features[i] = rng.normal(size=cfg.d) * cfg.bg_feature_std
+    return Scene(proposals, features, gt, np.array(classes, dtype=np.int64))
 
 
 def generate_world(cfg):
-    """Build class models, train/test scenes, and support sets from (cfg, seed)."""
+    """Build class means, train/test scenes, and support sets from (cfg, seed)."""
     cfg.validate()
     rng = make_rng(cfg.seed)
     n_total = cfg.c_seen + cfg.c_unseen
-    means = _place_means(rng, cfg.c_seen, cfg.c_unseen, cfg.d, cfg.delta)
-    models = {cid: ClassModel(cid, means[cid - 1], cfg.sigma_f, cfg.box_size_range)
-              for cid in range(1, n_total + 1)}
+    means = np.array(_place_means(rng, cfg.c_seen, cfg.c_unseen, cfg.d, cfg.delta))
 
     seen = list(range(1, cfg.c_seen + 1))
     unseen = list(range(cfg.c_seen + 1, n_total + 1))
 
     def support_for(ids):
-        return {cid: np.stack([models[cid].mean + rng.normal(size=cfg.d) * cfg.sigma_f
+        return {cid: np.stack([means[cid - 1] + rng.normal(size=cfg.d) * cfg.sigma_f
                                for _ in range(cfg.shots)])
                 for cid in ids}
 
     support_seen = support_for(seen)
     support_unseen = support_for(unseen)
 
-    train_scenes = [_make_scene(rng, cfg, seen, models) for _ in range(cfg.n_train_scenes)]
+    train_scenes = [_make_scene(rng, cfg, seen, means) for _ in range(cfg.n_train_scenes)]
     test_pool = seen + unseen if (cfg.test_includes_unseen and unseen) else seen
-    test_scenes = [_make_scene(rng, cfg, test_pool, models) for _ in range(cfg.n_test_scenes)]
+    test_scenes = [_make_scene(rng, cfg, test_pool, means) for _ in range(cfg.n_test_scenes)]
 
-    return World(cfg, models, train_scenes, test_scenes, support_seen, support_unseen)
+    return World(cfg, means, train_scenes, test_scenes, support_seen, support_unseen)
 
 
 def augment_feature(rng, v, strength, sigma_f=1.0):
@@ -253,99 +244,208 @@ def augment_feature(rng, v, strength, sigma_f=1.0):
 
 
 def label_proposals(scene):
-    """Per-proposal training label: class at IoU>=0.5, background (<0.3), else IGNORE."""
-    labels = []
-    for idx, (box, _feat) in enumerate(scene.proposals):
-        best_iou, best_cid = 0.0, 0
-        for gbox, cid in scene.gt:
-            v = iou(box, gbox)
-            if v > best_iou:
-                best_iou, best_cid = v, cid
-        if best_iou >= 0.5:
-            labels.append((idx, best_cid))
-        elif best_iou < 0.3:
-            labels.append((idx, 0))
-        else:
-            labels.append((idx, IGNORE))
+    """Per-proposal training labels (P,): the class of the best-overlapping
+    GT box at IoU >= 0.5, background (0) below 0.3, IGNORE in between.
+    The best GT box is the first one of maximal IoU."""
+    ious = iou(scene.proposals, scene.gt)
+    labels = np.where(ious.max(axis=1, initial=0.0) < 0.3, 0, IGNORE)
+    if ious.shape[1]:
+        best = np.argmax(ious, axis=1)
+        fg = ious[np.arange(len(best)), best] >= 0.5
+        labels[fg] = scene.labels[best[fg]]
     return labels
 
 
-# --- dataset (de)serialization ----------------------------------------------
+# --- dataset files -------------------------------------------------------------
+#
+# A v2 file is an uncompressed .npz archive with these entries:
+#   format, config            0-d strings: the format tag, the WorldConfig as JSON
+#   class_means               (c_seen + c_unseen, d)
+#   <split>_proposals         (sum P, 4)  every scene's proposal boxes, in scene order
+#   <split>_features          (sum P, d)
+#   <split>_proposal_offsets  (scenes + 1,)  scene s owns rows [o[s], o[s+1])
+#   <split>_gt, <split>_labels, <split>_gt_offsets   the same for GT boxes
+#   <support>, <support>_ids, <support>_offsets      rows, class ids, per-class offsets
+# for split in train, test and support in support_seen, support_unseen.
 
-def _scene_to_dict(scene):
-    return {
-        "gt": [{"box": b.to_list(), "label": c} for b, c in scene.gt],
-        "proposals": [{"box": b.to_list(), "feature": f.tolist()} for b, f in scene.proposals],
-    }
+FORMAT = "protodetect-dataset-v2"
+V1_FORMAT = "protodetect-dataset-v1"
+_SPLITS = ("train", "test")
+_SUPPORTS = ("support_seen", "support_unseen")
+_ZIP_MAGIC = b"PK\x03\x04"
 
 
-def _scene_from_dict(doc, d):
-    gt = [(Box(*e["box"]), int(e["label"])) for e in doc["gt"]]
-    props = [(Box(*e["box"]), _features(e["feature"], d, 1)) for e in doc["proposals"]]
-    return Scene(gt=gt, proposals=props)
+def _stacked(parts, empty):
+    return np.concatenate(parts) if parts else empty
 
 
-def _features(value, d, ndim):
-    """value as float64 features of dim d: one (d,) vector (ndim 1) or
-    n >= 1 rows (ndim 2); ValueError on any other shape."""
-    a = np.array(value, dtype=np.float64)
-    if a.ndim != ndim or a.shape[-1] != d or a.size == 0:
-        raise ValueError(f"features of shape {a.shape}, expected {ndim}-d with dim {d}")
+def _offsets(counts):
+    return np.cumsum([0] + list(counts), dtype=np.int64)
+
+
+def _world_entries(world):
+    cfg = asdict(world.config)
+    cfg["box_size_range"] = list(cfg["box_size_range"])
+    d = world.config.d
+    out = {"format": np.array(FORMAT),
+           "config": np.array(json.dumps(cfg, sort_keys=True)),
+           "class_means": world.class_means}
+    for split, scenes in zip(_SPLITS, (world.train_scenes, world.test_scenes)):
+        out[split + "_proposals"] = _stacked([s.proposals for s in scenes], np.empty((0, 4)))
+        out[split + "_features"] = _stacked([s.features for s in scenes], np.empty((0, d)))
+        out[split + "_proposal_offsets"] = _offsets(len(s.proposals) for s in scenes)
+        out[split + "_gt"] = _stacked([s.gt for s in scenes], np.empty((0, 4)))
+        out[split + "_labels"] = _stacked([s.labels for s in scenes],
+                                          np.empty(0, dtype=np.int64))
+        out[split + "_gt_offsets"] = _offsets(len(s.gt) for s in scenes)
+    for name, support in zip(_SUPPORTS, (world.support_seen, world.support_unseen)):
+        ids = sorted(support)
+        out[name] = _stacked([support[c] for c in ids], np.empty((0, d)))
+        out[name + "_ids"] = np.array(ids, dtype=np.int64)
+        out[name + "_offsets"] = _offsets(len(support[c]) for c in ids)
+    return out
+
+
+def _world_config(doc):
+    if not isinstance(doc, dict):
+        raise ValueError("config must be an object")
+    cfg = WorldConfig(**dict(doc, box_size_range=tuple(doc["box_size_range"])))
+    cfg.validate()
+    return cfg
+
+
+def _float_rows(entry, name, width):
+    a = entry(name)
+    if a.dtype != np.float64 or a.ndim != 2 or a.shape[1] != width:
+        raise ValueError(f"{name}: {a.dtype} array of shape {a.shape}, "
+                         f"expected float64 rows of width {width}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name}: non-finite values")
     return a
 
 
-def _supports(doc, d):
-    if not isinstance(doc, dict):
-        raise ValueError("support sets must be objects")
-    return {int(c): _features(v, d, 2) for c, v in doc.items()}
+def _boxes(entry, name):
+    a = _float_rows(entry, name, 4)
+    if not ((a[:, 2] > a[:, 0]) & (a[:, 3] > a[:, 1])).all():
+        raise ValueError(f"{name}: degenerate box")
+    return a
 
 
-def world_to_dict(world):
-    cfg = asdict(world.config)
-    cfg["box_size_range"] = list(cfg["box_size_range"])
-    return {
-        "format": "protodetect-dataset-v1",
-        "config": cfg,
-        "class_models": [
-            {"class_id": m.class_id, "mean": m.mean.tolist(), "sigma_f": m.sigma_f,
-             "box_size_range": list(m.box_size_range)}
-            for m in (world.class_models[c] for c in sorted(world.class_models))
-        ],
-        "train_scenes": [_scene_to_dict(s) for s in world.train_scenes],
-        "test_scenes": [_scene_to_dict(s) for s in world.test_scenes],
-        "support_seen": {str(c): world.support_seen[c].tolist() for c in sorted(world.support_seen)},
-        "support_unseen": {str(c): world.support_unseen[c].tolist() for c in sorted(world.support_unseen)},
-    }
+def _ints(entry, name):
+    a = entry(name)
+    if a.dtype.kind not in "iu" or a.ndim != 1:
+        raise ValueError(f"{name}: {a.dtype} array of shape {a.shape}, expected 1-d integers")
+    return a.astype(np.int64, copy=False)
 
 
-def world_from_dict(doc):
-    """Rebuild a World; ValueError on a document of the wrong shape."""
-    if not isinstance(doc, dict) or doc.get("format") != "protodetect-dataset-v1":
+def _bounds(entry, name, n_rows):
+    """Offsets as (start, end) pairs, one per segment of n_rows rows."""
+    o = _ints(entry, name)
+    if len(o) < 1 or o[0] != 0 or o[-1] != n_rows or (np.diff(o) < 0).any():
+        raise ValueError(f"{name}: offsets do not cover {n_rows} rows")
+    o = o.tolist()
+    return list(zip(o[:-1], o[1:]))
+
+
+def _world_from_entries(entry):
+    """Check the entries of a dataset (entry(name) -> array) and build
+    its World; ValueError on anything malformed."""
+    tag, text = entry("format"), entry("config")
+    if tag.shape != () or str(tag) != FORMAT:
         raise ValueError("not a protodetect dataset")
-    cfg_doc = dict(doc["config"])
-    cfg_doc["box_size_range"] = tuple(cfg_doc["box_size_range"])
-    cfg = WorldConfig(**cfg_doc)
-    models = {int(m["class_id"]): ClassModel(int(m["class_id"]),
-                                             np.array(m["mean"], dtype=np.float64),
-                                             float(m["sigma_f"]),
-                                             tuple(m["box_size_range"]))
-              for m in doc["class_models"]}
-    support_seen = _supports(doc["support_seen"], cfg.d)
-    if not support_seen:
+    if text.dtype.kind != "U" or text.shape != ():
+        raise ValueError("config entry is not a string")
+    cfg = _world_config(json.loads(str(text)))
+    d = cfg.d
+    means = _float_rows(entry, "class_means", d)
+    if len(means) != cfg.c_seen + cfg.c_unseen:
+        raise ValueError(f"class_means: {len(means)} rows for "
+                         f"{cfg.c_seen + cfg.c_unseen} classes")
+    splits = []
+    for split in _SPLITS:
+        P = _boxes(entry, split + "_proposals")
+        F = _float_rows(entry, split + "_features", d)
+        G = _boxes(entry, split + "_gt")
+        L = _ints(entry, split + "_labels")
+        if len(F) != len(P) or len(L) != len(G):
+            raise ValueError(f"{split}: boxes and their features or labels differ in count")
+        props = _bounds(entry, split + "_proposal_offsets", len(P))
+        gts = _bounds(entry, split + "_gt_offsets", len(G))
+        if len(props) != len(gts):
+            raise ValueError(f"{split}: proposal and GT offsets differ in scene count")
+        splits.append([Scene(P[a:b], F[a:b], G[c:e], L[c:e])
+                       for (a, b), (c, e) in zip(props, gts)])
+    supports = []
+    for name in _SUPPORTS:
+        rows = _float_rows(entry, name, d)
+        ids = _ints(entry, name + "_ids").tolist()
+        bounds = _bounds(entry, name + "_offsets", len(rows))
+        if len(bounds) != len(ids) or len(set(ids)) != len(ids):
+            raise ValueError(f"{name}: class ids do not match the offsets")
+        if any(a == b for a, b in bounds):
+            raise ValueError(f"{name}: a class has no support rows")
+        supports.append({c: rows[a:b] for c, (a, b) in zip(ids, bounds)})
+    if not supports[0]:
         raise ValueError("dataset has no seen support classes")
-    return World(
-        cfg, models,
-        [_scene_from_dict(s, cfg.d) for s in doc["train_scenes"]],
-        [_scene_from_dict(s, cfg.d) for s in doc["test_scenes"]],
-        support_seen, _supports(doc["support_unseen"], cfg.d),
-    )
+    return World(cfg, means, *splits, *supports)
+
+
+def _v1_rows(value, width):
+    a = np.array(value, dtype=np.float64)
+    return a.reshape(0, width) if a.size == 0 else a
+
+
+def _v1_world(doc):
+    """A v1 JSON document as a World whose arrays are not checked yet."""
+    if not isinstance(doc, dict) or doc.get("format") != V1_FORMAT:
+        raise ValueError("not a protodetect dataset")
+    cfg = _world_config(doc["config"])
+    d = cfg.d
+
+    def scene(s):
+        return Scene(_v1_rows([p["box"] for p in s["proposals"]], 4),
+                     _v1_rows([p["feature"] for p in s["proposals"]], d),
+                     _v1_rows([g["box"] for g in s["gt"]], 4),
+                     np.array([int(g["label"]) for g in s["gt"]], dtype=np.int64))
+
+    def support(by_class):
+        if not isinstance(by_class, dict):
+            raise ValueError("support sets must be objects")
+        return {int(c): _v1_rows(rows, d) for c, rows in by_class.items()}
+
+    models = sorted(doc["class_models"], key=lambda m: int(m["class_id"]))
+    return World(cfg, _v1_rows([m["mean"] for m in models], d),
+                 [scene(s) for s in doc["train_scenes"]],
+                 [scene(s) for s in doc["test_scenes"]],
+                 support(doc["support_seen"]), support(doc["support_unseen"]))
 
 
 def save_world(path, world):
-    with open(path, "w") as f:
-        json.dump(world_to_dict(world), f, sort_keys=True)
+    """Write the world to `path` as a v2 archive. numpy writes through the
+    open file, so no .npz suffix is added, and every zip entry carries
+    zipfile's fixed 1980 timestamp. ValueError, before anything is
+    written, on a world that `load_world` would refuse."""
+    entries = _world_entries(world)
+    _world_from_entries(entries.__getitem__)
+    with open(path, "wb") as f:
+        np.savez(f, **entries)
 
 
 def load_world(path):
-    with open(path) as f:
-        return world_from_dict(json.load(f))
+    """Read a v2 archive or a v1 JSON document, told apart by the first
+    bytes; ValueError on a malformed or corrupt file."""
+    with open(path, "rb") as f:
+        if f.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
+            f.seek(0)
+            return _world_from_entries(_world_entries(_v1_world(json.load(f))).__getitem__)
+        f.seek(0)
+        try:
+            with np.load(f, allow_pickle=False) as archive:
+                def entry(name):
+                    try:
+                        return archive[name]
+                    except KeyError:
+                        raise ValueError(f"dataset has no entry {name!r}") from None
+                return _world_from_entries(entry)
+        except (zipfile.BadZipFile, EOFError) as e:
+            raise ValueError(f"corrupt dataset archive: {e}") from None

@@ -163,17 +163,16 @@ def make_episode(rng, support, cfg, sigma_f=1.0):
 
 
 def scene_background_features(scene, threshold=0.3):
-    gts = [b for b, _ in scene.gt]
-    return background_pool(scene.proposals, gts, threshold)
+    return background_pool(scene.proposals, scene.features, scene.gt, threshold)
 
 
 def background_prototype(net, scenes):
     """p0: the mean embedding of the scenes' background pools, or None
     when every pool is empty."""
-    feats = [f for s in scenes for f in scene_background_features(s)]
-    if not feats:
+    pools = [scene_background_features(s) for s in scenes]
+    if not sum(map(len, pools)):
         return None
-    emb, _ = net.forward_batch(np.asarray(feats))
+    emb, _ = net.forward_batch(np.concatenate(pools))
     return emb.mean(axis=0)
 
 
@@ -186,16 +185,15 @@ def heldout_accuracy(net, bank, scenes):
     """
     feats, labels = [], []
     for scene in scenes:
-        for idx, y in label_proposals(scene):
-            if y == IGNORE or not bank.has(y):
-                continue
-            feats.append(scene.proposals[idx][1])
-            labels.append(y)
-    if not feats:
+        y = label_proposals(scene)
+        keep = (y != IGNORE) & np.isin(y, bank.ids)
+        feats.append(scene.features[keep])
+        labels.append(y[keep])
+    if not sum(map(len, labels)):
         return float("nan")
-    Q, _ = net.forward_batch(np.asarray(feats, dtype=np.float64))
+    Q, _ = net.forward_batch(np.concatenate(feats))
     pred = np.asarray(bank.ids)[np.argmax(posteriors_batch(Q, bank), axis=1)]
-    return float(np.mean(pred == np.asarray(labels)))
+    return float(np.mean(pred == np.concatenate(labels)))
 
 
 @dataclass
@@ -237,15 +235,15 @@ def train(world, cfg):
         scene = world.train_scenes[int(rng.integers(len(world.train_scenes)))]
         proto_support, qfeats, qlabels = make_episode(rng, support, cfg, sigma_f)
         bg = scene_background_features(scene)
-        if bg:
-            qfeats = np.concatenate([qfeats, np.asarray(bg)])
+        if len(bg):
+            qfeats = np.concatenate([qfeats, bg])
             qlabels = np.concatenate([qlabels, np.zeros(len(bg), dtype=np.int64)])
             kwargs = {"bg_features": bg}
         else:
             kwargs = {"frozen_p0": last_p0}
         bundle = episode_loss(net, clf, proto_support, qfeats, qlabels,
                               loss_cfg, **kwargs)
-        if bg:
+        if len(bg):
             last_p0 = bundle.bank.get(BACKGROUND_ID)
 
         if not np.isfinite(bundle.l_total):

@@ -28,9 +28,10 @@ from protodetect.inference import FEWSHOT, OPENSET
 from protodetect.losses import QueryBatch, alignment_loss, matching_loss, kl_loss
 from protodetect.numeric import make_rng
 from protodetect.prototypes import BACKGROUND_ID, PrototypeBank, posteriors_batch
-from protodetect.simulator import IGNORE, Box, generate_world, iou, label_proposals
+from protodetect.simulator import IGNORE, generate_world, iou, label_proposals
 from protodetect.trainer import background_prototype, heldout_accuracy, train
 
+from helpers import boxes, make_detections, make_scene
 from test_evaluation import oracle_ap
 
 
@@ -140,10 +141,9 @@ def test_a4_open_set_rejection(a3_run):
     n_bg = n_rej = 0
     seen_total = seen_correct = 0
     for scene in world.test_scenes:
-        for idx, y in label_proposals(scene):
+        for feat, y in zip(scene.features, label_proposals(scene).tolist()):
             if y == IGNORE:
                 continue
-            feat = scene.proposals[idx][1]
             emb, _ = result.net.forward_batch(feat[None, :])
             cid = bank.ids[int(np.argmax(posteriors_batch(emb, bank)[0]))]
             if y == 0:
@@ -186,8 +186,6 @@ def test_a6_schedule_correctness(a3_run):
 
 def test_a5_evaluator_oracle_equivalence():
     from protodetect.evaluation import IOU_THRESHOLDS, evaluate
-    from protodetect.inference import Detection
-    from protodetect.simulator import Scene
     from test_evaluation import oracle_greedy_match
 
     mismatches = 0
@@ -204,8 +202,8 @@ def test_a5_evaluator_oracle_equivalence():
 
     # geometric instances: <= 3 detections and <= 3 GT drawn from a box
     # palette with varied overlap, run through the full evaluator
-    palette = [Box(0, 0, 10, 10), Box(5, 0, 15, 10),
-               Box(0, 5, 10, 15), Box(20, 20, 30, 30)]
+    palette = [(0, 0, 10, 10), (5, 0, 15, 10),
+               (0, 5, 10, 15), (20, 20, 30, 30)]
     gt_sets = [list(c) for k in range(1, 4)
                for c in itertools.combinations(palette, k)]
     det_sets = [list(c) for k in range(0, 4)
@@ -213,16 +211,15 @@ def test_a5_evaluator_oracle_equivalence():
     for gts in gt_sets:
         for det_boxes in det_sets:
             checked += 1
-            dets = [Detection(b, 1, 0.9 - 0.1 * i)
-                    for i, b in enumerate(det_boxes)]
-            scene = Scene(gt=[(b, 1) for b in gts], proposals=[])
-            rep = evaluate([dets], [scene], [1])
+            dets = [(b, 0.9 - 0.1 * i) for i, b in enumerate(det_boxes)]
+            scene = make_scene(gt=[(b, 1) for b in gts])
+            rep = evaluate([make_detections([(b, 1, score) for b, score in dets])],
+                           [scene], [1])
             for t in IOU_THRESHOLDS:
-                flags = oracle_greedy_match([(d.box, d.score) for d in dets],
-                                            gts, t)
+                flags = oracle_greedy_match(dets, gts, t)
                 if rep.cells[(1, t)]["ap"] != oracle_ap(flags, len(gts)):
                     mismatches += 1
-    hand_iou = iou(Box(0, 0, 2, 2), Box(1, 1, 3, 3)) == pytest.approx(1.0 / 7.0)
+    hand_iou = iou(boxes([(0, 0, 2, 2)]), boxes([(1, 1, 3, 3)]))[0, 0] == pytest.approx(1.0 / 7.0)
     hand_ap = average_precision([True, False], 2) == 51.0 / 101.0
     ok = mismatches == 0 and hand_iou and hand_ap
     report("A5 evaluator oracle", ok,

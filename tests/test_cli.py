@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import protodetect
@@ -13,6 +15,9 @@ import protodetect
 from protodetect.cli import main
 from protodetect.config import (ConfigError, RunConfig, apply_overrides,
                                 load_run_config)
+from protodetect.simulator import load_world
+
+from helpers import world_to_v1, write_v1
 
 
 BASE_CFG = {
@@ -102,7 +107,11 @@ def test_gen_data_writes_deterministic_dataset(tmp_path, capsys):
     assert main(["gen-data", "--config", cfg, "--out", str(d1)]) == 0
     assert main(["gen-data", "--config", cfg, "--out", str(d2)]) == 0
     assert d1.read_bytes() == d2.read_bytes()
-    assert "dataset digest:" in capsys.readouterr().out
+    digest = hashlib.sha256(d1.read_bytes()).hexdigest()
+    assert capsys.readouterr().out.count(f"dataset digest: {digest}") == 2
+    # a v2 archive, written at exactly --out
+    assert d1.read_bytes()[:4] == b"PK\x03\x04"
+    assert not (tmp_path / "a.json.npz").exists()
 
 
 def test_gen_data_bad_config_exit_2(tmp_path):
@@ -254,13 +263,21 @@ def test_zero_training_scenes_exit_2(trained, tmp_path):
     cfg, data, _, _ = trained
     assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "d.json"),
                  "--set", "world.n_train_scenes=0"]) == 2
-    # a dataset written without training scenes is refused before training
-    doc = json.loads(data.read_text())
+    # a v1 dataset without training scenes is refused before training
+    doc = world_to_v1(load_world(data))
     doc["config"]["n_train_scenes"] = 0
     doc["train_scenes"] = []
-    empty = tmp_path / "empty.json"
-    empty.write_text(json.dumps(doc))
-    assert main(["train", "--config", cfg, "--dataset", str(empty),
+    empty = write_v1(tmp_path / "empty.json", doc)
+    assert main(["train", "--config", cfg, "--dataset", empty,
+                 "--out", str(tmp_path / "x.json")]) == 2
+    # and so is a v2 archive whose training split holds no scene
+    entries = v2_entries(data)
+    for name in ("proposal", "gt"):
+        entries[f"train_{name}_offsets"] = np.zeros(1, dtype=np.int64)
+    for name in ("proposals", "features", "gt", "labels"):
+        entries["train_" + name] = entries["train_" + name][:0]
+    empty = write_v2(tmp_path / "empty.npz", entries)
+    assert main(["train", "--config", cfg, "--dataset", empty,
                  "--out", str(tmp_path / "x.json")]) == 2
 
 
@@ -290,6 +307,26 @@ def _mutated(src, dst, mutate):
     return str(dst)
 
 
+def v2_entries(path):
+    with np.load(path) as archive:
+        return {name: archive[name] for name in archive.files}
+
+
+def write_v2(dst, entries):
+    with open(dst, "wb") as f:
+        np.savez(f, **entries)
+    return str(dst)
+
+
+def run_on_dataset(trained, command, dataset, out):
+    cfg, _, ckpt, _ = trained
+    argv = (["--out", str(out)] if command == "train" else
+            ["--checkpoint", str(ckpt), "--out-prefix", str(out)])
+    return main([command, "--config", cfg, "--dataset", dataset, *argv])
+
+
+# v1 documents: JSON written by the test-side writer, read by load_world
+
 def _set_test_feature(doc):
     doc["test_scenes"][0]["proposals"][0]["feature"] = [1.0]
 
@@ -317,13 +354,98 @@ def _set_support_list(doc):
         "support_empty", "support_list", "top_level_list"])
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_malformed_dataset_exit_2(trained, tmp_path, mutate, command, capsys):
-    cfg, data, ckpt, _ = trained
-    bad = _mutated(data, tmp_path / "bad.json", mutate)
+    doc = world_to_v1(load_world(trained[1]))
+    bad = write_v1(tmp_path / "bad.json", mutate(doc) or doc)
     out = tmp_path / "out"
-    argv = (["--out", str(out)] if command == "train" else
-            ["--checkpoint", str(ckpt), "--out-prefix", str(out)])
-    assert main([command, "--config", cfg, "--dataset", bad, *argv]) == 2
+    assert run_on_dataset(trained, command, bad, out) == 2
     assert "cannot read dataset" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_v1_dataset_gives_the_same_artifacts(trained, tmp_path):
+    cfg, data, ckpt, root = trained
+    v1 = write_v1(tmp_path / "v1.json", world_to_v1(load_world(data)))
+    assert run_on_dataset(trained, "train", v1, tmp_path / "ckpt.json") == 0
+    assert (tmp_path / "ckpt.json").read_bytes().replace(
+        hashlib.sha256(open(v1, "rb").read()).hexdigest().encode(),
+        hashlib.sha256(data.read_bytes()).hexdigest().encode()) == ckpt.read_bytes()
+
+
+# v2 archives: the entries np.savez wrote, changed and written again
+
+def _object_entry(entries):
+    entries["train_labels"] = entries["train_labels"].astype(object)
+
+
+def _shifted_offsets(entries):
+    entries["test_proposal_offsets"][-1] -= 1
+
+
+def _feature_dim(entries):
+    entries["train_features"] = entries["train_features"][:, :-1]
+
+
+def _degenerate_box(entries):
+    entries["test_gt"][0, 2] = entries["test_gt"][0, 0]
+
+
+def _missing_entry(entries):
+    del entries["support_seen_offsets"]
+
+
+@pytest.mark.parametrize("mutate", [
+    None, _object_entry, _shifted_offsets, _feature_dim, _degenerate_box,
+    _missing_entry,
+], ids=["truncated", "object_dtype", "offsets", "feature_dim", "degenerate_box",
+        "missing_entry"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_malformed_v2_dataset_exit_2(trained, tmp_path, mutate, command, capsys):
+    data = trained[1]
+    bad = tmp_path / "bad.npz"
+    if mutate is None:
+        bad.write_bytes(data.read_bytes()[:data.stat().st_size // 2])
+    else:
+        entries = v2_entries(data)
+        mutate(entries)
+        write_v2(bad, entries)
+    assert run_on_dataset(trained, command, str(bad), tmp_path / "out") == 2
+    assert "cannot read dataset" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
+# non-finite values, in either format
+
+NAN, INF = float("nan"), float("inf")
+
+
+NON_FINITE = {
+    # v2 entry whose first value goes bad, the value, and the v1 row it is in
+    "nan_test_feature": ("test_features", NAN,
+                         lambda doc: doc["test_scenes"][0]["proposals"][0]["feature"]),
+    "inf_train_feature": ("train_features", INF,
+                          lambda doc: doc["train_scenes"][0]["proposals"][0]["feature"]),
+    "nan_support_row": ("support_seen", NAN, lambda doc: doc["support_seen"]["1"][0]),
+}
+
+
+@pytest.mark.parametrize("fmt", ["v1", "v2"])
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_non_finite_dataset_exit_2(trained, tmp_path, case, command, fmt, capsys):
+    entry, value, v1_row = NON_FINITE[case]
+    data = trained[1]
+    if fmt == "v2":
+        entries = v2_entries(data)
+        entries[entry][0, 0] = value
+        bad = write_v2(tmp_path / "bad.npz", entries)
+    else:
+        doc = world_to_v1(load_world(data))
+        v1_row(doc)[0] = value
+        bad = write_v1(tmp_path / "bad.json", doc)
+    assert run_on_dataset(trained, command, bad, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "cannot read dataset" in err and "non-finite" in err
+    assert not list(tmp_path.glob("out*"))
 
 
 def _set_nan_weight(doc):
@@ -341,6 +463,23 @@ def test_malformed_checkpoint_exit_2(trained, tmp_path, mutate, capsys):
                  "--checkpoint", bad, "--out-prefix", str(tmp_path / "r")]) == 2
     assert "cannot read checkpoint" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_checkpoint_exit_2(trained, tmp_path, capsys):
+    # finite weights whose embeddings overflow are bad input, not divergence
+    cfg, data, ckpt, _ = trained
+
+    def huge_first_layer(doc):
+        layer = doc["embedding_layers"][0]
+        layer["W"] = [1e308] * len(layer["W"])
+
+    bad = _mutated(ckpt, tmp_path / "bad.json", huge_first_layer)
+    assert main(["eval", "--config", cfg, "--dataset", str(data),
+                 "--checkpoint", bad, "--out-prefix", str(tmp_path / "r")]) == 2
+    assert ("cannot evaluate checkpoint: non-finite embeddings"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.glob("r.*"))
 
 
 # --- byte identity across BLAS thread counts ---------------------------------

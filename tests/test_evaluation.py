@@ -6,19 +6,21 @@ import pytest
 from protodetect.evaluation import (IOU_THRESHOLDS, RECALL_GRID,
                                     average_precision, evaluate,
                                     evaluate_openset, match_at_threshold)
-from protodetect.inference import Detection
 from protodetect.numeric import make_rng
-from protodetect.simulator import Box, Scene, iou
+from protodetect.simulator import iou
+
+from helpers import boxes, make_detections, make_scene, scalar_iou
 
 
 # --- independent oracles ----------------------------------------------------
 
 def oracle_greedy_match(detections, gt_boxes, threshold):
-    """Plain-loop re-derivation of greedy score-order matching."""
+    """Plain-loop re-derivation of greedy score-order matching over
+    scalar IoUs."""
     taken = set()
     flags = []
     for box, _score in detections:
-        candidates = [(iou(box, g), j) for j, g in enumerate(gt_boxes)
+        candidates = [(scalar_iou(box, g), j) for j, g in enumerate(gt_boxes)
                       if j not in taken]
         candidates = [(v, j) for v, j in candidates if v >= threshold]
         if candidates:
@@ -51,23 +53,40 @@ def oracle_ap(flags, n_gt):
 
 # --- matching ---------------------------------------------------------------
 
+def match(detections, gt_boxes, threshold):
+    """match_at_threshold on [(box, score)] and [box], as flags."""
+    ious = iou(boxes([b for b, _ in detections]), boxes(gt_boxes))
+    return match_at_threshold(ious, threshold).tolist()
+
+
 def test_match_perfect_single():
-    flags = match_at_threshold([(Box(0, 0, 2, 2), 0.9)], [Box(0, 0, 2, 2)], 0.5)
+    flags = match([((0, 0, 2, 2), 0.9)], [(0, 0, 2, 2)], 0.5)
     assert flags == [True]
 
 
 def test_match_second_detection_on_same_gt_is_fp():
-    dets = [(Box(0, 0, 2, 2), 0.9), (Box(0, 0, 2, 2), 0.5)]
-    flags = match_at_threshold(dets, [Box(0, 0, 2, 2)], 0.5)
+    dets = [((0, 0, 2, 2), 0.9), ((0, 0, 2, 2), 0.5)]
+    flags = match(dets, [(0, 0, 2, 2)], 0.5)
     assert flags == [True, False]
 
 
 def test_match_respects_threshold():
     # IoU = 1/7 between these two boxes
-    flags = match_at_threshold([(Box(0, 0, 2, 2), 0.9)], [Box(1, 1, 3, 3)], 0.5)
+    flags = match([((0, 0, 2, 2), 0.9)], [(1, 1, 3, 3)], 0.5)
     assert flags == [False]
-    flags = match_at_threshold([(Box(0, 0, 2, 2), 0.9)], [Box(1, 1, 3, 3)], 1.0 / 7.0)
+    flags = match([((0, 0, 2, 2), 0.9)], [(1, 1, 3, 3)], 1.0 / 7.0)
     assert flags == [True]
+
+
+def test_match_tie_takes_the_first_gt():
+    # the first detection overlaps both GT boxes by IoU 1/3 and takes the
+    # first; the second then finds only the other one, below threshold
+    dets = [((0, 0, 10, 10), 0.9), ((6, 0, 16, 10), 0.8)]
+    gts = [(5, 0, 15, 10), (0, 5, 10, 15)]
+    ious = iou(boxes([b for b, _ in dets]), boxes(gts))
+    assert ious[0, 0] == ious[0, 1]
+    assert match(dets, gts, 0.3) == [True, False]
+    assert match(dets, gts[::-1], 0.3) == [True, True]
 
 
 def test_match_equals_loop_oracle_on_random_cases():
@@ -79,14 +98,14 @@ def test_match_equals_loop_oracle_on_random_cases():
         for i in range(n_det):
             x, y = rng.uniform(0, 8, size=2)
             w, h = rng.uniform(1, 6, size=2)
-            dets.append((Box(x, y, x + w, y + h), 1.0 - i * 0.1))
+            dets.append(((x, y, x + w, y + h), 1.0 - i * 0.1))
         gts = []
         for _ in range(n_gt):
             x, y = rng.uniform(0, 8, size=2)
             w, h = rng.uniform(1, 6, size=2)
-            gts.append(Box(x, y, x + w, y + h))
+            gts.append((x, y, x + w, y + h))
         for t in (0.1, 0.5, 0.75):
-            assert match_at_threshold(dets, gts, t) == oracle_greedy_match(dets, gts, t)
+            assert match(dets, gts, t) == oracle_greedy_match(dets, gts, t)
 
 
 # --- average precision ------------------------------------------------------
@@ -130,25 +149,25 @@ def test_ap_duplicate_lower_scored_detection_never_helps():
 # --- evaluate ---------------------------------------------------------------
 
 def one_gt_scene(cid=1):
-    return Scene(gt=[(Box(0, 0, 10, 10), cid)], proposals=[])
+    return make_scene(gt=[((0, 0, 10, 10), cid)])
 
 
 def test_evaluate_perfect_detector():
     scenes = [one_gt_scene(), one_gt_scene(2)]
-    dets = [[Detection(Box(0, 0, 10, 10), 1, 0.9)],
-            [Detection(Box(0, 0, 10, 10), 2, 0.8)]]
+    dets = [make_detections([((0, 0, 10, 10), 1, 0.9)]),
+            make_detections([((0, 0, 10, 10), 2, 0.8)])]
     rep = evaluate(dets, scenes, [1, 2])
     assert rep.mAP == 1.0 and rep.mAR == 1.0
 
 
 def test_evaluate_empty_detections():
-    rep = evaluate([[]], [one_gt_scene()], [1])
+    rep = evaluate([make_detections([])], [one_gt_scene()], [1])
     assert rep.mAP == 0.0 and rep.mAR == 0.0
 
 
 def test_evaluate_shrunk_box_threshold_cells():
     # detection box covers exactly 0.6 of the GT -> TP at t <= 0.60
-    dets = [[Detection(Box(0, 0, 6, 10), 1, 0.9)]]
+    dets = [make_detections([((0, 0, 6, 10), 1, 0.9)])]
     rep = evaluate(dets, [one_gt_scene()], [1])
     for t in IOU_THRESHOLDS:
         cell = rep.cells[(1, t)]
@@ -159,18 +178,17 @@ def test_evaluate_shrunk_box_threshold_cells():
 
 
 def test_evaluate_input_order_invariant():
-    scene = Scene(gt=[(Box(0, 0, 10, 10), 1), (Box(20, 20, 30, 30), 1)],
-                  proposals=[])
-    d1 = Detection(Box(0, 0, 10, 10), 1, 0.9)
-    d2 = Detection(Box(20, 20, 30, 30), 1, 0.4)
-    d3 = Detection(Box(40, 40, 50, 50), 1, 0.6)
-    r1 = evaluate([[d1, d2, d3]], [scene], [1])
-    r2 = evaluate([[d3, d2, d1]], [scene], [1])
+    scene = make_scene(gt=[((0, 0, 10, 10), 1), ((20, 20, 30, 30), 1)])
+    d1 = ((0, 0, 10, 10), 1, 0.9)
+    d2 = ((20, 20, 30, 30), 1, 0.4)
+    d3 = ((40, 40, 50, 50), 1, 0.6)
+    r1 = evaluate([make_detections([d1, d2, d3])], [scene], [1])
+    r2 = evaluate([make_detections([d3, d2, d1])], [scene], [1])
     assert r1.cells == r2.cells and r1.mAP == r2.mAP
 
 
 def test_evaluate_zero_gt_class_excluded_from_mean():
-    dets = [[Detection(Box(0, 0, 10, 10), 1, 0.9)]]
+    dets = [make_detections([((0, 0, 10, 10), 1, 0.9)])]
     rep = evaluate(dets, [one_gt_scene()], [1, 7])
     assert rep.n_gt[7] == 0
     assert (7, 0.5) not in rep.cells
@@ -186,29 +204,27 @@ def test_evaluate_random_instances_match_oracle_pipeline():
         for _ in range(n_gt):
             x, y = rng.uniform(0, 20, size=2)
             w, h = rng.uniform(2, 10, size=2)
-            gts.append((Box(x, y, x + w, y + h), 1))
-        scene = Scene(gt=gts, proposals=[])
+            gts.append(((x, y, x + w, y + h), 1))
+        scene = make_scene(gt=gts)
         dets = []
         for _ in range(n_det):
             x, y = rng.uniform(0, 20, size=2)
             w, h = rng.uniform(2, 10, size=2)
-            dets.append(Detection(Box(x, y, x + w, y + h), 1,
-                                  float(rng.uniform(0.1, 1.0))))
-        rep = evaluate([dets], [scene], [1])
+            dets.append(((x, y, x + w, y + h), 1, float(rng.uniform(0.1, 1.0))))
+        rep = evaluate([make_detections(dets)], [scene], [1])
         if n_gt == 0:
             continue
-        ordered = sorted(dets, key=lambda d: -d.score)
+        ordered = sorted(dets, key=lambda d: -d[2])
         for t in IOU_THRESHOLDS:
-            flags = oracle_greedy_match([(d.box, d.score) for d in ordered],
+            flags = oracle_greedy_match([(box, score) for box, _, score in ordered],
                                         [b for b, _ in gts], t)
             assert rep.cells[(1, t)]["ap"] == oracle_ap(flags, n_gt)
 
 
 def test_evaluate_openset_rows():
-    scenes = [Scene(gt=[(Box(0, 0, 10, 10), 1), (Box(20, 20, 30, 30), 6)],
-                    proposals=[])]
-    dets = [[Detection(Box(0, 0, 10, 10), 1, 0.9),
-             Detection(Box(20, 20, 30, 30), 99, 0.8)]]
+    scenes = [make_scene(gt=[((0, 0, 10, 10), 1), ((20, 20, 30, 30), 6)])]
+    dets = [make_detections([((0, 0, 10, 10), 1, 0.9),
+                             ((20, 20, 30, 30), 99, 0.8)])]
     rep = evaluate_openset(dets, scenes, seen_ids=[1, 2], unknown_id=99,
                            unseen_ids=[6, 7])
     assert set(rep.extra_rows) == {"known", "unknown"}
@@ -218,11 +234,11 @@ def test_evaluate_openset_rows():
 
 def test_evaluate_mismatched_lengths():
     with pytest.raises(ValueError):
-        evaluate([[]], [], [1])
+        evaluate([make_detections([])], [], [1])
 
 
 def test_report_files(tmp_path):
-    dets = [[Detection(Box(0, 0, 10, 10), 1, 0.9)]]
+    dets = [make_detections([((0, 0, 10, 10), 1, 0.9)])]
     rep = evaluate(dets, [one_gt_scene()], [1])
     rep.save_csv(tmp_path / "r.csv", header={"config_digest": "x"})
     rep.save_json(tmp_path / "r.json")

@@ -7,7 +7,8 @@ from protodetect.inference import (FEWSHOT, OPENSET, ZS_MPS, ZS_MPU, ZS_UO,
                                    detect_scene)
 from protodetect.numeric import make_rng
 from protodetect.prototypes import BACKGROUND_ID, PrototypeBank, SupportSet
-from protodetect.simulator import Box, Scene
+
+from helpers import make_scene
 
 
 def identity_net(d):
@@ -23,9 +24,9 @@ def classify(q, bank):
     q (entries >= 0, so the identity net passes it through), or
     (BACKGROUND_ID, None) when it rejects the proposal."""
     q = np.asarray(q, dtype=np.float64)
-    scene = Scene(gt=[], proposals=[(Box(0, 0, 1, 1), q)])
+    scene = make_scene(proposals=[((0, 0, 1, 1), q)])
     dets = detect_scene(scene, identity_net(len(q)), bank)
-    return (dets[0].class_id, dets[0].score) if dets else (BACKGROUND_ID, None)
+    return (dets.class_ids[0], dets.scores[0]) if len(dets) else (BACKGROUND_ID, None)
 
 
 def test_classify_at_background_rejects():
@@ -48,7 +49,7 @@ def test_classify_requires_background():
     with pytest.raises(ValueError, match="background"):
         classify([0.0, 0.0], bank)
     with pytest.raises(ValueError, match="background"):
-        detect_scene(Scene(gt=[], proposals=[]), identity_net(2), bank)
+        detect_scene(make_scene(d=2), identity_net(2), bank)
 
 
 def test_classify_decision_depends_only_on_distance_order():
@@ -66,9 +67,9 @@ def test_detect_scene_is_nearest_prototype_scored_by_posterior():
     # minimum, so the lowest id on ties), score its energy posterior
     rng = make_rng(3)
     bank = PrototypeBank([(c, rng.uniform(0, 3, size=4)) for c in range(5)])
-    proposals = [(Box(i, i, i + 1, i + 1), rng.uniform(0, 3, size=4))
+    proposals = [((i, i, i + 1, i + 1), rng.uniform(0, 3, size=4))
                  for i in range(40)]
-    dets = detect_scene(Scene(gt=[], proposals=proposals), identity_net(4), bank)
+    dets = detect_scene(make_scene(proposals=proposals), identity_net(4), bank)
     expected = []
     for box, q in proposals:
         d = [sum((q[i] - p[i]) ** 2 for i in range(4)) for p in bank.P]
@@ -77,26 +78,28 @@ def test_detect_scene_is_nearest_prototype_scored_by_posterior():
             z = np.exp(-(np.array(d) - min(d)))
             expected.append((box, bank.ids[best], z[best] / z.sum()))
     assert 0 < len(expected) < len(proposals)
-    assert [(d.box, d.class_id) for d in dets] == [e[:2] for e in expected]
-    assert np.allclose([d.score for d in dets], [e[2] for e in expected],
-                       rtol=1e-12, atol=0)
+    assert list(zip(map(tuple, dets.boxes.tolist()), dets.class_ids.tolist())) == \
+        [e[:2] for e in expected]
+    assert np.allclose(dets.scores, [e[2] for e in expected], rtol=1e-12, atol=0)
 
 
 def test_detect_empty_scene():
     net = identity_net(2)
-    assert detect_scene(Scene(gt=[], proposals=[]), net, simple_bank()) == []
+    dets = detect_scene(make_scene(d=2), net, simple_bank())
+    assert len(dets) == 0 and dets.boxes.shape == (0, 4)
 
 
 def test_detect_scene_classifies_and_rejects():
     net = identity_net(2)
-    scene = Scene(gt=[], proposals=[
-        (Box(0, 0, 1, 1), np.array([4.0, 0.1])),   # class 1
-        (Box(2, 2, 3, 3), np.array([0.1, 0.0])),   # background
-        (Box(4, 4, 5, 5), np.array([0.0, 3.9])),   # class 2
+    scene = make_scene(proposals=[
+        ((0, 0, 1, 1), np.array([4.0, 0.1])),   # class 1
+        ((2, 2, 3, 3), np.array([0.1, 0.0])),   # background
+        ((4, 4, 5, 5), np.array([0.0, 3.9])),   # class 2
     ])
     dets = detect_scene(scene, net, simple_bank())
-    assert [d.class_id for d in dets] == [1, 2]
-    assert all(0 < d.score <= 1 for d in dets)
+    assert dets.class_ids.tolist() == [1, 2]
+    assert dets.boxes.tolist() == [[0, 0, 1, 1], [4, 4, 5, 5]]
+    assert all(0 < s <= 1 for s in dets.scores)
     assert len(dets) <= len(scene.proposals)
 
 

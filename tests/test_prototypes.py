@@ -4,11 +4,12 @@ import pytest
 from protodetect.embedder import EmbeddingNet
 from protodetect.numeric import make_rng
 from protodetect.prototypes import (PrototypeBank, SupportSet,
-                                    build_prototypes,
+                                    background_pool, build_prototypes,
                                     compose_unknown_prototype,
                                     posteriors_batch)
-from protodetect.simulator import Box, Scene
 from protodetect.trainer import background_prototype
+
+from helpers import make_scene, scalar_iou
 
 
 def random_net(seed=0, d=6, hidden=8, e=4):
@@ -24,8 +25,8 @@ def posteriors(q, bank):
 
 
 def background_of(net, proposals, gt_boxes):
-    return background_prototype(net, [Scene(gt=[(b, 1) for b in gt_boxes],
-                                            proposals=proposals)])
+    return background_prototype(net, [make_scene(gt=[(b, 1) for b in gt_boxes],
+                                                 proposals=proposals)])
 
 
 def test_single_shot_prototype_is_embedding():
@@ -72,17 +73,17 @@ def test_empty_class_rejected():
 
 def test_background_prototype_single_qualifier():
     net = random_net()
-    gt = [Box(0, 0, 10, 10)]
-    far = (Box(50, 50, 60, 60), make_rng(7).normal(size=6))
+    gt = [(0, 0, 10, 10)]
+    far = ((50, 50, 60, 60), make_rng(7).normal(size=6))
     p0 = background_of(net, [far], gt)
     assert np.allclose(p0, embed(net, far[1]), atol=1e-15)
 
 
 def test_background_excludes_overlapping_proposal():
     net = random_net()
-    gt = [Box(0, 0, 10, 10)]
-    on_gt = (Box(0, 0, 10, 10), np.ones(6))          # IoU = 1, excluded
-    far = (Box(50, 50, 60, 60), make_rng(8).normal(size=6))
+    gt = [(0, 0, 10, 10)]
+    on_gt = ((0, 0, 10, 10), np.ones(6))          # IoU = 1, excluded
+    far = ((50, 50, 60, 60), make_rng(8).normal(size=6))
     p0 = background_of(net, [on_gt, far], gt)
     assert np.allclose(p0, embed(net, far[1]), atol=1e-15)
 
@@ -90,24 +91,36 @@ def test_background_excludes_overlapping_proposal():
 def test_background_mixed_pool_matches_filter_oracle():
     net = random_net(9)
     rng = make_rng(10)
-    gt = [Box(10, 10, 30, 30)]
+    gt = [(10, 10, 30, 30)]
     proposals = []
     for _ in range(20):
         x = rng.uniform(0, 80)
-        proposals.append((Box(x, x, x + 15, x + 15), rng.normal(size=6)))
-    from protodetect.simulator import iou
-    pool = [f for b, f in proposals if max(iou(b, g) for g in gt) < 0.3]
+        proposals.append(((x, x, x + 15, x + 15), rng.normal(size=6)))
+    pool = [f for b, f in proposals if max(scalar_iou(b, g) for g in gt) < 0.3]
     assert pool  # oracle needs a nonempty pool for this seed
     expected = np.mean([embed(net, f) for f in pool], axis=0)
     p0 = background_of(net, proposals, gt)
     assert np.allclose(p0, expected, atol=1e-12)
 
 
+def test_background_pool_rows_equal_scalar_iou_filter():
+    rng = make_rng(11)
+    corner = rng.uniform(0, 40, size=(30, 2))
+    props = np.concatenate([corner, corner + rng.uniform(1, 15, size=(30, 2))], axis=1)
+    gt = np.array([[10.0, 10.0, 25.0, 25.0], [30.0, 5.0, 45.0, 20.0]])
+    feats = rng.normal(size=(30, 3))
+    keep = [max(scalar_iou(b, g) for g in gt.tolist()) < 0.3 for b in props.tolist()]
+    assert 0 < sum(keep) < 30
+    assert np.array_equal(background_pool(props, feats, gt), feats[keep])
+    # without GT boxes every proposal is background
+    assert np.array_equal(background_pool(props, feats, np.empty((0, 4))), feats)
+
+
 def test_background_empty_pool_errors():
     # no qualifying proposal: no p0, and the callers decide what that means
     net = random_net()
-    gt = [Box(0, 0, 10, 10)]
-    assert background_of(net, [(Box(0, 0, 10, 10), np.ones(6))], gt) is None
+    gt = [(0, 0, 10, 10)]
+    assert background_of(net, [((0, 0, 10, 10), np.ones(6))], gt) is None
     assert background_prototype(net, []) is None
 
 

@@ -1,46 +1,84 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from protodetect.numeric import make_rng
-from protodetect.simulator import (IGNORE, Box, WorldConfig, augment_feature,
+from protodetect.simulator import (IGNORE, WorldConfig, augment_feature,
                                    generate_world, iou, label_proposals,
-                                   load_world, save_world, world_from_dict,
-                                   world_to_dict)
+                                   load_world, save_world)
+
+from helpers import (assert_worlds_equal, boxes, make_scene, scalar_iou,
+                     world_to_v1, write_v1)
 
 
 def test_iou_identical_and_disjoint():
-    a = Box(0, 0, 2, 2)
-    assert iou(a, a) == 1.0
-    assert iou(a, Box(5, 5, 6, 6)) == 0.0
+    a = boxes([(0, 0, 2, 2)])
+    assert iou(a, a)[0, 0] == 1.0
+    assert iou(a, boxes([(5, 5, 6, 6)]))[0, 0] == 0.0
 
 
 def test_iou_hand_case():
     # areas 4 + 4, intersection 1 -> 1/7
-    assert iou(Box(0, 0, 2, 2), Box(1, 1, 3, 3)) == pytest.approx(1.0 / 7.0)
+    assert iou(boxes([(0, 0, 2, 2)]), boxes([(1, 1, 3, 3)]))[0, 0] == pytest.approx(1.0 / 7.0)
 
 
-def test_degenerate_box_rejected():
-    with pytest.raises(ValueError):
-        Box(0, 0, 0, 1)
-    with pytest.raises(ValueError):
-        Box(0, 5, 1, 5)
-    with pytest.raises(ValueError):
-        Box(0, 0, float("nan"), 1)
+def test_iou_matrix_shape_and_empty_sides():
+    a, b = boxes([(0, 0, 2, 2), (1, 1, 3, 3), (5, 5, 6, 6)]), boxes([(0, 0, 1, 1)] * 2)
+    assert iou(a, b).shape == (3, 2)
+    assert iou(a, boxes([])).shape == (3, 0)
+    assert iou(boxes([]), b).shape == (0, 2)
 
 
-boxes = st.tuples(st.floats(0, 50), st.floats(0, 50),
-                  st.floats(0.1, 50), st.floats(0.1, 50)).map(
-    lambda t: Box(t[0], t[1], t[0] + t[2], t[1] + t[3]))
+def random_box_pairs(seed, n):
+    """Box rows that include touching, nested, identical and disjoint pairs."""
+    rng = make_rng(seed)
+    xy = rng.integers(0, 12, size=(n, 2)).astype(np.float64)
+    wh = rng.integers(1, 6, size=(n, 2)).astype(np.float64)
+    grid = np.concatenate([xy, xy + wh], axis=1)          # integer corners touch often
+    x = rng.uniform(0, 30, size=(n, 2))
+    free = np.concatenate([x, x + rng.uniform(0.01, 10, size=(n, 2))], axis=1)
+    nested = grid + np.array([0.25, 0.25, -0.25, -0.25])  # strictly inside a grid box
+    return np.concatenate([grid, free, nested, boxes([(0, 0, 1, 1), (1, 0, 2, 1),
+                                                      (0, 1, 1, 2), (50, 50, 51, 51)])])
 
 
-@given(boxes, boxes)
+def test_iou_matrix_equals_scalar_oracle():
+    A, B = random_box_pairs(11, 60), random_box_pairs(12, 50)
+    M = iou(A, B)
+    expected = np.array([[scalar_iou(a, b) for b in B.tolist()] for a in A.tolist()])
+    assert (M == expected).all()
+    # the mix covers every kind of pair
+    assert (M == 0).any() and (M == 1).any() and ((M > 0) & (M < 1)).any()
+    touching = [(a, b) for a in A.tolist() for b in B.tolist()
+                if (a[2] == b[0] or a[3] == b[1]) and scalar_iou(a, b) == 0.0]
+    assert touching
+
+
+def test_degenerate_box_rejected(tmp_path):
+    # a world is checked before it is written: no file for a bad box
+    for corners in ((0, 0, 0, 1), (0, 5, 1, 5), (0, 0, float("nan"), 1)):
+        world = generate_world(small_world_cfg())
+        world.train_scenes[0].proposals[0] = corners
+        path = tmp_path / "w.npz"
+        with pytest.raises(ValueError):
+            save_world(path, world)
+        assert not path.exists()
+
+
+box_tuples = st.tuples(st.floats(0, 50), st.floats(0, 50),
+                       st.floats(0.1, 50), st.floats(0.1, 50)).map(
+    lambda t: (t[0], t[1], t[0] + t[2], t[1] + t[3]))
+
+
+def area(b):
+    return (b[2] - b[0]) * (b[3] - b[1])
+
+
+@given(box_tuples, box_tuples)
 def test_iou_symmetric_and_bounded(a, b):
-    v = iou(a, b)
-    assert v == iou(b, a)
-    assert 0.0 <= v <= min(a.area, b.area) / max(a.area, b.area) + 1e-12
+    v = iou(boxes([a]), boxes([b]))[0, 0]
+    assert v == iou(boxes([b]), boxes([a]))[0, 0] == scalar_iou(a, b)
+    assert 0.0 <= v <= min(area(a), area(b)) / max(area(a), area(b)) + 1e-12
 
 
 def small_world_cfg(**kw):
@@ -52,7 +90,7 @@ def small_world_cfg(**kw):
 
 def test_world_mean_separation():
     world = generate_world(small_world_cfg())
-    means = [m.mean for m in world.class_models.values()]
+    means = world.class_means
     for i in range(len(means)):
         for j in range(i + 1, len(means)):
             assert np.linalg.norm(means[i] - means[j]) >= world.config.delta
@@ -61,8 +99,8 @@ def test_world_mean_separation():
 def test_world_zero_noise_features_equal_class_mean():
     world = generate_world(small_world_cfg(sigma_f=1e-300))
     scene = world.train_scenes[0]
-    for (gbox, cid), (pbox, feat) in zip(scene.gt, scene.proposals[:len(scene.gt)]):
-        assert np.allclose(feat, world.class_models[cid].mean, atol=1e-290)
+    for cid, feat in zip(scene.labels, scene.features[:len(scene.gt)]):
+        assert np.allclose(feat, world.class_means[cid - 1], atol=1e-290)
 
 
 def test_world_without_background_proposals():
@@ -70,7 +108,7 @@ def test_world_without_background_proposals():
     world = generate_world(cfg)
     from protodetect.trainer import scene_background_features
     # GT-aligned proposals only; with zero jitter none fall below IoU 0.3
-    assert scene_background_features(world.train_scenes[0]) == []
+    assert len(scene_background_features(world.train_scenes[0])) == 0
 
 
 def test_world_determinism_byte_identical(tmp_path):
@@ -83,11 +121,23 @@ def test_world_determinism_byte_identical(tmp_path):
 
 def test_world_roundtrip(tmp_path):
     world = generate_world(small_world_cfg())
-    path = tmp_path / "w.json"
+    path = tmp_path / "w.npz"
     save_world(path, world)
     w2 = load_world(path)
-    assert world_to_dict(w2) == world_to_dict(world)
+    assert_worlds_equal(w2, world)
     assert w2.seen_ids == [1, 2, 3] and w2.unseen_ids == [4, 5]
+
+
+def test_v1_and_v2_load_to_bit_equal_arrays(tmp_path):
+    world = generate_world(small_world_cfg(box_jitter=1.5))
+    v1 = write_v1(tmp_path / "w.json", world_to_v1(world))
+    save_world(tmp_path / "w.npz", world)
+    from_v1, from_v2 = load_world(v1), load_world(tmp_path / "w.npz")
+    assert_worlds_equal(from_v1, from_v2)
+    assert_worlds_equal(from_v2, world)
+    # and a v1 document read back is written as the same v2 bytes
+    save_world(tmp_path / "again.npz", from_v1)
+    assert (tmp_path / "again.npz").read_bytes() == (tmp_path / "w.npz").read_bytes()
 
 
 def test_world_rejects_bad_config():
@@ -169,23 +219,21 @@ def test_augment_vector_is_one_row():
 
 
 def test_label_proposals_bands():
-    gt_box = Box(0, 0, 10, 10)
-    scene_gt = [(gt_box, 3)]
-    exact = (Box(0, 0, 10, 10), np.zeros(2))
-    disjoint = (Box(50, 50, 60, 60), np.zeros(2))
     # width shrunk to give IoU = 0.4 (area 40 vs 100, fully inside)
-    band = (Box(0, 0, 4.0, 10), np.zeros(2))
-    from protodetect.simulator import Scene
-    scene = Scene(gt=scene_gt, proposals=[exact, disjoint, band])
-    labels = dict(label_proposals(scene))
-    assert labels[0] == 3
-    assert labels[1] == 0
-    assert labels[2] == IGNORE
+    scene = make_scene(gt=[((0, 0, 10, 10), 3)],
+                       proposals=[((0, 0, 10, 10), np.zeros(2)),     # exact
+                                  ((50, 50, 60, 60), np.zeros(2)),   # disjoint
+                                  ((0, 0, 4.0, 10), np.zeros(2))])   # band
+    labels = label_proposals(scene)
+    assert labels.tolist() == [3, 0, IGNORE]
 
 
 def test_label_proposals_picks_best_gt():
-    from protodetect.simulator import Scene
-    scene = Scene(gt=[(Box(0, 0, 10, 10), 1), (Box(8, 0, 18, 10), 2)],
-                  proposals=[(Box(7, 0, 17, 10), np.zeros(1))])
-    labels = dict(label_proposals(scene))
-    assert labels[0] == 2
+    scene = make_scene(gt=[((0, 0, 10, 10), 1), ((8, 0, 18, 10), 2)],
+                       proposals=[((7, 0, 17, 10), np.zeros(1))])
+    assert label_proposals(scene).tolist() == [2]
+
+
+def test_label_proposals_without_gt_are_background():
+    scene = make_scene(proposals=[((0, 0, 1, 1), np.zeros(1))] * 3)
+    assert label_proposals(scene).tolist() == [0, 0, 0]
