@@ -10,6 +10,7 @@ import numpy as np
 from protodetect.config import RunConfig
 from protodetect.cli import run_protocol
 from protodetect.inference import FEWSHOT
+from protodetect.prototypes import BACKGROUND_ID
 from protodetect.simulator import generate_world
 from protodetect.trainer import heldout_accuracy, train
 
@@ -35,7 +36,8 @@ def main():
     acc = heldout_accuracy(result.net, result.bank, world.test_scenes)
     print(f"\nheld-out nearest-prototype accuracy: {acc:.4f}")
 
-    _, report = run_protocol(cfg, world, result.net, FEWSHOT)
+    _, report = run_protocol(cfg, world, result.net, FEWSHOT,
+                             result.bank.get(BACKGROUND_ID))
     print(f"few-shot detection: mAP {report.mAP:.4f}  mAR {report.mAR:.4f}")
     print("per-class AP at IoU 0.50:")
     for cid in world.seen_ids:

@@ -12,6 +12,7 @@ for the extra bank entry.
 from protodetect.config import RunConfig
 from protodetect.cli import run_protocol
 from protodetect.inference import FEWSHOT, OPENSET
+from protodetect.prototypes import BACKGROUND_ID
 from protodetect.simulator import generate_world
 from protodetect.trainer import train
 
@@ -26,10 +27,12 @@ def main():
     world = generate_world(cfg.world)
     result = train(world, cfg.train)
 
-    _, closed = run_protocol(cfg, world, result.net, FEWSHOT)
+    _, closed = run_protocol(cfg, world, result.net, FEWSHOT,
+                             result.bank.get(BACKGROUND_ID))
     print(f"closed few-shot baseline: mAP {closed.mAP:.4f}")
 
-    _, report = run_protocol(cfg, world, result.net, OPENSET)
+    _, report = run_protocol(cfg, world, result.net, OPENSET,
+                             result.bank.get(BACKGROUND_ID))
     print(f"open-set overall:         mAP {report.mAP:.4f}  mAR {report.mAR:.4f}")
     for label, row in sorted(report.extra_rows.items()):
         print(f"  {label:8s} mAP {row['mAP']:.4f}  mAR {row['mAR']:.4f}")

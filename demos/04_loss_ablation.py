@@ -10,6 +10,7 @@ is reachable from configuration alone.
 from protodetect.config import RunConfig
 from protodetect.cli import run_protocol
 from protodetect.inference import FEWSHOT
+from protodetect.prototypes import BACKGROUND_ID
 from protodetect.simulator import generate_world
 from protodetect.trainer import heldout_accuracy, train
 
@@ -28,7 +29,8 @@ def run_variant(name, overrides):
     world = generate_world(cfg.world)
     result = train(world, cfg.train)
     acc = heldout_accuracy(result.net, result.bank, world.test_scenes)
-    _, report = run_protocol(cfg, world, result.net, FEWSHOT)
+    _, report = run_protocol(cfg, world, result.net, FEWSHOT,
+                             result.bank.get(BACKGROUND_ID))
     print(f"  {name:24s} accuracy {acc:.4f}  mAP {report.mAP:.4f}")
 
 

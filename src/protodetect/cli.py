@@ -1,13 +1,16 @@
 """Operator entry point.
 
     protodetect gen-data  --config cfg.json --out dataset.npz
-    protodetect train     --config cfg.json --dataset dataset.npz --out ckpt.json
+    protodetect train     --config cfg.json --dataset dataset.npz --out ckpt.npz
     protodetect eval      --config cfg.json --dataset dataset.npz \
-                          --checkpoint ckpt.json --mode fewshot --out-prefix report
+                          --checkpoint ckpt.npz --mode fewshot --out-prefix report
     protodetect gradcheck --config cfg.json
 
-gen-data writes the dataset at exactly --out, whatever its suffix;
-train and eval also read datasets in the older JSON format.
+gen-data and train write their archive at exactly --out, whatever its
+suffix. The checkpoint carries the background prototype p0, so eval
+embeds no training scene; train and eval also read datasets, and eval
+checkpoints, in the older JSON formats, and eval rebuilds p0 from the
+training scenes for a JSON checkpoint.
 
 Every command is a pure function of (config, input files, seed);
 re-runs produce byte-identical outputs. Exit codes: 0 ok, 2 config or
@@ -23,9 +26,9 @@ from .evaluation import evaluate, evaluate_openset
 from .gradcheck import run_suite
 from .inference import (MODES, OPENSET, ZS_MPS, ZS_MPU, ZS_UO, ProtocolSpec,
                         assemble_protocol, detect_scene, save_detections)
-from .prototypes import SupportSet
+from .prototypes import BACKGROUND_ID, SupportSet
 from .simulator import generate_world, load_world, save_world
-from .trainer import background_prototype, heldout_accuracy, train
+from .trainer import NO_POOL, background_prototype, heldout_accuracy, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -81,26 +84,38 @@ def cmd_train(args):
     except FloatingPointError as e:
         print(str(e), file=sys.stderr)
         return EXIT_DIVERGED
-    save_checkpoint(args.out, result.net, result.clf,
-                    extra=_provenance(cfg, args.dataset))
+    except ValueError as e:
+        raise CliError(str(e))
+    try:
+        save_checkpoint(args.out, result.net, result.clf,
+                        result.bank.get(BACKGROUND_ID),
+                        extra=_provenance(cfg, args.dataset))
+    except OSError as e:
+        raise CliError(f"cannot write checkpoint: {e}")
     acc = heldout_accuracy(result.net, result.bank, world.test_scenes)
     result.log.append({"final": True, "accuracy": acc})
     log_path = args.log or (args.out + ".log.jsonl")
-    result.write_log(log_path)
+    try:
+        result.write_log(log_path)
+    except OSError as e:
+        raise CliError(f"cannot write log: {e}")
     print(f"checkpoint: {args.out}")
     print(f"final heldout accuracy: {acc:.4f}")
     return EXIT_OK
 
 
-def run_protocol(cfg, world, net, mode):
-    """Shared by cmd_eval and tests: detections + report for one mode."""
+def run_protocol(cfg, world, net, mode, p0=None):
+    """Shared by cmd_eval and tests: detections + report for one mode.
+    p0 is the checkpoint's background prototype; without one (a v1
+    checkpoint) it is rebuilt from the training scenes."""
     seen = SupportSet(world.support_seen)
     unseen = SupportSet(world.support_unseen) if world.support_unseen else None
     if mode in (ZS_UO, ZS_MPU, ZS_MPS, OPENSET) and unseen is None:
         raise CliError(f"mode {mode} requires unseen support classes")
-    p0 = background_prototype(net, world.train_scenes)
     if p0 is None:
-        raise CliError("no background pool in training scenes")
+        p0 = background_prototype(net, world.train_scenes)
+    if p0 is None:
+        raise CliError(NO_POOL)
     unknown_id = max(world.seen_ids + world.unseen_ids) + 1
     spec = ProtocolSpec(
         mode=mode, unknown_id=unknown_id,
@@ -124,18 +139,21 @@ def cmd_eval(args):
     mode = args.mode or cfg.protocol.mode
     world = _load_world_checked(cfg, args.dataset)
     try:
-        net, clf = load_checkpoint(args.checkpoint)
+        net, _, p0 = load_checkpoint(args.checkpoint)
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise CliError(f"cannot read checkpoint: {e}")
     if net.in_dim != world.config.d:
         raise CliError(f"checkpoint expects {net.in_dim}-dim features, "
                        f"dataset has d={world.config.d}")
-    per_scene, report = run_protocol(cfg, world, net, mode)
+    per_scene, report = run_protocol(cfg, world, net, mode, p0)
     header = _provenance(cfg, args.dataset)
     header["mode"] = mode
-    save_detections(args.out_prefix + ".detections.json", per_scene, header)
-    report.save_json(args.out_prefix + ".json", header)
-    report.save_csv(args.out_prefix + ".csv", header)
+    try:
+        save_detections(args.out_prefix + ".detections.json", per_scene, header)
+        report.save_json(args.out_prefix + ".json", header)
+        report.save_csv(args.out_prefix + ".csv", header)
+    except OSError as e:
+        raise CliError(f"cannot write report: {e}")
     print(f"{mode}: mAP={report.mAP:.4f} mAR={report.mAR:.4f}")
     for label, row in sorted(report.extra_rows.items()):
         print(f"  {label}: mAP={row['mAP']:.4f} mAR={row['mAR']:.4f}")

@@ -5,14 +5,21 @@ The net maps raw proposal features (dim d) to embeddings (dim e)
 through ReLU hidden layers; depth is configurable (2/3/4 linear
 layers, default 2). The classifier produces C+1 logits, index 0
 being the background class. For training, the parameters of both
-live in one contiguous vector (`bind_params`); checkpoints keep the
-per-layer v1 JSON format.
+live in one contiguous vector (`bind_params`).
+
+A checkpoint (format protodetect-checkpoint-v2) is one uncompressed
+.npz archive holding that vector, the (out, in) shape of every W, the
+background prototype p0 that training put in its final bank, and a
+JSON provenance string, so eval needs nothing else from training.
+`load_checkpoint` also reads the per-layer JSON documents of format
+protodetect-checkpoint-v1, which carry no p0.
 """
 
 import json
 
 import numpy as np
 
+from .archive import load_archive, save_archive
 from .numeric import make_rng
 
 
@@ -132,6 +139,18 @@ def flatten(layers, clf_pair):
     return np.concatenate([a.ravel() for pair in (*layers, clf_pair) for a in pair])
 
 
+def _views(theta, shapes):
+    """The (W, b) pairs of the parameter layout, as views into theta,
+    for the (out, in) shape of every W in layout order."""
+    pairs, at = [], 0
+    for n_out, n_in in shapes:
+        W = theta[at:at + n_out * n_in].reshape(n_out, n_in)
+        at += n_out * n_in
+        pairs.append((W, theta[at:at + n_out]))
+        at += n_out
+    return pairs
+
+
 def bind_params(net, clf):
     """Move the parameters of (net, clf) into one vector and return it.
 
@@ -139,38 +158,68 @@ def bind_params(net, clf):
     into the returned vector, so writing to the vector moves the model.
     """
     theta = flatten(net.layers, (clf.W, clf.b))
-    views, at = [], 0
-    for W, b in (*net.layers, (clf.W, clf.b)):
-        for a in (W, b):
-            views.append(theta[at:at + a.size].reshape(a.shape))
-            at += a.size
-    net.layers = list(zip(views[0:-2:2], views[1:-2:2]))
-    clf.W, clf.b = views[-2:]
+    *net.layers, (clf.W, clf.b) = _views(
+        theta, [W.shape for W, _ in (*net.layers, (clf.W, clf.b))])
     return theta
 
 
-# --- checkpoint serialization ------------------------------------------------
-# JSON with shape metadata and flat arrays; floats use Python's shortest
-# round-trip decimal repr, so load(save(x)) is bit-exact.
+# --- checkpoints -------------------------------------------------------------
 
-def checkpoint_dict(net, clf):
-    return {
-        "format": "protodetect-checkpoint-v1",
-        "embedding_layers": [
-            {"shape": list(W.shape), "W": W.ravel().tolist(), "b": b.tolist()}
-            for W, b in net.layers
-        ],
-        "classifier": {
-            "shape": list(clf.W.shape),
-            "W": clf.W.ravel().tolist(),
-            "b": clf.b.tolist(),
-        },
-    }
+FORMAT = "protodetect-checkpoint-v2"
+V1_FORMAT = "protodetect-checkpoint-v1"
+
+
+def save_checkpoint(path, net, clf, p0, extra=None):
+    """Write (net, clf), the background prototype p0 and the provenance
+    `extra` to `path` as a v2 archive (`archive.save_archive`, so at
+    exactly `path`, with stable bytes)."""
+    pairs = (*net.layers, (clf.W, clf.b))
+    save_archive(path, {
+        "format": np.array(FORMAT),
+        "shapes": np.array([W.shape for W, _ in pairs], dtype=np.int64),
+        "theta": flatten(net.layers, (clf.W, clf.b)),
+        "p0": np.asarray(p0, dtype=np.float64),
+        "provenance": np.array(json.dumps(extra or {}, sort_keys=True))})
+
+
+def _from_entries(entry):
+    """Check the entries of a v2 archive (entry(name) -> array) and
+    return (net, clf, p0); ValueError on anything malformed."""
+    tag = entry("format")
+    if tag.dtype.kind != "U" or tag.shape != () or str(tag) != FORMAT:
+        raise ValueError("not a protodetect checkpoint")
+    shapes, theta, p0, text = (entry(n) for n in ("shapes", "theta", "p0", "provenance"))
+    if shapes.dtype != np.int64 or shapes.ndim != 2 or shapes.shape[1] != 2:
+        raise ValueError(f"shapes: {shapes.dtype} array of shape {shapes.shape}, "
+                         f"expected int64 (out, in) rows")
+    if len(shapes) < 2 or (shapes < 1).any():
+        raise ValueError("shapes: need a net layer and a classifier of positive sizes")
+    # the classifier reads the net's output, so its row chains like a layer
+    if (shapes[1:, 1] != shapes[:-1, 0]).any():
+        raise ValueError("shapes: layer dims do not chain")
+    for name, a in (("theta", theta), ("p0", p0)):
+        if a.dtype != np.float64 or a.ndim != 1:
+            raise ValueError(f"{name}: {a.dtype} array of shape {a.shape}, "
+                             f"expected a float64 vector")
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name}: non-finite values")
+    shapes = shapes.tolist()
+    size = sum(n_out * (n_in + 1) for n_out, n_in in shapes)
+    if theta.size != size:
+        raise ValueError(f"theta: {theta.size} values for {size} parameters")
+    out_dim = shapes[-2][0]
+    if p0.shape != (out_dim,):
+        raise ValueError(f"p0: shape {p0.shape}, expected ({out_dim},)")
+    if text.dtype.kind != "U" or text.shape != ():
+        raise ValueError("provenance entry is not a string")
+    *layers, (W, b) = _views(theta, shapes)
+    return EmbeddingNet(layers), LinearClassifier(W, b), p0
 
 
 def checkpoint_from_dict(doc):
-    """Rebuild (net, clf); ValueError on a malformed or non-finite document."""
-    if not isinstance(doc, dict) or doc.get("format") != "protodetect-checkpoint-v1":
+    """Rebuild (net, clf) from a v1 document; ValueError on a malformed
+    or non-finite one."""
+    if not isinstance(doc, dict) or doc.get("format") != V1_FORMAT:
         raise ValueError("not a protodetect checkpoint")
     layers = []
     for entry in doc["embedding_layers"]:
@@ -186,17 +235,13 @@ def checkpoint_from_dict(doc):
     return net, clf
 
 
-def save_checkpoint(path, net, clf, extra=None):
-    doc = checkpoint_dict(net, clf)
-    if extra:
-        doc["provenance"] = extra
-    with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True)
-
-
 def load_checkpoint(path):
-    with open(path) as f:
-        return checkpoint_from_dict(json.load(f))
+    """Read a v2 archive or a v1 JSON document, told apart by the first
+    bytes, as (net, clf, p0); p0 is None for v1, which does not store it.
+    In a v2 checkpoint every W and b is a view into the one loaded
+    parameter vector. ValueError on a malformed or corrupt file."""
+    return load_archive(path, "checkpoint", _from_entries,
+                        lambda doc: (*checkpoint_from_dict(doc), None))
 
 
 def default_net_and_classifier(seed, in_dim, hidden_dim, emb_dim, n_classes, depth=2):

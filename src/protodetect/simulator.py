@@ -21,11 +21,11 @@ set of checks (shapes, offsets, finite values, non-degenerate boxes).
 """
 
 import json
-import zipfile
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .archive import load_archive, save_archive
 from .numeric import make_rng
 
 IGNORE = -1  # proposals in the [0.3, 0.5) IoU band are excluded from training
@@ -154,10 +154,15 @@ def _place_means(rng, n_seen, n_unseen, d, delta, max_tries=10000):
 
 
 def _random_box(rng, scene_size, size_range):
-    w = rng.uniform(*size_range)
-    h = rng.uniform(*size_range)
-    x1 = rng.uniform(0.0, scene_size - w)
-    y1 = rng.uniform(0.0, scene_size - h)
+    # one draw of four uniforms, scaled by numpy's own uniform formula
+    # (low + (high - low) * u): the same stream and the same values as
+    # four scalar rng.uniform calls, at a quarter of the calls
+    u0, u1, u2, u3 = rng.random(4).tolist()
+    lo, hi = size_range
+    w = lo + (hi - lo) * u0
+    h = lo + (hi - lo) * u1
+    x1 = 0.0 + (scene_size - w) * u2
+    y1 = 0.0 + (scene_size - h) * u3
     return x1, y1, x1 + w, y1 + h
 
 
@@ -272,7 +277,6 @@ FORMAT = "protodetect-dataset-v2"
 V1_FORMAT = "protodetect-dataset-v1"
 _SPLITS = ("train", "test")
 _SUPPORTS = ("support_seen", "support_unseen")
-_ZIP_MAGIC = b"PK\x03\x04"
 
 
 def _stacked(parts, empty):
@@ -421,31 +425,17 @@ def _v1_world(doc):
 
 
 def save_world(path, world):
-    """Write the world to `path` as a v2 archive. numpy writes through the
-    open file, so no .npz suffix is added, and every zip entry carries
-    zipfile's fixed 1980 timestamp. ValueError, before anything is
-    written, on a world that `load_world` would refuse."""
+    """Write the world to `path` as a v2 archive (`archive.save_archive`,
+    so at exactly `path`, with stable bytes). ValueError, before anything
+    is written, on a world that `load_world` would refuse."""
     entries = _world_entries(world)
     _world_from_entries(entries.__getitem__)
-    with open(path, "wb") as f:
-        np.savez(f, **entries)
+    save_archive(path, entries)
 
 
 def load_world(path):
     """Read a v2 archive or a v1 JSON document, told apart by the first
     bytes; ValueError on a malformed or corrupt file."""
-    with open(path, "rb") as f:
-        if f.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
-            f.seek(0)
-            return _world_from_entries(_world_entries(_v1_world(json.load(f))).__getitem__)
-        f.seek(0)
-        try:
-            with np.load(f, allow_pickle=False) as archive:
-                def entry(name):
-                    try:
-                        return archive[name]
-                    except KeyError:
-                        raise ValueError(f"dataset has no entry {name!r}") from None
-                return _world_from_entries(entry)
-        except (zipfile.BadZipFile, EOFError) as e:
-            raise ValueError(f"corrupt dataset archive: {e}") from None
+    return load_archive(
+        path, "dataset", _world_from_entries,
+        lambda doc: _world_from_entries(_world_entries(_v1_world(doc)).__getitem__))

@@ -12,9 +12,11 @@ so clipping and the AdamW update are a few in-place vector operations.
 The loop is single-threaded in Python and fully deterministic in
 (config, dataset, seed), whatever the BLAS thread count.
 
-`background_prototype` computes p0 for the final bank and for
-evaluation alike; `heldout_accuracy` scores the nearest-prototype
-decision of `prototypes.posteriors_batch`.
+`background_prototype` computes p0 for the final bank, which the
+checkpoint stores, and for evaluation from a v1 checkpoint, which does
+not; training refuses a world whose training scenes hold no background
+pool. `heldout_accuracy` scores the nearest-prototype decision of
+`prototypes.posteriors_batch`.
 """
 
 import json
@@ -31,6 +33,7 @@ from .simulator import IGNORE, augment_feature, label_proposals
 
 FULL_SPLIT = "full"
 PARTIAL_SPLIT = "partial"
+NO_POOL = "no background pool in training scenes"
 
 
 @dataclass
@@ -169,7 +172,10 @@ def scene_background_features(scene, threshold=0.3):
 def background_prototype(net, scenes):
     """p0: the mean embedding of the scenes' background pools, or None
     when every pool is empty."""
-    pools = [scene_background_features(s) for s in scenes]
+    return _mean_embedding(net, [scene_background_features(s) for s in scenes])
+
+
+def _mean_embedding(net, pools):
     if not sum(map(len, pools)):
         return None
     emb, _ = net.forward_batch(np.concatenate(pools))
@@ -214,8 +220,14 @@ def train(world, cfg):
 
     Returns the trained net/classifier, the final bank rebuilt from
     the original support set, and a JSON-serializable per-step log.
+    ValueError, before the first step, when no training scene has a
+    background pool, since the final bank could then hold no p0.
     """
     cfg.validate()
+    # the pools of p0, which the final bank needs; taken before any step
+    pools = [scene_background_features(s) for s in world.train_scenes]
+    if not sum(map(len, pools)):
+        raise ValueError(NO_POOL)
     support = SupportSet(world.support_seen)
     n_classes = len(support.class_ids)
     net, clf, theta = default_net_and_classifier(
@@ -257,7 +269,6 @@ def train(world, cfg):
                     "l_align": bundle.l_align, "l_total": bundle.l_total,
                     "grad_norm": grad_norm})
 
-    p0 = background_prototype(net, world.train_scenes)
     bank = build_prototypes(net, support).with_entry(
-        BACKGROUND_ID, last_p0 if p0 is None else p0)
+        BACKGROUND_ID, _mean_embedding(net, pools))
     return TrainResult(net=net, clf=clf, bank=bank, log=log)

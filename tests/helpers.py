@@ -1,6 +1,7 @@
-"""Shared by the tests: the scalar IoU oracle, builders of columnar scenes
-and detections from per-box tuples, and a writer of the v1 JSON dataset
-format, which protodetect still reads but no longer writes."""
+"""Shared by the tests: the scalar IoU oracle, the four-scalar-draw box
+oracle, builders of columnar scenes and detections from per-box tuples,
+and writers of the v1 JSON dataset and checkpoint formats, which
+protodetect still reads but no longer writes."""
 
 import json
 from dataclasses import asdict
@@ -21,6 +22,15 @@ def scalar_iou(a, b):
     area_a = (a[2] - a[0]) * (a[3] - a[1])
     area_b = (b[2] - b[0]) * (b[3] - b[1])
     return inter / (area_a + area_b - inter)
+
+
+def scalar_draw_box(rng, scene_size, size_range):
+    """A random box drawn with four scalar rng.uniform calls: w, h, x1, y1."""
+    w = rng.uniform(*size_range)
+    h = rng.uniform(*size_range)
+    x1 = rng.uniform(0.0, scene_size - w)
+    y1 = rng.uniform(0.0, scene_size - h)
+    return x1, y1, x1 + w, y1 + h
 
 
 def boxes(rows):
@@ -71,7 +81,8 @@ def world_to_v1(world):
 
 
 def write_v1(path, doc):
-    """Write a v1 document (world_to_v1, possibly mutated) as JSON."""
+    """Write a v1 document (world_to_v1 or checkpoint_dict, possibly
+    mutated) as JSON, as the v1 writers did."""
     with open(path, "w") as f:
         json.dump(doc, f, sort_keys=True)
     return str(path)
@@ -90,3 +101,22 @@ def assert_worlds_equal(a, b):
     for sa, sb in ((a.support_seen, b.support_seen), (a.support_unseen, b.support_unseen)):
         assert sorted(sa) == sorted(sb)
         assert all(np.array_equal(sa[c], sb[c]) for c in sa)
+
+
+def checkpoint_dict(net, clf, extra=None):
+    """The protodetect-checkpoint-v1 JSON document of (net, clf)."""
+    doc = {
+        "format": "protodetect-checkpoint-v1",
+        "embedding_layers": [
+            {"shape": list(W.shape), "W": W.ravel().tolist(), "b": b.tolist()}
+            for W, b in net.layers
+        ],
+        "classifier": {
+            "shape": list(clf.W.shape),
+            "W": clf.W.ravel().tolist(),
+            "b": clf.b.tolist(),
+        },
+    }
+    if extra:
+        doc["provenance"] = extra
+    return doc

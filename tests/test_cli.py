@@ -15,9 +15,11 @@ import protodetect
 from protodetect.cli import main
 from protodetect.config import (ConfigError, RunConfig, apply_overrides,
                                 load_run_config)
+from protodetect.embedder import load_checkpoint
 from protodetect.simulator import load_world
+from protodetect.trainer import background_prototype
 
-from helpers import world_to_v1, write_v1
+from helpers import checkpoint_dict, world_to_v1, write_v1
 
 
 BASE_CFG = {
@@ -146,10 +148,14 @@ def trained(tmp_path_factory):
 
 def test_train_writes_checkpoint_and_log(trained):
     cfg, data, ckpt, root = trained
-    doc = json.loads(ckpt.read_text())
-    assert doc["format"] == "protodetect-checkpoint-v1"
-    assert "config_digest" in doc["provenance"]
-    assert "dataset_digest" in doc["provenance"]
+    # a v2 archive, written at exactly --out
+    assert ckpt.read_bytes()[:4] == b"PK\x03\x04"
+    assert not (root / "ckpt.json.npz").exists()
+    with np.load(ckpt, allow_pickle=False) as archive:
+        assert str(archive["format"]) == "protodetect-checkpoint-v2"
+        provenance = json.loads(str(archive["provenance"]))
+    assert provenance["dataset_digest"] == hashlib.sha256(data.read_bytes()).hexdigest()
+    assert "config_digest" in provenance
     lines = (root / "ckpt.json.log.jsonl").read_text().splitlines()
     recs = [json.loads(l) for l in lines]
     assert len(recs) == 6 + 3 + 1
@@ -158,6 +164,12 @@ def test_train_writes_checkpoint_and_log(trained):
     for rec in recs[:-1]:
         assert set(rec) >= {"step", "stage", "l_match", "l_kl", "l_align",
                             "l_total", "grad_norm"}
+
+
+def test_stored_p0_equals_the_rebuilt_one(trained):
+    _, data, ckpt, _ = trained
+    net, _, p0 = load_checkpoint(ckpt)
+    assert np.array_equal(p0, background_prototype(net, load_world(data).train_scenes))
 
 
 def test_train_rerun_byte_identical(trained, tmp_path):
@@ -301,13 +313,8 @@ def test_eval_checkpoint_dataset_dim_mismatch_exit_2(trained, tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
-def _mutated(src, dst, mutate):
-    doc = json.loads(src.read_text())
-    dst.write_text(json.dumps(mutate(doc) or doc))
-    return str(dst)
-
-
 def v2_entries(path):
+    """The entries of a dataset or checkpoint archive."""
     with np.load(path) as archive:
         return {name: archive[name] for name in archive.files}
 
@@ -366,9 +373,16 @@ def test_v1_dataset_gives_the_same_artifacts(trained, tmp_path):
     cfg, data, ckpt, root = trained
     v1 = write_v1(tmp_path / "v1.json", world_to_v1(load_world(data)))
     assert run_on_dataset(trained, "train", v1, tmp_path / "ckpt.json") == 0
-    assert (tmp_path / "ckpt.json").read_bytes().replace(
-        hashlib.sha256(open(v1, "rb").read()).hexdigest().encode(),
-        hashlib.sha256(data.read_bytes()).hexdigest().encode()) == ckpt.read_bytes()
+    # the same weights and p0; the provenance names the other file
+    a, b = v2_entries(tmp_path / "ckpt.json"), v2_entries(ckpt)
+    for name in ("format", "shapes", "theta", "p0"):
+        assert a[name].dtype == b[name].dtype and np.array_equal(a[name], b[name]), name
+    pa, pb = json.loads(str(a["provenance"])), json.loads(str(b["provenance"]))
+    assert pa["dataset_digest"] == hashlib.sha256(open(v1, "rb").read()).hexdigest()
+    assert pb["dataset_digest"] == hashlib.sha256(data.read_bytes()).hexdigest()
+    assert dict(pa, dataset_digest=None) == dict(pb, dataset_digest=None)
+    assert ((tmp_path / "ckpt.json.log.jsonl").read_bytes()
+            == (root / "ckpt.json.log.jsonl").read_bytes())
 
 
 # v2 archives: the entries np.savez wrote, changed and written again
@@ -448,6 +462,19 @@ def test_non_finite_dataset_exit_2(trained, tmp_path, case, command, fmt, capsys
     assert not list(tmp_path.glob("out*"))
 
 
+def v1_checkpoint(ckpt):
+    """The v1 document of a checkpoint, as the v1 writer wrote it."""
+    net, clf, _ = load_checkpoint(ckpt)
+    with np.load(ckpt, allow_pickle=False) as archive:
+        return checkpoint_dict(net, clf, json.loads(str(archive["provenance"])))
+
+
+def eval_on_checkpoint(trained, checkpoint, prefix, mode="fewshot"):
+    cfg, data, _, _ = trained
+    return main(["eval", "--config", cfg, "--dataset", str(data), "--mode", mode,
+                 "--checkpoint", str(checkpoint), "--out-prefix", str(prefix)])
+
+
 def _set_nan_weight(doc):
     doc["embedding_layers"][0]["W"][0] = float("nan")
 
@@ -457,29 +484,120 @@ def _set_nan_weight(doc):
     _set_nan_weight,
 ], ids=["no_layers", "top_level_list", "nan_weight"])
 def test_malformed_checkpoint_exit_2(trained, tmp_path, mutate, capsys):
-    cfg, data, ckpt, _ = trained
-    bad = _mutated(ckpt, tmp_path / "bad.json", mutate)
-    assert main(["eval", "--config", cfg, "--dataset", str(data),
-                 "--checkpoint", bad, "--out-prefix", str(tmp_path / "r")]) == 2
+    doc = v1_checkpoint(trained[2])
+    bad = write_v1(tmp_path / "bad.json", mutate(doc) or doc)
+    assert eval_on_checkpoint(trained, bad, tmp_path / "r") == 2
     assert "cannot read checkpoint" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+def test_v1_checkpoint_gives_the_same_artifacts(trained, tmp_path):
+    v1 = write_v1(tmp_path / "v1.json", v1_checkpoint(trained[2]))
+    for mode in ("fewshot", "openset"):
+        assert eval_on_checkpoint(trained, v1, tmp_path / f"v1-{mode}", mode) == 0
+        assert eval_on_checkpoint(trained, trained[2], tmp_path / f"v2-{mode}", mode) == 0
+        for suffix in (".json", ".csv", ".detections.json"):
+            assert ((tmp_path / f"v1-{mode}{suffix}").read_bytes()
+                    == (tmp_path / f"v2-{mode}{suffix}").read_bytes()), mode + suffix
+
+
+# v2 checkpoints: the entries np.savez wrote, changed and written again
+
+def _first_value(name, value):
+    def mutate(entries):
+        entries[name][0] = value
+    return mutate
+
+
+def _unchained_shapes(entries):
+    # a classifier that reads 11 inputs from the 8-wide net, in the same
+    # number of parameters, so only the chain is wrong
+    assert entries["shapes"][-1].tolist() == [4, 8]
+    entries["shapes"][-1] = (3, 11)
+
+
+V2_CHECKPOINT_MUTATIONS = {
+    "truncated": None,
+    "missing_entry": lambda e: e.pop("p0"),
+    "retagged": lambda e: e.update(format=np.array("protodetect-checkpoint-v3")),
+    "object_theta": lambda e: e.update(theta=e["theta"].astype(object)),
+    "float32_theta": lambda e: e.update(theta=e["theta"].astype(np.float32)),
+    "unchained_shapes": _unchained_shapes,
+    "short_theta": lambda e: e.update(theta=e["theta"][:-1]),
+    "long_theta": lambda e: e.update(theta=np.append(e["theta"], 0.0)),
+    "nan_theta": _first_value("theta", NAN),
+    "inf_theta": _first_value("theta", INF),
+    "nan_p0": _first_value("p0", NAN),
+    "inf_p0": _first_value("p0", -INF),
+    "p0_length": lambda e: e.update(p0=e["p0"][:-1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(V2_CHECKPOINT_MUTATIONS))
+def test_malformed_v2_checkpoint_exit_2(trained, tmp_path, case, capsys):
+    ckpt, mutate = trained[2], V2_CHECKPOINT_MUTATIONS[case]
+    bad = tmp_path / "bad.npz"
+    if mutate is None:
+        bad.write_bytes(ckpt.read_bytes()[:ckpt.stat().st_size // 2])
+    else:
+        entries = v2_entries(ckpt)
+        mutate(entries)
+        write_v2(bad, entries)
+    assert eval_on_checkpoint(trained, bad, tmp_path / "r") == 2
+    assert "cannot read checkpoint" in capsys.readouterr().err
+    assert not list(tmp_path.glob("r.*"))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_checkpoint_exit_2(trained, tmp_path, capsys):
     # finite weights whose embeddings overflow are bad input, not divergence
-    cfg, data, ckpt, _ = trained
-
-    def huge_first_layer(doc):
-        layer = doc["embedding_layers"][0]
-        layer["W"] = [1e308] * len(layer["W"])
-
-    bad = _mutated(ckpt, tmp_path / "bad.json", huge_first_layer)
-    assert main(["eval", "--config", cfg, "--dataset", str(data),
-                 "--checkpoint", bad, "--out-prefix", str(tmp_path / "r")]) == 2
+    entries = v2_entries(trained[2])
+    n_out, n_in = entries["shapes"][0]
+    entries["theta"][:n_out * n_in] = 1e308      # the first layer's W
+    bad = write_v2(tmp_path / "bad.npz", entries)
+    assert eval_on_checkpoint(trained, bad, tmp_path / "r") == 2
     assert ("cannot evaluate checkpoint: non-finite embeddings"
             in capsys.readouterr().err)
     assert not list(tmp_path.glob("r.*"))
+
+
+# --- outputs that cannot be written, a world without background -------------
+
+@pytest.mark.parametrize("command", ["train_out", "train_log", "eval_out_prefix"])
+def test_unwritable_output_exit_2(trained, tmp_path, command, capsys):
+    cfg, data, ckpt, _ = trained
+    missing = str(tmp_path / "no_such_dir" / "x")
+    argv = {"train_out": ["train", "--dataset", str(data), "--out", missing],
+            "train_log": ["train", "--dataset", str(data),
+                          "--out", str(tmp_path / "c.npz"), "--log", missing],
+            "eval_out_prefix": ["eval", "--dataset", str(data), "--checkpoint",
+                                str(ckpt), "--out-prefix", missing]}[command]
+    assert main([*argv, "--config", cfg]) == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
+def test_world_without_background_pool_exit_2(trained, tmp_path, capsys):
+    # every proposal is a GT box (zero jitter), so no scene has a pool
+    cfg = trained[0]
+    data, out = tmp_path / "d.npz", tmp_path / "c.npz"
+    assert main(["gen-data", "--config", cfg, "--out", str(data),
+                 "--set", "world.proposals_per_scene=4"]) == 0
+    assert main(["train", "--config", cfg, "--dataset", str(data),
+                 "--out", str(out)]) == 2
+    assert "no background pool in training scenes" in capsys.readouterr().err
+    assert not list(tmp_path.glob("c.npz*"))
+
+
+def test_partial_split_without_five_shots_exit_2(trained, tmp_path, capsys):
+    # the partial support/query split needs 5 shots; 3 is bad input
+    cfg = trained[0]
+    data, out = tmp_path / "d.npz", tmp_path / "c.npz"
+    assert main(["gen-data", "--config", cfg, "--out", str(data),
+                 "--set", "world.shots=3"]) == 0
+    assert main(["train", "--config", cfg, "--dataset", str(data), "--out", str(out),
+                 "--set", 'train.support_query_split="partial"']) == 2
+    assert "split requires 5 shots" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- byte identity across BLAS thread counts ---------------------------------

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from protodetect.embedder import (EmbeddingNet, LinearClassifier,
-                                  checkpoint_dict, checkpoint_from_dict,
+from protodetect.embedder import (EmbeddingNet, LinearClassifier, bind_params,
+                                  checkpoint_from_dict, flatten,
                                   load_checkpoint, save_checkpoint)
 from protodetect.numeric import make_rng, softmax
+
+from helpers import checkpoint_dict, write_v1
 
 
 def small_net(seed=0, d=5, hidden=7, e=4, depth=2):
@@ -121,12 +123,46 @@ def test_classifier_constructed_logit():
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     net = small_net(21, depth=3)
     clf = LinearClassifier.init(make_rng(22), 5, 4)
+    p0 = make_rng(23).normal(size=4)
     path = tmp_path / "ckpt.json"
-    save_checkpoint(path, net, clf)
-    net2, clf2 = load_checkpoint(path)
+    save_checkpoint(path, net, clf, p0, {"run": 1})
+    net2, clf2, p02 = load_checkpoint(path)
     for (W1, b1), (W2, b2) in zip(net.layers, net2.layers):
         assert np.array_equal(W1, W2) and np.array_equal(b1, b2)
     assert np.array_equal(clf.W, clf2.W) and np.array_equal(clf.b, clf2.b)
+    assert p02.dtype == np.float64 and np.array_equal(p0, p02)
+    # an archive at exactly the given path, holding the five entries
+    assert not (tmp_path / "ckpt.json.npz").exists()
+    with np.load(path, allow_pickle=False) as archive:
+        assert sorted(archive.files) == ["format", "p0", "provenance", "shapes", "theta"]
+        assert str(archive["format"]) == "protodetect-checkpoint-v2"
+        assert archive["shapes"].dtype == np.int64
+        assert archive["shapes"].tolist() == [[7, 5], [7, 7], [4, 7], [5, 4]]
+        assert np.array_equal(archive["theta"], flatten(net.layers, (clf.W, clf.b)))
+        assert str(archive["provenance"]) == '{"run": 1}'
+
+
+def test_loaded_checkpoint_binds_views_into_one_vector(tmp_path):
+    net, clf = small_net(24), LinearClassifier.init(make_rng(25), 3, 4)
+    save_checkpoint(tmp_path / "ckpt", net, clf, np.zeros(4))
+    net2, clf2, _ = load_checkpoint(tmp_path / "ckpt")
+    arrays = [a for pair in (*net2.layers, (clf2.W, clf2.b)) for a in pair]
+    base = arrays[0].base
+    assert base is not None and all(a.base is base for a in arrays)
+    # the same layout bind_params gives a freshly built pair
+    theta = bind_params(net, clf)
+    assert np.array_equal(base, theta)
+    assert all(a.base is theta for pair in (*net.layers, (clf.W, clf.b)) for a in pair)
+
+
+def test_v1_checkpoint_loads_without_p0(tmp_path):
+    net = small_net(26)
+    clf = LinearClassifier.init(make_rng(27), 3, 4)
+    path = write_v1(tmp_path / "ckpt.json", checkpoint_dict(net, clf, {"run": 1}))
+    net2, clf2, p0 = load_checkpoint(path)
+    assert p0 is None
+    assert np.array_equal(flatten(net.layers, (clf.W, clf.b)),
+                          flatten(net2.layers, (clf2.W, clf2.b)))
 
 
 def test_checkpoint_rejects_other_documents():
@@ -140,6 +176,10 @@ def test_checkpoint_dict_shapes():
     doc = checkpoint_dict(net, clf)
     assert doc["embedding_layers"][0]["shape"] == [7, 5]
     assert doc["classifier"]["shape"] == [3, 4]
+    # the test-side v1 writer is the one checkpoint_from_dict reads
+    net2, clf2 = checkpoint_from_dict(doc)
+    assert np.array_equal(flatten(net.layers, (clf.W, clf.b)),
+                          flatten(net2.layers, (clf2.W, clf2.b)))
 
 
 def test_init_depth_validation():

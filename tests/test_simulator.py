@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from protodetect.numeric import make_rng
-from protodetect.simulator import (IGNORE, WorldConfig, augment_feature,
-                                   generate_world, iou, label_proposals,
-                                   load_world, save_world)
+from protodetect.simulator import (IGNORE, WorldConfig, _random_box,
+                                   augment_feature, generate_world, iou,
+                                   label_proposals, load_world, save_world)
 
-from helpers import (assert_worlds_equal, boxes, make_scene, scalar_iou,
-                     world_to_v1, write_v1)
+from helpers import (assert_worlds_equal, boxes, make_scene, scalar_draw_box,
+                     scalar_iou, world_to_v1, write_v1)
 
 
 def test_iou_identical_and_disjoint():
@@ -109,6 +109,19 @@ def test_world_without_background_proposals():
     from protodetect.trainer import scene_background_features
     # GT-aligned proposals only; with zero jitter none fall below IoU 0.3
     assert len(scene_background_features(world.train_scenes[0])) == 0
+
+
+def test_random_box_replays_four_scalar_draws():
+    # 12,000 boxes over three box-size ranges and scene sizes: the same
+    # boxes, bit for bit, and the generator left in the same state
+    for seed, scene_size, size_range in ((7, 100.0, (8.0, 16.0)),
+                                         (301, 100.0, (3.0, 40.0)),
+                                         (1234, 37.5, (0.5, 30.0))):
+        new, old = make_rng(seed), make_rng(seed)
+        for _ in range(4000):
+            assert _random_box(new, scene_size, size_range) == \
+                scalar_draw_box(old, scene_size, size_range)
+        assert new.bit_generator.state == old.bit_generator.state
 
 
 def test_world_determinism_byte_identical(tmp_path):

@@ -3,13 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from protodetect.embedder import checkpoint_dict, flatten
+from protodetect.embedder import flatten
 from protodetect.numeric import make_rng
 from protodetect.prototypes import SupportSet
 from protodetect.simulator import WorldConfig, augment_feature, generate_world
+from protodetect import trainer
 from protodetect.trainer import (FULL_SPLIT, PARTIAL_SPLIT, AdamW,
-                                 TrainConfig, clip_global_norm, make_episode,
-                                 train)
+                                 TrainConfig, background_prototype,
+                                 clip_global_norm, make_episode, train)
 
 
 def small_world(seed=5, **kw):
@@ -193,7 +194,9 @@ def test_training_deterministic_bit_identical():
     world = small_world()
     r1 = train(world, small_train_cfg())
     r2 = train(small_world(), small_train_cfg())
-    assert checkpoint_dict(r1.net, r1.clf) == checkpoint_dict(r2.net, r2.clf)
+    assert np.array_equal(flatten(r1.net.layers, (r1.clf.W, r1.clf.b)),
+                          flatten(r2.net.layers, (r2.clf.W, r2.clf.b)))
+    assert np.array_equal(r1.bank.get(0), r2.bank.get(0))
     assert r1.log == r2.log
 
 
@@ -213,6 +216,19 @@ def test_final_bank_includes_background():
     res = train(world, small_train_cfg())
     assert res.bank.has(0)
     assert sorted(res.bank.ids) == [0, 1, 2, 3]
+    assert np.array_equal(res.bank.get(0), background_prototype(res.net, world.train_scenes))
+
+
+def test_world_without_background_pool_is_refused_before_training(monkeypatch):
+    # every proposal is a GT box (zero jitter), so no scene has a pool
+    world = small_world(objects_per_scene=3, proposals_per_scene=3)
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(trainer, "episode_loss", no_step)
+    with pytest.raises(ValueError, match="no background pool in training scenes"):
+        train(world, small_train_cfg())
 
 
 @pytest.mark.parametrize("depth", [2, 3, 4])
