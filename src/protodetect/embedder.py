@@ -83,20 +83,24 @@ class EmbeddingNet:
                 h = z
         return h, acts
 
-    def backward_batch(self, cache, dQ):
+    def backward_batch(self, cache, dQ, out=None):
         """Backprop dQ (N, e) through a cached forward.
 
-        Returns the layer grads [(dW, db), ...]; the input gradient is
-        never formed.
+        Returns the layer grads [(dW, db), ...], written into the arrays
+        of `out` when it is given (the net's views of a gradient vector,
+        `param_vector`); the input gradient is never formed.
         """
         acts = cache
         dQ = np.asarray(dQ, dtype=np.float64)
         if dQ.shape != (acts[0].shape[0], self.out_dim):
             raise ValueError("gradient shape does not match cached forward")
-        grads = [None] * len(self.layers)
+        grads = out if out is not None else [
+            (np.empty_like(W), np.empty_like(b)) for W, b in self.layers]
         dh = dQ
         for i in range(len(self.layers) - 1, -1, -1):
-            grads[i] = (dh.T @ acts[i], dh.sum(axis=0))
+            dW, db = grads[i]
+            np.matmul(dh.T, acts[i], out=dW)
+            np.sum(dh, axis=0, out=db)
             if i > 0:
                 # acts[i] holds relu output of layer i-1; relu' at 0 is 0
                 dh = (dh @ self.layers[i][0]) * (acts[i] > 0.0)
@@ -149,6 +153,14 @@ def _views(theta, shapes):
         pairs.append((W, theta[at:at + n_out]))
         at += n_out
     return pairs
+
+
+def param_vector(net, clf):
+    """A new, unfilled vector in the parameter layout of (net, clf) and
+    its (W, b) views, the net's layers then the classifier's pair."""
+    pairs = (*net.layers, (clf.W, clf.b))
+    theta = np.empty(sum(W.size + b.size for W, b in pairs))
+    return theta, _views(theta, [W.shape for W, _ in pairs])
 
 
 def bind_params(net, clf):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedder import default_net_and_classifier
-from .losses import LossConfig, episode_loss, proto_log_posteriors
+from .losses import LossConfig, episode_loss, proto_posteriors
 from .numeric import make_rng
 from .prototypes import SupportSet
 
@@ -111,7 +111,7 @@ def check_term(inst, terms=TERMS, h=1e-6, corrupt=False):
     teacher = None
     if inst.cfg.kl_stop_teacher:
         Q0, _ = inst.net.forward_batch(inst.query_features)
-        teacher = proto_log_posteriors(Q0, loss(grads=False).bank.P)
+        teacher = proto_posteriors(Q0, loss(grads=False).bank.P)
 
     def values():
         bundle = loss(grads=False, kl_teacher=teacher)

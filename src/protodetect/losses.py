@@ -1,6 +1,7 @@
 """Training losses with analytic gradients.
 
-Three terms over a query batch and a prototype bank:
+Three terms over the embedded queries Q of an episode and its
+prototypes P (one row per bank entry):
 
 * matching: NLL of the true class under the softmax over negative
   squared distances (energies),
@@ -9,18 +10,22 @@ Three terms over a query batch and a prototype bank:
 * alignment: NLL over temperature-scaled dot-product similarities
   to the prototypes.
 
-Gradients are derived by hand and flow into the query embeddings,
-the prototypes, and the classifier. `episode_loss` closes the loop:
-one forward pass embeds support rows, background pool and queries
-together, prototypes are segment means of that output, and one
-backward pass carries the query gradients and the prototype
-gradients (each support or pool row receiving dP / n of its segment)
-into the net. Its gradient is one vector in the parameter layout of
-`embedder.flatten`.
+Matching and KL read the same prototype posteriors, which
+`proto_posteriors` computes once per episode: one distance matrix, one
+log-softmax and one exp. Gradients are derived by hand and flow into
+the query embeddings, the prototypes and the classifier. Every term
+takes `grads`: with grads=False it computes the same value by the same
+arithmetic and skips the gradient algebra, returning None in place of
+each gradient.
 
-Every loss takes `grads`: with grads=False it computes the same value
-by the same arithmetic and skips the gradient algebra, returning None
-in place of each gradient. Training and the gradient audit's probes
+`episode_loss` closes the loop: one forward pass embeds support rows,
+background pool and queries together, and prototypes are segment means
+of that output. Every term's value is computed, for the log, but
+gradient algebra runs only for the terms whose gradient weight is
+nonzero. One backward pass then carries the query gradients and the
+prototype gradients (each support or pool row receiving dP / n of its
+segment) into the net, writing into one vector in the parameter layout
+of `embedder.bind_params`. Training and the gradient audit's probes
 share this one implementation.
 """
 
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedder import flatten
+from .embedder import param_vector
 from .numeric import log_softmax, sq_distances
 from .prototypes import BACKGROUND_ID, PrototypeBank, segment_means
 
@@ -61,28 +66,12 @@ class LossConfig:
         return cls(stage=2, lambda_kl=lambda_kl, lambda_align=lambda_align, **kw)
 
 
-class QueryBatch:
-    """Embedded queries (N, e) with integer class labels (0 = background)."""
-
-    def __init__(self, Q, labels):
-        self.Q = np.asarray(Q, dtype=np.float64)
-        self.labels = np.asarray(labels, dtype=np.int64)
-        if self.Q.ndim != 2 or self.Q.shape[0] == 0:
-            raise ValueError("empty query batch")
-        if self.labels.shape != (self.Q.shape[0],):
-            raise ValueError("labels do not match queries")
-
-    def __len__(self):
-        return self.Q.shape[0]
-
-
 @dataclass
 class LossBundle:
     l_match: float
     l_kl: float
     l_align: float
     l_total: float
-    raw: dict              # un-normalized sums of the same quantities
     n_queries: int
     bank: PrototypeBank = None   # the episode's prototypes, background included
     grads: np.ndarray = None     # parameter-vector gradient; None on the value-only path
@@ -99,44 +88,54 @@ def _label_indices(labels, bank):
     return idx
 
 
-def proto_log_posteriors(Q, P):
-    """log P(prototype k | q) for each query row: log-softmax of -|q - p_k|^2."""
-    return log_softmax(-sq_distances(Q, P), axis=1)
+def proto_posteriors(Q, P):
+    """(log P(prototype k | q), P(prototype k | q)) for each query row:
+    the log-softmax of -|q - p_k|^2 and its exp."""
+    logp = log_softmax(-sq_distances(Q, P), axis=1)
+    return logp, np.exp(logp)
 
 
-def _matching_core(Q, y_idx, P, grads=True):
-    logp = proto_log_posteriors(Q, P)
-    n = Q.shape[0]
-    value = -float(np.sum(logp[np.arange(n), y_idx]))
+def matching_loss(Q, P, y_idx, post, grads=True):
+    """NLL of each query's true prototype (row y_idx of P) under the
+    posteriors post = proto_posteriors(Q, P); (value, dQ, dP)."""
+    logp, p = post
+    rows = np.arange(Q.shape[0])
+    value = -float(np.sum(logp[rows, y_idx]))
     if not grads:
         return value, None, None
-    G = np.exp(logp)
-    G[np.arange(n), y_idx] -= 1.0
+    G = p.copy()
+    G[rows, y_idx] -= 1.0
     # dZ/dq = -2(q - p_k), dZ/dp_k = 2(q - p_k)
     dQ = -2.0 * Q * G.sum(axis=1, keepdims=True) + 2.0 * (G @ P)
     dP = 2.0 * (G.T @ Q - G.sum(axis=0)[:, None] * P)
     return value, dQ, dP
 
 
-def _kl_core(Q, P, clf, stop_teacher, grads=True, teacher=None):
-    if teacher is not None:
-        logp_proto, stop_teacher = teacher, True
-    else:
-        logp_proto = proto_log_posteriors(Q, P)
-    p_proto = np.exp(logp_proto)
-    U = clf.logits_batch(Q)
-    logp_clf = log_softmax(U, axis=1)
+def kl_loss(Q, P, clf, post, stop_teacher=False, grads=True):
+    """Sum of KL(P_proto || P_clf), P_proto given as post (a
+    `proto_posteriors` pair); (value, dQ, dP, dWc, dbc).
+
+    Probabilities never appear inside logs directly; everything is
+    phrased through log-sum-exp, so classifier underflow is harmless.
+    stop_teacher drops the gradient through P_proto (dP is None). A
+    `post` held constant, not computed from (Q, P), makes the value the
+    function whose gradient stop_teacher trains, which is what the
+    gradient audit differences.
+    """
+    if clf.n_classes != P.shape[0]:
+        raise ValueError("classifier width must equal bank size")
+    logp_proto, p_proto = post
+    logp_clf = log_softmax(clf.logits_batch(Q), axis=1)
     delta_log = logp_proto - logp_clf
     row_kl = np.sum(p_proto * delta_log, axis=1)
     value = float(np.sum(row_kl))
     if not grads:
         return value, None, None, None, None
-
     dU = np.exp(logp_clf) - p_proto
     dWc = dU.T @ Q
     dbc = dU.sum(axis=0)
     dQ = dU @ clf.W
-    dP = np.zeros_like(P)
+    dP = None
     if not stop_teacher:
         dZ = p_proto * (delta_log - row_kl[:, None])
         dQ = dQ - 2.0 * Q * dZ.sum(axis=1, keepdims=True) + 2.0 * (dZ @ P)
@@ -144,81 +143,37 @@ def _kl_core(Q, P, clf, stop_teacher, grads=True, teacher=None):
     return value, dQ, dP, dWc, dbc
 
 
-def _align_core(Q, y_idx, P, tau, grads=True):
-    S = (Q @ P.T) / tau
-    logp = log_softmax(S, axis=1)
-    n = Q.shape[0]
-    value = -float(np.sum(logp[np.arange(n), y_idx]))
-    if not grads:
-        return value, None, None
-    G = np.exp(logp)
-    G[np.arange(n), y_idx] -= 1.0
-    dQ = (G @ P) / tau
-    dP = (G.T @ Q) / tau
-    return value, dQ, dP
+def alignment_loss(Q, P, y_idx, tau, skip=None, grads=True):
+    """InfoNCE-style NLL over similarities s = <q, p>/tau of each
+    query's true prototype (row y_idx of P); (value, dQ, dP).
 
-
-# --- public per-batch operations (embeddings already computed) ---------------
-
-def matching_loss(batch, bank, grads=True):
-    """NLL of the true class under energy posteriors; grads wrt Q and P."""
-    y_idx = _label_indices(batch.labels, bank)
-    return _matching_core(batch.Q, y_idx, bank.P, grads)
-
-
-def kl_loss(batch, bank, clf, stop_teacher=False, grads=True, teacher=None):
-    """Sum of KL(P_proto || P_clf); grads wrt Q, P, and classifier params.
-
-    Probabilities never appear inside logs directly; everything is
-    phrased through log-sum-exp, so classifier underflow is harmless.
-    stop_teacher drops the gradient through P_proto. `teacher`, when
-    given, is a constant (queries x bank) array of log P_proto used in
-    place of the one computed from (Q, P): the value is then the
-    function whose gradient stop_teacher trains, which is what the
-    gradient audit differences.
-    """
-    if clf.n_classes != len(bank):
-        raise ValueError("classifier width must equal bank size")
-    return _kl_core(batch.Q, bank.P, clf, stop_teacher, grads, teacher)
-
-
-def alignment_loss(batch, bank, tau, include_background=True, grads=True):
-    """InfoNCE-style NLL over similarities s = <q, p>/tau.
-
-    With include_background=False the softmax runs over class
-    prototypes only and background-labeled queries are skipped.
+    With `skip`, a row of P (the background prototype), the softmax
+    runs over the other rows and the queries labeled with it are
+    skipped.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    if include_background or not bank.has(BACKGROUND_ID):
-        y_idx = _label_indices(batch.labels, bank)
-        return _align_core(batch.Q, y_idx, bank.P, tau, grads)
-    keep_cols = [i for i, c in enumerate(bank.ids) if c != BACKGROUND_ID]
-    sub_ids = [bank.ids[i] for i in keep_cols]
-    rows = [i for i, y in enumerate(batch.labels) if int(y) != BACKGROUND_ID]
-    dQ = np.zeros_like(batch.Q) if grads else None
-    dP = np.zeros_like(bank.P) if grads else None
-    if not rows:
-        return 0.0, dQ, dP
-    Qs = batch.Q[rows]
-    y_idx = np.asarray([sub_ids.index(int(batch.labels[i])) for i in rows])
-    value, dQs, dPs = _align_core(Qs, y_idx, bank.P[keep_cols], tau, grads)
-    if grads:
-        dQ[rows] = dQs
-        dP[keep_cols] = dPs
-    return value, dQ, dP
-
-
-def _bundle(m, k, a, n, cfg, bank):
-    scale = 1.0 / n if cfg.normalize else 1.0
-    lm, lk, la = m * scale, k * scale, a * scale
-    return LossBundle(
-        l_match=lm, l_kl=lk, l_align=la,
-        l_total=lm + cfg.lambda_kl * lk + cfg.lambda_align * la,
-        raw={"l_match": m, "l_kl": k, "l_align": a,
-             "l_total": m + cfg.lambda_kl * k + cfg.lambda_align * a},
-        n_queries=n, bank=bank,
-    )
+    if skip is not None:
+        rows, cols = y_idx != skip, np.arange(P.shape[0]) != skip
+        dQ = np.zeros_like(Q) if grads else None
+        dP = np.zeros_like(P) if grads else None
+        if not rows.any():
+            return 0.0, dQ, dP
+        y = y_idx[rows]
+        value, dQs, dPs = alignment_loss(Q[rows], P[cols], y - (y > skip), tau,
+                                         grads=grads)
+        if grads:
+            dQ[rows] = dQs
+            dP[cols] = dPs
+        return value, dQ, dP
+    logp = log_softmax((Q @ P.T) / tau, axis=1)
+    rows = np.arange(Q.shape[0])
+    value = -float(np.sum(logp[rows, y_idx]))
+    if not grads:
+        return value, None, None
+    G = np.exp(logp)
+    G[rows, y_idx] -= 1.0
+    return value, (G @ P) / tau, (G.T @ Q) / tau
 
 
 def episode_loss(net, clf, support, query_features, query_labels, cfg,
@@ -237,11 +192,13 @@ def episode_loss(net, clf, support, query_features, query_labels, cfg,
     grad_weights optionally overrides the (match, kl, align) weights
     used for the returned gradients only; the gradient-check harness
     uses this to isolate a single term. Defaults to (1, lambda_kl,
-    lambda_align). kl_teacher is passed to `kl_loss` as its constant
-    teacher (the gradient audit of a kl_stop_teacher config).
+    lambda_align). A term whose weight is 0 contributes its value but
+    no gradient algebra. kl_teacher, a `proto_posteriors` pair, is
+    the constant P_proto of a stop-gradient KL (the gradient audit of
+    a kl_stop_teacher config).
 
     bundle.grads is one vector in the parameter layout of
-    `embedder.flatten` (net layers, then classifier). grads=False
+    `embedder.bind_params` (net layers, then classifier). grads=False
     returns the loss values only (bundle.grads is None): the forward
     pass, the loss values and every input check are the same as with
     gradients, but no backward pass runs.
@@ -262,28 +219,52 @@ def episode_loss(net, clf, support, query_features, query_labels, cfg,
     if not has_pool and frozen_p0 is not None:
         entries.append((BACKGROUND_ID, np.asarray(frozen_p0, dtype=np.float64)))
     bank = PrototypeBank(entries)
-    batch = QueryBatch(E[n_proto_rows:], query_labels)
-
-    m_val, dQ_m, dP_m = matching_loss(batch, bank, grads=grads)
-    k_val, dQ_k, dP_k, dWc, dbc = kl_loss(batch, bank, clf, cfg.kl_stop_teacher,
-                                          grads=grads, teacher=kl_teacher)
-    a_val, dQ_a, dP_a = alignment_loss(batch, bank, cfg.tau,
-                                       cfg.align_include_background, grads=grads)
-    bundle = _bundle(m_val, k_val, a_val, len(batch), cfg, bank)
-    if not grads:
-        return bundle
+    Q, P = E[n_proto_rows:], bank.P
+    labels = np.asarray(query_labels, dtype=np.int64)
+    if Q.shape[0] == 0:
+        raise ValueError("empty query batch")
+    if labels.shape != (Q.shape[0],):
+        raise ValueError("labels do not match queries")
+    y_idx = _label_indices(labels, bank)
 
     w_m, w_k, w_a = grad_weights if grad_weights is not None \
         else (1.0, cfg.lambda_kl, cfg.lambda_align)
-    scale = 1.0 / len(batch) if cfg.normalize else 1.0
-    dQ = (w_m * dQ_m + w_k * dQ_k + w_a * dQ_a) * scale
-    dP = (w_m * dP_m + w_k * dP_k + w_a * dP_a) * scale
+    post = proto_posteriors(Q, P)
+    m_val, dQ_m, dP_m = matching_loss(Q, P, y_idx, post, grads=grads and w_m != 0)
+    k_val, dQ_k, dP_k, dWc, dbc = kl_loss(
+        Q, P, clf, post if kl_teacher is None else kl_teacher,
+        cfg.kl_stop_teacher or kl_teacher is not None, grads=grads and w_k != 0)
+    skip = (bank.index_of(BACKGROUND_ID)
+            if not cfg.align_include_background and bank.has(BACKGROUND_ID) else None)
+    a_val, dQ_a, dP_a = alignment_loss(Q, P, y_idx, cfg.tau, skip,
+                                       grads=grads and w_a != 0)
+
+    n = Q.shape[0]
+    scale = 1.0 / n if cfg.normalize else 1.0
+    lm, lk, la = m_val * scale, k_val * scale, a_val * scale
+    bundle = LossBundle(l_match=lm, l_kl=lk, l_align=la,
+                        l_total=lm + cfg.lambda_kl * lk + cfg.lambda_align * la,
+                        n_queries=n, bank=bank)
+    if not grads:
+        return bundle
+
+    dQ, dP = np.zeros(Q.shape), np.zeros(P.shape)
+    for w, dq, dp in ((w_m, dQ_m, dP_m), (w_k, dQ_k, dP_k), (w_a, dQ_a, dP_a)):
+        if dq is not None:
+            dQ += w * dq
+        if dp is not None:
+            dP += w * dp
+    dQ *= scale
+    dP *= scale
 
     # each support / pool row receives its prototype's gradient over the
-    # segment size; then one backward pass over every row
+    # segment size; then one backward pass over every row, into the net's
+    # views of one gradient vector
     seg_rows = np.repeat([bank.index_of(c) for c in seg_ids], counts)
     seg_size = np.repeat(counts, counts).astype(np.float64)
     dE = np.concatenate([dP[seg_rows] / seg_size[:, None], dQ])
-    layer_grads = net.backward_batch(cache, dE)
-    bundle.grads = flatten(layer_grads, ((w_k * dWc) * scale, (w_k * dbc) * scale))
+    bundle.grads, (*layer_grads, (dWc_out, dbc_out)) = param_vector(net, clf)
+    net.backward_batch(cache, dE, layer_grads)
+    for out, d in ((dWc_out, dWc), (dbc_out, dbc)):
+        out[...] = 0.0 if d is None else (w_k * d) * scale
     return bundle

@@ -224,7 +224,8 @@ def train(world, cfg):
     background pool, since the final bank could then hold no p0.
     """
     cfg.validate()
-    # the pools of p0, which the final bank needs; taken before any step
+    # every training scene's background pool, taken once before any step:
+    # the steps draw from them and the final bank's p0 is their mean
     pools = [scene_background_features(s) for s in world.train_scenes]
     if not sum(map(len, pools)):
         raise ValueError(NO_POOL)
@@ -244,9 +245,8 @@ def train(world, cfg):
         stage = 1 if step < cfg.stage1_steps else 2
         loss_cfg = cfg.loss_config(stage)
 
-        scene = world.train_scenes[int(rng.integers(len(world.train_scenes)))]
+        bg = pools[int(rng.integers(len(pools)))]
         proto_support, qfeats, qlabels = make_episode(rng, support, cfg, sigma_f)
-        bg = scene_background_features(scene)
         if len(bg):
             qfeats = np.concatenate([qfeats, bg])
             qlabels = np.concatenate([qlabels, np.zeros(len(bg), dtype=np.int64)])

@@ -1,7 +1,8 @@
 """Shared by the tests: the scalar IoU oracle, the four-scalar-draw box
 oracle, builders of columnar scenes and detections from per-box tuples,
-and writers of the v1 JSON dataset and checkpoint formats, which
-protodetect still reads but no longer writes."""
+the value of each loss term for queries and a bank, and writers of the
+v1 JSON dataset and checkpoint formats, which protodetect still reads
+but no longer writes."""
 
 import json
 from dataclasses import asdict
@@ -9,6 +10,7 @@ from dataclasses import asdict
 import numpy as np
 
 from protodetect.inference import Detections
+from protodetect.losses import alignment_loss, kl_loss, matching_loss, proto_posteriors
 from protodetect.simulator import Scene
 
 
@@ -53,6 +55,29 @@ def make_detections(triples):
     return Detections(boxes([b for b, _, _ in triples]),
                       np.array([c for _, c, _ in triples], dtype=np.int64),
                       np.array([s for _, _, s in triples], dtype=np.float64))
+
+
+def label_rows(bank, labels):
+    """The bank row of each label."""
+    return np.array([bank.index_of(c) for c in labels], dtype=np.int64)
+
+
+def matching_value(Q, labels, bank):
+    """The matching loss of queries Q (rows) with these labels against bank."""
+    Q = np.asarray(Q, dtype=np.float64)
+    return matching_loss(Q, bank.P, label_rows(bank, labels), proto_posteriors(Q, bank.P))[0]
+
+
+def kl_value(Q, bank, clf):
+    """The KL term of queries Q against bank and classifier."""
+    Q = np.asarray(Q, dtype=np.float64)
+    return kl_loss(Q, bank.P, clf, proto_posteriors(Q, bank.P))[0]
+
+
+def alignment_value(Q, labels, bank, tau):
+    """The alignment loss of queries Q with these labels against bank."""
+    Q = np.asarray(Q, dtype=np.float64)
+    return alignment_loss(Q, bank.P, label_rows(bank, labels), tau)[0]
 
 
 def world_to_v1(world):

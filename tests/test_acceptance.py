@@ -25,13 +25,13 @@ from protodetect.config import RunConfig
 from protodetect.evaluation import average_precision
 from protodetect.gradcheck import check_term, random_instance, run_suite
 from protodetect.inference import FEWSHOT, OPENSET
-from protodetect.losses import QueryBatch, alignment_loss, matching_loss, kl_loss
 from protodetect.numeric import make_rng
 from protodetect.prototypes import BACKGROUND_ID, PrototypeBank, posteriors_batch
 from protodetect.simulator import IGNORE, generate_world, iou, label_proposals
 from protodetect.trainer import background_prototype, heldout_accuracy, train
 
-from helpers import boxes, make_detections, make_scene
+from helpers import (alignment_value, boxes, kl_value, make_detections,
+                     make_scene, matching_value)
 from test_evaluation import oracle_ap
 
 
@@ -66,7 +66,7 @@ def test_a2_distribution_sanity():
         worst_sum = max(worst_sum, abs(float(np.sum(p)) - 1.0))
         from protodetect.embedder import LinearClassifier
         clf = LinearClassifier(rng.normal(size=(4, 3)), rng.normal(size=4))
-        value, *_ = kl_loss(QueryBatch(q[None, :], [0]), bank, clf)
+        value = kl_value(q[None, :], bank, clf)
         worst_kl = min(worst_kl, value)
 
     drift = 0.0
@@ -75,18 +75,17 @@ def test_a2_distribution_sanity():
         bank = PrototypeBank([(c, r.normal(size=3)) for c in range(1, 4)])
         Q = r.normal(size=(6, 3))
         labels = [1, 2, 3, 1, 2, 3]
-        v0, _, _ = matching_loss(QueryBatch(Q, labels), bank)
+        v0 = matching_value(Q, labels, bank)
         c = r.normal(size=3)
         shifted = PrototypeBank([(cid, bank.get(cid) + c) for cid in bank.ids])
-        v1, _, _ = matching_loss(QueryBatch(Q + c, labels), shifted)
+        v1 = matching_value(Q + c, labels, shifted)
         drift = max(drift, abs(v0 - v1))
         # alignment: scaling embeddings by alpha and tau by alpha^2
         # leaves every logit unchanged
-        a0, _, _ = alignment_loss(QueryBatch(Q, labels), bank, tau=10.0)
+        a0 = alignment_value(Q, labels, bank, tau=10.0)
         alpha = 3.0
         scaled = PrototypeBank([(cid, alpha * bank.get(cid)) for cid in bank.ids])
-        a1, _, _ = alignment_loss(QueryBatch(alpha * Q, labels), scaled,
-                                  tau=10.0 * alpha * alpha)
+        a1 = alignment_value(alpha * Q, labels, scaled, tau=10.0 * alpha * alpha)
         drift = max(drift, abs(a0 - a1))
 
     ok = worst_sum <= 1e-12 and worst_kl >= -1e-12 and drift <= 1e-9

@@ -76,9 +76,10 @@ def test_traced_pipeline_counts_match_the_dataset(tmp_path):
     assert metrics["simulator.load_world.bytes"] == 2 * size
     assert metrics["inference.proposals"] == sum(len(s.proposals) for s in world.test_scenes)
     assert metrics["inference.detect_scene.calls"] == len(world.test_scenes)
-    # train pools one scene per step and every training scene once for
-    # p0; eval takes p0 from the checkpoint and pools no scene
+    # train pools every training scene once, before its steps, which
+    # draw from those pools; eval takes p0 from the checkpoint and pools
+    # no scene
     pool_rows = sum(len(scene_background_features(s)) for s in world.train_scenes)
-    assert metrics["prototypes.background_pool.calls"] == 6 + len(world.train_scenes)
+    assert metrics["prototypes.background_pool.calls"] == len(world.train_scenes)
     assert metrics["prototypes.background_pool.rows"] == \
-        before_eval["prototypes.background_pool.rows"] >= pool_rows > 0
+        before_eval["prototypes.background_pool.rows"] == pool_rows > 0

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from protodetect import losses
 from protodetect.embedder import LinearClassifier
 from protodetect.gradcheck import check_term, random_instance
-from protodetect.losses import (LossConfig, QueryBatch, alignment_loss,
-                                episode_loss, kl_loss, matching_loss)
+from protodetect.losses import LossConfig, alignment_loss, episode_loss
 from protodetect.numeric import make_rng
 from protodetect.prototypes import PrototypeBank, SupportSet
+
+from helpers import alignment_value, kl_value, label_rows, matching_value
 
 
 def two_proto_bank(D):
@@ -19,30 +21,28 @@ def two_proto_bank(D):
 def test_matching_query_at_own_prototype():
     D = 3.7
     bank = two_proto_bank(D)
-    batch = QueryBatch(np.array([[0.0, 0.0]]), [1])
-    value, _, _ = matching_loss(batch, bank)
+    value = matching_value([[0.0, 0.0]], [1], bank)
     assert value == pytest.approx(math.log(1.0 + math.exp(-D)), rel=1e-12)
 
 
 def test_matching_singleton_bank_is_zero():
     bank = PrototypeBank([(1, [5.0, -1.0])])
-    batch = QueryBatch(make_rng(0).normal(size=(4, 2)), [1, 1, 1, 1])
-    value, _, _ = matching_loss(batch, bank)
+    value = matching_value(make_rng(0).normal(size=(4, 2)), [1, 1, 1, 1], bank)
     assert value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_matching_midpoint_is_log2():
     bank = PrototypeBank([(1, [1.0, 0.0]), (2, [-1.0, 0.0])])
-    batch = QueryBatch(np.array([[0.0, 0.0]]), [2])
-    value, _, _ = matching_loss(batch, bank)
+    value = matching_value([[0.0, 0.0]], [2], bank)
     assert value == pytest.approx(math.log(2.0), rel=1e-12)
 
 
 def test_matching_missing_prototype_errors():
-    bank = PrototypeBank([(1, [0.0, 0.0])])
-    batch = QueryBatch(np.zeros((1, 2)), [9])
+    inst = random_instance(0, cfg=LossConfig.for_stage(1))
+    inst.query_labels = inst.query_labels.copy()
+    inst.query_labels[-1] = 9
     with pytest.raises(ValueError, match="label 9"):
-        matching_loss(batch, bank)
+        _episode(inst, grad_weights=(1.0, 0.0, 0.0))
 
 
 def test_matching_translation_invariance():
@@ -50,10 +50,10 @@ def test_matching_translation_invariance():
     bank = PrototypeBank([(c, rng.normal(size=3)) for c in range(1, 4)])
     Q = rng.normal(size=(6, 3))
     labels = [1, 2, 3, 1, 2, 3]
-    v0, _, _ = matching_loss(QueryBatch(Q, labels), bank)
+    v0 = matching_value(Q, labels, bank)
     c = rng.normal(size=3)
     shifted = PrototypeBank([(cid, bank.get(cid) + c) for cid in bank.ids])
-    v1, _, _ = matching_loss(QueryBatch(Q + c, labels), shifted)
+    v1 = matching_value(Q + c, labels, shifted)
     assert abs(v0 - v1) <= 1e-9
 
 
@@ -64,7 +64,7 @@ def test_kl_zero_when_classifier_reproduces_energies():
     # logits -|q-p|^2 = 2 q.p - |p|^2 - |q|^2; the |q|^2 shift cancels in
     # the softmax, so W = 2P, b = -|p|^2 reproduces the posteriors
     clf = LinearClassifier(2.0 * bank.P, -np.sum(bank.P ** 2, axis=1))
-    value, *_ = kl_loss(QueryBatch(Q, [0] * 5), bank, clf)
+    value = kl_value(Q, bank, clf)
     assert value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -73,7 +73,7 @@ def test_kl_uniform_proto_hand_case():
     bank = PrototypeBank([(1, [1.0, 0.0]), (2, [-1.0, 0.0])])
     Q = np.array([[0.0, 3.0]])
     clf = LinearClassifier(np.zeros((2, 2)), np.array([math.log(2.0), 0.0]))
-    value, *_ = kl_loss(QueryBatch(Q, [1]), bank, clf)
+    value = kl_value(Q, bank, clf)
     # KL(U || [2/3, 1/3]) = 0.5 ln(0.5/(2/3)) + 0.5 ln(0.5/(1/3))
     expected = 0.5 * math.log(0.75) + 0.5 * math.log(1.5)
     assert value == pytest.approx(expected, rel=1e-12)
@@ -85,7 +85,7 @@ def test_kl_nonnegative_on_random_instances():
         bank = PrototypeBank([(c, rng.normal(size=3)) for c in range(3)])
         clf = LinearClassifier(rng.normal(size=(3, 3)), rng.normal(size=3))
         Q = rng.normal(size=(4, 3))
-        value, *_ = kl_loss(QueryBatch(Q, [0] * 4), bank, clf)
+        value = kl_value(Q, bank, clf)
         assert value >= -1e-12
 
 
@@ -93,13 +93,12 @@ def test_kl_width_mismatch_errors():
     bank = PrototypeBank([(0, [0.0]), (1, [1.0])])
     clf = LinearClassifier(np.zeros((3, 1)), np.zeros(3))
     with pytest.raises(ValueError):
-        kl_loss(QueryBatch(np.zeros((1, 1)), [0]), bank, clf)
+        kl_value(np.zeros((1, 1)), bank, clf)
 
 
 def test_alignment_identical_prototypes_uniform():
     bank = PrototypeBank([(1, [1.0, 1.0]), (2, [1.0, 1.0]), (3, [1.0, 1.0])])
-    batch = QueryBatch(make_rng(4).normal(size=(2, 2)), [1, 3])
-    value, _, _ = alignment_loss(batch, bank, tau=2.0)
+    value = alignment_value(make_rng(4).normal(size=(2, 2)), [1, 3], bank, tau=2.0)
     assert value == pytest.approx(2 * math.log(3.0), rel=1e-12)
 
 
@@ -107,32 +106,28 @@ def test_alignment_hand_case():
     # s_true = a/tau, s_other = 0 -> loss = log(1 + exp(-a/tau))
     a, tau = 1.7, 10.0
     bank = PrototypeBank([(1, [1.0, 0.0]), (2, [0.0, 0.0])])
-    batch = QueryBatch(np.array([[a, 0.0]]), [1])
-    value, _, _ = alignment_loss(batch, bank, tau)
+    value = alignment_value([[a, 0.0]], [1], bank, tau)
     assert value == pytest.approx(math.log(1.0 + math.exp(-a / tau)), rel=1e-12)
 
 
 def test_alignment_large_tau_limit():
     rng = make_rng(5)
     bank = PrototypeBank([(c, rng.normal(size=3)) for c in range(1, 5)])
-    batch = QueryBatch(rng.normal(size=(3, 3)), [1, 2, 3])
-    value, _, _ = alignment_loss(batch, bank, tau=1e12)
+    value = alignment_value(rng.normal(size=(3, 3)), [1, 2, 3], bank, tau=1e12)
     assert value == pytest.approx(3 * math.log(4.0), rel=1e-6)
 
 
 def test_alignment_rejects_bad_tau():
     bank = PrototypeBank([(1, [0.0])])
-    batch = QueryBatch(np.zeros((1, 1)), [1])
     with pytest.raises(ValueError):
-        alignment_loss(batch, bank, tau=0.0)
+        alignment_value(np.zeros((1, 1)), [1], bank, tau=0.0)
 
 
 def test_alignment_monotone_in_true_similarity():
     bank = PrototypeBank([(1, [1.0, 0.0]), (2, [0.0, 1.0])])
     prev = None
     for scale in [0.0, 0.5, 1.0, 2.0]:
-        batch = QueryBatch(np.array([[scale, 0.3]]), [1])
-        value, _, _ = alignment_loss(batch, bank, tau=1.0)
+        value = alignment_value([[scale, 0.3]], [1], bank, tau=1.0)
         if prev is not None:
             assert value < prev
         prev = value
@@ -144,11 +139,10 @@ def test_alignment_tau_scale_consistency():
     bank = PrototypeBank([(c, rng.normal(size=4)) for c in range(1, 4)])
     Q = rng.normal(size=(5, 4))
     labels = [1, 2, 3, 1, 2]
-    v0, _, _ = alignment_loss(QueryBatch(Q, labels), bank, tau=10.0)
+    v0 = alignment_value(Q, labels, bank, tau=10.0)
     alpha = 3.0
     scaled = PrototypeBank([(c, alpha * bank.get(c)) for c in bank.ids])
-    v1, _, _ = alignment_loss(QueryBatch(alpha * Q, labels), scaled,
-                              tau=10.0 * alpha * alpha)
+    v1 = alignment_value(alpha * Q, labels, scaled, tau=10.0 * alpha * alpha)
     assert abs(v0 - v1) <= 1e-9
 
 
@@ -173,8 +167,10 @@ def test_stage2_unit_weights_sum():
                           inst.query_features, inst.query_labels, inst.cfg,
                           bg_features=inst.bg_features)
     assert bundle.l_total == bundle.l_match + bundle.l_kl + bundle.l_align
-    assert abs(bundle.raw["l_total"] -
-               (bundle.raw["l_match"] + bundle.raw["l_kl"] + bundle.raw["l_align"])) <= 1e-12
+    # the un-normalized sums add up the same way
+    raw = _episode(inst, LossConfig.for_stage(2, 1.0, 1.0, tau=10.0, normalize=False),
+                   grads=False)
+    assert abs(raw.l_total - (raw.l_match + raw.l_kl + raw.l_align)) <= 1e-12
 
 
 def test_bundle_reports_raw_and_normalized():
@@ -182,8 +178,11 @@ def test_bundle_reports_raw_and_normalized():
     bundle = episode_loss(inst.net, inst.clf, inst.support,
                           inst.query_features, inst.query_labels, inst.cfg,
                           bg_features=inst.bg_features)
+    raw = _episode(inst, LossConfig.for_stage(2, 1.0, 1.0, tau=10.0, normalize=False),
+                   grads=False)
     n = bundle.n_queries
-    assert bundle.l_match == pytest.approx(bundle.raw["l_match"] / n, rel=1e-12)
+    assert raw.n_queries == n
+    assert bundle.l_match == pytest.approx(raw.l_match / n, rel=1e-12)
 
 
 def _episode(inst, cfg=None, **kw):
@@ -219,7 +218,6 @@ def test_value_only_path_equals_gradient_path(variant, monkeypatch):
     assert values.grads is None and full.grads is not None
     for name in ("l_match", "l_kl", "l_align", "l_total"):
         assert getattr(values, name) == getattr(full, name)
-    assert values.raw == full.raw
     assert values.bank.ids == full.bank.ids
     assert np.array_equal(values.bank.P, full.bank.P)
 
@@ -233,9 +231,61 @@ def test_value_only_path_keeps_input_checks():
     inst.query_labels[:] = 1     # every label has a prototype without p0
     with pytest.raises(ValueError, match="classifier width"):
         _episode(inst, bg_features=None, grads=False)
-    batch = QueryBatch(np.zeros((1, 1)), [1])
     with pytest.raises(ValueError, match="tau"):
-        alignment_loss(batch, PrototypeBank([(1, [0.0])]), tau=0.0, grads=False)
+        alignment_loss(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros(1, dtype=np.int64),
+                       tau=0.0, grads=False)
+
+
+@pytest.mark.parametrize("weights,grad_terms", [
+    (None, ["match", "kl", "align"]),
+    ((1.0, 0.0, 0.0), ["match"]),
+    ((0.0, 1.0, 0.0), ["kl"]),
+    ((0.0, 0.0, 1.0), ["align"]),
+], ids=["config", "match", "kl", "align"])
+def test_zero_weight_terms_skip_gradient_algebra(weights, grad_terms, monkeypatch):
+    # every term's value is computed, its gradient only where its weight
+    # is nonzero, and matching and KL share one distance matrix
+    calls = {}
+    for name, term in (("match", "matching_loss"), ("kl", "kl_loss"),
+                       ("align", "alignment_loss")):
+        def spy(*args, _fn=getattr(losses, term), _name=name, **kw):
+            calls[_name] = kw["grads"]
+            return _fn(*args, **kw)
+        monkeypatch.setattr(losses, term, spy)
+    distances = []
+    sq = losses.sq_distances
+    monkeypatch.setattr(losses, "sq_distances", lambda *a: distances.append(1) or sq(*a))
+    bundle = _episode(random_instance(15), grad_weights=weights)
+    assert sorted(t for t, g in calls.items() if g) == sorted(grad_terms)
+    assert set(calls) == {"match", "kl", "align"} and len(distances) == 1
+    assert bundle.l_kl > 0 and bundle.l_align > 0
+
+
+def _alignment_by_loop(Q, labels, bank, tau):
+    """The alignment loss over class prototypes only, background-labeled
+    queries skipped: rows and columns picked one at a time."""
+    cols = [i for i, c in enumerate(bank.ids) if c != 0]
+    rows = [i for i, y in enumerate(labels) if int(y) != 0]
+    sub_ids = [bank.ids[i] for i in cols]
+    y = np.asarray([sub_ids.index(int(labels[i])) for i in rows])
+    value, dQs, dPs = alignment_loss(Q[rows], bank.P[cols], y, tau)
+    dQ, dP = np.zeros_like(Q), np.zeros_like(bank.P)
+    dQ[rows] = dQs
+    dP[cols] = dPs
+    return value, dQ, dP
+
+
+def test_alignment_without_background_matches_the_loop():
+    rng = make_rng(16)
+    bank = PrototypeBank([(c, rng.normal(size=4)) for c in range(4)])
+    for labels in ([0, 1, 2, 3, 0, 2], [3, 3, 1], [0, 0]):
+        Q = rng.normal(size=(len(labels), 4))
+        got = alignment_loss(Q, bank.P, label_rows(bank, labels), 2.0,
+                             skip=bank.index_of(0))
+        want = _alignment_by_loop(Q, labels, bank, 2.0) if any(labels) else \
+            (0.0, np.zeros_like(Q), np.zeros_like(bank.P))
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
 
 
 @pytest.mark.parametrize("term", ["match", "kl", "align", "total"])
