@@ -7,12 +7,16 @@ layers, default 2). The classifier produces C+1 logits, index 0
 being the background class. For training, the parameters of both
 live in one contiguous vector (`bind_params`).
 
+Both run in the dtype of their parameters, float32 or float64 (any
+other input becomes float64), and cast their inputs to it: training
+binds float32 parameters, the gradient audit float64 ones.
+
 A checkpoint (format protodetect-checkpoint-v2) is one uncompressed
 .npz archive holding that vector, the (out, in) shape of every W, the
-background prototype p0 that training put in its final bank, and a
-JSON provenance string, so eval needs nothing else from training.
-`load_checkpoint` also reads the per-layer JSON documents of format
-protodetect-checkpoint-v1, which carry no p0.
+background prototype p0 that training put in its final bank, both in
+the parameters' dtype, and a JSON provenance string, so eval needs
+nothing else from training. `load_checkpoint` also reads the per-layer
+JSON documents of format protodetect-checkpoint-v1, which carry no p0.
 """
 
 import json
@@ -21,6 +25,15 @@ import numpy as np
 
 from .archive import load_archive, save_archive
 from .numeric import make_rng
+
+
+DTYPES = (np.float32, np.float64)
+
+
+def _float(a):
+    """a as a float32 array if it is one, otherwise as float64."""
+    a = np.asarray(a)
+    return a if a.dtype == np.float32 else np.asarray(a, dtype=np.float64)
 
 
 def _glorot(rng, fan_out, fan_in):
@@ -36,8 +49,7 @@ class EmbeddingNet:
     """
 
     def __init__(self, layers):
-        self.layers = [(np.asarray(W, dtype=np.float64), np.asarray(b, dtype=np.float64))
-                       for W, b in layers]
+        self.layers = [(_float(W), _float(b)) for W, b in layers]
         if not self.layers:
             raise ValueError("net has no layers")
         for W, b in self.layers:
@@ -55,6 +67,10 @@ class EmbeddingNet:
     def out_dim(self):
         return self.layers[-1][0].shape[0]
 
+    @property
+    def dtype(self):
+        return self.layers[0][0].dtype
+
     @classmethod
     def init(cls, rng, in_dim, hidden_dim=512, out_dim=128, depth=2):
         """Glorot-uniform init; depth counts linear layers (>= 2)."""
@@ -69,7 +85,7 @@ class EmbeddingNet:
 
     def forward_batch(self, X):
         """Embed rows of X (N, d) -> (Q (N, e), cache for backward)."""
-        X = np.asarray(X, dtype=np.float64)
+        X = np.asarray(X, dtype=self.dtype)
         if X.ndim != 2 or X.shape[1] != self.in_dim:
             raise ValueError(f"expected (N, {self.in_dim}) input, got {X.shape}")
         acts = [X]
@@ -88,12 +104,16 @@ class EmbeddingNet:
 
         Returns the layer grads [(dW, db), ...], written into the arrays
         of `out` when it is given (the net's views of a gradient vector,
-        `param_vector`); the input gradient is never formed.
+        `param_vector`); the input gradient is never formed. dQ is cast
+        to the net's dtype, and entries below its smallest normal number
+        become 0: subnormal operands slow float32 matrix products
+        several-fold and move no gradient entry that matters.
         """
         acts = cache
-        dQ = np.asarray(dQ, dtype=np.float64)
+        dQ = np.array(dQ, dtype=self.dtype)
         if dQ.shape != (acts[0].shape[0], self.out_dim):
             raise ValueError("gradient shape does not match cached forward")
+        dQ[np.abs(dQ) < np.finfo(dQ.dtype).tiny] = 0.0
         grads = out if out is not None else [
             (np.empty_like(W), np.empty_like(b)) for W, b in self.layers]
         dh = dQ
@@ -111,8 +131,8 @@ class LinearClassifier:
     """C+1 way linear head over embeddings (row 0 = background)."""
 
     def __init__(self, W, b):
-        self.W = np.asarray(W, dtype=np.float64)
-        self.b = np.asarray(b, dtype=np.float64)
+        self.W = _float(W)
+        self.b = _float(b)
         if self.W.ndim != 2 or self.b.shape != (self.W.shape[0],):
             raise ValueError("inconsistent classifier shapes")
 
@@ -125,17 +145,18 @@ class LinearClassifier:
         return cls(_glorot(rng, n_classes, emb_dim), np.zeros(n_classes))
 
     def logits_batch(self, Q):
-        Q = np.asarray(Q, dtype=np.float64)
+        Q = np.asarray(Q, dtype=self.W.dtype)
         if Q.shape[1] != self.W.shape[1]:
             raise ValueError("embedding dim mismatch")
         return Q @ self.W.T + self.b
 
 
 # --- the parameter vector ----------------------------------------------------
-# Every trainable parameter lives in one contiguous float64 vector, in the
-# order W1, b1, ..., Wk, bk (the net's layers), then the classifier's W and
-# b, each row-major. Gradients use the same layout, so the optimizer and the
-# gradient audit work on plain vectors.
+# Every trainable parameter lives in one contiguous vector of the training
+# dtype (float32 in training, float64 in the gradient audit), in the order
+# W1, b1, ..., Wk, bk (the net's layers), then the classifier's W and b,
+# each row-major. Gradients use the same layout and dtype, so the optimizer
+# and the gradient audit work on plain vectors.
 
 def flatten(layers, clf_pair):
     """One vector in the parameter layout from the net's (W, b) pairs and
@@ -159,17 +180,18 @@ def param_vector(net, clf):
     """A new, unfilled vector in the parameter layout of (net, clf) and
     its (W, b) views, the net's layers then the classifier's pair."""
     pairs = (*net.layers, (clf.W, clf.b))
-    theta = np.empty(sum(W.size + b.size for W, b in pairs))
+    theta = np.empty(sum(W.size + b.size for W, b in pairs), dtype=net.dtype)
     return theta, _views(theta, [W.shape for W, _ in pairs])
 
 
-def bind_params(net, clf):
-    """Move the parameters of (net, clf) into one vector and return it.
+def bind_params(net, clf, dtype=np.float64):
+    """Move the parameters of (net, clf) into one vector of `dtype` and
+    return it.
 
     Afterwards every W and b of the net and the classifier is a view
     into the returned vector, so writing to the vector moves the model.
     """
-    theta = flatten(net.layers, (clf.W, clf.b))
+    theta = flatten(net.layers, (clf.W, clf.b)).astype(dtype, copy=False)
     *net.layers, (clf.W, clf.b) = _views(
         theta, [W.shape for W, _ in (*net.layers, (clf.W, clf.b))])
     return theta
@@ -184,13 +206,15 @@ V1_FORMAT = "protodetect-checkpoint-v1"
 def save_checkpoint(path, net, clf, p0, extra=None):
     """Write (net, clf), the background prototype p0 and the provenance
     `extra` to `path` as a v2 archive (`archive.save_archive`, so at
-    exactly `path`, with stable bytes)."""
+    exactly `path`, with stable bytes). theta and p0 are stored in the
+    dtype of the parameters."""
     pairs = (*net.layers, (clf.W, clf.b))
+    theta = flatten(net.layers, (clf.W, clf.b))
     save_archive(path, {
         "format": np.array(FORMAT),
         "shapes": np.array([W.shape for W, _ in pairs], dtype=np.int64),
-        "theta": flatten(net.layers, (clf.W, clf.b)),
-        "p0": np.asarray(p0, dtype=np.float64),
+        "theta": theta,
+        "p0": np.asarray(p0, dtype=theta.dtype),
         "provenance": np.array(json.dumps(extra or {}, sort_keys=True))})
 
 
@@ -210,11 +234,13 @@ def _from_entries(entry):
     if (shapes[1:, 1] != shapes[:-1, 0]).any():
         raise ValueError("shapes: layer dims do not chain")
     for name, a in (("theta", theta), ("p0", p0)):
-        if a.dtype != np.float64 or a.ndim != 1:
+        if a.dtype not in DTYPES or a.ndim != 1:
             raise ValueError(f"{name}: {a.dtype} array of shape {a.shape}, "
-                             f"expected a float64 vector")
+                             f"expected a float32 or float64 vector")
         if not np.isfinite(a).all():
             raise ValueError(f"{name}: non-finite values")
+    if p0.dtype != theta.dtype:
+        raise ValueError(f"p0: {p0.dtype}, expected theta's {theta.dtype}")
     shapes = shapes.tolist()
     size = sum(n_out * (n_in + 1) for n_out, n_in in shapes)
     if theta.size != size:
@@ -256,13 +282,15 @@ def load_checkpoint(path):
                         lambda doc: (*checkpoint_from_dict(doc), None))
 
 
-def default_net_and_classifier(seed, in_dim, hidden_dim, emb_dim, n_classes, depth=2):
+def default_net_and_classifier(seed, in_dim, hidden_dim, emb_dim, n_classes, depth=2,
+                               dtype=np.float64):
     """Seeded init of the (net, classifier) pair used throughout.
 
-    Returns (net, clf, theta): theta is the one parameter vector that
-    the net's and the classifier's arrays are views into (`bind_params`).
+    Returns (net, clf, theta): theta is the one parameter vector of
+    `dtype` that the net's and the classifier's arrays are views into
+    (`bind_params`). The draws are float64 whatever the dtype.
     """
     rng = make_rng(seed)
     net = EmbeddingNet.init(rng, in_dim, hidden_dim, emb_dim, depth)
     clf = LinearClassifier.init(rng, n_classes + 1, emb_dim)
-    return net, clf, bind_params(net, clf)
+    return net, clf, bind_params(net, clf, dtype)

@@ -27,6 +27,11 @@ prototype gradients (each support or pool row receiving dP / n of its
 segment) into the net, writing into one vector in the parameter layout
 of `embedder.bind_params`. Training and the gradient audit's probes
 share this one implementation.
+
+The net computes in the dtype of its parameters (float32 in training,
+float64 in the gradient audit); its output is cast to float64, so
+prototypes, distances, log-sum-exp and loss sums are float64 whatever
+that dtype. The gradient vector has the parameters' dtype.
 """
 
 from dataclasses import dataclass
@@ -198,7 +203,8 @@ def episode_loss(net, clf, support, query_features, query_labels, cfg,
     a kl_stop_teacher config).
 
     bundle.grads is one vector in the parameter layout of
-    `embedder.bind_params` (net layers, then classifier). grads=False
+    `embedder.bind_params` (net layers, then classifier), in the dtype
+    of the net's parameters. grads=False
     returns the loss values only (bundle.grads is None): the forward
     pass, the loss values and every input check are the same as with
     gradients, but no backward pass runs.
@@ -214,6 +220,7 @@ def episode_loss(net, clf, support, query_features, query_labels, cfg,
     n_proto_rows = sum(counts)
     parts.append(np.asarray(query_features, dtype=np.float64))
     E, cache = net.forward_batch(np.concatenate(parts))
+    E = np.asarray(E, dtype=np.float64)     # the loss head runs in float64
 
     entries = list(zip(seg_ids, segment_means(E, counts)))
     if not has_pool and frozen_p0 is not None:

@@ -9,8 +9,12 @@ through the net (`losses.episode_loss`, which also rebuilds the
 prototypes through the current net). The gradient comes back as one
 vector in the layout of the parameter vector (`embedder.bind_params`),
 so clipping and the AdamW update are a few in-place vector operations.
-The loop is single-threaded in Python and fully deterministic in
-(config, dataset, seed), whatever the BLAS thread count.
+That vector, the net's arithmetic, the AdamW moments and the checkpoint
+are float32 (`TRAIN_DTYPE`); the loss head and the gradient norm are
+computed in float64. Every step's background queries come from the
+pools taken from the training scenes before the first step. The loop
+is single-threaded in Python and fully deterministic in (config,
+dataset, seed), whatever the BLAS thread count.
 
 `background_prototype` computes p0 for the final bank, which the
 checkpoint stores, and for evaluation from a v1 checkpoint, which does
@@ -34,6 +38,9 @@ from .simulator import IGNORE, augment_feature, label_proposals
 FULL_SPLIT = "full"
 PARTIAL_SPLIT = "partial"
 NO_POOL = "no background pool in training scenes"
+# the dtype of the parameter vector, the net's arithmetic and the
+# checkpoint; the loss head computes in float64 whatever it is
+TRAIN_DTYPE = np.float32
 
 
 @dataclass
@@ -130,8 +137,9 @@ class AdamW:
 
 def clip_global_norm(grads, max_norm):
     """Scale the gradient vector in place to norm <= max_norm; returns the pre-clip norm."""
-    # np.sum, not a BLAS dot: its result does not depend on the thread count
-    norm = float(np.sqrt(np.sum(np.square(grads))))
+    # np.sum, not a BLAS dot: its result does not depend on the thread
+    # count; float64 squares and sum whatever the gradient's dtype
+    norm = float(np.sqrt(np.sum(np.square(grads, dtype=np.float64))))
     if max_norm > 0 and norm > max_norm:
         grads *= max_norm / norm
     return norm
@@ -233,7 +241,7 @@ def train(world, cfg):
     n_classes = len(support.class_ids)
     net, clf, theta = default_net_and_classifier(
         cfg.seed, support.feature_dim, cfg.hidden_dim, cfg.emb_dim,
-        n_classes, cfg.mlp_depth)
+        n_classes, cfg.mlp_depth, TRAIN_DTYPE)
     rng = make_rng(cfg.seed + 1)
     opt = AdamW(theta, cfg)
     sigma_f = world.config.sigma_f

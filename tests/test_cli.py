@@ -15,7 +15,8 @@ import protodetect
 from protodetect.cli import main
 from protodetect.config import (ConfigError, RunConfig, apply_overrides,
                                 load_run_config)
-from protodetect.embedder import load_checkpoint
+from protodetect.embedder import (EmbeddingNet, LinearClassifier, load_checkpoint,
+                                  save_checkpoint)
 from protodetect.simulator import load_world
 from protodetect.trainer import background_prototype
 
@@ -491,11 +492,23 @@ def test_malformed_checkpoint_exit_2(trained, tmp_path, mutate, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+def float64_checkpoint(trained, path):
+    """A float64 v2 checkpoint of the trained weights, holding the p0
+    that eval rebuilds for a v1 checkpoint of them."""
+    _, data, ckpt, _ = trained
+    net, clf, _ = load_checkpoint(ckpt)
+    net = EmbeddingNet([(W.astype(np.float64), b.astype(np.float64)) for W, b in net.layers])
+    clf = LinearClassifier(clf.W.astype(np.float64), clf.b.astype(np.float64))
+    save_checkpoint(path, net, clf, background_prototype(net, load_world(data).train_scenes))
+    return path
+
+
 def test_v1_checkpoint_gives_the_same_artifacts(trained, tmp_path):
     v1 = write_v1(tmp_path / "v1.json", v1_checkpoint(trained[2]))
+    v2 = float64_checkpoint(trained, tmp_path / "v2.npz")
     for mode in ("fewshot", "openset"):
         assert eval_on_checkpoint(trained, v1, tmp_path / f"v1-{mode}", mode) == 0
-        assert eval_on_checkpoint(trained, trained[2], tmp_path / f"v2-{mode}", mode) == 0
+        assert eval_on_checkpoint(trained, v2, tmp_path / f"v2-{mode}", mode) == 0
         for suffix in (".json", ".csv", ".detections.json"):
             assert ((tmp_path / f"v1-{mode}{suffix}").read_bytes()
                     == (tmp_path / f"v2-{mode}{suffix}").read_bytes()), mode + suffix
@@ -521,7 +534,8 @@ V2_CHECKPOINT_MUTATIONS = {
     "missing_entry": lambda e: e.pop("p0"),
     "retagged": lambda e: e.update(format=np.array("protodetect-checkpoint-v3")),
     "object_theta": lambda e: e.update(theta=e["theta"].astype(object)),
-    "float32_theta": lambda e: e.update(theta=e["theta"].astype(np.float32)),
+    "float16_theta": lambda e: e.update(theta=e["theta"].astype(np.float16)),
+    "mixed_dtype": lambda e: e.update(theta=e["theta"].astype(np.float64)),
     "unchained_shapes": _unchained_shapes,
     "short_theta": lambda e: e.update(theta=e["theta"][:-1]),
     "long_theta": lambda e: e.update(theta=np.append(e["theta"], 0.0)),
@@ -553,12 +567,32 @@ def test_overflowing_checkpoint_exit_2(trained, tmp_path, capsys):
     # finite weights whose embeddings overflow are bad input, not divergence
     entries = v2_entries(trained[2])
     n_out, n_in = entries["shapes"][0]
-    entries["theta"][:n_out * n_in] = 1e308      # the first layer's W
+    entries["theta"][:n_out * n_in] = 3e38       # the first layer's W, finite in float32
     bad = write_v2(tmp_path / "bad.npz", entries)
     assert eval_on_checkpoint(trained, bad, tmp_path / "r") == 2
     assert ("cannot evaluate checkpoint: non-finite embeddings"
             in capsys.readouterr().err)
     assert not list(tmp_path.glob("r.*"))
+
+
+def test_checkpoint_stores_the_training_dtype(trained):
+    with np.load(trained[2], allow_pickle=False) as archive:
+        assert archive["theta"].dtype == archive["p0"].dtype == np.float32
+    net, clf, p0 = load_checkpoint(trained[2])
+    assert net.dtype == clf.W.dtype == p0.dtype == np.float32
+
+
+def test_float64_v2_checkpoint_still_evaluates(trained, tmp_path, capsys):
+    # checkpoints written before training moved to float32 hold float64
+    # entries; eval then computes in float64
+    ckpt = float64_checkpoint(trained, tmp_path / "c64.npz")
+    net, clf, p0 = load_checkpoint(ckpt)
+    assert net.dtype == clf.W.dtype == p0.dtype == np.float64
+    assert net.forward_batch(np.zeros((1, net.in_dim)))[0].dtype == np.float64
+    for mode in ("fewshot", "openset"):
+        assert eval_on_checkpoint(trained, ckpt, tmp_path / mode, mode) == 0
+        assert f"{mode}: mAP=" in capsys.readouterr().out
+        assert (tmp_path / f"{mode}.detections.json").exists()
 
 
 # --- outputs that cannot be written, a world without background -------------

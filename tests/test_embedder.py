@@ -104,6 +104,32 @@ def test_relu_derivative_at_zero_is_zero():
     assert np.array_equal(dW1[1], [0.0, 1.0]) and db1[1] == 1.0
 
 
+def test_float32_backward_flushes_subnormal_gradients():
+    # 1e-40 is a float32 subnormal: the backward pass treats it as 0
+    W1, b1 = small_net(5).layers[0]
+    net = EmbeddingNet([(W1.astype(np.float32), np.ones(7, dtype=np.float32)),
+                        (make_rng(6).normal(size=(4, 7)).astype(np.float32),
+                         np.zeros(4, dtype=np.float32))])
+    _, cache = net.forward_batch(make_rng(7).normal(size=(3, 5)))
+    dQ = make_rng(8).normal(size=(3, 4))
+    dQ[:, 0] = 0.0
+    flushed = net.backward_batch(cache, dQ)
+    dQ[:, 0] = 1e-40
+    tiny = net.backward_batch(cache, dQ)
+    for (dW, db), (tW, tb) in zip(flushed, tiny):
+        assert dW.dtype == np.float32
+        assert np.array_equal(dW, tW) and np.array_equal(db, tb)
+
+
+def test_nets_keep_float32_and_cast_inputs():
+    net = EmbeddingNet([(np.eye(2, dtype=np.float32), np.zeros(2, dtype=np.float32))] * 2)
+    clf = LinearClassifier(np.ones((3, 2), dtype=np.float32), np.zeros(3, dtype=np.float32))
+    Q, _ = net.forward_batch(np.array([[1.0, 2.0]]))
+    assert net.dtype == Q.dtype == clf.logits_batch(Q.astype(np.float64)).dtype == np.float32
+    # integer and list parameters become float64
+    assert EmbeddingNet([(np.eye(2, dtype=int), [0, 0])]).dtype == np.float64
+
+
 def test_classifier_uniform_at_zero_params():
     clf = LinearClassifier(np.zeros((4, 3)), np.zeros(4))
     p = softmax(clf.logits_batch(np.array([[1.0, 2.0, 3.0]]))[0])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from protodetect import losses
-from protodetect.embedder import LinearClassifier
+from protodetect.embedder import EmbeddingNet, LinearClassifier
 from protodetect.gradcheck import check_term, random_instance
 from protodetect.losses import LossConfig, alignment_loss, episode_loss
 from protodetect.numeric import make_rng
@@ -312,6 +312,31 @@ def test_gradients_with_stop_teacher_and_deeper_nets():
     assert worst <= 1e-4
     corrupted = check_term(random_instance(0, depth=3, cfg=stop), corrupt=True)
     assert all(err > 1e-4 for err in corrupted.values())
+
+
+def _float32_copy(inst):
+    """(net, clf) with inst's parameters cast to float32."""
+    net = EmbeddingNet([(W.astype(np.float32), b.astype(np.float32))
+                        for W, b in inst.net.layers])
+    return net, LinearClassifier(inst.clf.W.astype(np.float32), inst.clf.b.astype(np.float32))
+
+
+@pytest.mark.parametrize("shape", ["d8", "a3"])
+def test_float32_gradients_agree_with_float64(shape):
+    # float32 nets, float64 loss head: every term's gradient within 1e-5
+    # of the largest float64 entry (float32 eps is about 1.2e-7)
+    kw = {} if shape == "d8" else dict(d=64, hidden=512, e=128, n_classes=5,
+                                       shots=5, n_queries=100, n_bg=8)
+    for seed in range(4 if shape == "d8" else 2):
+        inst = random_instance(seed, **kw)
+        net32, clf32 = _float32_copy(inst)
+        for weights in (None, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)):
+            g64 = _episode(inst, grad_weights=weights).grads
+            g32 = episode_loss(net32, clf32, inst.support, inst.query_features,
+                               inst.query_labels, inst.cfg, bg_features=inst.bg_features,
+                               grad_weights=weights).grads
+            assert g64.dtype == np.float64 and g32.dtype == np.float32
+            assert np.max(np.abs(g32 - g64)) <= 1e-5 * np.max(np.abs(g64))
 
 
 def _segment_case(seed, case):

@@ -200,6 +200,16 @@ def test_training_deterministic_bit_identical():
     assert r1.log == r2.log
 
 
+def test_training_binds_float32_parameters():
+    res = train(small_world(), small_train_cfg())
+    arrays = [a for pair in (*res.net.layers, (res.clf.W, res.clf.b)) for a in pair]
+    assert all(a.dtype == np.float32 for a in arrays)
+    assert all(a.base is arrays[0].base for a in arrays)
+    # the gradient audit's instances stay float64
+    from protodetect.gradcheck import random_instance
+    assert random_instance(0).theta.dtype == np.float64
+
+
 def test_training_log_serializes(tmp_path):
     world = small_world()
     res = train(world, small_train_cfg())
