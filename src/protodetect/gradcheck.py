@@ -10,8 +10,10 @@ term's weights.
 
 The parameters of net and classifier are views into one vector
 (`embedder.bind_params`) and `episode_loss` returns its gradient in
-the same layout, so the sweep moves entries of that vector. The
-reported error for a term is
+the same layout, so the sweep moves entries of that vector. Instances
+are float64, since central differences at h = 1e-6 need it; training
+runs the same code on float32 parameters. The reported error for a
+term is
 
     max_i |analytic_i - numeric_i| / max(scale, 1e-8)
 
