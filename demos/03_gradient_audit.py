@@ -6,7 +6,8 @@ parameter by +/- h and difference the loss. This script runs that
 audit for the matching, KL, and alignment terms and their weighted
 sum, over a spread of random instances, and prints the worst relative
 error seen for each. One sweep per instance serves all four terms:
-every probe is a value-only evaluation of the episode loss.
+every probe is a row of one stacked value-only evaluation of the
+episode loss.
 """
 
 from protodetect.gradcheck import TERMS, check_term, random_instance, run_suite

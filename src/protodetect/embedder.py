@@ -9,7 +9,9 @@ live in one contiguous vector (`bind_params`).
 
 Both run in the dtype of their parameters, float32 or float64 (any
 other input becomes float64), and cast their inputs to it: training
-binds float32 parameters, the gradient audit float64 ones.
+binds float32 parameters, the gradient audit float64 ones. Forward
+passes also take stacked parameters (W (B, out, in), b (B, out), one
+probe per row, `model_views`) and give stacked outputs; backward does not.
 
 A checkpoint (format protodetect-checkpoint-v2) is one uncompressed
 .npz archive holding that vector, the (out, in) shape of every W, the
@@ -53,19 +55,19 @@ class EmbeddingNet:
         if not self.layers:
             raise ValueError("net has no layers")
         for W, b in self.layers:
-            if W.ndim != 2 or b.ndim != 1 or W.shape[0] != b.shape[0]:
+            if W.ndim < 2 or W.shape[:-1] != b.shape:
                 raise ValueError("inconsistent layer shapes")
         for (W1, _), (W2, _) in zip(self.layers, self.layers[1:]):
-            if W2.shape[1] != W1.shape[0]:
+            if W2.shape[-1] != W1.shape[-2]:
                 raise ValueError("layer dims do not chain")
 
     @property
     def in_dim(self):
-        return self.layers[0][0].shape[1]
+        return self.layers[0][0].shape[-1]
 
     @property
     def out_dim(self):
-        return self.layers[-1][0].shape[0]
+        return self.layers[-1][0].shape[-2]
 
     @property
     def dtype(self):
@@ -84,14 +86,14 @@ class EmbeddingNet:
         return cls(layers)
 
     def forward_batch(self, X):
-        """Embed rows of X (N, d) -> (Q (N, e), cache for backward)."""
+        """Embed rows of X (N, d) -> (Q (..., N, e), cache for backward)."""
         X = np.asarray(X, dtype=self.dtype)
         if X.ndim != 2 or X.shape[1] != self.in_dim:
             raise ValueError(f"expected (N, {self.in_dim}) input, got {X.shape}")
         acts = [X]
         h = X
         for i, (W, b) in enumerate(self.layers):
-            z = h @ W.T + b
+            z = h @ W.swapaxes(-1, -2) + b[..., None, :]
             if i < len(self.layers) - 1:
                 h = np.maximum(z, 0.0)
                 acts.append(h)
@@ -133,12 +135,12 @@ class LinearClassifier:
     def __init__(self, W, b):
         self.W = _float(W)
         self.b = _float(b)
-        if self.W.ndim != 2 or self.b.shape != (self.W.shape[0],):
+        if self.W.ndim < 2 or self.b.shape != self.W.shape[:-1]:
             raise ValueError("inconsistent classifier shapes")
 
     @property
     def n_classes(self):
-        return self.W.shape[0]
+        return self.W.shape[-2]
 
     @classmethod
     def init(cls, rng, n_classes, emb_dim):
@@ -146,9 +148,9 @@ class LinearClassifier:
 
     def logits_batch(self, Q):
         Q = np.asarray(Q, dtype=self.W.dtype)
-        if Q.shape[1] != self.W.shape[1]:
+        if Q.shape[-1] != self.W.shape[-1]:
             raise ValueError("embedding dim mismatch")
-        return Q @ self.W.T + self.b
+        return Q @ self.W.swapaxes(-1, -2) + self.b[..., None, :]
 
 
 # --- the parameter vector ----------------------------------------------------
@@ -166,12 +168,13 @@ def flatten(layers, clf_pair):
 
 def _views(theta, shapes):
     """The (W, b) pairs of the parameter layout, as views into theta,
-    for the (out, in) shape of every W in layout order."""
-    pairs, at = [], 0
+    for the (out, in) shape of every W in layout order. A (B, n) stack
+    of vectors gives (B, out, in) and (B, out) views."""
+    pairs, at, lead = [], 0, theta.shape[:-1]
     for n_out, n_in in shapes:
-        W = theta[at:at + n_out * n_in].reshape(n_out, n_in)
+        W = theta[..., at:at + n_out * n_in].reshape(*lead, n_out, n_in)
         at += n_out * n_in
-        pairs.append((W, theta[at:at + n_out]))
+        pairs.append((W, theta[..., at:at + n_out]))
         at += n_out
     return pairs
 
@@ -182,6 +185,14 @@ def param_vector(net, clf):
     pairs = (*net.layers, (clf.W, clf.b))
     theta = np.empty(sum(W.size + b.size for W, b in pairs), dtype=net.dtype)
     return theta, _views(theta, [W.shape for W, _ in pairs])
+
+
+def model_views(theta, net, clf):
+    """(net, clf) shaped like (net, clf), viewing theta: one vector in
+    their parameter layout or a (B, n) stack of them (stacked parameters)."""
+    shapes = [W.shape[-2:] for W, _ in (*net.layers, (clf.W, clf.b))]
+    *layers, (W, b) = _views(theta, shapes)
+    return EmbeddingNet(layers), LinearClassifier(W, b)
 
 
 def bind_params(net, clf, dtype=np.float64):

@@ -1,19 +1,18 @@
 """Finite-difference verification of every analytic gradient.
 
 One central-difference sweep (h = 1e-6) per instance audits every term
-at once. Each parameter entry is moved by +h and by -h, and each of the
-two probes is a single value-only `episode_loss` call (grads=False: the
-same forward arithmetic, no backward pass) whose bundle yields the
-match, kl, align and total values together. The analytic gradient of
+at once. Each parameter entry is moved by +h and by -h, and each probe
+is one row of a stack of copies of the parameter vector: one value-only
+`episode_loss` call (grads=False: the same forward arithmetic, no
+backward pass) on a stack yields the match, kl, align and total values
+of a block of probes, each bit-equal to a call on its row alone. A
+block's stack stays under `PROBE_BLOCK_BYTES` (a d=8 instance takes one
+block); the instance itself is never written. The analytic gradient of
 each term comes from one gradient-path `episode_loss` call with that
-term's weights.
-
-The parameters of net and classifier are views into one vector
-(`embedder.bind_params`) and `episode_loss` returns its gradient in
-the same layout, so the sweep moves entries of that vector. Instances
-are float64, since central differences at h = 1e-6 need it; training
-runs the same code on float32 parameters. The reported error for a
-term is
+term's weights, in the layout of the vector (`embedder.bind_params`).
+Instances are float64, since central differences at h = 1e-6 need it;
+training runs the same code on float32 parameters. The reported error
+for a term is
 
     max_i |analytic_i - numeric_i| / max(scale, 1e-8)
 
@@ -28,12 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedder import default_net_and_classifier
+from .embedder import default_net_and_classifier, model_views
 from .losses import LossConfig, episode_loss, proto_posteriors
 from .numeric import make_rng
 from .prototypes import SupportSet
 
 TERMS = ("match", "kl", "align", "total")
+
+# bytes of stacked parameter vectors per value-only call of the sweep
+PROBE_BLOCK_BYTES = 1 << 22
 
 
 def _grad_weights(term, cfg):
@@ -96,8 +98,8 @@ def check_term(inst, terms=TERMS, h=1e-6, corrupt=False):
     term before comparison; the harness must then report a failure
     for every term (sanity check of the check).
     """
-    def loss(**kw):
-        return episode_loss(inst.net, inst.clf, inst.support,
+    def loss(net=inst.net, clf=inst.clf, **kw):
+        return episode_loss(net, clf, inst.support,
                             inst.query_features, inst.query_labels, inst.cfg,
                             bg_features=inst.bg_features,
                             frozen_p0=inst.frozen_p0, **kw)
@@ -115,21 +117,21 @@ def check_term(inst, terms=TERMS, h=1e-6, corrupt=False):
         Q0, _ = inst.net.forward_batch(inst.query_features)
         teacher = proto_posteriors(Q0, loss(grads=False).bank.P)
 
-    def values():
-        bundle = loss(grads=False, kl_teacher=teacher)
-        return np.array([_term_value(bundle, t) for t in terms])
-
-    # numeric[j, i]: d(term j) / d(entry i of the parameter vector)
+    # numeric[j, i]: d(term j) / d(entry i of the parameter vector);
+    # rows r and m + r of a block's stack move entry i = start + r by +h, -h
     theta = inst.theta
     numeric = np.zeros((len(terms), theta.size))
-    for i in range(theta.size):
-        orig = theta[i]
-        theta[i] = orig + h
-        f_plus = values()
-        theta[i] = orig - h
-        f_minus = values()
-        theta[i] = orig
-        numeric[:, i] = (f_plus - f_minus) / (2.0 * h)
+    block = max(1, PROBE_BLOCK_BYTES // (2 * theta.nbytes))
+    for start in range(0, theta.size, block):
+        idx = np.arange(start, min(start + block, theta.size))
+        m, r = idx.size, np.arange(idx.size)
+        stack = np.tile(theta, (2 * m, 1))
+        stack[r, idx] = theta[idx] + h
+        stack[m + r, idx] = theta[idx] - h
+        bundle = loss(*model_views(stack, inst.net, inst.clf),
+                      grads=False, kl_teacher=teacher)
+        f = np.array([_term_value(bundle, t) for t in terms])
+        numeric[:, idx] = (f[:, :m] - f[:, m:]) / (2.0 * h)
 
     return {t: _max_rel_err(analytic[t], numeric[j]) for j, t in enumerate(terms)}
 
@@ -138,7 +140,7 @@ def run_suite(seeds=range(20), terms=TERMS, instance_kwargs=None,
               corrupt=False):
     """Gradient-check every loss term over seeded random instances.
 
-    Returns {term: max error over all seeds}.
+    Returns {term: max error over all seeds}, NaN if any error is NaN.
     """
     instance_kwargs = instance_kwargs or {}
     results = {t: 0.0 for t in terms}
@@ -146,5 +148,5 @@ def run_suite(seeds=range(20), terms=TERMS, instance_kwargs=None,
         errors = check_term(random_instance(seed, **instance_kwargs), terms,
                             corrupt=corrupt)
         for t in terms:
-            results[t] = max(results[t], errors[t])
+            results[t] = float(np.maximum(results[t], errors[t]))
     return results

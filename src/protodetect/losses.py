@@ -32,6 +32,10 @@ The net computes in the dtype of its parameters (float32 in training,
 float64 in the gradient audit); its output is cast to float64, so
 prototypes, distances, log-sum-exp and loss sums are float64 whatever
 that dtype. The gradient vector has the parameters' dtype.
+
+The value path (grads=False) also takes parameters with a leading
+probe axis (`embedder.model_views` of a stack of vectors): each loss
+value is then one float per probe, bit-equal to the unstacked call.
 """
 
 from dataclasses import dataclass
@@ -93,10 +97,17 @@ def _label_indices(labels, bank):
     return idx
 
 
+def _query_sum(a):
+    """Sum over the last (query) axis: a float, or one per probe."""
+    # a stacked gather is not C-ordered; numpy would sum it in another order
+    s = np.sum(np.ascontiguousarray(a), axis=-1)
+    return float(s) if s.ndim == 0 else s
+
+
 def proto_posteriors(Q, P):
     """(log P(prototype k | q), P(prototype k | q)) for each query row:
     the log-softmax of -|q - p_k|^2 and its exp."""
-    logp = log_softmax(-sq_distances(Q, P), axis=1)
+    logp = log_softmax(-sq_distances(Q, P), axis=-1)
     return logp, np.exp(logp)
 
 
@@ -104,8 +115,8 @@ def matching_loss(Q, P, y_idx, post, grads=True):
     """NLL of each query's true prototype (row y_idx of P) under the
     posteriors post = proto_posteriors(Q, P); (value, dQ, dP)."""
     logp, p = post
-    rows = np.arange(Q.shape[0])
-    value = -float(np.sum(logp[rows, y_idx]))
+    rows = np.arange(Q.shape[-2])
+    value = -_query_sum(logp[..., rows, y_idx])
     if not grads:
         return value, None, None
     G = p.copy()
@@ -127,13 +138,13 @@ def kl_loss(Q, P, clf, post, stop_teacher=False, grads=True):
     function whose gradient stop_teacher trains, which is what the
     gradient audit differences.
     """
-    if clf.n_classes != P.shape[0]:
+    if clf.n_classes != P.shape[-2]:
         raise ValueError("classifier width must equal bank size")
     logp_proto, p_proto = post
-    logp_clf = log_softmax(clf.logits_batch(Q), axis=1)
+    logp_clf = log_softmax(clf.logits_batch(Q), axis=-1)
     delta_log = logp_proto - logp_clf
-    row_kl = np.sum(p_proto * delta_log, axis=1)
-    value = float(np.sum(row_kl))
+    row_kl = np.sum(p_proto * delta_log, axis=-1)
+    value = _query_sum(row_kl)
     if not grads:
         return value, None, None, None, None
     dU = np.exp(logp_clf) - p_proto
@@ -159,21 +170,21 @@ def alignment_loss(Q, P, y_idx, tau, skip=None, grads=True):
     if tau <= 0:
         raise ValueError("tau must be positive")
     if skip is not None:
-        rows, cols = y_idx != skip, np.arange(P.shape[0]) != skip
+        rows, cols = y_idx != skip, np.arange(P.shape[-2]) != skip
         dQ = np.zeros_like(Q) if grads else None
         dP = np.zeros_like(P) if grads else None
         if not rows.any():
-            return 0.0, dQ, dP
+            return _query_sum(np.zeros(Q.shape[:-1])), dQ, dP
         y = y_idx[rows]
-        value, dQs, dPs = alignment_loss(Q[rows], P[cols], y - (y > skip), tau,
-                                         grads=grads)
+        value, dQs, dPs = alignment_loss(Q[..., rows, :], P[..., cols, :],
+                                         y - (y > skip), tau, grads=grads)
         if grads:
             dQ[rows] = dQs
             dP[cols] = dPs
         return value, dQ, dP
-    logp = log_softmax((Q @ P.T) / tau, axis=1)
-    rows = np.arange(Q.shape[0])
-    value = -float(np.sum(logp[rows, y_idx]))
+    logp = log_softmax((Q @ P.swapaxes(-1, -2)) / tau, axis=-1)
+    rows = np.arange(Q.shape[-2])
+    value = -_query_sum(logp[..., rows, y_idx])
     if not grads:
         return value, None, None
     G = np.exp(logp)
@@ -207,8 +218,10 @@ def episode_loss(net, clf, support, query_features, query_labels, cfg,
     of the net's parameters. grads=False
     returns the loss values only (bundle.grads is None): the forward
     pass, the loss values and every input check are the same as with
-    gradients, but no backward pass runs.
+    gradients, but no backward pass runs; only it takes stacked parameters.
     """
+    if grads and (net.layers[0][0].ndim, clf.W.ndim) != (2, 2):
+        raise ValueError("gradients need unstacked parameters")
     X_sup, counts = support.rows()
     seg_ids = list(support.class_ids)
     parts = [X_sup]
@@ -224,13 +237,14 @@ def episode_loss(net, clf, support, query_features, query_labels, cfg,
 
     entries = list(zip(seg_ids, segment_means(E, counts)))
     if not has_pool and frozen_p0 is not None:
-        entries.append((BACKGROUND_ID, np.asarray(frozen_p0, dtype=np.float64)))
+        p0 = np.asarray(frozen_p0, dtype=np.float64)
+        entries.append((BACKGROUND_ID, np.broadcast_to(p0, E.shape[:-2] + p0.shape)))
     bank = PrototypeBank(entries)
-    Q, P = E[n_proto_rows:], bank.P
+    Q, P = E[..., n_proto_rows:, :], bank.P
     labels = np.asarray(query_labels, dtype=np.int64)
-    if Q.shape[0] == 0:
+    if Q.shape[-2] == 0:
         raise ValueError("empty query batch")
-    if labels.shape != (Q.shape[0],):
+    if labels.shape != (Q.shape[-2],):
         raise ValueError("labels do not match queries")
     y_idx = _label_indices(labels, bank)
 
@@ -246,7 +260,7 @@ def episode_loss(net, clf, support, query_features, query_labels, cfg,
     a_val, dQ_a, dP_a = alignment_loss(Q, P, y_idx, cfg.tau, skip,
                                        grads=grads and w_a != 0)
 
-    n = Q.shape[0]
+    n = Q.shape[-2]
     scale = 1.0 / n if cfg.normalize else 1.0
     lm, lk, la = m_val * scale, k_val * scale, a_val * scale
     bundle = LossBundle(l_match=lm, l_kl=lk, l_align=la,

@@ -1,7 +1,8 @@
 """Small numeric core: stable softmax/log-sum-exp, distances, seeded RNG.
 
 Everything here works on plain float64 numpy arrays. Vectors are 1-D
-arrays, matrices are 2-D row-major arrays. The RNG is numpy's PCG64,
+arrays, matrices are 2-D row-major arrays or stacks of them (leading
+axes, as on the gradient audit's value path). The RNG is numpy's PCG64,
 a well-known 64-bit counter-based generator: identical seeds produce
 identical streams on every platform, which the dataset/checkpoint
 determinism guarantees rely on.
@@ -44,7 +45,8 @@ def softmax(logits, axis=-1):
 
 
 def sq_distances(Q, P):
-    """Pairwise squared distances, rows of Q vs rows of P -> (N, K).
+    """Pairwise squared distances, rows of Q vs rows of P -> (N, K);
+    stacks (..., N, D) and (..., K, D) give (..., N, K).
 
     Computed as the explicit difference rather than the expanded
     q.q + p.p - 2q.p form: the latter can go slightly negative and
@@ -52,7 +54,7 @@ def sq_distances(Q, P):
     """
     Q = np.asarray(Q, dtype=np.float64)
     P = np.asarray(P, dtype=np.float64)
-    if Q.ndim != 2 or P.ndim != 2 or Q.shape[1] != P.shape[1]:
+    if Q.ndim < 2 or P.ndim < 2 or Q.shape[-1] != P.shape[-1]:
         raise ValueError(f"dim mismatch: {Q.shape} vs {P.shape}")
-    diff = Q[:, None, :] - P[None, :, :]
-    return np.einsum("nkd,nkd->nk", diff, diff)
+    diff = Q[..., :, None, :] - P[..., None, :, :]
+    return np.einsum("...nkd,...nkd->...nk", diff, diff)

@@ -55,7 +55,7 @@ class PrototypeBank:
 
     Holds class prototypes 1..C, optionally the background prototype
     (id 0) and a composed unknown prototype under a caller-chosen
-    reserved id.
+    reserved id. P stacks them on axis -2: (K, e), or (B, K, e).
     """
 
     def __init__(self, entries):
@@ -70,7 +70,7 @@ class PrototypeBank:
         if len(dims) > 1:
             raise ValueError("prototype dims differ")
         self.ids = ids
-        self.P = np.stack([p for _, p in entries])
+        self.P = np.stack([p for _, p in entries], axis=-2)
 
     def __len__(self):
         return len(self.ids)
@@ -90,9 +90,10 @@ class PrototypeBank:
 
 
 def segment_means(E, counts):
-    """Mean of each consecutive block of rows of E; block k has counts[k] rows."""
+    """Mean of each consecutive block of rows of E (..., N, e); block k
+    has counts[k] rows."""
     ends = np.cumsum(counts)
-    return [E[end - n:end].mean(axis=0) for n, end in zip(counts, ends)]
+    return [E[..., end - n:end, :].mean(axis=-2) for n, end in zip(counts, ends)]
 
 
 def build_prototypes(net, support):

@@ -1,16 +1,22 @@
 """Shared by the tests: the scalar IoU oracle, the four-scalar-draw box
 oracle, builders of columnar scenes and detections from per-box tuples,
-the value of each loss term for queries and a bank, and writers of the
-v1 JSON dataset and checkpoint formats, which protodetect still reads
-but no longer writes."""
+the value of each loss term for queries and a bank, the per-entry
+finite-difference sweep that the stacked gradient audit must equal,
+stacks of perturbed parameter vectors, and writers of the v1 JSON
+dataset and checkpoint formats, which protodetect still reads but no
+longer writes."""
 
 import json
 from dataclasses import asdict
 
 import numpy as np
 
+from protodetect.embedder import model_views
+from protodetect.gradcheck import TERMS, _grad_weights, _max_rel_err, _term_value
 from protodetect.inference import Detections
-from protodetect.losses import alignment_loss, kl_loss, matching_loss, proto_posteriors
+from protodetect.losses import (alignment_loss, episode_loss, kl_loss, matching_loss,
+                                proto_posteriors)
+from protodetect.numeric import make_rng
 from protodetect.simulator import Scene
 
 
@@ -78,6 +84,48 @@ def alignment_value(Q, labels, bank, tau):
     """The alignment loss of queries Q with these labels against bank."""
     Q = np.asarray(Q, dtype=np.float64)
     return alignment_loss(Q, bank.P, label_rows(bank, labels), tau)[0]
+
+
+def per_entry_check_term(inst, terms=TERMS, h=1e-6):
+    """The gradient audit of `gradcheck.check_term`, one value call per
+    probe: entry i of inst.theta is written to orig + h, then orig - h,
+    then restored, and each probe is a value-only `episode_loss` call on
+    the instance's own net and classifier. {term: max relative error}."""
+    def loss(**kw):
+        return episode_loss(inst.net, inst.clf, inst.support,
+                            inst.query_features, inst.query_labels, inst.cfg,
+                            bg_features=inst.bg_features,
+                            frozen_p0=inst.frozen_p0, **kw)
+
+    analytic = {t: loss(grad_weights=_grad_weights(t, inst.cfg)).grads for t in terms}
+    teacher = None
+    if inst.cfg.kl_stop_teacher:
+        Q0, _ = inst.net.forward_batch(inst.query_features)
+        teacher = proto_posteriors(Q0, loss(grads=False).bank.P)
+
+    def values():
+        bundle = loss(grads=False, kl_teacher=teacher)
+        return np.array([_term_value(bundle, t) for t in terms])
+
+    theta = inst.theta
+    numeric = np.zeros((len(terms), theta.size))
+    for i in range(theta.size):
+        orig = theta[i]
+        theta[i] = orig + h
+        f_plus = values()
+        theta[i] = orig - h
+        f_minus = values()
+        theta[i] = orig
+        numeric[:, i] = (f_plus - f_minus) / (2.0 * h)
+    return {t: _max_rel_err(analytic[t], numeric[j]) for j, t in enumerate(terms)}
+
+
+def probe_stack(inst, n=5, seed=0):
+    """n randomly perturbed copies of inst.theta as rows of one stack:
+    (stacked (net, clf) viewing the stack, [(net, clf) of each row])."""
+    stack = inst.theta + make_rng(seed).normal(scale=0.1, size=(n, inst.theta.size))
+    return (model_views(stack, inst.net, inst.clf),
+            [model_views(row, inst.net, inst.clf) for row in stack])
 
 
 def world_to_v1(world):

@@ -689,3 +689,14 @@ def test_gradcheck_audits_configured_loss(default_gradcheck, capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out != default_out
+
+
+def test_gradcheck_nan_error_exits_4(default_gradcheck, capsys):
+    # lambda_kl = 1e308 overflows the total gradient: every total error is
+    # NaN, which the suite's max() used to drop and the exit code ignore
+    cfg, _, _ = default_gradcheck
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["gradcheck", "--config", cfg, "--set", "train.lambda_kl=1e308"]) == 4
+    captured = capsys.readouterr()
+    assert "total    max relative error nan  FAIL" in captured.out
+    assert "failed for: total" in captured.err

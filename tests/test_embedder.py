@@ -4,9 +4,10 @@ import pytest
 from protodetect.embedder import (EmbeddingNet, LinearClassifier, bind_params,
                                   checkpoint_from_dict, flatten,
                                   load_checkpoint, save_checkpoint)
+from protodetect.gradcheck import random_instance
 from protodetect.numeric import make_rng, softmax
 
-from helpers import checkpoint_dict, write_v1
+from helpers import checkpoint_dict, probe_stack, write_v1
 
 
 def small_net(seed=0, d=5, hidden=7, e=4, depth=2):
@@ -211,3 +212,26 @@ def test_checkpoint_dict_shapes():
 def test_init_depth_validation():
     with pytest.raises(ValueError):
         EmbeddingNet.init(make_rng(0), 4, 4, 4, depth=1)
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4])
+def test_stacked_forward_and_logits_equal_each_slice(depth):
+    inst = random_instance(depth, depth=depth)
+    (net, clf), rows = probe_stack(inst)
+    Q, _ = net.forward_batch(inst.query_features)
+    logits = clf.logits_batch(Q)
+    assert Q.shape == (5, 12, 6) and logits.shape == (5, 12, 4)
+    assert (net.in_dim, net.out_dim, clf.n_classes) == (8, 6, 4)
+    for k, (net_k, clf_k) in enumerate(rows):
+        Q_k, _ = net_k.forward_batch(inst.query_features)
+        assert np.array_equal(Q[k], Q_k)
+        assert np.array_equal(logits[k], clf_k.logits_batch(Q_k))
+
+
+def test_stacked_parameters_need_matching_leading_shapes():
+    with pytest.raises(ValueError, match="inconsistent layer shapes"):
+        EmbeddingNet([(np.zeros((5, 3, 2)), np.zeros((4, 3)))])
+    with pytest.raises(ValueError, match="inconsistent layer shapes"):
+        EmbeddingNet([(np.zeros(3), np.zeros(()))])
+    with pytest.raises(ValueError, match="inconsistent classifier shapes"):
+        LinearClassifier(np.zeros((5, 3, 2)), np.zeros((4, 3)))

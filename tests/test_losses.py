@@ -6,11 +6,11 @@ import pytest
 from protodetect import losses
 from protodetect.embedder import EmbeddingNet, LinearClassifier
 from protodetect.gradcheck import check_term, random_instance
-from protodetect.losses import LossConfig, alignment_loss, episode_loss
+from protodetect.losses import LossConfig, alignment_loss, episode_loss, proto_posteriors
 from protodetect.numeric import make_rng
 from protodetect.prototypes import PrototypeBank, SupportSet
 
-from helpers import alignment_value, kl_value, label_rows, matching_value
+from helpers import alignment_value, kl_value, label_rows, matching_value, probe_stack
 
 
 def two_proto_bank(D):
@@ -220,6 +220,54 @@ def test_value_only_path_equals_gradient_path(variant, monkeypatch):
         assert getattr(values, name) == getattr(full, name)
     assert values.bank.ids == full.bank.ids
     assert np.array_equal(values.bank.P, full.bank.P)
+
+
+@pytest.mark.parametrize("variant", [
+    "stage1", "stage2", "kl_teacher", "align_no_background", "all_background",
+    "frozen_p0", "unnormalized"])
+def test_stacked_value_path_equals_each_slice(variant):
+    # 40 queries: the stacked gather of the true-class log-posteriors is
+    # not C-ordered, and summed in place it would not equal the 2-D sums
+    inst = random_instance(12, n_queries=40)
+    kw = {"bg_features": inst.bg_features}
+    no_bg = LossConfig.for_stage(2, 1.0, 1.0, tau=10.0, align_include_background=False)
+    if variant == "stage1":
+        inst.cfg = LossConfig.for_stage(1)
+    elif variant == "kl_teacher":
+        inst.cfg = LossConfig.for_stage(2, 1.0, 1.0, tau=2.0, kl_stop_teacher=True)
+        Q0, _ = inst.net.forward_batch(inst.query_features)
+        kw["kl_teacher"] = proto_posteriors(Q0, _episode(inst, grads=False).bank.P)
+    elif variant == "align_no_background":
+        inst.cfg = no_bg
+    elif variant == "all_background":   # no query left for the alignment term
+        inst.cfg, inst.query_labels = no_bg, np.zeros_like(inst.query_labels)
+    elif variant == "frozen_p0":
+        kw = {"frozen_p0": np.linspace(-1.0, 1.0, 6)}
+    elif variant == "unnormalized":
+        inst.cfg = LossConfig.for_stage(2, 0.5, 2.0, tau=3.0, normalize=False)
+    (net, clf), rows = probe_stack(inst)
+
+    def values(net, clf):
+        return episode_loss(net, clf, inst.support, inst.query_features,
+                            inst.query_labels, inst.cfg, grads=False, **kw)
+
+    stacked = values(net, clf)
+    assert stacked.bank.P.shape[0] == 5
+    for k, (net_k, clf_k) in enumerate(rows):
+        single = values(net_k, clf_k)
+        for name in ("l_match", "l_kl", "l_align", "l_total"):
+            assert getattr(stacked, name).shape == (5,)
+            assert getattr(stacked, name)[k] == getattr(single, name), name
+        assert np.array_equal(stacked.bank.P[k], single.bank.P)
+
+
+def test_gradient_path_rejects_stacked_parameters():
+    inst = random_instance(3)
+    (net, clf), _ = probe_stack(inst)
+    for pair in ((net, clf), (inst.net, clf)):
+        with pytest.raises(ValueError, match="unstacked"):
+            episode_loss(*pair, inst.support, inst.query_features, inst.query_labels,
+                         inst.cfg, bg_features=inst.bg_features)
 
 
 def test_value_only_path_keeps_input_checks():

@@ -84,6 +84,19 @@ def test_sq_euclidean_dim_mismatch():
         sq_distances(np.zeros((2, 3)), np.zeros((2, 4)))
     with pytest.raises(ValueError, match="dim mismatch"):
         sq_distances(np.zeros(3), np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="dim mismatch"):
+        sq_distances(np.zeros((5, 2, 3)), np.zeros((5, 2, 4)))
+
+
+def test_stacked_sq_distances_equal_each_slice():
+    rng = make_rng(3)
+    Q, P = rng.normal(size=(5, 12, 6)), rng.normal(size=(5, 4, 6))
+    D = sq_distances(Q, P)
+    assert D.shape == (5, 12, 4)
+    for k in range(5):
+        assert np.array_equal(D[k], sq_distances(Q[k], P[k]))
+        # one bank broadcast against a stack of queries
+        assert np.array_equal(sq_distances(Q, P[0])[k], sq_distances(Q[k], P[0]))
 
 
 @given(st.lists(finite_floats, min_size=1, max_size=8),

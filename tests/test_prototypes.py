@@ -6,7 +6,7 @@ from protodetect.numeric import make_rng
 from protodetect.prototypes import (PrototypeBank, SupportSet,
                                     background_pool, build_prototypes,
                                     compose_unknown_prototype,
-                                    posteriors_batch)
+                                    posteriors_batch, segment_means)
 from protodetect.trainer import background_prototype
 
 from helpers import make_scene, scalar_iou
@@ -193,3 +193,15 @@ def test_nearest_tie_breaks_to_lowest_id():
 def test_bank_rejects_duplicates():
     with pytest.raises(ValueError):
         PrototypeBank([(1, [0.0]), (1, [1.0])])
+
+
+def test_stacked_segment_means_equal_each_slice():
+    E = make_rng(4).normal(size=(5, 13, 6))
+    counts = [3, 1, 5, 4]
+    stacked = segment_means(E, counts)
+    for k in range(5):
+        for mean, mean_k in zip(stacked, segment_means(E[k], counts)):
+            assert np.array_equal(mean[k], mean_k)
+    bank = PrototypeBank(zip(range(4), stacked))
+    assert bank.P.shape == (5, 4, 6)
+    assert np.array_equal(bank.P[2], PrototypeBank(zip(range(4), segment_means(E[2], counts))).P)
