@@ -37,8 +37,7 @@ def main():
     for label, row in sorted(report.extra_rows.items()):
         print(f"  {label:8s} mAP {row['mAP']:.4f}  mAR {row['mAR']:.4f}")
 
-    unknown_id = max(world.seen_ids + world.unseen_ids) + 1
-    recall50 = report.cells[(unknown_id, 0.5)]["ar"]
+    recall50 = report.cells[(world.unknown_id, 0.5)]["ar"]
     print(f"unknown-class recall at IoU 0.50: {recall50:.4f}")
 
 

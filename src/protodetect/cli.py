@@ -26,6 +26,7 @@ from .evaluation import evaluate, evaluate_openset
 from .gradcheck import run_suite
 from .inference import (MODES, OPENSET, ZS_MPS, ZS_MPU, ZS_UO, ProtocolSpec,
                         assemble_protocol, detect_scene, save_detections)
+from .losses import LossConfig
 from .prototypes import BACKGROUND_ID, SupportSet
 from .simulator import generate_world, load_world, save_world
 from .trainer import NO_POOL, background_prototype, heldout_accuracy, train
@@ -69,7 +70,7 @@ def _load_world_checked(cfg, dataset_path):
         raise CliError(f"cannot read dataset: {e}")
     if not world.train_scenes:
         raise CliError("dataset has no training scenes")
-    if cfg.expected_dataset_digest:
+    if cfg.expected_dataset_digest is not None:
         digest = file_digest(dataset_path)
         if digest != cfg.expected_dataset_digest:
             raise CliError(f"dataset digest mismatch: {digest}")
@@ -116,9 +117,8 @@ def run_protocol(cfg, world, net, mode, p0=None):
         p0 = background_prototype(net, world.train_scenes)
     if p0 is None:
         raise CliError(NO_POOL)
-    unknown_id = max(world.seen_ids + world.unseen_ids) + 1
     spec = ProtocolSpec(
-        mode=mode, unknown_id=unknown_id,
+        mode=mode, unknown_id=world.unknown_id,
         unknown_includes_background=cfg.protocol.unknown_includes_background)
     try:
         bank, eval_ids = assemble_protocol(spec, seen, unseen, net, p0)
@@ -128,7 +128,7 @@ def run_protocol(cfg, world, net, mode, p0=None):
         raise CliError("cannot evaluate checkpoint: non-finite embeddings")
     if mode == OPENSET:
         report = evaluate_openset(per_scene, world.test_scenes,
-                                  seen.class_ids, unknown_id, world.unseen_ids)
+                                  seen.class_ids, world.unknown_id, world.unseen_ids)
     else:
         report = evaluate(per_scene, world.test_scenes, eval_ids, protocol=mode)
     return per_scene, report
@@ -163,8 +163,9 @@ def cmd_eval(args):
 def cmd_gradcheck(args):
     cfg = load_run_config(args.config, args.set or ())
     # small d=8 shapes, but the depth and stage-2 loss the config trains
-    results = run_suite(instance_kwargs={"depth": cfg.train.mlp_depth,
-                                         "cfg": cfg.train.loss_config(2)})
+    stage2 = LossConfig.for_stage(2, cfg.train.lambda_kl, cfg.train.lambda_align,
+                                  cfg.train.tau)
+    results = run_suite(instance_kwargs={"depth": cfg.train.mlp_depth, "cfg": stage2})
     tol = 1e-4
     failed = [t for t, e in results.items() if not e <= tol]   # NaN fails
     for term, err in results.items():

@@ -88,8 +88,12 @@ class RunConfig:
             proto.validate()
         except ValueError as e:
             raise ConfigError(str(e)) from e
+        digest = doc.get("expected_dataset_digest")
+        if digest is not None and not isinstance(digest, str):
+            raise ConfigError(f"'expected_dataset_digest' must be a string or null, "
+                              f"got {digest!r}")
         return cls(world=world, train=train, protocol=proto,
-                   expected_dataset_digest=doc.get("expected_dataset_digest"))
+                   expected_dataset_digest=digest)
 
     def to_dict(self):
         w = dataclasses.asdict(self.world)

@@ -1,5 +1,9 @@
 """Finite-difference verification of every analytic gradient.
 
+An instance is one small episode of the training shape (support set, a
+non-empty background pool, queries) with the loss config under audit:
+its depth, tau and loss weights.
+
 One central-difference sweep (h = 1e-6) per instance audits every term
 at once. Each parameter entry is moved by +h and by -h, and each probe
 is one row of a stack of copies of the parameter vector: one value-only
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedder import default_net_and_classifier, model_views
-from .losses import LossConfig, episode_loss, proto_posteriors
+from .losses import LossConfig, episode_loss
 from .numeric import make_rng
 from .prototypes import SupportSet
 
@@ -56,7 +60,6 @@ class GradCheckInstance:
     query_features: np.ndarray
     query_labels: np.ndarray
     cfg: LossConfig
-    frozen_p0: np.ndarray = None   # constant background prototype when bg_features is None
 
 
 def random_instance(seed, d=8, hidden=10, e=6, n_classes=3, shots=3,
@@ -101,21 +104,13 @@ def check_term(inst, terms=TERMS, h=1e-6, corrupt=False):
     def loss(net=inst.net, clf=inst.clf, **kw):
         return episode_loss(net, clf, inst.support,
                             inst.query_features, inst.query_labels, inst.cfg,
-                            bg_features=inst.bg_features,
-                            frozen_p0=inst.frozen_p0, **kw)
+                            bg_features=inst.bg_features, **kw)
 
     analytic = {}
     for t in terms:
         analytic[t] = loss(grad_weights=_grad_weights(t, inst.cfg)).grads
         if corrupt:
             analytic[t][0] += 1.0
-
-    # A stop-gradient KL trains the gradient of KL(P_proto held at the
-    # unperturbed parameters || P_clf): the probes difference that.
-    teacher = None
-    if inst.cfg.kl_stop_teacher:
-        Q0, _ = inst.net.forward_batch(inst.query_features)
-        teacher = proto_posteriors(Q0, loss(grads=False).bank.P)
 
     # numeric[j, i]: d(term j) / d(entry i of the parameter vector);
     # rows r and m + r of a block's stack move entry i = start + r by +h, -h
@@ -128,8 +123,7 @@ def check_term(inst, terms=TERMS, h=1e-6, corrupt=False):
         stack = np.tile(theta, (2 * m, 1))
         stack[r, idx] = theta[idx] + h
         stack[m + r, idx] = theta[idx] - h
-        bundle = loss(*model_views(stack, inst.net, inst.clf),
-                      grads=False, kl_teacher=teacher)
+        bundle = loss(*model_views(stack, inst.net, inst.clf), grads=False)
         f = np.array([_term_value(bundle, t) for t in terms])
         numeric[:, idx] = (f[:, :m] - f[:, m:]) / (2.0 * h)
 

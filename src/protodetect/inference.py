@@ -45,6 +45,8 @@ class ProtocolSpec:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode == OPENSET and self.unknown_id is None:
+            raise ValueError("openset needs an unknown_id")
 
 
 def detect_scene(scene, net, bank):
@@ -100,11 +102,8 @@ def assemble_protocol(spec, seen_support, unseen_support, net, p0):
     else:  # OPENSET
         bank = bank_from([seen_support])
         unk = compose_unknown_prototype(bank, spec.unknown_includes_background)
-        unknown_id = spec.unknown_id
-        if unknown_id is None:
-            unknown_id = max(bank.ids) + 1
-        bank = bank.with_entry(unknown_id, unk)
-        eval_ids = list(seen_support.class_ids) + [unknown_id]
+        bank = bank.with_entry(spec.unknown_id, unk)
+        eval_ids = list(seen_support.class_ids) + [spec.unknown_id]
     if not np.isfinite(bank.P).all():
         raise FloatingPointError("non-finite embeddings")
     return bank, eval_ids

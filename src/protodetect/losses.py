@@ -15,8 +15,8 @@ Matching and KL read the same prototype posteriors, which
 log-softmax and one exp. Gradients are derived by hand and flow into
 the query embeddings, the prototypes and the classifier. Every term
 takes `grads`: with grads=False it computes the same value by the same
-arithmetic and skips the gradient algebra, returning None in place of
-each gradient.
+arithmetic and leaves out the gradient algebra, returning None in place
+of each gradient.
 
 `episode_loss` closes the loop: one forward pass embeds support rows,
 background pool and queries together, and prototypes are segment means
@@ -26,7 +26,9 @@ nonzero. One backward pass then carries the query gradients and the
 prototype gradients (each support or pool row receiving dP / n of its
 segment) into the net, writing into one vector in the parameter layout
 of `embedder.bind_params`. Training and the gradient audit's probes
-share this one implementation.
+share this one implementation. An episode has one shape, the training
+one: a support set, a non-empty background pool whose mean embedding is
+p0, and queries; every loss is the per-query mean of its term's sum.
 
 The net computes in the dtype of its parameters (float32 in training,
 float64 in the gradient audit); its output is cast to float64, so
@@ -53,9 +55,6 @@ class LossConfig:
     lambda_align: float = 0.0
     tau: float = 10.0
     stage: int = 1
-    kl_stop_teacher: bool = False       # freeze the prototype branch of the KL
-    align_include_background: bool = True
-    normalize: bool = True              # report/optimize per-query means
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -69,10 +68,10 @@ class LossConfig:
             self.lambda_align = 0.0
 
     @classmethod
-    def for_stage(cls, stage, lambda_kl=1.0, lambda_align=1.0, **kw):
+    def for_stage(cls, stage, lambda_kl=1.0, lambda_align=1.0, tau=10.0):
         if stage == 1:
-            return cls(stage=1, **kw)
-        return cls(stage=2, lambda_kl=lambda_kl, lambda_align=lambda_align, **kw)
+            return cls(stage=1, tau=tau)
+        return cls(stage=2, lambda_kl=lambda_kl, lambda_align=lambda_align, tau=tau)
 
 
 @dataclass
@@ -127,16 +126,12 @@ def matching_loss(Q, P, y_idx, post, grads=True):
     return value, dQ, dP
 
 
-def kl_loss(Q, P, clf, post, stop_teacher=False, grads=True):
+def kl_loss(Q, P, clf, post, grads=True):
     """Sum of KL(P_proto || P_clf), P_proto given as post (a
     `proto_posteriors` pair); (value, dQ, dP, dWc, dbc).
 
     Probabilities never appear inside logs directly; everything is
     phrased through log-sum-exp, so classifier underflow is harmless.
-    stop_teacher drops the gradient through P_proto (dP is None). A
-    `post` held constant, not computed from (Q, P), makes the value the
-    function whose gradient stop_teacher trains, which is what the
-    gradient audit differences.
     """
     if clf.n_classes != P.shape[-2]:
         raise ValueError("classifier width must equal bank size")
@@ -148,40 +143,17 @@ def kl_loss(Q, P, clf, post, stop_teacher=False, grads=True):
     if not grads:
         return value, None, None, None, None
     dU = np.exp(logp_clf) - p_proto
-    dWc = dU.T @ Q
-    dbc = dU.sum(axis=0)
-    dQ = dU @ clf.W
-    dP = None
-    if not stop_teacher:
-        dZ = p_proto * (delta_log - row_kl[:, None])
-        dQ = dQ - 2.0 * Q * dZ.sum(axis=1, keepdims=True) + 2.0 * (dZ @ P)
-        dP = 2.0 * (dZ.T @ Q - dZ.sum(axis=0)[:, None] * P)
-    return value, dQ, dP, dWc, dbc
+    dZ = p_proto * (delta_log - row_kl[:, None])
+    dQ = dU @ clf.W - 2.0 * Q * dZ.sum(axis=1, keepdims=True) + 2.0 * (dZ @ P)
+    dP = 2.0 * (dZ.T @ Q - dZ.sum(axis=0)[:, None] * P)
+    return value, dQ, dP, dU.T @ Q, dU.sum(axis=0)
 
 
-def alignment_loss(Q, P, y_idx, tau, skip=None, grads=True):
+def alignment_loss(Q, P, y_idx, tau, grads=True):
     """InfoNCE-style NLL over similarities s = <q, p>/tau of each
-    query's true prototype (row y_idx of P); (value, dQ, dP).
-
-    With `skip`, a row of P (the background prototype), the softmax
-    runs over the other rows and the queries labeled with it are
-    skipped.
-    """
+    query's true prototype (row y_idx of P); (value, dQ, dP)."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    if skip is not None:
-        rows, cols = y_idx != skip, np.arange(P.shape[-2]) != skip
-        dQ = np.zeros_like(Q) if grads else None
-        dP = np.zeros_like(P) if grads else None
-        if not rows.any():
-            return _query_sum(np.zeros(Q.shape[:-1])), dQ, dP
-        y = y_idx[rows]
-        value, dQs, dPs = alignment_loss(Q[..., rows, :], P[..., cols, :],
-                                         y - (y > skip), tau, grads=grads)
-        if grads:
-            dQ[rows] = dQs
-            dP[cols] = dPs
-        return value, dQ, dP
     logp = log_softmax((Q @ P.swapaxes(-1, -2)) / tau, axis=-1)
     rows = np.arange(Q.shape[-2])
     value = -_query_sum(logp[..., rows, y_idx])
@@ -193,25 +165,22 @@ def alignment_loss(Q, P, y_idx, tau, skip=None, grads=True):
 
 
 def episode_loss(net, clf, support, query_features, query_labels, cfg,
-                 bg_features=None, frozen_p0=None, grad_weights=None,
-                 grads=True, kl_teacher=None):
+                 bg_features, grad_weights=None, grads=True):
     """Full training objective for one episode, with parameter gradients.
 
     One forward pass embeds the stacked rows [support; background pool;
-    queries]. Class prototypes, and p0 when bg_features is given, are
-    the means of their segments of that output (`segment_means`); with
-    no pool, frozen_p0 is used as a constant (no gradient). The
-    prototype gradient dP goes back to the rows it was averaged from,
-    row j of class k receiving dP[k] / n_k, and one backward pass over
-    every row yields all net gradients.
+    queries]. Class prototypes and p0 are the means of their segments of
+    that output (`segment_means`); bg_features, the pool, must hold at
+    least one row. The prototype gradient dP goes back to the rows it
+    was averaged from, row j of class k receiving dP[k] / n_k, and one
+    backward pass over every row yields all net gradients. Each loss is
+    the per-query mean of its term's sum.
 
     grad_weights optionally overrides the (match, kl, align) weights
     used for the returned gradients only; the gradient-check harness
     uses this to isolate a single term. Defaults to (1, lambda_kl,
     lambda_align). A term whose weight is 0 contributes its value but
-    no gradient algebra. kl_teacher, a `proto_posteriors` pair, is
-    the constant P_proto of a stop-gradient KL (the gradient audit of
-    a kl_stop_teacher config).
+    no gradient algebra.
 
     bundle.grads is one vector in the parameter layout of
     `embedder.bind_params` (net layers, then classifier), in the dtype
@@ -222,24 +191,18 @@ def episode_loss(net, clf, support, query_features, query_labels, cfg,
     """
     if grads and (net.layers[0][0].ndim, clf.W.ndim) != (2, 2):
         raise ValueError("gradients need unstacked parameters")
+    bg = np.asarray(bg_features, dtype=np.float64)
+    if bg.ndim != 2 or not len(bg):
+        raise ValueError("episode needs a non-empty background pool")
     X_sup, counts = support.rows()
-    seg_ids = list(support.class_ids)
-    parts = [X_sup]
-    has_pool = bg_features is not None and len(bg_features) > 0
-    if has_pool:
-        parts.append(np.asarray(bg_features, dtype=np.float64))
-        seg_ids.append(BACKGROUND_ID)
-        counts.append(len(bg_features))
+    seg_ids = list(support.class_ids) + [BACKGROUND_ID]
+    counts.append(len(bg))
     n_proto_rows = sum(counts)
-    parts.append(np.asarray(query_features, dtype=np.float64))
-    E, cache = net.forward_batch(np.concatenate(parts))
+    E, cache = net.forward_batch(np.concatenate(
+        [X_sup, bg, np.asarray(query_features, dtype=np.float64)]))
     E = np.asarray(E, dtype=np.float64)     # the loss head runs in float64
 
-    entries = list(zip(seg_ids, segment_means(E, counts)))
-    if not has_pool and frozen_p0 is not None:
-        p0 = np.asarray(frozen_p0, dtype=np.float64)
-        entries.append((BACKGROUND_ID, np.broadcast_to(p0, E.shape[:-2] + p0.shape)))
-    bank = PrototypeBank(entries)
+    bank = PrototypeBank(zip(seg_ids, segment_means(E, counts)))
     Q, P = E[..., n_proto_rows:, :], bank.P
     labels = np.asarray(query_labels, dtype=np.int64)
     if Q.shape[-2] == 0:
@@ -252,16 +215,11 @@ def episode_loss(net, clf, support, query_features, query_labels, cfg,
         else (1.0, cfg.lambda_kl, cfg.lambda_align)
     post = proto_posteriors(Q, P)
     m_val, dQ_m, dP_m = matching_loss(Q, P, y_idx, post, grads=grads and w_m != 0)
-    k_val, dQ_k, dP_k, dWc, dbc = kl_loss(
-        Q, P, clf, post if kl_teacher is None else kl_teacher,
-        cfg.kl_stop_teacher or kl_teacher is not None, grads=grads and w_k != 0)
-    skip = (bank.index_of(BACKGROUND_ID)
-            if not cfg.align_include_background and bank.has(BACKGROUND_ID) else None)
-    a_val, dQ_a, dP_a = alignment_loss(Q, P, y_idx, cfg.tau, skip,
-                                       grads=grads and w_a != 0)
+    k_val, dQ_k, dP_k, dWc, dbc = kl_loss(Q, P, clf, post, grads=grads and w_k != 0)
+    a_val, dQ_a, dP_a = alignment_loss(Q, P, y_idx, cfg.tau, grads=grads and w_a != 0)
 
     n = Q.shape[-2]
-    scale = 1.0 / n if cfg.normalize else 1.0
+    scale = 1.0 / n
     lm, lk, la = m_val * scale, k_val * scale, a_val * scale
     bundle = LossBundle(l_match=lm, l_kl=lk, l_align=la,
                         l_total=lm + cfg.lambda_kl * lk + cfg.lambda_align * la,
@@ -273,7 +231,6 @@ def episode_loss(net, clf, support, query_features, query_labels, cfg,
     for w, dq, dp in ((w_m, dQ_m, dP_m), (w_k, dQ_k, dP_k), (w_a, dQ_a, dP_a)):
         if dq is not None:
             dQ += w * dq
-        if dp is not None:
             dP += w * dp
     dQ *= scale
     dP *= scale

@@ -12,7 +12,7 @@ proposals that `background_pool` collects.
 import numpy as np
 
 from .numeric import softmax, sq_distances
-from .simulator import iou
+from .simulator import BACKGROUND_IOU, iou
 
 BACKGROUND_ID = 0
 
@@ -104,9 +104,10 @@ def build_prototypes(net, support):
     return PrototypeBank(zip(support.class_ids, segment_means(emb, counts)))
 
 
-def background_pool(proposals, features, gt_boxes, threshold=0.3):
-    """Rows of features whose proposal's max IoU to any GT box is below threshold."""
-    return features[iou(proposals, gt_boxes).max(axis=1, initial=0.0) < threshold]
+def background_pool(proposals, features, gt_boxes):
+    """Rows of features whose proposal's max IoU to any GT box is below
+    `simulator.BACKGROUND_IOU`."""
+    return features[iou(proposals, gt_boxes).max(axis=1, initial=0.0) < BACKGROUND_IOU]
 
 
 def compose_unknown_prototype(bank, include_background=True):

@@ -29,6 +29,7 @@ from .archive import load_archive, save_archive
 from .numeric import make_rng
 
 IGNORE = -1  # proposals in the [0.3, 0.5) IoU band are excluded from training
+BACKGROUND_IOU = 0.3  # a proposal below this IoU with every GT box is background
 
 
 def iou(a, b):
@@ -117,6 +118,12 @@ class World:
     def unseen_ids(self):
         c = self.config
         return list(range(c.c_seen + 1, c.c_seen + c.c_unseen + 1))
+
+    @property
+    def unknown_id(self):
+        """The open-set id of the composed unknown prototype: the largest
+        seen or unseen id, plus 1."""
+        return self.config.c_seen + self.config.c_unseen + 1
 
 
 def _place_means(rng, n_seen, n_unseen, d, delta, max_tries=10000):
@@ -253,7 +260,7 @@ def label_proposals(scene):
     GT box at IoU >= 0.5, background (0) below 0.3, IGNORE in between.
     The best GT box is the first one of maximal IoU."""
     ious = iou(scene.proposals, scene.gt)
-    labels = np.where(ious.max(axis=1, initial=0.0) < 0.3, 0, IGNORE)
+    labels = np.where(ious.max(axis=1, initial=0.0) < BACKGROUND_IOU, 0, IGNORE)
     if ious.shape[1]:
         best = np.argmax(ious, axis=1)
         fg = ious[np.arange(len(best)), best] >= 0.5

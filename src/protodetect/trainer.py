@@ -1,18 +1,20 @@
 """Two-stage episodic training loop with hand-rolled AdamW.
 
 Stage 1 optimizes the matching loss alone (lambda_kl = lambda_align = 0);
-stage 2 activates the KL and alignment terms. Each step assembles an
-episode (queries augmented from the support set by one batched
-`augment_feature` call, plus background queries from a scene), then
-evaluates the full objective with one forward and one backward pass
-through the net (`losses.episode_loss`, which also rebuilds the
-prototypes through the current net). The gradient comes back as one
+stage 2 activates the KL and alignment terms. Every step's episode has
+one shape: the prototypes come from the original support set, the
+queries are copies of it augmented by one batched `augment_feature`
+call, and one training scene's background pool serves both as the rows
+of p0 and as background-labelled queries. The step evaluates the full
+objective with one forward and one backward pass through the net
+(`losses.episode_loss`, which also rebuilds the prototypes through the
+current net). The gradient comes back as one
 vector in the layout of the parameter vector (`embedder.bind_params`),
 so clipping and the AdamW update are a few in-place vector operations.
 That vector, the net's arithmetic, the AdamW moments and the checkpoint
 are float32 (`TRAIN_DTYPE`); the loss head and the gradient norm are
-computed in float64. Every step's background queries come from the
-pools taken from the training scenes before the first step. The loop
+computed in float64. Each step draws its pool from the non-empty pools
+taken from the training scenes before the first step. The loop
 is single-threaded in Python and fully deterministic in (config,
 dataset, seed), whatever the BLAS thread count.
 
@@ -35,8 +37,6 @@ from .prototypes import (BACKGROUND_ID, PrototypeBank, SupportSet,
                          background_pool, build_prototypes, posteriors_batch)
 from .simulator import IGNORE, augment_feature, label_proposals
 
-FULL_SPLIT = "full"
-PARTIAL_SPLIT = "partial"
 NO_POOL = "no background pool in training scenes"
 # the dtype of the parameter vector, the net's arithmetic and the
 # checkpoint; the loss head computes in float64 whatever it is
@@ -60,14 +60,10 @@ class TrainConfig:
     seed: int = 0
     augment: bool = True
     augment_strength: float = 0.5
-    support_query_split: str = FULL_SPLIT
     hidden_dim: int = 512
     emb_dim: int = 128
     mlp_depth: int = 2
     grad_clip: float = 10.0
-    kl_stop_teacher: bool = False
-    align_include_background: bool = True
-    normalize_loss: bool = True
 
     def validate(self):
         """Raise ValueError naming every field whose value is out of range."""
@@ -85,15 +81,6 @@ class TrainConfig:
         ) if not ok]
         if bad:
             raise ValueError(f"invalid training config: {', '.join(bad)} out of range")
-        if self.support_query_split not in (FULL_SPLIT, PARTIAL_SPLIT):
-            raise ValueError(f"unknown split mode {self.support_query_split!r}")
-
-    def loss_config(self, stage):
-        return LossConfig.for_stage(
-            stage, self.lambda_kl, self.lambda_align, tau=self.tau,
-            kl_stop_teacher=self.kl_stop_teacher,
-            align_include_background=self.align_include_background,
-            normalize=self.normalize_loss)
 
 
 class AdamW:
@@ -146,35 +133,22 @@ def clip_global_norm(grads, max_norm):
 
 
 def make_episode(rng, support, cfg, sigma_f=1.0):
-    """Support/query split for one step.
-
-    full: prototypes from all support vectors, queries are m copies of
-    each. partial (requires 5 shots): 3/5 build prototypes, 2/5 serve
-    as queries (m copies each when augmentation is on, otherwise used
-    as-is). Queries are class-major, the m copies of a vector next to
-    each other; with augmentation on, one `augment_feature` call
-    augments them all.
+    """Queries for one step: queries_per_support copies of every support
+    vector, class-major, the copies of a vector next to each other, with
+    their labels. With augmentation on, one `augment_feature` call
+    augments them all. Prototypes come from the support set itself.
     """
-    full = cfg.support_query_split == FULL_SPLIT
-    if full:
-        proto_support, held = support, support.by_class
-    else:
-        if any(support.shots(c) != 5 for c in support.class_ids):
-            raise ValueError("split requires 5 shots")
-        proto_support = SupportSet(
-            {c: support.by_class[c][:3] for c in support.class_ids})
-        held = {c: support.by_class[c][3:] for c in support.class_ids}
-    copies = cfg.queries_per_support if full or cfg.augment else 1
     ids = support.class_ids
-    feats = np.repeat(np.concatenate([held[c] for c in ids]), copies, axis=0)
-    labels = np.repeat(ids, [len(held[c]) * copies for c in ids]).astype(np.int64)
+    copies = cfg.queries_per_support
+    feats = np.repeat(np.concatenate([support.by_class[c] for c in ids]), copies, axis=0)
+    labels = np.repeat(ids, [support.shots(c) * copies for c in ids]).astype(np.int64)
     if cfg.augment:
         feats = augment_feature(rng, feats, cfg.augment_strength, sigma_f)
-    return proto_support, feats, labels
+    return feats, labels
 
 
-def scene_background_features(scene, threshold=0.3):
-    return background_pool(scene.proposals, scene.features, scene.gt, threshold)
+def scene_background_features(scene):
+    return background_pool(scene.proposals, scene.features, scene.gt)
 
 
 def background_prototype(net, scenes):
@@ -194,7 +168,7 @@ def heldout_accuracy(net, bank, scenes):
     """Nearest-prototype accuracy on labeled proposals from held-out scenes.
 
     Proposals in the IoU ignore band or labeled with classes outside
-    the bank are skipped; background proposals count with label 0.
+    the bank are left out; background proposals count with label 0.
     NaN when no proposal counts.
     """
     feats, labels = [], []
@@ -229,13 +203,15 @@ def train(world, cfg):
     Returns the trained net/classifier, the final bank rebuilt from
     the original support set, and a JSON-serializable per-step log.
     ValueError, before the first step, when no training scene has a
-    background pool, since the final bank could then hold no p0.
+    background pool, since no step could then draw one and the final
+    bank could hold no p0.
     """
     cfg.validate()
-    # every training scene's background pool, taken once before any step:
-    # the steps draw from them and the final bank's p0 is their mean
-    pools = [scene_background_features(s) for s in world.train_scenes]
-    if not sum(map(len, pools)):
+    # the non-empty background pools of the training scenes, taken once
+    # before any step: each step draws one and the final bank's p0 is
+    # their mean
+    pools = [p for p in map(scene_background_features, world.train_scenes) if len(p)]
+    if not pools:
         raise ValueError(NO_POOL)
     support = SupportSet(world.support_seen)
     n_classes = len(support.class_ids)
@@ -247,24 +223,16 @@ def train(world, cfg):
     sigma_f = world.config.sigma_f
 
     log = []
-    last_p0 = np.zeros(cfg.emb_dim)
     total = cfg.stage1_steps + cfg.stage2_steps
     for step in range(total):
         stage = 1 if step < cfg.stage1_steps else 2
-        loss_cfg = cfg.loss_config(stage)
+        loss_cfg = LossConfig.for_stage(stage, cfg.lambda_kl, cfg.lambda_align, cfg.tau)
 
         bg = pools[int(rng.integers(len(pools)))]
-        proto_support, qfeats, qlabels = make_episode(rng, support, cfg, sigma_f)
-        if len(bg):
-            qfeats = np.concatenate([qfeats, bg])
-            qlabels = np.concatenate([qlabels, np.zeros(len(bg), dtype=np.int64)])
-            kwargs = {"bg_features": bg}
-        else:
-            kwargs = {"frozen_p0": last_p0}
-        bundle = episode_loss(net, clf, proto_support, qfeats, qlabels,
-                              loss_cfg, **kwargs)
-        if len(bg):
-            last_p0 = bundle.bank.get(BACKGROUND_ID)
+        qfeats, qlabels = make_episode(rng, support, cfg, sigma_f)
+        bundle = episode_loss(net, clf, support, np.concatenate([qfeats, bg]),
+                              np.concatenate([qlabels, np.zeros(len(bg), dtype=np.int64)]),
+                              loss_cfg, bg_features=bg)
 
         if not np.isfinite(bundle.l_total):
             raise FloatingPointError(f"diverged at step {step}")

@@ -94,17 +94,12 @@ def per_entry_check_term(inst, terms=TERMS, h=1e-6):
     def loss(**kw):
         return episode_loss(inst.net, inst.clf, inst.support,
                             inst.query_features, inst.query_labels, inst.cfg,
-                            bg_features=inst.bg_features,
-                            frozen_p0=inst.frozen_p0, **kw)
+                            bg_features=inst.bg_features, **kw)
 
     analytic = {t: loss(grad_weights=_grad_weights(t, inst.cfg)).grads for t in terms}
-    teacher = None
-    if inst.cfg.kl_stop_teacher:
-        Q0, _ = inst.net.forward_batch(inst.query_features)
-        teacher = proto_posteriors(Q0, loss(grads=False).bank.P)
 
     def values():
-        bundle = loss(grads=False, kl_teacher=teacher)
+        bundle = loss(grads=False)
         return np.array([_term_value(bundle, t) for t in terms])
 
     theta = inst.theta

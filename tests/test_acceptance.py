@@ -127,7 +127,7 @@ def test_a3_separable_world_convergence(a3_run):
 
 def test_a4_open_set_rejection(a3_run):
     cfg, world, result, _ = a3_run
-    unknown_id = max(world.seen_ids + world.unseen_ids) + 1
+    unknown_id = world.unknown_id
 
     # background reject rate with the open-set bank in place
     from protodetect.inference import ProtocolSpec, assemble_protocol

@@ -65,6 +65,15 @@ def test_config_rejects_invalid_values(tmp_path):
                                   {"train": {"lr": -1.0}}))
 
 
+def test_readme_config_schema_loads():
+    # the README's example config names only keys the loader accepts
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    schema = readme.split("## Config schema", 1)[1]
+    block = schema.split("```json\n", 1)[1].split("```", 1)[0]
+    cfg = RunConfig.from_dict(json.loads(block))
+    assert cfg.train.mlp_depth == 2 and cfg.world.seed == 7
+
+
 def test_config_overrides_dot_paths():
     doc = apply_overrides({}, ["train.lr=0.01", "world.c_seen=7",
                                "protocol.mode=openset"])
@@ -188,6 +197,17 @@ def test_train_dataset_digest_mismatch_exit_2(trained, tmp_path):
     bad = write_cfg(tmp_path / "bad.json", doc)
     assert main(["train", "--config", bad, "--dataset", str(data),
                  "--out", str(tmp_path / "x.json")]) == 2
+
+
+@pytest.mark.parametrize("digest", ["5", "false", "0", "[]", "{}"])
+def test_non_string_dataset_digest_exit_2(trained, tmp_path, digest, capsys):
+    # a falsy non-string digest used to turn the digest check off (exit 0)
+    cfg, data, _, _ = trained
+    out = tmp_path / "x.npz"
+    assert main(["train", "--config", cfg, "--dataset", str(data), "--out", str(out),
+                 "--set", f"expected_dataset_digest={digest}"]) == 2
+    assert "'expected_dataset_digest' must be a string or null" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -622,18 +642,6 @@ def test_world_without_background_pool_exit_2(trained, tmp_path, capsys):
     assert not list(tmp_path.glob("c.npz*"))
 
 
-def test_partial_split_without_five_shots_exit_2(trained, tmp_path, capsys):
-    # the partial support/query split needs 5 shots; 3 is bad input
-    cfg = trained[0]
-    data, out = tmp_path / "d.npz", tmp_path / "c.npz"
-    assert main(["gen-data", "--config", cfg, "--out", str(data),
-                 "--set", "world.shots=3"]) == 0
-    assert main(["train", "--config", cfg, "--dataset", str(data), "--out", str(out),
-                 "--set", 'train.support_query_split="partial"']) == 2
-    assert "split requires 5 shots" in capsys.readouterr().err
-    assert not out.exists()
-
-
 # --- byte identity across BLAS thread counts ---------------------------------
 
 def test_artifacts_identical_across_thread_counts(tmp_path):
@@ -683,9 +691,7 @@ def test_gradcheck_command_passes(default_gradcheck):
 def test_gradcheck_audits_configured_loss(default_gradcheck, capsys):
     cfg, _, default_out = default_gradcheck
     assert main(["gradcheck", "--config", cfg,
-                 "--set", "train.mlp_depth=3", "--set", "train.tau=2.0",
-                 "--set", "train.kl_stop_teacher=true",
-                 "--set", "train.align_include_background=false"]) == 0
+                 "--set", "train.mlp_depth=3", "--set", "train.tau=2.0"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out != default_out

@@ -7,29 +7,19 @@ import pytest
 from protodetect import gradcheck
 from protodetect.gradcheck import TERMS, check_term, random_instance, run_suite
 from protodetect.losses import LossConfig, episode_loss
-from protodetect.numeric import make_rng
 
 from helpers import per_entry_check_term
 
-STOP = LossConfig.for_stage(2, 1.0, 1.0, tau=2.0, kl_stop_teacher=True)
-CASES = ["stage1", "stage2", "stop_teacher", "align_no_background", "frozen_p0",
-         "depth3", "depth4"]
+TAU2 = LossConfig.for_stage(2, 1.0, 1.0, tau=2.0)
+CASES = ["stage1", "stage2", "depth3", "depth4"]
 
 
 def _case(case):
     """A fresh gradient-check instance for each covered configuration."""
-    if case == "frozen_p0":   # no pool rows: p0 is a constant
-        inst = random_instance(7)
-        inst.bg_features = None
-        inst.frozen_p0 = make_rng(70).normal(size=inst.net.out_dim)
-        return inst
     return {"stage1": lambda: random_instance(3, cfg=LossConfig.for_stage(1)),
             "stage2": lambda: random_instance(4),
-            "stop_teacher": lambda: random_instance(5, cfg=STOP),
-            "align_no_background": lambda: random_instance(6, cfg=LossConfig.for_stage(
-                2, 1.0, 1.0, tau=10.0, align_include_background=False)),
             "depth3": lambda: random_instance(8, depth=3),
-            "depth4": lambda: random_instance(9, depth=4, cfg=STOP)}[case]()
+            "depth4": lambda: random_instance(9, depth=4, cfg=TAU2)}[case]()
 
 
 @functools.cache
@@ -59,7 +49,7 @@ def test_stacked_sweep_equals_per_entry_sweep(case, blocks, monkeypatch):
 
 
 def test_sweep_leaves_the_instance_untouched(monkeypatch):
-    inst = random_instance(2, depth=3, cfg=STOP)
+    inst = random_instance(2, depth=3, cfg=TAU2)
     before = inst.theta.tobytes()
     check_term(inst, corrupt=True)
     assert inst.theta.tobytes() == before

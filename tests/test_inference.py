@@ -179,3 +179,5 @@ def test_protocol_missing_support_errors():
 def test_protocol_spec_rejects_unknown_mode():
     with pytest.raises(ValueError):
         ProtocolSpec(mode="bogus")
+    with pytest.raises(ValueError, match="unknown_id"):
+        ProtocolSpec(mode=OPENSET)

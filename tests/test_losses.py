@@ -6,11 +6,11 @@ import pytest
 from protodetect import losses
 from protodetect.embedder import EmbeddingNet, LinearClassifier
 from protodetect.gradcheck import check_term, random_instance
-from protodetect.losses import LossConfig, alignment_loss, episode_loss, proto_posteriors
+from protodetect.losses import LossConfig, alignment_loss, episode_loss
 from protodetect.numeric import make_rng
 from protodetect.prototypes import PrototypeBank, SupportSet
 
-from helpers import alignment_value, kl_value, label_rows, matching_value, probe_stack
+from helpers import alignment_value, kl_value, matching_value, probe_stack
 
 
 def two_proto_bank(D):
@@ -161,16 +161,24 @@ def test_stage1_total_equals_match():
     assert np.all(bundle.grads[-_clf_size(inst):] == 0)
 
 
+def _raw_sums(inst, bundle):
+    """(match, kl, align): each term's sum over the instance's queries,
+    against the episode's bank, from the per-term functions."""
+    Q, _ = inst.net.forward_batch(inst.query_features)
+    return (matching_value(Q, inst.query_labels, bundle.bank),
+            kl_value(Q, bundle.bank, inst.clf),
+            alignment_value(Q, inst.query_labels, bundle.bank, inst.cfg.tau))
+
+
 def test_stage2_unit_weights_sum():
     inst = random_instance(8)
     bundle = episode_loss(inst.net, inst.clf, inst.support,
                           inst.query_features, inst.query_labels, inst.cfg,
                           bg_features=inst.bg_features)
     assert bundle.l_total == bundle.l_match + bundle.l_kl + bundle.l_align
-    # the un-normalized sums add up the same way
-    raw = _episode(inst, LossConfig.for_stage(2, 1.0, 1.0, tau=10.0, normalize=False),
-                   grads=False)
-    assert abs(raw.l_total - (raw.l_match + raw.l_kl + raw.l_align)) <= 1e-12
+    # the raw sums, n x the per-query means, add up the same way
+    n = bundle.n_queries
+    assert n * bundle.l_total == pytest.approx(sum(_raw_sums(inst, bundle)), rel=1e-12)
 
 
 def test_bundle_reports_raw_and_normalized():
@@ -178,11 +186,11 @@ def test_bundle_reports_raw_and_normalized():
     bundle = episode_loss(inst.net, inst.clf, inst.support,
                           inst.query_features, inst.query_labels, inst.cfg,
                           bg_features=inst.bg_features)
-    raw = _episode(inst, LossConfig.for_stage(2, 1.0, 1.0, tau=10.0, normalize=False),
-                   grads=False)
     n = bundle.n_queries
-    assert raw.n_queries == n
-    assert bundle.l_match == pytest.approx(raw.l_match / n, rel=1e-12)
+    assert n == len(inst.query_labels)
+    for mean, raw in zip((bundle.l_match, bundle.l_kl, bundle.l_align),
+                         _raw_sums(inst, bundle)):
+        assert n * mean == pytest.approx(raw, rel=1e-12)
 
 
 def _episode(inst, cfg=None, **kw):
@@ -199,13 +207,8 @@ def test_losses_nonnegative():
 @pytest.mark.parametrize("variant", [
     {"cfg": LossConfig.for_stage(1)},
     {},
-    {"cfg": LossConfig.for_stage(2, 1.0, 1.0, tau=10.0, kl_stop_teacher=True)},
-    {"cfg": LossConfig.for_stage(2, 1.0, 1.0, tau=10.0,
-                                 align_include_background=False)},
-    {"bg_features": None, "frozen_p0": np.linspace(-1.0, 1.0, 6)},
-    {"cfg": LossConfig.for_stage(2, 0.5, 2.0, tau=3.0, normalize=False)},
-], ids=["stage1", "stage2", "stop_teacher", "align_no_background", "frozen_p0",
-        "unnormalized"])
+    {"cfg": LossConfig.for_stage(2, 0.5, 2.0, tau=3.0)},
+], ids=["stage1", "stage2", "weighted"])
 def test_value_only_path_equals_gradient_path(variant, monkeypatch):
     inst = random_instance(12)
     full = _episode(inst, **variant)
@@ -222,34 +225,23 @@ def test_value_only_path_equals_gradient_path(variant, monkeypatch):
     assert np.array_equal(values.bank.P, full.bank.P)
 
 
-@pytest.mark.parametrize("variant", [
-    "stage1", "stage2", "kl_teacher", "align_no_background", "all_background",
-    "frozen_p0", "unnormalized"])
+@pytest.mark.parametrize("variant", ["stage1", "stage2", "all_background", "weighted"])
 def test_stacked_value_path_equals_each_slice(variant):
     # 40 queries: the stacked gather of the true-class log-posteriors is
     # not C-ordered, and summed in place it would not equal the 2-D sums
     inst = random_instance(12, n_queries=40)
-    kw = {"bg_features": inst.bg_features}
-    no_bg = LossConfig.for_stage(2, 1.0, 1.0, tau=10.0, align_include_background=False)
     if variant == "stage1":
         inst.cfg = LossConfig.for_stage(1)
-    elif variant == "kl_teacher":
-        inst.cfg = LossConfig.for_stage(2, 1.0, 1.0, tau=2.0, kl_stop_teacher=True)
-        Q0, _ = inst.net.forward_batch(inst.query_features)
-        kw["kl_teacher"] = proto_posteriors(Q0, _episode(inst, grads=False).bank.P)
-    elif variant == "align_no_background":
-        inst.cfg = no_bg
-    elif variant == "all_background":   # no query left for the alignment term
-        inst.cfg, inst.query_labels = no_bg, np.zeros_like(inst.query_labels)
-    elif variant == "frozen_p0":
-        kw = {"frozen_p0": np.linspace(-1.0, 1.0, 6)}
-    elif variant == "unnormalized":
-        inst.cfg = LossConfig.for_stage(2, 0.5, 2.0, tau=3.0, normalize=False)
+    elif variant == "all_background":   # every query labelled with p0
+        inst.query_labels = np.zeros_like(inst.query_labels)
+    elif variant == "weighted":
+        inst.cfg = LossConfig.for_stage(2, 0.5, 2.0, tau=3.0)
     (net, clf), rows = probe_stack(inst)
 
     def values(net, clf):
         return episode_loss(net, clf, inst.support, inst.query_features,
-                            inst.query_labels, inst.cfg, grads=False, **kw)
+                            inst.query_labels, inst.cfg, bg_features=inst.bg_features,
+                            grads=False)
 
     stacked = values(net, clf)
     assert stacked.bank.P.shape[0] == 5
@@ -276,9 +268,16 @@ def test_value_only_path_keeps_input_checks():
     inst.query_labels[0] = 9
     with pytest.raises(ValueError, match="label 9"):
         _episode(inst, grads=False)
-    inst.query_labels[:] = 1     # every label has a prototype without p0
+    inst.query_labels[0] = 1
+    wide = LinearClassifier(np.zeros((inst.clf.n_classes + 1, inst.net.out_dim)),
+                            np.zeros(inst.clf.n_classes + 1))
     with pytest.raises(ValueError, match="classifier width"):
-        _episode(inst, bg_features=None, grads=False)
+        episode_loss(inst.net, wide, inst.support, inst.query_features, inst.query_labels,
+                     inst.cfg, bg_features=inst.bg_features, grads=False)
+    for pool in (None, np.empty((0, inst.query_features.shape[1]))):
+        for grads in (False, True):
+            with pytest.raises(ValueError, match="background pool"):
+                _episode(inst, bg_features=pool, grads=grads)
     with pytest.raises(ValueError, match="tau"):
         alignment_loss(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros(1, dtype=np.int64),
                        tau=0.0, grads=False)
@@ -309,33 +308,6 @@ def test_zero_weight_terms_skip_gradient_algebra(weights, grad_terms, monkeypatc
     assert bundle.l_kl > 0 and bundle.l_align > 0
 
 
-def _alignment_by_loop(Q, labels, bank, tau):
-    """The alignment loss over class prototypes only, background-labeled
-    queries skipped: rows and columns picked one at a time."""
-    cols = [i for i, c in enumerate(bank.ids) if c != 0]
-    rows = [i for i, y in enumerate(labels) if int(y) != 0]
-    sub_ids = [bank.ids[i] for i in cols]
-    y = np.asarray([sub_ids.index(int(labels[i])) for i in rows])
-    value, dQs, dPs = alignment_loss(Q[rows], bank.P[cols], y, tau)
-    dQ, dP = np.zeros_like(Q), np.zeros_like(bank.P)
-    dQ[rows] = dQs
-    dP[cols] = dPs
-    return value, dQ, dP
-
-
-def test_alignment_without_background_matches_the_loop():
-    rng = make_rng(16)
-    bank = PrototypeBank([(c, rng.normal(size=4)) for c in range(4)])
-    for labels in ([0, 1, 2, 3, 0, 2], [3, 3, 1], [0, 0]):
-        Q = rng.normal(size=(len(labels), 4))
-        got = alignment_loss(Q, bank.P, label_rows(bank, labels), 2.0,
-                             skip=bank.index_of(0))
-        want = _alignment_by_loop(Q, labels, bank, 2.0) if any(labels) else \
-            (0.0, np.zeros_like(Q), np.zeros_like(bank.P))
-        assert got[0] == want[0]
-        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
-
-
 @pytest.mark.parametrize("term", ["match", "kl", "align", "total"])
 def test_gradients_match_finite_differences(term):
     worst = max(check_term(random_instance(seed), (term,))[term]
@@ -343,22 +315,12 @@ def test_gradients_match_finite_differences(term):
     assert worst <= 1e-4
 
 
-def test_gradients_without_background_in_alignment():
-    cfg = LossConfig.for_stage(2, 1.0, 1.0, tau=10.0,
-                               align_include_background=False)
-    worst = max(check_term(random_instance(seed, cfg=cfg), ("total",))["total"]
-                for seed in range(3))
-    assert worst <= 1e-4
-
-
 def test_gradients_with_stop_teacher_and_deeper_nets():
-    # the stop-gradient KL is checked against a teacher held at the
-    # unperturbed parameters; depth 3 and 4 add hidden-to-hidden layers
-    stop = LossConfig.for_stage(2, 1.0, 1.0, tau=2.0, kl_stop_teacher=True)
-    worst = max(max(check_term(random_instance(seed, depth=depth, cfg=cfg)).values())
-                for seed in range(3) for depth, cfg in ((2, stop), (3, None), (4, stop)))
+    # depth 3 and 4 add hidden-to-hidden layers
+    worst = max(max(check_term(random_instance(seed, depth=depth)).values())
+                for seed in range(3) for depth in (2, 3, 4))
     assert worst <= 1e-4
-    corrupted = check_term(random_instance(0, depth=3, cfg=stop), corrupt=True)
+    corrupted = check_term(random_instance(0, depth=3), corrupt=True)
     assert all(err > 1e-4 for err in corrupted.values())
 
 
@@ -388,22 +350,19 @@ def test_float32_gradients_agree_with_float64(shape):
 
 
 def _segment_case(seed, case):
-    """Instances whose stacked forward has uneven or missing segments."""
+    """Instances whose stacked forward has uneven or one-row segments."""
     inst = random_instance(seed)
     rng = make_rng(1000 + seed)
     d = inst.query_features.shape[1]
     if case == "unequal_shots":
         inst.support = SupportSet({c: rng.normal(size=(n, d))
                                    for c, n in ((1, 1), (2, 3), (3, 5))})
-    elif case == "one_pool_row":
+    else:  # one_pool_row
         inst.bg_features = rng.normal(size=(1, d))
-    else:  # frozen_p0: no pool rows at all
-        inst.bg_features = None
-        inst.frozen_p0 = rng.normal(size=inst.net.out_dim)
     return inst
 
 
-@pytest.mark.parametrize("case", ["unequal_shots", "one_pool_row", "frozen_p0"])
+@pytest.mark.parametrize("case", ["unequal_shots", "one_pool_row"])
 def test_fused_segments_match_finite_differences(case):
     worst = max(max(check_term(_segment_case(seed, case)).values())
                 for seed in range(3))
@@ -422,25 +381,6 @@ def test_corrupted_gradient_is_flagged_for_every_term():
     errors = check_term(random_instance(0), corrupt=True)
     assert set(errors) == {"match", "kl", "align", "total"}
     assert all(err > 1e-4 for err in errors.values())
-
-
-def test_stop_teacher_freezes_prototype_branch_only():
-    # stop-gradient drops the prototype branch: net grads change,
-    # classifier grads are untouched
-    inst = random_instance(11)
-    frozen_cfg = LossConfig.for_stage(2, 1.0, 1.0, tau=10.0, kl_stop_teacher=True)
-
-    def kl_grads(cfg):
-        return episode_loss(inst.net, inst.clf, inst.support,
-                            inst.query_features, inst.query_labels, cfg,
-                            bg_features=inst.bg_features,
-                            grad_weights=(0.0, 1.0, 0.0)).grads
-
-    g_full = kl_grads(inst.cfg)
-    g_frozen = kl_grads(frozen_cfg)
-    n_clf = _clf_size(inst)
-    assert np.array_equal(g_full[-n_clf:], g_frozen[-n_clf:])
-    assert not np.allclose(g_full[:-n_clf], g_frozen[:-n_clf])
 
 
 def test_stage1_forces_zero_weights():

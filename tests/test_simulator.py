@@ -139,6 +139,7 @@ def test_world_roundtrip(tmp_path):
     w2 = load_world(path)
     assert_worlds_equal(w2, world)
     assert w2.seen_ids == [1, 2, 3] and w2.unseen_ids == [4, 5]
+    assert w2.unknown_id == 6
 
 
 def test_v1_and_v2_load_to_bit_equal_arrays(tmp_path):

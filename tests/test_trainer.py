@@ -6,10 +6,10 @@ import pytest
 from protodetect.embedder import flatten
 from protodetect.numeric import make_rng
 from protodetect.prototypes import SupportSet
-from protodetect.simulator import WorldConfig, augment_feature, generate_world
+from protodetect.losses import episode_loss
+from protodetect.simulator import Scene, WorldConfig, augment_feature, generate_world
 from protodetect import trainer
-from protodetect.trainer import (FULL_SPLIT, PARTIAL_SPLIT, AdamW,
-                                 TrainConfig, background_prototype,
+from protodetect.trainer import (AdamW, TrainConfig, background_prototype,
                                  clip_global_norm, make_episode, train)
 
 
@@ -37,8 +37,7 @@ def random_support(seed=0, C=3, shots=5, d=8):
 def test_episode_no_augment_copies_support():
     cfg = small_train_cfg(augment=False, queries_per_support=1)
     support = random_support()
-    proto_support, feats, labels = make_episode(make_rng(0), support, cfg)
-    assert proto_support is support
+    feats, labels = make_episode(make_rng(0), support, cfg)
     expected = np.concatenate([support.by_class[c] for c in support.class_ids])
     assert np.allclose(feats, expected, atol=1e-15)
 
@@ -46,29 +45,15 @@ def test_episode_no_augment_copies_support():
 def test_episode_query_count():
     cfg = small_train_cfg(queries_per_support=4)
     support = random_support(C=3, shots=5)
-    _, feats, labels = make_episode(make_rng(0), support, cfg)
+    feats, labels = make_episode(make_rng(0), support, cfg)
     assert len(feats) == 3 * 5 * 4 == 60
     assert sorted(set(labels)) == [1, 2, 3]
-
-
-def test_episode_partial_split():
-    cfg = small_train_cfg(support_query_split=PARTIAL_SPLIT, augment=False)
-    support = random_support(shots=5)
-    proto_support, feats, labels = make_episode(make_rng(0), support, cfg)
-    assert all(proto_support.shots(c) == 3 for c in proto_support.class_ids)
-    assert len(feats) == 3 * 2  # 2 held-out vectors per class
-
-
-def test_episode_partial_split_requires_five_shots():
-    cfg = small_train_cfg(support_query_split=PARTIAL_SPLIT)
-    with pytest.raises(ValueError, match="split requires 5 shots"):
-        make_episode(make_rng(0), random_support(shots=4), cfg)
 
 
 def test_episode_keeps_class_major_order_with_one_augment_call():
     cfg = small_train_cfg(queries_per_support=3)
     support = random_support(C=3, shots=5)
-    _, feats, labels = make_episode(make_rng(11), support, cfg, sigma_f=0.7)
+    feats, labels = make_episode(make_rng(11), support, cfg, sigma_f=0.7)
     rows = np.repeat(np.concatenate([support.by_class[c] for c in (1, 2, 3)]),
                      3, axis=0)
     expected = augment_feature(make_rng(11), rows, cfg.augment_strength, 0.7)
@@ -79,8 +64,8 @@ def test_episode_keeps_class_major_order_with_one_augment_call():
 def test_episode_deterministic():
     cfg = small_train_cfg()
     support = random_support()
-    _, f1, l1 = make_episode(make_rng(7), support, cfg)
-    _, f2, l2 = make_episode(make_rng(7), support, cfg)
+    f1, l1 = make_episode(make_rng(7), support, cfg)
+    f2, l2 = make_episode(make_rng(7), support, cfg)
     assert np.array_equal(f1, f2) and np.array_equal(l1, l2)
 
 
@@ -239,6 +224,28 @@ def test_world_without_background_pool_is_refused_before_training(monkeypatch):
     monkeypatch.setattr(trainer, "episode_loss", no_step)
     with pytest.raises(ValueError, match="no background pool in training scenes"):
         train(world, small_train_cfg())
+
+
+def test_steps_draw_only_non_empty_pools(monkeypatch):
+    # scenes 0 and 2 keep only their GT-aligned proposals (zero jitter),
+    # so they have no pool; every step must still get one of the others'
+    world = small_world()
+    for i in (0, 2):
+        s = world.train_scenes[i]
+        n = len(s.gt)
+        world.train_scenes[i] = Scene(s.proposals[:n], s.features[:n], s.gt, s.labels)
+    pools = [trainer.scene_background_features(s) for s in world.train_scenes]
+    assert [len(p) > 0 for p in pools] == [False, True, False, True]
+    seen = []
+
+    def spy(*args, bg_features, **kwargs):
+        seen.append(bg_features)
+        return episode_loss(*args, bg_features=bg_features, **kwargs)
+
+    monkeypatch.setattr(trainer, "episode_loss", spy)
+    train(world, small_train_cfg(stage1_steps=10, stage2_steps=10))
+    assert len(seen) == 20
+    assert all(any(np.array_equal(p, pools[i]) for i in (1, 3)) for p in seen)
 
 
 @pytest.mark.parametrize("depth", [2, 3, 4])
