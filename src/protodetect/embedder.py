@@ -107,15 +107,19 @@ class EmbeddingNet:
         Returns the layer grads [(dW, db), ...], written into the arrays
         of `out` when it is given (the net's views of a gradient vector,
         `param_vector`); the input gradient is never formed. dQ is cast
-        to the net's dtype, and entries below its smallest normal number
-        become 0: subnormal operands slow float32 matrix products
-        several-fold and move no gradient entry that matters.
+        to the net's dtype, and entries whose magnitude is below the
+        square root of its smallest normal number (1.1e-19 in float32,
+        1.5e-154 in float64) become 0. A product of two numbers that
+        large is a normal number, so the hidden gradients `dQ @ W` keep
+        out of the subnormal range too, for any weight above that bound.
+        Subnormal operands slow float32 matrix products several-fold,
+        and entries this small move no gradient entry that matters.
         """
         acts = cache
         dQ = np.array(dQ, dtype=self.dtype)
         if dQ.shape != (acts[0].shape[0], self.out_dim):
             raise ValueError("gradient shape does not match cached forward")
-        dQ[np.abs(dQ) < np.finfo(dQ.dtype).tiny] = 0.0
+        dQ[np.abs(dQ) < np.sqrt(np.finfo(dQ.dtype).tiny)] = 0.0
         grads = out if out is not None else [
             (np.empty_like(W), np.empty_like(b)) for W, b in self.layers]
         dh = dQ

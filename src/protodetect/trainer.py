@@ -13,7 +13,10 @@ vector in the layout of the parameter vector (`embedder.bind_params`),
 so clipping and the AdamW update are a few in-place vector operations.
 That vector, the net's arithmetic, the AdamW moments and the checkpoint
 are float32 (`TRAIN_DTYPE`); the loss head and the gradient norm are
-computed in float64. Each step draws its pool from the non-empty pools
+computed in float64. The loop checks the gradient's finiteness through
+the norm that `clip_global_norm` returns: a float64 sum of float32
+squares is finite exactly when every entry is, so no separate pass over
+the vector is needed. Each step draws its pool from the non-empty pools
 taken from the training scenes before the first step. The loop
 is single-threaded in Python and fully deterministic in (config,
 dataset, seed), whatever the BLAS thread count.
@@ -88,6 +91,8 @@ class AdamW:
 
     The moments are vectors of the same layout; every update runs in
     place through one scratch vector, so a step allocates nothing.
+    `step` does not check that the gradient is finite: `train` does,
+    through the norm `clip_global_norm` returns before the update.
     """
 
     def __init__(self, params, cfg):
@@ -98,8 +103,6 @@ class AdamW:
         self.t = 0
 
     def step(self, params, grads):
-        if not np.all(np.isfinite(grads)):
-            raise FloatingPointError("non-finite gradient")
         c, m, v, s = self.cfg, self.m, self.v, self._scratch
         self.t += 1
         bc1 = 1.0 - c.beta1 ** self.t
@@ -238,6 +241,8 @@ def train(world, cfg):
             raise FloatingPointError(f"diverged at step {step}")
 
         grad_norm = clip_global_norm(bundle.grads, cfg.grad_clip)
+        if not np.isfinite(grad_norm):
+            raise FloatingPointError("non-finite gradient")
         opt.step(theta, bundle.grads)
 
         log.append({"step": step, "stage": stage,

@@ -106,7 +106,9 @@ def test_relu_derivative_at_zero_is_zero():
 
 
 def test_float32_backward_flushes_subnormal_gradients():
-    # 1e-40 is a float32 subnormal: the backward pass treats it as 0
+    # 1e-40 is a float32 subnormal; 1e-20 is normal, but below
+    # sqrt(tiny) = 1.08e-19, so its products with the weights in dQ @ W
+    # could be subnormal: the backward pass treats both as 0
     W1, b1 = small_net(5).layers[0]
     net = EmbeddingNet([(W1.astype(np.float32), np.ones(7, dtype=np.float32)),
                         (make_rng(6).normal(size=(4, 7)).astype(np.float32),
@@ -115,11 +117,25 @@ def test_float32_backward_flushes_subnormal_gradients():
     dQ = make_rng(8).normal(size=(3, 4))
     dQ[:, 0] = 0.0
     flushed = net.backward_batch(cache, dQ)
-    dQ[:, 0] = 1e-40
-    tiny = net.backward_batch(cache, dQ)
-    for (dW, db), (tW, tb) in zip(flushed, tiny):
-        assert dW.dtype == np.float32
-        assert np.array_equal(dW, tW) and np.array_equal(db, tb)
+    for small in (1e-40, 1e-20):
+        dQ[:, 0] = small
+        tiny = net.backward_batch(cache, dQ)
+        for (dW, db), (tW, tb) in zip(flushed, tiny):
+            assert dW.dtype == np.float32
+            assert np.array_equal(dW, tW) and np.array_equal(db, tb)
+
+
+def test_float64_backward_keeps_small_gradients():
+    # float64 flushes only below sqrt(tiny) = 1.49e-154, so a dQ entry
+    # of 1e-100 reaches the gradients and the audit's arithmetic stays
+    net = small_net(5)
+    _, cache = net.forward_batch(make_rng(7).normal(size=(3, 5)))
+    dQ = np.zeros((3, 4))
+    dQ[1, 0] = 1e-100
+    (dW1, db1), (dW2, db2) = net.backward_batch(cache, dQ)
+    assert db2[0] == 1e-100
+    assert np.array_equal(dW2[0], 1e-100 * cache[1][1])
+    assert np.any(dW1 != 0.0)
 
 
 def test_nets_keep_float32_and_cast_inputs():

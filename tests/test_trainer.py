@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from protodetect.cli import main
 from protodetect.embedder import flatten
 from protodetect.numeric import make_rng
 from protodetect.prototypes import SupportSet
@@ -121,14 +122,6 @@ def test_adamw_matches_per_entry_reference_over_steps():
     assert np.allclose(p, ref, rtol=1e-13, atol=0.0)
 
 
-def test_adamw_rejects_non_finite_grads():
-    cfg = small_train_cfg()
-    p = np.zeros(2)
-    opt = AdamW(p, cfg)
-    with pytest.raises(FloatingPointError):
-        opt.step(p, np.array([np.nan, 0.0]))
-
-
 def test_clip_global_norm():
     g = np.array([3.0, 0.0, 0.0, 4.0])
     norm = clip_global_norm(g, 1.0)
@@ -140,6 +133,47 @@ def test_clip_global_norm():
 
 
 # --- training loop ----------------------------------------------------------
+
+def non_finite_gradient_loss(monkeypatch, value):
+    """Patch the loop's loss: the real bundle, finite loss, with one
+    gradient entry set to `value`. Returns the list that receives
+    (net, clf, their parameters before the update) at every call."""
+    calls = []
+
+    def loss(net, clf, *args, **kw):
+        bundle = episode_loss(net, clf, *args, **kw)
+        calls.append((net, clf, flatten(net.layers, (clf.W, clf.b))))
+        bundle.grads[0] = value
+        return bundle
+
+    monkeypatch.setattr(trainer, "episode_loss", loss)
+    return calls
+
+
+# an infinite norm scales the gradient by 0, and inf * 0 warns
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_train_rejects_a_non_finite_gradient(monkeypatch, value):
+    # the clip norm is not finite, so the loop stops before the update
+    calls = non_finite_gradient_loss(monkeypatch, value)
+    with pytest.raises(FloatingPointError, match="non-finite gradient"):
+        train(small_world(), small_train_cfg())
+    (net, clf, before), = calls
+    assert np.array_equal(flatten(net.layers, (clf.W, clf.b)), before)
+
+
+def test_cli_train_exits_3_on_a_non_finite_gradient(monkeypatch, tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"world": {"d": 8, "n_train_scenes": 4, "n_test_scenes": 2},
+                               "train": {"hidden_dim": 16, "emb_dim": 8}}))
+    data = str(tmp_path / "data.bin")
+    assert main(["gen-data", "--config", str(cfg), "--out", data]) == 0
+    non_finite_gradient_loss(monkeypatch, np.nan)
+    out = tmp_path / "ckpt.npz"
+    assert main(["train", "--config", str(cfg), "--dataset", data, "--out", str(out)]) == 3
+    assert "non-finite gradient" in capsys.readouterr().err
+    assert not out.exists()
+
 
 def test_stage1_log_total_equals_match():
     world = small_world()
