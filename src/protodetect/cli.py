@@ -8,9 +8,8 @@
 
 gen-data and train write their archive at exactly --out, whatever its
 suffix. The checkpoint carries the background prototype p0, so eval
-embeds no training scene; train and eval also read datasets, and eval
-checkpoints, in the older JSON formats, and eval rebuilds p0 from the
-training scenes for a JSON checkpoint.
+embeds no training scene. A dataset or checkpoint that is not a v2
+archive, such as a JSON file of the older formats, exits 2.
 
 Every command is a pure function of (config, input files, seed);
 re-runs produce byte-identical outputs. Exit codes: 0 ok, 2 config or
@@ -29,7 +28,7 @@ from .inference import (MODES, OPENSET, ZS_MPS, ZS_MPU, ZS_UO, ProtocolSpec,
 from .losses import LossConfig
 from .prototypes import BACKGROUND_ID, SupportSet
 from .simulator import generate_world, load_world, save_world
-from .trainer import NO_POOL, background_prototype, heldout_accuracy, train
+from .trainer import heldout_accuracy, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -105,18 +104,14 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def run_protocol(cfg, world, net, mode, p0=None):
+def run_protocol(cfg, world, net, mode, p0):
     """Shared by cmd_eval and tests: detections + report for one mode.
-    p0 is the checkpoint's background prototype; without one (a v1
-    checkpoint) it is rebuilt from the training scenes."""
+    p0 is the background prototype of the trained bank, as the
+    checkpoint stores it."""
     seen = SupportSet(world.support_seen)
     unseen = SupportSet(world.support_unseen) if world.support_unseen else None
     if mode in (ZS_UO, ZS_MPU, ZS_MPS, OPENSET) and unseen is None:
         raise CliError(f"mode {mode} requires unseen support classes")
-    if p0 is None:
-        p0 = background_prototype(net, world.train_scenes)
-    if p0 is None:
-        raise CliError(NO_POOL)
     spec = ProtocolSpec(
         mode=mode, unknown_id=world.unknown_id,
         unknown_includes_background=cfg.protocol.unknown_includes_background)

@@ -17,8 +17,7 @@ A checkpoint (format protodetect-checkpoint-v2) is one uncompressed
 .npz archive holding that vector, the (out, in) shape of every W, the
 background prototype p0 that training put in its final bank, both in
 the parameters' dtype, and a JSON provenance string, so eval needs
-nothing else from training. `load_checkpoint` also reads the per-layer
-JSON documents of format protodetect-checkpoint-v1, which carry no p0.
+nothing else from training.
 """
 
 import json
@@ -215,7 +214,6 @@ def bind_params(net, clf, dtype=np.float64):
 # --- checkpoints -------------------------------------------------------------
 
 FORMAT = "protodetect-checkpoint-v2"
-V1_FORMAT = "protodetect-checkpoint-v1"
 
 
 def save_checkpoint(path, net, clf, p0, extra=None):
@@ -269,32 +267,11 @@ def _from_entries(entry):
     return EmbeddingNet(layers), LinearClassifier(W, b), p0
 
 
-def checkpoint_from_dict(doc):
-    """Rebuild (net, clf) from a v1 document; ValueError on a malformed
-    or non-finite one."""
-    if not isinstance(doc, dict) or doc.get("format") != V1_FORMAT:
-        raise ValueError("not a protodetect checkpoint")
-    layers = []
-    for entry in doc["embedding_layers"]:
-        shape = tuple(entry["shape"])
-        layers.append((np.array(entry["W"], dtype=np.float64).reshape(shape),
-                       np.array(entry["b"], dtype=np.float64)))
-    net = EmbeddingNet(layers)
-    c = doc["classifier"]
-    clf = LinearClassifier(np.array(c["W"], dtype=np.float64).reshape(tuple(c["shape"])),
-                           np.array(c["b"], dtype=np.float64))
-    if not np.all(np.isfinite(flatten(net.layers, (clf.W, clf.b)))):
-        raise ValueError("non-finite weights in checkpoint")
-    return net, clf
-
-
 def load_checkpoint(path):
-    """Read a v2 archive or a v1 JSON document, told apart by the first
-    bytes, as (net, clf, p0); p0 is None for v1, which does not store it.
-    In a v2 checkpoint every W and b is a view into the one loaded
-    parameter vector. ValueError on a malformed or corrupt file."""
-    return load_archive(path, "checkpoint", _from_entries,
-                        lambda doc: (*checkpoint_from_dict(doc), None))
+    """Read a v2 archive as (net, clf, p0); every W and b is a view into
+    the one loaded parameter vector. ValueError on a malformed or
+    corrupt file, or on one that is not an archive."""
+    return load_archive(path, "checkpoint", _from_entries)
 
 
 def default_net_and_classifier(seed, in_dim, hidden_dim, emb_dim, n_classes, depth=2,

@@ -15,8 +15,7 @@ with every row of another.
 Datasets are fully determined by (config, seed). `save_world` writes
 one uncompressed .npz archive (format protodetect-dataset-v2) whose
 bytes depend on the world only, so regeneration is byte-identical.
-`load_world` reads it, and also the JSON documents of format
-protodetect-dataset-v1; both become the same columnar world, after one
+`load_world` reads it back into the same columnar world, after one
 set of checks (shapes, offsets, finite values, non-degenerate boxes).
 """
 
@@ -281,7 +280,6 @@ def label_proposals(scene):
 # for split in train, test and support in support_seen, support_unseen.
 
 FORMAT = "protodetect-dataset-v2"
-V1_FORMAT = "protodetect-dataset-v1"
 _SPLITS = ("train", "test")
 _SUPPORTS = ("support_seen", "support_unseen")
 
@@ -315,14 +313,6 @@ def _world_entries(world):
         out[name + "_ids"] = np.array(ids, dtype=np.int64)
         out[name + "_offsets"] = _offsets(len(support[c]) for c in ids)
     return out
-
-
-def _world_config(doc):
-    if not isinstance(doc, dict):
-        raise ValueError("config must be an object")
-    cfg = WorldConfig(**dict(doc, box_size_range=tuple(doc["box_size_range"])))
-    cfg.validate()
-    return cfg
 
 
 def _float_rows(entry, name, width):
@@ -366,7 +356,11 @@ def _world_from_entries(entry):
         raise ValueError("not a protodetect dataset")
     if text.dtype.kind != "U" or text.shape != ():
         raise ValueError("config entry is not a string")
-    cfg = _world_config(json.loads(str(text)))
+    doc = json.loads(str(text))
+    if not isinstance(doc, dict):
+        raise ValueError("config must be an object")
+    cfg = WorldConfig(**dict(doc, box_size_range=tuple(doc["box_size_range"])))
+    cfg.validate()
     d = cfg.d
     means = _float_rows(entry, "class_means", d)
     if len(means) != cfg.c_seen + cfg.c_unseen:
@@ -401,36 +395,6 @@ def _world_from_entries(entry):
     return World(cfg, means, *splits, *supports)
 
 
-def _v1_rows(value, width):
-    a = np.array(value, dtype=np.float64)
-    return a.reshape(0, width) if a.size == 0 else a
-
-
-def _v1_world(doc):
-    """A v1 JSON document as a World whose arrays are not checked yet."""
-    if not isinstance(doc, dict) or doc.get("format") != V1_FORMAT:
-        raise ValueError("not a protodetect dataset")
-    cfg = _world_config(doc["config"])
-    d = cfg.d
-
-    def scene(s):
-        return Scene(_v1_rows([p["box"] for p in s["proposals"]], 4),
-                     _v1_rows([p["feature"] for p in s["proposals"]], d),
-                     _v1_rows([g["box"] for g in s["gt"]], 4),
-                     np.array([int(g["label"]) for g in s["gt"]], dtype=np.int64))
-
-    def support(by_class):
-        if not isinstance(by_class, dict):
-            raise ValueError("support sets must be objects")
-        return {int(c): _v1_rows(rows, d) for c, rows in by_class.items()}
-
-    models = sorted(doc["class_models"], key=lambda m: int(m["class_id"]))
-    return World(cfg, _v1_rows([m["mean"] for m in models], d),
-                 [scene(s) for s in doc["train_scenes"]],
-                 [scene(s) for s in doc["test_scenes"]],
-                 support(doc["support_seen"]), support(doc["support_unseen"]))
-
-
 def save_world(path, world):
     """Write the world to `path` as a v2 archive (`archive.save_archive`,
     so at exactly `path`, with stable bytes). ValueError, before anything
@@ -441,8 +405,6 @@ def save_world(path, world):
 
 
 def load_world(path):
-    """Read a v2 archive or a v1 JSON document, told apart by the first
-    bytes; ValueError on a malformed or corrupt file."""
-    return load_archive(
-        path, "dataset", _world_from_entries,
-        lambda doc: _world_from_entries(_world_entries(_v1_world(doc)).__getitem__))
+    """Read a v2 archive; ValueError on a malformed or corrupt file, or
+    on one that is not an archive."""
+    return load_archive(path, "dataset", _world_from_entries)

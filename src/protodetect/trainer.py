@@ -22,10 +22,9 @@ is single-threaded in Python and fully deterministic in (config,
 dataset, seed), whatever the BLAS thread count.
 
 `background_prototype` computes p0 for the final bank, which the
-checkpoint stores, and for evaluation from a v1 checkpoint, which does
-not; training refuses a world whose training scenes hold no background
-pool. `heldout_accuracy` scores the nearest-prototype decision of
-`prototypes.posteriors_batch`.
+checkpoint stores; training refuses a world whose training scenes hold
+no background pool. `heldout_accuracy` scores the nearest-prototype
+decision of `prototypes.posteriors_batch`.
 """
 
 import json
@@ -126,11 +125,13 @@ class AdamW:
 
 
 def clip_global_norm(grads, max_norm):
-    """Scale the gradient vector in place to norm <= max_norm; returns the pre-clip norm."""
+    """Scale the gradient vector in place to norm <= max_norm; returns the
+    pre-clip norm. A non-finite norm scales nothing: `train` refuses that
+    gradient, and max_norm / inf would turn an inf entry into a NaN."""
     # np.sum, not a BLAS dot: its result does not depend on the thread
     # count; float64 squares and sum whatever the gradient's dtype
     norm = float(np.sqrt(np.sum(np.square(grads, dtype=np.float64))))
-    if max_norm > 0 and norm > max_norm:
+    if 0 < max_norm < norm < np.inf:
         grads *= max_norm / norm
     return norm
 
@@ -154,15 +155,9 @@ def scene_background_features(scene):
     return background_pool(scene.proposals, scene.features, scene.gt)
 
 
-def background_prototype(net, scenes):
-    """p0: the mean embedding of the scenes' background pools, or None
-    when every pool is empty."""
-    return _mean_embedding(net, [scene_background_features(s) for s in scenes])
-
-
-def _mean_embedding(net, pools):
-    if not sum(map(len, pools)):
-        return None
+def background_prototype(net, pools):
+    """p0: the mean embedding of the rows of the background pools, a
+    list of (n, d) arrays holding at least one row."""
     emb, _ = net.forward_batch(np.concatenate(pools))
     return emb.mean(axis=0)
 
@@ -251,5 +246,5 @@ def train(world, cfg):
                     "grad_norm": grad_norm})
 
     bank = build_prototypes(net, support).with_entry(
-        BACKGROUND_ID, _mean_embedding(net, pools))
+        BACKGROUND_ID, background_prototype(net, pools))
     return TrainResult(net=net, clf=clf, bank=bank, log=log)

@@ -2,12 +2,8 @@
 oracle, builders of columnar scenes and detections from per-box tuples,
 the value of each loss term for queries and a bank, the per-entry
 finite-difference sweep that the stacked gradient audit must equal,
-stacks of perturbed parameter vectors, and writers of the v1 JSON
-dataset and checkpoint formats, which protodetect still reads but no
-longer writes."""
-
-import json
-from dataclasses import asdict
+stacks of perturbed parameter vectors, and a bit-equality check of
+two worlds."""
 
 import numpy as np
 
@@ -123,39 +119,6 @@ def probe_stack(inst, n=5, seed=0):
             [model_views(row, inst.net, inst.clf) for row in stack])
 
 
-def world_to_v1(world):
-    """The protodetect-dataset-v1 JSON document of a world."""
-    cfg = asdict(world.config)
-    cfg["box_size_range"] = list(cfg["box_size_range"])
-
-    def scene(s):
-        return {"gt": [{"box": b, "label": c}
-                       for b, c in zip(s.gt.tolist(), s.labels.tolist())],
-                "proposals": [{"box": b, "feature": f}
-                              for b, f in zip(s.proposals.tolist(), s.features.tolist())]}
-
-    return {
-        "format": "protodetect-dataset-v1",
-        "config": cfg,
-        "class_models": [{"class_id": c, "mean": m.tolist(),
-                          "sigma_f": world.config.sigma_f,
-                          "box_size_range": cfg["box_size_range"]}
-                         for c, m in enumerate(world.class_means, start=1)],
-        "train_scenes": [scene(s) for s in world.train_scenes],
-        "test_scenes": [scene(s) for s in world.test_scenes],
-        "support_seen": {str(c): v.tolist() for c, v in sorted(world.support_seen.items())},
-        "support_unseen": {str(c): v.tolist() for c, v in sorted(world.support_unseen.items())},
-    }
-
-
-def write_v1(path, doc):
-    """Write a v1 document (world_to_v1 or checkpoint_dict, possibly
-    mutated) as JSON, as the v1 writers did."""
-    with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True)
-    return str(path)
-
-
 def assert_worlds_equal(a, b):
     """Same config and bit-equal arrays, scene by scene."""
     assert a.config == b.config
@@ -170,21 +133,3 @@ def assert_worlds_equal(a, b):
         assert sorted(sa) == sorted(sb)
         assert all(np.array_equal(sa[c], sb[c]) for c in sa)
 
-
-def checkpoint_dict(net, clf, extra=None):
-    """The protodetect-checkpoint-v1 JSON document of (net, clf)."""
-    doc = {
-        "format": "protodetect-checkpoint-v1",
-        "embedding_layers": [
-            {"shape": list(W.shape), "W": W.ravel().tolist(), "b": b.tolist()}
-            for W, b in net.layers
-        ],
-        "classifier": {
-            "shape": list(clf.W.shape),
-            "W": clf.W.ravel().tolist(),
-            "b": clf.b.tolist(),
-        },
-    }
-    if extra:
-        doc["provenance"] = extra
-    return doc

@@ -18,9 +18,7 @@ from protodetect.config import (ConfigError, RunConfig, apply_overrides,
 from protodetect.embedder import (EmbeddingNet, LinearClassifier, load_checkpoint,
                                   save_checkpoint)
 from protodetect.simulator import load_world
-from protodetect.trainer import background_prototype
-
-from helpers import checkpoint_dict, world_to_v1, write_v1
+from protodetect.trainer import background_prototype, scene_background_features
 
 
 BASE_CFG = {
@@ -179,7 +177,8 @@ def test_train_writes_checkpoint_and_log(trained):
 def test_stored_p0_equals_the_rebuilt_one(trained):
     _, data, ckpt, _ = trained
     net, _, p0 = load_checkpoint(ckpt)
-    assert np.array_equal(p0, background_prototype(net, load_world(data).train_scenes))
+    pools = [scene_background_features(s) for s in load_world(data).train_scenes]
+    assert np.array_equal(p0, background_prototype(net, pools))
 
 
 def test_train_rerun_byte_identical(trained, tmp_path):
@@ -296,14 +295,7 @@ def test_zero_training_scenes_exit_2(trained, tmp_path):
     cfg, data, _, _ = trained
     assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "d.json"),
                  "--set", "world.n_train_scenes=0"]) == 2
-    # a v1 dataset without training scenes is refused before training
-    doc = world_to_v1(load_world(data))
-    doc["config"]["n_train_scenes"] = 0
-    doc["train_scenes"] = []
-    empty = write_v1(tmp_path / "empty.json", doc)
-    assert main(["train", "--config", cfg, "--dataset", empty,
-                 "--out", str(tmp_path / "x.json")]) == 2
-    # and so is a v2 archive whose training split holds no scene
+    # a v2 archive whose training split holds no scene is refused
     entries = v2_entries(data)
     for name in ("proposal", "gt"):
         entries[f"train_{name}_offsets"] = np.zeros(1, dtype=np.int64)
@@ -353,59 +345,6 @@ def run_on_dataset(trained, command, dataset, out):
     return main([command, "--config", cfg, "--dataset", dataset, *argv])
 
 
-# v1 documents: JSON written by the test-side writer, read by load_world
-
-def _set_test_feature(doc):
-    doc["test_scenes"][0]["proposals"][0]["feature"] = [1.0]
-
-
-def _set_support_rows(doc):
-    doc["support_seen"]["1"] = [[1.0] * 7 for _ in doc["support_seen"]["1"]]
-
-
-def _set_support_class_empty(doc):
-    doc["support_seen"]["1"] = []
-
-
-def _set_support_empty(doc):
-    doc["support_seen"] = {}
-
-
-def _set_support_list(doc):
-    doc["support_seen"] = list(doc["support_seen"].values())
-
-
-@pytest.mark.parametrize("mutate", [
-    _set_test_feature, _set_support_rows, _set_support_class_empty,
-    _set_support_empty, _set_support_list, lambda doc: [doc],
-], ids=["test_feature_length_1", "support_row_length", "support_class_empty",
-        "support_empty", "support_list", "top_level_list"])
-@pytest.mark.parametrize("command", ["train", "eval"])
-def test_malformed_dataset_exit_2(trained, tmp_path, mutate, command, capsys):
-    doc = world_to_v1(load_world(trained[1]))
-    bad = write_v1(tmp_path / "bad.json", mutate(doc) or doc)
-    out = tmp_path / "out"
-    assert run_on_dataset(trained, command, bad, out) == 2
-    assert "cannot read dataset" in capsys.readouterr().err
-    assert not list(tmp_path.glob("out*"))
-
-
-def test_v1_dataset_gives_the_same_artifacts(trained, tmp_path):
-    cfg, data, ckpt, root = trained
-    v1 = write_v1(tmp_path / "v1.json", world_to_v1(load_world(data)))
-    assert run_on_dataset(trained, "train", v1, tmp_path / "ckpt.json") == 0
-    # the same weights and p0; the provenance names the other file
-    a, b = v2_entries(tmp_path / "ckpt.json"), v2_entries(ckpt)
-    for name in ("format", "shapes", "theta", "p0"):
-        assert a[name].dtype == b[name].dtype and np.array_equal(a[name], b[name]), name
-    pa, pb = json.loads(str(a["provenance"])), json.loads(str(b["provenance"]))
-    assert pa["dataset_digest"] == hashlib.sha256(open(v1, "rb").read()).hexdigest()
-    assert pb["dataset_digest"] == hashlib.sha256(data.read_bytes()).hexdigest()
-    assert dict(pa, dataset_digest=None) == dict(pb, dataset_digest=None)
-    assert ((tmp_path / "ckpt.json.log.jsonl").read_bytes()
-            == (root / "ckpt.json.log.jsonl").read_bytes())
-
-
 # v2 archives: the entries np.savez wrote, changed and written again
 
 def _object_entry(entries):
@@ -428,14 +367,39 @@ def _missing_entry(entries):
     del entries["support_seen_offsets"]
 
 
-@pytest.mark.parametrize("mutate", [
-    None, _object_entry, _shifted_offsets, _feature_dim, _degenerate_box,
-    _missing_entry,
-], ids=["truncated", "object_dtype", "offsets", "feature_dim", "degenerate_box",
-        "missing_entry"])
+def _support_row_length(entries):
+    entries["support_seen"] = entries["support_seen"][:, :-1]
+
+
+def _support_class_empty(entries):
+    # the second class's rows go to the third
+    entries["support_seen_offsets"][2] = entries["support_seen_offsets"][1]
+
+
+def _support_empty(entries):
+    for name, keep in (("support_seen", 0), ("support_seen_ids", 0),
+                       ("support_seen_offsets", 1)):
+        entries[name] = entries[name][:keep]
+
+
+# each mutation, with a part of the message it must give
+V2_DATASET_MUTATIONS = {
+    "truncated": (None, "corrupt dataset archive"),
+    "object_dtype": (_object_entry, "Object arrays cannot be loaded"),
+    "offsets": (_shifted_offsets, "test_proposal_offsets"),
+    "feature_dim": (_feature_dim, "train_features"),
+    "degenerate_box": (_degenerate_box, "degenerate box"),
+    "missing_entry": (_missing_entry, "no entry 'support_seen_offsets'"),
+    "support_row_length": (_support_row_length, "support_seen"),
+    "support_class_empty": (_support_class_empty, "a class has no support rows"),
+    "support_empty": (_support_empty, "dataset has no seen support classes"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(V2_DATASET_MUTATIONS))
 @pytest.mark.parametrize("command", ["train", "eval"])
-def test_malformed_v2_dataset_exit_2(trained, tmp_path, mutate, command, capsys):
-    data = trained[1]
+def test_malformed_v2_dataset_exit_2(trained, tmp_path, case, command, capsys):
+    data, (mutate, message) = trained[1], V2_DATASET_MUTATIONS[case]
     bad = tmp_path / "bad.npz"
     if mutate is None:
         bad.write_bytes(data.read_bytes()[:data.stat().st_size // 2])
@@ -444,50 +408,49 @@ def test_malformed_v2_dataset_exit_2(trained, tmp_path, mutate, command, capsys)
         mutate(entries)
         write_v2(bad, entries)
     assert run_on_dataset(trained, command, str(bad), tmp_path / "out") == 2
-    assert "cannot read dataset" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "cannot read dataset" in err and message in err
     assert not list(tmp_path.glob("out*"))
 
 
-# non-finite values, in either format
+def test_v1_json_dataset_exit_2(trained, tmp_path, capsys):
+    # the JSON document of the retired v1 format, which is no longer read
+    doc = {"format": "protodetect-dataset-v1", "config": {"d": 8},
+           "class_models": [], "train_scenes": [], "test_scenes": [],
+           "support_seen": {"1": [[0.0] * 8]}, "support_unseen": {}}
+    bad = tmp_path / "v1.json"
+    bad.write_text(json.dumps(doc))
+    for command in ("train", "eval"):
+        assert run_on_dataset(trained, command, str(bad), tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "cannot read dataset" in err and "not a v2 .npz archive" in err
+    assert not list(tmp_path.glob("out*"))
+
+
+# non-finite values
 
 NAN, INF = float("nan"), float("inf")
 
 
 NON_FINITE = {
-    # v2 entry whose first value goes bad, the value, and the v1 row it is in
-    "nan_test_feature": ("test_features", NAN,
-                         lambda doc: doc["test_scenes"][0]["proposals"][0]["feature"]),
-    "inf_train_feature": ("train_features", INF,
-                          lambda doc: doc["train_scenes"][0]["proposals"][0]["feature"]),
-    "nan_support_row": ("support_seen", NAN, lambda doc: doc["support_seen"]["1"][0]),
+    # the entry whose first value goes bad, and the value
+    "nan_test_feature": ("test_features", NAN),
+    "inf_train_feature": ("train_features", INF),
+    "nan_support_row": ("support_seen", NAN),
 }
 
 
-@pytest.mark.parametrize("fmt", ["v1", "v2"])
 @pytest.mark.parametrize("case", sorted(NON_FINITE))
 @pytest.mark.parametrize("command", ["train", "eval"])
-def test_non_finite_dataset_exit_2(trained, tmp_path, case, command, fmt, capsys):
-    entry, value, v1_row = NON_FINITE[case]
-    data = trained[1]
-    if fmt == "v2":
-        entries = v2_entries(data)
-        entries[entry][0, 0] = value
-        bad = write_v2(tmp_path / "bad.npz", entries)
-    else:
-        doc = world_to_v1(load_world(data))
-        v1_row(doc)[0] = value
-        bad = write_v1(tmp_path / "bad.json", doc)
+def test_non_finite_dataset_exit_2(trained, tmp_path, case, command, capsys):
+    entry, value = NON_FINITE[case]
+    entries = v2_entries(trained[1])
+    entries[entry][0, 0] = value
+    bad = write_v2(tmp_path / "bad.npz", entries)
     assert run_on_dataset(trained, command, bad, tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert "cannot read dataset" in err and "non-finite" in err
     assert not list(tmp_path.glob("out*"))
-
-
-def v1_checkpoint(ckpt):
-    """The v1 document of a checkpoint, as the v1 writer wrote it."""
-    net, clf, _ = load_checkpoint(ckpt)
-    with np.load(ckpt, allow_pickle=False) as archive:
-        return checkpoint_dict(net, clf, json.loads(str(archive["provenance"])))
 
 
 def eval_on_checkpoint(trained, checkpoint, prefix, mode="fewshot"):
@@ -496,42 +459,26 @@ def eval_on_checkpoint(trained, checkpoint, prefix, mode="fewshot"):
                  "--checkpoint", str(checkpoint), "--out-prefix", str(prefix)])
 
 
-def _set_nan_weight(doc):
-    doc["embedding_layers"][0]["W"][0] = float("nan")
-
-
-@pytest.mark.parametrize("mutate", [
-    lambda doc: doc.update(embedding_layers=[]), lambda doc: [doc],
-    _set_nan_weight,
-], ids=["no_layers", "top_level_list", "nan_weight"])
-def test_malformed_checkpoint_exit_2(trained, tmp_path, mutate, capsys):
-    doc = v1_checkpoint(trained[2])
-    bad = write_v1(tmp_path / "bad.json", mutate(doc) or doc)
+def test_v1_json_checkpoint_exit_2(trained, tmp_path, capsys):
+    # the JSON document of the retired v1 format, which is no longer read
+    doc = {"format": "protodetect-checkpoint-v1",
+           "embedding_layers": [{"shape": [1, 8], "W": [0.0] * 8, "b": [0.0]}],
+           "classifier": {"shape": [4, 1], "W": [0.0] * 4, "b": [0.0] * 4}}
+    bad = tmp_path / "v1.json"
+    bad.write_text(json.dumps(doc))
     assert eval_on_checkpoint(trained, bad, tmp_path / "r") == 2
-    assert "cannot read checkpoint" in capsys.readouterr().err
-    assert not (tmp_path / "r.json").exists()
+    err = capsys.readouterr().err
+    assert "cannot read checkpoint" in err and "not a v2 .npz archive" in err
+    assert not list(tmp_path.glob("r.*"))
 
 
 def float64_checkpoint(trained, path):
-    """A float64 v2 checkpoint of the trained weights, holding the p0
-    that eval rebuilds for a v1 checkpoint of them."""
-    _, data, ckpt, _ = trained
-    net, clf, _ = load_checkpoint(ckpt)
+    """A float64 v2 checkpoint of the trained weights and p0."""
+    net, clf, p0 = load_checkpoint(trained[2])
     net = EmbeddingNet([(W.astype(np.float64), b.astype(np.float64)) for W, b in net.layers])
     clf = LinearClassifier(clf.W.astype(np.float64), clf.b.astype(np.float64))
-    save_checkpoint(path, net, clf, background_prototype(net, load_world(data).train_scenes))
+    save_checkpoint(path, net, clf, p0.astype(np.float64))
     return path
-
-
-def test_v1_checkpoint_gives_the_same_artifacts(trained, tmp_path):
-    v1 = write_v1(tmp_path / "v1.json", v1_checkpoint(trained[2]))
-    v2 = float64_checkpoint(trained, tmp_path / "v2.npz")
-    for mode in ("fewshot", "openset"):
-        assert eval_on_checkpoint(trained, v1, tmp_path / f"v1-{mode}", mode) == 0
-        assert eval_on_checkpoint(trained, v2, tmp_path / f"v2-{mode}", mode) == 0
-        for suffix in (".json", ".csv", ".detections.json"):
-            assert ((tmp_path / f"v1-{mode}{suffix}").read_bytes()
-                    == (tmp_path / f"v2-{mode}{suffix}").read_bytes()), mode + suffix
 
 
 # v2 checkpoints: the entries np.savez wrote, changed and written again
@@ -549,6 +496,13 @@ def _unchained_shapes(entries):
     entries["shapes"][-1] = (3, 11)
 
 
+def _one_layer(entries):
+    # the first layer alone, with theta cut to its parameters
+    n_out, n_in = entries["shapes"][0].tolist()
+    entries["shapes"] = entries["shapes"][:1]
+    entries["theta"] = entries["theta"][:n_out * (n_in + 1)]
+
+
 V2_CHECKPOINT_MUTATIONS = {
     "truncated": None,
     "missing_entry": lambda e: e.pop("p0"),
@@ -564,6 +518,7 @@ V2_CHECKPOINT_MUTATIONS = {
     "nan_p0": _first_value("p0", NAN),
     "inf_p0": _first_value("p0", -INF),
     "p0_length": lambda e: e.update(p0=e["p0"][:-1]),
+    "one_layer": _one_layer,
 }
 
 

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from protodetect.embedder import (EmbeddingNet, LinearClassifier, bind_params,
-                                  checkpoint_from_dict, flatten,
-                                  load_checkpoint, save_checkpoint)
+                                  flatten, load_checkpoint, save_checkpoint)
 from protodetect.gradcheck import random_instance
 from protodetect.numeric import make_rng, softmax
 
-from helpers import checkpoint_dict, probe_stack, write_v1
+from helpers import probe_stack
 
 
 def small_net(seed=0, d=5, hidden=7, e=4, depth=2):
@@ -196,33 +195,6 @@ def test_loaded_checkpoint_binds_views_into_one_vector(tmp_path):
     theta = bind_params(net, clf)
     assert np.array_equal(base, theta)
     assert all(a.base is theta for pair in (*net.layers, (clf.W, clf.b)) for a in pair)
-
-
-def test_v1_checkpoint_loads_without_p0(tmp_path):
-    net = small_net(26)
-    clf = LinearClassifier.init(make_rng(27), 3, 4)
-    path = write_v1(tmp_path / "ckpt.json", checkpoint_dict(net, clf, {"run": 1}))
-    net2, clf2, p0 = load_checkpoint(path)
-    assert p0 is None
-    assert np.array_equal(flatten(net.layers, (clf.W, clf.b)),
-                          flatten(net2.layers, (clf2.W, clf2.b)))
-
-
-def test_checkpoint_rejects_other_documents():
-    with pytest.raises(ValueError):
-        checkpoint_from_dict({"format": "something-else"})
-
-
-def test_checkpoint_dict_shapes():
-    net = small_net()
-    clf = LinearClassifier.init(make_rng(1), 3, 4)
-    doc = checkpoint_dict(net, clf)
-    assert doc["embedding_layers"][0]["shape"] == [7, 5]
-    assert doc["classifier"]["shape"] == [3, 4]
-    # the test-side v1 writer is the one checkpoint_from_dict reads
-    net2, clf2 = checkpoint_from_dict(doc)
-    assert np.array_equal(flatten(net.layers, (clf.W, clf.b)),
-                          flatten(net2.layers, (clf2.W, clf2.b)))
 
 
 def test_init_depth_validation():

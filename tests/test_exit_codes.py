@@ -8,12 +8,15 @@ or inside a section, a section turned into a non-object or dropped, a
 numeric leaf set out of range. Integers come from a small range, so no
 mutation builds a large net.
 
-Mutated v2 checkpoints go to `protodetect eval` on a tiny world. Each
-example starts from a trained checkpoint's entries and applies one to
-three mutations: an entry dropped or renamed, the format tag changed,
-an entry cast to another dtype or given another shape, a NaN or an Inf
-written into a float entry; the archive is then written, and maybe
-truncated.
+Mutated archives go to the commands that read them, on a tiny world:
+v2 checkpoints to `protodetect eval`, v2 datasets to `protodetect train`
+and `eval`. Each example starts from the entries of the tiny run's
+archive and applies one to three mutations: an entry dropped or
+renamed, the format tag changed, an entry cast to another dtype or
+given another shape, an `_offsets` value shifted, a NaN or an Inf
+written into a float entry, a leaf of a JSON string entry (the
+dataset's config, the checkpoint's provenance) replaced; the archive
+is then written, and maybe truncated.
 """
 
 import contextlib
@@ -88,9 +91,15 @@ def _quiet_main(argv):
         return main(argv)
 
 
+def _entries(path):
+    with np.load(path) as archive:
+        return {name: archive[name] for name in archive.files}
+
+
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
-    """(config, dataset, checkpoint entries) of a tiny trained world."""
+    """(config, dataset, checkpoint) paths of a tiny trained world, and
+    the entries of the dataset and of the checkpoint."""
     d = tmp_path_factory.mktemp("tiny")
     cfg, data, ckpt = d / "c.json", d / "d.npz", d / "k.npz"
     cfg.write_text(json.dumps({
@@ -101,12 +110,11 @@ def tiny_run(tmp_path_factory):
     assert _quiet_main(["gen-data", "--config", str(cfg), "--out", str(data)]) == 0
     assert _quiet_main(["train", "--config", str(cfg), "--dataset", str(data),
                         "--out", str(ckpt)]) == 0
-    with np.load(ckpt) as archive:
-        entries = {name: archive[name] for name in archive.files}
-    return str(cfg), str(data), entries
+    return str(cfg), str(data), str(ckpt), _entries(data), _entries(ckpt)
 
 
-CHECKPOINT_ENTRIES = ("format", "shapes", "theta", "p0", "provenance")
+CHECKPOINT_TAGS = ("", "protodetect-checkpoint-v1", "protodetect-dataset-v2")
+DATASET_TAGS = ("", "protodetect-dataset-v1", "protodetect-checkpoint-v2")
 DTYPES = (np.float16, np.float32, np.float64, np.int64, np.int8, np.bool_,
           np.complex128, "U4")
 
@@ -118,16 +126,48 @@ def _reshaped(draw, a):
         flat[:1].reshape(()) if flat.size else flat, flat[:0]]))
 
 
+def _json_object(a):
+    """The object a 0-d string entry holds as JSON, or None."""
+    if a.dtype.kind != "U" or a.shape != ():
+        return None
+    try:
+        doc = json.loads(str(a))
+    except ValueError:
+        return None
+    return doc if isinstance(doc, dict) and doc else None
+
+
 @st.composite
-def mutated_checkpoints(draw, entries):
-    """(entries, percent of the archive's bytes to keep)."""
+def mutated_archives(draw, entries, tags):
+    """(entries, percent of the archive's bytes to keep); `tags` are the
+    format tags a retag draws from."""
+    names = sorted(entries) + ["bogus"]
     entries = dict(entries)
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(["drop", "rename", "retag", "dtype", "shape",
-                                     "nonfinite"]))
+                                     "offsets", "nonfinite", "json"]))
         if kind == "retag":
-            entries["format"] = np.array(draw(st.sampled_from(
-                ["", "protodetect-checkpoint-v1", "protodetect-dataset-v2"])))
+            entries["format"] = np.array(draw(st.sampled_from(tags)))
+            continue
+        if kind == "offsets":
+            offsets = [n for n in sorted(entries) if n.endswith("_offsets")
+                       and entries[n].dtype.kind in "iu" and entries[n].size]
+            if offsets:
+                name = draw(st.sampled_from(offsets))
+                a = entries[name].copy()
+                a.reshape(-1)[draw(st.integers(0, a.size - 1))] += draw(
+                    st.sampled_from([-2, -1, 1, 2]))
+                entries[name] = a
+            continue
+        if kind == "json":
+            docs = {n: doc for n in sorted(entries)
+                    if (doc := _json_object(entries[n])) is not None}
+            if docs:
+                name = draw(st.sampled_from(sorted(docs)))
+                doc = docs[name]
+                doc[draw(st.sampled_from(sorted(doc)))] = draw(
+                    st.one_of(wrong_types, out_of_range, small_ints))
+                entries[name] = np.array(json.dumps(doc))
             continue
         if not entries:
             continue
@@ -136,7 +176,7 @@ def mutated_checkpoints(draw, entries):
         if kind == "drop":
             del entries[name]
         elif kind == "rename":
-            entries[draw(st.sampled_from(CHECKPOINT_ENTRIES + ("bogus",)))] = entries.pop(name)
+            entries[draw(st.sampled_from(names))] = entries.pop(name)
         elif kind == "dtype":
             try:
                 with np.errstate(all="ignore"):
@@ -154,17 +194,34 @@ def mutated_checkpoints(draw, entries):
     return entries, keep
 
 
-@settings(derandomize=True, max_examples=100, deadline=None, database=None)
-@given(data=st.data(), mode=st.sampled_from(["fewshot", "openset"]))
-def test_eval_exit_code_on_mutated_checkpoints(tiny_run, data, mode):
-    cfg, dataset, entries = tiny_run
-    mutated, keep = data.draw(mutated_checkpoints(entries))
-    path = f"{dataset}.mutated"
-    save_archive(path, mutated)
+def _write_mutated(path, entries, keep):
+    save_archive(path, entries)
     with open(path, "rb") as f:
         blob = f.read()
     with open(path, "wb") as f:
         f.write(blob[:len(blob) * keep // 100])
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(data=st.data(), mode=st.sampled_from(["fewshot", "openset"]))
+def test_eval_exit_code_on_mutated_checkpoints(tiny_run, data, mode):
+    cfg, dataset, _, _, entries = tiny_run
+    path = f"{dataset}.mutated"
+    _write_mutated(path, *data.draw(mutated_archives(entries, CHECKPOINT_TAGS)))
     rc = _quiet_main(["eval", "--config", cfg, "--dataset", dataset, "--checkpoint", path,
+                      "--mode", mode, "--out-prefix", f"{dataset}.report"])
+    assert rc in EXIT_CODES
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(data=st.data(), mode=st.sampled_from(["fewshot", "openset"]))
+def test_train_and_eval_exit_code_on_mutated_datasets(tiny_run, data, mode):
+    cfg, dataset, ckpt, entries, _ = tiny_run
+    path = f"{dataset}.mutated"
+    _write_mutated(path, *data.draw(mutated_archives(entries, DATASET_TAGS)))
+    rc = _quiet_main(["train", "--config", cfg, "--dataset", path,
+                      "--out", f"{dataset}.ckpt"])
+    assert rc in EXIT_CODES
+    rc = _quiet_main(["eval", "--config", cfg, "--dataset", path, "--checkpoint", ckpt,
                       "--mode", mode, "--out-prefix", f"{dataset}.report"])
     assert rc in EXIT_CODES

@@ -7,7 +7,7 @@ from protodetect.prototypes import (PrototypeBank, SupportSet,
                                     background_pool, build_prototypes,
                                     compose_unknown_prototype,
                                     posteriors_batch, segment_means)
-from protodetect.trainer import background_prototype
+from protodetect.trainer import background_prototype, scene_background_features
 
 from helpers import make_scene, scalar_iou
 
@@ -25,8 +25,8 @@ def posteriors(q, bank):
 
 
 def background_of(net, proposals, gt_boxes):
-    return background_prototype(net, [make_scene(gt=[(b, 1) for b in gt_boxes],
-                                                 proposals=proposals)])
+    scene = make_scene(gt=[(b, 1) for b in gt_boxes], proposals=proposals)
+    return background_prototype(net, [scene_background_features(scene)])
 
 
 def test_single_shot_prototype_is_embedding():
@@ -117,11 +117,12 @@ def test_background_pool_rows_equal_scalar_iou_filter():
 
 
 def test_background_empty_pool_errors():
-    # no qualifying proposal: no p0, and the callers decide what that means
-    net = random_net()
-    gt = [(0, 0, 10, 10)]
-    assert background_of(net, [((0, 0, 10, 10), np.ones(6))], gt) is None
-    assert background_prototype(net, []) is None
+    # no qualifying proposal: an empty pool, and no pool gives no p0
+    # (train refuses such a world before its first step)
+    scene = make_scene(gt=[((0, 0, 10, 10), 1)], proposals=[((0, 0, 10, 10), np.ones(6))])
+    assert scene_background_features(scene).shape == (0, 6)
+    with pytest.raises(ValueError):
+        background_prototype(random_net(), [])
 
 
 def test_compose_unknown_single_class():

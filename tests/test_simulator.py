@@ -8,7 +8,7 @@ from protodetect.simulator import (IGNORE, WorldConfig, _random_box,
                                    label_proposals, load_world, save_world)
 
 from helpers import (assert_worlds_equal, boxes, make_scene, scalar_draw_box,
-                     scalar_iou, world_to_v1, write_v1)
+                     scalar_iou)
 
 
 def test_iou_identical_and_disjoint():
@@ -140,18 +140,6 @@ def test_world_roundtrip(tmp_path):
     assert_worlds_equal(w2, world)
     assert w2.seen_ids == [1, 2, 3] and w2.unseen_ids == [4, 5]
     assert w2.unknown_id == 6
-
-
-def test_v1_and_v2_load_to_bit_equal_arrays(tmp_path):
-    world = generate_world(small_world_cfg(box_jitter=1.5))
-    v1 = write_v1(tmp_path / "w.json", world_to_v1(world))
-    save_world(tmp_path / "w.npz", world)
-    from_v1, from_v2 = load_world(v1), load_world(tmp_path / "w.npz")
-    assert_worlds_equal(from_v1, from_v2)
-    assert_worlds_equal(from_v2, world)
-    # and a v1 document read back is written as the same v2 bytes
-    save_world(tmp_path / "again.npz", from_v1)
-    assert (tmp_path / "again.npz").read_bytes() == (tmp_path / "w.npz").read_bytes()
 
 
 def test_world_rejects_bad_config():
