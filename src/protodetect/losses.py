@@ -12,23 +12,23 @@ prototypes P (one row per bank entry):
 
 Matching and KL read the same prototype posteriors, which
 `proto_posteriors` computes once per episode: one distance matrix, one
-log-softmax and one exp. Gradients are derived by hand and flow into
-the query embeddings, the prototypes and the classifier. Every term
-takes `grads`: with grads=False it computes the same value by the same
-arithmetic and leaves out the gradient algebra, returning None in place
-of each gradient.
+log-softmax and one exp. Each term returns its value and the
+hand-derived gradients of its scores: the energies -|q - p_k|^2
+(matching, KL), the classifier logits (KL), the similarities
+<q, p>/tau (alignment). With grads=False it computes the same value by
+the same arithmetic and returns None in place of each gradient.
 
 `episode_loss` closes the loop: one forward pass embeds support rows,
 background pool and queries together, and prototypes are segment means
-of that output. Every term's value is computed, for the log, but
-gradient algebra runs only for the terms whose gradient weight is
-nonzero. One backward pass then carries the query gradients and the
-prototype gradients (each support or pool row receiving dP / n of its
-segment) into the net, writing into one vector in the parameter layout
-of `embedder.bind_params`. Training and the gradient audit's probes
-share this one implementation. An episode has one shape, the training
-one: a support set, a non-empty background pool whose mean embedding is
-p0, and queries; every loss is the per-query mean of its term's sum.
+of that output. It computes every term's value, for the log, takes the
+score gradients of the terms whose weight is nonzero, weights and sums
+them, and applies one chain rule into the queries, the prototypes and
+the classifier. One backward pass carries the query and prototype
+gradients (each support or pool row receiving dP / n of its segment)
+into one vector in the parameter layout of `embedder.bind_params`. An
+episode has one shape, the training one: a support set, a non-empty
+background pool whose mean embedding is p0, and queries; every loss is
+the per-query mean of its term's sum.
 
 The net computes in the dtype of its parameters (float32 in training,
 float64 in the gradient audit); its output is cast to float64, so
@@ -64,8 +64,7 @@ class LossConfig:
         if self.lambda_kl < 0 or self.lambda_align < 0:
             raise ValueError("loss weights must be nonnegative")
         if self.stage == 1:
-            self.lambda_kl = 0.0
-            self.lambda_align = 0.0
+            self.lambda_kl = self.lambda_align = 0.0
 
     @classmethod
     def for_stage(cls, stage, lambda_kl=1.0, lambda_align=1.0, tau=10.0):
@@ -112,23 +111,22 @@ def proto_posteriors(Q, P):
 
 def matching_loss(Q, P, y_idx, post, grads=True):
     """NLL of each query's true prototype (row y_idx of P) under the
-    posteriors post = proto_posteriors(Q, P); (value, dQ, dP)."""
+    posteriors post = proto_posteriors(Q, P); (value, G), G the gradient
+    with respect to the energies -|q - p_k|^2."""
     logp, p = post
     rows = np.arange(Q.shape[-2])
     value = -_query_sum(logp[..., rows, y_idx])
     if not grads:
-        return value, None, None
+        return value, None
     G = p.copy()
     G[rows, y_idx] -= 1.0
-    # dZ/dq = -2(q - p_k), dZ/dp_k = 2(q - p_k)
-    dQ = -2.0 * Q * G.sum(axis=1, keepdims=True) + 2.0 * (G @ P)
-    dP = 2.0 * (G.T @ Q - G.sum(axis=0)[:, None] * P)
-    return value, dQ, dP
+    return value, G
 
 
 def kl_loss(Q, P, clf, post, grads=True):
     """Sum of KL(P_proto || P_clf), P_proto given as post (a
-    `proto_posteriors` pair); (value, dQ, dP, dWc, dbc).
+    `proto_posteriors` pair); (value, dZ, dU), the gradients with
+    respect to the energies -|q - p_k|^2 and the classifier logits.
 
     Probabilities never appear inside logs directly; everything is
     phrased through log-sum-exp, so classifier underflow is harmless.
@@ -141,27 +139,29 @@ def kl_loss(Q, P, clf, post, grads=True):
     row_kl = np.sum(p_proto * delta_log, axis=-1)
     value = _query_sum(row_kl)
     if not grads:
-        return value, None, None, None, None
-    dU = np.exp(logp_clf) - p_proto
-    dZ = p_proto * (delta_log - row_kl[:, None])
-    dQ = dU @ clf.W - 2.0 * Q * dZ.sum(axis=1, keepdims=True) + 2.0 * (dZ @ P)
-    dP = 2.0 * (dZ.T @ Q - dZ.sum(axis=0)[:, None] * P)
-    return value, dQ, dP, dU.T @ Q, dU.sum(axis=0)
+        return value, None, None
+    return value, p_proto * (delta_log - row_kl[:, None]), np.exp(logp_clf) - p_proto
 
 
 def alignment_loss(Q, P, y_idx, tau, grads=True):
     """InfoNCE-style NLL over similarities s = <q, p>/tau of each
-    query's true prototype (row y_idx of P); (value, dQ, dP)."""
+    query's true prototype (row y_idx of P); (value, G_a), G_a the
+    gradient with respect to the similarities."""
     if tau <= 0:
         raise ValueError("tau must be positive")
     logp = log_softmax((Q @ P.swapaxes(-1, -2)) / tau, axis=-1)
     rows = np.arange(Q.shape[-2])
     value = -_query_sum(logp[..., rows, y_idx])
     if not grads:
-        return value, None, None
+        return value, None
     G = np.exp(logp)
     G[rows, y_idx] -= 1.0
-    return value, (G @ P) / tau, (G.T @ Q) / tau
+    return value, G
+
+
+def _weighted_sum(shape, *terms):
+    """Zeros of `shape` plus w * a for each (w, a) whose a is not None."""
+    return sum((w * a for w, a in terms if a is not None), np.zeros(shape))
 
 
 def episode_loss(net, clf, support, query_features, query_labels, cfg,
@@ -173,21 +173,19 @@ def episode_loss(net, clf, support, query_features, query_labels, cfg,
     that output (`segment_means`); bg_features, the pool, must hold at
     least one row. The prototype gradient dP goes back to the rows it
     was averaged from, row j of class k receiving dP[k] / n_k, and one
-    backward pass over every row yields all net gradients. Each loss is
-    the per-query mean of its term's sum.
+    backward pass over every row yields all net gradients.
 
     grad_weights optionally overrides the (match, kl, align) weights
-    used for the returned gradients only; the gradient-check harness
-    uses this to isolate a single term. Defaults to (1, lambda_kl,
-    lambda_align). A term whose weight is 0 contributes its value but
-    no gradient algebra.
+    used for the returned gradients only, (1, lambda_kl, lambda_align)
+    by default; the gradient-check harness uses this to isolate a
+    single term. A term whose weight is 0 adds no gradient algebra.
 
     bundle.grads is one vector in the parameter layout of
     `embedder.bind_params` (net layers, then classifier), in the dtype
-    of the net's parameters. grads=False
-    returns the loss values only (bundle.grads is None): the forward
-    pass, the loss values and every input check are the same as with
-    gradients, but no backward pass runs; only it takes stacked parameters.
+    of the net's parameters. grads=False returns the loss values only
+    (bundle.grads is None): the forward pass, the loss values and every
+    input check are the same as with gradients, but no backward pass
+    runs; only it takes stacked parameters.
     """
     if grads and (net.layers[0][0].ndim, clf.W.ndim) != (2, 2):
         raise ValueError("gradients need unstacked parameters")
@@ -214,9 +212,9 @@ def episode_loss(net, clf, support, query_features, query_labels, cfg,
     w_m, w_k, w_a = grad_weights if grad_weights is not None \
         else (1.0, cfg.lambda_kl, cfg.lambda_align)
     post = proto_posteriors(Q, P)
-    m_val, dQ_m, dP_m = matching_loss(Q, P, y_idx, post, grads=grads and w_m != 0)
-    k_val, dQ_k, dP_k, dWc, dbc = kl_loss(Q, P, clf, post, grads=grads and w_k != 0)
-    a_val, dQ_a, dP_a = alignment_loss(Q, P, y_idx, cfg.tau, grads=grads and w_a != 0)
+    m_val, G = matching_loss(Q, P, y_idx, post, grads=grads and w_m != 0)
+    k_val, dZ, dU = kl_loss(Q, P, clf, post, grads=grads and w_k != 0)
+    a_val, G_a = alignment_loss(Q, P, y_idx, cfg.tau, grads=grads and w_a != 0)
 
     n = Q.shape[-2]
     scale = 1.0 / n
@@ -227,22 +225,24 @@ def episode_loss(net, clf, support, query_features, query_labels, cfg,
     if not grads:
         return bundle
 
-    dQ, dP = np.zeros(Q.shape), np.zeros(P.shape)
-    for w, dq, dp in ((w_m, dQ_m, dP_m), (w_k, dQ_k, dP_k), (w_a, dQ_a, dP_a)):
-        if dq is not None:
-            dQ += w * dq
-            dP += w * dp
+    # one chain rule: Gd is the gradient of the energies -|q - p|^2, M
+    # that of the dot products <q, p>, dU that of the classifier logits
+    Gd = _weighted_sum(post[1].shape, (w_m, G), (w_k, dZ))
+    M = _weighted_sum(Gd.shape, (2.0, Gd), (w_a / cfg.tau, G_a))
+    dQ = M @ P - 2.0 * Q * Gd.sum(axis=1, keepdims=True)
+    dP = M.T @ Q - 2.0 * Gd.sum(axis=0)[:, None] * P
+    if dU is not None:
+        dQ += w_k * (dU @ clf.W)
     dQ *= scale
     dP *= scale
 
     # each support / pool row receives its prototype's gradient over the
-    # segment size; then one backward pass over every row, into the net's
-    # views of one gradient vector
+    # segment size; one backward pass over every row fills the net's views
     seg_rows = np.repeat([bank.index_of(c) for c in seg_ids], counts)
     seg_size = np.repeat(counts, counts).astype(np.float64)
     dE = np.concatenate([dP[seg_rows] / seg_size[:, None], dQ])
-    bundle.grads, (*layer_grads, (dWc_out, dbc_out)) = param_vector(net, clf)
+    bundle.grads, (*layer_grads, (dWc, dbc)) = param_vector(net, clf)
     net.backward_batch(cache, dE, layer_grads)
-    for out, d in ((dWc_out, dWc), (dbc_out, dbc)):
-        out[...] = 0.0 if d is None else (w_k * d) * scale
+    dWc[...], dbc[...] = (0.0, 0.0) if dU is None else (
+        (w_k * (dU.T @ Q)) * scale, (w_k * dU.sum(axis=0)) * scale)
     return bundle
