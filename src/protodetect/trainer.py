@@ -28,6 +28,7 @@ decision of `prototypes.posteriors_batch`.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,6 +91,11 @@ class AdamW:
 
     The moments are vectors of the same layout; every update runs in
     place through one scratch vector, so a step allocates nothing.
+    Every scalar of the update is a Python float. Under NEP 50 (numpy 2)
+    a numpy float64 scalar is not weakly typed, so it would turn its
+    pass over a float32 vector into a float64 loop with casts; a Python
+    float keeps every pass in the vector's dtype, whatever the numpy
+    version.
     `step` does not check that the gradient is finite: `train` does,
     through the norm `clip_global_norm` returns before the update.
     """
@@ -105,7 +111,7 @@ class AdamW:
         c, m, v, s = self.cfg, self.m, self.v, self._scratch
         self.t += 1
         bc1 = 1.0 - c.beta1 ** self.t
-        sqrt_bc2 = np.sqrt(1.0 - c.beta2 ** self.t)
+        sqrt_bc2 = math.sqrt(1.0 - c.beta2 ** self.t)
         m *= c.beta1
         np.multiply(grads, 1.0 - c.beta1, out=s)
         m += s

@@ -122,6 +122,28 @@ def test_adamw_matches_per_entry_reference_over_steps():
     assert np.allclose(p, ref, rtol=1e-13, atol=0.0)
 
 
+def test_adamw_float32_step_stays_float32():
+    # every pass of a float32 step runs in float32: bit-equal to the
+    # formula on float32 arrays with Python-float constants, which keep
+    # the arrays' dtype on any numpy version (a numpy float64 scalar
+    # would not, under NEP 50)
+    cfg = small_train_cfg(lr=1e-2, weight_decay=0.1)
+    rng = make_rng(4)
+    p = rng.normal(size=257).astype(np.float32)
+    ref, m, v = p.copy(), np.zeros_like(p), np.zeros_like(p)
+    opt = AdamW(p, cfg)
+    for t in range(1, 7):
+        g = rng.normal(size=257).astype(np.float32)
+        opt.step(p, g)
+        bc1, sqrt_bc2 = 1.0 - cfg.beta1 ** t, (1.0 - cfg.beta2 ** t) ** 0.5
+        m = m * cfg.beta1 + g * (1.0 - cfg.beta1)
+        v = v * cfg.beta2 + (g * g) * (1.0 - cfg.beta2)
+        ref = ref * (1.0 - cfg.lr * cfg.weight_decay)
+        ref = ref - m / (np.sqrt(v) + cfg.eps * sqrt_bc2) * (cfg.lr * sqrt_bc2 / bc1)
+        assert ref.dtype == m.dtype == v.dtype == np.float32
+        assert np.array_equal(p, ref) and np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
+
+
 def test_clip_global_norm():
     g = np.array([3.0, 0.0, 0.0, 4.0])
     norm = clip_global_norm(g, 1.0)
