@@ -25,7 +25,8 @@ def save_archive(path, entries):
 def load_archive(path, kind, from_entries):
     """from_entries(entry), where entry(name) returns the named array.
     ValueError, naming `kind`, on a file that is not an archive, a
-    missing entry or a corrupt archive."""
+    missing entry, an entry numpy refuses to load (naming the entry) or
+    a corrupt archive."""
     with open(path, "rb") as f:
         # sniffed first: np.load would call a JSON file pickled data
         if f.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
@@ -39,6 +40,9 @@ def load_archive(path, kind, from_entries):
                         return archive[name]
                     except KeyError:
                         raise ValueError(f"{kind} has no entry {name!r}") from None
+                    except ValueError as e:   # e.g. an object array
+                        raise ValueError(f"{kind} entry {name!r} cannot be loaded: "
+                                         f"{e}") from None
                 return from_entries(entry)
         except (zipfile.BadZipFile, EOFError) as e:
             raise ValueError(f"corrupt {kind} archive: {e}") from None

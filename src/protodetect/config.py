@@ -7,48 +7,18 @@ overrides. Defaults reproduce the published hyperparameters
 import dataclasses
 import hashlib
 import json
-import math
 
 from .inference import FEWSHOT, MODES
+from .schema import ConfigError, build_dataclass
 from .simulator import WorldConfig
 from .trainer import TrainConfig
-
-
-class ConfigError(ValueError):
-    pass
-
-
-def _type_ok(value, typ):
-    """JSON value fits a field of type typ: numbers are finite, and a
-    bool is no number."""
-    if typ in (int, float):
-        number = isinstance(value, int) or (typ is float and isinstance(value, float))
-        return number and not isinstance(value, bool) and math.isfinite(value)
-    if typ is tuple:
-        return isinstance(value, (list, tuple)) and all(_type_ok(x, float) for x in value)
-    return isinstance(value, typ)
 
 
 def _section(doc, key):
     value = doc.get(key, {})
     if not isinstance(value, dict):
         raise ConfigError(f"'{key}' must be an object")
-    return dict(value)
-
-
-def _build_dataclass(cls, doc, section):
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(doc) - names
-    if unknown:
-        raise ConfigError(f"unknown keys in '{section}': {sorted(unknown)}")
-    for f in dataclasses.fields(cls):
-        if f.name in doc and not _type_ok(doc[f.name], f.type):
-            raise ConfigError(f"'{section}.{f.name}' must be of type "
-                              f"{f.type.__name__}, got {doc[f.name]!r}")
-    try:
-        return cls(**doc)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"invalid '{section}' config: {e}") from e
+    return value
 
 
 @dataclasses.dataclass
@@ -76,12 +46,9 @@ class RunConfig:
         unknown = set(doc) - _TOP_KEYS
         if unknown:
             raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
-        wdoc = _section(doc, "world")
-        if isinstance(wdoc.get("box_size_range"), list):
-            wdoc["box_size_range"] = tuple(wdoc["box_size_range"])
-        world = _build_dataclass(WorldConfig, wdoc, "world")
-        train = _build_dataclass(TrainConfig, _section(doc, "train"), "train")
-        proto = _build_dataclass(ProtocolConfig, _section(doc, "protocol"), "protocol")
+        world = build_dataclass(WorldConfig, _section(doc, "world"), "world")
+        train = build_dataclass(TrainConfig, _section(doc, "train"), "train")
+        proto = build_dataclass(ProtocolConfig, _section(doc, "protocol"), "protocol")
         try:
             world.validate()
             train.validate()

@@ -20,12 +20,14 @@ set of checks (shapes, offsets, finite values, non-degenerate boxes).
 """
 
 import json
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .archive import load_archive, save_archive
 from .numeric import make_rng
+from .schema import build_dataclass
 
 IGNORE = -1  # proposals in the [0.3, 0.5) IoU band are excluded from training
 BACKGROUND_IOU = 0.3  # a proposal below this IoU with every GT box is background
@@ -85,7 +87,8 @@ class WorldConfig:
         sizes = tuple(self.box_size_range)
         bad = [name for name, ok in (
             ("c_seen", self.c_seen >= 1), ("c_unseen", self.c_unseen >= 0),
-            ("d", self.d >= 1), ("delta", self.delta > 0),
+            # _place_means draws norms from U[delta, 2 delta]: 2 delta is finite
+            ("d", self.d >= 1), ("delta", 0 < 2.0 * self.delta < math.inf),
             ("sigma_f", self.sigma_f > 0), ("scene_size", self.scene_size > 0),
             ("objects_per_scene", self.objects_per_scene >= 0),
             ("box_jitter", self.box_jitter >= 0),
@@ -359,7 +362,7 @@ def _world_from_entries(entry):
     doc = json.loads(str(text))
     if not isinstance(doc, dict):
         raise ValueError("config must be an object")
-    cfg = WorldConfig(**dict(doc, box_size_range=tuple(doc["box_size_range"])))
+    cfg = build_dataclass(WorldConfig, doc, "config")
     cfg.validate()
     d = cfg.d
     means = _float_rows(entry, "class_means", d)

@@ -78,7 +78,8 @@ class TrainConfig:
             ("queries_per_support", self.queries_per_support >= 1),
             ("tau", self.tau > 0), ("lambda_kl", self.lambda_kl >= 0),
             ("lambda_align", self.lambda_align >= 0), ("seed", self.seed >= 0),
-            ("augment_strength", self.augment_strength >= 0),
+            # the width 2s of augment_feature's draw U[1-s, 1+s] must be finite
+            ("augment_strength", 0 <= 2.0 * self.augment_strength < math.inf),
             ("hidden_dim", self.hidden_dim >= 1), ("emb_dim", self.emb_dim >= 1),
             ("mlp_depth", self.mlp_depth >= 2), ("grad_clip", self.grad_clip >= 0),
         ) if not ok]

@@ -314,6 +314,27 @@ def test_train_zero_hidden_dim_exit_2(trained, tmp_path):
     assert not out.exists()
 
 
+def test_gen_data_delta_without_finite_draw_bound_exit_2(tmp_path, capsys):
+    # class-mean norms are drawn from U[delta, 2 delta]; at delta = 1e308
+    # numpy's draw raised OverflowError out of gen-data
+    out = tmp_path / "d.npz"
+    assert main(["gen-data", "--config", write_cfg(tmp_path / "c.json"), "--out", str(out),
+                 "--set", "world.delta=1e308"]) == 2
+    assert "delta out of range" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_augment_strength_without_finite_draw_width_exit_2(trained, tmp_path, capsys):
+    # U[1 - s, 1 + s] at s = 1e308 has no finite width: numpy's draw
+    # raised OverflowError out of the first training step
+    cfg, data, _, _ = trained
+    out = tmp_path / "x.npz"
+    assert main(["train", "--config", cfg, "--dataset", str(data),
+                 "--out", str(out), "--set", "train.augment_strength=1e308"]) == 2
+    assert "augment_strength out of range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_checkpoint_dataset_dim_mismatch_exit_2(trained, tmp_path, capsys):
     cfg, _, ckpt, _ = trained      # trained at d=8
     wide = tmp_path / "wide.json"
@@ -382,10 +403,17 @@ def _support_empty(entries):
         entries[name] = entries[name][:keep]
 
 
+def _config_wrong_type(entries):
+    doc = json.loads(str(entries["config"]))
+    doc["d"] = "x"
+    entries["config"] = np.array(json.dumps(doc))
+
+
 # each mutation, with a part of the message it must give
 V2_DATASET_MUTATIONS = {
     "truncated": (None, "corrupt dataset archive"),
-    "object_dtype": (_object_entry, "Object arrays cannot be loaded"),
+    "object_dtype": (_object_entry, "dataset entry 'train_labels' cannot be loaded: "
+                                    "Object arrays cannot be loaded"),
     "offsets": (_shifted_offsets, "test_proposal_offsets"),
     "feature_dim": (_feature_dim, "train_features"),
     "degenerate_box": (_degenerate_box, "degenerate box"),
@@ -393,6 +421,7 @@ V2_DATASET_MUTATIONS = {
     "support_row_length": (_support_row_length, "support_seen"),
     "support_class_empty": (_support_class_empty, "a class has no support rows"),
     "support_empty": (_support_empty, "dataset has no seen support classes"),
+    "config_type": (_config_wrong_type, "'config.d' must be of type int, got 'x'"),
 }
 
 

@@ -1,12 +1,14 @@
 """The exit-code contract as a property: mutated inputs make the
 commands return 0, 2, 3 or 4, and never raise.
 
-Mutated config files go to `protodetect gradcheck`. Each example starts
-from the full default config and applies one to three mutations: a leaf
-replaced by a value of the wrong type, an unknown key at the top level
-or inside a section, a section turned into a non-object or dropped, a
-numeric leaf set out of range. Integers come from a small range, so no
-mutation builds a large net.
+Mutated config files go to `protodetect gradcheck`, and to `gen-data`,
+`train` and `eval` on a tiny world. Each example starts from a full
+config (the default one for gradcheck, the tiny world's for the other
+commands) and applies one to three mutations: a leaf replaced by a
+value of the wrong type, an unknown key at the top level or inside a
+section, a section turned into a non-object or dropped, a numeric leaf
+set out of range. Integers come from a small range, so no mutation
+builds a large net.
 
 Mutated archives go to the commands that read them, on a tiny world:
 v2 checkpoints to `protodetect eval`, v2 datasets to `protodetect train`
@@ -51,8 +53,10 @@ def _numeric(value):
 
 
 @st.composite
-def mutated_configs(draw):
-    doc = copy.deepcopy(BASE)
+def mutated_configs(draw, base=BASE, droppable=SECTIONS):
+    """Mutations of the config document `base`; a "drop" removes one of
+    the `droppable` sections, so that it takes its defaults."""
+    doc = copy.deepcopy(base)
     for _ in range(draw(st.integers(1, 3))):
         sections = [s for s in SECTIONS if isinstance(doc.get(s), dict) and doc[s]]
         kind = draw(st.sampled_from(["type", "unknown", "section", "drop", "range"]
@@ -67,7 +71,7 @@ def mutated_configs(draw):
         elif kind == "section":
             doc[draw(st.sampled_from(SECTIONS))] = draw(non_objects)
         elif kind == "drop":
-            doc.pop(draw(st.sampled_from(SECTIONS)), None)
+            doc.pop(draw(st.sampled_from(droppable)), None)
         else:
             numeric = [(s, k) for s in sections for k in sorted(doc[s]) if _numeric(doc[s][k])]
             if numeric:
@@ -96,17 +100,19 @@ def _entries(path):
         return {name: archive[name] for name in archive.files}
 
 
+TINY = {"world": {"c_seen": 3, "c_unseen": 2, "d": 8, "n_train_scenes": 3,
+                  "n_test_scenes": 3, "seed": 5},
+        "train": {"stage1_steps": 2, "stage2_steps": 1, "hidden_dim": 8,
+                  "emb_dim": 4, "seed": 1}}
+
+
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
     """(config, dataset, checkpoint) paths of a tiny trained world, and
     the entries of the dataset and of the checkpoint."""
     d = tmp_path_factory.mktemp("tiny")
     cfg, data, ckpt = d / "c.json", d / "d.npz", d / "k.npz"
-    cfg.write_text(json.dumps({
-        "world": {"c_seen": 3, "c_unseen": 2, "d": 8, "n_train_scenes": 3,
-                  "n_test_scenes": 3, "seed": 5},
-        "train": {"stage1_steps": 2, "stage2_steps": 1, "hidden_dim": 8,
-                  "emb_dim": 4, "seed": 1}}))
+    cfg.write_text(json.dumps(TINY))
     assert _quiet_main(["gen-data", "--config", str(cfg), "--out", str(data)]) == 0
     assert _quiet_main(["train", "--config", str(cfg), "--dataset", str(data),
                         "--out", str(ckpt)]) == 0
@@ -225,3 +231,24 @@ def test_train_and_eval_exit_code_on_mutated_datasets(tiny_run, data, mode):
     rc = _quiet_main(["eval", "--config", cfg, "--dataset", path, "--checkpoint", ckpt,
                       "--mode", mode, "--out-prefix", f"{dataset}.report"])
     assert rc in EXIT_CODES
+
+
+# every key of the tiny config; the default train section (700 steps at
+# hidden 512) is never dropped in, so every example stays tiny
+TINY_FULL = RunConfig.from_dict(TINY).to_dict()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(doc=mutated_configs(base=TINY_FULL, droppable=("world", "protocol")))
+def test_pipeline_exit_code_on_mutated_configs(tiny_run, doc):
+    # each command reads the mutated config; train and eval read the
+    # tiny run's dataset and checkpoint
+    _, dataset, ckpt, _, _ = tiny_run
+    path = f"{dataset}.config.json"
+    with open(path, "w") as f:
+        json.dump(doc, f)
+    assert _quiet_main(["gen-data", "--config", path, "--out", f"{dataset}.gen"]) in EXIT_CODES
+    assert _quiet_main(["train", "--config", path, "--dataset", dataset,
+                        "--out", f"{dataset}.ckpt"]) in EXIT_CODES
+    assert _quiet_main(["eval", "--config", path, "--dataset", dataset, "--checkpoint", ckpt,
+                        "--out-prefix", f"{dataset}.report"]) in EXIT_CODES
