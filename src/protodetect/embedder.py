@@ -92,12 +92,12 @@ class EmbeddingNet:
         acts = [X]
         h = X
         for i, (W, b) in enumerate(self.layers):
-            z = h @ W.swapaxes(-1, -2) + b[..., None, :]
+            # bias and relu in place: no temporary beyond the product
+            h = h @ W.swapaxes(-1, -2)
+            h += b[..., None, :]
             if i < len(self.layers) - 1:
-                h = np.maximum(z, 0.0)
+                np.maximum(h, 0.0, out=h)
                 acts.append(h)
-            else:
-                h = z
         return h, acts
 
     def backward_batch(self, cache, dQ, out=None):
@@ -128,7 +128,8 @@ class EmbeddingNet:
             np.sum(dh, axis=0, out=db)
             if i > 0:
                 # acts[i] holds relu output of layer i-1; relu' at 0 is 0
-                dh = (dh @ self.layers[i][0]) * (acts[i] > 0.0)
+                dh = dh @ self.layers[i][0]
+                dh *= acts[i] > 0.0
         return grads
 
 
