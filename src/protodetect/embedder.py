@@ -45,8 +45,9 @@ def _glorot(rng, fan_out, fan_in):
 class EmbeddingNet:
     """MLP with `depth` linear layers and ReLU between them.
 
-    layers[i] is a (W, b) pair; W has shape (out, in). The last layer
-    is linear (no ReLU after it). ReLU derivative at exactly 0 is 0.
+    layers[i] is a (W, b) pair; W has shape (out, in), and every array
+    has one dtype. The last layer is linear (no ReLU after it). ReLU
+    derivative at exactly 0 is 0.
     """
 
     def __init__(self, layers):
@@ -56,6 +57,8 @@ class EmbeddingNet:
         for W, b in self.layers:
             if W.ndim < 2 or W.shape[:-1] != b.shape:
                 raise ValueError("inconsistent layer shapes")
+        if len({a.dtype for pair in self.layers for a in pair}) > 1:
+            raise ValueError("layers must share one dtype")
         for (W1, _), (W2, _) in zip(self.layers, self.layers[1:]):
             if W2.shape[-1] != W1.shape[-2]:
                 raise ValueError("layer dims do not chain")

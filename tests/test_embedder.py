@@ -144,6 +144,10 @@ def test_nets_keep_float32_and_cast_inputs():
     assert net.dtype == Q.dtype == clf.logits_batch(Q.astype(np.float64)).dtype == np.float32
     # integer and list parameters become float64
     assert EmbeddingNet([(np.eye(2, dtype=int), [0, 0])]).dtype == np.float64
+    # one dtype for every layer: a float64 bias would be cast to float32
+    # by the in-place forward pass, where it once made the output float64
+    with pytest.raises(ValueError, match="one dtype"):
+        EmbeddingNet([(np.eye(2, dtype=np.float32), [0.0, 0.0])])
 
 
 def test_classifier_uniform_at_zero_params():
