@@ -16,7 +16,8 @@ Datasets are fully determined by (config, seed). `save_world` writes
 one uncompressed .npz archive (format protodetect-dataset-v2) whose
 bytes depend on the world only, so regeneration is byte-identical.
 `load_world` reads it back into the same columnar world, after one
-set of checks (shapes, offsets, finite values, non-degenerate boxes).
+set of checks (the stored config's keys and types, as the run config
+is checked; shapes, offsets, finite values, non-degenerate boxes).
 """
 
 import json
