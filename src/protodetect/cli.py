@@ -87,12 +87,17 @@ def cmd_train(args):
     except ValueError as e:
         raise CliError(str(e))
     try:
+        acc = heldout_accuracy(result.net, result.bank, world.test_scenes)
+    except FloatingPointError:
+        # held-out features that overflow the net's dtype: bad input, and
+        # nothing is written
+        raise CliError("cannot score held-out scenes: non-finite embeddings")
+    try:
         save_checkpoint(args.out, result.net, result.clf,
                         result.bank.get(BACKGROUND_ID),
                         extra=_provenance(cfg, args.dataset))
     except OSError as e:
         raise CliError(f"cannot write checkpoint: {e}")
-    acc = heldout_accuracy(result.net, result.bank, world.test_scenes)
     result.log.append({"final": True, "accuracy": acc})
     log_path = args.log or (args.out + ".log.jsonl")
     try:

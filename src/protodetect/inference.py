@@ -52,7 +52,8 @@ class ProtocolSpec:
 def detect_scene(scene, net, bank):
     """Embed every proposal; keep those whose nearest prototype is not p0.
 
-    FloatingPointError when an embedding is not finite.
+    FloatingPointError, from `posteriors_batch`, when an embedding is
+    not finite.
     """
     if not bank.has(BACKGROUND_ID):
         raise ValueError("bank is missing the background prototype")
@@ -60,8 +61,6 @@ def detect_scene(scene, net, bank):
     if not len(scene.proposals):
         return Detections(scene.proposals, ids[:0], np.empty(0))
     Q, _ = net.forward_batch(scene.features)
-    if not np.isfinite(Q).all():
-        raise FloatingPointError("non-finite embeddings")
     probs = posteriors_batch(Q, bank)
     best = np.argmax(probs, axis=1)
     keep = ids[best] != BACKGROUND_ID

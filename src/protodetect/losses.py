@@ -4,19 +4,22 @@ Three terms over the embedded queries Q of an episode and its
 prototypes P (one row per bank entry):
 
 * matching: NLL of the true class under the softmax over negative
-  squared distances (energies),
+  squared distances (energies) -|q - p_k|^2,
 * kl: divergence from the prototype posterior to the linear
   classifier's posterior (prototype side is the first argument),
 * alignment: NLL over temperature-scaled dot-product similarities
   to the prototypes.
 
-Matching and KL read the same prototype posteriors, which
-`proto_posteriors` computes once per episode: one distance matrix, one
-log-softmax and one exp. Each term returns its value and the
-hand-derived gradients of its scores: the energies -|q - p_k|^2
-(matching, KL), the classifier logits (KL), the similarities
-<q, p>/tau (alignment). With grads=False it computes the same value by
-the same arithmetic and returns None in place of each gradient.
+All three read one inner-product matrix S = Q P^T, which
+`numeric.proto_logits` computes once per episode with the prototype
+logits Z = 2 S - |p|^2. Z exceeds the energies only by |q|^2, which
+is constant along each row, so its softmax is the energy softmax: matching and KL read the posteriors `proto_posteriors` takes
+from Z (one log-softmax and one exp), and alignment reads S / tau.
+Each term returns its value and the hand-derived gradients of its
+scores: the logits Z (matching, KL), the classifier logits (KL), the
+similarities S / tau (alignment). With grads=False it computes the
+same value by the same arithmetic and returns None in place of each
+gradient.
 
 `episode_loss` closes the loop: one forward pass embeds support rows,
 background pool and queries together, and prototypes are segment means
@@ -32,7 +35,7 @@ the per-query mean of its term's sum.
 
 The net computes in the dtype of its parameters (float32 in training,
 float64 in the gradient audit); its output is cast to float64, so
-prototypes, distances, log-sum-exp and loss sums are float64 whatever
+prototypes, logits, log-sum-exp and loss sums are float64 whatever
 that dtype. The gradient vector has the parameters' dtype.
 
 The value path (grads=False) also takes parameters with a leading
@@ -45,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedder import param_vector
-from .numeric import log_softmax, sq_distances
+from .numeric import log_softmax, proto_logits
 from .prototypes import BACKGROUND_ID, PrototypeBank, segment_means
 
 
@@ -102,19 +105,20 @@ def _query_sum(a):
     return float(s) if s.ndim == 0 else s
 
 
-def proto_posteriors(Q, P):
+def proto_posteriors(Z):
     """(log P(prototype k | q), P(prototype k | q)) for each query row:
-    the log-softmax of -|q - p_k|^2 and its exp."""
-    logp = log_softmax(-sq_distances(Q, P), axis=-1)
+    the log-softmax of the prototype logits Z of `proto_logits`, which
+    is that of -|q - p_k|^2, and its exp."""
+    logp = log_softmax(Z, axis=-1)
     return logp, np.exp(logp)
 
 
-def matching_loss(Q, P, y_idx, post, grads=True):
-    """NLL of each query's true prototype (row y_idx of P) under the
-    posteriors post = proto_posteriors(Q, P); (value, G), G the gradient
-    with respect to the energies -|q - p_k|^2."""
+def matching_loss(post, y_idx, grads=True):
+    """NLL of each query's true prototype (column y_idx) under the
+    posteriors post = proto_posteriors(Z); (value, G), G the gradient
+    with respect to the logits Z."""
     logp, p = post
-    rows = np.arange(Q.shape[-2])
+    rows = np.arange(logp.shape[-2])
     value = -_query_sum(logp[..., rows, y_idx])
     if not grads:
         return value, None
@@ -123,17 +127,17 @@ def matching_loss(Q, P, y_idx, post, grads=True):
     return value, G
 
 
-def kl_loss(Q, P, clf, post, grads=True):
+def kl_loss(Q, clf, post, grads=True):
     """Sum of KL(P_proto || P_clf), P_proto given as post (a
     `proto_posteriors` pair); (value, dZ, dU), the gradients with
-    respect to the energies -|q - p_k|^2 and the classifier logits.
+    respect to the prototype logits Z and the classifier logits.
 
     Probabilities never appear inside logs directly; everything is
     phrased through log-sum-exp, so classifier underflow is harmless.
     """
-    if clf.n_classes != P.shape[-2]:
-        raise ValueError("classifier width must equal bank size")
     logp_proto, p_proto = post
+    if clf.n_classes != p_proto.shape[-1]:
+        raise ValueError("classifier width must equal bank size")
     logp_clf = log_softmax(clf.logits_batch(Q), axis=-1)
     delta_log = logp_proto - logp_clf
     row_kl = np.sum(p_proto * delta_log, axis=-1)
@@ -143,14 +147,15 @@ def kl_loss(Q, P, clf, post, grads=True):
     return value, p_proto * (delta_log - row_kl[:, None]), np.exp(logp_clf) - p_proto
 
 
-def alignment_loss(Q, P, y_idx, tau, grads=True):
-    """InfoNCE-style NLL over similarities s = <q, p>/tau of each
-    query's true prototype (row y_idx of P); (value, G_a), G_a the
-    gradient with respect to the similarities."""
+def alignment_loss(S, y_idx, tau, grads=True):
+    """InfoNCE-style NLL over similarities S / tau, S the inner products
+    <q, p> of `proto_logits`, of each query's true prototype (column
+    y_idx); (value, G_a), G_a the gradient with respect to the
+    similarities."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    logp = log_softmax((Q @ P.swapaxes(-1, -2)) / tau, axis=-1)
-    rows = np.arange(Q.shape[-2])
+    logp = log_softmax(S / tau, axis=-1)
+    rows = np.arange(S.shape[-2])
     value = -_query_sum(logp[..., rows, y_idx])
     if not grads:
         return value, None
@@ -211,10 +216,11 @@ def episode_loss(net, clf, support, query_features, query_labels, cfg,
 
     w_m, w_k, w_a = grad_weights if grad_weights is not None \
         else (1.0, cfg.lambda_kl, cfg.lambda_align)
-    post = proto_posteriors(Q, P)
-    m_val, G = matching_loss(Q, P, y_idx, post, grads=grads and w_m != 0)
-    k_val, dZ, dU = kl_loss(Q, P, clf, post, grads=grads and w_k != 0)
-    a_val, G_a = alignment_loss(Q, P, y_idx, cfg.tau, grads=grads and w_a != 0)
+    S, Z = proto_logits(Q, P)
+    post = proto_posteriors(Z)
+    m_val, G = matching_loss(post, y_idx, grads=grads and w_m != 0)
+    k_val, dZ, dU = kl_loss(Q, clf, post, grads=grads and w_k != 0)
+    a_val, G_a = alignment_loss(S, y_idx, cfg.tau, grads=grads and w_a != 0)
 
     n = Q.shape[-2]
     scale = 1.0 / n
@@ -225,12 +231,13 @@ def episode_loss(net, clf, support, query_features, query_labels, cfg,
     if not grads:
         return bundle
 
-    # one chain rule: Gd is the gradient of the energies -|q - p|^2, M
-    # that of the dot products <q, p>, dU that of the classifier logits
-    Gd = _weighted_sum(post[1].shape, (w_m, G), (w_k, dZ))
-    M = _weighted_sum(Gd.shape, (2.0, Gd), (w_a / cfg.tau, G_a))
-    dQ = M @ P - 2.0 * Q * Gd.sum(axis=1, keepdims=True)
-    dP = M.T @ Q - 2.0 * Gd.sum(axis=0)[:, None] * P
+    # one chain rule: Gz is the gradient of the logits Z = 2 S - |p|^2,
+    # M that of the inner products S = Q P^T, dU that of the classifier
+    # logits. Z holds no |q|^2 term, so dQ is M P alone
+    Gz = _weighted_sum(Z.shape, (w_m, G), (w_k, dZ))
+    M = _weighted_sum(Gz.shape, (2.0, Gz), (w_a / cfg.tau, G_a))
+    dQ = M @ P
+    dP = M.T @ Q - 2.0 * Gz.sum(axis=0)[:, None] * P
     if dU is not None:
         dQ += w_k * (dU @ clf.W)
     dQ *= scale

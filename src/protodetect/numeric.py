@@ -1,4 +1,5 @@
-"""Small numeric core: stable softmax/log-sum-exp, distances, seeded RNG.
+"""Small numeric core: stable softmax/log-sum-exp, prototype logits,
+distances, seeded RNG.
 
 Everything here works on plain float64 numpy arrays. Vectors are 1-D
 arrays, matrices are 2-D row-major arrays or stacks of them (leading
@@ -44,17 +45,42 @@ def softmax(logits, axis=-1):
     return np.exp(log_softmax(z, axis=axis))
 
 
+def _row_stacks(Q, P):
+    """Q and P as float64 arrays of rows of one width, or ValueError."""
+    Q = np.asarray(Q, dtype=np.float64)
+    P = np.asarray(P, dtype=np.float64)
+    if Q.ndim < 2 or P.ndim < 2 or Q.shape[-1] != P.shape[-1]:
+        raise ValueError(f"dim mismatch: {Q.shape} vs {P.shape}")
+    return Q, P
+
+
+def proto_logits(Q, P):
+    """(S, Z) for rows of Q against rows of P: the inner products
+    S = Q P^T and the prototype logits Z = 2 S - |p|^2, both (N, K);
+    stacks (..., N, D) and (..., K, D) give (..., N, K).
+
+    Z is the negative squared distance -|q - p_k|^2 plus |q|^2, a term
+    constant along each row that cancels in a softmax over k. So the
+    prototype posteriors are a linear head on S (Snell et al., 2017),
+    and no (N, K, D) difference tensor is formed.
+    """
+    Q, P = _row_stacks(Q, P)
+    S = Q @ P.swapaxes(-1, -2)
+    Z = 2.0 * S
+    Z -= np.sum(P * P, axis=-1)[..., None, :]
+    return S, Z
+
+
 def sq_distances(Q, P):
     """Pairwise squared distances, rows of Q vs rows of P -> (N, K);
     stacks (..., N, D) and (..., K, D) give (..., N, K).
 
     Computed as the explicit difference rather than the expanded
-    q.q + p.p - 2q.p form: the latter can go slightly negative and
-    would perturb gradient checks.
+    q.q + p.p - 2q.p form, which can go slightly negative. The program
+    itself decides through `proto_logits`; this exact form stays as the
+    tests' oracle for those logits, and the benchmark's traced pass
+    (bench/spans.py) still wraps it by name.
     """
-    Q = np.asarray(Q, dtype=np.float64)
-    P = np.asarray(P, dtype=np.float64)
-    if Q.ndim < 2 or P.ndim < 2 or Q.shape[-1] != P.shape[-1]:
-        raise ValueError(f"dim mismatch: {Q.shape} vs {P.shape}")
+    Q, P = _row_stacks(Q, P)
     diff = Q[..., :, None, :] - P[..., None, :, :]
     return np.einsum("...nkd,...nkd->...nk", diff, diff)

@@ -2,7 +2,11 @@
 
 A prototype is the mean embedding of a class's support examples.
 Posteriors over a bank are a softmax over negative squared Euclidean
-distances (the energy). `posteriors_batch` is the one decision kernel:
+distances (the energy), taken over the logits 2 q.p - |p|^2 of
+`numeric.proto_logits`, which exceed the energy by |q|^2 alone, a
+term constant along each row that cancels in the softmax. Training's
+loss head reads the same kernel.
+`posteriors_batch` is the one decision kernel:
 the nearest prototype of a query is the argmax of its posterior row,
 and `np.argmax` takes the first maximum, so ties go to the lowest id.
 The background prototype p0 is the mean embedding of the low-overlap
@@ -11,7 +15,7 @@ proposals that `background_pool` collects.
 
 import numpy as np
 
-from .numeric import softmax, sq_distances
+from .numeric import proto_logits, softmax
 from .simulator import BACKGROUND_IOU, iou
 
 BACKGROUND_ID = 0
@@ -122,5 +126,12 @@ def compose_unknown_prototype(bank, include_background=True):
 
 def posteriors_batch(Q, bank):
     """P(class j | q) for every row q of Q -> (N, len(bank)), columns in
-    the bank's id order: a softmax over negative squared distances."""
-    return softmax(-sq_distances(Q, bank.P), axis=1)
+    the bank's id order: a softmax over negative squared distances.
+
+    FloatingPointError when a logit is not finite, as it is for every
+    row of a non-finite embedding.
+    """
+    _, Z = proto_logits(Q, bank.P)
+    if not np.isfinite(Z).all():
+        raise FloatingPointError("non-finite embeddings")
+    return softmax(Z, axis=1)

@@ -174,7 +174,8 @@ def heldout_accuracy(net, bank, scenes):
 
     Proposals in the IoU ignore band or labeled with classes outside
     the bank are left out; background proposals count with label 0.
-    NaN when no proposal counts.
+    NaN when no proposal counts. FloatingPointError, from
+    `posteriors_batch`, when an embedding is not finite.
     """
     feats, labels = [], []
     for scene in scenes:

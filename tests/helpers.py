@@ -12,7 +12,7 @@ from protodetect.gradcheck import TERMS, _grad_weights, _max_rel_err, _term_valu
 from protodetect.inference import Detections
 from protodetect.losses import (alignment_loss, episode_loss, kl_loss, matching_loss,
                                 proto_posteriors)
-from protodetect.numeric import make_rng
+from protodetect.numeric import make_rng, proto_logits
 from protodetect.simulator import Scene
 
 
@@ -66,20 +66,19 @@ def label_rows(bank, labels):
 
 def matching_value(Q, labels, bank):
     """The matching loss of queries Q (rows) with these labels against bank."""
-    Q = np.asarray(Q, dtype=np.float64)
-    return matching_loss(Q, bank.P, label_rows(bank, labels), proto_posteriors(Q, bank.P))[0]
+    post = proto_posteriors(proto_logits(Q, bank.P)[1])
+    return matching_loss(post, label_rows(bank, labels))[0]
 
 
 def kl_value(Q, bank, clf):
     """The KL term of queries Q against bank and classifier."""
     Q = np.asarray(Q, dtype=np.float64)
-    return kl_loss(Q, bank.P, clf, proto_posteriors(Q, bank.P))[0]
+    return kl_loss(Q, clf, proto_posteriors(proto_logits(Q, bank.P)[1]))[0]
 
 
 def alignment_value(Q, labels, bank, tau):
     """The alignment loss of queries Q with these labels against bank."""
-    Q = np.asarray(Q, dtype=np.float64)
-    return alignment_loss(Q, bank.P, label_rows(bank, labels), tau)[0]
+    return alignment_loss(proto_logits(Q, bank.P)[0], label_rows(bank, labels), tau)[0]
 
 
 def per_entry_check_term(inst, terms=TERMS, h=1e-6):

@@ -233,6 +233,25 @@ def test_train_and_eval_exit_code_on_mutated_datasets(tiny_run, data, mode):
     assert rc in EXIT_CODES
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_train_heldout_features_overflowing_float32_exit_2(tiny_run, tmp_path, capsys):
+    # 1e39 is finite in the float64 dataset, so the reader accepts it, but
+    # the float32 net embeds it as inf; held-out scoring refuses that
+    # before the checkpoint or its log is written
+    cfg, _, _, entries, _ = tiny_run
+    start, stop = entries["test_proposal_offsets"][:2]
+    assert stop > start
+    features = entries["test_features"].copy()
+    features[start:stop] = 1e39
+    data = tmp_path / "overflow.npz"
+    save_archive(str(data), {**entries, "test_features": features})
+    out = tmp_path / "ckpt.npz"
+    assert main(["train", "--config", cfg, "--dataset", str(data), "--out", str(out)]) == 2
+    assert ("cannot score held-out scenes: non-finite embeddings"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.glob("ckpt*"))
+
+
 # every key of the tiny config; the default train section (700 steps at
 # hidden 512) is never dropped in, so every example stays tiny
 TINY_FULL = RunConfig.from_dict(TINY).to_dict()

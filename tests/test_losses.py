@@ -7,7 +7,7 @@ from protodetect import losses
 from protodetect.embedder import EmbeddingNet, LinearClassifier
 from protodetect.gradcheck import check_term, random_instance
 from protodetect.losses import LossConfig, alignment_loss, episode_loss
-from protodetect.numeric import make_rng
+from protodetect.numeric import log_softmax, make_rng, proto_logits
 from protodetect.prototypes import PrototypeBank, SupportSet
 
 from helpers import alignment_value, kl_value, matching_value, probe_stack
@@ -121,6 +121,19 @@ def test_alignment_rejects_bad_tau():
     bank = PrototypeBank([(1, [0.0])])
     with pytest.raises(ValueError):
         alignment_value(np.zeros((1, 1)), [1], bank, tau=0.0)
+
+
+@pytest.mark.parametrize("stack", [(), (3,)], ids=["matrix", "stack"])
+def test_alignment_value_keeps_its_product(stack):
+    # alignment reads the S of proto_logits, the product Q @ P^T it once
+    # took itself; its value is bit-equal to that formula's
+    rng = make_rng(21)
+    Q, P = rng.normal(size=(*stack, 40, 16)), rng.normal(size=(*stack, 6, 16))
+    y_idx, tau = rng.integers(6, size=40), 10.0
+    logp = log_softmax((Q @ P.swapaxes(-1, -2)) / tau, axis=-1)
+    expected = -np.sum(np.ascontiguousarray(logp[..., np.arange(40), y_idx]), axis=-1)
+    value, _ = alignment_loss(proto_logits(Q, P)[0], y_idx, tau, grads=False)
+    assert np.array_equal(value, expected)
 
 
 def test_alignment_monotone_in_true_similarity():
@@ -279,8 +292,7 @@ def test_value_only_path_keeps_input_checks():
             with pytest.raises(ValueError, match="background pool"):
                 _episode(inst, bg_features=pool, grads=grads)
     with pytest.raises(ValueError, match="tau"):
-        alignment_loss(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros(1, dtype=np.int64),
-                       tau=0.0, grads=False)
+        alignment_loss(np.zeros((1, 1)), np.zeros(1, dtype=np.int64), tau=0.0, grads=False)
 
 
 @pytest.mark.parametrize("weights,grad_terms", [
@@ -291,20 +303,28 @@ def test_value_only_path_keeps_input_checks():
 ], ids=["config", "match", "kl", "align"])
 def test_zero_weight_terms_skip_gradient_algebra(weights, grad_terms, monkeypatch):
     # every term's value is computed, its gradient only where its weight
-    # is nonzero, and matching and KL share one distance matrix
-    calls = {}
+    # is nonzero, and one proto_logits call serves all three terms:
+    # alignment reads its S, matching and KL the posteriors of its Z
+    calls, args_of = {}, {}
     for name, term in (("match", "matching_loss"), ("kl", "kl_loss"),
                        ("align", "alignment_loss")):
         def spy(*args, _fn=getattr(losses, term), _name=name, **kw):
-            calls[_name] = kw["grads"]
+            calls[_name], args_of[_name] = kw["grads"], args
             return _fn(*args, **kw)
         monkeypatch.setattr(losses, term, spy)
-    distances = []
-    sq = losses.sq_distances
-    monkeypatch.setattr(losses, "sq_distances", lambda *a: distances.append(1) or sq(*a))
+    kernel, posteriors = [], []
+    logits, post_of = losses.proto_logits, losses.proto_posteriors
+    monkeypatch.setattr(losses, "proto_logits",
+                        lambda *a: kernel.append(logits(*a)) or kernel[-1])
+    monkeypatch.setattr(losses, "proto_posteriors",
+                        lambda Z: posteriors.append((Z, post_of(Z))) or posteriors[-1][1])
     bundle = _episode(random_instance(15), grad_weights=weights)
     assert sorted(t for t, g in calls.items() if g) == sorted(grad_terms)
-    assert set(calls) == {"match", "kl", "align"} and len(distances) == 1
+    assert set(calls) == {"match", "kl", "align"}
+    assert len(kernel) == 1 and len(posteriors) == 1
+    (S, Z), (Z_read, post) = kernel[0], posteriors[0]
+    assert Z_read is Z and args_of["align"][0] is S
+    assert args_of["match"][0] is post and args_of["kl"][2] is post
     assert bundle.l_kl > 0 and bundle.l_align > 0
 
 

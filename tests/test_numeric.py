@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from protodetect.numeric import logsumexp, make_rng, softmax, sq_distances
+from protodetect.numeric import logsumexp, make_rng, proto_logits, softmax, sq_distances
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -55,7 +56,8 @@ def test_softmax_permutation_equivariant(logits, rnd):
     assert np.allclose(a, b, atol=1e-12)
 
 
-# sq_distances is the one distance kernel: these check it pair by pair
+# sq_distances, the explicit-difference form, is the oracle of the
+# prototype logits: these check it pair by pair
 
 def test_sq_euclidean_identity_and_pythagorean():
     assert sq_distances([[1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0]]) == [[0.0]]
@@ -77,15 +79,16 @@ def test_sq_euclidean_matches_scalar_loop():
     assert np.allclose(sq_distances(Q, P), expected, rtol=1e-12, atol=0)
 
 
-def test_sq_euclidean_dim_mismatch():
+@pytest.mark.parametrize("kernel", [sq_distances, proto_logits])
+def test_sq_euclidean_dim_mismatch(kernel):
     with pytest.raises(ValueError, match="dim mismatch"):
-        sq_distances(np.zeros((1, 1)), np.zeros((1, 2)))
+        kernel(np.zeros((1, 1)), np.zeros((1, 2)))
     with pytest.raises(ValueError, match="dim mismatch"):
-        sq_distances(np.zeros((2, 3)), np.zeros((2, 4)))
+        kernel(np.zeros((2, 3)), np.zeros((2, 4)))
     with pytest.raises(ValueError, match="dim mismatch"):
-        sq_distances(np.zeros(3), np.zeros((2, 3)))
+        kernel(np.zeros(3), np.zeros((2, 3)))
     with pytest.raises(ValueError, match="dim mismatch"):
-        sq_distances(np.zeros((5, 2, 3)), np.zeros((5, 2, 4)))
+        kernel(np.zeros((5, 2, 3)), np.zeros((5, 2, 4)))
 
 
 def test_stacked_sq_distances_equal_each_slice():
@@ -109,6 +112,58 @@ def test_sq_euclidean_properties(a, b):
     assert d == pytest.approx(sq_distances([b], [a])[0, 0], abs=1e-12)
     if a == b:
         assert d <= 1e-12
+
+
+# proto_logits: S = Q P^T and Z = 2 S - |p|^2, whose softmax is the
+# softmax of -sq_distances
+
+def test_proto_logits_softmax_equals_distance_softmax():
+    for seed in range(5):
+        rng = make_rng(seed)
+        Q, P = rng.normal(size=(30, 128)), rng.normal(size=(7, 128))
+        _, Z = proto_logits(Q, P)
+        assert np.allclose(softmax(Z), softmax(-sq_distances(Q, P)), rtol=1e-12, atol=0)
+
+
+# entries up to 4 in 8 dims keep every d^2 below 512, so no posterior
+# reaches the subnormal range, where relative precision is lost
+@st.composite
+def query_bank_pairs(draw):
+    n, k, dim = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    elements = st.floats(min_value=-4, max_value=4, allow_nan=False)
+    return (draw(arrays(np.float64, (n, dim), elements=elements)),
+            draw(arrays(np.float64, (k, dim), elements=elements)))
+
+
+@given(query_bank_pairs())
+def test_proto_logits_softmax_equals_distance_softmax_property(pair):
+    Q, P = pair
+    _, Z = proto_logits(Q, P)
+    assert np.allclose(softmax(Z), softmax(-sq_distances(Q, P)), rtol=1e-12, atol=0)
+
+
+def test_proto_logits_are_negative_distances_plus_query_norm():
+    # -|q - p|^2 = 2 q.p - |p|^2 - |q|^2 = Z - |q|^2
+    rng = make_rng(4)
+    Q, P = rng.normal(size=(20, 16)), rng.normal(size=(5, 16))
+    S, Z = proto_logits(Q, P)
+    assert np.array_equal(S, Q @ P.T)
+    q2 = np.sum(Q * Q, axis=1)[:, None]
+    # d^2 runs to about 66 here; the tolerance is a few ulps of that
+    assert np.allclose(Z - q2, -sq_distances(Q, P), rtol=0, atol=1e-12)
+
+
+def test_stacked_proto_logits_equal_each_slice():
+    rng = make_rng(3)
+    Q, P = rng.normal(size=(5, 12, 6)), rng.normal(size=(5, 4, 6))
+    S, Z = proto_logits(Q, P)
+    assert S.shape == Z.shape == (5, 12, 4)
+    for k in range(5):
+        for a, b in zip((S[k], Z[k]), proto_logits(Q[k], P[k])):
+            assert np.array_equal(a, b)
+        # one bank broadcast against a stack of queries
+        for a, b in zip(proto_logits(Q, P[0]), proto_logits(Q[k], P[0])):
+            assert np.array_equal(a[k], b)
 
 
 def test_rng_equal_seeds_equal_streams():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -206,3 +208,18 @@ def test_stacked_segment_means_equal_each_slice():
     bank = PrototypeBank(zip(range(4), stacked))
     assert bank.P.shape == (5, 4, 6)
     assert np.array_equal(bank.P[2], PrototypeBank(zip(range(4), segment_means(E[2], counts))).P)
+
+
+def test_posteriors_batch_forms_no_difference_tensor():
+    # an (N, K, e) float64 difference tensor of 4000 queries, 7 prototypes
+    # and 128 dims alone would take 28.7 MB; the (N, K) logits take 224 kB
+    rng = make_rng(9)
+    Q = rng.normal(size=(4000, 128))
+    bank = PrototypeBank([(c, rng.normal(size=128)) for c in range(7)])
+    tracemalloc.start()
+    try:
+        posteriors_batch(Q, bank)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
