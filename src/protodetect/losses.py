@@ -13,8 +13,9 @@ prototypes P (one row per bank entry):
 All three read one inner-product matrix S = Q P^T, which
 `numeric.proto_logits` computes once per episode with the prototype
 logits Z = 2 S - |p|^2. Z exceeds the energies only by |q|^2, which
-is constant along each row, so its softmax is the energy softmax: matching and KL read the posteriors `proto_posteriors` takes
-from Z (one log-softmax and one exp), and alignment reads S / tau.
+is constant along each row, so its softmax is the energy softmax.
+Matching and KL read the posteriors that `proto_posteriors` takes
+from Z (one log-softmax and one exp); alignment reads S / tau.
 Each term returns its value and the hand-derived gradients of its
 scores: the logits Z (matching, KL), the classifier logits (KL), the
 similarities S / tau (alignment). With grads=False it computes the
