@@ -36,7 +36,7 @@ def main():
     acc = heldout_accuracy(result.net, result.bank, world.test_scenes)
     print(f"\nheld-out nearest-prototype accuracy: {acc:.4f}")
 
-    _, report = run_protocol(cfg, world, result.net, FEWSHOT,
+    _, report = run_protocol(world, result.net, FEWSHOT,
                              result.bank.get(BACKGROUND_ID))
     print(f"few-shot detection: mAP {report.mAP:.4f}  mAR {report.mAR:.4f}")
     print("per-class AP at IoU 0.50:")

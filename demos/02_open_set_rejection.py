@@ -27,11 +27,11 @@ def main():
     world = generate_world(cfg.world)
     result = train(world, cfg.train)
 
-    _, closed = run_protocol(cfg, world, result.net, FEWSHOT,
+    _, closed = run_protocol(world, result.net, FEWSHOT,
                              result.bank.get(BACKGROUND_ID))
     print(f"closed few-shot baseline: mAP {closed.mAP:.4f}")
 
-    _, report = run_protocol(cfg, world, result.net, OPENSET,
+    _, report = run_protocol(world, result.net, OPENSET,
                              result.bank.get(BACKGROUND_ID))
     print(f"open-set overall:         mAP {report.mAP:.4f}  mAR {report.mAR:.4f}")
     for label, row in sorted(report.extra_rows.items()):

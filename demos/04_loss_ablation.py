@@ -29,7 +29,7 @@ def run_variant(name, overrides):
     world = generate_world(cfg.world)
     result = train(world, cfg.train)
     acc = heldout_accuracy(result.net, result.bank, world.test_scenes)
-    _, report = run_protocol(cfg, world, result.net, FEWSHOT,
+    _, report = run_protocol(world, result.net, FEWSHOT,
                              result.bank.get(BACKGROUND_ID))
     print(f"  {name:24s} accuracy {acc:.4f}  mAP {report.mAP:.4f}")
 

@@ -23,9 +23,8 @@ from .config import ConfigError, file_digest, load_run_config
 from .embedder import load_checkpoint, save_checkpoint
 from .evaluation import evaluate, evaluate_openset
 from .gradcheck import run_suite
-from .inference import (MODES, OPENSET, ZS_MPS, ZS_MPU, ZS_UO, ProtocolSpec,
-                        assemble_protocol, detect_scene, save_detections)
-from .losses import LossConfig
+from .inference import (FEWSHOT, MODES, OPENSET, assemble_protocol, detect_scene,
+                        save_detections)
 from .prototypes import BACKGROUND_ID, SupportSet
 from .simulator import generate_world, load_world, save_world
 from .trainer import heldout_accuracy, train
@@ -109,19 +108,16 @@ def cmd_train(args):
     return EXIT_OK
 
 
-def run_protocol(cfg, world, net, mode, p0):
+def run_protocol(world, net, mode, p0):
     """Shared by cmd_eval and tests: detections + report for one mode.
     p0 is the background prototype of the trained bank, as the
     checkpoint stores it."""
     seen = SupportSet(world.support_seen)
     unseen = SupportSet(world.support_unseen) if world.support_unseen else None
-    if mode in (ZS_UO, ZS_MPU, ZS_MPS, OPENSET) and unseen is None:
+    if mode != FEWSHOT and unseen is None:
         raise CliError(f"mode {mode} requires unseen support classes")
-    spec = ProtocolSpec(
-        mode=mode, unknown_id=world.unknown_id,
-        unknown_includes_background=cfg.protocol.unknown_includes_background)
     try:
-        bank, eval_ids = assemble_protocol(spec, seen, unseen, net, p0)
+        bank, eval_ids = assemble_protocol(mode, seen, unseen, net, p0, world.unknown_id)
         per_scene = [detect_scene(s, net, bank) for s in world.test_scenes]
     except FloatingPointError:
         # finite weights whose activations overflow: bad input, not divergence
@@ -145,7 +141,7 @@ def cmd_eval(args):
     if net.in_dim != world.config.d:
         raise CliError(f"checkpoint expects {net.in_dim}-dim features, "
                        f"dataset has d={world.config.d}")
-    per_scene, report = run_protocol(cfg, world, net, mode, p0)
+    per_scene, report = run_protocol(world, net, mode, p0)
     header = _provenance(cfg, args.dataset)
     header["mode"] = mode
     try:
@@ -163,9 +159,10 @@ def cmd_eval(args):
 def cmd_gradcheck(args):
     cfg = load_run_config(args.config, args.set or ())
     # small d=8 shapes, but the depth and stage-2 loss the config trains
-    stage2 = LossConfig.for_stage(2, cfg.train.lambda_kl, cfg.train.lambda_align,
-                                  cfg.train.tau)
-    results = run_suite(instance_kwargs={"depth": cfg.train.mlp_depth, "cfg": stage2})
+    train_cfg = cfg.train
+    results = run_suite(instance_kwargs={
+        "depth": train_cfg.mlp_depth, "tau": train_cfg.tau,
+        "lambdas": (train_cfg.lambda_kl, train_cfg.lambda_align)})
     tol = 1e-4
     failed = [t for t, e in results.items() if not e <= tol]   # NaN fails
     for term, err in results.items():

@@ -24,7 +24,6 @@ def _section(doc, key):
 @dataclasses.dataclass
 class ProtocolConfig:
     mode: str = FEWSHOT
-    unknown_includes_background: bool = True
 
     def validate(self):
         if self.mode not in MODES:

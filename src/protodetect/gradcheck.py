@@ -1,8 +1,9 @@
 """Finite-difference verification of every analytic gradient.
 
 An instance is one small episode of the training shape (support set, a
-non-empty background pool, queries) with the loss config under audit:
-its depth, tau and loss weights.
+non-empty background pool, queries) with the net depth, loss weights
+(lambda_kl, lambda_align) and tau under audit; `protodetect gradcheck`
+takes them from the train section of the run config.
 
 One central-difference sweep (h = 1e-6) per instance audits every term
 at once. Each parameter entry is moved by +h and by -h, and each probe
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedder import default_net_and_classifier, model_views
-from .losses import LossConfig, episode_loss
+from .losses import episode_loss
 from .numeric import make_rng
 from .prototypes import SupportSet
 
@@ -42,12 +43,12 @@ TERMS = ("match", "kl", "align", "total")
 PROBE_BLOCK_BYTES = 1 << 22
 
 
-def _grad_weights(term, cfg):
+def _grad_weights(term, lambdas):
     """(match, kl, align) weights whose gradient is that term's."""
     return {"match": (1.0, 0.0, 0.0),
             "kl": (0.0, 1.0, 0.0),
             "align": (0.0, 0.0, 1.0),
-            "total": (1.0, cfg.lambda_kl, cfg.lambda_align)}[term]
+            "total": (1.0, *lambdas)}[term]
 
 
 @dataclass
@@ -59,11 +60,12 @@ class GradCheckInstance:
     bg_features: np.ndarray
     query_features: np.ndarray
     query_labels: np.ndarray
-    cfg: LossConfig
+    lambdas: tuple             # (lambda_kl, lambda_align)
+    tau: float
 
 
 def random_instance(seed, d=8, hidden=10, e=6, n_classes=3, shots=3,
-                    n_queries=12, n_bg=4, depth=2, cfg=None):
+                    n_queries=12, n_bg=4, depth=2, lambdas=(1.0, 1.0), tau=10.0):
     """Small random episode for gradient checking."""
     rng = make_rng(seed)
     net, clf, theta = default_net_and_classifier(seed, d, hidden, e, n_classes, depth)
@@ -78,9 +80,7 @@ def random_instance(seed, d=8, hidden=10, e=6, n_classes=3, shots=3,
     # (none at depth 2) are drawn at random.
     for _, b in net.layers[1:-1]:
         b[...] = rng.normal(scale=0.1, size=b.shape)
-    if cfg is None:
-        cfg = LossConfig.for_stage(2, 1.0, 1.0, tau=10.0)
-    return GradCheckInstance(net, clf, theta, support, bg, X, labels, cfg)
+    return GradCheckInstance(net, clf, theta, support, bg, X, labels, lambdas, tau)
 
 
 def _term_value(bundle, term):
@@ -103,12 +103,12 @@ def check_term(inst, terms=TERMS, h=1e-6, corrupt=False):
     """
     def loss(net=inst.net, clf=inst.clf, **kw):
         return episode_loss(net, clf, inst.support,
-                            inst.query_features, inst.query_labels, inst.cfg,
-                            bg_features=inst.bg_features, **kw)
+                            inst.query_features, inst.query_labels,
+                            inst.lambdas, inst.tau, bg_features=inst.bg_features, **kw)
 
     analytic = {}
     for t in terms:
-        analytic[t] = loss(grad_weights=_grad_weights(t, inst.cfg)).grads
+        analytic[t] = loss(grad_weights=_grad_weights(t, inst.lambdas)).grads
         if corrupt:
             analytic[t][0] += 1.0
 

@@ -1,6 +1,11 @@
 """Test-time pipeline: embed proposals, assign each to its nearest
 prototype, reject background, assemble protocol-specific prototype banks.
 
+One table, `PROTOCOLS`, defines the five protocols: for each mode, the
+support sets whose classes form the bank and the set whose classes are
+evaluated. The open-set bank adds one unknown prototype, the mean of
+the bank's prototypes (p0 included).
+
 A proposal goes to the argmax of its `prototypes.posteriors_batch` row
 (the nearest prototype, lowest id on ties). One assigned to the
 background prototype is dropped as a spurious detection; everything
@@ -21,7 +26,17 @@ OPENSET = "openset"
 ZS_UO = "zs-uo"
 ZS_MPU = "zs-mpu"
 ZS_MPS = "zs-mps"
-MODES = (FEWSHOT, OPENSET, ZS_UO, ZS_MPU, ZS_MPS)
+SEEN, UNSEEN = 0, 1
+# mode -> (the support sets whose classes form the bank, the set whose
+# classes are evaluated); openset adds a composed unknown prototype
+PROTOCOLS = {
+    FEWSHOT: ((SEEN,), SEEN),
+    OPENSET: ((SEEN,), SEEN),
+    ZS_UO: ((UNSEEN,), UNSEEN),
+    ZS_MPU: ((SEEN, UNSEEN), UNSEEN),
+    ZS_MPS: ((SEEN, UNSEEN), SEEN),
+}
+MODES = tuple(PROTOCOLS)
 
 
 @dataclass(frozen=True)
@@ -34,19 +49,6 @@ class Detections:
 
     def __len__(self):
         return len(self.scores)
-
-
-@dataclass
-class ProtocolSpec:
-    mode: str
-    unknown_id: int = None                 # reserved id for the composed prototype
-    unknown_includes_background: bool = True
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == OPENSET and self.unknown_id is None:
-            raise ValueError("openset needs an unknown_id")
 
 
 def detect_scene(scene, net, bank):
@@ -68,41 +70,30 @@ def detect_scene(scene, net, bank):
                       probs[np.arange(len(best)), best][keep])
 
 
-def assemble_protocol(spec, seen_support, unseen_support, net, p0):
+def assemble_protocol(mode, seen_support, unseen_support, net, p0, unknown_id=None):
     """Frozen-parameter bank + evaluation class set for one protocol.
 
-    fewshot: seen prototypes, eval on seen. zs-uo: unseen only, eval
-    unseen. zs-mpu / zs-mps: seen+unseen prototypes, eval on unseen /
-    seen. openset: seen prototypes plus a composed unknown prototype;
-    unknowns are evaluated as one class under spec.unknown_id.
-    FloatingPointError when a prototype is not finite.
+    The bank holds p0 and the class prototypes of the support sets
+    that the mode's `PROTOCOLS` row names; the evaluated classes are
+    those of the row's evaluated set. openset adds the composed unknown
+    prototype under unknown_id, and its unknowns are evaluated as that
+    one class. KeyError for a mode with no row; FloatingPointError when
+    a prototype is not finite.
     """
-    def bank_from(support_sets):
-        merged = {}
-        for s in support_sets:
-            if s is None:
-                raise ValueError("missing support set for requested mode")
-            merged.update(s.by_class)
-        bank = build_prototypes(net, SupportSet(merged))
-        return bank.with_entry(BACKGROUND_ID, p0)
-
-    if spec.mode == FEWSHOT:
-        bank = bank_from([seen_support])
-        eval_ids = list(seen_support.class_ids)
-    elif spec.mode == ZS_UO:
-        bank = bank_from([unseen_support])
-        eval_ids = list(unseen_support.class_ids)
-    elif spec.mode == ZS_MPU:
-        bank = bank_from([seen_support, unseen_support])
-        eval_ids = list(unseen_support.class_ids)
-    elif spec.mode == ZS_MPS:
-        bank = bank_from([seen_support, unseen_support])
-        eval_ids = list(seen_support.class_ids)
-    else:  # OPENSET
-        bank = bank_from([seen_support])
-        unk = compose_unknown_prototype(bank, spec.unknown_includes_background)
-        bank = bank.with_entry(spec.unknown_id, unk)
-        eval_ids = list(seen_support.class_ids) + [spec.unknown_id]
+    in_bank, evaluated = PROTOCOLS[mode]
+    if mode == OPENSET and unknown_id is None:
+        raise ValueError("openset needs an unknown_id")
+    sets = (seen_support, unseen_support)
+    merged = {}
+    for i in in_bank:
+        if sets[i] is None:
+            raise ValueError("missing support set for requested mode")
+        merged.update(sets[i].by_class)
+    bank = build_prototypes(net, SupportSet(merged)).with_entry(BACKGROUND_ID, p0)
+    eval_ids = list(sets[evaluated].class_ids)
+    if mode == OPENSET:
+        bank = bank.with_entry(unknown_id, compose_unknown_prototype(bank))
+        eval_ids.append(unknown_id)
     if not np.isfinite(bank.P).all():
         raise FloatingPointError("non-finite embeddings")
     return bank, eval_ids

@@ -32,7 +32,11 @@ gradients (each support or pool row receiving dP / n of its segment)
 into one vector in the parameter layout of `embedder.bind_params`. An
 episode has one shape, the training one: a support set, a non-empty
 background pool whose mean embedding is p0, and queries; every loss is
-the per-query mean of its term's sum.
+the per-query mean of its term's sum. The loss weights
+(lambda_kl, lambda_align) and tau are plain arguments, the train
+config's values: the trainer, which owns the two-stage schedule,
+passes weights (0, 0) in stage 1, and the gradient audit passes its
+instance's.
 
 The net computes in the dtype of its parameters (float32 in training,
 float64 in the gradient audit); its output is cast to float64, so
@@ -51,30 +55,6 @@ import numpy as np
 from .embedder import param_vector
 from .numeric import log_softmax, proto_logits
 from .prototypes import BACKGROUND_ID, PrototypeBank, segment_means
-
-
-@dataclass
-class LossConfig:
-    lambda_kl: float = 0.0
-    lambda_align: float = 0.0
-    tau: float = 10.0
-    stage: int = 1
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.stage not in (1, 2):
-            raise ValueError("stage must be 1 or 2")
-        if self.lambda_kl < 0 or self.lambda_align < 0:
-            raise ValueError("loss weights must be nonnegative")
-        if self.stage == 1:
-            self.lambda_kl = self.lambda_align = 0.0
-
-    @classmethod
-    def for_stage(cls, stage, lambda_kl=1.0, lambda_align=1.0, tau=10.0):
-        if stage == 1:
-            return cls(stage=1, tau=tau)
-        return cls(stage=2, lambda_kl=lambda_kl, lambda_align=lambda_align, tau=tau)
 
 
 @dataclass
@@ -170,7 +150,7 @@ def _weighted_sum(shape, *terms):
     return sum((w * a for w, a in terms if a is not None), np.zeros(shape))
 
 
-def episode_loss(net, clf, support, query_features, query_labels, cfg,
+def episode_loss(net, clf, support, query_features, query_labels, lambdas, tau,
                  bg_features, grad_weights=None, grads=True):
     """Full training objective for one episode, with parameter gradients.
 
@@ -180,6 +160,10 @@ def episode_loss(net, clf, support, query_features, query_labels, cfg,
     least one row. The prototype gradient dP goes back to the rows it
     was averaged from, row j of class k receiving dP[k] / n_k, and one
     backward pass over every row yields all net gradients.
+
+    lambdas = (lambda_kl, lambda_align) weigh the KL and alignment terms
+    in l_total (the match term has weight 1); tau is the alignment
+    temperature.
 
     grad_weights optionally overrides the (match, kl, align) weights
     used for the returned gradients only, (1, lambda_kl, lambda_align)
@@ -215,19 +199,20 @@ def episode_loss(net, clf, support, query_features, query_labels, cfg,
         raise ValueError("labels do not match queries")
     y_idx = _label_indices(labels, bank)
 
+    lambda_kl, lambda_align = lambdas
     w_m, w_k, w_a = grad_weights if grad_weights is not None \
-        else (1.0, cfg.lambda_kl, cfg.lambda_align)
+        else (1.0, lambda_kl, lambda_align)
     S, Z = proto_logits(Q, P)
     post = proto_posteriors(Z)
     m_val, G = matching_loss(post, y_idx, grads=grads and w_m != 0)
     k_val, dZ, dU = kl_loss(Q, clf, post, grads=grads and w_k != 0)
-    a_val, G_a = alignment_loss(S, y_idx, cfg.tau, grads=grads and w_a != 0)
+    a_val, G_a = alignment_loss(S, y_idx, tau, grads=grads and w_a != 0)
 
     n = Q.shape[-2]
     scale = 1.0 / n
     lm, lk, la = m_val * scale, k_val * scale, a_val * scale
     bundle = LossBundle(l_match=lm, l_kl=lk, l_align=la,
-                        l_total=lm + cfg.lambda_kl * lk + cfg.lambda_align * la,
+                        l_total=lm + lambda_kl * lk + lambda_align * la,
                         n_queries=n, bank=bank)
     if not grads:
         return bundle
@@ -236,7 +221,7 @@ def episode_loss(net, clf, support, query_features, query_labels, cfg,
     # M that of the inner products S = Q P^T, dU that of the classifier
     # logits. Z holds no |q|^2 term, so dQ is M P alone
     Gz = _weighted_sum(Z.shape, (w_m, G), (w_k, dZ))
-    M = _weighted_sum(Gz.shape, (2.0, Gz), (w_a / cfg.tau, G_a))
+    M = _weighted_sum(Gz.shape, (2.0, Gz), (w_a / tau, G_a))
     dQ = M @ P
     dP = M.T @ Q - 2.0 * Gz.sum(axis=0)[:, None] * P
     if dU is not None:

@@ -1,4 +1,4 @@
-"""Small numeric core: stable softmax/log-sum-exp, prototype logits,
+"""Small numeric core: stable log-softmax/log-sum-exp, prototype logits,
 distances, seeded RNG.
 
 Everything here works on plain float64 numpy arrays. Vectors are 1-D
@@ -30,19 +30,6 @@ def logsumexp(z, axis=-1, keepdims=False):
 def log_softmax(z, axis=-1):
     z = np.asarray(z, dtype=np.float64)
     return z - logsumexp(z, axis=axis, keepdims=True)
-
-
-def softmax(logits, axis=-1):
-    """Stable softmax; entries in (0,1], rows sum to 1.
-
-    Raises ValueError on non-finite input.
-    """
-    z = np.asarray(logits, dtype=np.float64)
-    if z.size == 0:
-        raise ValueError("empty logits")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("non-finite logits")
-    return np.exp(log_softmax(z, axis=axis))
 
 
 def _row_stacks(Q, P):

@@ -15,7 +15,7 @@ proposals that `background_pool` collects.
 
 import numpy as np
 
-from .numeric import proto_logits, softmax
+from .numeric import log_softmax, proto_logits
 from .simulator import BACKGROUND_IOU, iou
 
 BACKGROUND_ID = 0
@@ -44,14 +44,10 @@ class SupportSet:
     def feature_dim(self):
         return next(iter(self.by_class.values())).shape[1]
 
-    def shots(self, cid):
-        return self.by_class[cid].shape[0]
-
     def rows(self):
         """(every support row class-major in class_ids order, shots per class)."""
-        ids = self.class_ids
-        return (np.concatenate([self.by_class[c] for c in ids]),
-                [self.shots(c) for c in ids])
+        rows = [self.by_class[c] for c in self.class_ids]
+        return np.concatenate(rows), [len(r) for r in rows]
 
 
 class PrototypeBank:
@@ -114,14 +110,10 @@ def background_pool(proposals, features, gt_boxes):
     return features[iou(proposals, gt_boxes).max(axis=1, initial=0.0) < BACKGROUND_IOU]
 
 
-def compose_unknown_prototype(bank, include_background=True):
-    """Average of the class prototypes, plus p_0 when the flag is set."""
-    ids = [c for c in bank.ids if c != BACKGROUND_ID]
-    if include_background and bank.has(BACKGROUND_ID):
-        ids = [BACKGROUND_ID] + ids
-    if not ids:
-        raise ValueError("no prototypes to compose")
-    return np.mean([bank.get(c) for c in ids], axis=0)
+def compose_unknown_prototype(bank):
+    """The unknown prototype: the mean of every prototype in the bank,
+    p0 included."""
+    return bank.P.mean(axis=-2)
 
 
 def posteriors_batch(Q, bank):
@@ -134,4 +126,4 @@ def posteriors_batch(Q, bank):
     _, Z = proto_logits(Q, bank.P)
     if not np.isfinite(Z).all():
         raise FloatingPointError("non-finite embeddings")
-    return softmax(Z, axis=1)
+    return np.exp(log_softmax(Z, axis=1))

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embedder import default_net_and_classifier
-from .losses import LossConfig, episode_loss
+from .losses import episode_loss
 from .numeric import make_rng
 from .prototypes import (BACKGROUND_ID, PrototypeBank, SupportSet,
                          background_pool, build_prototypes, posteriors_batch)
@@ -149,10 +149,10 @@ def make_episode(rng, support, cfg, sigma_f=1.0):
     their labels. With augmentation on, one `augment_feature` call
     augments them all. Prototypes come from the support set itself.
     """
-    ids = support.class_ids
+    rows, counts = support.rows()
     copies = cfg.queries_per_support
-    feats = np.repeat(np.concatenate([support.by_class[c] for c in ids]), copies, axis=0)
-    labels = np.repeat(ids, [support.shots(c) * copies for c in ids]).astype(np.int64)
+    feats = np.repeat(rows, copies, axis=0)
+    labels = np.repeat(support.class_ids, [n * copies for n in counts]).astype(np.int64)
     if cfg.augment:
         feats = augment_feature(rng, feats, cfg.augment_strength, sigma_f)
     return feats, labels
@@ -232,13 +232,13 @@ def train(world, cfg):
     total = cfg.stage1_steps + cfg.stage2_steps
     for step in range(total):
         stage = 1 if step < cfg.stage1_steps else 2
-        loss_cfg = LossConfig.for_stage(stage, cfg.lambda_kl, cfg.lambda_align, cfg.tau)
+        lambdas = (0.0, 0.0) if stage == 1 else (cfg.lambda_kl, cfg.lambda_align)
 
         bg = pools[int(rng.integers(len(pools)))]
         qfeats, qlabels = make_episode(rng, support, cfg, sigma_f)
         bundle = episode_loss(net, clf, support, np.concatenate([qfeats, bg]),
                               np.concatenate([qlabels, np.zeros(len(bg), dtype=np.int64)]),
-                              loss_cfg, bg_features=bg)
+                              lambdas, cfg.tau, bg_features=bg)
 
         if not np.isfinite(bundle.l_total):
             raise FloatingPointError(f"diverged at step {step}")

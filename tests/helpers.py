@@ -88,10 +88,10 @@ def per_entry_check_term(inst, terms=TERMS, h=1e-6):
     the instance's own net and classifier. {term: max relative error}."""
     def loss(**kw):
         return episode_loss(inst.net, inst.clf, inst.support,
-                            inst.query_features, inst.query_labels, inst.cfg,
-                            bg_features=inst.bg_features, **kw)
+                            inst.query_features, inst.query_labels,
+                            inst.lambdas, inst.tau, bg_features=inst.bg_features, **kw)
 
-    analytic = {t: loss(grad_weights=_grad_weights(t, inst.cfg)).grads for t in terms}
+    analytic = {t: loss(grad_weights=_grad_weights(t, inst.lambdas)).grads for t in terms}
 
     def values():
         bundle = loss(grads=False)

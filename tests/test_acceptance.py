@@ -118,7 +118,7 @@ def a3_run():
 def test_a3_separable_world_convergence(a3_run):
     cfg, world, result, elapsed = a3_run
     acc = heldout_accuracy(result.net, result.bank, world.test_scenes)
-    _, rep = run_protocol(cfg, world, result.net, FEWSHOT,
+    _, rep = run_protocol(world, result.net, FEWSHOT,
                           result.bank.get(BACKGROUND_ID))
     map50 = float(np.mean([rep.cells[(c, 0.5)]["ap"] for c in world.seen_ids]))
     ok = acc >= 0.95 and map50 >= 0.90 and elapsed < 120.0
@@ -131,13 +131,12 @@ def test_a4_open_set_rejection(a3_run):
     unknown_id = world.unknown_id
 
     # background reject rate with the open-set bank in place
-    from protodetect.inference import ProtocolSpec, assemble_protocol
+    from protodetect.inference import assemble_protocol
     from protodetect.prototypes import SupportSet
     p0 = result.bank.get(BACKGROUND_ID)
-    spec = ProtocolSpec(mode=OPENSET, unknown_id=unknown_id)
-    bank, _ = assemble_protocol(spec, SupportSet(world.support_seen),
+    bank, _ = assemble_protocol(OPENSET, SupportSet(world.support_seen),
                                 SupportSet(world.support_unseen),
-                                result.net, p0)
+                                result.net, p0, unknown_id)
     n_bg = n_rej = 0
     seen_total = seen_correct = 0
     for scene in world.test_scenes:
@@ -155,7 +154,7 @@ def test_a4_open_set_rejection(a3_run):
     reject_rate = n_rej / n_bg
 
     # unknown recall at IoU 0.50 from the open-set report
-    _, rep = run_protocol(cfg, world, result.net, OPENSET, p0)
+    _, rep = run_protocol(world, result.net, OPENSET, p0)
     unknown_recall = rep.cells[(unknown_id, 0.5)]["ar"]
 
     # seen-class accuracy degradation versus the closed few-shot bank (A3)
@@ -282,7 +281,7 @@ def test_a8_ablation_harness():
         cfg = RunConfig.from_dict(doc)
         world = generate_world(cfg.world)
         result = train(world, cfg.train)
-        _, rep = run_protocol(cfg, world, result.net, FEWSHOT,
+        _, rep = run_protocol(world, result.net, FEWSHOT,
                               result.bank.get(BACKGROUND_ID))
         from protodetect.evaluation import IOU_THRESHOLDS
         cells_ok = all((c, t) in rep.cells

@@ -83,3 +83,23 @@ def test_traced_pipeline_counts_match_the_dataset(tmp_path):
     assert metrics["prototypes.background_pool.calls"] == len(world.train_scenes)
     assert metrics["prototypes.background_pool.rows"] == \
         before_eval["prototypes.background_pool.rows"] == pool_rows > 0
+
+
+def test_traced_gradcheck_tags_value_only_probes():
+    # _tag_probe counts an episode_loss call under check_term as a probe
+    # when it passes no grad_weights: the gradient-path calls pass them,
+    # the value-only sweep does not, and it runs no backward pass
+    from protodetect import gradcheck
+
+    spans = load_spans()
+    inst = gradcheck.random_instance(0)       # d=8: one block, one probe
+    tracer = spans.Tracer()
+    restore = spans.install(tracer)
+    try:
+        gradcheck.check_term(inst)
+    finally:
+        spans.uninstall(restore)
+    metrics = {k: m["value"] for k, m in spans.per_layer_metrics(tracer, 0.0).items()}
+    assert metrics["gradcheck.check_term.calls"] == 1
+    assert metrics["gradcheck.probes"] == 1
+    assert metrics["gradcheck.discarded_grad_ratio"] == 0.0

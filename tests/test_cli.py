@@ -43,8 +43,7 @@ def test_config_defaults_from_empty_doc(tmp_path):
     assert cfg.train.tau == 10.0
     assert cfg.protocol.mode == "fewshot"
     # config_digest hashes this dict, so every provenance digest depends on it
-    assert cfg.to_dict()["protocol"] == {"mode": "fewshot",
-                                         "unknown_includes_background": True}
+    assert cfg.to_dict()["protocol"] == {"mode": "fewshot"}
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -61,6 +60,10 @@ def test_config_rejects_invalid_values(tmp_path):
     with pytest.raises(ConfigError):
         load_run_config(write_cfg(tmp_path / "a.json",
                                   {"train": {"lr": -1.0}}))
+    # the loss weights and tau that training and the gradient audit read
+    for key, value in (("tau", 0.0), ("lambda_kl", -0.1), ("lambda_align", -0.1)):
+        with pytest.raises(ConfigError, match=key):
+            load_run_config(write_cfg(tmp_path / "b.json", {"train": {key: value}}))
 
 
 def test_readme_config_schema_loads():
@@ -86,6 +89,8 @@ def test_config_overrides_dot_paths():
     ["gen-data", "--set", "protocol.unknown_includes_background=1"],
     ["gen-data", "--set", 'protocol.mode="bogus"'],
     ["train", "--set", 'protocol.mode="bogus"'],
+    # a key that once chose the open-set unknown prototype's composition
+    ["gen-data", "--set", "protocol.unknown_includes_background=true"],
 ])
 def test_protocol_section_checked_at_load(tmp_path, argv, capsys):
     cfg = write_cfg(tmp_path / "c.json")

@@ -6,20 +6,20 @@ import pytest
 
 from protodetect import gradcheck
 from protodetect.gradcheck import TERMS, check_term, random_instance, run_suite
-from protodetect.losses import LossConfig, episode_loss
+from protodetect.losses import episode_loss
 
 from helpers import per_entry_check_term
 
-TAU2 = LossConfig.for_stage(2, 1.0, 1.0, tau=2.0)
+TAU2 = {"lambdas": (1.0, 1.0), "tau": 2.0}
 CASES = ["stage1", "stage2", "depth3", "depth4"]
 
 
 def _case(case):
     """A fresh gradient-check instance for each covered configuration."""
-    return {"stage1": lambda: random_instance(3, cfg=LossConfig.for_stage(1)),
+    return {"stage1": lambda: random_instance(3, lambdas=(0.0, 0.0)),
             "stage2": lambda: random_instance(4),
             "depth3": lambda: random_instance(8, depth=3),
-            "depth4": lambda: random_instance(9, depth=4, cfg=TAU2)}[case]()
+            "depth4": lambda: random_instance(9, depth=4, **TAU2)}[case]()
 
 
 @functools.cache
@@ -49,7 +49,7 @@ def test_stacked_sweep_equals_per_entry_sweep(case, blocks, monkeypatch):
 
 
 def test_sweep_leaves_the_instance_untouched(monkeypatch):
-    inst = random_instance(2, depth=3, cfg=TAU2)
+    inst = random_instance(2, depth=3, **TAU2)
     before = inst.theta.tobytes()
     check_term(inst, corrupt=True)
     assert inst.theta.tobytes() == before
@@ -71,9 +71,9 @@ def test_sweep_leaves_the_instance_untouched(monkeypatch):
 def test_suite_keeps_a_nan_error():
     # a lambda_kl of 1e308 overflows the total gradient, so every
     # instance's total error is NaN; a plain max() would drop it
-    cfg = LossConfig.for_stage(2, 1e308, 1.0, tau=10.0)
+    huge = {"lambdas": (1e308, 1.0)}
     with np.errstate(over="ignore", invalid="ignore"):
-        assert math.isnan(check_term(random_instance(0, cfg=cfg), ("total",))["total"])
-        results = run_suite(seeds=range(2), instance_kwargs={"cfg": cfg})
+        assert math.isnan(check_term(random_instance(0, **huge), ("total",))["total"])
+        results = run_suite(seeds=range(2), instance_kwargs=huge)
     assert math.isnan(results["total"])
     assert all(results[t] <= 1e-4 for t in TERMS if t != "total")

@@ -3,8 +3,7 @@ import pytest
 
 from protodetect.embedder import EmbeddingNet
 from protodetect.inference import (FEWSHOT, OPENSET, ZS_MPS, ZS_MPU, ZS_UO,
-                                   ProtocolSpec, assemble_protocol,
-                                   detect_scene)
+                                   assemble_protocol, detect_scene)
 from protodetect.numeric import make_rng
 from protodetect.prototypes import BACKGROUND_ID, PrototypeBank, SupportSet
 
@@ -113,8 +112,7 @@ def support_sets(d=4):
 def test_protocol_uo_bank():
     seen, unseen = support_sets()
     net = identity_net(4)
-    bank, eval_ids = assemble_protocol(ProtocolSpec(mode=ZS_UO), seen, unseen,
-                                       net, np.zeros(4))
+    bank, eval_ids = assemble_protocol(ZS_UO, seen, unseen, net, np.zeros(4))
     assert sorted(bank.ids) == [0, 6, 7, 8]
     assert eval_ids == [6, 7, 8]
 
@@ -122,12 +120,10 @@ def test_protocol_uo_bank():
 def test_protocol_mpu_mps():
     seen, unseen = support_sets()
     net = identity_net(4)
-    bank, eval_u = assemble_protocol(ProtocolSpec(mode=ZS_MPU), seen, unseen,
-                                     net, np.zeros(4))
+    bank, eval_u = assemble_protocol(ZS_MPU, seen, unseen, net, np.zeros(4))
     assert sorted(bank.ids) == [0, 1, 2, 3, 4, 5, 6, 7, 8]
     assert eval_u == [6, 7, 8]
-    _, eval_s = assemble_protocol(ProtocolSpec(mode=ZS_MPS), seen, unseen,
-                                  net, np.zeros(4))
+    _, eval_s = assemble_protocol(ZS_MPS, seen, unseen, net, np.zeros(4))
     assert eval_s == [1, 2, 3, 4, 5]
     assert set(eval_s) & set(eval_u) == set()
 
@@ -135,8 +131,7 @@ def test_protocol_mpu_mps():
 def test_protocol_fewshot():
     seen, unseen = support_sets()
     net = identity_net(4)
-    bank, eval_ids = assemble_protocol(ProtocolSpec(mode=FEWSHOT), seen, unseen,
-                                       net, np.zeros(4))
+    bank, eval_ids = assemble_protocol(FEWSHOT, seen, unseen, net, np.zeros(4))
     assert sorted(bank.ids) == [0, 1, 2, 3, 4, 5]
     assert eval_ids == [1, 2, 3, 4, 5]
 
@@ -147,37 +142,36 @@ def test_protocol_openset_counts():
     seen = SupportSet({c: rng.normal(size=(2, 4)) for c in range(1, 16)})
     net = identity_net(4)
     bank, eval_ids = assemble_protocol(
-        ProtocolSpec(mode=OPENSET, unknown_id=99), seen, None, net, np.zeros(4))
+        OPENSET, seen, None, net, np.zeros(4), unknown_id=99)
     assert len(bank) == 17
     assert bank.has(99) and bank.has(0)
     assert eval_ids == list(range(1, 16)) + [99]
 
 
-def test_protocol_openset_unknown_composition_flag():
+def test_protocol_openset_unknown_includes_background():
+    # the unknown prototype is the mean of the class prototypes and p0
     seen, _ = support_sets()
     net = identity_net(4)
     p0 = np.full(4, 10.0)
-    bank_bg, _ = assemble_protocol(
-        ProtocolSpec(mode=OPENSET, unknown_id=99, unknown_includes_background=True),
-        seen, None, net, p0)
-    bank_nobg, _ = assemble_protocol(
-        ProtocolSpec(mode=OPENSET, unknown_id=99, unknown_includes_background=False),
-        seen, None, net, p0)
-    assert not np.allclose(bank_bg.get(99), bank_nobg.get(99))
+    bank, _ = assemble_protocol(OPENSET, seen, None, net, p0, unknown_id=99)
     from protodetect.prototypes import build_prototypes
-    class_bank = build_prototypes(net, seen)
-    assert np.allclose(bank_nobg.get(99), class_bank.P.mean(axis=0), atol=1e-12)
+    class_P = build_prototypes(net, seen).P
+    assert np.allclose(bank.get(99), np.vstack([class_P, p0]).mean(axis=0), atol=1e-12)
+    assert not np.allclose(bank.get(99), class_P.mean(axis=0))
 
 
 def test_protocol_missing_support_errors():
     seen, _ = support_sets()
     net = identity_net(4)
     with pytest.raises(ValueError):
-        assemble_protocol(ProtocolSpec(mode=ZS_UO), seen, None, net, np.zeros(4))
+        assemble_protocol(ZS_UO, seen, None, net, np.zeros(4))
 
 
 def test_protocol_spec_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        ProtocolSpec(mode="bogus")
+    # the mode names a row of PROTOCOLS; openset also needs an unknown_id
+    seen, unseen = support_sets()
+    net = identity_net(4)
+    with pytest.raises(KeyError):
+        assemble_protocol("bogus", seen, unseen, net, np.zeros(4))
     with pytest.raises(ValueError, match="unknown_id"):
-        ProtocolSpec(mode=OPENSET)
+        assemble_protocol(OPENSET, seen, unseen, net, np.zeros(4))

@@ -6,7 +6,7 @@ import pytest
 from protodetect import losses
 from protodetect.embedder import EmbeddingNet, LinearClassifier
 from protodetect.gradcheck import check_term, random_instance
-from protodetect.losses import LossConfig, alignment_loss, episode_loss
+from protodetect.losses import alignment_loss, episode_loss
 from protodetect.numeric import log_softmax, make_rng, proto_logits
 from protodetect.prototypes import PrototypeBank, SupportSet
 
@@ -38,7 +38,7 @@ def test_matching_midpoint_is_log2():
 
 
 def test_matching_missing_prototype_errors():
-    inst = random_instance(0, cfg=LossConfig.for_stage(1))
+    inst = random_instance(0, lambdas=(0.0, 0.0))
     inst.query_labels = inst.query_labels.copy()
     inst.query_labels[-1] = 9
     with pytest.raises(ValueError, match="label 9"):
@@ -165,10 +165,10 @@ def _clf_size(inst):
 
 
 def test_stage1_total_equals_match():
-    inst = random_instance(7, cfg=LossConfig.for_stage(1))
+    inst = random_instance(7, lambdas=(0.0, 0.0))
     bundle = episode_loss(inst.net, inst.clf, inst.support,
-                          inst.query_features, inst.query_labels, inst.cfg,
-                          bg_features=inst.bg_features)
+                          inst.query_features, inst.query_labels, inst.lambdas,
+                          inst.tau, bg_features=inst.bg_features)
     assert bundle.l_total == bundle.l_match
     # stage-1 grads must not touch the classifier (the vector's tail)
     assert np.all(bundle.grads[-_clf_size(inst):] == 0)
@@ -180,14 +180,14 @@ def _raw_sums(inst, bundle):
     Q, _ = inst.net.forward_batch(inst.query_features)
     return (matching_value(Q, inst.query_labels, bundle.bank),
             kl_value(Q, bundle.bank, inst.clf),
-            alignment_value(Q, inst.query_labels, bundle.bank, inst.cfg.tau))
+            alignment_value(Q, inst.query_labels, bundle.bank, inst.tau))
 
 
 def test_stage2_unit_weights_sum():
     inst = random_instance(8)
     bundle = episode_loss(inst.net, inst.clf, inst.support,
-                          inst.query_features, inst.query_labels, inst.cfg,
-                          bg_features=inst.bg_features)
+                          inst.query_features, inst.query_labels, inst.lambdas,
+                          inst.tau, bg_features=inst.bg_features)
     assert bundle.l_total == bundle.l_match + bundle.l_kl + bundle.l_align
     # the raw sums, n x the per-query means, add up the same way
     n = bundle.n_queries
@@ -197,8 +197,8 @@ def test_stage2_unit_weights_sum():
 def test_bundle_reports_raw_and_normalized():
     inst = random_instance(9)
     bundle = episode_loss(inst.net, inst.clf, inst.support,
-                          inst.query_features, inst.query_labels, inst.cfg,
-                          bg_features=inst.bg_features)
+                          inst.query_features, inst.query_labels, inst.lambdas,
+                          inst.tau, bg_features=inst.bg_features)
     n = bundle.n_queries
     assert n == len(inst.query_labels)
     for mean, raw in zip((bundle.l_match, bundle.l_kl, bundle.l_align),
@@ -206,10 +206,10 @@ def test_bundle_reports_raw_and_normalized():
         assert n * mean == pytest.approx(raw, rel=1e-12)
 
 
-def _episode(inst, cfg=None, **kw):
+def _episode(inst, **kw):
     kw.setdefault("bg_features", inst.bg_features)
     return episode_loss(inst.net, inst.clf, inst.support, inst.query_features,
-                        inst.query_labels, cfg or inst.cfg, **kw)
+                        inst.query_labels, inst.lambdas, inst.tau, **kw)
 
 
 def test_losses_nonnegative():
@@ -218,19 +218,19 @@ def test_losses_nonnegative():
 
 
 @pytest.mark.parametrize("variant", [
-    {"cfg": LossConfig.for_stage(1)},
+    {"lambdas": (0.0, 0.0)},
     {},
-    {"cfg": LossConfig.for_stage(2, 0.5, 2.0, tau=3.0)},
+    {"lambdas": (0.5, 2.0), "tau": 3.0},
 ], ids=["stage1", "stage2", "weighted"])
 def test_value_only_path_equals_gradient_path(variant, monkeypatch):
-    inst = random_instance(12)
-    full = _episode(inst, **variant)
+    inst = random_instance(12, **variant)
+    full = _episode(inst)
 
     def no_backward(*args):
         raise AssertionError("value-only path ran a backward pass")
 
     monkeypatch.setattr(inst.net, "backward_batch", no_backward)
-    values = _episode(inst, **variant, grads=False)
+    values = _episode(inst, grads=False)
     assert values.grads is None and full.grads is not None
     for name in ("l_match", "l_kl", "l_align", "l_total"):
         assert getattr(values, name) == getattr(full, name)
@@ -244,17 +244,17 @@ def test_stacked_value_path_equals_each_slice(variant):
     # not C-ordered, and summed in place it would not equal the 2-D sums
     inst = random_instance(12, n_queries=40)
     if variant == "stage1":
-        inst.cfg = LossConfig.for_stage(1)
+        inst.lambdas = (0.0, 0.0)
     elif variant == "all_background":   # every query labelled with p0
         inst.query_labels = np.zeros_like(inst.query_labels)
     elif variant == "weighted":
-        inst.cfg = LossConfig.for_stage(2, 0.5, 2.0, tau=3.0)
+        inst.lambdas, inst.tau = (0.5, 2.0), 3.0
     (net, clf), rows = probe_stack(inst)
 
     def values(net, clf):
         return episode_loss(net, clf, inst.support, inst.query_features,
-                            inst.query_labels, inst.cfg, bg_features=inst.bg_features,
-                            grads=False)
+                            inst.query_labels, inst.lambdas, inst.tau,
+                            bg_features=inst.bg_features, grads=False)
 
     stacked = values(net, clf)
     assert stacked.bank.P.shape[0] == 5
@@ -272,7 +272,7 @@ def test_gradient_path_rejects_stacked_parameters():
     for pair in ((net, clf), (inst.net, clf)):
         with pytest.raises(ValueError, match="unstacked"):
             episode_loss(*pair, inst.support, inst.query_features, inst.query_labels,
-                         inst.cfg, bg_features=inst.bg_features)
+                         inst.lambdas, inst.tau, bg_features=inst.bg_features)
 
 
 def test_value_only_path_keeps_input_checks():
@@ -286,7 +286,7 @@ def test_value_only_path_keeps_input_checks():
                             np.zeros(inst.clf.n_classes + 1))
     with pytest.raises(ValueError, match="classifier width"):
         episode_loss(inst.net, wide, inst.support, inst.query_features, inst.query_labels,
-                     inst.cfg, bg_features=inst.bg_features, grads=False)
+                     inst.lambdas, inst.tau, bg_features=inst.bg_features, grads=False)
     for pool in (None, np.empty((0, inst.query_features.shape[1]))):
         for grads in (False, True):
             with pytest.raises(ValueError, match="background pool"):
@@ -363,8 +363,8 @@ def test_float32_gradients_agree_with_float64(shape):
         for weights in (None, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)):
             g64 = _episode(inst, grad_weights=weights).grads
             g32 = episode_loss(net32, clf32, inst.support, inst.query_features,
-                               inst.query_labels, inst.cfg, bg_features=inst.bg_features,
-                               grad_weights=weights).grads
+                               inst.query_labels, inst.lambdas, inst.tau,
+                               bg_features=inst.bg_features, grad_weights=weights).grads
             assert g64.dtype == np.float64 and g32.dtype == np.float32
             assert np.max(np.abs(g32 - g64)) <= 1e-5 * np.max(np.abs(g64))
 
@@ -401,17 +401,3 @@ def test_corrupted_gradient_is_flagged_for_every_term():
     errors = check_term(random_instance(0), corrupt=True)
     assert set(errors) == {"match", "kl", "align", "total"}
     assert all(err > 1e-4 for err in errors.values())
-
-
-def test_stage1_forces_zero_weights():
-    cfg = LossConfig(lambda_kl=5.0, lambda_align=2.0, stage=1)
-    assert cfg.lambda_kl == 0.0 and cfg.lambda_align == 0.0
-
-
-def test_loss_config_validation():
-    with pytest.raises(ValueError):
-        LossConfig(tau=-1.0)
-    with pytest.raises(ValueError):
-        LossConfig(stage=3)
-    with pytest.raises(ValueError):
-        LossConfig(lambda_kl=-0.1, stage=2)

@@ -129,13 +129,12 @@ def test_background_empty_pool_errors():
 
 def test_compose_unknown_single_class():
     bank = PrototypeBank([(1, [1.0, 2.0])])
-    assert np.array_equal(compose_unknown_prototype(bank, include_background=False),
-                          [1.0, 2.0])
+    assert np.array_equal(compose_unknown_prototype(bank), [1.0, 2.0])
 
 
 def test_compose_unknown_symmetric_cancellation():
     bank = PrototypeBank([(1, [1.0, -2.0]), (2, [-1.0, 2.0])])
-    unk = compose_unknown_prototype(bank, include_background=False)
+    unk = compose_unknown_prototype(bank)
     assert np.allclose(unk, 0.0, atol=1e-15)
 
 
@@ -143,12 +142,8 @@ def test_compose_unknown_with_background_matches_mean_oracle():
     rng = make_rng(11)
     entries = [(c, rng.normal(size=3)) for c in range(6)]  # ids 0..5
     bank = PrototypeBank(entries)
-    unk = compose_unknown_prototype(bank, include_background=True)
+    unk = compose_unknown_prototype(bank)
     assert np.allclose(unk, np.mean([p for _, p in entries], axis=0), atol=1e-12)
-    unk_no_bg = compose_unknown_prototype(bank, include_background=False)
-    assert np.allclose(unk_no_bg,
-                       np.mean([p for c, p in entries if c != 0], axis=0),
-                       atol=1e-12)
 
 
 def test_posteriors_equidistant_pair():
@@ -172,6 +167,15 @@ def test_posteriors_hand_softmax():
     z = np.array([-0.0, -1.0, -4.0])
     expected = np.exp(z) / np.exp(z).sum()
     assert np.allclose(p, expected, atol=1e-14)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e308])
+def test_posteriors_reject_non_finite_embeddings(bad):
+    # 1e308 is finite, but its logit 2 q.p against prototype 2 is not
+    bank = PrototypeBank([(1, [0.0, 1.0]), (2, [1.0, 0.0])])
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        posteriors_batch(np.array([[0.0, 0.0], [bad, 0.0]]), bank)
 
 
 def test_posteriors_sum_to_one_and_translation_equivariance():

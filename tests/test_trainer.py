@@ -215,6 +215,21 @@ def test_stage_switch_recorded():
         assert rec["l_total"] == rec["l_match"] + rec["l_kl"] + rec["l_align"]
 
 
+def test_stage1_forces_zero_weights(monkeypatch):
+    # the schedule lives in the loop: stage 1 passes weights (0, 0)
+    # whatever the config's, stage 2 the config's, and tau throughout
+    weights = []
+
+    def spy(net, clf, support, feats, labels, lambdas, tau, **kw):
+        weights.append((lambdas, tau))
+        return episode_loss(net, clf, support, feats, labels, lambdas, tau, **kw)
+
+    monkeypatch.setattr(trainer, "episode_loss", spy)
+    train(small_world(), small_train_cfg(stage1_steps=3, stage2_steps=2, lambda_kl=5.0,
+                                         lambda_align=2.0, tau=3.0))
+    assert weights == [((0.0, 0.0), 3.0)] * 3 + [((5.0, 2.0), 3.0)] * 2
+
+
 def test_zero_lr_is_rejected_and_tiny_lr_keeps_params_close():
     world = small_world()
     with pytest.raises(ValueError):
