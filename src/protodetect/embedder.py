@@ -4,8 +4,9 @@ Forward and backward passes are written out by hand (no autodiff).
 The net maps raw proposal features (dim d) to embeddings (dim e)
 through ReLU hidden layers; depth is configurable (2/3/4 linear
 layers, default 2). The classifier produces C+1 logits, index 0
-being the background class. For training, the parameters of both
-live in one contiguous vector (`bind_params`).
+being the background class. The parameters of both are views into
+one contiguous vector: `model_views` builds every (net, classifier)
+pair, drawn (`default_net_and_classifier`) or loaded.
 
 Both run in the dtype of their parameters, float32 or float64 (any
 other input becomes float64), and cast their inputs to it: training
@@ -35,11 +36,6 @@ def _float(a):
     """a as a float32 array if it is one, otherwise as float64."""
     a = np.asarray(a)
     return a if a.dtype == np.float32 else np.asarray(a, dtype=np.float64)
-
-
-def _glorot(rng, fan_out, fan_in):
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_out, fan_in))
 
 
 class EmbeddingNet:
@@ -74,18 +70,6 @@ class EmbeddingNet:
     @property
     def dtype(self):
         return self.layers[0][0].dtype
-
-    @classmethod
-    def init(cls, rng, in_dim, hidden_dim=512, out_dim=128, depth=2):
-        """Glorot-uniform init; depth counts linear layers (>= 2)."""
-        if depth < 2:
-            raise ValueError("depth must be >= 2")
-        dims = [in_dim] + [hidden_dim] * (depth - 1) + [out_dim]
-        layers = []
-        for i in range(depth):
-            layers.append((_glorot(rng, dims[i + 1], dims[i]),
-                           np.zeros(dims[i + 1])))
-        return cls(layers)
 
     def forward_batch(self, X):
         """Embed rows of X (N, d) -> (Q (..., N, e), cache for backward)."""
@@ -149,10 +133,6 @@ class LinearClassifier:
     def n_classes(self):
         return self.W.shape[-2]
 
-    @classmethod
-    def init(cls, rng, n_classes, emb_dim):
-        return cls(_glorot(rng, n_classes, emb_dim), np.zeros(n_classes))
-
     def logits_batch(self, Q):
         Q = np.asarray(Q, dtype=self.W.dtype)
         if Q.shape[-1] != self.W.shape[-1]:
@@ -186,33 +166,31 @@ def _views(theta, shapes):
     return pairs
 
 
+def layout(net, clf):
+    """The (out, in) shape of every W in the parameter layout of (net,
+    clf), in layout order; stacked parameters give the shapes of a row."""
+    return [W.shape[-2:] for W, _ in (*net.layers, (clf.W, clf.b))]
+
+
+def _size(shapes):
+    """The number of parameters in the layout of these W shapes."""
+    return sum(n_out * (n_in + 1) for n_out, n_in in shapes)
+
+
 def param_vector(net, clf):
     """A new, unfilled vector in the parameter layout of (net, clf) and
     its (W, b) views, the net's layers then the classifier's pair."""
-    pairs = (*net.layers, (clf.W, clf.b))
-    theta = np.empty(sum(W.size + b.size for W, b in pairs), dtype=net.dtype)
-    return theta, _views(theta, [W.shape for W, _ in pairs])
+    shapes = layout(net, clf)
+    theta = np.empty(_size(shapes), dtype=net.dtype)
+    return theta, _views(theta, shapes)
 
 
-def model_views(theta, net, clf):
-    """(net, clf) shaped like (net, clf), viewing theta: one vector in
-    their parameter layout or a (B, n) stack of them (stacked parameters)."""
-    shapes = [W.shape[-2:] for W, _ in (*net.layers, (clf.W, clf.b))]
+def model_views(theta, shapes):
+    """(net, clf) whose every W and b is a view into theta, one vector
+    in the parameter layout of these W shapes or a (B, n) stack of them
+    (stacked parameters). Every (net, clf) pair is built here."""
     *layers, (W, b) = _views(theta, shapes)
     return EmbeddingNet(layers), LinearClassifier(W, b)
-
-
-def bind_params(net, clf, dtype=np.float64):
-    """Move the parameters of (net, clf) into one vector of `dtype` and
-    return it.
-
-    Afterwards every W and b of the net and the classifier is a view
-    into the returned vector, so writing to the vector moves the model.
-    """
-    theta = flatten(net.layers, (clf.W, clf.b)).astype(dtype, copy=False)
-    *net.layers, (clf.W, clf.b) = _views(
-        theta, [W.shape for W, _ in (*net.layers, (clf.W, clf.b))])
-    return theta
 
 
 # --- checkpoints -------------------------------------------------------------
@@ -225,11 +203,10 @@ def save_checkpoint(path, net, clf, p0, extra=None):
     `extra` to `path` as a v2 archive (`archive.save_archive`, so at
     exactly `path`, with stable bytes). theta and p0 are stored in the
     dtype of the parameters."""
-    pairs = (*net.layers, (clf.W, clf.b))
     theta = flatten(net.layers, (clf.W, clf.b))
     save_archive(path, {
         "format": np.array(FORMAT),
-        "shapes": np.array([W.shape for W, _ in pairs], dtype=np.int64),
+        "shapes": np.array(layout(net, clf), dtype=np.int64),
         "theta": theta,
         "p0": np.asarray(p0, dtype=theta.dtype),
         "provenance": np.array(json.dumps(extra or {}, sort_keys=True))})
@@ -259,7 +236,7 @@ def _from_entries(entry):
     if p0.dtype != theta.dtype:
         raise ValueError(f"p0: {p0.dtype}, expected theta's {theta.dtype}")
     shapes = shapes.tolist()
-    size = sum(n_out * (n_in + 1) for n_out, n_in in shapes)
+    size = _size(shapes)
     if theta.size != size:
         raise ValueError(f"theta: {theta.size} values for {size} parameters")
     out_dim = shapes[-2][0]
@@ -267,8 +244,7 @@ def _from_entries(entry):
         raise ValueError(f"p0: shape {p0.shape}, expected ({out_dim},)")
     if text.dtype.kind != "U" or text.shape != ():
         raise ValueError("provenance entry is not a string")
-    *layers, (W, b) = _views(theta, shapes)
-    return EmbeddingNet(layers), LinearClassifier(W, b), p0
+    return (*model_views(theta, shapes), p0)
 
 
 def load_checkpoint(path):
@@ -284,9 +260,19 @@ def default_net_and_classifier(seed, in_dim, hidden_dim, emb_dim, n_classes, dep
 
     Returns (net, clf, theta): theta is the one parameter vector of
     `dtype` that the net's and the classifier's arrays are views into
-    (`bind_params`). The draws are float64 whatever the dtype.
+    (`model_views`). depth counts the net's linear layers (>= 2). Every
+    W gets a Glorot-uniform draw from `make_rng(seed)`, in layout order
+    (the net's layers, then the classifier); every b is 0. The draws
+    are float64 whatever the dtype, cast once at the end.
     """
+    if depth < 2:
+        raise ValueError("depth must be >= 2")
+    dims = [in_dim] + [hidden_dim] * (depth - 1) + [emb_dim]
+    shapes = [*zip(dims[1:], dims[:-1]), (n_classes + 1, emb_dim)]
+    theta = np.zeros(_size(shapes))
     rng = make_rng(seed)
-    net = EmbeddingNet.init(rng, in_dim, hidden_dim, emb_dim, depth)
-    clf = LinearClassifier.init(rng, n_classes + 1, emb_dim)
-    return net, clf, bind_params(net, clf, dtype)
+    for W, _ in _views(theta, shapes):
+        limit = np.sqrt(6.0 / sum(W.shape))
+        W[...] = rng.uniform(-limit, limit, size=W.shape)
+    theta = theta.astype(dtype, copy=False)
+    return (*model_views(theta, shapes), theta)

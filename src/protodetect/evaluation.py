@@ -117,7 +117,7 @@ class EvalReport:
 
 
 def evaluate(per_scene_detections, scenes, eval_class_ids, protocol="fewshot",
-             gt_label_map=None, max_dets=MAX_DETS):
+             gt_label_map=None):
     """Score detections against scene ground truth.
 
     per_scene_detections: list (parallel to scenes) of Detections.
@@ -130,10 +130,10 @@ def evaluate(per_scene_detections, scenes, eval_class_ids, protocol="fewshot",
         raise ValueError("detections and scenes are not parallel")
     eval_ids = sorted(set(int(c) for c in eval_class_ids))
 
-    # cap per scene at max_dets by score (stable), highest first
+    # cap per scene at MAX_DETS by score (stable), highest first
     capped = []
     for dets in per_scene_detections:
-        order = np.argsort(-dets.scores, kind="stable")[:max_dets]
+        order = np.argsort(-dets.scores, kind="stable")[:MAX_DETS]
         capped.append((dets.boxes[order], dets.class_ids[order], dets.scores[order]))
     gt_labels = [s.labels if gt_label_map is None else gt_label_map(s.labels)
                  for s in scenes]
@@ -169,7 +169,7 @@ def evaluate(per_scene_detections, scenes, eval_class_ids, protocol="fewshot",
 
 
 def evaluate_openset(per_scene_detections, scenes, seen_ids, unknown_id,
-                     unseen_ids, max_dets=MAX_DETS):
+                     unseen_ids):
     """Open-set report: all unseen GT collapses to the unknown class;
     adds separate Known / Unknown aggregate rows."""
     def relabel(labels):
@@ -177,7 +177,7 @@ def evaluate_openset(per_scene_detections, scenes, seen_ids, unknown_id,
 
     report = evaluate(per_scene_detections, scenes,
                       list(seen_ids) + [unknown_id], protocol="openset",
-                      gt_label_map=relabel, max_dets=max_dets)
+                      gt_label_map=relabel)
     known_with_gt = [c for c in seen_ids if report.n_gt.get(c, 0) > 0]
     report.extra_rows = {
         "known": {"mAP": report.class_mean(known_with_gt, "ap"),

@@ -14,7 +14,7 @@ of a block of probes, each bit-equal to a call on its row alone. A
 block's stack stays under `PROBE_BLOCK_BYTES` (a d=8 instance takes one
 block); the instance itself is never written. The analytic gradient of
 each term comes from one gradient-path `episode_loss` call with that
-term's weights, in the layout of the vector (`embedder.bind_params`).
+term's weights, in the layout of the vector (`embedder.layout`).
 Instances are float64, since central differences at h = 1e-6 need it;
 training runs the same code on float32 parameters. The reported error
 for a term is
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embedder import default_net_and_classifier, model_views
+from .embedder import default_net_and_classifier, layout, model_views
 from .losses import episode_loss
 from .numeric import make_rng
 from .prototypes import SupportSet
@@ -114,7 +114,7 @@ def check_term(inst, terms=TERMS, h=1e-6, corrupt=False):
 
     # numeric[j, i]: d(term j) / d(entry i of the parameter vector);
     # rows r and m + r of a block's stack move entry i = start + r by +h, -h
-    theta = inst.theta
+    theta, shapes = inst.theta, layout(inst.net, inst.clf)
     numeric = np.zeros((len(terms), theta.size))
     block = max(1, PROBE_BLOCK_BYTES // (2 * theta.nbytes))
     for start in range(0, theta.size, block):
@@ -123,7 +123,7 @@ def check_term(inst, terms=TERMS, h=1e-6, corrupt=False):
         stack = np.tile(theta, (2 * m, 1))
         stack[r, idx] = theta[idx] + h
         stack[m + r, idx] = theta[idx] - h
-        bundle = loss(*model_views(stack, inst.net, inst.clf), grads=False)
+        bundle = loss(*model_views(stack, shapes), grads=False)
         f = np.array([_term_value(bundle, t) for t in terms])
         numeric[:, idx] = (f[:, :m] - f[:, m:]) / (2.0 * h)
 

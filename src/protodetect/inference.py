@@ -6,11 +6,11 @@ support sets whose classes form the bank and the set whose classes are
 evaluated. The open-set bank adds one unknown prototype, the mean of
 the bank's prototypes (p0 included).
 
-A proposal goes to the argmax of its `prototypes.posteriors_batch` row
-(the nearest prototype, lowest id on ties). One assigned to the
-background prototype is dropped as a spurious detection; everything
-else is scored with that posterior over the full bank (background
-included in the normalization, so scores are calibrated against it).
+A proposal goes to its nearest prototype (`prototypes.nearest_prototype`,
+lowest id on ties). One assigned to the background prototype is
+dropped as a spurious detection; everything else is scored with that
+posterior over the full bank (background included in the
+normalization, so scores are calibrated against it).
 """
 
 import json
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .prototypes import (BACKGROUND_ID, SupportSet, build_prototypes,
-                         compose_unknown_prototype, posteriors_batch)
+                         compose_unknown_prototype, nearest_prototype)
 
 FEWSHOT = "fewshot"
 OPENSET = "openset"
@@ -54,20 +54,14 @@ class Detections:
 def detect_scene(scene, net, bank):
     """Embed every proposal; keep those whose nearest prototype is not p0.
 
-    FloatingPointError, from `posteriors_batch`, when an embedding is
+    FloatingPointError, from `nearest_prototype`, when an embedding is
     not finite.
     """
     if not bank.has(BACKGROUND_ID):
         raise ValueError("bank is missing the background prototype")
-    ids = np.asarray(bank.ids)
-    if not len(scene.proposals):
-        return Detections(scene.proposals, ids[:0], np.empty(0))
-    Q, _ = net.forward_batch(scene.features)
-    probs = posteriors_batch(Q, bank)
-    best = np.argmax(probs, axis=1)
-    keep = ids[best] != BACKGROUND_ID
-    return Detections(scene.proposals[keep], ids[best[keep]],
-                      probs[np.arange(len(best)), best][keep])
+    ids, scores = nearest_prototype(net.forward_batch(scene.features)[0], bank)
+    keep = ids != BACKGROUND_ID
+    return Detections(scene.proposals[keep], ids[keep], scores[keep])
 
 
 def assemble_protocol(mode, seen_support, unseen_support, net, p0, unknown_id=None):
@@ -99,20 +93,15 @@ def assemble_protocol(mode, seen_support, unseen_support, net, p0, unknown_id=No
     return bank, eval_ids
 
 
-def detections_to_dict(per_scene):
-    """per_scene: list of Detections, indexed by scene id."""
-    return [
-        {"scene_id": i,
-         "detections": [{"box": box, "class_id": cid, "score": score}
-                        for box, cid, score in zip(dets.boxes.tolist(),
-                                                   dets.class_ids.tolist(),
-                                                   dets.scores.tolist())]}
-        for i, dets in enumerate(per_scene)
-    ]
-
-
 def save_detections(path, per_scene, header=None):
-    doc = {"format": "protodetect-detections-v1", "scenes": detections_to_dict(per_scene)}
+    """Write per_scene, a list of Detections indexed by scene id, as JSON."""
+    scenes = [{"scene_id": i,
+               "detections": [{"box": box, "class_id": cid, "score": score}
+                              for box, cid, score in zip(dets.boxes.tolist(),
+                                                         dets.class_ids.tolist(),
+                                                         dets.scores.tolist())]}
+              for i, dets in enumerate(per_scene)]
+    doc = {"format": "protodetect-detections-v1", "scenes": scenes}
     if header:
         doc["provenance"] = header
     with open(path, "w") as f:

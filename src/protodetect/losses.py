@@ -29,7 +29,7 @@ score gradients of the terms whose weight is nonzero, weights and sums
 them, and applies one chain rule into the queries, the prototypes and
 the classifier. One backward pass carries the query and prototype
 gradients (each support or pool row receiving dP / n of its segment)
-into one vector in the parameter layout of `embedder.bind_params`. An
+into one vector in the parameter layout of `embedder.layout`. An
 episode has one shape, the training one: a support set, a non-empty
 background pool whose mean embedding is p0, and queries; every loss is
 the per-query mean of its term's sum. The loss weights
@@ -63,7 +63,6 @@ class LossBundle:
     l_kl: float
     l_align: float
     l_total: float
-    n_queries: int
     bank: PrototypeBank = None   # the episode's prototypes, background included
     grads: np.ndarray = None     # parameter-vector gradient; None on the value-only path
 
@@ -171,7 +170,7 @@ def episode_loss(net, clf, support, query_features, query_labels, lambdas, tau,
     single term. A term whose weight is 0 adds no gradient algebra.
 
     bundle.grads is one vector in the parameter layout of
-    `embedder.bind_params` (net layers, then classifier), in the dtype
+    `embedder.layout` (net layers, then classifier), in the dtype
     of the net's parameters. grads=False returns the loss values only
     (bundle.grads is None): the forward pass, the loss values and every
     input check are the same as with gradients, but no backward pass
@@ -208,12 +207,10 @@ def episode_loss(net, clf, support, query_features, query_labels, lambdas, tau,
     k_val, dZ, dU = kl_loss(Q, clf, post, grads=grads and w_k != 0)
     a_val, G_a = alignment_loss(S, y_idx, tau, grads=grads and w_a != 0)
 
-    n = Q.shape[-2]
-    scale = 1.0 / n
+    scale = 1.0 / Q.shape[-2]
     lm, lk, la = m_val * scale, k_val * scale, a_val * scale
     bundle = LossBundle(l_match=lm, l_kl=lk, l_align=la,
-                        l_total=lm + lambda_kl * lk + lambda_align * la,
-                        n_queries=n, bank=bank)
+                        l_total=lm + lambda_kl * lk + lambda_align * la, bank=bank)
     if not grads:
         return bundle
 

@@ -6,9 +6,9 @@ distances (the energy), taken over the logits 2 q.p - |p|^2 of
 `numeric.proto_logits`, which exceed the energy by |q|^2 alone, a
 term constant along each row that cancels in the softmax. Training's
 loss head reads the same kernel.
-`posteriors_batch` is the one decision kernel:
-the nearest prototype of a query is the argmax of its posterior row,
-and `np.argmax` takes the first maximum, so ties go to the lowest id.
+`nearest_prototype` is the one decision: the nearest prototype of a
+query is the argmax of its `posteriors_batch` row, and `np.argmax`
+takes the first maximum, so ties go to the lowest id.
 The background prototype p0 is the mean embedding of the low-overlap
 proposals that `background_pool` collects.
 """
@@ -127,3 +127,13 @@ def posteriors_batch(Q, bank):
     if not np.isfinite(Z).all():
         raise FloatingPointError("non-finite embeddings")
     return np.exp(log_softmax(Z, axis=1))
+
+
+def nearest_prototype(Q, bank):
+    """(ids, posteriors) for the rows of Q: the id of each row's nearest
+    prototype, the argmax of its `posteriors_batch` row (the lowest id
+    on ties), and its posterior there. FloatingPointError as in
+    `posteriors_batch`."""
+    probs = posteriors_batch(Q, bank)
+    best = np.argmax(probs, axis=1)
+    return np.asarray(bank.ids)[best], probs[np.arange(len(best)), best]

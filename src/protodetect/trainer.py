@@ -9,7 +9,7 @@ of p0 and as background-labelled queries. The step evaluates the full
 objective with one forward and one backward pass through the net
 (`losses.episode_loss`, which also rebuilds the prototypes through the
 current net). The gradient comes back as one
-vector in the layout of the parameter vector (`embedder.bind_params`),
+vector in the layout of the parameter vector (`embedder.layout`),
 so clipping and the AdamW update are a few in-place vector operations.
 That vector, the net's arithmetic, the AdamW moments and the checkpoint
 are float32 (`TRAIN_DTYPE`); the loss head and the gradient norm are
@@ -24,7 +24,7 @@ dataset, seed), whatever the BLAS thread count.
 `background_prototype` computes p0 for the final bank, which the
 checkpoint stores; training refuses a world whose training scenes hold
 no background pool. `heldout_accuracy` scores the nearest-prototype
-decision of `prototypes.posteriors_batch`.
+decision of `prototypes.nearest_prototype`.
 """
 
 import json
@@ -37,7 +37,7 @@ from .embedder import default_net_and_classifier
 from .losses import episode_loss
 from .numeric import make_rng
 from .prototypes import (BACKGROUND_ID, PrototypeBank, SupportSet,
-                         background_pool, build_prototypes, posteriors_batch)
+                         background_pool, build_prototypes, nearest_prototype)
 from .simulator import IGNORE, augment_feature, label_proposals
 
 NO_POOL = "no background pool in training scenes"
@@ -175,7 +175,7 @@ def heldout_accuracy(net, bank, scenes):
     Proposals in the IoU ignore band or labeled with classes outside
     the bank are left out; background proposals count with label 0.
     NaN when no proposal counts. FloatingPointError, from
-    `posteriors_batch`, when an embedding is not finite.
+    `nearest_prototype`, when an embedding is not finite.
     """
     feats, labels = [], []
     for scene in scenes:
@@ -185,8 +185,7 @@ def heldout_accuracy(net, bank, scenes):
         labels.append(y[keep])
     if not sum(map(len, labels)):
         return float("nan")
-    Q, _ = net.forward_batch(np.concatenate(feats))
-    pred = np.asarray(bank.ids)[np.argmax(posteriors_batch(Q, bank), axis=1)]
+    pred, _ = nearest_prototype(net.forward_batch(np.concatenate(feats))[0], bank)
     return float(np.mean(pred == np.concatenate(labels)))
 
 

@@ -7,7 +7,7 @@ two worlds."""
 
 import numpy as np
 
-from protodetect.embedder import model_views
+from protodetect.embedder import layout, model_views
 from protodetect.gradcheck import TERMS, _grad_weights, _max_rel_err, _term_value
 from protodetect.inference import Detections
 from protodetect.losses import (alignment_loss, episode_loss, kl_loss, matching_loss,
@@ -114,8 +114,8 @@ def probe_stack(inst, n=5, seed=0):
     """n randomly perturbed copies of inst.theta as rows of one stack:
     (stacked (net, clf) viewing the stack, [(net, clf) of each row])."""
     stack = inst.theta + make_rng(seed).normal(scale=0.1, size=(n, inst.theta.size))
-    return (model_views(stack, inst.net, inst.clf),
-            [model_views(row, inst.net, inst.clf) for row in stack])
+    shapes = layout(inst.net, inst.clf)
+    return model_views(stack, shapes), [model_views(row, shapes) for row in stack]
 
 
 def assert_worlds_equal(a, b):

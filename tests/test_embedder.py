@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from protodetect.embedder import (EmbeddingNet, LinearClassifier, bind_params,
-                                  flatten, load_checkpoint, save_checkpoint)
+from protodetect.embedder import (EmbeddingNet, LinearClassifier,
+                                  default_net_and_classifier, flatten,
+                                  load_checkpoint, save_checkpoint)
 from protodetect.gradcheck import random_instance
 from protodetect.numeric import log_softmax, make_rng
 
@@ -10,7 +11,7 @@ from helpers import probe_stack
 
 
 def small_net(seed=0, d=5, hidden=7, e=4, depth=2):
-    return EmbeddingNet.init(make_rng(seed), d, hidden, e, depth)
+    return default_net_and_classifier(seed, d, hidden, e, 1, depth)[0]
 
 
 def forward(net, v):
@@ -167,8 +168,7 @@ def test_classifier_constructed_logit():
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
-    net = small_net(21, depth=3)
-    clf = LinearClassifier.init(make_rng(22), 5, 4)
+    net, clf, _ = default_net_and_classifier(21, 5, 7, 4, 4, depth=3)
     p0 = make_rng(23).normal(size=4)
     path = tmp_path / "ckpt.json"
     save_checkpoint(path, net, clf, p0, {"run": 1})
@@ -189,21 +189,37 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
 
 
 def test_loaded_checkpoint_binds_views_into_one_vector(tmp_path):
-    net, clf = small_net(24), LinearClassifier.init(make_rng(25), 3, 4)
+    net, clf, theta = default_net_and_classifier(24, 5, 7, 4, 2)
     save_checkpoint(tmp_path / "ckpt", net, clf, np.zeros(4))
     net2, clf2, _ = load_checkpoint(tmp_path / "ckpt")
     arrays = [a for pair in (*net2.layers, (clf2.W, clf2.b)) for a in pair]
     base = arrays[0].base
     assert base is not None and all(a.base is base for a in arrays)
-    # the same layout bind_params gives a freshly built pair
-    theta = bind_params(net, clf)
+    # the same layout as the vector of a freshly drawn pair
     assert np.array_equal(base, theta)
-    assert all(a.base is theta for pair in (*net.layers, (clf.W, clf.b)) for a in pair)
 
 
 def test_init_depth_validation():
-    with pytest.raises(ValueError):
-        EmbeddingNet.init(make_rng(0), 4, 4, 4, depth=1)
+    with pytest.raises(ValueError, match="depth"):
+        default_net_and_classifier(0, 4, 4, 4, 2, depth=1)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("depth", [2, 3])
+def test_default_init_draws_glorot_weights_in_layout_order(depth, dtype):
+    net, clf, theta = default_net_and_classifier(5, 6, 9, 4, 3, depth, dtype)
+    pairs = (*net.layers, (clf.W, clf.b))
+    dims = [6] + [9] * (depth - 1) + [4]
+    assert [W.shape for W, _ in pairs] == [*zip(dims[1:], dims[:-1]), (4, 4)]
+    assert theta.dtype == dtype and theta.size == sum(W.size + b.size for W, b in pairs)
+    rng = make_rng(5)
+    for W, b in pairs:
+        n_out, n_in = W.shape
+        limit = np.sqrt(6.0 / (n_in + n_out))
+        expected = rng.uniform(-limit, limit, size=(n_out, n_in)).astype(dtype)
+        assert W.dtype == b.dtype == dtype
+        assert np.array_equal(W, expected) and not b.any()
+        assert W.base is theta and b.base is theta
 
 
 @pytest.mark.parametrize("depth", [2, 3, 4])

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from protodetect.evaluation import (IOU_THRESHOLDS, RECALL_GRID,
+from protodetect.evaluation import (IOU_THRESHOLDS, MAX_DETS, RECALL_GRID,
                                     average_precision, evaluate,
                                     evaluate_openset, match_at_threshold)
 from protodetect.numeric import make_rng
@@ -230,6 +230,20 @@ def test_evaluate_openset_rows():
     assert set(rep.extra_rows) == {"known", "unknown"}
     assert rep.extra_rows["known"]["mAP"] == 1.0
     assert rep.extra_rows["unknown"]["mAR"] == 1.0
+
+
+def test_evaluate_caps_each_scene_at_max_dets_by_score():
+    # 101 disjoint detections; GT lies under the lowest-scoring one (in
+    # the middle of the list) and under the second-lowest: the cap drops
+    # the lowest alone, so only the second-lowest can match
+    scores = make_rng(4).permutation(MAX_DETS + 1) + 1.0
+    low, second = np.argsort(scores)[:2]
+    dets = [((20 * i, 0, 20 * i + 10, 10), 1, scores[i]) for i in range(MAX_DETS + 1)]
+    assert 0 < low < MAX_DETS
+    scene = make_scene(gt=[(dets[low][0], 1), (dets[second][0], 1)])
+    rep = evaluate([make_detections(dets)], [scene], [1])
+    assert MAX_DETS == 100 and rep.n_detections == 100
+    assert rep.n_matches == 1 and rep.mAR == 0.5
 
 
 def test_evaluate_mismatched_lengths():

@@ -86,6 +86,7 @@ def test_detect_empty_scene():
     net = identity_net(2)
     dets = detect_scene(make_scene(d=2), net, simple_bank())
     assert len(dets) == 0 and dets.boxes.shape == (0, 4)
+    assert dets.class_ids.shape == dets.scores.shape == (0,)
 
 
 def test_detect_scene_classifies_and_rejects():

@@ -3,11 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from protodetect.embedder import EmbeddingNet
+from protodetect.embedder import EmbeddingNet, default_net_and_classifier
 from protodetect.numeric import make_rng
 from protodetect.prototypes import (PrototypeBank, SupportSet,
                                     background_pool, build_prototypes,
-                                    compose_unknown_prototype,
+                                    compose_unknown_prototype, nearest_prototype,
                                     posteriors_batch, segment_means)
 from protodetect.trainer import background_prototype, scene_background_features
 
@@ -15,7 +15,7 @@ from helpers import make_scene, scalar_iou
 
 
 def random_net(seed=0, d=6, hidden=8, e=4):
-    return EmbeddingNet.init(make_rng(seed), d, hidden, e)
+    return default_net_and_classifier(seed, d, hidden, e, 1)[0]
 
 
 def embed(net, v):
@@ -190,11 +190,22 @@ def test_posteriors_sum_to_one_and_translation_equivariance():
 
 
 def test_nearest_tie_breaks_to_lowest_id():
-    # the decision is the argmax of the posterior row, first maximum wins
-    bank = PrototypeBank([(0, [1.0, 0.0]), (1, [-1.0, 0.0])])
-    p = posteriors(np.array([0.0, 0.0]), bank)
-    assert p[0] == p[1]
-    assert bank.ids[int(np.argmax(p))] == 0
+    # the decision is the argmax of the posterior row, first maximum wins:
+    # row 0 is equidistant from ids 2 and 5, rows 1 and 2 are not
+    bank = PrototypeBank([(5, [-1.0, 0.0]), (2, [1.0, 0.0]), (0, [0.0, 9.0])])
+    Q = np.array([[0.0, 0.0], [-0.5, 0.0], [0.5, 1.0]])
+    P = posteriors_batch(Q, bank)
+    assert P[0, 1] == P[0, 2]
+    ids, scores = nearest_prototype(Q, bank)
+    assert ids.tolist() == [2, 5, 2]
+    assert np.array_equal(scores, P[[0, 1, 2], [1, 2, 1]])
+
+
+def test_nearest_of_no_rows_is_empty():
+    bank = PrototypeBank([(0, [0.0, 0.0]), (1, [1.0, 0.0])])
+    ids, scores = nearest_prototype(np.empty((0, 2), dtype=np.float32), bank)
+    assert ids.shape == scores.shape == (0,)
+    assert ids.dtype == np.int64 and scores.dtype == np.float64
 
 
 def test_bank_rejects_duplicates():
