@@ -7,8 +7,10 @@
     protodetect gradcheck --config cfg.json
 
 gen-data and train write their archive at exactly --out, whatever its
-suffix. The checkpoint carries the background prototype p0, so eval
-embeds no training scene. A dataset or checkpoint that is not a v2
+suffix. train writes its checkpoint and log under temporary names and
+renames both into place only after both are written, so a failed train
+leaves neither. The checkpoint carries the background prototype p0, so
+eval embeds no training scene. A dataset or checkpoint that is not a v2
 archive, such as a JSON file of the older formats, exits 2.
 
 Every command is a pure function of (config, input files, seed);
@@ -17,6 +19,8 @@ input error, 3 numerical divergence, 4 gradient-check failure.
 """
 
 import argparse
+import contextlib
+import os
 import sys
 
 from .config import ConfigError, file_digest, load_run_config
@@ -46,6 +50,26 @@ def _provenance(cfg, dataset_path=None):
     if dataset_path is not None:
         out["dataset_digest"] = file_digest(dataset_path)
     return out
+
+
+@contextlib.contextmanager
+def _staged(*paths):
+    """A temporary name beside each of `paths` for the block to write;
+    when the block succeeds each is renamed onto its path, and on any
+    error every temporary still there is removed, so a failed command
+    leaves none of its files."""
+    temps = [f"{p}.{os.getpid()}.{i}.tmp" for i, p in enumerate(paths)]
+    try:
+        yield temps
+        for tmp, path in zip(temps, paths):
+            try:
+                os.replace(tmp, path)
+            except OSError as e:
+                raise CliError(f"cannot write {path}: {e}")
+    finally:
+        for tmp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
 
 
 def cmd_gen_data(args):
@@ -91,18 +115,19 @@ def cmd_train(args):
         # held-out features that overflow the net's dtype: bad input, and
         # nothing is written
         raise CliError("cannot score held-out scenes: non-finite embeddings")
-    try:
-        save_checkpoint(args.out, result.net, result.clf,
-                        result.bank.get(BACKGROUND_ID),
-                        extra=_provenance(cfg, args.dataset))
-    except OSError as e:
-        raise CliError(f"cannot write checkpoint: {e}")
     result.log.append({"final": True, "accuracy": acc})
     log_path = args.log or (args.out + ".log.jsonl")
-    try:
-        result.write_log(log_path)
-    except OSError as e:
-        raise CliError(f"cannot write log: {e}")
+    with _staged(args.out, log_path) as (ckpt_tmp, log_tmp):
+        try:
+            save_checkpoint(ckpt_tmp, result.net, result.clf,
+                            result.bank.get(BACKGROUND_ID),
+                            extra=_provenance(cfg, args.dataset))
+        except OSError as e:
+            raise CliError(f"cannot write checkpoint: {e}")
+        try:
+            result.write_log(log_tmp)
+        except OSError as e:
+            raise CliError(f"cannot write log: {e}")
     print(f"checkpoint: {args.out}")
     print(f"final heldout accuracy: {acc:.4f}")
     return EXIT_OK

@@ -1,12 +1,13 @@
 """COCO-style detection metrics: AP/AR per class over IoU thresholds
 0.50:0.05:0.95, 101-point interpolated precision, maxDets=100.
 
-Matching is greedy per scene: detections in descending score order
-(ties stable by input order) each take the highest-IoU unmatched
-ground-truth box of their class at or above the threshold; every GT
-box is matched at most once. The IoU matrix of each scene and class
-is computed once and reused across the thresholds. Classes with zero
-ground truth are excluded from the means.
+Each scene is scored once: one IoU matrix of its detections (capped at
+MAX_DETS by score) against every GT box, zeroed where the classes
+differ, and one greedy pass (`match_at_threshold`) at all thresholds.
+Detections in descending score order (ties stable by input order) each
+take the highest-IoU unmatched GT box of their class at or above the
+threshold; every GT box is matched at most once. Classes with zero
+ground truth have no cells and are excluded from the means.
 """
 
 import csv
@@ -22,23 +23,24 @@ RECALL_GRID = np.linspace(0.0, 1.0, 101)
 MAX_DETS = 100
 
 
-def match_at_threshold(ious, threshold):
-    """TP/FP flags (n_det,) for the score-sorted detections of one class
-    in one scene, given their IoU matrix (n_det, n_gt) against its GT
-    boxes (`simulator.iou`). Each detection takes the first unmatched GT
-    box of maximal IoU, if that IoU is positive and at least threshold.
+def match_at_threshold(ious, thresholds):
+    """TP flags (n_det, T) of one scene's score-sorted detections, given
+    their IoU matrix (n_det, n_gt) against its GT boxes. In column t each
+    detection takes the first unmatched GT box of maximal IoU, if that
+    IoU is positive and at least thresholds[t].
     """
+    t = np.asarray(thresholds, dtype=np.float64)
     n_det, n_gt = ious.shape
-    flags = np.zeros(n_det, dtype=bool)
+    flags = np.zeros((n_det, len(t)), dtype=bool)
     if n_gt == 0:
         return flags
-    unmatched = np.ones(n_gt, dtype=bool)
+    cols, unmatched = np.arange(len(t)), np.ones((len(t), n_gt), dtype=bool)
     for i in range(n_det):
-        row = np.where(unmatched, ious[i], 0.0)
-        j = int(np.argmax(row))
-        if row[j] > 0.0 and row[j] >= threshold:
-            unmatched[j] = False
-            flags[i] = True
+        rows = np.where(unmatched, ious[i], 0.0)
+        j = np.argmax(rows, axis=1)
+        best = rows[cols, j]
+        hit = flags[i] = (best > 0.0) & (best >= t)
+        unmatched[cols[hit], j[hit]] = False
     return flags
 
 
@@ -121,50 +123,41 @@ def evaluate(per_scene_detections, scenes, eval_class_ids, protocol="fewshot",
     """Score detections against scene ground truth.
 
     per_scene_detections: list (parallel to scenes) of Detections.
-    gt_label_map: optional relabeling of a scene's GT label array,
-    applied before filtering (open-set maps unseen classes to the
-    unknown id). GT outside eval_class_ids is dropped; detections on it
-    count as FP.
+    gt_label_map: optional relabeling of a scene's GT label array (open
+    set maps unseen classes to the unknown id). GT outside
+    eval_class_ids is not scored; detections on it count as FP.
     """
     if len(per_scene_detections) != len(scenes):
         raise ValueError("detections and scenes are not parallel")
+    # per scene: the kept detections' class ids, scores and flags (n, T),
+    # and the GT labels; the empty first part lets no scenes concatenate
+    parts = [(np.empty(0, dtype=np.int64), np.empty(0),
+              np.empty((0, len(IOU_THRESHOLDS)), dtype=bool), np.empty(0, dtype=np.int64))]
+    for dets, scene in zip(per_scene_detections, scenes):
+        keep = np.argsort(-dets.scores, kind="stable")[:MAX_DETS]
+        labels = scene.labels if gt_label_map is None else gt_label_map(scene.labels)
+        ious = iou(dets.boxes[keep], scene.gt)
+        ious[dets.class_ids[keep][:, None] != labels] = 0.0
+        parts.append((dets.class_ids[keep], dets.scores[keep],
+                      match_at_threshold(ious, IOU_THRESHOLDS), labels))
+    ids, scores, flags, gt_labels = (np.concatenate(p) for p in zip(*parts))
+
+    report = EvalReport(protocol=protocol, n_detections=len(scores))
     eval_ids = sorted(set(int(c) for c in eval_class_ids))
-
-    # cap per scene at MAX_DETS by score (stable), highest first
-    capped = []
-    for dets in per_scene_detections:
-        order = np.argsort(-dets.scores, kind="stable")[:MAX_DETS]
-        capped.append((dets.boxes[order], dets.class_ids[order], dets.scores[order]))
-    gt_labels = [s.labels if gt_label_map is None else gt_label_map(s.labels)
-                 for s in scenes]
-
-    report = EvalReport(protocol=protocol)
-    report.n_detections = sum(len(scores) for _, _, scores in capped)
-
     for cid in eval_ids:
-        # one IoU matrix per scene, shared by every threshold
-        ious, scores = [], []
-        for (boxes, ids, det_scores), scene, labels in zip(capped, scenes, gt_labels):
-            mine = ids == cid
-            ious.append(iou(boxes[mine], scene.gt[labels == cid]))
-            scores.append(det_scores[mine])
-        n_gt = sum(m.shape[1] for m in ious)
+        n_gt = int(np.count_nonzero(gt_labels == cid))
         report.n_gt[cid] = n_gt
         if n_gt == 0:
             continue
         # the class's detections by descending score; ties by scene, then rank
-        order = np.argsort(-np.concatenate(scores), kind="stable")
-        for t in IOU_THRESHOLDS:
-            flags = np.concatenate([match_at_threshold(m, t) for m in ious])[order]
-            n_tp = int(flags.sum())
-            report.cells[(cid, t)] = {"ap": average_precision(flags, n_gt),
-                                      "ar": n_tp / n_gt}
-            if t == IOU_THRESHOLDS[0]:
-                report.n_matches += n_tp
-
-    with_gt = [c for c in eval_ids if report.n_gt.get(c, 0) > 0]
-    report.mAP = report.class_mean(with_gt, "ap")
-    report.mAR = report.class_mean(with_gt, "ar")
+        mine = ids == cid
+        hits = flags[mine][np.argsort(-scores[mine], kind="stable")]
+        for t, col in zip(IOU_THRESHOLDS, hits.T):
+            report.cells[(cid, t)] = {"ap": average_precision(col, n_gt),
+                                      "ar": int(col.sum()) / n_gt}
+        report.n_matches += int(hits[:, 0].sum())
+    report.mAP = report.class_mean(eval_ids, "ap")
+    report.mAR = report.class_mean(eval_ids, "ar")
     return report
 
 
@@ -178,10 +171,9 @@ def evaluate_openset(per_scene_detections, scenes, seen_ids, unknown_id,
     report = evaluate(per_scene_detections, scenes,
                       list(seen_ids) + [unknown_id], protocol="openset",
                       gt_label_map=relabel)
-    known_with_gt = [c for c in seen_ids if report.n_gt.get(c, 0) > 0]
     report.extra_rows = {
-        "known": {"mAP": report.class_mean(known_with_gt, "ap"),
-                  "mAR": report.class_mean(known_with_gt, "ar")},
+        "known": {"mAP": report.class_mean(seen_ids, "ap"),
+                  "mAR": report.class_mean(seen_ids, "ar")},
         "unknown": {"mAP": report.class_mean([unknown_id], "ap"),
                     "mAR": report.class_mean([unknown_id], "ar")},
     }

@@ -17,7 +17,9 @@ one uncompressed .npz archive (format protodetect-dataset-v2) whose
 bytes depend on the world only, so regeneration is byte-identical.
 `load_world` reads it back into the same columnar world, after one
 set of checks (the stored config's keys and types, as the run config
-is checked; shapes, offsets, finite values, non-degenerate boxes).
+is checked; shapes, offsets, finite values, non-degenerate boxes; seen
+support ids 1..c_seen, unseen ones c_seen+1..c_seen+c_unseen, and GT
+labels among them).
 """
 
 import json
@@ -367,9 +369,9 @@ def _world_from_entries(entry):
     cfg.validate()
     d = cfg.d
     means = _float_rows(entry, "class_means", d)
-    if len(means) != cfg.c_seen + cfg.c_unseen:
-        raise ValueError(f"class_means: {len(means)} rows for "
-                         f"{cfg.c_seen + cfg.c_unseen} classes")
+    n_classes = cfg.c_seen + cfg.c_unseen
+    if len(means) != n_classes:
+        raise ValueError(f"class_means: {len(means)} rows for {n_classes} classes")
     splits = []
     for split in _SPLITS:
         P = _boxes(entry, split + "_proposals")
@@ -378,6 +380,8 @@ def _world_from_entries(entry):
         L = _ints(entry, split + "_labels")
         if len(F) != len(P) or len(L) != len(G):
             raise ValueError(f"{split}: boxes and their features or labels differ in count")
+        if ((L < 1) | (L > n_classes)).any():
+            raise ValueError(f"{split}_labels: a class id outside 1..{n_classes}")
         props = _bounds(entry, split + "_proposal_offsets", len(P))
         gts = _bounds(entry, split + "_gt_offsets", len(G))
         if len(props) != len(gts):
@@ -385,17 +389,21 @@ def _world_from_entries(entry):
         splits.append([Scene(P[a:b], F[a:b], G[c:e], L[c:e])
                        for (a, b), (c, e) in zip(props, gts)])
     supports = []
-    for name in _SUPPORTS:
+    # the ids generate_world gives: seen 1..c_seen, then the unseen ones
+    all_ids = list(range(1, n_classes + 1))
+    for name, expected in zip(_SUPPORTS, (all_ids[:cfg.c_seen], all_ids[cfg.c_seen:])):
         rows = _float_rows(entry, name, d)
         ids = _ints(entry, name + "_ids").tolist()
         bounds = _bounds(entry, name + "_offsets", len(rows))
-        if len(bounds) != len(ids) or len(set(ids)) != len(ids):
+        if len(bounds) != len(ids):
             raise ValueError(f"{name}: class ids do not match the offsets")
         if any(a == b for a, b in bounds):
             raise ValueError(f"{name}: a class has no support rows")
+        if name == "support_seen" and not ids:
+            raise ValueError("dataset has no seen support classes")
+        if ids != expected:
+            raise ValueError(f"{name}: class ids {ids}, expected {expected}")
         supports.append({c: rows[a:b] for c, (a, b) in zip(ids, bounds)})
-    if not supports[0]:
-        raise ValueError("dataset has no seen support classes")
     return World(cfg, means, *splits, *supports)
 
 

@@ -61,7 +61,6 @@ class TrainConfig:
     lambda_kl: float = 1.0
     lambda_align: float = 1.0
     seed: int = 0
-    augment: bool = True
     augment_strength: float = 0.5
     hidden_dim: int = 512
     emb_dim: int = 128
@@ -146,16 +145,15 @@ def clip_global_norm(grads, max_norm):
 def make_episode(rng, support, cfg, sigma_f=1.0):
     """Queries for one step: queries_per_support copies of every support
     vector, class-major, the copies of a vector next to each other, with
-    their labels. With augmentation on, one `augment_feature` call
-    augments them all. Prototypes come from the support set itself.
+    their labels. One `augment_feature` call augments them all
+    (strength 0 is the identity). Prototypes come from the support set
+    itself.
     """
     rows, counts = support.rows()
     copies = cfg.queries_per_support
     feats = np.repeat(rows, copies, axis=0)
     labels = np.repeat(support.class_ids, [n * copies for n in counts]).astype(np.int64)
-    if cfg.augment:
-        feats = augment_feature(rng, feats, cfg.augment_strength, sigma_f)
-    return feats, labels
+    return augment_feature(rng, feats, cfg.augment_strength, sigma_f), labels
 
 
 def scene_background_features(scene):

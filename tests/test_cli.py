@@ -54,6 +54,9 @@ def test_config_rejects_unknown_keys(tmp_path):
     with pytest.raises(ConfigError, match="protocol"):
         load_run_config(write_cfg(tmp_path / "c.json",
                                   {"protocol": {"modes": "x"}}))
+    # a key that once switched augmentation off; augment_strength 0 does
+    with pytest.raises(ConfigError, match="augment"):
+        load_run_config(write_cfg(tmp_path / "d.json", {"train": {"augment": False}}))
 
 
 def test_config_rejects_invalid_values(tmp_path):
@@ -408,6 +411,24 @@ def _support_empty(entries):
         entries[name] = entries[name][:keep]
 
 
+def _support_seen_id_zero(entries):
+    entries["support_seen_ids"][0] = 0
+
+
+def _support_unseen_id_seen(entries):
+    # the first unseen class would replace seen class 1 in a mixed bank
+    entries["support_unseen_ids"][0] = 1
+
+
+def _test_label_unknown(entries):
+    # c_seen + c_unseen = 5 classes
+    entries["test_labels"][0] = 6
+
+
+def _train_label_background(entries):
+    entries["train_labels"][0] = 0
+
+
 def _config_wrong_type(entries):
     doc = json.loads(str(entries["config"]))
     doc["d"] = "x"
@@ -427,6 +448,13 @@ V2_DATASET_MUTATIONS = {
     "support_class_empty": (_support_class_empty, "a class has no support rows"),
     "support_empty": (_support_empty, "dataset has no seen support classes"),
     "config_type": (_config_wrong_type, "'config.d' must be of type int, got 'x'"),
+    "support_seen_id_zero": (_support_seen_id_zero,
+                             "support_seen: class ids [0, 2, 3], expected [1, 2, 3]"),
+    "support_unseen_id_seen": (_support_unseen_id_seen,
+                               "support_unseen: class ids [1, 5], expected [4, 5]"),
+    "test_label_unknown": (_test_label_unknown, "test_labels: a class id outside 1..5"),
+    "train_label_background": (_train_label_background,
+                               "train_labels: a class id outside 1..5"),
 }
 
 
@@ -617,6 +645,9 @@ def test_unwritable_output_exit_2(trained, tmp_path, command, capsys):
                                 str(ckpt), "--out-prefix", missing]}[command]
     assert main([*argv, "--config", cfg]) == 2
     assert "cannot write" in capsys.readouterr().err
+    # train renames its checkpoint into place only with its log
+    assert not (tmp_path / "c.npz").exists()
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_world_without_background_pool_exit_2(trained, tmp_path, capsys):

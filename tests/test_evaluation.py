@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from protodetect import evaluation
 from protodetect.evaluation import (IOU_THRESHOLDS, MAX_DETS, RECALL_GRID,
                                     average_precision, evaluate,
                                     evaluate_openset, match_at_threshold)
@@ -54,9 +55,10 @@ def oracle_ap(flags, n_gt):
 # --- matching ---------------------------------------------------------------
 
 def match(detections, gt_boxes, threshold):
-    """match_at_threshold on [(box, score)] and [box], as flags."""
+    """match_at_threshold on [(box, score)] and [box] at one threshold,
+    as flags."""
     ious = iou(boxes([b for b, _ in detections]), boxes(gt_boxes))
-    return match_at_threshold(ious, threshold).tolist()
+    return match_at_threshold(ious, [threshold])[:, 0].tolist()
 
 
 def test_match_perfect_single():
@@ -104,8 +106,13 @@ def test_match_equals_loop_oracle_on_random_cases():
             x, y = rng.uniform(0, 8, size=2)
             w, h = rng.uniform(1, 6, size=2)
             gts.append((x, y, x + w, y + h))
-        for t in (0.1, 0.5, 0.75):
-            assert match(dets, gts, t) == oracle_greedy_match(dets, gts, t)
+        # every threshold in one call; each column is its own greedy pass
+        thresholds = (0.1, 0.5, 0.75) + IOU_THRESHOLDS
+        ious = iou(boxes([b for b, _ in dets]), boxes(gts))
+        flags = match_at_threshold(ious, thresholds)
+        assert flags.shape == (n_det, len(thresholds))
+        for k, t in enumerate(thresholds):
+            assert flags[:, k].tolist() == oracle_greedy_match(dets, gts, t)
 
 
 # --- average precision ------------------------------------------------------
@@ -195,30 +202,95 @@ def test_evaluate_zero_gt_class_excluded_from_mean():
     assert rep.mAP == 1.0
 
 
-def test_evaluate_random_instances_match_oracle_pipeline():
-    rng = make_rng(3)
-    for _ in range(200):
-        n_gt = int(rng.integers(0, 4))
-        n_det = int(rng.integers(0, 4))
-        gts = []
-        for _ in range(n_gt):
-            x, y = rng.uniform(0, 20, size=2)
-            w, h = rng.uniform(2, 10, size=2)
-            gts.append(((x, y, x + w, y + h), 1))
-        scene = make_scene(gt=gts)
-        dets = []
-        for _ in range(n_det):
-            x, y = rng.uniform(0, 20, size=2)
-            w, h = rng.uniform(2, 10, size=2)
-            dets.append(((x, y, x + w, y + h), 1, float(rng.uniform(0.1, 1.0))))
-        rep = evaluate([make_detections(dets)], [scene], [1])
+def random_box(rng):
+    x, y = rng.uniform(0, 20, size=2)
+    w, h = rng.uniform(2, 10, size=2)
+    return (x, y, x + w, y + h)
+
+
+def oracle_cells(scenes_gt, scenes_dets, eval_ids, relabel):
+    """{(class, threshold): (ap, ar)} and {class: n_gt}, class by class:
+    each scene's detections of the class, by score, greedily matched to
+    its GT of the class alone, then every scene's flags by score."""
+    cells, n_gts = {}, {}
+    for c in eval_ids:
+        n_gt = n_gts[c] = sum(relabel(k) == c for gts in scenes_gt for _, k in gts)
         if n_gt == 0:
             continue
-        ordered = sorted(dets, key=lambda d: -d[2])
         for t in IOU_THRESHOLDS:
-            flags = oracle_greedy_match([(box, score) for box, _, score in ordered],
-                                        [b for b, _ in gts], t)
-            assert rep.cells[(1, t)]["ap"] == oracle_ap(flags, n_gt)
+            scored = []
+            for gts, dets in zip(scenes_gt, scenes_dets):
+                mine = sorted([(b, s) for b, k, s in dets if k == c], key=lambda d: -d[1])
+                flags = oracle_greedy_match(mine, [b for b, k in gts if relabel(k) == c], t)
+                scored += [(s, f) for (_, s), f in zip(mine, flags)]
+            flags = [f for _, f in sorted(scored, key=lambda p: -p[0])]
+            cells[(c, t)] = (oracle_ap(flags, n_gt), sum(flags) / n_gt)
+    return cells, n_gts
+
+
+def test_evaluate_random_instances_match_oracle_pipeline():
+    # one to three scenes, each with GT of one to three of the classes 1,
+    # 2, 3, 6 and 8: 8 is never evaluated, and the odd trials are open set,
+    # which relabels 6 to the unknown id 99. Detections take any of these
+    # classes; about half sit on a GT box of any class, jittered
+    rng = make_rng(3)
+    for trial in range(200):
+        openset = trial % 2 == 1
+        eval_ids = [1, 2, 3, 99] if openset else [1, 2, 3]
+        scenes_gt, scenes_dets = [], []
+        for _ in range(int(rng.integers(1, 4))):
+            classes = rng.choice([1, 2, 3, 6, 8], size=int(rng.integers(1, 4)), replace=False)
+            gts = [(random_box(rng), int(c)) for c in classes
+                   for _ in range(int(rng.integers(1, 3)))]
+            dets = []
+            for _ in range(int(rng.integers(0, 7))):
+                box = random_box(rng)
+                if rng.random() < 0.5:
+                    gt_box = gts[int(rng.integers(len(gts)))][0]
+                    box = tuple(np.add(gt_box, rng.uniform(-0.9, 0.9, size=4)))
+                dets.append((box, int(rng.choice([1, 2, 3, 8, 99])),
+                             float(rng.uniform(0.1, 1.0))))
+            scenes_gt.append(gts)
+            scenes_dets.append(dets)
+        relabel = (lambda k: 99 if k == 6 else k) if openset else (lambda k: k)
+        rep = evaluate([make_detections(d) for d in scenes_dets],
+                       [make_scene(gt=g) for g in scenes_gt], eval_ids,
+                       gt_label_map=(lambda a: np.where(a == 6, 99, a)) if openset else None)
+        cells, n_gts = oracle_cells(scenes_gt, scenes_dets, eval_ids, relabel)
+        assert rep.n_gt == n_gts
+        assert {k: (v["ap"], v["ar"]) for k, v in rep.cells.items()} == cells
+
+
+def test_evaluate_no_scenes_gives_the_empty_report():
+    assert evaluate([], [], [1]).to_dict() == {
+        "protocol": "fewshot", "mAP": 0.0, "mAR": 0.0, "per_cell": [],
+        "gt_counts": {"1": 0}, "n_detections": 0, "n_matches": 0, "extra_rows": {}}
+    rep = evaluate_openset([], [], seen_ids=[1, 2], unknown_id=99, unseen_ids=[6])
+    assert rep.extra_rows == {"known": {"mAP": 0.0, "mAR": 0.0},
+                              "unknown": {"mAP": 0.0, "mAR": 0.0}}
+
+
+def test_evaluate_takes_one_iou_and_one_match_per_scene(monkeypatch):
+    calls = {"iou": 0, "match_at_threshold": 0}
+
+    def counted(name):
+        fn = getattr(evaluation, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(evaluation, name, counted(name))
+    scene = make_scene(gt=[((0, 0, 10, 10), 1), ((20, 20, 30, 30), 2),
+                           ((40, 40, 50, 50), 6)])
+    dets = make_detections([((0, 0, 10, 10), 1, 0.9), ((20, 20, 30, 30), 99, 0.8),
+                            ((40, 40, 50, 50), 99, 0.7)])
+    rep = evaluate_openset([dets] * 3, [scene] * 3, seen_ids=[1, 2], unknown_id=99,
+                           unseen_ids=[6])
+    assert calls == {"iou": 3, "match_at_threshold": 3}
+    assert rep.n_matches == 6
 
 
 def test_evaluate_openset_rows():

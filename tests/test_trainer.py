@@ -36,11 +36,11 @@ def random_support(seed=0, C=3, shots=5, d=8):
 # --- episodes ---------------------------------------------------------------
 
 def test_episode_no_augment_copies_support():
-    cfg = small_train_cfg(augment=False, queries_per_support=1)
+    cfg = small_train_cfg(augment_strength=0.0, queries_per_support=1)
     support = random_support()
     feats, labels = make_episode(make_rng(0), support, cfg)
     expected = np.concatenate([support.by_class[c] for c in support.class_ids])
-    assert np.allclose(feats, expected, atol=1e-15)
+    assert np.array_equal(feats, expected)
 
 
 def test_episode_query_count():
