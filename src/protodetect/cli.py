@@ -7,9 +7,10 @@
     protodetect gradcheck --config cfg.json
 
 gen-data and train write their archive at exactly --out, whatever its
-suffix. train writes its checkpoint and log under temporary names and
-renames both into place only after both are written, so a failed train
-leaves neither. The checkpoint carries the background prototype p0, so
+suffix. Every command writes its files under temporary names beside
+them and renames them into place only after all are written, so a
+command that fails leaves none of its files and keeps any earlier ones
+at those paths. The checkpoint carries the background prototype p0, so
 eval embeds no training scene. A dataset or checkpoint that is not a v2
 archive, such as a JSON file of the older formats, exits 2.
 
@@ -54,18 +55,24 @@ def _provenance(cfg, dataset_path=None):
 
 @contextlib.contextmanager
 def _staged(*paths):
-    """A temporary name beside each of `paths` for the block to write;
-    when the block succeeds each is renamed onto its path, and on any
-    error every temporary still there is removed, so a failed command
-    leaves none of its files."""
+    """A temporary name beside each of `paths` for the block to write.
+    When the block succeeds and no path is a directory (the one target
+    a rename would refuse), each temporary is renamed onto its path. On
+    any error every temporary still there is removed, so a failed
+    command leaves none of its files; an OSError becomes a CliError
+    naming the path being written."""
     temps = [f"{p}.{os.getpid()}.{i}.tmp" for i, p in enumerate(paths)]
+    target = dict(zip(temps, paths))
     try:
         yield temps
+        for path in paths:
+            if os.path.isdir(path):
+                raise CliError(f"cannot write {path}: is a directory")
         for tmp, path in zip(temps, paths):
-            try:
-                os.replace(tmp, path)
-            except OSError as e:
-                raise CliError(f"cannot write {path}: {e}")
+            os.replace(tmp, path)
+    except OSError as e:
+        raise CliError(f"cannot write {target.get(e.filename) or ', '.join(paths)}: "
+                       f"{e.strerror or e}")
     finally:
         for tmp in temps:
             with contextlib.suppress(FileNotFoundError):
@@ -74,13 +81,11 @@ def _staged(*paths):
 
 def cmd_gen_data(args):
     cfg = load_run_config(args.config, args.set or ())
-    try:
-        world = generate_world(cfg.world)
-        save_world(args.out, world)
-    except OSError as e:
-        raise CliError(f"cannot write dataset: {e}")
-    except (ValueError, RuntimeError) as e:
-        raise CliError(str(e))
+    with _staged(args.out) as (tmp,):
+        try:
+            save_world(tmp, generate_world(cfg.world))
+        except (ValueError, RuntimeError) as e:
+            raise CliError(str(e))
     print(f"dataset digest: {file_digest(args.out)}")
     return EXIT_OK
 
@@ -105,7 +110,7 @@ def cmd_train(args):
     try:
         result = train(world, cfg.train)
     except FloatingPointError as e:
-        print(str(e), file=sys.stderr)
+        print(f"training diverged: {e}", file=sys.stderr)
         return EXIT_DIVERGED
     except ValueError as e:
         raise CliError(str(e))
@@ -116,18 +121,11 @@ def cmd_train(args):
         # nothing is written
         raise CliError("cannot score held-out scenes: non-finite embeddings")
     result.log.append({"final": True, "accuracy": acc})
-    log_path = args.log or (args.out + ".log.jsonl")
-    with _staged(args.out, log_path) as (ckpt_tmp, log_tmp):
-        try:
-            save_checkpoint(ckpt_tmp, result.net, result.clf,
-                            result.bank.get(BACKGROUND_ID),
-                            extra=_provenance(cfg, args.dataset))
-        except OSError as e:
-            raise CliError(f"cannot write checkpoint: {e}")
-        try:
-            result.write_log(log_tmp)
-        except OSError as e:
-            raise CliError(f"cannot write log: {e}")
+    provenance = _provenance(cfg, args.dataset)
+    with _staged(args.out, args.log or (args.out + ".log.jsonl")) as (ckpt_tmp, log_tmp):
+        save_checkpoint(ckpt_tmp, result.net, result.clf, result.bank.get(BACKGROUND_ID),
+                        extra=provenance)
+        result.write_log(log_tmp)
     print(f"checkpoint: {args.out}")
     print(f"final heldout accuracy: {acc:.4f}")
     return EXIT_OK
@@ -169,12 +167,11 @@ def cmd_eval(args):
     per_scene, report = run_protocol(world, net, mode, p0)
     header = _provenance(cfg, args.dataset)
     header["mode"] = mode
-    try:
-        save_detections(args.out_prefix + ".detections.json", per_scene, header)
-        report.save_json(args.out_prefix + ".json", header)
-        report.save_csv(args.out_prefix + ".csv", header)
-    except OSError as e:
-        raise CliError(f"cannot write report: {e}")
+    paths = [args.out_prefix + suffix for suffix in (".detections.json", ".json", ".csv")]
+    with _staged(*paths) as (det_tmp, json_tmp, csv_tmp):
+        save_detections(det_tmp, per_scene, header)
+        report.save_json(json_tmp, header)
+        report.save_csv(csv_tmp, header)
     print(f"{mode}: mAP={report.mAP:.4f} mAR={report.mAR:.4f}")
     for label, row in sorted(report.extra_rows.items()):
         print(f"  {label}: mAP={row['mAP']:.4f} mAR={row['mAR']:.4f}")

@@ -62,11 +62,7 @@ class RunConfig:
                    expected_dataset_digest=digest)
 
     def to_dict(self):
-        w = dataclasses.asdict(self.world)
-        w["box_size_range"] = list(w["box_size_range"])
-        return {"world": w, "train": dataclasses.asdict(self.train),
-                "protocol": dataclasses.asdict(self.protocol),
-                "expected_dataset_digest": self.expected_dataset_digest}
+        return dataclasses.asdict(self)
 
     def digest(self):
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()

@@ -14,8 +14,8 @@ All three read one inner-product matrix S = Q P^T, which
 `numeric.proto_logits` computes once per episode with the prototype
 logits Z = 2 S - |p|^2. Z exceeds the energies only by |q|^2, which
 is constant along each row, so its softmax is the energy softmax.
-Matching and KL read the posteriors that `proto_posteriors` takes
-from Z (one log-softmax and one exp); alignment reads S / tau.
+Matching and KL read the posteriors that `prototypes.proto_posteriors`
+takes from Z (one log-softmax and one exp); alignment reads S / tau.
 Each term returns its value and the hand-derived gradients of its
 scores: the logits Z (matching, KL), the classifier logits (KL), the
 similarities S / tau (alignment). With grads=False it computes the
@@ -54,7 +54,7 @@ import numpy as np
 
 from .embedder import param_vector
 from .numeric import log_softmax, proto_logits
-from .prototypes import BACKGROUND_ID, PrototypeBank, segment_means
+from .prototypes import BACKGROUND_ID, PrototypeBank, proto_posteriors, segment_means
 
 
 @dataclass
@@ -83,14 +83,6 @@ def _query_sum(a):
     # a stacked gather is not C-ordered; numpy would sum it in another order
     s = np.sum(np.ascontiguousarray(a), axis=-1)
     return float(s) if s.ndim == 0 else s
-
-
-def proto_posteriors(Z):
-    """(log P(prototype k | q), P(prototype k | q)) for each query row:
-    the log-softmax of the prototype logits Z of `proto_logits`, which
-    is that of -|q - p_k|^2, and its exp."""
-    logp = log_softmax(Z, axis=-1)
-    return logp, np.exp(logp)
 
 
 def matching_loss(post, y_idx, grads=True):

@@ -4,8 +4,9 @@ A prototype is the mean embedding of a class's support examples.
 Posteriors over a bank are a softmax over negative squared Euclidean
 distances (the energy), taken over the logits 2 q.p - |p|^2 of
 `numeric.proto_logits`, which exceed the energy by |q|^2 alone, a
-term constant along each row that cancels in the softmax. Training's
-loss head reads the same kernel.
+term constant along each row that cancels in the softmax;
+`proto_posteriors` takes them from those logits, for inference and for
+training's loss head alike.
 `nearest_prototype` is the one decision: the nearest prototype of a
 query is the argmax of its `posteriors_batch` row, and `np.argmax`
 takes the first maximum, so ties go to the lowest id.
@@ -116,6 +117,14 @@ def compose_unknown_prototype(bank):
     return bank.P.mean(axis=-2)
 
 
+def proto_posteriors(Z):
+    """(log P(prototype k | q), P(prototype k | q)) for each query row:
+    the log-softmax of the prototype logits Z of `proto_logits`, which
+    is that of -|q - p_k|^2, and its exp."""
+    logp = log_softmax(Z, axis=-1)
+    return logp, np.exp(logp)
+
+
 def posteriors_batch(Q, bank):
     """P(class j | q) for every row q of Q -> (N, len(bank)), columns in
     the bank's id order: a softmax over negative squared distances.
@@ -126,7 +135,7 @@ def posteriors_batch(Q, bank):
     _, Z = proto_logits(Q, bank.P)
     if not np.isfinite(Z).all():
         raise FloatingPointError("non-finite embeddings")
-    return np.exp(log_softmax(Z, axis=1))
+    return proto_posteriors(Z)[1]
 
 
 def nearest_prototype(Q, bank):

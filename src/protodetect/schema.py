@@ -19,28 +19,20 @@ def _type_ok(value, typ):
     if typ in (int, float):
         number = isinstance(value, int) or (typ is float and isinstance(value, float))
         return number and not isinstance(value, bool) and math.isfinite(value)
-    if typ is tuple:
-        return isinstance(value, (list, tuple)) and all(_type_ok(x, float) for x in value)
     return isinstance(value, typ)
 
 
 def build_dataclass(cls, doc, section):
-    """cls(**doc), a list given to a tuple field as a tuple. ConfigError
-    naming `section` on an unknown key, a value of the wrong type, or a
-    TypeError or ValueError of cls itself."""
+    """cls(**doc). ConfigError naming `section` on an unknown key, a
+    value of the wrong type, or a TypeError or ValueError of cls itself."""
     fields = dataclasses.fields(cls)
     unknown = set(doc) - {f.name for f in fields}
     if unknown:
         raise ConfigError(f"unknown keys in '{section}': {sorted(unknown)}")
-    doc = dict(doc)
     for f in fields:
-        if f.name not in doc:
-            continue
-        if not _type_ok(doc[f.name], f.type):
+        if f.name in doc and not _type_ok(doc[f.name], f.type):
             raise ConfigError(f"'{section}.{f.name}' must be of type "
                               f"{f.type.__name__}, got {doc[f.name]!r}")
-        if f.type is tuple:
-            doc[f.name] = tuple(doc[f.name])
     try:
         return cls(**doc)
     except (TypeError, ValueError) as e:

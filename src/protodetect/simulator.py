@@ -34,6 +34,8 @@ from .schema import build_dataclass
 
 IGNORE = -1  # proposals in the [0.3, 0.5) IoU band are excluded from training
 BACKGROUND_IOU = 0.3  # a proposal below this IoU with every GT box is background
+SCENE_SIZE = 100.0  # scenes are SCENE_SIZE x SCENE_SIZE squares
+BOX_SIZES = (8.0, 16.0)  # box widths and heights are uniform in this range
 
 
 def iou(a, b):
@@ -73,30 +75,23 @@ class WorldConfig:
     d: int = 64
     delta: float = 10.0          # min pairwise / from-origin distance of class means
     sigma_f: float = 1.0
-    scene_size: float = 100.0
     objects_per_scene: int = 4
     proposals_per_scene: int = 12
     box_jitter: float = 0.0      # uniform +- shift applied to GT-aligned proposal corners
-    bg_feature_std: float = 1.0
-    box_size_range: tuple = (8.0, 16.0)
     shots: int = 5
     n_train_scenes: int = 20
     n_test_scenes: int = 20
-    test_includes_unseen: bool = True
     seed: int = 0
 
     def validate(self):
         """Raise ValueError naming every field whose value is out of range."""
-        sizes = tuple(self.box_size_range)
         bad = [name for name, ok in (
             ("c_seen", self.c_seen >= 1), ("c_unseen", self.c_unseen >= 0),
             # _place_means draws norms from U[delta, 2 delta]: 2 delta is finite
             ("d", self.d >= 1), ("delta", 0 < 2.0 * self.delta < math.inf),
-            ("sigma_f", self.sigma_f > 0), ("scene_size", self.scene_size > 0),
+            ("sigma_f", self.sigma_f > 0),
             ("objects_per_scene", self.objects_per_scene >= 0),
             ("box_jitter", self.box_jitter >= 0),
-            ("bg_feature_std", self.bg_feature_std >= 0),
-            ("box_size_range", len(sizes) == 2 and 0 < sizes[0] <= sizes[1]),
             ("shots", self.shots >= 1), ("n_train_scenes", self.n_train_scenes >= 1),
             ("n_test_scenes", self.n_test_scenes >= 1), ("seed", self.seed >= 0),
         ) if not ok]
@@ -194,17 +189,18 @@ def _make_scene(rng, cfg, class_pool, means):
     proposals = np.empty((n, 4))
     features = np.empty((n, cfg.d))
     for i, cid in enumerate(classes):
-        gt[i] = _random_box(rng, cfg.scene_size, cfg.box_size_range)
+        gt[i] = _random_box(rng, SCENE_SIZE, BOX_SIZES)
         features[i] = means[cid - 1] + rng.normal(size=cfg.d) * cfg.sigma_f
         proposals[i] = _jitter_box(rng, gt[i], cfg.box_jitter)
     for i in range(k, n):
-        proposals[i] = _random_box(rng, cfg.scene_size, cfg.box_size_range)
-        features[i] = rng.normal(size=cfg.d) * cfg.bg_feature_std
+        proposals[i] = _random_box(rng, SCENE_SIZE, BOX_SIZES)
+        features[i] = rng.normal(size=cfg.d)
     return Scene(proposals, features, gt, np.array(classes, dtype=np.int64))
 
 
 def generate_world(cfg):
-    """Build class means, train/test scenes, and support sets from (cfg, seed)."""
+    """Build class means, train/test scenes, and support sets from (cfg, seed).
+    Training scenes hold seen classes only, test scenes seen and unseen."""
     cfg.validate()
     rng = make_rng(cfg.seed)
     n_total = cfg.c_seen + cfg.c_unseen
@@ -222,8 +218,8 @@ def generate_world(cfg):
     support_unseen = support_for(unseen)
 
     train_scenes = [_make_scene(rng, cfg, seen, means) for _ in range(cfg.n_train_scenes)]
-    test_pool = seen + unseen if (cfg.test_includes_unseen and unseen) else seen
-    test_scenes = [_make_scene(rng, cfg, test_pool, means) for _ in range(cfg.n_test_scenes)]
+    test_scenes = [_make_scene(rng, cfg, seen + unseen, means)
+                   for _ in range(cfg.n_test_scenes)]
 
     return World(cfg, means, train_scenes, test_scenes, support_seen, support_unseen)
 
@@ -299,11 +295,9 @@ def _offsets(counts):
 
 
 def _world_entries(world):
-    cfg = asdict(world.config)
-    cfg["box_size_range"] = list(cfg["box_size_range"])
     d = world.config.d
     out = {"format": np.array(FORMAT),
-           "config": np.array(json.dumps(cfg, sort_keys=True)),
+           "config": np.array(json.dumps(asdict(world.config), sort_keys=True)),
            "class_means": world.class_means}
     for split, scenes in zip(_SPLITS, (world.train_scenes, world.test_scenes)):
         out[split + "_proposals"] = _stacked([s.proposals for s in scenes], np.empty((0, 4)))

@@ -16,7 +16,9 @@ are float32 (`TRAIN_DTYPE`); the loss head and the gradient norm are
 computed in float64. The loop checks the gradient's finiteness through
 the norm that `clip_global_norm` returns: a float64 sum of float32
 squares is finite exactly when every entry is, so no separate pass over
-the vector is needed. Each step draws its pool from the non-empty pools
+the vector is needed. An overflow or invalid operation anywhere in a
+step raises FloatingPointError, as a non-finite loss or gradient does,
+so a diverging run stops at once, without numpy's warnings. Each step draws its pool from the non-empty pools
 taken from the training scenes before the first step. The loop
 is single-threaded in Python and fully deterministic in (config,
 dataset, seed), whatever the BLAS thread count.
@@ -44,15 +46,16 @@ NO_POOL = "no background pool in training scenes"
 # the dtype of the parameter vector, the net's arithmetic and the
 # checkpoint; the loss head computes in float64 whatever it is
 TRAIN_DTYPE = np.float32
+# AdamW's moment decays and denominator epsilon, and the global norm the
+# gradient is clipped to; Python floats, as `AdamW` explains
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+GRAD_CLIP = 10.0
 
 
 @dataclass
 class TrainConfig:
     lr: float = 1e-4
     weight_decay: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     stage1_steps: int = 500
     stage2_steps: int = 200
     shots: int = 5
@@ -65,14 +68,12 @@ class TrainConfig:
     hidden_dim: int = 512
     emb_dim: int = 128
     mlp_depth: int = 2
-    grad_clip: float = 10.0
 
     def validate(self):
         """Raise ValueError naming every field whose value is out of range."""
         bad = [name for name, ok in (
             ("lr", self.lr > 0), ("weight_decay", self.weight_decay >= 0),
-            ("beta1", 0 <= self.beta1 < 1), ("beta2", 0 <= self.beta2 < 1),
-            ("eps", self.eps > 0), ("stage1_steps", self.stage1_steps >= 0),
+            ("stage1_steps", self.stage1_steps >= 0),
             ("stage2_steps", self.stage2_steps >= 0), ("shots", self.shots >= 1),
             ("queries_per_support", self.queries_per_support >= 1),
             ("tau", self.tau > 0), ("lambda_kl", self.lambda_kl >= 0),
@@ -80,7 +81,7 @@ class TrainConfig:
             # the width 2s of augment_feature's draw U[1-s, 1+s] must be finite
             ("augment_strength", 0 <= 2.0 * self.augment_strength < math.inf),
             ("hidden_dim", self.hidden_dim >= 1), ("emb_dim", self.emb_dim >= 1),
-            ("mlp_depth", self.mlp_depth >= 2), ("grad_clip", self.grad_clip >= 0),
+            ("mlp_depth", self.mlp_depth >= 2),
         ) if not ok]
         if bad:
             raise ValueError(f"invalid training config: {', '.join(bad)} out of range")
@@ -110,21 +111,21 @@ class AdamW:
     def step(self, params, grads):
         c, m, v, s = self.cfg, self.m, self.v, self._scratch
         self.t += 1
-        bc1 = 1.0 - c.beta1 ** self.t
-        sqrt_bc2 = math.sqrt(1.0 - c.beta2 ** self.t)
-        m *= c.beta1
-        np.multiply(grads, 1.0 - c.beta1, out=s)
+        bc1 = 1.0 - BETA1 ** self.t
+        sqrt_bc2 = math.sqrt(1.0 - BETA2 ** self.t)
+        m *= BETA1
+        np.multiply(grads, 1.0 - BETA1, out=s)
         m += s
-        v *= c.beta2
+        v *= BETA2
         np.multiply(grads, grads, out=s)
-        s *= 1.0 - c.beta2
+        s *= 1.0 - BETA2
         v += s
         # decay is decoupled from the adaptive update
         params *= 1.0 - c.lr * c.weight_decay
         # (m / bc1) / (sqrt(v / bc2) + eps), with the bias corrections
         # folded into two scalars
         np.sqrt(v, out=s)
-        s += c.eps * sqrt_bc2
+        s += EPS * sqrt_bc2
         np.divide(m, s, out=s)
         s *= c.lr * sqrt_bc2 / bc1
         params -= s
@@ -227,28 +228,31 @@ def train(world, cfg):
 
     log = []
     total = cfg.stage1_steps + cfg.stage2_steps
-    for step in range(total):
-        stage = 1 if step < cfg.stage1_steps else 2
-        lambdas = (0.0, 0.0) if stage == 1 else (cfg.lambda_kl, cfg.lambda_align)
+    # an overflow or an invalid operation in a step is divergence as a
+    # non-finite loss or gradient is: numpy raises it as FloatingPointError
+    with np.errstate(over="raise", invalid="raise"):
+        for step in range(total):
+            stage = 1 if step < cfg.stage1_steps else 2
+            lambdas = (0.0, 0.0) if stage == 1 else (cfg.lambda_kl, cfg.lambda_align)
 
-        bg = pools[int(rng.integers(len(pools)))]
-        qfeats, qlabels = make_episode(rng, support, cfg, sigma_f)
-        bundle = episode_loss(net, clf, support, np.concatenate([qfeats, bg]),
-                              np.concatenate([qlabels, np.zeros(len(bg), dtype=np.int64)]),
-                              lambdas, cfg.tau, bg_features=bg)
+            bg = pools[int(rng.integers(len(pools)))]
+            qfeats, qlabels = make_episode(rng, support, cfg, sigma_f)
+            bundle = episode_loss(net, clf, support, np.concatenate([qfeats, bg]),
+                                  np.concatenate([qlabels, np.zeros(len(bg), dtype=np.int64)]),
+                                  lambdas, cfg.tau, bg_features=bg)
 
-        if not np.isfinite(bundle.l_total):
-            raise FloatingPointError(f"diverged at step {step}")
+            if not np.isfinite(bundle.l_total):
+                raise FloatingPointError(f"non-finite loss at step {step}")
 
-        grad_norm = clip_global_norm(bundle.grads, cfg.grad_clip)
-        if not np.isfinite(grad_norm):
-            raise FloatingPointError("non-finite gradient")
-        opt.step(theta, bundle.grads)
+            grad_norm = clip_global_norm(bundle.grads, GRAD_CLIP)
+            if not np.isfinite(grad_norm):
+                raise FloatingPointError("non-finite gradient")
+            opt.step(theta, bundle.grads)
 
-        log.append({"step": step, "stage": stage,
-                    "l_match": bundle.l_match, "l_kl": bundle.l_kl,
-                    "l_align": bundle.l_align, "l_total": bundle.l_total,
-                    "grad_norm": grad_norm})
+            log.append({"step": step, "stage": stage,
+                        "l_match": bundle.l_match, "l_kl": bundle.l_kl,
+                        "l_align": bundle.l_align, "l_total": bundle.l_total,
+                        "grad_norm": grad_norm})
 
     bank = build_prototypes(net, support).with_entry(
         BACKGROUND_ID, background_prototype(net, pools))

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -17,6 +18,7 @@ from protodetect.config import (ConfigError, RunConfig, apply_overrides,
                                 load_run_config)
 from protodetect.embedder import (EmbeddingNet, LinearClassifier, load_checkpoint,
                                   save_checkpoint)
+from protodetect import simulator
 from protodetect.simulator import load_world
 from protodetect.trainer import background_prototype, scene_background_features
 
@@ -36,6 +38,15 @@ def write_cfg(path, doc=None):
 
 
 # --- config loading ---------------------------------------------------------
+
+# keys that no caller set to anything but their default, each with that
+# default; they are constants of simulator.py and trainer.py now
+REMOVED_KEYS = (("world", "scene_size", 100.0), ("world", "bg_feature_std", 1.0),
+                ("world", "box_size_range", [8.0, 16.0]),
+                ("world", "test_includes_unseen", True), ("train", "beta1", 0.9),
+                ("train", "beta2", 0.999), ("train", "eps", 1e-8),
+                ("train", "grad_clip", 10.0))
+
 
 def test_config_defaults_from_empty_doc(tmp_path):
     cfg = load_run_config(write_cfg(tmp_path / "c.json", {}))
@@ -57,6 +68,16 @@ def test_config_rejects_unknown_keys(tmp_path):
     # a key that once switched augmentation off; augment_strength 0 does
     with pytest.raises(ConfigError, match="augment"):
         load_run_config(write_cfg(tmp_path / "d.json", {"train": {"augment": False}}))
+    # keys that held fixed constants of the simulator and of AdamW
+    cfg = write_cfg(tmp_path / "e.json")
+    for section, key, value in REMOVED_KEYS:
+        with pytest.raises(ConfigError, match=key):
+            load_run_config(write_cfg(tmp_path / "f.json", {section: {key: value}}))
+        with pytest.raises(ConfigError, match=key):
+            load_run_config(cfg, [f"{section}.{key}={json.dumps(value)}"])
+        assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "d.npz"),
+                     "--set", f"{section}.{key}={json.dumps(value)}"]) == 2
+    assert not list(tmp_path.glob("d.npz*"))
 
 
 def test_config_rejects_invalid_values(tmp_path):
@@ -148,6 +169,26 @@ def test_gen_data_unwritable_out_exit_2(tmp_path):
     assert main(["gen-data", "--config", cfg, "--out", str(out)]) == 2
 
 
+def test_failed_gen_data_keeps_the_previous_dataset(tmp_path, monkeypatch, capsys):
+    # a write that fails half way, as on a full disk, leaves the dataset
+    # already at --out as it was, and no temporary
+    cfg, out = write_cfg(tmp_path / "c.json"), tmp_path / "d.npz"
+    assert main(["gen-data", "--config", cfg, "--out", str(out)]) == 0
+    good = out.read_bytes()
+
+    def half_written(path, entries):
+        with open(path, "wb") as f:
+            f.write(good[:len(good) // 2])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), path)
+
+    monkeypatch.setattr(simulator, "save_archive", half_written)
+    assert main(["gen-data", "--config", cfg, "--out", str(out),
+                 "--set", "world.seed=6"]) == 2
+    assert f"cannot write {out}: No space left on device" in capsys.readouterr().err
+    assert out.read_bytes() == good
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "d.npz"]
+
+
 # --- train ------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -223,6 +264,19 @@ def test_train_divergence_exit_3(trained, tmp_path):
     rc = main(["train", "--config", cfg, "--dataset", str(data),
                "--out", str(tmp_path / "x.json"), "--set", "train.lr=1e150"])
     assert rc == 3
+
+
+@pytest.mark.parametrize("setting", ["train.weight_decay=1e308", "train.tau=5e-324"])
+def test_train_overflow_in_a_step_exit_3(trained, tmp_path, setting, capsys):
+    # the first step's decay factor overflows float32, or its similarities
+    # S / tau overflow float64: divergence, reported without numpy's
+    # warnings (tier-1 turns every warning into an error)
+    cfg, data, _, _ = trained
+    out = tmp_path / "x.npz"
+    assert main(["train", "--config", cfg, "--dataset", str(data),
+                 "--out", str(out), "--set", setting]) == 3
+    assert "training diverged: overflow encountered" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 # --- eval -------------------------------------------------------------------
@@ -435,6 +489,13 @@ def _config_wrong_type(entries):
     entries["config"] = np.array(json.dumps(doc))
 
 
+def _config_removed_key(entries):
+    # a dataset written while the background feature scale was a key
+    doc = json.loads(str(entries["config"]))
+    doc["bg_feature_std"] = 1.0
+    entries["config"] = np.array(json.dumps(doc))
+
+
 # each mutation, with a part of the message it must give
 V2_DATASET_MUTATIONS = {
     "truncated": (None, "corrupt dataset archive"),
@@ -448,6 +509,8 @@ V2_DATASET_MUTATIONS = {
     "support_class_empty": (_support_class_empty, "a class has no support rows"),
     "support_empty": (_support_empty, "dataset has no seen support classes"),
     "config_type": (_config_wrong_type, "'config.d' must be of type int, got 'x'"),
+    "config_removed_key": (_config_removed_key,
+                           "unknown keys in 'config': ['bg_feature_std']"),
     "support_seen_id_zero": (_support_seen_id_zero,
                              "support_seen: class ids [0, 2, 3], expected [1, 2, 3]"),
     "support_unseen_id_seen": (_support_unseen_id_seen,
@@ -648,6 +711,15 @@ def test_unwritable_output_exit_2(trained, tmp_path, command, capsys):
     # train renames its checkpoint into place only with its log
     assert not (tmp_path / "c.npz").exists()
     assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_eval_report_path_a_directory_leaves_no_file(trained, tmp_path, capsys):
+    # the second of eval's three files cannot be put in place, so none is
+    (tmp_path / "r.json").mkdir()
+    assert eval_on_checkpoint(trained, trained[2], tmp_path / "r") == 2
+    assert f"cannot write {tmp_path / 'r.json'}: is a directory" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+    assert not list((tmp_path / "r.json").iterdir())
 
 
 def test_world_without_background_pool_exit_2(trained, tmp_path, capsys):

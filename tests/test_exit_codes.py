@@ -19,12 +19,18 @@ given another shape, an `_offsets` value shifted, a NaN or an Inf
 written into a float entry, a leaf of a JSON string entry (the
 dataset's config, the checkpoint's provenance) replaced; the archive
 is then written, and maybe truncated.
+
+A command that exits non-zero must leave none of its output files and
+no temporary beside them; each example removes the outputs of the one
+before it first.
 """
 
 import contextlib
 import copy
+import glob
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -93,6 +99,28 @@ def test_gradcheck_exit_code_on_mutated_configs(doc, tmp_path_factory):
 def _quiet_main(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return main(argv)
+
+
+def _checked_main(argv, outputs):
+    """main(argv), quietly, after removing `outputs`, the files the
+    command writes; on a non-zero exit none of them and no temporary
+    beside them may exist."""
+    for path in outputs:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
+    rc = _quiet_main(argv)
+    if rc != 0:
+        assert not [p for p in outputs if os.path.exists(p)]
+        assert not glob.glob(os.path.join(os.path.dirname(outputs[0]), "*.tmp"))
+    return rc
+
+
+def _train_outputs(ckpt):
+    return [ckpt, ckpt + ".log.jsonl"]
+
+
+def _eval_outputs(prefix):
+    return [prefix + suffix for suffix in (".detections.json", ".json", ".csv")]
 
 
 def _entries(path):
@@ -214,8 +242,9 @@ def test_eval_exit_code_on_mutated_checkpoints(tiny_run, data, mode):
     cfg, dataset, _, _, entries = tiny_run
     path = f"{dataset}.mutated"
     _write_mutated(path, *data.draw(mutated_archives(entries, CHECKPOINT_TAGS)))
-    rc = _quiet_main(["eval", "--config", cfg, "--dataset", dataset, "--checkpoint", path,
-                      "--mode", mode, "--out-prefix", f"{dataset}.report"])
+    report = f"{dataset}.report"
+    rc = _checked_main(["eval", "--config", cfg, "--dataset", dataset, "--checkpoint", path,
+                        "--mode", mode, "--out-prefix", report], _eval_outputs(report))
     assert rc in EXIT_CODES
 
 
@@ -225,11 +254,12 @@ def test_train_and_eval_exit_code_on_mutated_datasets(tiny_run, data, mode):
     cfg, dataset, ckpt, entries, _ = tiny_run
     path = f"{dataset}.mutated"
     _write_mutated(path, *data.draw(mutated_archives(entries, DATASET_TAGS)))
-    rc = _quiet_main(["train", "--config", cfg, "--dataset", path,
-                      "--out", f"{dataset}.ckpt"])
+    out, report = f"{dataset}.ckpt", f"{dataset}.report"
+    rc = _checked_main(["train", "--config", cfg, "--dataset", path, "--out", out],
+                       _train_outputs(out))
     assert rc in EXIT_CODES
-    rc = _quiet_main(["eval", "--config", cfg, "--dataset", path, "--checkpoint", ckpt,
-                      "--mode", mode, "--out-prefix", f"{dataset}.report"])
+    rc = _checked_main(["eval", "--config", cfg, "--dataset", path, "--checkpoint", ckpt,
+                        "--mode", mode, "--out-prefix", report], _eval_outputs(report))
     assert rc in EXIT_CODES
 
 
@@ -266,8 +296,9 @@ def test_pipeline_exit_code_on_mutated_configs(tiny_run, doc):
     path = f"{dataset}.config.json"
     with open(path, "w") as f:
         json.dump(doc, f)
-    assert _quiet_main(["gen-data", "--config", path, "--out", f"{dataset}.gen"]) in EXIT_CODES
-    assert _quiet_main(["train", "--config", path, "--dataset", dataset,
-                        "--out", f"{dataset}.ckpt"]) in EXIT_CODES
-    assert _quiet_main(["eval", "--config", path, "--dataset", dataset, "--checkpoint", ckpt,
-                        "--out-prefix", f"{dataset}.report"]) in EXIT_CODES
+    gen, out, report = f"{dataset}.gen", f"{dataset}.ckpt", f"{dataset}.report"
+    assert _checked_main(["gen-data", "--config", path, "--out", gen], [gen]) in EXIT_CODES
+    assert _checked_main(["train", "--config", path, "--dataset", dataset, "--out", out],
+                         _train_outputs(out)) in EXIT_CODES
+    assert _checked_main(["eval", "--config", path, "--dataset", dataset, "--checkpoint", ckpt,
+                          "--out-prefix", report], _eval_outputs(report)) in EXIT_CODES

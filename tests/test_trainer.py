@@ -10,8 +10,9 @@ from protodetect.prototypes import SupportSet
 from protodetect.losses import episode_loss
 from protodetect.simulator import Scene, WorldConfig, augment_feature, generate_world
 from protodetect import trainer
-from protodetect.trainer import (AdamW, TrainConfig, background_prototype,
-                                 clip_global_norm, make_episode, train)
+from protodetect.trainer import (BETA1, BETA2, EPS, AdamW, TrainConfig,
+                                 background_prototype, clip_global_norm, make_episode,
+                                 train)
 
 
 def small_world(seed=5, **kw):
@@ -96,9 +97,9 @@ def test_adamw_first_step_hand_computation():
     opt = AdamW(p, cfg)
     opt.step(p, np.array([g]))
     # scalar hand computation of one bias-corrected Adam step
-    m = (1 - cfg.beta1) * g / (1 - cfg.beta1)
-    v = (1 - cfg.beta2) * g * g / (1 - cfg.beta2)
-    expected = theta0 - cfg.lr * m / (np.sqrt(v) + cfg.eps)
+    m = (1 - BETA1) * g / (1 - BETA1)
+    v = (1 - BETA2) * g * g / (1 - BETA2)
+    expected = theta0 - cfg.lr * m / (np.sqrt(v) + EPS)
     assert p[0] == pytest.approx(expected, rel=1e-12)
 
 
@@ -114,11 +115,11 @@ def test_adamw_matches_per_entry_reference_over_steps():
         g = rng.normal(size=7)
         opt.step(p, g)
         for i in range(7):
-            m_ref[i] = cfg.beta1 * m_ref[i] + (1 - cfg.beta1) * g[i]
-            v_ref[i] = cfg.beta2 * v_ref[i] + (1 - cfg.beta2) * g[i] * g[i]
+            m_ref[i] = BETA1 * m_ref[i] + (1 - BETA1) * g[i]
+            v_ref[i] = BETA2 * v_ref[i] + (1 - BETA2) * g[i] * g[i]
             ref[i] -= cfg.lr * cfg.weight_decay * ref[i]
-            ref[i] -= cfg.lr * (m_ref[i] / (1 - cfg.beta1 ** t)) / (
-                np.sqrt(v_ref[i] / (1 - cfg.beta2 ** t)) + cfg.eps)
+            ref[i] -= cfg.lr * (m_ref[i] / (1 - BETA1 ** t)) / (
+                np.sqrt(v_ref[i] / (1 - BETA2 ** t)) + EPS)
     assert np.allclose(p, ref, rtol=1e-13, atol=0.0)
 
 
@@ -135,11 +136,11 @@ def test_adamw_float32_step_stays_float32():
     for t in range(1, 7):
         g = rng.normal(size=257).astype(np.float32)
         opt.step(p, g)
-        bc1, sqrt_bc2 = 1.0 - cfg.beta1 ** t, (1.0 - cfg.beta2 ** t) ** 0.5
-        m = m * cfg.beta1 + g * (1.0 - cfg.beta1)
-        v = v * cfg.beta2 + (g * g) * (1.0 - cfg.beta2)
+        bc1, sqrt_bc2 = 1.0 - BETA1 ** t, (1.0 - BETA2 ** t) ** 0.5
+        m = m * BETA1 + g * (1.0 - BETA1)
+        v = v * BETA2 + (g * g) * (1.0 - BETA2)
         ref = ref * (1.0 - cfg.lr * cfg.weight_decay)
-        ref = ref - m / (np.sqrt(v) + cfg.eps * sqrt_bc2) * (cfg.lr * sqrt_bc2 / bc1)
+        ref = ref - m / (np.sqrt(v) + EPS * sqrt_bc2) * (cfg.lr * sqrt_bc2 / bc1)
         assert ref.dtype == m.dtype == v.dtype == np.float32
         assert np.array_equal(p, ref) and np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
 
