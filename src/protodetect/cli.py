@@ -60,7 +60,14 @@ def _staged(*paths):
     a rename would refuse), each temporary is renamed onto its path. On
     any error every temporary still there is removed, so a failed
     command leaves none of its files; an OSError becomes a CliError
-    naming the path being written."""
+    naming the path being written. Two paths that resolve to one file
+    are refused before anything is written: the second rename would
+    replace the first file."""
+    seen = {}
+    for i, path in enumerate(paths):
+        first = seen.setdefault(os.path.realpath(path), i)
+        if first != i:
+            raise CliError(f"cannot write {path}: same file as {paths[first]}")
     temps = [f"{p}.{os.getpid()}.{i}.tmp" for i, p in enumerate(paths)]
     target = dict(zip(temps, paths))
     try:

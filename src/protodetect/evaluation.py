@@ -1,13 +1,16 @@
 """COCO-style detection metrics: AP/AR per class over IoU thresholds
 0.50:0.05:0.95, 101-point interpolated precision, maxDets=100.
 
-Each scene is scored once: one IoU matrix of its detections (capped at
-MAX_DETS by score) against every GT box, zeroed where the classes
-differ, and one greedy pass (`match_at_threshold`) at all thresholds.
-Detections in descending score order (ties stable by input order) each
-take the highest-IoU unmatched GT box of their class at or above the
-threshold; every GT box is matched at most once. Classes with zero
-ground truth have no cells and are excluded from the means.
+A report is scored in one pass over all its scenes: one stacked IoU
+array of every scene's detections (capped at MAX_DETS by score)
+against its GT boxes, padded to the largest counts and zeroed where
+the classes differ, and one greedy pass (`match_at_threshold`) over
+every scene at all thresholds at once. Detections in descending score
+order (ties stable by input order) each take the highest-IoU unmatched
+GT box of their class at or above the threshold; every GT box is
+matched at most once. Each class then gets one `average_precision`
+call for all thresholds. Classes with zero ground truth have no cells
+and are excluded from the means.
 """
 
 import csv
@@ -24,47 +27,61 @@ MAX_DETS = 100
 
 
 def match_at_threshold(ious, thresholds):
-    """TP flags (n_det, T) of one scene's score-sorted detections, given
-    their IoU matrix (n_det, n_gt) against its GT boxes. In column t each
-    detection takes the first unmatched GT box of maximal IoU, if that
-    IoU is positive and at least thresholds[t].
+    """TP flags (scenes, n_det, T) of every scene's score-sorted
+    detections, given their stacked IoU matrices (scenes, n_det, n_gt)
+    against the scenes' GT boxes; a single (n_det, n_gt) matrix gives
+    (n_det, T). In column t each detection takes the first unmatched GT
+    box of maximal IoU, if that IoU is positive and at least
+    thresholds[t]. The loop runs over detection rank, holding every
+    scene's unmatched boxes at every threshold as one (scenes, T, n_gt)
+    array.
     """
     t = np.asarray(thresholds, dtype=np.float64)
-    n_det, n_gt = ious.shape
-    flags = np.zeros((n_det, len(t)), dtype=bool)
-    if n_gt == 0:
-        return flags
-    cols, unmatched = np.arange(len(t)), np.ones((len(t), n_gt), dtype=bool)
-    for i in range(n_det):
-        rows = np.where(unmatched, ious[i], 0.0)
-        j = np.argmax(rows, axis=1)
-        best = rows[cols, j]
-        hit = flags[i] = (best > 0.0) & (best >= t)
-        unmatched[cols[hit], j[hit]] = False
-    return flags
+    ious = np.asarray(ious)
+    stack = ious if ious.ndim == 3 else ious[None]
+    n_scenes, n_det, n_gt = stack.shape
+    flags = np.zeros((n_scenes, n_det, len(t)), dtype=bool)
+    if n_gt:
+        unmatched = np.ones((n_scenes, len(t), n_gt), dtype=bool)
+        for i in range(n_det):
+            rows = np.where(unmatched, stack[:, i, None, :], 0.0)
+            j = np.argmax(rows, axis=2)
+            best = np.take_along_axis(rows, j[..., None], axis=2)[..., 0]
+            hit = flags[:, i] = (best > 0.0) & (best >= t)
+            scene, col = np.nonzero(hit)
+            unmatched[scene, col, j[scene, col]] = False
+    return flags if ious.ndim == 3 else flags[0]
 
 
 def average_precision(flags, n_gt):
-    """101-point interpolated AP from ordered TP/FP flags.
+    """101-point interpolated AP from ordered TP/FP flags: (n,) flags
+    give one AP, (n, T) flags one per column (a list of T).
 
     Returns None when n_gt == 0 (cell excluded from aggregation).
     """
     if n_gt == 0:
         return None
     flags = np.asarray(flags, dtype=bool)
-    if flags.size == 0 or not flags.any():
-        return 0.0
-    tp = np.cumsum(flags)
-    fp = np.cumsum(~flags)
-    recall = tp / n_gt
-    precision = tp / (tp + fp)
-    # precision envelope: running max from the right
-    envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    # interpolated precision at each grid recall: max precision among
-    # points with recall >= r, 0 beyond the achieved recall
-    idx = np.searchsorted(recall, RECALL_GRID, side="left")
-    interp = np.where(idx < len(envelope), envelope[np.minimum(idx, len(envelope) - 1)], 0.0)
-    return float(np.sum(interp)) / len(RECALL_GRID)
+    cols = flags if flags.ndim == 2 else flags[:, None]
+    if len(cols) == 0:
+        aps = [0.0] * cols.shape[1]
+    else:
+        tp = np.cumsum(cols, axis=0)
+        fp = np.cumsum(~cols, axis=0)
+        recall = tp / n_gt
+        precision = tp / (tp + fp)
+        # precision envelope: running max from the right
+        envelope = np.maximum.accumulate(precision[::-1], axis=0)[::-1]
+        # interpolated precision at each grid recall: max precision among
+        # points with recall >= r, 0 beyond the achieved recall; each
+        # column's 101 values are summed as one contiguous 1-D array, in
+        # the order a single column's are
+        aps = []
+        for rec, env in zip(recall.T, envelope.T):
+            idx = np.searchsorted(rec, RECALL_GRID, side="left")
+            interp = np.where(idx < len(env), env[np.minimum(idx, len(env) - 1)], 0.0)
+            aps.append(float(np.sum(interp)) / len(RECALL_GRID))
+    return aps if flags.ndim == 2 else aps[0]
 
 
 @dataclass
@@ -100,8 +117,9 @@ class EvalReport:
         doc = self.to_dict()
         if header:
             doc["provenance"] = header
+        # json.dumps takes the C encoder; json.dump to a file never does
         with open(path, "w") as f:
-            json.dump(doc, f, sort_keys=True)
+            f.write(json.dumps(doc, sort_keys=True))
 
     def save_csv(self, path, header=None):
         with open(path, "w", newline="") as f:
@@ -118,43 +136,63 @@ class EvalReport:
                             repr(row["mAP"]), repr(row["mAR"])])
 
 
+def _padded(rows, counts, width, fill):
+    """Scene-major rows, counts[s] of them for scene s, as one
+    (scenes, width, ...) array filled with fill past each count."""
+    out = np.full((len(counts), width) + rows.shape[1:], fill, dtype=rows.dtype)
+    out[np.arange(width) < counts[:, None]] = rows
+    return out
+
+
 def evaluate(per_scene_detections, scenes, eval_class_ids, protocol="fewshot",
              gt_label_map=None):
     """Score detections against scene ground truth.
 
     per_scene_detections: list (parallel to scenes) of Detections.
-    gt_label_map: optional relabeling of a scene's GT label array (open
-    set maps unseen classes to the unknown id). GT outside
-    eval_class_ids is not scored; detections on it count as FP.
+    gt_label_map: optional relabeling of a GT label array (open set maps
+    unseen classes to the unknown id). GT outside eval_class_ids is not
+    scored; detections on it count as FP.
     """
     if len(per_scene_detections) != len(scenes):
         raise ValueError("detections and scenes are not parallel")
-    # per scene: the kept detections' class ids, scores and flags (n, T),
-    # and the GT labels; the empty first part lets no scenes concatenate
-    parts = [(np.empty(0, dtype=np.int64), np.empty(0),
-              np.empty((0, len(IOU_THRESHOLDS)), dtype=bool), np.empty(0, dtype=np.int64))]
+    # per scene: the kept detections' boxes, class ids and scores by
+    # rank, and the GT boxes and labels; the empty first part lets no
+    # scenes concatenate
+    parts = [(np.empty((0, 4)), np.empty(0, dtype=np.int64), np.empty(0),
+              np.empty((0, 4)), np.empty(0, dtype=np.int64))]
     for dets, scene in zip(per_scene_detections, scenes):
         keep = np.argsort(-dets.scores, kind="stable")[:MAX_DETS]
-        labels = scene.labels if gt_label_map is None else gt_label_map(scene.labels)
-        ious = iou(dets.boxes[keep], scene.gt)
-        ious[dets.class_ids[keep][:, None] != labels] = 0.0
-        parts.append((dets.class_ids[keep], dets.scores[keep],
-                      match_at_threshold(ious, IOU_THRESHOLDS), labels))
-    ids, scores, flags, gt_labels = (np.concatenate(p) for p in zip(*parts))
+        parts.append((dets.boxes[keep], dets.class_ids[keep], dets.scores[keep],
+                      scene.gt, scene.labels))
+    n_kept = np.array([len(p[2]) for p in parts[1:]], dtype=np.int64)
+    n_gt = np.array([len(p[4]) for p in parts[1:]], dtype=np.int64)
+    det_boxes, ids, scores, gt_boxes, labels = (np.concatenate(p) for p in zip(*parts))
+    if gt_label_map is not None:
+        labels = gt_label_map(labels)
+    # one (scenes, R, G) IoU stack, R and G the largest per-scene counts;
+    # padded detections take class -2 and padded GT label -1, so the
+    # class mask zeroes every padded entry
+    width, depth = int(n_kept.max(initial=0)), int(n_gt.max(initial=0))
+    det_ids = _padded(ids, n_kept, width, -2)
+    gt_labels = _padded(labels, n_gt, depth, -1)
+    ious = iou(_padded(det_boxes, n_kept, width, 0.0), _padded(gt_boxes, n_gt, depth, 0.0))
+    ious[det_ids[:, :, None] != gt_labels[:, None, :]] = 0.0
+    # the kept detections' flags (n, T), in scene, then rank order
+    flags = match_at_threshold(ious, IOU_THRESHOLDS)[np.arange(width) < n_kept[:, None]]
 
     report = EvalReport(protocol=protocol, n_detections=len(scores))
     eval_ids = sorted(set(int(c) for c in eval_class_ids))
     for cid in eval_ids:
-        n_gt = int(np.count_nonzero(gt_labels == cid))
-        report.n_gt[cid] = n_gt
-        if n_gt == 0:
+        n = int(np.count_nonzero(labels == cid))
+        report.n_gt[cid] = n
+        if n == 0:
             continue
         # the class's detections by descending score; ties by scene, then rank
         mine = ids == cid
         hits = flags[mine][np.argsort(-scores[mine], kind="stable")]
-        for t, col in zip(IOU_THRESHOLDS, hits.T):
-            report.cells[(cid, t)] = {"ap": average_precision(col, n_gt),
-                                      "ar": int(col.sum()) / n_gt}
+        for t, ap, tp in zip(IOU_THRESHOLDS, average_precision(hits, n),
+                             hits.sum(axis=0).tolist()):
+            report.cells[(cid, t)] = {"ap": ap, "ar": tp / n}
         report.n_matches += int(hits[:, 0].sum())
     report.mAP = report.class_mean(eval_ids, "ap")
     report.mAR = report.class_mean(eval_ids, "ar")

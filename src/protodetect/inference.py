@@ -104,5 +104,6 @@ def save_detections(path, per_scene, header=None):
     doc = {"format": "protodetect-detections-v1", "scenes": scenes}
     if header:
         doc["provenance"] = header
+    # json.dumps takes the C encoder; json.dump to a file never does
     with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True)
+        f.write(json.dumps(doc, sort_keys=True))

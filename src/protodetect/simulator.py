@@ -39,21 +39,22 @@ BOX_SIZES = (8.0, 16.0)  # box widths and heights are uniform in this range
 
 
 def iou(a, b):
-    """Pairwise intersection over union: rows of a (n, 4) against rows
-    of b (m, 4) -> (n, m), 0 where two boxes do not overlap.
+    """Pairwise intersection over union: rows of a (..., n, 4) against
+    rows of b (..., m, 4) -> (..., n, m), 0 where two boxes do not
+    overlap. Leading axes broadcast, so a stack of scenes takes one call.
 
     Every entry takes the scalar formula's operations in its order
     (min - max per axis, ix * iy, inter / (area_a + area_b - inter)),
     so it is bit-equal to the scalar formula.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    ix = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    iy = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    a = np.asarray(a, dtype=np.float64)[..., :, None, :]
+    b = np.asarray(b, dtype=np.float64)[..., None, :, :]
+    ix = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    iy = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = ix * iy
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    return np.divide(inter, area_a[:, None] + area_b[None, :] - inter,
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    return np.divide(inter, area_a + area_b - inter,
                      out=np.zeros_like(inter), where=(ix > 0.0) & (iy > 0.0))
 
 

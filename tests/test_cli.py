@@ -316,6 +316,41 @@ def test_eval_rerun_byte_identical(trained, tmp_path):
                (tmp_path / ("r2" + suffix)).read_bytes()
 
 
+# sha256 of <prefix>.detections.json, .json and .csv for BASE_CFG in
+# every mode. The evaluator and the JSON encoder may change only in ways
+# that keep these bytes; the detection scores and the checkpoint they
+# rest on are float products, so a numpy or BLAS build that rounds them
+# differently moves them too (numpy 2.4 with OpenBLAS 0.3.31 on x86-64)
+PINNED_EVAL_ARTIFACTS = {
+    "fewshot": ("6eb5e4ecfd9428b9a94bc5a624d688ef8e15e634c470b2d18373e2f0c64920aa",
+                "5059f90d06a01e03b2c981141ad00335a11ba2e02bb8617200443fae6f5465cc",
+                "09966000b40d819af10a3dce56f6647d51d8da8fccca38be99c690b08fe0d931"),
+    "openset": ("e94f39020ac0149ba8375f218a80b8771997d22c9f40e80570fc51a643aee02f",
+                "a1567d3bc0247a2284feafbad727ade459f22d408972f09899cd58284d00fff9",
+                "0540357041fd600d8aaedcef9ae574dfcc7dbad4c255df0b64cf60bcd49a3510"),
+    "zs-uo": ("caf9a9bbe559244a3b216eef8c1b14f4be90f1dbf18975e676e72b2e2eeac1c8",
+              "1b07bbdf94bf5a06601dc58a9086dff950e9409f1b408542e4202d5994b23c91",
+              "ecf3b5cce0743a85a9d1a1f26702c0b2991e1fe07c2cfa30e3a3e29a996ec1b3"),
+    "zs-mpu": ("c41d585c6e1cb079d9f3414e16325deed88828f28858e2a72db2e6eb05185a30",
+               "b4cfccfd15359d5fd7503907d6642807437b4bd96b016852d460bc5cf50a447f",
+               "12158705faaa2c2b2914de86faed467288ba4b93a7f7d43a334183fb44bf674d"),
+    "zs-mps": ("eacea0929f0a9862946ada27181a0081515b6d74051f94a5cb372ae67f3621d6",
+               "4b24f340dc6f75533381cafeca24c6c71be3875b2530a551af394b6ab34d8555",
+               "8552cd6c0ba4bd8e2b4a657ea4d6113e6819555137451b3aceff679b499bf4fc"),
+}
+
+
+def test_eval_artifacts_are_pinned(trained, tmp_path):
+    cfg, data, ckpt, _ = trained
+    for mode, pinned in PINNED_EVAL_ARTIFACTS.items():
+        prefix = tmp_path / mode
+        assert main(["eval", "--config", cfg, "--dataset", str(data), "--checkpoint",
+                     str(ckpt), "--mode", mode, "--out-prefix", str(prefix)]) == 0
+        digests = tuple(hashlib.sha256(Path(f"{prefix}{suffix}").read_bytes()).hexdigest()
+                        for suffix in (".detections.json", ".json", ".csv"))
+        assert digests == pinned, mode
+
+
 def test_eval_mode_from_config_protocol(trained, tmp_path):
     cfg, data, ckpt, _ = trained
     prefix = str(tmp_path / "cfgmode")
@@ -429,6 +464,7 @@ def run_on_dataset(trained, command, dataset, out):
 
 
 # v2 archives: the entries np.savez wrote, changed and written again
+
 
 def _object_entry(entries):
     entries["train_labels"] = entries["train_labels"].astype(object)
@@ -608,6 +644,7 @@ def float64_checkpoint(trained, path):
 
 # v2 checkpoints: the entries np.savez wrote, changed and written again
 
+
 def _first_value(name, value):
     def mutate(entries):
         entries[name][0] = value
@@ -711,6 +748,23 @@ def test_unwritable_output_exit_2(trained, tmp_path, command, capsys):
     # train renames its checkpoint into place only with its log
     assert not (tmp_path / "c.npz").exists()
     assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("spelling", ["same", "dotted", "link"])
+def test_train_out_and_log_one_file_exit_2(trained, tmp_path, spelling, capsys):
+    # --out P --log P used to exit 0 and print "checkpoint: P" while P
+    # held the log, since the log's rename came second
+    cfg, data, _, _ = trained
+    out = tmp_path / "c.npz"
+    if spelling == "link":
+        os.symlink(out, tmp_path / "l.jsonl")
+    log = {"same": str(out), "dotted": str(tmp_path / "." / "c.npz"),
+           "link": str(tmp_path / "l.jsonl")}[spelling]
+    assert main(["train", "--config", cfg, "--dataset", str(data),
+                 "--out", str(out), "--log", log]) == 2
+    assert f"cannot write {log}: same file as {out}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        (["l.jsonl"] if spelling == "link" else [])
 
 
 def test_eval_report_path_a_directory_leaves_no_file(trained, tmp_path, capsys):

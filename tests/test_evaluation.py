@@ -115,6 +115,29 @@ def test_match_equals_loop_oracle_on_random_cases():
             assert flags[:, k].tolist() == oracle_greedy_match(dets, gts, t)
 
 
+def test_match_stack_equals_per_scene_calls():
+    # a (scenes, R, G) stack, each scene's matrix padded with zero rows
+    # and columns to the largest counts, gives each scene's own flags,
+    # and no flag on a padded row; IoUs come from a few levels, so ties
+    # within a row and values on a threshold are common
+    rng = make_rng(5)
+    levels = np.array([0.0, 0.0, 0.3, 0.5, 0.55, 0.7, 0.75, 0.95, 1.0])
+    for _ in range(50):
+        n_scenes = int(rng.integers(1, 7))
+        shapes = [(int(rng.integers(0, 9)), int(rng.integers(0, 5))) for _ in range(n_scenes)]
+        width, depth = max(r for r, _ in shapes), max(g for _, g in shapes)
+        stack = np.zeros((n_scenes, width, depth))
+        mats = []
+        for s, (r, g) in enumerate(shapes):
+            mats.append(rng.choice(levels, size=(r, g)))
+            stack[s, :r, :g] = mats[-1]
+        flags = match_at_threshold(stack, IOU_THRESHOLDS)
+        assert flags.shape == (n_scenes, width, len(IOU_THRESHOLDS))
+        for s, m in enumerate(mats):
+            assert np.array_equal(flags[s, :len(m)], match_at_threshold(m, IOU_THRESHOLDS))
+            assert not flags[s, len(m):].any()
+
+
 # --- average precision ------------------------------------------------------
 
 def test_ap_all_tp():
@@ -144,6 +167,17 @@ def test_ap_exhaustive_flag_sequences_match_oracle():
                 a = average_precision(list(flags), n_gt)
                 b = oracle_ap(list(flags), n_gt)
                 assert a == b, (flags, n_gt, a, b)
+
+
+def test_ap_columns_equal_single_column_calls():
+    # (n, T) flags give each column's AP, bit for bit; n = 0 gives zeros
+    rng = make_rng(6)
+    for n in (0, 1, 5, 40, 300):
+        flags = rng.random((n, 10)) < rng.random(10)
+        for n_gt in (1, n // 2 + 1, n + 3):
+            aps = average_precision(flags, n_gt)
+            assert aps == [average_precision(col, n_gt) for col in flags.T]
+    assert average_precision(np.zeros((0, 3), dtype=bool), 0) is None
 
 
 def test_ap_duplicate_lower_scored_detection_never_helps():
@@ -210,8 +244,10 @@ def random_box(rng):
 
 def oracle_cells(scenes_gt, scenes_dets, eval_ids, relabel):
     """{(class, threshold): (ap, ar)} and {class: n_gt}, class by class:
-    each scene's detections of the class, by score, greedily matched to
-    its GT of the class alone, then every scene's flags by score."""
+    each scene's detections, capped at MAX_DETS by score, then those of
+    the class greedily matched to its GT of the class alone, then every
+    scene's flags by score."""
+    capped = [sorted(dets, key=lambda d: -d[2])[:MAX_DETS] for dets in scenes_dets]
     cells, n_gts = {}, {}
     for c in eval_ids:
         n_gt = n_gts[c] = sum(relabel(k) == c for gts in scenes_gt for _, k in gts)
@@ -219,8 +255,8 @@ def oracle_cells(scenes_gt, scenes_dets, eval_ids, relabel):
             continue
         for t in IOU_THRESHOLDS:
             scored = []
-            for gts, dets in zip(scenes_gt, scenes_dets):
-                mine = sorted([(b, s) for b, k, s in dets if k == c], key=lambda d: -d[1])
+            for gts, dets in zip(scenes_gt, capped):
+                mine = [(b, s) for b, k, s in dets if k == c]
                 flags = oracle_greedy_match(mine, [b for b, k in gts if relabel(k) == c], t)
                 scored += [(s, f) for (_, s), f in zip(mine, flags)]
             flags = [f for _, f in sorted(scored, key=lambda p: -p[0])]
@@ -228,30 +264,44 @@ def oracle_cells(scenes_gt, scenes_dets, eval_ids, relabel):
     return cells, n_gts
 
 
+def random_scene(rng, over_cap=False):
+    """GT of up to three of the classes 1, 2, 3, 6 and 8 (or none) and
+    up to eight detections of any of these classes and 99, about half
+    jittered onto a GT box of any class; scores often repeat a value
+    of another detection or scene. over_cap puts MAX_DETS disjoint
+    detections far from every GT box ahead of those, so the cap drops
+    the last of the detections tied at its lowest kept score."""
+    classes = rng.choice([1, 2, 3, 6, 8], size=int(rng.integers(0, 4)), replace=False)
+    gts = [(random_box(rng), int(c)) for c in classes
+           for _ in range(int(rng.integers(1, 3)))]
+    dets = []
+    for _ in range(int(rng.integers(0, 9))):
+        box = random_box(rng)
+        if gts and rng.random() < 0.5:
+            gt_box = gts[int(rng.integers(len(gts)))][0]
+            box = tuple(np.add(gt_box, rng.uniform(-0.9, 0.9, size=4)))
+        score = (float(rng.choice([0.25, 0.5, 0.75])) if rng.random() < 0.5
+                 else float(rng.uniform(0.1, 1.0)))
+        dets.append((box, int(rng.choice([1, 2, 3, 8, 99])), score))
+    if over_cap:
+        dets = [((100.0 + 20 * i, 0.0, 110.0 + 20 * i, 10.0), int(rng.choice([1, 2, 99])),
+                 float(rng.choice([0.25, 0.5, 0.75, 0.9]))) for i in range(MAX_DETS)] + dets
+    return gts, dets
+
+
 def test_evaluate_random_instances_match_oracle_pipeline():
-    # one to three scenes, each with GT of one to three of the classes 1,
-    # 2, 3, 6 and 8: 8 is never evaluated, and the odd trials are open set,
-    # which relabels 6 to the unknown id 99. Detections take any of these
-    # classes; about half sit on a GT box of any class, jittered
+    # one to eight scenes; scenes without GT or without detections,
+    # uneven detection counts and scores tied within and across scenes.
+    # Class 8 is never evaluated, and the odd trials are open set, which
+    # relabels 6 to the unknown id 99. Every tenth trial has one scene
+    # over MAX_DETS
     rng = make_rng(3)
     for trial in range(200):
         openset = trial % 2 == 1
         eval_ids = [1, 2, 3, 99] if openset else [1, 2, 3]
-        scenes_gt, scenes_dets = [], []
-        for _ in range(int(rng.integers(1, 4))):
-            classes = rng.choice([1, 2, 3, 6, 8], size=int(rng.integers(1, 4)), replace=False)
-            gts = [(random_box(rng), int(c)) for c in classes
-                   for _ in range(int(rng.integers(1, 3)))]
-            dets = []
-            for _ in range(int(rng.integers(0, 7))):
-                box = random_box(rng)
-                if rng.random() < 0.5:
-                    gt_box = gts[int(rng.integers(len(gts)))][0]
-                    box = tuple(np.add(gt_box, rng.uniform(-0.9, 0.9, size=4)))
-                dets.append((box, int(rng.choice([1, 2, 3, 8, 99])),
-                             float(rng.uniform(0.1, 1.0))))
-            scenes_gt.append(gts)
-            scenes_dets.append(dets)
+        n_scenes = int(rng.integers(1, 9))
+        big = int(rng.integers(n_scenes)) if trial % 10 == 0 else -1
+        scenes_gt, scenes_dets = zip(*[random_scene(rng, s == big) for s in range(n_scenes)])
         relabel = (lambda k: 99 if k == 6 else k) if openset else (lambda k: k)
         rep = evaluate([make_detections(d) for d in scenes_dets],
                        [make_scene(gt=g) for g in scenes_gt], eval_ids,
@@ -259,6 +309,7 @@ def test_evaluate_random_instances_match_oracle_pipeline():
         cells, n_gts = oracle_cells(scenes_gt, scenes_dets, eval_ids, relabel)
         assert rep.n_gt == n_gts
         assert {k: (v["ap"], v["ar"]) for k, v in rep.cells.items()} == cells
+        assert rep.n_detections == sum(min(len(d), MAX_DETS) for d in scenes_dets)
 
 
 def test_evaluate_no_scenes_gives_the_empty_report():
@@ -270,7 +321,7 @@ def test_evaluate_no_scenes_gives_the_empty_report():
                               "unknown": {"mAP": 0.0, "mAR": 0.0}}
 
 
-def test_evaluate_takes_one_iou_and_one_match_per_scene(monkeypatch):
+def test_evaluate_takes_one_iou_and_one_match_per_report(monkeypatch):
     calls = {"iou": 0, "match_at_threshold": 0}
 
     def counted(name):
@@ -289,7 +340,7 @@ def test_evaluate_takes_one_iou_and_one_match_per_scene(monkeypatch):
                             ((40, 40, 50, 50), 99, 0.7)])
     rep = evaluate_openset([dets] * 3, [scene] * 3, seen_ids=[1, 2], unknown_id=99,
                            unseen_ids=[6])
-    assert calls == {"iou": 3, "match_at_threshold": 3}
+    assert calls == {"iou": 1, "match_at_threshold": 1}
     assert rep.n_matches == 6
 
 

@@ -56,6 +56,25 @@ def test_iou_matrix_equals_scalar_oracle():
     assert touching
 
 
+def test_iou_stack_equals_per_slice_calls():
+    # (scenes, n, 4) against (scenes, m, 4): each scene's slice is its
+    # own call, bit for bit, and all-zero padding rows on either side
+    # give 0
+    A, B = random_box_pairs(13, 20), random_box_pairs(14, 12)
+    n_a, n_b = [0, 9, 60, 3, 20], [5, 0, 11, 30, 1]
+    stack_a, stack_b = np.zeros((5, max(n_a), 4)), np.zeros((5, max(n_b), 4))
+    slices = []
+    for s, (na, nb) in enumerate(zip(n_a, n_b)):
+        a, b = A[s:s + na], B[2 * s:2 * s + nb]
+        stack_a[s, :na], stack_b[s, :nb] = a, b
+        slices.append((a, b))
+    M = iou(stack_a, stack_b)
+    assert M.shape == (5, max(n_a), max(n_b))
+    for s, (a, b) in enumerate(slices):
+        assert M[s, :len(a), :len(b)].tobytes() == iou(a, b).tobytes()
+        assert not M[s, len(a):].any() and not M[s, :, len(b):].any()
+
+
 def test_degenerate_box_rejected(tmp_path):
     # a world is checked before it is written: no file for a bad box
     for corners in ((0, 0, 0, 1), (0, 5, 1, 5), (0, 0, float("nan"), 1)):
