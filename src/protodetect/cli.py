@@ -14,6 +14,11 @@ at those paths. The checkpoint carries the background prototype p0, so
 eval embeds no training scene. A dataset or checkpoint that is not a v2
 archive, such as a JSON file of the older formats, exits 2.
 
+eval is assemble -> detect -> evaluate: `inference.assemble_protocol`
+reads the mode's row of `inference.PROTOCOLS` and returns the bank, the
+scored class ids and the open-set unknown id, which `evaluate` takes as
+they are; this module decides nothing per mode.
+
 Every command is a pure function of (config, input files, seed);
 re-runs produce byte-identical outputs. Exit codes: 0 ok, 2 config or
 input error, 3 numerical divergence, 4 gradient-check failure.
@@ -24,13 +29,14 @@ import contextlib
 import os
 import sys
 
+import numpy as np
+
 from .config import ConfigError, file_digest, load_run_config
-from .embedder import load_checkpoint, save_checkpoint
-from .evaluation import evaluate, evaluate_openset
+from .embedder import layout, load_checkpoint, save_checkpoint
+from .evaluation import evaluate
 from .gradcheck import run_suite
-from .inference import (FEWSHOT, MODES, OPENSET, assemble_protocol, detect_scene,
-                        save_detections)
-from .prototypes import BACKGROUND_ID, SupportSet
+from .inference import MODES, assemble_protocol, detect_scene, save_detections
+from .prototypes import BACKGROUND_ID
 from .simulator import generate_world, load_world, save_world
 from .trainer import heldout_accuracy, train
 
@@ -122,7 +128,8 @@ def cmd_train(args):
     except ValueError as e:
         raise CliError(str(e))
     try:
-        acc = heldout_accuracy(result.net, result.bank, world.test_scenes)
+        with np.errstate(over="raise", invalid="raise"):
+            acc = heldout_accuracy(result.net, result.bank, world.test_scenes)
     except FloatingPointError:
         # held-out features that overflow the net's dtype: bad input, and
         # nothing is written
@@ -130,8 +137,8 @@ def cmd_train(args):
     result.log.append({"final": True, "accuracy": acc})
     provenance = _provenance(cfg, args.dataset)
     with _staged(args.out, args.log or (args.out + ".log.jsonl")) as (ckpt_tmp, log_tmp):
-        save_checkpoint(ckpt_tmp, result.net, result.clf, result.bank.get(BACKGROUND_ID),
-                        extra=provenance)
+        save_checkpoint(ckpt_tmp, result.theta, layout(result.net, result.clf),
+                        result.bank.get(BACKGROUND_ID), extra=provenance)
         result.write_log(log_tmp)
     print(f"checkpoint: {args.out}")
     print(f"final heldout accuracy: {acc:.4f}")
@@ -141,23 +148,19 @@ def cmd_train(args):
 def run_protocol(world, net, mode, p0):
     """Shared by cmd_eval and tests: detections + report for one mode.
     p0 is the background prototype of the trained bank, as the
-    checkpoint stores it."""
-    seen = SupportSet(world.support_seen)
-    unseen = SupportSet(world.support_unseen) if world.support_unseen else None
-    if mode != FEWSHOT and unseen is None:
-        raise CliError(f"mode {mode} requires unseen support classes")
+    checkpoint stores it. An overflow or an invalid operation while
+    embedding raises, so it exits 2 without numpy's warnings."""
     try:
-        bank, eval_ids = assemble_protocol(mode, seen, unseen, net, p0, world.unknown_id)
-        per_scene = [detect_scene(s, net, bank) for s in world.test_scenes]
+        with np.errstate(over="raise", invalid="raise"):
+            bank, eval_ids, unknown_id = assemble_protocol(mode, world, net, p0)
+            per_scene = [detect_scene(s, net, bank) for s in world.test_scenes]
+    except ValueError as e:
+        raise CliError(str(e))
     except FloatingPointError:
-        # finite weights whose activations overflow: bad input, not divergence
+        # finite weights or features whose activations overflow: bad
+        # input, not divergence
         raise CliError("cannot evaluate checkpoint: non-finite embeddings")
-    if mode == OPENSET:
-        report = evaluate_openset(per_scene, world.test_scenes,
-                                  seen.class_ids, world.unknown_id, world.unseen_ids)
-    else:
-        report = evaluate(per_scene, world.test_scenes, eval_ids, protocol=mode)
-    return per_scene, report
+    return per_scene, evaluate(per_scene, world.test_scenes, eval_ids, mode, unknown_id)
 
 
 def cmd_eval(args):

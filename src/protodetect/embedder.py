@@ -147,12 +147,6 @@ class LinearClassifier:
 # each row-major. Gradients use the same layout and dtype, so the optimizer
 # and the gradient audit work on plain vectors.
 
-def flatten(layers, clf_pair):
-    """One vector in the parameter layout from the net's (W, b) pairs and
-    the classifier's (W, b) pair (parameters or their gradients)."""
-    return np.concatenate([a.ravel() for pair in (*layers, clf_pair) for a in pair])
-
-
 def _views(theta, shapes):
     """The (W, b) pairs of the parameter layout, as views into theta,
     for the (out, in) shape of every W in layout order. A (B, n) stack
@@ -198,15 +192,14 @@ def model_views(theta, shapes):
 FORMAT = "protodetect-checkpoint-v2"
 
 
-def save_checkpoint(path, net, clf, p0, extra=None):
-    """Write (net, clf), the background prototype p0 and the provenance
-    `extra` to `path` as a v2 archive (`archive.save_archive`, so at
-    exactly `path`, with stable bytes). theta and p0 are stored in the
-    dtype of the parameters."""
-    theta = flatten(net.layers, (clf.W, clf.b))
+def save_checkpoint(path, theta, shapes, p0, extra=None):
+    """Write the parameter vector theta, in the layout of these W shapes
+    (`layout`), the background prototype p0 and the provenance `extra`
+    to `path` as a v2 archive (`archive.save_archive`, so at exactly
+    `path`, with stable bytes). p0 is stored in theta's dtype."""
     save_archive(path, {
         "format": np.array(FORMAT),
-        "shapes": np.array(layout(net, clf), dtype=np.int64),
+        "shapes": np.array(shapes, dtype=np.int64),
         "theta": theta,
         "p0": np.asarray(p0, dtype=theta.dtype),
         "provenance": np.array(json.dumps(extra or {}, sort_keys=True))})

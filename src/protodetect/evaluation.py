@@ -11,6 +11,10 @@ GT box of their class at or above the threshold; every GT box is
 matched at most once. Each class then gets one `average_precision`
 call for all thresholds. Classes with zero ground truth have no cells
 and are excluded from the means.
+
+An open-set report takes the unknown id: every GT box whose class is
+not scored is relabelled to it, the unknown class is scored as one
+more class, and the report adds known and unknown rows.
 """
 
 import csv
@@ -144,14 +148,14 @@ def _padded(rows, counts, width, fill):
     return out
 
 
-def evaluate(per_scene_detections, scenes, eval_class_ids, protocol="fewshot",
-             gt_label_map=None):
+def evaluate(per_scene_detections, scenes, eval_class_ids, protocol, unknown_id=None):
     """Score detections against scene ground truth.
 
     per_scene_detections: list (parallel to scenes) of Detections.
-    gt_label_map: optional relabeling of a GT label array (open set maps
-    unseen classes to the unknown id). GT outside eval_class_ids is not
-    scored; detections on it count as FP.
+    GT outside eval_class_ids is not scored, and detections on it count
+    as FP, unless unknown_id is given: then that GT is relabelled
+    unknown_id and scored as one more class, and extra_rows holds the
+    known (eval_class_ids) and unknown means.
     """
     if len(per_scene_detections) != len(scenes):
         raise ValueError("detections and scenes are not parallel")
@@ -167,8 +171,11 @@ def evaluate(per_scene_detections, scenes, eval_class_ids, protocol="fewshot",
     n_kept = np.array([len(p[2]) for p in parts[1:]], dtype=np.int64)
     n_gt = np.array([len(p[4]) for p in parts[1:]], dtype=np.int64)
     det_boxes, ids, scores, gt_boxes, labels = (np.concatenate(p) for p in zip(*parts))
-    if gt_label_map is not None:
-        labels = gt_label_map(labels)
+    known = sorted(set(int(c) for c in eval_class_ids))
+    eval_ids = known
+    if unknown_id is not None:
+        labels = np.where(np.isin(labels, known), labels, unknown_id)
+        eval_ids = sorted(set(known) | {unknown_id})
     # one (scenes, R, G) IoU stack, R and G the largest per-scene counts;
     # padded detections take class -2 and padded GT label -1, so the
     # class mask zeroes every padded entry
@@ -181,7 +188,6 @@ def evaluate(per_scene_detections, scenes, eval_class_ids, protocol="fewshot",
     flags = match_at_threshold(ious, IOU_THRESHOLDS)[np.arange(width) < n_kept[:, None]]
 
     report = EvalReport(protocol=protocol, n_detections=len(scores))
-    eval_ids = sorted(set(int(c) for c in eval_class_ids))
     for cid in eval_ids:
         n = int(np.count_nonzero(labels == cid))
         report.n_gt[cid] = n
@@ -196,23 +202,11 @@ def evaluate(per_scene_detections, scenes, eval_class_ids, protocol="fewshot",
         report.n_matches += int(hits[:, 0].sum())
     report.mAP = report.class_mean(eval_ids, "ap")
     report.mAR = report.class_mean(eval_ids, "ar")
-    return report
-
-
-def evaluate_openset(per_scene_detections, scenes, seen_ids, unknown_id,
-                     unseen_ids):
-    """Open-set report: all unseen GT collapses to the unknown class;
-    adds separate Known / Unknown aggregate rows."""
-    def relabel(labels):
-        return np.where(np.isin(labels, list(unseen_ids)), unknown_id, labels)
-
-    report = evaluate(per_scene_detections, scenes,
-                      list(seen_ids) + [unknown_id], protocol="openset",
-                      gt_label_map=relabel)
-    report.extra_rows = {
-        "known": {"mAP": report.class_mean(seen_ids, "ap"),
-                  "mAR": report.class_mean(seen_ids, "ar")},
-        "unknown": {"mAP": report.class_mean([unknown_id], "ap"),
-                    "mAR": report.class_mean([unknown_id], "ar")},
-    }
+    if unknown_id is not None:
+        report.extra_rows = {
+            "known": {"mAP": report.class_mean(known, "ap"),
+                      "mAR": report.class_mean(known, "ar")},
+            "unknown": {"mAP": report.class_mean([unknown_id], "ap"),
+                        "mAR": report.class_mean([unknown_id], "ar")},
+        }
     return report

@@ -1,10 +1,12 @@
 """Test-time pipeline: embed proposals, assign each to its nearest
 prototype, reject background, assemble protocol-specific prototype banks.
 
-One table, `PROTOCOLS`, defines the five protocols: for each mode, the
-support sets whose classes form the bank and the set whose classes are
-evaluated. The open-set bank adds one unknown prototype, the mean of
-the bank's prototypes (p0 included).
+One table, `PROTOCOLS`, decides everything a mode changes: the support
+sets whose classes form the bank, the set whose classes are scored,
+and whether the mode is open. An open bank adds one unknown prototype,
+the mean of the bank's prototypes (p0 included), under the world's
+unknown id, and `evaluation.evaluate` scores every GT class outside the
+scored set as that one class. No other module decides anything by mode.
 
 A proposal goes to its nearest prototype (`prototypes.nearest_prototype`,
 lowest id on ties). One assigned to the background prototype is
@@ -28,13 +30,13 @@ ZS_MPU = "zs-mpu"
 ZS_MPS = "zs-mps"
 SEEN, UNSEEN = 0, 1
 # mode -> (the support sets whose classes form the bank, the set whose
-# classes are evaluated); openset adds a composed unknown prototype
+# classes are scored, open: the bank adds a composed unknown prototype)
 PROTOCOLS = {
-    FEWSHOT: ((SEEN,), SEEN),
-    OPENSET: ((SEEN,), SEEN),
-    ZS_UO: ((UNSEEN,), UNSEEN),
-    ZS_MPU: ((SEEN, UNSEEN), UNSEEN),
-    ZS_MPS: ((SEEN, UNSEEN), SEEN),
+    FEWSHOT: ((SEEN,), SEEN, False),
+    OPENSET: ((SEEN,), SEEN, True),
+    ZS_UO: ((UNSEEN,), UNSEEN, False),
+    ZS_MPU: ((SEEN, UNSEEN), UNSEEN, False),
+    ZS_MPS: ((SEEN, UNSEEN), SEEN, False),
 }
 MODES = tuple(PROTOCOLS)
 
@@ -64,33 +66,32 @@ def detect_scene(scene, net, bank):
     return Detections(scene.proposals[keep], ids[keep], scores[keep])
 
 
-def assemble_protocol(mode, seen_support, unseen_support, net, p0, unknown_id=None):
-    """Frozen-parameter bank + evaluation class set for one protocol.
+def assemble_protocol(mode, world, net, p0):
+    """(bank, scored class ids, unknown id) of one protocol on `world`,
+    with frozen parameters.
 
-    The bank holds p0 and the class prototypes of the support sets
-    that the mode's `PROTOCOLS` row names; the evaluated classes are
-    those of the row's evaluated set. openset adds the composed unknown
-    prototype under unknown_id, and its unknowns are evaluated as that
-    one class. KeyError for a mode with no row; FloatingPointError when
-    a prototype is not finite.
+    The bank holds p0 and the class prototypes of the world's support
+    sets that the mode's `PROTOCOLS` row names; the scored ids are
+    those of the row's scored set. An open mode adds the composed
+    unknown prototype under `world.unknown_id` and returns that id;
+    every other mode returns None. ValueError when the mode is open or
+    banks the unseen set and the world has no unseen support; KeyError
+    for a mode with no row; FloatingPointError when a prototype is not
+    finite.
     """
-    in_bank, evaluated = PROTOCOLS[mode]
-    if mode == OPENSET and unknown_id is None:
-        raise ValueError("openset needs an unknown_id")
-    sets = (seen_support, unseen_support)
-    merged = {}
-    for i in in_bank:
-        if sets[i] is None:
-            raise ValueError("missing support set for requested mode")
-        merged.update(sets[i].by_class)
+    in_bank, scored, is_open = PROTOCOLS[mode]
+    # an open mode scores the unseen classes as its unknown
+    if (is_open or UNSEEN in in_bank) and not world.support_unseen:
+        raise ValueError(f"mode {mode} requires unseen support classes")
+    sets = (world.support_seen, world.support_unseen)
+    merged = {c: rows for i in in_bank for c, rows in sets[i].items()}
     bank = build_prototypes(net, SupportSet(merged)).with_entry(BACKGROUND_ID, p0)
-    eval_ids = list(sets[evaluated].class_ids)
-    if mode == OPENSET:
+    unknown_id = world.unknown_id if is_open else None
+    if is_open:
         bank = bank.with_entry(unknown_id, compose_unknown_prototype(bank))
-        eval_ids.append(unknown_id)
     if not np.isfinite(bank.P).all():
         raise FloatingPointError("non-finite embeddings")
-    return bank, eval_ids
+    return bank, sorted(sets[scored]), unknown_id
 
 
 def save_detections(path, per_scene, header=None):

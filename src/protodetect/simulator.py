@@ -116,11 +116,6 @@ class World:
         return list(range(1, self.config.c_seen + 1))
 
     @property
-    def unseen_ids(self):
-        c = self.config
-        return list(range(c.c_seen + 1, c.c_seen + c.c_unseen + 1))
-
-    @property
     def unknown_id(self):
         """The open-set id of the composed unknown prototype: the largest
         seen or unseen id, plus 1."""

@@ -192,6 +192,7 @@ def heldout_accuracy(net, bank, scenes):
 class TrainResult:
     net: object
     clf: object
+    theta: np.ndarray     # the parameter vector net and clf are views into
     bank: PrototypeBank
     log: list = field(default_factory=list)
 
@@ -204,8 +205,9 @@ class TrainResult:
 def train(world, cfg):
     """Run the two-stage schedule on a generated world.
 
-    Returns the trained net/classifier, the final bank rebuilt from
-    the original support set, and a JSON-serializable per-step log.
+    Returns the trained net/classifier, their parameter vector, the
+    final bank rebuilt from the original support set, and a
+    JSON-serializable per-step log.
     ValueError, before the first step, when no training scene has a
     background pool, since no step could then draw one and the final
     bank could hold no p0.
@@ -256,4 +258,4 @@ def train(world, cfg):
 
     bank = build_prototypes(net, support).with_entry(
         BACKGROUND_ID, background_prototype(net, pools))
-    return TrainResult(net=net, clf=clf, bank=bank, log=log)
+    return TrainResult(net=net, clf=clf, theta=theta, bank=bank, log=log)

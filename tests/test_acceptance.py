@@ -132,11 +132,8 @@ def test_a4_open_set_rejection(a3_run):
 
     # background reject rate with the open-set bank in place
     from protodetect.inference import assemble_protocol
-    from protodetect.prototypes import SupportSet
     p0 = result.bank.get(BACKGROUND_ID)
-    bank, _ = assemble_protocol(OPENSET, SupportSet(world.support_seen),
-                                SupportSet(world.support_unseen),
-                                result.net, p0, unknown_id)
+    bank, _, _ = assemble_protocol(OPENSET, world, result.net, p0)
     n_bg = n_rej = 0
     seen_total = seen_correct = 0
     for scene in world.test_scenes:
@@ -213,7 +210,7 @@ def test_a5_evaluator_oracle_equivalence():
             dets = [(b, 0.9 - 0.1 * i) for i, b in enumerate(det_boxes)]
             scene = make_scene(gt=[(b, 1) for b in gts])
             rep = evaluate([make_detections([(b, 1, score) for b, score in dets])],
-                           [scene], [1])
+                           [scene], [1], "fewshot")
             for t in IOU_THRESHOLDS:
                 flags = oracle_greedy_match(dets, gts, t)
                 if rep.cells[(1, t)]["ap"] != oracle_ap(flags, len(gts)):

@@ -16,8 +16,7 @@ import protodetect
 from protodetect.cli import main
 from protodetect.config import (ConfigError, RunConfig, apply_overrides,
                                 load_run_config)
-from protodetect.embedder import (EmbeddingNet, LinearClassifier, load_checkpoint,
-                                  save_checkpoint)
+from protodetect.embedder import load_checkpoint, save_checkpoint
 from protodetect import simulator
 from protodetect.simulator import load_world
 from protodetect.trainer import background_prototype, scene_background_features
@@ -302,6 +301,34 @@ def test_eval_modes_write_reports(trained, tmp_path, mode, capsys):
     assert (tmp_path / (mode + ".csv")).exists()
     if mode == "openset":
         assert "known" in out and "unknown" in out
+
+
+@pytest.fixture(scope="module")
+def trained_seen_only(tmp_path_factory):
+    """(config, dataset, checkpoint) of a world with no unseen classes."""
+    root = tmp_path_factory.mktemp("seen_only")
+    doc = json.loads(json.dumps(BASE_CFG))
+    doc["world"]["c_unseen"] = 0
+    cfg = write_cfg(root / "c.json", doc)
+    data, ckpt = root / "data.npz", root / "ckpt.npz"
+    assert main(["gen-data", "--config", cfg, "--out", str(data)]) == 0
+    assert main(["train", "--config", cfg, "--dataset", str(data), "--out", str(ckpt)]) == 0
+    return cfg, data, ckpt
+
+
+@pytest.mark.parametrize("mode", ["fewshot", "openset", "zs-uo", "zs-mpu", "zs-mps"])
+def test_eval_without_unseen_classes(trained_seen_only, tmp_path, mode, capsys):
+    # fewshot alone needs no unseen support; every other mode exits 2
+    # before writing
+    cfg, data, ckpt = trained_seen_only
+    rc = main(["eval", "--config", cfg, "--dataset", str(data), "--checkpoint", str(ckpt),
+               "--mode", mode, "--out-prefix", str(tmp_path / "r")])
+    if mode == "fewshot":
+        assert rc == 0 and len(list(tmp_path.glob("r.*"))) == 3
+    else:
+        assert rc == 2
+        assert capsys.readouterr().err == f"mode {mode} requires unseen support classes\n"
+        assert not list(tmp_path.iterdir())
 
 
 def test_eval_rerun_byte_identical(trained, tmp_path):
@@ -635,10 +662,9 @@ def test_v1_json_checkpoint_exit_2(trained, tmp_path, capsys):
 
 def float64_checkpoint(trained, path):
     """A float64 v2 checkpoint of the trained weights and p0."""
-    net, clf, p0 = load_checkpoint(trained[2])
-    net = EmbeddingNet([(W.astype(np.float64), b.astype(np.float64)) for W, b in net.layers])
-    clf = LinearClassifier(clf.W.astype(np.float64), clf.b.astype(np.float64))
-    save_checkpoint(path, net, clf, p0.astype(np.float64))
+    entries = v2_entries(trained[2])
+    save_checkpoint(path, entries["theta"].astype(np.float64), entries["shapes"],
+                    entries["p0"].astype(np.float64))
     return path
 
 
@@ -699,7 +725,6 @@ def test_malformed_v2_checkpoint_exit_2(trained, tmp_path, case, capsys):
     assert not list(tmp_path.glob("r.*"))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_checkpoint_exit_2(trained, tmp_path, capsys):
     # finite weights whose embeddings overflow are bad input, not divergence
     entries = v2_entries(trained[2])

@@ -21,8 +21,6 @@ HEADERS = {
                                  "unknown-class recall at IoU 0.50:"],
     "03_gradient_audit.py": ["auditing 20 seeded instances", "total    max relative error",
                              "corrupted total gradient reports"],
-    "04_loss_ablation.py": ["loss-term ablation:", "all three terms", "embedder depth:",
-                            "depth 4"],
 }
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from protodetect.embedder import (EmbeddingNet, LinearClassifier,
-                                  default_net_and_classifier, flatten,
+                                  default_net_and_classifier, layout,
                                   load_checkpoint, save_checkpoint)
 from protodetect.gradcheck import random_instance
 from protodetect.numeric import log_softmax, make_rng
@@ -168,10 +168,10 @@ def test_classifier_constructed_logit():
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
-    net, clf, _ = default_net_and_classifier(21, 5, 7, 4, 4, depth=3)
+    net, clf, theta = default_net_and_classifier(21, 5, 7, 4, 4, depth=3)
     p0 = make_rng(23).normal(size=4)
     path = tmp_path / "ckpt.json"
-    save_checkpoint(path, net, clf, p0, {"run": 1})
+    save_checkpoint(path, theta, layout(net, clf), p0, {"run": 1})
     net2, clf2, p02 = load_checkpoint(path)
     for (W1, b1), (W2, b2) in zip(net.layers, net2.layers):
         assert np.array_equal(W1, W2) and np.array_equal(b1, b2)
@@ -184,13 +184,13 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
         assert str(archive["format"]) == "protodetect-checkpoint-v2"
         assert archive["shapes"].dtype == np.int64
         assert archive["shapes"].tolist() == [[7, 5], [7, 7], [4, 7], [5, 4]]
-        assert np.array_equal(archive["theta"], flatten(net.layers, (clf.W, clf.b)))
+        assert np.array_equal(archive["theta"], theta)
         assert str(archive["provenance"]) == '{"run": 1}'
 
 
 def test_loaded_checkpoint_binds_views_into_one_vector(tmp_path):
     net, clf, theta = default_net_and_classifier(24, 5, 7, 4, 2)
-    save_checkpoint(tmp_path / "ckpt", net, clf, np.zeros(4))
+    save_checkpoint(tmp_path / "ckpt", theta, layout(net, clf), np.zeros(4))
     net2, clf2, _ = load_checkpoint(tmp_path / "ckpt")
     arrays = [a for pair in (*net2.layers, (clf2.W, clf2.b)) for a in pair]
     base = arrays[0].base

@@ -5,8 +5,7 @@ import pytest
 
 from protodetect import evaluation
 from protodetect.evaluation import (IOU_THRESHOLDS, MAX_DETS, RECALL_GRID,
-                                    average_precision, evaluate,
-                                    evaluate_openset, match_at_threshold)
+                                    average_precision, evaluate, match_at_threshold)
 from protodetect.numeric import make_rng
 from protodetect.simulator import iou
 
@@ -197,19 +196,19 @@ def test_evaluate_perfect_detector():
     scenes = [one_gt_scene(), one_gt_scene(2)]
     dets = [make_detections([((0, 0, 10, 10), 1, 0.9)]),
             make_detections([((0, 0, 10, 10), 2, 0.8)])]
-    rep = evaluate(dets, scenes, [1, 2])
+    rep = evaluate(dets, scenes, [1, 2], "fewshot")
     assert rep.mAP == 1.0 and rep.mAR == 1.0
 
 
 def test_evaluate_empty_detections():
-    rep = evaluate([make_detections([])], [one_gt_scene()], [1])
+    rep = evaluate([make_detections([])], [one_gt_scene()], [1], "fewshot")
     assert rep.mAP == 0.0 and rep.mAR == 0.0
 
 
 def test_evaluate_shrunk_box_threshold_cells():
     # detection box covers exactly 0.6 of the GT -> TP at t <= 0.60
     dets = [make_detections([((0, 0, 6, 10), 1, 0.9)])]
-    rep = evaluate(dets, [one_gt_scene()], [1])
+    rep = evaluate(dets, [one_gt_scene()], [1], "fewshot")
     for t in IOU_THRESHOLDS:
         cell = rep.cells[(1, t)]
         expected = 1.0 if t <= 0.60 else 0.0
@@ -223,14 +222,14 @@ def test_evaluate_input_order_invariant():
     d1 = ((0, 0, 10, 10), 1, 0.9)
     d2 = ((20, 20, 30, 30), 1, 0.4)
     d3 = ((40, 40, 50, 50), 1, 0.6)
-    r1 = evaluate([make_detections([d1, d2, d3])], [scene], [1])
-    r2 = evaluate([make_detections([d3, d2, d1])], [scene], [1])
+    r1 = evaluate([make_detections([d1, d2, d3])], [scene], [1], "fewshot")
+    r2 = evaluate([make_detections([d3, d2, d1])], [scene], [1], "fewshot")
     assert r1.cells == r2.cells and r1.mAP == r2.mAP
 
 
 def test_evaluate_zero_gt_class_excluded_from_mean():
     dets = [make_detections([((0, 0, 10, 10), 1, 0.9)])]
-    rep = evaluate(dets, [one_gt_scene()], [1, 7])
+    rep = evaluate(dets, [one_gt_scene()], [1, 7], "fewshot")
     assert rep.n_gt[7] == 0
     assert (7, 0.5) not in rep.cells
     assert rep.mAP == 1.0
@@ -292,20 +291,21 @@ def random_scene(rng, over_cap=False):
 def test_evaluate_random_instances_match_oracle_pipeline():
     # one to eight scenes; scenes without GT or without detections,
     # uneven detection counts and scores tied within and across scenes.
-    # Class 8 is never evaluated, and the odd trials are open set, which
-    # relabels 6 to the unknown id 99. Every tenth trial has one scene
-    # over MAX_DETS
+    # Classes 1, 2 and 3 are scored. The even trials are few-shot, where
+    # classes 6 and 8 are never scored; the odd ones are open set, which
+    # relabels every other class (6 and 8) to the unknown id 99. Every
+    # tenth trial has one scene over MAX_DETS
     rng = make_rng(3)
     for trial in range(200):
         openset = trial % 2 == 1
-        eval_ids = [1, 2, 3, 99] if openset else [1, 2, 3]
         n_scenes = int(rng.integers(1, 9))
         big = int(rng.integers(n_scenes)) if trial % 10 == 0 else -1
         scenes_gt, scenes_dets = zip(*[random_scene(rng, s == big) for s in range(n_scenes)])
-        relabel = (lambda k: 99 if k == 6 else k) if openset else (lambda k: k)
+        relabel = (lambda k: k if k in (1, 2, 3) else 99) if openset else (lambda k: k)
         rep = evaluate([make_detections(d) for d in scenes_dets],
-                       [make_scene(gt=g) for g in scenes_gt], eval_ids,
-                       gt_label_map=(lambda a: np.where(a == 6, 99, a)) if openset else None)
+                       [make_scene(gt=g) for g in scenes_gt], [1, 2, 3],
+                       "openset" if openset else "fewshot", 99 if openset else None)
+        eval_ids = [1, 2, 3, 99] if openset else [1, 2, 3]
         cells, n_gts = oracle_cells(scenes_gt, scenes_dets, eval_ids, relabel)
         assert rep.n_gt == n_gts
         assert {k: (v["ap"], v["ar"]) for k, v in rep.cells.items()} == cells
@@ -313,10 +313,10 @@ def test_evaluate_random_instances_match_oracle_pipeline():
 
 
 def test_evaluate_no_scenes_gives_the_empty_report():
-    assert evaluate([], [], [1]).to_dict() == {
+    assert evaluate([], [], [1], "fewshot").to_dict() == {
         "protocol": "fewshot", "mAP": 0.0, "mAR": 0.0, "per_cell": [],
         "gt_counts": {"1": 0}, "n_detections": 0, "n_matches": 0, "extra_rows": {}}
-    rep = evaluate_openset([], [], seen_ids=[1, 2], unknown_id=99, unseen_ids=[6])
+    rep = evaluate([], [], [1, 2], "openset", unknown_id=99)
     assert rep.extra_rows == {"known": {"mAP": 0.0, "mAR": 0.0},
                               "unknown": {"mAP": 0.0, "mAR": 0.0}}
 
@@ -338,8 +338,7 @@ def test_evaluate_takes_one_iou_and_one_match_per_report(monkeypatch):
                            ((40, 40, 50, 50), 6)])
     dets = make_detections([((0, 0, 10, 10), 1, 0.9), ((20, 20, 30, 30), 99, 0.8),
                             ((40, 40, 50, 50), 99, 0.7)])
-    rep = evaluate_openset([dets] * 3, [scene] * 3, seen_ids=[1, 2], unknown_id=99,
-                           unseen_ids=[6])
+    rep = evaluate([dets] * 3, [scene] * 3, [1, 2], "openset", unknown_id=99)
     assert calls == {"iou": 1, "match_at_threshold": 1}
     assert rep.n_matches == 6
 
@@ -348,11 +347,31 @@ def test_evaluate_openset_rows():
     scenes = [make_scene(gt=[((0, 0, 10, 10), 1), ((20, 20, 30, 30), 6)])]
     dets = [make_detections([((0, 0, 10, 10), 1, 0.9),
                              ((20, 20, 30, 30), 99, 0.8)])]
-    rep = evaluate_openset(dets, scenes, seen_ids=[1, 2], unknown_id=99,
-                           unseen_ids=[6, 7])
+    rep = evaluate(dets, scenes, [1, 2], "openset", unknown_id=99)
     assert set(rep.extra_rows) == {"known", "unknown"}
     assert rep.extra_rows["known"]["mAP"] == 1.0
     assert rep.extra_rows["unknown"]["mAR"] == 1.0
+
+
+def test_evaluate_unknown_id_scores_every_unscored_class_as_unknown():
+    # GT of classes 3, 6 and 7, none of them scored, is all relabelled 99;
+    # a detection labelled 6 matches nothing, since no GT keeps that label
+    scenes = [make_scene(gt=[((0, 0, 10, 10), 1), ((20, 20, 30, 30), 3)]),
+              make_scene(gt=[((0, 0, 10, 10), 6), ((20, 20, 30, 30), 7)])]
+    dets = [make_detections([((0, 0, 10, 10), 1, 0.9), ((20, 20, 30, 30), 99, 0.8)]),
+            make_detections([((0, 0, 10, 10), 6, 0.9), ((20, 20, 30, 30), 99, 0.7)])]
+    rep = evaluate(dets, scenes, [2, 1], "openset", unknown_id=99)
+    assert rep.protocol == "openset"
+    assert rep.n_gt == {1: 1, 2: 0, 99: 3}
+    assert rep.cells[(99, 0.5)] == {"ap": average_precision([True, True], 3), "ar": 2 / 3}
+    assert rep.n_matches == 3
+    assert rep.extra_rows == {
+        "known": {"mAP": 1.0, "mAR": 1.0},
+        "unknown": {"mAP": rep.class_mean([99], "ap"), "mAR": rep.class_mean([99], "ar")}}
+    assert rep.mAP == rep.class_mean([1, 99], "ap")
+    # without the unknown id, the same GT is not scored and the report has no rows
+    closed = evaluate(dets, scenes, [1, 2], "fewshot")
+    assert closed.n_gt == {1: 1, 2: 0} and closed.extra_rows == {}
 
 
 def test_evaluate_caps_each_scene_at_max_dets_by_score():
@@ -364,19 +383,19 @@ def test_evaluate_caps_each_scene_at_max_dets_by_score():
     dets = [((20 * i, 0, 20 * i + 10, 10), 1, scores[i]) for i in range(MAX_DETS + 1)]
     assert 0 < low < MAX_DETS
     scene = make_scene(gt=[(dets[low][0], 1), (dets[second][0], 1)])
-    rep = evaluate([make_detections(dets)], [scene], [1])
+    rep = evaluate([make_detections(dets)], [scene], [1], "fewshot")
     assert MAX_DETS == 100 and rep.n_detections == 100
     assert rep.n_matches == 1 and rep.mAR == 0.5
 
 
 def test_evaluate_mismatched_lengths():
     with pytest.raises(ValueError):
-        evaluate([make_detections([])], [], [1])
+        evaluate([make_detections([])], [], [1], "fewshot")
 
 
 def test_report_files(tmp_path):
     dets = [make_detections([((0, 0, 10, 10), 1, 0.9)])]
-    rep = evaluate(dets, [one_gt_scene()], [1])
+    rep = evaluate(dets, [one_gt_scene()], [1], "fewshot")
     rep.save_csv(tmp_path / "r.csv", header={"config_digest": "x"})
     rep.save_json(tmp_path / "r.json")
     text = (tmp_path / "r.csv").read_text()

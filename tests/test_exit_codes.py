@@ -16,9 +16,10 @@ and `eval`. Each example starts from the entries of the tiny run's
 archive and applies one to three mutations: an entry dropped or
 renamed, the format tag changed, an entry cast to another dtype or
 given another shape, an `_offsets` value shifted, a NaN or an Inf
-written into a float entry, a leaf of a JSON string entry (the
-dataset's config, the checkpoint's provenance) replaced; the archive
-is then written, and maybe truncated.
+written into a float entry (into a dataset also 1e39, which is finite
+in its float64 entries but overflows the float32 net), a leaf of a
+JSON string entry (the dataset's config, the checkpoint's provenance)
+replaced; the archive is then written, and maybe truncated.
 
 A command that exits non-zero must leave none of its output files and
 no temporary beside them; each example removes the outputs of the one
@@ -171,15 +172,19 @@ def _json_object(a):
     return doc if isinstance(doc, dict) and doc else None
 
 
+NON_FINITE = (np.nan, np.inf, -np.inf)
+DATASET_VALUES = NON_FINITE + (1e39,)
+
+
 @st.composite
-def mutated_archives(draw, entries, tags):
+def mutated_archives(draw, entries, tags, values=NON_FINITE):
     """(entries, percent of the archive's bytes to keep); `tags` are the
-    format tags a retag draws from."""
+    format tags a retag draws from, `values` those a float entry takes."""
     names = sorted(entries) + ["bogus"]
     entries = dict(entries)
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(["drop", "rename", "retag", "dtype", "shape",
-                                     "offsets", "nonfinite", "json"]))
+                                     "offsets", "value", "json"]))
         if kind == "retag":
             entries["format"] = np.array(draw(st.sampled_from(tags)))
             continue
@@ -221,8 +226,9 @@ def mutated_archives(draw, entries, tags):
             entries[name] = _reshaped(draw, a)
         elif a.dtype.kind in "fc" and a.size:
             a = a.copy()
-            a.reshape(-1)[draw(st.integers(0, a.size - 1))] = draw(
-                st.sampled_from([np.nan, np.inf, -np.inf]))
+            # 1e39 in an entry cast to float16 or float32 becomes inf
+            with np.errstate(over="ignore"):
+                a.reshape(-1)[draw(st.integers(0, a.size - 1))] = draw(st.sampled_from(values))
             entries[name] = a
     keep = draw(st.one_of(st.just(100), st.integers(0, 99)))
     return entries, keep
@@ -253,7 +259,7 @@ def test_eval_exit_code_on_mutated_checkpoints(tiny_run, data, mode):
 def test_train_and_eval_exit_code_on_mutated_datasets(tiny_run, data, mode):
     cfg, dataset, ckpt, entries, _ = tiny_run
     path = f"{dataset}.mutated"
-    _write_mutated(path, *data.draw(mutated_archives(entries, DATASET_TAGS)))
+    _write_mutated(path, *data.draw(mutated_archives(entries, DATASET_TAGS, DATASET_VALUES)))
     out, report = f"{dataset}.ckpt", f"{dataset}.report"
     rc = _checked_main(["train", "--config", cfg, "--dataset", path, "--out", out],
                        _train_outputs(out))
@@ -263,7 +269,6 @@ def test_train_and_eval_exit_code_on_mutated_datasets(tiny_run, data, mode):
     assert rc in EXIT_CODES
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_heldout_features_overflowing_float32_exit_2(tiny_run, tmp_path, capsys):
     # 1e39 is finite in the float64 dataset, so the reader accepts it, but
     # the float32 net embeds it as inf; held-out scoring refuses that
@@ -280,6 +285,23 @@ def test_train_heldout_features_overflowing_float32_exit_2(tiny_run, tmp_path, c
     assert ("cannot score held-out scenes: non-finite embeddings"
             in capsys.readouterr().err)
     assert not list(tmp_path.glob("ckpt*"))
+
+
+@pytest.mark.parametrize("mode", ["fewshot", "openset"])
+def test_eval_test_features_overflowing_float32_exit_2(tiny_run, tmp_path, mode, capsys):
+    # the same 1e39 features reach eval through detection, which refuses
+    # them before any report is written, without numpy's warnings
+    cfg, _, ckpt, entries, _ = tiny_run
+    features = entries["test_features"].copy()
+    features[:entries["test_proposal_offsets"][1]] = 1e39
+    data = tmp_path / "overflow.npz"
+    save_archive(str(data), {**entries, "test_features": features})
+    prefix = str(tmp_path / "r")
+    assert main(["eval", "--config", cfg, "--dataset", str(data), "--checkpoint", ckpt,
+                 "--mode", mode, "--out-prefix", prefix]) == 2
+    assert ("cannot evaluate checkpoint: non-finite embeddings"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.glob("r*"))
 
 
 # every key of the tiny config; the default train section (700 steps at

@@ -1,11 +1,13 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from protodetect.embedder import EmbeddingNet
-from protodetect.inference import (FEWSHOT, OPENSET, ZS_MPS, ZS_MPU, ZS_UO,
+from protodetect.inference import (FEWSHOT, MODES, OPENSET, ZS_MPS, ZS_MPU, ZS_UO,
                                    assemble_protocol, detect_scene)
 from protodetect.numeric import make_rng
-from protodetect.prototypes import BACKGROUND_ID, PrototypeBank, SupportSet
+from protodetect.prototypes import BACKGROUND_ID, PrototypeBank, SupportSet, build_prototypes
 
 from helpers import make_scene
 
@@ -103,76 +105,84 @@ def test_detect_scene_classifies_and_rejects():
     assert len(dets) <= len(scene.proposals)
 
 
-def support_sets(d=4):
+def toy_world(seen, unseen=None):
+    """The parts of a World that assemble_protocol reads: the support
+    sets ({class_id: (shots, d) rows}; no unseen classes is {}) and the
+    unknown id."""
+    return SimpleNamespace(support_seen=seen, support_unseen=unseen or {}, unknown_id=99)
+
+
+def support_world(d=4):
     rng = make_rng(1)
-    seen = SupportSet({c: rng.normal(size=(3, d)) for c in range(1, 6)})
-    unseen = SupportSet({c: rng.normal(size=(3, d)) for c in range(6, 9)})
-    return seen, unseen
+    seen = {c: rng.normal(size=(3, d)) for c in range(1, 6)}
+    unseen = {c: rng.normal(size=(3, d)) for c in range(6, 9)}
+    return toy_world(seen, unseen)
 
 
 def test_protocol_uo_bank():
-    seen, unseen = support_sets()
-    net = identity_net(4)
-    bank, eval_ids = assemble_protocol(ZS_UO, seen, unseen, net, np.zeros(4))
+    bank, eval_ids, unknown_id = assemble_protocol(ZS_UO, support_world(), identity_net(4),
+                                                   np.zeros(4))
     assert sorted(bank.ids) == [0, 6, 7, 8]
     assert eval_ids == [6, 7, 8]
+    assert unknown_id is None
 
 
 def test_protocol_mpu_mps():
-    seen, unseen = support_sets()
-    net = identity_net(4)
-    bank, eval_u = assemble_protocol(ZS_MPU, seen, unseen, net, np.zeros(4))
+    world, net = support_world(), identity_net(4)
+    bank, eval_u, _ = assemble_protocol(ZS_MPU, world, net, np.zeros(4))
     assert sorted(bank.ids) == [0, 1, 2, 3, 4, 5, 6, 7, 8]
     assert eval_u == [6, 7, 8]
-    _, eval_s = assemble_protocol(ZS_MPS, seen, unseen, net, np.zeros(4))
+    _, eval_s, unknown_id = assemble_protocol(ZS_MPS, world, net, np.zeros(4))
     assert eval_s == [1, 2, 3, 4, 5]
     assert set(eval_s) & set(eval_u) == set()
+    assert unknown_id is None
 
 
 def test_protocol_fewshot():
-    seen, unseen = support_sets()
-    net = identity_net(4)
-    bank, eval_ids = assemble_protocol(FEWSHOT, seen, unseen, net, np.zeros(4))
+    bank, eval_ids, unknown_id = assemble_protocol(FEWSHOT, support_world(), identity_net(4),
+                                                   np.zeros(4))
     assert sorted(bank.ids) == [0, 1, 2, 3, 4, 5]
     assert eval_ids == [1, 2, 3, 4, 5]
+    assert unknown_id is None
 
 
 def test_protocol_openset_counts():
-    # 15 seen classes -> bank has 15 + background + unknown entries
+    # 15 seen classes -> bank has 15 + background + unknown entries; the
+    # unknown is scored by evaluate, not listed among the scored ids
     rng = make_rng(2)
-    seen = SupportSet({c: rng.normal(size=(2, 4)) for c in range(1, 16)})
-    net = identity_net(4)
-    bank, eval_ids = assemble_protocol(
-        OPENSET, seen, None, net, np.zeros(4), unknown_id=99)
+    world = toy_world({c: rng.normal(size=(2, 4)) for c in range(1, 16)},
+                      {16: rng.normal(size=(2, 4))})
+    bank, eval_ids, unknown_id = assemble_protocol(OPENSET, world, identity_net(4),
+                                                   np.zeros(4))
     assert len(bank) == 17
-    assert bank.has(99) and bank.has(0)
-    assert eval_ids == list(range(1, 16)) + [99]
+    assert bank.has(99) and bank.has(0) and not bank.has(16)
+    assert eval_ids == list(range(1, 16))
+    assert unknown_id == 99
 
 
 def test_protocol_openset_unknown_includes_background():
     # the unknown prototype is the mean of the class prototypes and p0
-    seen, _ = support_sets()
-    net = identity_net(4)
+    world, net = support_world(), identity_net(4)
     p0 = np.full(4, 10.0)
-    bank, _ = assemble_protocol(OPENSET, seen, None, net, p0, unknown_id=99)
-    from protodetect.prototypes import build_prototypes
-    class_P = build_prototypes(net, seen).P
+    bank, _, _ = assemble_protocol(OPENSET, world, net, p0)
+    class_P = build_prototypes(net, SupportSet(world.support_seen)).P
     assert np.allclose(bank.get(99), np.vstack([class_P, p0]).mean(axis=0), atol=1e-12)
     assert not np.allclose(bank.get(99), class_P.mean(axis=0))
 
 
-def test_protocol_missing_support_errors():
-    seen, _ = support_sets()
-    net = identity_net(4)
-    with pytest.raises(ValueError):
-        assemble_protocol(ZS_UO, seen, None, net, np.zeros(4))
+@pytest.mark.parametrize("mode", MODES)
+def test_protocol_needs_unseen_support_unless_fewshot(mode):
+    # every mode but fewshot banks the unseen classes or is open, so it
+    # needs them
+    world = toy_world(support_world().support_seen)
+    if mode == FEWSHOT:
+        assemble_protocol(mode, world, identity_net(4), np.zeros(4))
+    else:
+        with pytest.raises(ValueError, match=f"^mode {mode} requires unseen support classes$"):
+            assemble_protocol(mode, world, identity_net(4), np.zeros(4))
 
 
 def test_protocol_spec_rejects_unknown_mode():
-    # the mode names a row of PROTOCOLS; openset also needs an unknown_id
-    seen, unseen = support_sets()
-    net = identity_net(4)
+    # the mode names a row of PROTOCOLS
     with pytest.raises(KeyError):
-        assemble_protocol("bogus", seen, unseen, net, np.zeros(4))
-    with pytest.raises(ValueError, match="unknown_id"):
-        assemble_protocol(OPENSET, seen, unseen, net, np.zeros(4))
+        assemble_protocol("bogus", support_world(), identity_net(4), np.zeros(4))

@@ -171,7 +171,7 @@ def test_world_roundtrip(tmp_path):
     save_world(path, world)
     w2 = load_world(path)
     assert_worlds_equal(w2, world)
-    assert w2.seen_ids == [1, 2, 3] and w2.unseen_ids == [4, 5]
+    assert w2.seen_ids == [1, 2, 3] and sorted(w2.support_unseen) == [4, 5]
     assert w2.unknown_id == 6
 
 

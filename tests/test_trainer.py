@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from protodetect.cli import main
-from protodetect.embedder import flatten
 from protodetect.numeric import make_rng
 from protodetect.prototypes import SupportSet
 from protodetect.losses import episode_loss
@@ -160,12 +159,14 @@ def test_clip_global_norm():
 def non_finite_gradient_loss(monkeypatch, value):
     """Patch the loop's loss: the real bundle, finite loss, with one
     gradient entry set to `value`. Returns the list that receives
-    (net, clf, their parameters before the update) at every call."""
+    (theta, a copy of theta before the update) at every call, theta the
+    parameter vector every W and b of the net and classifier views."""
     calls = []
 
     def loss(net, clf, *args, **kw):
         bundle = episode_loss(net, clf, *args, **kw)
-        calls.append((net, clf, flatten(net.layers, (clf.W, clf.b))))
+        theta = net.layers[0][0].base
+        calls.append((theta, theta.copy()))
         bundle.grads[0] = value
         return bundle
 
@@ -181,8 +182,8 @@ def test_train_rejects_a_non_finite_gradient(monkeypatch, value):
     calls = non_finite_gradient_loss(monkeypatch, value)
     with pytest.raises(FloatingPointError, match="non-finite gradient"):
         train(small_world(), small_train_cfg())
-    (net, clf, before), = calls
-    assert np.array_equal(flatten(net.layers, (clf.W, clf.b)), before)
+    (theta, before), = calls
+    assert np.array_equal(theta, before)
 
 
 def test_cli_train_exits_3_on_a_non_finite_gradient(monkeypatch, tmp_path, capsys):
@@ -243,16 +244,14 @@ def test_zero_lr_is_rejected_and_tiny_lr_keeps_params_close():
     _, _, theta0 = default_net_and_classifier(
         cfg.seed, support.feature_dim, cfg.hidden_dim, cfg.emb_dim,
         len(support.class_ids), cfg.mlp_depth)
-    assert np.allclose(flatten(res.net.layers, (res.clf.W, res.clf.b)), theta0,
-                       atol=1e-290)
+    assert np.allclose(res.theta, theta0, atol=1e-290)
 
 
 def test_training_deterministic_bit_identical():
     world = small_world()
     r1 = train(world, small_train_cfg())
     r2 = train(small_world(), small_train_cfg())
-    assert np.array_equal(flatten(r1.net.layers, (r1.clf.W, r1.clf.b)),
-                          flatten(r2.net.layers, (r2.clf.W, r2.clf.b)))
+    assert np.array_equal(r1.theta, r2.theta)
     assert np.array_equal(r1.bank.get(0), r2.bank.get(0))
     assert r1.log == r2.log
 
@@ -261,7 +260,7 @@ def test_training_binds_float32_parameters():
     res = train(small_world(), small_train_cfg())
     arrays = [a for pair in (*res.net.layers, (res.clf.W, res.clf.b)) for a in pair]
     assert all(a.dtype == np.float32 for a in arrays)
-    assert all(a.base is arrays[0].base for a in arrays)
+    assert all(a.base is res.theta for a in arrays)
     # the gradient audit's instances stay float64
     from protodetect.gradcheck import random_instance
     assert random_instance(0).theta.dtype == np.float64
