@@ -158,8 +158,9 @@ def run_protocol(world, net, mode, p0):
         raise CliError(str(e))
     except FloatingPointError:
         # finite weights or features whose activations overflow: bad
-        # input, not divergence
-        raise CliError("cannot evaluate checkpoint: non-finite embeddings")
+        # input, not divergence, and either input may be the bad one
+        raise CliError("cannot evaluate: non-finite embeddings from the checkpoint "
+                       "weights or the dataset features")
     return per_scene, evaluate(per_scene, world.test_scenes, eval_ids, mode, unknown_id)
 
 

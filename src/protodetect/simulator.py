@@ -12,7 +12,10 @@ features, one of ground-truth boxes and one of their labels. Boxes are
 (x1, y1, x2, y2) rows, and `iou` compares every row of one box array
 with every row of another.
 
-Datasets are fully determined by (config, seed). `save_world` writes
+Datasets are fully determined by (config, seed). One generator, seeded
+once, draws the class means by rejection, then every support row in
+one block, then each split's class ids, boxes, GT jitter and features,
+one block per quantity for all of the split's scenes. `save_world` writes
 one uncompressed .npz archive (format protodetect-dataset-v2) whose
 bytes depend on the world only, so regeneration is byte-identical.
 `load_world` reads it back into the same columnar world, after one
@@ -123,101 +126,79 @@ class World:
 
 
 def _place_means(rng, n_seen, n_unseen, d, delta, max_tries=10000):
-    """Rejection-sample class means, all pairwise >= delta apart.
+    """Rejection-sample class means, all pairwise >= delta apart, as a
+    (n_seen + n_unseen, d) array; seen means first.
 
-    Seen means sit at norm in [delta, 2*delta] (background clusters at
-    the origin, so "none of the above" stays geometrically meaningful).
-    Unseen means are placed around the centroid of the seen means: novel
-    classes share the seen feature manifold rather than pointing in
-    fresh random directions, which is what makes a composed unknown
-    prototype informative at all.
+    Each try draws a direction and a radius. Seen means sit at norm in
+    [delta, 2*delta] (background clusters at the origin, so "none of
+    the above" stays geometrically meaningful). Unseen means are
+    placed at distance [delta/2, delta] from the centroid of the seen
+    means: novel classes share the seen feature manifold rather than
+    pointing in fresh random directions, which is what makes a
+    composed unknown prototype informative at all. Seen and unseen
+    tries share one budget of max_tries; RuntimeError past it.
     """
     means = []
     tries = 0
-    while len(means) < n_seen:
-        tries += 1
-        if tries > max_tries:
-            raise RuntimeError("could not place class means at separation delta")
-        u = rng.normal(size=d)
-        u /= np.linalg.norm(u)
-        mu = u * rng.uniform(delta, 2.0 * delta)
-        if all(np.linalg.norm(mu - m) >= delta for m in means):
-            means.append(mu)
-    centroid = np.mean(means, axis=0)
     while len(means) < n_seen + n_unseen:
         tries += 1
         if tries > max_tries:
             raise RuntimeError("could not place class means at separation delta")
-        eps = rng.normal(size=d)
-        eps *= rng.uniform(0.5 * delta, delta) / np.linalg.norm(eps)
-        mu = centroid + eps
+        v = rng.normal(size=d)
+        if len(means) < n_seen:
+            mu = v / np.linalg.norm(v) * rng.uniform(delta, 2.0 * delta)
+        else:
+            centroid = np.mean(means[:n_seen], axis=0)
+            mu = centroid + v * (rng.uniform(0.5 * delta, delta) / np.linalg.norm(v))
         if all(np.linalg.norm(mu - m) >= delta for m in means):
             means.append(mu)
-    return means
+    return np.array(means)
 
 
-def _random_box(rng, scene_size, size_range):
-    # one draw of four uniforms, scaled by numpy's own uniform formula
-    # (low + (high - low) * u): the same stream and the same values as
-    # four scalar rng.uniform calls, at a quarter of the calls
-    u0, u1, u2, u3 = rng.random(4).tolist()
-    lo, hi = size_range
-    w = lo + (hi - lo) * u0
-    h = lo + (hi - lo) * u1
-    x1 = 0.0 + (scene_size - w) * u2
-    y1 = 0.0 + (scene_size - h) * u3
-    return x1, y1, x1 + w, y1 + h
-
-
-def _jitter_box(rng, box, jitter):
-    # draws are unconditional so the stream is identical for jitter=0
-    dx1, dy1, dx2, dy2 = rng.uniform(-1.0, 1.0, size=4) * jitter
-    x1, y1, x2, y2 = box[0] + dx1, box[1] + dy1, box[2] + dx2, box[3] + dy2
-    if x2 <= x1 or y2 <= y1:
-        return box
-    return x1, y1, x2, y2
-
-
-def _make_scene(rng, cfg, class_pool, means):
+def _draw_split(rng, cfg, class_pool, means, n_scenes):
+    """S = n_scenes scenes of k objects, whose classes come from
+    class_pool, and n proposals. Each quantity is one draw for the whole
+    split, in this order: class ids (S, k), boxes (S, n, 4), GT jitter
+    (S, k, 4), features (S, n, d).
+    The first k boxes of a scene are its GT boxes; their proposals are
+    the GT boxes jittered, except where jitter would make a box
+    degenerate, and their features are class mean + noise * sigma_f."""
     k, n = cfg.objects_per_scene, cfg.proposals_per_scene
-    classes = [class_pool[rng.integers(len(class_pool))] for _ in range(k)]
-    gt = np.empty((k, 4))
-    proposals = np.empty((n, 4))
-    features = np.empty((n, cfg.d))
-    for i, cid in enumerate(classes):
-        gt[i] = _random_box(rng, SCENE_SIZE, BOX_SIZES)
-        features[i] = means[cid - 1] + rng.normal(size=cfg.d) * cfg.sigma_f
-        proposals[i] = _jitter_box(rng, gt[i], cfg.box_jitter)
-    for i in range(k, n):
-        proposals[i] = _random_box(rng, SCENE_SIZE, BOX_SIZES)
-        features[i] = rng.normal(size=cfg.d)
-    return Scene(proposals, features, gt, np.array(classes, dtype=np.int64))
+    labels = np.asarray(class_pool, dtype=np.int64)[
+        rng.integers(len(class_pool), size=(n_scenes, k))]
+    # numpy's uniform formula, low + (high - low) * u, on one block of u
+    # (u_w, u_h, u_x, u_y) rows, which become (x1, y1, x2, y2) in place
+    proposals = rng.random((n_scenes, n, 4))
+    lo, hi = BOX_SIZES
+    wh = lo + (hi - lo) * proposals[..., :2]
+    proposals[..., :2] = (SCENE_SIZE - wh) * proposals[..., 2:]
+    proposals[..., 2:] = proposals[..., :2] + wh
+    gt = proposals[:, :k].copy()
+    # drawn whatever box_jitter is, so every jitter leaves the same stream
+    moved = gt + rng.uniform(-1.0, 1.0, size=(n_scenes, k, 4)) * cfg.box_jitter
+    ok = (moved[..., 2] > moved[..., 0]) & (moved[..., 3] > moved[..., 1])
+    proposals[:, :k] = np.where(ok[..., None], moved, gt)
+    features = rng.normal(size=(n_scenes, n, cfg.d))
+    features[:, :k] = means[labels - 1] + features[:, :k] * cfg.sigma_f
+    return [Scene(*parts) for parts in zip(proposals, features, gt, labels)]
 
 
 def generate_world(cfg):
-    """Build class means, train/test scenes, and support sets from (cfg, seed).
-    Training scenes hold seen classes only, test scenes seen and unseen."""
+    """Build class means, support sets, and train/test scenes from (cfg, seed),
+    in that order. Training scenes hold seen classes only, test scenes
+    seen and unseen."""
     cfg.validate()
     rng = make_rng(cfg.seed)
     n_total = cfg.c_seen + cfg.c_unseen
-    means = np.array(_place_means(rng, cfg.c_seen, cfg.c_unseen, cfg.d, cfg.delta))
-
+    means = _place_means(rng, cfg.c_seen, cfg.c_unseen, cfg.d, cfg.delta)
+    # every class's shots rows in one draw; class id c is row c - 1
+    support = means[:, None] + rng.normal(size=(n_total, cfg.shots, cfg.d)) * cfg.sigma_f
     seen = list(range(1, cfg.c_seen + 1))
     unseen = list(range(cfg.c_seen + 1, n_total + 1))
-
-    def support_for(ids):
-        return {cid: np.stack([means[cid - 1] + rng.normal(size=cfg.d) * cfg.sigma_f
-                               for _ in range(cfg.shots)])
-                for cid in ids}
-
-    support_seen = support_for(seen)
-    support_unseen = support_for(unseen)
-
-    train_scenes = [_make_scene(rng, cfg, seen, means) for _ in range(cfg.n_train_scenes)]
-    test_scenes = [_make_scene(rng, cfg, seen + unseen, means)
-                   for _ in range(cfg.n_test_scenes)]
-
-    return World(cfg, means, train_scenes, test_scenes, support_seen, support_unseen)
+    train_scenes = _draw_split(rng, cfg, seen, means, cfg.n_train_scenes)
+    test_scenes = _draw_split(rng, cfg, seen + unseen, means, cfg.n_test_scenes)
+    return World(cfg, means, train_scenes, test_scenes,
+                 {c: support[c - 1] for c in seen}, {c: support[c - 1] for c in unseen})
 
 
 def augment_feature(rng, v, strength, sigma_f=1.0):

@@ -210,7 +210,9 @@ def train(world, cfg):
     JSON-serializable per-step log.
     ValueError, before the first step, when no training scene has a
     background pool, since no step could then draw one and the final
-    bank could hold no p0.
+    bank could hold no p0; ValueError too when the final bank's p0
+    embeds a training scene's features to non-finite values.
+    FloatingPointError when a step diverges.
     """
     cfg.validate()
     # the non-empty background pools of the training scenes, taken once
@@ -256,6 +258,12 @@ def train(world, cfg):
                         "l_align": bundle.l_align, "l_total": bundle.l_total,
                         "grad_norm": grad_norm})
 
-    bank = build_prototypes(net, support).with_entry(
-        BACKGROUND_ID, background_prototype(net, pools))
-    return TrainResult(net=net, clf=clf, theta=theta, bank=bank, log=log)
+        bank = build_prototypes(net, support)
+        try:
+            p0 = background_prototype(net, pools)
+        except FloatingPointError:
+            # pools no step drew embed here first: training scene
+            # features that overflow the net's dtype are bad input
+            raise ValueError("cannot embed training scenes: non-finite embeddings") from None
+    return TrainResult(net=net, clf=clf, theta=theta, log=log,
+                       bank=bank.with_entry(BACKGROUND_ID, p0))

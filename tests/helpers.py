@@ -1,9 +1,8 @@
-"""Shared by the tests: the scalar IoU oracle, the four-scalar-draw box
-oracle, builders of columnar scenes and detections from per-box tuples,
-the value of each loss term for queries and a bank, the per-entry
-finite-difference sweep that the stacked gradient audit must equal,
-stacks of perturbed parameter vectors, and a bit-equality check of
-two worlds."""
+"""Shared by the tests: the scalar IoU oracle, builders of columnar
+scenes and detections from per-box tuples, the value of each loss term
+for queries and a bank, the per-entry finite-difference sweep that the
+stacked gradient audit must equal, stacks of perturbed parameter
+vectors, and a bit-equality check of two worlds."""
 
 import numpy as np
 
@@ -26,15 +25,6 @@ def scalar_iou(a, b):
     area_a = (a[2] - a[0]) * (a[3] - a[1])
     area_b = (b[2] - b[0]) * (b[3] - b[1])
     return inter / (area_a + area_b - inter)
-
-
-def scalar_draw_box(rng, scene_size, size_range):
-    """A random box drawn with four scalar rng.uniform calls: w, h, x1, y1."""
-    w = rng.uniform(*size_range)
-    h = rng.uniform(*size_range)
-    x1 = rng.uniform(0.0, scene_size - w)
-    y1 = rng.uniform(0.0, scene_size - h)
-    return x1, y1, x1 + w, y1 + h
 
 
 def boxes(rows):

@@ -349,21 +349,21 @@ def test_eval_rerun_byte_identical(trained, tmp_path):
 # rest on are float products, so a numpy or BLAS build that rounds them
 # differently moves them too (numpy 2.4 with OpenBLAS 0.3.31 on x86-64)
 PINNED_EVAL_ARTIFACTS = {
-    "fewshot": ("6eb5e4ecfd9428b9a94bc5a624d688ef8e15e634c470b2d18373e2f0c64920aa",
-                "5059f90d06a01e03b2c981141ad00335a11ba2e02bb8617200443fae6f5465cc",
-                "09966000b40d819af10a3dce56f6647d51d8da8fccca38be99c690b08fe0d931"),
-    "openset": ("e94f39020ac0149ba8375f218a80b8771997d22c9f40e80570fc51a643aee02f",
-                "a1567d3bc0247a2284feafbad727ade459f22d408972f09899cd58284d00fff9",
-                "0540357041fd600d8aaedcef9ae574dfcc7dbad4c255df0b64cf60bcd49a3510"),
-    "zs-uo": ("caf9a9bbe559244a3b216eef8c1b14f4be90f1dbf18975e676e72b2e2eeac1c8",
-              "1b07bbdf94bf5a06601dc58a9086dff950e9409f1b408542e4202d5994b23c91",
-              "ecf3b5cce0743a85a9d1a1f26702c0b2991e1fe07c2cfa30e3a3e29a996ec1b3"),
-    "zs-mpu": ("c41d585c6e1cb079d9f3414e16325deed88828f28858e2a72db2e6eb05185a30",
-               "b4cfccfd15359d5fd7503907d6642807437b4bd96b016852d460bc5cf50a447f",
-               "12158705faaa2c2b2914de86faed467288ba4b93a7f7d43a334183fb44bf674d"),
-    "zs-mps": ("eacea0929f0a9862946ada27181a0081515b6d74051f94a5cb372ae67f3621d6",
-               "4b24f340dc6f75533381cafeca24c6c71be3875b2530a551af394b6ab34d8555",
-               "8552cd6c0ba4bd8e2b4a657ea4d6113e6819555137451b3aceff679b499bf4fc"),
+    "fewshot": ("f1c0508973eb1c7a4ac6e7aead2a19e9298710a2734878a476d197e92a3b32cb",
+                "ebd379188f8bc5eb7df8814bebeea25df42e03ee7d4788138ef00848aa43ab80",
+                "4c176acc4dbb2eedeacda6e40d6599a52aceccf94713c0ac95aa06b4144896c7"),
+    "openset": ("0bdb5678ab7ef7dc4515c9718c2905eac0e8db109896d3d5d4ce36a67f09bcbd",
+                "bd11bd07e44aeb5804aae7325871235148f95cfc38ac284209cd6ab3d091842c",
+                "4fcc0b0f821a7bb1939fedd40d3fe41879d83628934938a0de2990a3e39aeb7f"),
+    "zs-uo": ("e8be4484793a1b636e0a1b8767e81d00affff73eaabdc4a6c1e720b0d43a8dd4",
+              "18f95c1c6f65090fb78659e1df365e5deb0b43eefc6992c4ff0d4323f901d9de",
+              "a1abe70f677baa1e7b4d80ad27d3c819e5562f99d5f9fccaeb6cb2e19cbd362a"),
+    "zs-mpu": ("c8df235997ba80864c77db57c22dcc3efecf148d35fb55af467dd60ec1d7503e",
+               "3ae77dcce00bda1c7d730d5dc07e2ad540fffb4fcfb5a470a82441c2ebe8a580",
+               "75556f2fc678fd88323a96b05a6c7cc75fe1a5b3a69bd9849f140d60585b82f2"),
+    "zs-mps": ("948b336a3bc79ef6a9ce62418cc4413841a4b5de2120468aba07dd2a765c3d90",
+               "13a7996f078b0d3e57eaadaf4ee92a2a76b82b34d2c748749896a463209b67bf",
+               "ab3476610f1b09c8b20488a4e61763caac4799ac1be2b1fc69561f3d90be94c2"),
 }
 
 
@@ -732,8 +732,8 @@ def test_overflowing_checkpoint_exit_2(trained, tmp_path, capsys):
     entries["theta"][:n_out * n_in] = 3e38       # the first layer's W, finite in float32
     bad = write_v2(tmp_path / "bad.npz", entries)
     assert eval_on_checkpoint(trained, bad, tmp_path / "r") == 2
-    assert ("cannot evaluate checkpoint: non-finite embeddings"
-            in capsys.readouterr().err)
+    assert ("cannot evaluate: non-finite embeddings from the checkpoint weights "
+            "or the dataset features" in capsys.readouterr().err)
     assert not list(tmp_path.glob("r.*"))
 
 

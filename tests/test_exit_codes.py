@@ -32,6 +32,7 @@ import glob
 import io
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -218,7 +219,10 @@ def mutated_archives(draw, entries, tags, values=NON_FINITE):
             entries[draw(st.sampled_from(names))] = entries.pop(name)
         elif kind == "dtype":
             try:
-                with np.errstate(all="ignore"):
+                # errstate does not cover numpy's ComplexWarning, that a
+                # complex to real cast drops the imaginary part
+                with np.errstate(all="ignore"), warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "Casting complex values to real")
                     entries[name] = a.astype(draw(st.sampled_from(DTYPES)))
             except (TypeError, ValueError):   # a string that is no number
                 pass
@@ -287,6 +291,33 @@ def test_train_heldout_features_overflowing_float32_exit_2(tiny_run, tmp_path, c
     assert not list(tmp_path.glob("ckpt*"))
 
 
+def test_train_undrawn_training_features_overflowing_float32_exit_2(tmp_path, capsys):
+    # one step draws one of six training pools; 1e39 in the scene it
+    # draws diverges in that step (exit 3), while 1e39 in any other
+    # scene first meets the net in the final bank's p0, which refuses it
+    # as bad input (exit 2), both without numpy's warnings
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "world": {**TINY["world"], "n_train_scenes": 6},
+        "train": {**TINY["train"], "stage1_steps": 1, "stage2_steps": 0}}))
+    data = str(tmp_path / "d.npz")
+    assert _quiet_main(["gen-data", "--config", str(cfg), "--out", data]) == 0
+    entries = _entries(data)
+    offsets = entries["train_proposal_offsets"]
+    codes = []
+    for start, stop in zip(offsets[:-1], offsets[1:]):
+        features = entries["train_features"].copy()
+        features[start:stop] = 1e39
+        save_archive(data, {**entries, "train_features": features})
+        out = str(tmp_path / "ckpt.npz")
+        codes.append(main(["train", "--config", str(cfg), "--dataset", data, "--out", out]))
+        err = capsys.readouterr().err
+        assert err == {2: "cannot embed training scenes: non-finite embeddings\n",
+                       3: "training diverged: overflow encountered in cast\n"}[codes[-1]]
+        assert not list(tmp_path.glob("ckpt*"))
+    assert sorted(codes) == [2, 2, 2, 2, 2, 3]
+
+
 @pytest.mark.parametrize("mode", ["fewshot", "openset"])
 def test_eval_test_features_overflowing_float32_exit_2(tiny_run, tmp_path, mode, capsys):
     # the same 1e39 features reach eval through detection, which refuses
@@ -299,8 +330,8 @@ def test_eval_test_features_overflowing_float32_exit_2(tiny_run, tmp_path, mode,
     prefix = str(tmp_path / "r")
     assert main(["eval", "--config", cfg, "--dataset", str(data), "--checkpoint", ckpt,
                  "--mode", mode, "--out-prefix", prefix]) == 2
-    assert ("cannot evaluate checkpoint: non-finite embeddings"
-            in capsys.readouterr().err)
+    assert ("cannot evaluate: non-finite embeddings from the checkpoint weights "
+            "or the dataset features" in capsys.readouterr().err)
     assert not list(tmp_path.glob("r*"))
 
 

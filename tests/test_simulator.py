@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from protodetect.numeric import make_rng
-from protodetect.simulator import (IGNORE, WorldConfig, _random_box, _world_entries,
-                                   augment_feature, generate_world, iou,
-                                   label_proposals, load_world, save_world)
+from protodetect.simulator import (BOX_SIZES, IGNORE, SCENE_SIZE, WorldConfig,
+                                   _place_means, _world_entries, augment_feature,
+                                   generate_world, iou, label_proposals, load_world,
+                                   save_world)
 
-from helpers import (assert_worlds_equal, boxes, make_scene, scalar_draw_box,
-                     scalar_iou)
+from helpers import assert_worlds_equal, boxes, make_scene, scalar_iou
 
 
 def test_iou_identical_and_disjoint():
@@ -132,19 +132,6 @@ def test_world_without_background_proposals():
     assert len(scene_background_features(world.train_scenes[0])) == 0
 
 
-def test_random_box_replays_four_scalar_draws():
-    # 12,000 boxes over three box-size ranges and scene sizes: the same
-    # boxes, bit for bit, and the generator left in the same state
-    for seed, scene_size, size_range in ((7, 100.0, (8.0, 16.0)),
-                                         (301, 100.0, (3.0, 40.0)),
-                                         (1234, 37.5, (0.5, 30.0))):
-        new, old = make_rng(seed), make_rng(seed)
-        for _ in range(4000):
-            assert _random_box(new, scene_size, size_range) == \
-                scalar_draw_box(old, scene_size, size_range)
-        assert new.bit_generator.state == old.bit_generator.state
-
-
 def test_world_determinism_byte_identical(tmp_path):
     cfg = small_world_cfg()
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -162,17 +149,73 @@ def test_world_stream_is_pinned():
             a = np.ascontiguousarray(a)
             h.update(f"{name} {a.dtype.str} {a.shape}\n".encode())
             h.update(a.tobytes())
-    assert h.hexdigest() == "2314eda2bec86b0aad7b46ba296b1947bc939d5282e7ca161bc42f382f51b1b0"
+    assert h.hexdigest() == "12ade8108b07e595fc2f5c35d034b17d8b0af64ed5d9aaf4b7991af9f15a8adc"
 
 
 def test_world_roundtrip(tmp_path):
-    world = generate_world(small_world_cfg())
-    path = tmp_path / "w.npz"
-    save_world(path, world)
-    w2 = load_world(path)
-    assert_worlds_equal(w2, world)
-    assert w2.seen_ids == [1, 2, 3] and sorted(w2.support_unseen) == [4, 5]
-    assert w2.unknown_id == 6
+    # with and without GT jitter; writing the loaded world again gives
+    # the same bytes
+    for jitter in (0.0, 2.0):
+        world = generate_world(small_world_cfg(box_jitter=jitter))
+        path, again = tmp_path / f"w{jitter}.npz", tmp_path / f"again{jitter}.npz"
+        save_world(path, world)
+        w2 = load_world(path)
+        assert_worlds_equal(w2, world)
+        assert w2.seen_ids == [1, 2, 3] and sorted(w2.support_unseen) == [4, 5]
+        assert w2.unknown_id == 6
+        save_world(again, w2)
+        assert again.read_bytes() == path.read_bytes()
+
+
+def replayed_train_jitter(cfg):
+    """The training split's GT jitter draws, U(-1, 1) of shape (S, k, 4),
+    replayed in generate_world's order: class means, support rows, then
+    the split's class ids, boxes and jitter."""
+    rng = make_rng(cfg.seed)
+    _place_means(rng, cfg.c_seen, cfg.c_unseen, cfg.d, cfg.delta)
+    rng.normal(size=(cfg.c_seen + cfg.c_unseen, cfg.shots, cfg.d))
+    S, k = cfg.n_train_scenes, cfg.objects_per_scene
+    rng.integers(cfg.c_seen, size=(S, k))
+    rng.random((S, cfg.proposals_per_scene, 4))
+    return rng.uniform(-1.0, 1.0, size=(S, k, 4))
+
+
+def stacked(scenes, name):
+    return np.stack([getattr(s, name) for s in scenes])
+
+
+@pytest.mark.parametrize("jitter", [0.0, 2.0, 12.0])
+def test_world_boxes_labels_and_gt_jitter(jitter):
+    # 12 moves corners further than half the smallest box side, so some
+    # jittered boxes would be degenerate and keep their GT box
+    kw = dict(n_train_scenes=30, n_test_scenes=30)
+    cfg = small_world_cfg(box_jitter=jitter, **kw)
+    world, still = generate_world(cfg), generate_world(small_world_cfg(**kw))
+    k = cfg.objects_per_scene
+    for scenes, still_scenes, ids in ((world.train_scenes, still.train_scenes, {1, 2, 3}),
+                                      (world.test_scenes, still.test_scenes,
+                                       {1, 2, 3, 4, 5})):
+        P, G = stacked(scenes, "proposals"), stacked(scenes, "gt")
+        # jitter is drawn whatever its size, so it moves the GT-aligned
+        # proposals and nothing else
+        for name in ("gt", "labels", "features"):
+            assert stacked(scenes, name).tobytes() == stacked(still_scenes, name).tobytes()
+        assert P[:, k:].tobytes() == stacked(still_scenes, "proposals")[:, k:].tobytes()
+        assert set(stacked(scenes, "labels").ravel().tolist()) == ids
+        sizes = G[..., 2:] - G[..., :2]
+        assert ((sizes >= BOX_SIZES[0] - 1e-9) & (sizes <= BOX_SIZES[1] + 1e-9)).all()
+        for B in (G, P[:, k:]):
+            assert ((B >= 0.0) & (B <= SCENE_SIZE)).all()
+        assert ((P[..., 2] > P[..., 0]) & (P[..., 3] > P[..., 1])).all()
+        assert (np.abs(P[:, :k] - G) <= jitter).all()
+        if jitter == 0.0:
+            assert P[:, :k].tobytes() == G.tobytes()
+    G, P = stacked(world.train_scenes, "gt"), stacked(world.train_scenes, "proposals")[:, :k]
+    moved = G + replayed_train_jitter(cfg) * jitter
+    degenerate = (moved[..., 2] <= moved[..., 0]) | (moved[..., 3] <= moved[..., 1])
+    assert np.array_equal(P[degenerate], G[degenerate])
+    assert np.array_equal(P[~degenerate], moved[~degenerate])
+    assert degenerate.any() == (jitter == 12.0)
 
 
 def test_world_rejects_bad_config():
