@@ -40,7 +40,7 @@ def main():
                              result.bank.get(BACKGROUND_ID))
     print(f"few-shot detection: mAP {report.mAP:.4f}  mAR {report.mAR:.4f}")
     print("per-class AP at IoU 0.50:")
-    for cid in world.seen_ids:
+    for cid in sorted(world.support_seen):
         print(f"  class {cid}: {report.cells[(cid, 0.5)]['ap']:.4f}")
 
 

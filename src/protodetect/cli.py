@@ -52,11 +52,8 @@ class CliError(Exception):
         self.code = code
 
 
-def _provenance(cfg, dataset_path=None):
-    out = {"config_digest": cfg.digest()}
-    if dataset_path is not None:
-        out["dataset_digest"] = file_digest(dataset_path)
-    return out
+def _provenance(cfg, dataset_path):
+    return {"config_digest": cfg.digest(), "dataset_digest": file_digest(dataset_path)}
 
 
 @contextlib.contextmanager
@@ -108,8 +105,6 @@ def _load_world_checked(cfg, dataset_path):
         world = load_world(dataset_path)
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise CliError(f"cannot read dataset: {e}")
-    if not world.train_scenes:
-        raise CliError("dataset has no training scenes")
     if cfg.expected_dataset_digest is not None:
         digest = file_digest(dataset_path)
         if digest != cfg.expected_dataset_digest:
@@ -141,7 +136,7 @@ def cmd_train(args):
                         result.bank.get(BACKGROUND_ID), extra=provenance)
         result.write_log(log_tmp)
     print(f"checkpoint: {args.out}")
-    print(f"final heldout accuracy: {acc:.4f}")
+    print(f"final heldout accuracy: {'none' if acc is None else format(acc, '.4f')}")
     return EXIT_OK
 
 

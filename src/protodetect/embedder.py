@@ -87,14 +87,14 @@ class EmbeddingNet:
                 acts.append(h)
         return h, acts
 
-    def backward_batch(self, cache, dQ, out=None):
+    def backward_batch(self, cache, dQ, out):
         """Backprop dQ (N, e) through a cached forward.
 
-        Returns the layer grads [(dW, db), ...], written into the arrays
-        of `out` when it is given (the net's views of a gradient vector,
-        `param_vector`); the input gradient is never formed. dQ is cast
-        to the net's dtype, and entries whose magnitude is below the
-        square root of its smallest normal number (1.1e-19 in float32,
+        Writes the layer grads into the arrays of `out`, [(dW, db), ...]
+        shaped as the layers (the net's views of a gradient vector,
+        `param_vector`), and returns it; the input gradient is never
+        formed. dQ is cast to the net's dtype, and entries whose
+        magnitude is below the square root of its smallest normal number (1.1e-19 in float32,
         1.5e-154 in float64) become 0. A product of two numbers that
         large is a normal number, so the hidden gradients `dQ @ W` keep
         out of the subnormal range too, for any weight above that bound.
@@ -106,18 +106,16 @@ class EmbeddingNet:
         if dQ.shape != (acts[0].shape[0], self.out_dim):
             raise ValueError("gradient shape does not match cached forward")
         dQ[np.abs(dQ) < np.sqrt(np.finfo(dQ.dtype).tiny)] = 0.0
-        grads = out if out is not None else [
-            (np.empty_like(W), np.empty_like(b)) for W, b in self.layers]
         dh = dQ
         for i in range(len(self.layers) - 1, -1, -1):
-            dW, db = grads[i]
+            dW, db = out[i]
             np.matmul(dh.T, acts[i], out=dW)
             np.sum(dh, axis=0, out=db)
             if i > 0:
                 # acts[i] holds relu output of layer i-1; relu' at 0 is 0
                 dh = dh @ self.layers[i][0]
                 dh *= acts[i] > 0.0
-        return grads
+        return out
 
 
 class LinearClassifier:

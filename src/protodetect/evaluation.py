@@ -33,59 +33,48 @@ MAX_DETS = 100
 def match_at_threshold(ious, thresholds):
     """TP flags (scenes, n_det, T) of every scene's score-sorted
     detections, given their stacked IoU matrices (scenes, n_det, n_gt)
-    against the scenes' GT boxes; a single (n_det, n_gt) matrix gives
-    (n_det, T). In column t each detection takes the first unmatched GT
-    box of maximal IoU, if that IoU is positive and at least
-    thresholds[t]. The loop runs over detection rank, holding every
+    against the scenes' GT boxes. In column t each detection takes the
+    first unmatched GT box of maximal IoU, if that IoU is positive and
+    at least thresholds[t]. The loop runs over detection rank, holding every
     scene's unmatched boxes at every threshold as one (scenes, T, n_gt)
     array.
     """
     t = np.asarray(thresholds, dtype=np.float64)
-    ious = np.asarray(ious)
-    stack = ious if ious.ndim == 3 else ious[None]
-    n_scenes, n_det, n_gt = stack.shape
+    n_scenes, n_det, n_gt = ious.shape
     flags = np.zeros((n_scenes, n_det, len(t)), dtype=bool)
     if n_gt:
         unmatched = np.ones((n_scenes, len(t), n_gt), dtype=bool)
         for i in range(n_det):
-            rows = np.where(unmatched, stack[:, i, None, :], 0.0)
+            rows = np.where(unmatched, ious[:, i, None, :], 0.0)
             j = np.argmax(rows, axis=2)
             best = np.take_along_axis(rows, j[..., None], axis=2)[..., 0]
             hit = flags[:, i] = (best > 0.0) & (best >= t)
             scene, col = np.nonzero(hit)
             unmatched[scene, col, j[scene, col]] = False
-    return flags if ious.ndim == 3 else flags[0]
+    return flags
 
 
 def average_precision(flags, n_gt):
-    """101-point interpolated AP from ordered TP/FP flags: (n,) flags
-    give one AP, (n, T) flags one per column (a list of T).
-
-    Returns None when n_gt == 0 (cell excluded from aggregation).
-    """
-    if n_gt == 0:
-        return None
-    flags = np.asarray(flags, dtype=bool)
-    cols = flags if flags.ndim == 2 else flags[:, None]
-    if len(cols) == 0:
-        aps = [0.0] * cols.shape[1]
+    """101-point interpolated AP of each column of ordered TP/FP flags
+    (n, T), a boolean array, as a list of T, for n_gt >= 1 GT boxes."""
+    if len(flags) == 0:
+        aps = [0.0] * flags.shape[1]
     else:
-        tp = np.cumsum(cols, axis=0)
-        fp = np.cumsum(~cols, axis=0)
+        tp = np.cumsum(flags, axis=0)
+        fp = np.cumsum(~flags, axis=0)
         recall = tp / n_gt
         precision = tp / (tp + fp)
         # precision envelope: running max from the right
         envelope = np.maximum.accumulate(precision[::-1], axis=0)[::-1]
         # interpolated precision at each grid recall: max precision among
         # points with recall >= r, 0 beyond the achieved recall; each
-        # column's 101 values are summed as one contiguous 1-D array, in
-        # the order a single column's are
+        # column's 101 values are summed as one contiguous 1-D array
         aps = []
         for rec, env in zip(recall.T, envelope.T):
             idx = np.searchsorted(rec, RECALL_GRID, side="left")
             interp = np.where(idx < len(env), env[np.minimum(idx, len(env) - 1)], 0.0)
             aps.append(float(np.sum(interp)) / len(RECALL_GRID))
-    return aps if flags.ndim == 2 else aps[0]
+    return aps
 
 
 @dataclass

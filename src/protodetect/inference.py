@@ -54,13 +54,12 @@ class Detections:
 
 
 def detect_scene(scene, net, bank):
-    """Embed every proposal; keep those whose nearest prototype is not p0.
+    """Embed every proposal; keep those whose nearest prototype is not
+    p0, which every bank `assemble_protocol` builds holds.
 
     FloatingPointError, from `nearest_prototype`, when an embedding is
     not finite.
     """
-    if not bank.has(BACKGROUND_ID):
-        raise ValueError("bank is missing the background prototype")
     ids, scores = nearest_prototype(net.forward_batch(scene.features)[0], bank)
     keep = ids != BACKGROUND_ID
     return Detections(scene.proposals[keep], ids[keep], scores[keep])

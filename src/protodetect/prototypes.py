@@ -17,9 +17,7 @@ proposals that `background_pool` collects.
 import numpy as np
 
 from .numeric import log_softmax, proto_logits
-from .simulator import BACKGROUND_IOU, iou
-
-BACKGROUND_ID = 0
+from .simulator import BACKGROUND_ID, BACKGROUND_IOU, iou
 
 
 class SupportSet:
@@ -81,9 +79,6 @@ class PrototypeBank:
 
     def get(self, cid):
         return self.P[self.index_of(cid)]
-
-    def has(self, cid):
-        return int(cid) in self.ids
 
     def with_entry(self, cid, p):
         entries = list(zip(self.ids, self.P)) + [(cid, p)]

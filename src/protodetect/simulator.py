@@ -20,9 +20,10 @@ one uncompressed .npz archive (format protodetect-dataset-v2) whose
 bytes depend on the world only, so regeneration is byte-identical.
 `load_world` reads it back into the same columnar world, after one
 set of checks (the stored config's keys and types, as the run config
-is checked; shapes, offsets, finite values, non-degenerate boxes; seen
-support ids 1..c_seen, unseen ones c_seen+1..c_seen+c_unseen, and GT
-labels among them).
+is checked; shapes, offsets, finite values, non-degenerate boxes; each
+split's scene count equal to the stored n_train_scenes or n_test_scenes,
+so neither split is empty; seen support ids 1..c_seen, unseen ones
+c_seen+1..c_seen+c_unseen, and GT labels among them).
 """
 
 import json
@@ -35,6 +36,7 @@ from .archive import load_archive, save_archive
 from .numeric import make_rng
 from .schema import build_dataclass
 
+BACKGROUND_ID = 0  # the class id of background proposals and of the prototype p0
 IGNORE = -1  # proposals in the [0.3, 0.5) IoU band are excluded from training
 BACKGROUND_IOU = 0.3  # a proposal below this IoU with every GT box is background
 SCENE_SIZE = 100.0  # scenes are SCENE_SIZE x SCENE_SIZE squares
@@ -113,10 +115,6 @@ class World:
     test_scenes: list
     support_seen: dict          # class_id -> (shots, d) array
     support_unseen: dict
-
-    @property
-    def seen_ids(self):
-        return list(range(1, self.config.c_seen + 1))
 
     @property
     def unknown_id(self):
@@ -206,20 +204,18 @@ def augment_feature(rng, v, strength, sigma_f=1.0):
 
     Row by row, v' = R (gamma * v) + eps with gamma ~ U[1-s, 1+s], R a
     rotation by angle theta ~ U[-s*pi/8, s*pi/8] in the plane of two
-    distinct random coordinates, eps ~ N(0, (s*sigma_f)^2). v is an
-    (n, d) matrix of rows or one (d,) row; the result has its shape.
-    Each row gets its own draws, and every quantity is drawn once for
-    the whole batch, in this order: gamma (n), the first coordinate
-    (n), the offset of the second from the first (n, in 1..d-1),
-    theta (n), the noise (n, d). strength 0 is the identity.
+    distinct random coordinates, eps ~ N(0, (s*sigma_f)^2), for each
+    row of the (n, d) float64 matrix v. Each row gets its own draws,
+    and every quantity is drawn once for the whole batch, in this
+    order: gamma (n), the first coordinate (n), the offset of the
+    second from the first (n, in 1..d-1), theta (n), the noise (n, d).
+    strength 0 is the identity.
     """
     if strength < 0:
         raise ValueError("strength must be >= 0")
-    V = np.asarray(v, dtype=np.float64)
-    X = V.reshape(-1, V.shape[-1])
-    n, d = X.shape
+    n, d = v.shape
     gamma = rng.uniform(1.0 - strength, 1.0 + strength, size=n)
-    out = gamma[:, None] * X
+    out = gamma[:, None] * v
     if d >= 2:
         rows = np.arange(n)
         i = rng.integers(d, size=n)
@@ -230,15 +226,16 @@ def augment_feature(rng, v, strength, sigma_f=1.0):
         out[rows, i] = c * vi - s * vj
         out[rows, j] = s * vi + c * vj
     out += rng.normal(size=(n, d)) * (strength * sigma_f)
-    return out.reshape(V.shape)
+    return out
 
 
 def label_proposals(scene):
     """Per-proposal training labels (P,): the class of the best-overlapping
-    GT box at IoU >= 0.5, background (0) below 0.3, IGNORE in between.
+    GT box at IoU >= 0.5, BACKGROUND_ID below 0.3, IGNORE in between.
     The best GT box is the first one of maximal IoU."""
     ious = iou(scene.proposals, scene.gt)
-    labels = np.where(ious.max(axis=1, initial=0.0) < BACKGROUND_IOU, 0, IGNORE)
+    background = ious.max(axis=1, initial=0.0) < BACKGROUND_IOU
+    labels = np.where(background, BACKGROUND_ID, IGNORE)
     if ious.shape[1]:
         best = np.argmax(ious, axis=1)
         fg = ious[np.arange(len(best)), best] >= 0.5
@@ -344,7 +341,7 @@ def _world_from_entries(entry):
     if len(means) != n_classes:
         raise ValueError(f"class_means: {len(means)} rows for {n_classes} classes")
     splits = []
-    for split in _SPLITS:
+    for split, n_scenes in zip(_SPLITS, (cfg.n_train_scenes, cfg.n_test_scenes)):
         P = _boxes(entry, split + "_proposals")
         F = _float_rows(entry, split + "_features", d)
         G = _boxes(entry, split + "_gt")
@@ -355,8 +352,9 @@ def _world_from_entries(entry):
             raise ValueError(f"{split}_labels: a class id outside 1..{n_classes}")
         props = _bounds(entry, split + "_proposal_offsets", len(P))
         gts = _bounds(entry, split + "_gt_offsets", len(G))
-        if len(props) != len(gts):
-            raise ValueError(f"{split}: proposal and GT offsets differ in scene count")
+        if not len(props) == len(gts) == n_scenes:
+            raise ValueError(f"{split}: {len(props)} proposal and {len(gts)} GT scenes, "
+                             f"config n_{split}_scenes is {n_scenes}")
         splits.append([Scene(P[a:b], F[a:b], G[c:e], L[c:e])
                        for (a, b), (c, e) in zip(props, gts)])
     supports = []

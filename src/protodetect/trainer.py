@@ -38,9 +38,9 @@ import numpy as np
 from .embedder import default_net_and_classifier
 from .losses import episode_loss
 from .numeric import make_rng
-from .prototypes import (BACKGROUND_ID, PrototypeBank, SupportSet,
-                         background_pool, build_prototypes, nearest_prototype)
-from .simulator import IGNORE, augment_feature, label_proposals
+from .prototypes import (PrototypeBank, SupportSet, background_pool, build_prototypes,
+                         nearest_prototype)
+from .simulator import BACKGROUND_ID, IGNORE, augment_feature, label_proposals
 
 NO_POOL = "no background pool in training scenes"
 # the dtype of the parameter vector, the net's arithmetic and the
@@ -172,8 +172,8 @@ def heldout_accuracy(net, bank, scenes):
     """Nearest-prototype accuracy on labeled proposals from held-out scenes.
 
     Proposals in the IoU ignore band or labeled with classes outside
-    the bank are left out; background proposals count with label 0.
-    NaN when no proposal counts. FloatingPointError, from
+    the bank are left out; background proposals count with label
+    BACKGROUND_ID. None when no proposal counts. FloatingPointError, from
     `nearest_prototype`, when an embedding is not finite.
     """
     feats, labels = [], []
@@ -183,7 +183,7 @@ def heldout_accuracy(net, bank, scenes):
         feats.append(scene.features[keep])
         labels.append(y[keep])
     if not sum(map(len, labels)):
-        return float("nan")
+        return None
     pred, _ = nearest_prototype(net.forward_batch(np.concatenate(feats))[0], bank)
     return float(np.mean(pred == np.concatenate(labels)))
 
@@ -241,8 +241,9 @@ def train(world, cfg):
 
             bg = pools[int(rng.integers(len(pools)))]
             qfeats, qlabels = make_episode(rng, support, cfg, sigma_f)
+            bg_labels = np.full(len(bg), BACKGROUND_ID, dtype=np.int64)
             bundle = episode_loss(net, clf, support, np.concatenate([qfeats, bg]),
-                                  np.concatenate([qlabels, np.zeros(len(bg), dtype=np.int64)]),
+                                  np.concatenate([qlabels, bg_labels]),
                                   lambdas, cfg.tau, bg_features=bg)
 
             if not np.isfinite(bundle.l_total):

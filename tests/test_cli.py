@@ -257,6 +257,28 @@ def test_non_string_dataset_digest_exit_2(trained, tmp_path, digest, capsys):
     assert not out.exists()
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_train_without_scored_heldout_proposals_logs_null_accuracy(tmp_path, capsys):
+    # every test proposal is its own GT box, of an unseen class, so no
+    # held-out proposal is scored; the dataset passes every loader check
+    cfg = write_cfg(tmp_path / "c.json")
+    world = simulator.generate_world(load_run_config(cfg).world)
+    unseen = min(world.support_unseen)
+    world.test_scenes = [simulator.Scene(s.gt, s.features[:len(s.gt)], s.gt,
+                                         np.full(len(s.gt), unseen, dtype=np.int64))
+                         for s in world.test_scenes]
+    data, ckpt = tmp_path / "d.npz", tmp_path / "k.npz"
+    simulator.save_world(data, world)
+    assert main(["train", "--config", cfg, "--dataset", str(data), "--out", str(ckpt)]) == 0
+    assert "final heldout accuracy: none\n" in capsys.readouterr().out
+    last = (tmp_path / "k.npz.log.jsonl").read_text().splitlines()[-1]
+    assert json.loads(last, parse_constant=_refuse_constant) == {"accuracy": None,
+                                                                 "final": True}
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_divergence_exit_3(trained, tmp_path):
     cfg, data, _, _ = trained
@@ -416,18 +438,12 @@ def test_train_non_numeric_lr_exit_2(trained, tmp_path, capsys):
 
 
 def test_zero_training_scenes_exit_2(trained, tmp_path):
-    cfg, data, _, _ = trained
+    # a dataset whose training split holds no scene is refused too
+    # (V2_DATASET_MUTATIONS["no_train_scenes"])
+    cfg, _, _, _ = trained
     assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "d.json"),
                  "--set", "world.n_train_scenes=0"]) == 2
-    # a v2 archive whose training split holds no scene is refused
-    entries = v2_entries(data)
-    for name in ("proposal", "gt"):
-        entries[f"train_{name}_offsets"] = np.zeros(1, dtype=np.int64)
-    for name in ("proposals", "features", "gt", "labels"):
-        entries["train_" + name] = entries["train_" + name][:0]
-    empty = write_v2(tmp_path / "empty.npz", entries)
-    assert main(["train", "--config", cfg, "--dataset", empty,
-                 "--out", str(tmp_path / "x.json")]) == 2
+    assert not list(tmp_path.iterdir())
 
 
 def test_train_zero_hidden_dim_exit_2(trained, tmp_path):
@@ -546,6 +562,21 @@ def _train_label_background(entries):
     entries["train_labels"][0] = 0
 
 
+def _emptied(split):
+    def mutate(entries):
+        for name in ("proposals", "features", "gt", "labels"):
+            entries[f"{split}_{name}"] = entries[f"{split}_{name}"][:0]
+        for name in ("proposal", "gt"):
+            entries[f"{split}_{name}_offsets"] = np.zeros(1, dtype=np.int64)
+    return mutate
+
+
+def _more_test_scenes_stored(entries):
+    doc = json.loads(str(entries["config"]))
+    doc["n_test_scenes"] += 1
+    entries["config"] = np.array(json.dumps(doc))
+
+
 def _config_wrong_type(entries):
     doc = json.loads(str(entries["config"]))
     doc["d"] = "x"
@@ -581,6 +612,14 @@ V2_DATASET_MUTATIONS = {
     "test_label_unknown": (_test_label_unknown, "test_labels: a class id outside 1..5"),
     "train_label_background": (_train_label_background,
                                "train_labels: a class id outside 1..5"),
+    # each split's scene count is the stored n_train_scenes or
+    # n_test_scenes (4 each), so neither split is empty
+    "no_train_scenes": (_emptied("train"),
+                        "train: 0 proposal and 0 GT scenes, config n_train_scenes is 4"),
+    "no_test_scenes": (_emptied("test"),
+                       "test: 0 proposal and 0 GT scenes, config n_test_scenes is 4"),
+    "stored_test_count_differs": (_more_test_scenes_stored,
+                                  "test: 4 proposal and 4 GT scenes, config n_test_scenes is 5"),
 }
 
 
@@ -598,7 +637,8 @@ def test_malformed_v2_dataset_exit_2(trained, tmp_path, case, command, capsys):
     assert run_on_dataset(trained, command, str(bad), tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert "cannot read dataset" in err and message in err
-    assert not list(tmp_path.glob("out*"))
+    # no output and no temporary beside one
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.npz"]
 
 
 def test_v1_json_dataset_exit_2(trained, tmp_path, capsys):

@@ -20,6 +20,12 @@ def forward(net, v):
     return Q[0], cache
 
 
+def backward(net, cache, dQ):
+    """The layer grads of backward_batch, written into new arrays."""
+    return net.backward_batch(cache, dQ, [(np.empty_like(W), np.empty_like(b))
+                                          for W, b in net.layers])
+
+
 def test_zero_net_gives_zero_output():
     net = EmbeddingNet([(np.zeros((3, 2)), np.zeros(3)),
                         (np.zeros((2, 3)), np.zeros(2))])
@@ -50,7 +56,7 @@ def test_forward_dim_mismatch():
 def test_backward_zero_grad_is_zero():
     net = small_net(1)
     _, cache = net.forward_batch(make_rng(2).normal(size=(3, 5)))
-    grads = net.backward_batch(cache, np.zeros((3, 4)))
+    grads = backward(net, cache, np.zeros((3, 4)))
     assert all(np.all(dW == 0) and np.all(db == 0) for dW, db in grads)
 
 
@@ -62,7 +68,7 @@ def test_backward_linear_layer_outer_product():
     v = np.array([0.3, 1.2, 2.0])
     _, cache = forward(net, v)
     dq = np.array([1.5, -0.7])
-    grads = net.backward_batch(cache, dq[None, :])
+    grads = backward(net, cache, dq[None, :])
     assert np.allclose(grads[1][0], np.outer(dq, v), atol=1e-12)
     assert np.allclose(grads[1][1], dq, atol=1e-12)
 
@@ -75,7 +81,7 @@ def test_jacobian_matches_finite_differences(depth):
     X = make_rng(12).normal(size=(3, 5))
     G = make_rng(13).normal(size=(3, 4))
     _, cache = net.forward_batch(X)
-    grads = net.backward_batch(cache, G)
+    grads = backward(net, cache, G)
 
     def loss():
         return float(np.sum(G * net.forward_batch(X)[0]))
@@ -100,7 +106,7 @@ def test_relu_derivative_at_zero_is_zero():
     # propagate through it, so its row of dW1 and its db1 entry are zero
     net = EmbeddingNet([(np.eye(2), np.zeros(2)), (np.eye(2), np.zeros(2))])
     _, cache = forward(net, np.array([0.0, 1.0]))
-    (dW1, db1), _ = net.backward_batch(cache, np.array([[1.0, 1.0]]))
+    (dW1, db1), _ = backward(net, cache, np.array([[1.0, 1.0]]))
     assert np.all(dW1[0] == 0.0) and db1[0] == 0.0
     assert np.array_equal(dW1[1], [0.0, 1.0]) and db1[1] == 1.0
 
@@ -116,10 +122,10 @@ def test_float32_backward_flushes_subnormal_gradients():
     _, cache = net.forward_batch(make_rng(7).normal(size=(3, 5)))
     dQ = make_rng(8).normal(size=(3, 4))
     dQ[:, 0] = 0.0
-    flushed = net.backward_batch(cache, dQ)
+    flushed = backward(net, cache, dQ)
     for small in (1e-40, 1e-20):
         dQ[:, 0] = small
-        tiny = net.backward_batch(cache, dQ)
+        tiny = backward(net, cache, dQ)
         for (dW, db), (tW, tb) in zip(flushed, tiny):
             assert dW.dtype == np.float32
             assert np.array_equal(dW, tW) and np.array_equal(db, tb)
@@ -132,7 +138,7 @@ def test_float64_backward_keeps_small_gradients():
     _, cache = net.forward_batch(make_rng(7).normal(size=(3, 5)))
     dQ = np.zeros((3, 4))
     dQ[1, 0] = 1e-100
-    (dW1, db1), (dW2, db2) = net.backward_batch(cache, dQ)
+    (dW1, db1), (dW2, db2) = backward(net, cache, dQ)
     assert db2[0] == 1e-100
     assert np.array_equal(dW2[0], 1e-100 * cache[1][1])
     assert np.any(dW1 != 0.0)

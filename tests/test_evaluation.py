@@ -54,10 +54,15 @@ def oracle_ap(flags, n_gt):
 # --- matching ---------------------------------------------------------------
 
 def match(detections, gt_boxes, threshold):
-    """match_at_threshold on [(box, score)] and [box] at one threshold,
-    as flags."""
+    """match_at_threshold on one scene of [(box, score)] and [box] at
+    one threshold, as flags."""
     ious = iou(boxes([b for b, _ in detections]), boxes(gt_boxes))
-    return match_at_threshold(ious, [threshold])[:, 0].tolist()
+    return match_at_threshold(ious[None], [threshold])[0, :, 0].tolist()
+
+
+def ap(flags, n_gt):
+    """average_precision of one column of flags."""
+    return average_precision(np.asarray(flags, dtype=bool).reshape(-1, 1), n_gt)[0]
 
 
 def test_match_perfect_single():
@@ -108,7 +113,7 @@ def test_match_equals_loop_oracle_on_random_cases():
         # every threshold in one call; each column is its own greedy pass
         thresholds = (0.1, 0.5, 0.75) + IOU_THRESHOLDS
         ious = iou(boxes([b for b, _ in dets]), boxes(gts))
-        flags = match_at_threshold(ious, thresholds)
+        flags = match_at_threshold(ious[None], thresholds)[0]
         assert flags.shape == (n_det, len(thresholds))
         for k, t in enumerate(thresholds):
             assert flags[:, k].tolist() == oracle_greedy_match(dets, gts, t)
@@ -133,37 +138,44 @@ def test_match_stack_equals_per_scene_calls():
         flags = match_at_threshold(stack, IOU_THRESHOLDS)
         assert flags.shape == (n_scenes, width, len(IOU_THRESHOLDS))
         for s, m in enumerate(mats):
-            assert np.array_equal(flags[s, :len(m)], match_at_threshold(m, IOU_THRESHOLDS))
+            assert np.array_equal(flags[s, :len(m)],
+                                  match_at_threshold(m[None], IOU_THRESHOLDS)[0])
             assert not flags[s, len(m):].any()
 
 
 # --- average precision ------------------------------------------------------
 
 def test_ap_all_tp():
-    assert average_precision([True, True, True], 3) == 1.0
+    assert ap([True, True, True], 3) == 1.0
 
 
 def test_ap_no_detections():
-    assert average_precision([], 2) == 0.0
+    assert ap([], 2) == 0.0
 
 
 def test_ap_zero_gt_excluded():
-    assert average_precision([True], 0) is None
+    # a class with no GT box gets no cells and stays out of the means;
+    # its detections count only toward n_detections
+    scene = make_scene(gt=[((0, 0, 2, 2), 1)])
+    dets = make_detections([((0, 0, 2, 2), 1, 0.9), ((5, 5, 7, 7), 2, 0.8)])
+    rep = evaluate([dets], [scene], [1, 2], "fewshot")
+    assert rep.n_gt == {1: 1, 2: 0}
+    assert {c for c, _ in rep.cells} == {1}
+    assert rep.mAP == rep.mAR == 1.0 and rep.n_detections == 2
 
 
 def test_ap_hand_case_half():
     # 1 TP then 1 FP with 2 GT: precision 1 up to recall 0.5 -> 51/101
-    ap = average_precision([True, False], 2)
-    assert ap == 51.0 / 101.0
+    assert ap([True, False], 2) == 51.0 / 101.0
 
 
 def test_ap_exhaustive_flag_sequences_match_oracle():
     for n in range(0, 4):
         for flags in itertools.product([True, False], repeat=n):
-            for n_gt in range(0, 4):
+            for n_gt in range(1, 4):
                 if sum(flags) > n_gt:
                     continue
-                a = average_precision(list(flags), n_gt)
+                a = ap(list(flags), n_gt)
                 b = oracle_ap(list(flags), n_gt)
                 assert a == b, (flags, n_gt, a, b)
 
@@ -175,14 +187,13 @@ def test_ap_columns_equal_single_column_calls():
         flags = rng.random((n, 10)) < rng.random(10)
         for n_gt in (1, n // 2 + 1, n + 3):
             aps = average_precision(flags, n_gt)
-            assert aps == [average_precision(col, n_gt) for col in flags.T]
-    assert average_precision(np.zeros((0, 3), dtype=bool), 0) is None
+            assert aps == [ap(col, n_gt) for col in flags.T]
 
 
 def test_ap_duplicate_lower_scored_detection_never_helps():
     base = [True, False, True]
-    ap0 = average_precision(base, 3)
-    ap1 = average_precision(base + [False], 3)  # duplicate comes last -> FP
+    ap0 = ap(base, 3)
+    ap1 = ap(base + [False], 3)  # duplicate comes last -> FP
     assert ap1 <= ap0
 
 
@@ -363,7 +374,7 @@ def test_evaluate_unknown_id_scores_every_unscored_class_as_unknown():
     rep = evaluate(dets, scenes, [2, 1], "openset", unknown_id=99)
     assert rep.protocol == "openset"
     assert rep.n_gt == {1: 1, 2: 0, 99: 3}
-    assert rep.cells[(99, 0.5)] == {"ap": average_precision([True, True], 3), "ar": 2 / 3}
+    assert rep.cells[(99, 0.5)] == {"ap": ap([True, True], 3), "ar": 2 / 3}
     assert rep.n_matches == 3
     assert rep.extra_rows == {
         "known": {"mAP": 1.0, "mAR": 1.0},

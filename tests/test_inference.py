@@ -46,11 +46,12 @@ def test_classify_tie_rejects_via_lowest_id():
 
 
 def test_classify_requires_background():
-    bank = PrototypeBank([(1, [0.0, 0.0])])
-    with pytest.raises(ValueError, match="background"):
-        classify([0.0, 0.0], bank)
-    with pytest.raises(ValueError, match="background"):
-        detect_scene(make_scene(d=2), identity_net(2), bank)
+    # detect_scene rejects what lands on p0, so every bank it is given,
+    # which assemble_protocol builds, holds p0 under BACKGROUND_ID
+    p0 = np.full(4, 3.0)
+    for mode in MODES:
+        bank, _, _ = assemble_protocol(mode, support_world(), identity_net(4), p0)
+        assert np.array_equal(bank.get(BACKGROUND_ID), p0), mode
 
 
 def test_classify_decision_depends_only_on_distance_order():
@@ -155,7 +156,7 @@ def test_protocol_openset_counts():
     bank, eval_ids, unknown_id = assemble_protocol(OPENSET, world, identity_net(4),
                                                    np.zeros(4))
     assert len(bank) == 17
-    assert bank.has(99) and bank.has(0) and not bank.has(16)
+    assert 99 in bank.ids and 0 in bank.ids and 16 not in bank.ids
     assert eval_ids == list(range(1, 16))
     assert unknown_id == 99
 

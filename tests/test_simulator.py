@@ -161,7 +161,7 @@ def test_world_roundtrip(tmp_path):
         save_world(path, world)
         w2 = load_world(path)
         assert_worlds_equal(w2, world)
-        assert w2.seen_ids == [1, 2, 3] and sorted(w2.support_unseen) == [4, 5]
+        assert sorted(w2.support_seen) == [1, 2, 3] and sorted(w2.support_unseen) == [4, 5]
         assert w2.unknown_id == 6
         save_world(again, w2)
         assert again.read_bytes() == path.read_bytes()
@@ -233,18 +233,18 @@ def test_world_separation_failure_raises():
 
 def test_augment_zero_strength_is_identity():
     rng = make_rng(0)
-    v = rng.normal(size=10)
+    v = rng.normal(size=(1, 10))
     assert np.allclose(augment_feature(rng, v, 0.0), v, atol=1e-15)
 
 
 def test_augment_rejects_negative_strength():
     with pytest.raises(ValueError):
-        augment_feature(make_rng(0), np.zeros(3), -0.1)
+        augment_feature(make_rng(0), np.zeros((1, 3)), -0.1)
 
 
 def test_augment_displacement_grows_with_strength():
     rng = make_rng(1)
-    v = rng.normal(size=16) * 3.0
+    v = rng.normal(size=(1, 16)) * 3.0
     means = []
     for strength in [0.1, 0.5, 1.0]:
         d = [np.linalg.norm(augment_feature(rng, v, strength) - v)
@@ -287,13 +287,6 @@ def test_augment_rotates_a_distinct_pair_per_row():
     expected[np.arange(200), i] = expected[np.arange(200), j] = True
     assert np.array_equal(changed, expected)
     assert len({(a, b) for a, b in zip(i, j)}) > 20   # pairs differ across rows
-
-
-def test_augment_vector_is_one_row():
-    v = make_rng(6).normal(size=9)
-    one = augment_feature(make_rng(7), v, 0.5)
-    assert one.shape == (9,)
-    assert np.array_equal(one, augment_feature(make_rng(7), v[None, :], 0.5)[0])
 
 
 def test_label_proposals_bands():

@@ -280,7 +280,6 @@ def test_training_log_serializes(tmp_path):
 def test_final_bank_includes_background():
     world = small_world()
     res = train(world, small_train_cfg())
-    assert res.bank.has(0)
     assert sorted(res.bank.ids) == [0, 1, 2, 3]
     pools = [trainer.scene_background_features(s) for s in world.train_scenes]
     assert np.array_equal(res.bank.get(0), background_prototype(res.net, pools))
