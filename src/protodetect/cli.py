@@ -14,7 +14,9 @@ at those paths. The checkpoint carries the background prototype p0, so
 eval embeds no training scene. A dataset or checkpoint that is not a v2
 archive, such as a JSON file of the older formats, exits 2.
 
-eval is assemble -> detect -> evaluate: `inference.assemble_protocol`
+eval's `--mode`, fewshot by default, is the one input that selects the
+protocol; the run config holds none. eval is assemble -> detect ->
+evaluate: `inference.assemble_protocol`
 reads the mode's row of `inference.PROTOCOLS` and returns the bank, the
 scored class ids and the open-set unknown id, which `evaluate` takes as
 they are; this module decides nothing per mode.
@@ -35,7 +37,7 @@ from .config import ConfigError, file_digest, load_run_config
 from .embedder import layout, load_checkpoint, save_checkpoint
 from .evaluation import evaluate
 from .gradcheck import run_suite
-from .inference import MODES, assemble_protocol, detect_scene, save_detections
+from .inference import FEWSHOT, MODES, assemble_protocol, detect_scene, save_detections
 from .prototypes import BACKGROUND_ID
 from .simulator import generate_world, load_world, save_world
 from .trainer import heldout_accuracy, train
@@ -161,7 +163,6 @@ def run_protocol(world, net, mode, p0):
 
 def cmd_eval(args):
     cfg = load_run_config(args.config, args.set or ())
-    mode = args.mode or cfg.protocol.mode
     world = _load_world_checked(cfg, args.dataset)
     try:
         net, _, p0 = load_checkpoint(args.checkpoint)
@@ -170,15 +171,15 @@ def cmd_eval(args):
     if net.in_dim != world.config.d:
         raise CliError(f"checkpoint expects {net.in_dim}-dim features, "
                        f"dataset has d={world.config.d}")
-    per_scene, report = run_protocol(world, net, mode, p0)
+    per_scene, report = run_protocol(world, net, args.mode, p0)
     header = _provenance(cfg, args.dataset)
-    header["mode"] = mode
+    header["mode"] = args.mode
     paths = [args.out_prefix + suffix for suffix in (".detections.json", ".json", ".csv")]
     with _staged(*paths) as (det_tmp, json_tmp, csv_tmp):
         save_detections(det_tmp, per_scene, header)
         report.save_json(json_tmp, header)
         report.save_csv(csv_tmp, header)
-    print(f"{mode}: mAP={report.mAP:.4f} mAR={report.mAR:.4f}")
+    print(f"{args.mode}: mAP={report.mAP:.4f} mAR={report.mAR:.4f}")
     for label, row in sorted(report.extra_rows.items()):
         print(f"  {label}: mAP={row['mAP']:.4f} mAR={row['mAR']:.4f}")
     return EXIT_OK
@@ -227,7 +228,7 @@ def build_parser():
     common(sp)
     sp.add_argument("--dataset", required=True)
     sp.add_argument("--checkpoint", required=True)
-    sp.add_argument("--mode", choices=MODES)
+    sp.add_argument("--mode", choices=MODES, default=FEWSHOT)
     sp.add_argument("--out-prefix", required=True)
     sp.set_defaults(func=cmd_eval)
 

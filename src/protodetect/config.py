@@ -1,14 +1,13 @@
-"""Run configuration: one JSON file covering world, training, and
-protocol settings, with strict unknown-key rejection and dot-path
-overrides. Defaults reproduce the published hyperparameters
-(tau=10, lr=1e-4, weight decay=1e-4, 5 shots, hidden dim 512).
+"""Run configuration: one JSON file covering world and training
+settings, with strict unknown-key rejection and dot-path overrides.
+Defaults reproduce the published hyperparameters (tau=10, lr=1e-4,
+weight decay=1e-4, 5 shots, hidden dim 512).
 """
 
 import dataclasses
 import hashlib
 import json
 
-from .inference import FEWSHOT, MODES
 from .schema import ConfigError, build_dataclass
 from .simulator import WorldConfig
 from .trainer import TrainConfig
@@ -21,23 +20,13 @@ def _section(doc, key):
     return value
 
 
-@dataclasses.dataclass
-class ProtocolConfig:
-    mode: str = FEWSHOT
-
-    def validate(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown protocol mode {self.mode!r}")
-
-
-_TOP_KEYS = {"world", "train", "protocol", "expected_dataset_digest"}
+_TOP_KEYS = {"world", "train", "expected_dataset_digest"}
 
 
 @dataclasses.dataclass
 class RunConfig:
     world: WorldConfig
     train: TrainConfig
-    protocol: ProtocolConfig
     expected_dataset_digest: str = None
 
     @classmethod
@@ -47,19 +36,16 @@ class RunConfig:
             raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
         world = build_dataclass(WorldConfig, _section(doc, "world"), "world")
         train = build_dataclass(TrainConfig, _section(doc, "train"), "train")
-        proto = build_dataclass(ProtocolConfig, _section(doc, "protocol"), "protocol")
         try:
             world.validate()
             train.validate()
-            proto.validate()
         except ValueError as e:
             raise ConfigError(str(e)) from e
         digest = doc.get("expected_dataset_digest")
         if digest is not None and not isinstance(digest, str):
             raise ConfigError(f"'expected_dataset_digest' must be a string or null, "
                               f"got {digest!r}")
-        return cls(world=world, train=train, protocol=proto,
-                   expected_dataset_digest=digest)
+        return cls(world=world, train=train, expected_dataset_digest=digest)
 
     def to_dict(self):
         return dataclasses.asdict(self)

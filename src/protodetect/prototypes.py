@@ -17,6 +17,8 @@ proposals that `background_pool` collects.
 import numpy as np
 
 from .numeric import log_softmax, proto_logits
+# BACKGROUND_ID is defined in simulator.py beside the other label ids;
+# losses, inference, cli and the demos import it from here
 from .simulator import BACKGROUND_ID, BACKGROUND_IOU, iou
 
 

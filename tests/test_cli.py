@@ -51,9 +51,11 @@ def test_config_defaults_from_empty_doc(tmp_path):
     cfg = load_run_config(write_cfg(tmp_path / "c.json", {}))
     assert cfg.train.lr == 1e-4
     assert cfg.train.tau == 10.0
-    assert cfg.protocol.mode == "fewshot"
-    # config_digest hashes this dict, so every provenance digest depends on it
-    assert cfg.to_dict()["protocol"] == {"mode": "fewshot"}
+    # config_digest hashes this dict, so every provenance digest depends
+    # on it: the world and train fields and the expected dataset digest
+    doc = cfg.to_dict()
+    assert sorted(doc) == ["expected_dataset_digest", "train", "world"]
+    assert len(doc["world"]) + len(doc["train"]) + 1 == 27
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -61,9 +63,10 @@ def test_config_rejects_unknown_keys(tmp_path):
         load_run_config(write_cfg(tmp_path / "a.json", {"worlds": {}}))
     with pytest.raises(ConfigError, match="world"):
         load_run_config(write_cfg(tmp_path / "b.json", {"world": {"bogus": 1}}))
-    with pytest.raises(ConfigError, match="protocol"):
+    # the section that once chose eval's mode, which --mode alone does
+    with pytest.raises(ConfigError, match=r"unknown top-level keys: \['protocol'\]"):
         load_run_config(write_cfg(tmp_path / "c.json",
-                                  {"protocol": {"modes": "x"}}))
+                                  {"protocol": {"mode": "fewshot"}}))
     # a key that once switched augmentation off; augment_strength 0 does
     with pytest.raises(ConfigError, match="augment"):
         load_run_config(write_cfg(tmp_path / "d.json", {"train": {"augment": False}}))
@@ -99,14 +102,14 @@ def test_readme_config_schema_loads():
 
 
 def test_config_overrides_dot_paths():
-    doc = apply_overrides({}, ["train.lr=0.01", "world.c_seen=7",
-                               "protocol.mode=openset"])
+    doc = apply_overrides({}, ["train.lr=0.01", "world.c_seen=7"])
     cfg = RunConfig.from_dict(doc)
     assert cfg.train.lr == 0.01
     assert cfg.world.c_seen == 7
-    assert cfg.protocol.mode == "openset"
 
 
+# the protocol section is gone, with every key it held: each exits 2 as
+# an unknown key, in every command
 @pytest.mark.parametrize("argv", [
     ["gen-data", "--set", 'protocol.unknown_includes_background="x"'],
     ["gen-data", "--set", "protocol.unknown_includes_background=1"],
@@ -121,7 +124,7 @@ def test_protocol_section_checked_at_load(tmp_path, argv, capsys):
     extra = ["--out", str(out)] if argv[0] == "gen-data" else [
         "--dataset", str(tmp_path / "absent.json"), "--out", str(out)]
     assert main([argv[0], "--config", cfg, *argv[1:], *extra]) == 2
-    assert "protocol" in capsys.readouterr().err
+    assert "unknown top-level keys: ['protocol']" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -371,21 +374,21 @@ def test_eval_rerun_byte_identical(trained, tmp_path):
 # rest on are float products, so a numpy or BLAS build that rounds them
 # differently moves them too (numpy 2.4 with OpenBLAS 0.3.31 on x86-64)
 PINNED_EVAL_ARTIFACTS = {
-    "fewshot": ("f1c0508973eb1c7a4ac6e7aead2a19e9298710a2734878a476d197e92a3b32cb",
-                "ebd379188f8bc5eb7df8814bebeea25df42e03ee7d4788138ef00848aa43ab80",
-                "4c176acc4dbb2eedeacda6e40d6599a52aceccf94713c0ac95aa06b4144896c7"),
-    "openset": ("0bdb5678ab7ef7dc4515c9718c2905eac0e8db109896d3d5d4ce36a67f09bcbd",
-                "bd11bd07e44aeb5804aae7325871235148f95cfc38ac284209cd6ab3d091842c",
-                "4fcc0b0f821a7bb1939fedd40d3fe41879d83628934938a0de2990a3e39aeb7f"),
-    "zs-uo": ("e8be4484793a1b636e0a1b8767e81d00affff73eaabdc4a6c1e720b0d43a8dd4",
-              "18f95c1c6f65090fb78659e1df365e5deb0b43eefc6992c4ff0d4323f901d9de",
-              "a1abe70f677baa1e7b4d80ad27d3c819e5562f99d5f9fccaeb6cb2e19cbd362a"),
-    "zs-mpu": ("c8df235997ba80864c77db57c22dcc3efecf148d35fb55af467dd60ec1d7503e",
-               "3ae77dcce00bda1c7d730d5dc07e2ad540fffb4fcfb5a470a82441c2ebe8a580",
-               "75556f2fc678fd88323a96b05a6c7cc75fe1a5b3a69bd9849f140d60585b82f2"),
-    "zs-mps": ("948b336a3bc79ef6a9ce62418cc4413841a4b5de2120468aba07dd2a765c3d90",
-               "13a7996f078b0d3e57eaadaf4ee92a2a76b82b34d2c748749896a463209b67bf",
-               "ab3476610f1b09c8b20488a4e61763caac4799ac1be2b1fc69561f3d90be94c2"),
+    "fewshot": ("82b872087a34badf40c50f2ebdeaa626ad477c00f637c33db120ea09b140b82a",
+                "5705c5a4f12a54b128e5eb87233318bb7860244f197e57e1afb2991a48298e43",
+                "4cd440cb512e8be2e2dc6268343565c10f239bbed06c8c5b95a446af8a2233bb"),
+    "openset": ("9e15407b060ae37844808611ec0180c1cae732e3fcffbed134ae433ef495a705",
+                "b6c880192cc1b5b87db4096c7dd8825ccbad560e61f72c8b97c81f4869ad6cb4",
+                "7c87818415949839027f01f1fea74507eb08b3e3a563c647423553188bf5868b"),
+    "zs-uo": ("4fa4a6af4a94df39096e223c4bfff149fa27b5d3d6d4c0c0a692be1da5223000",
+              "28d2f1d454ac12219cbe003fb59be0d61e18d729de4c7d63380f188284ddc21b",
+              "1d76bb27669dc1e6031ea1ae98ea6019afd2863470cd25163520f02645b63cf6"),
+    "zs-mpu": ("1bb47c64f4e4e95d28282673da42509439faa266867193dadbc10dbfd00fc892",
+               "4a1bc598904d9a2f8b8d4fbc9abf06a1ea3a16b523ccb3cf79c61b9bd884feb0",
+               "40144a4a96d245bb0f3860fc9addfe006826edaad4f5717b7fb448342402e04d"),
+    "zs-mps": ("64e4604bc29c24653f4cbc302b644ff2680027a56cafeb440a63929666080ebf",
+               "d1ea2fa95b8639da3c09ec03f2e77d7679a57a965efa11484256f7f20581ea20",
+               "77535c4b0c1f71efc9c8130f06c6dea2ccb414fb79b0d94d0dbb237bc2d8fc7f"),
 }
 
 
@@ -400,23 +403,29 @@ def test_eval_artifacts_are_pinned(trained, tmp_path):
         assert digests == pinned, mode
 
 
-def test_eval_mode_from_config_protocol(trained, tmp_path):
+def test_eval_mode_defaults_to_fewshot(trained, tmp_path):
+    # without --mode, eval writes the fewshot reports, byte for byte
     cfg, data, ckpt, _ = trained
-    prefix = str(tmp_path / "cfgmode")
-    rc = main(["eval", "--config", cfg, "--dataset", str(data),
-               "--checkpoint", str(ckpt), "--out-prefix", prefix,
-               "--set", "protocol.mode=zs-uo"])
-    assert rc == 0
-    doc = json.loads((tmp_path / "cfgmode.json").read_text())
-    assert doc["provenance"]["mode"] == "zs-uo"
+    for name, mode in (("default", []), ("fewshot", ["--mode", "fewshot"])):
+        assert main(["eval", "--config", cfg, "--dataset", str(data), "--checkpoint",
+                     str(ckpt), "--out-prefix", str(tmp_path / name), *mode]) == 0
+    for suffix in (".detections.json", ".json", ".csv"):
+        assert (tmp_path / ("default" + suffix)).read_bytes() == \
+               (tmp_path / ("fewshot" + suffix)).read_bytes()
+    doc = json.loads((tmp_path / "default.json").read_text())
+    assert doc["provenance"]["mode"] == "fewshot"
 
 
-def test_eval_bad_mode_in_config_exit_2(trained, tmp_path):
+def test_eval_bad_mode_in_config_exit_2(trained, tmp_path, capsys):
+    # the config selects no mode: a protocol section is an unknown key
     cfg, data, ckpt, _ = trained
-    rc = main(["eval", "--config", cfg, "--dataset", str(data),
-               "--checkpoint", str(ckpt), "--out-prefix", str(tmp_path / "x"),
-               "--set", "protocol.mode=bogus"])
-    assert rc == 2
+    for value in ("bogus", "zs-uo"):
+        rc = main(["eval", "--config", cfg, "--dataset", str(data),
+                   "--checkpoint", str(ckpt), "--out-prefix", str(tmp_path / "x"),
+                   "--set", f"protocol.mode={value}"])
+        assert rc == 2
+        assert "unknown top-level keys: ['protocol']" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_eval_missing_checkpoint_exit_2(trained, tmp_path):

@@ -43,7 +43,7 @@ from protodetect.cli import main
 from protodetect.config import RunConfig
 
 BASE = RunConfig.from_dict({}).to_dict()
-SECTIONS = ("world", "train", "protocol")
+SECTIONS = ("world", "train")
 EXIT_CODES = (0, 2, 3, 4)
 
 small_ints = st.integers(-3, 6)
@@ -341,7 +341,7 @@ TINY_FULL = RunConfig.from_dict(TINY).to_dict()
 
 
 @settings(derandomize=True, max_examples=150, deadline=None, database=None)
-@given(doc=mutated_configs(base=TINY_FULL, droppable=("world", "protocol")))
+@given(doc=mutated_configs(base=TINY_FULL, droppable=("world",)))
 def test_pipeline_exit_code_on_mutated_configs(tiny_run, doc):
     # each command reads the mutated config; train and eval read the
     # tiny run's dataset and checkpoint
