@@ -37,7 +37,7 @@ from .config import ConfigError, file_digest, load_run_config
 from .embedder import layout, load_checkpoint, save_checkpoint
 from .evaluation import evaluate
 from .gradcheck import run_suite
-from .inference import FEWSHOT, MODES, assemble_protocol, detect_scene, save_detections
+from .inference import FEWSHOT, MODES, assemble_protocol, detect_scenes, save_detections
 from .prototypes import BACKGROUND_ID
 from .simulator import generate_world, load_world, save_world
 from .trainer import heldout_accuracy, train
@@ -54,8 +54,8 @@ class CliError(Exception):
         self.code = code
 
 
-def _provenance(cfg, dataset_path):
-    return {"config_digest": cfg.digest(), "dataset_digest": file_digest(dataset_path)}
+def _provenance(cfg, dataset_digest):
+    return {"config_digest": cfg.digest(), "dataset_digest": dataset_digest}
 
 
 @contextlib.contextmanager
@@ -103,20 +103,21 @@ def cmd_gen_data(args):
 
 
 def _load_world_checked(cfg, dataset_path):
+    """(world, digest): the dataset and its file digest, hashed once for
+    the expected-digest check and the provenance header alike."""
     try:
         world = load_world(dataset_path)
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise CliError(f"cannot read dataset: {e}")
-    if cfg.expected_dataset_digest is not None:
-        digest = file_digest(dataset_path)
-        if digest != cfg.expected_dataset_digest:
-            raise CliError(f"dataset digest mismatch: {digest}")
-    return world
+    digest = file_digest(dataset_path)
+    if cfg.expected_dataset_digest not in (None, digest):
+        raise CliError(f"dataset digest mismatch: {digest}")
+    return world, digest
 
 
 def cmd_train(args):
     cfg = load_run_config(args.config, args.set or ())
-    world = _load_world_checked(cfg, args.dataset)
+    world, digest = _load_world_checked(cfg, args.dataset)
     try:
         result = train(world, cfg.train)
     except FloatingPointError as e:
@@ -132,7 +133,7 @@ def cmd_train(args):
         # nothing is written
         raise CliError("cannot score held-out scenes: non-finite embeddings")
     result.log.append({"final": True, "accuracy": acc})
-    provenance = _provenance(cfg, args.dataset)
+    provenance = _provenance(cfg, digest)
     with _staged(args.out, args.log or (args.out + ".log.jsonl")) as (ckpt_tmp, log_tmp):
         save_checkpoint(ckpt_tmp, result.theta, layout(result.net, result.clf),
                         result.bank.get(BACKGROUND_ID), extra=provenance)
@@ -150,7 +151,7 @@ def run_protocol(world, net, mode, p0):
     try:
         with np.errstate(over="raise", invalid="raise"):
             bank, eval_ids, unknown_id = assemble_protocol(mode, world, net, p0)
-            per_scene = [detect_scene(s, net, bank) for s in world.test_scenes]
+            per_scene = detect_scenes(world.test_scenes, net, bank)
     except ValueError as e:
         raise CliError(str(e))
     except FloatingPointError:
@@ -163,7 +164,7 @@ def run_protocol(world, net, mode, p0):
 
 def cmd_eval(args):
     cfg = load_run_config(args.config, args.set or ())
-    world = _load_world_checked(cfg, args.dataset)
+    world, digest = _load_world_checked(cfg, args.dataset)
     try:
         net, _, p0 = load_checkpoint(args.checkpoint)
     except (OSError, ValueError, KeyError, TypeError) as e:
@@ -172,7 +173,7 @@ def cmd_eval(args):
         raise CliError(f"checkpoint expects {net.in_dim}-dim features, "
                        f"dataset has d={world.config.d}")
     per_scene, report = run_protocol(world, net, args.mode, p0)
-    header = _provenance(cfg, args.dataset)
+    header = _provenance(cfg, digest)
     header["mode"] = args.mode
     paths = [args.out_prefix + suffix for suffix in (".detections.json", ".json", ".csv")]
     with _staged(*paths) as (det_tmp, json_tmp, csv_tmp):

@@ -30,6 +30,11 @@ from .numeric import make_rng
 
 
 DTYPES = (np.float32, np.float64)
+# rows per forward pass of `EmbeddingNet.embed`: an inference pass holds
+# the hidden activations of one block of rows, whatever its row count,
+# 512 KB at the default width. With 2048-row blocks (4 MB) the
+# large-world eval read 3-10% slower than one forward per scene
+EMBED_BLOCK_ROWS = 256
 
 
 def _float(a):
@@ -71,11 +76,16 @@ class EmbeddingNet:
     def dtype(self):
         return self.layers[0][0].dtype
 
-    def forward_batch(self, X):
-        """Embed rows of X (N, d) -> (Q (..., N, e), cache for backward)."""
-        X = np.asarray(X, dtype=self.dtype)
+    def _rows(self, X):
+        """X as an array, or ValueError unless it is (N, in_dim)."""
+        X = np.asarray(X)
         if X.ndim != 2 or X.shape[1] != self.in_dim:
             raise ValueError(f"expected (N, {self.in_dim}) input, got {X.shape}")
+        return X
+
+    def forward_batch(self, X):
+        """Embed rows of X (N, d) -> (Q (..., N, e), cache for backward)."""
+        X = np.asarray(self._rows(X), dtype=self.dtype)
         acts = [X]
         h = X
         for i, (W, b) in enumerate(self.layers):
@@ -86,6 +96,26 @@ class EmbeddingNet:
                 np.maximum(h, 0.0, out=h)
                 acts.append(h)
         return h, acts
+
+    def embed(self, X):
+        """Embed rows of X (N, d) -> (N, e) for inference, unstacked
+        parameters only: one `forward_batch` per block of at most
+        `EMBED_BLOCK_ROWS` rows, written into one output array. Each
+        block is cast to the net's dtype and its cache goes with it, so
+        the pass holds one block's input copy and hidden activations.
+
+        Blocking splits only the rows of each product; the tests check
+        that every row stays bit-equal to that of one `forward_batch`
+        over all of X. Blocks differ in size by one row at most: a
+        product over a handful of rows can take another BLAS kernel,
+        which rounds differently."""
+        X = self._rows(X)
+        out = np.empty((len(X), self.out_dim), dtype=self.dtype)
+        n_blocks = max(1, -(-len(X) // EMBED_BLOCK_ROWS))
+        ends = [i * len(X) // n_blocks for i in range(n_blocks + 1)]
+        for lo, hi in zip(ends, ends[1:]):
+            out[lo:hi] = self.forward_batch(X[lo:hi])[0]
+        return out
 
     def backward_batch(self, cache, dQ, out):
         """Backprop dQ (N, e) through a cached forward.

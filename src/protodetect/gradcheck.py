@@ -1,9 +1,13 @@
 """Finite-difference verification of every analytic gradient.
 
-An instance is one small episode of the training shape (support set, a
-non-empty background pool, queries) with the net depth, loss weights
-(lambda_kl, lambda_align) and tau under audit; `protodetect gradcheck`
-takes them from the train section of the run config.
+An instance is one small episode of the training shape (support set,
+class-labelled queries, a non-empty background pool) with the net
+depth, loss weights (lambda_kl, lambda_align) and tau under audit;
+`protodetect gradcheck` takes them from the train section of the run
+config. As in training, `episode_loss` embeds each pool row once and
+uses it both for p0 and as a background-labelled query, so the audit
+covers the summed gradient a pool row carries. The default instance
+has 8 drawn queries and 4 pool rows: 12 queries in the loss head.
 
 One central-difference sweep (h = 1e-6) per instance audits every term
 at once. Each parameter entry is moved by +h and by -h, and each probe
@@ -65,15 +69,17 @@ class GradCheckInstance:
 
 
 def random_instance(seed, d=8, hidden=10, e=6, n_classes=3, shots=3,
-                    n_queries=12, n_bg=4, depth=2, lambdas=(1.0, 1.0), tau=10.0):
-    """Small random episode for gradient checking."""
+                    n_queries=8, n_bg=4, depth=2, lambdas=(1.0, 1.0), tau=10.0):
+    """Small random episode for gradient checking: n_queries queries
+    labelled with classes 1..n_classes, and n_bg pool rows, which the
+    loss also scores as background queries."""
     rng = make_rng(seed)
     net, clf, theta = default_net_and_classifier(seed, d, hidden, e, n_classes, depth)
     support = SupportSet({c: rng.normal(size=(shots, d))
                           for c in range(1, n_classes + 1)})
     bg = rng.normal(size=(n_bg, d))
     X = rng.normal(size=(n_queries, d))
-    labels = rng.integers(0, n_classes + 1, size=n_queries)
+    labels = rng.integers(1, n_classes + 1, size=n_queries)
     # A layer fed by ReLU outputs gets exact zeros from a row that is dead
     # in the layer before; with a zero bias that row then sits on the next
     # ReLU's kink, where finite differences are undefined. Those biases

@@ -8,7 +8,8 @@ the mean of the bank's prototypes (p0 included), under the world's
 unknown id, and `evaluation.evaluate` scores every GT class outside the
 scored set as that one class. No other module decides anything by mode.
 
-A proposal goes to its nearest prototype (`prototypes.nearest_prototype`,
+`detect_scenes` embeds the proposals of every scene in one pass. A
+proposal goes to its nearest prototype (`prototypes.nearest_prototype`,
 lowest id on ties). One assigned to the background prototype is
 dropped as a spurious detection; everything else is scored with that
 posterior over the full bank (background included in the
@@ -53,16 +54,29 @@ class Detections:
         return len(self.scores)
 
 
-def detect_scene(scene, net, bank):
-    """Embed every proposal; keep those whose nearest prototype is not
-    p0, which every bank `assemble_protocol` builds holds.
+def detect_scene(scene, emb, bank):
+    """Keep the proposals of `scene` whose nearest prototype is not p0,
+    which every bank `assemble_protocol` builds holds; emb holds the
+    embedding of each proposal, row-aligned with scene.proposals.
 
     FloatingPointError, from `nearest_prototype`, when an embedding is
     not finite.
     """
-    ids, scores = nearest_prototype(net.forward_batch(scene.features)[0], bank)
+    ids, scores = nearest_prototype(emb, bank)
     keep = ids != BACKGROUND_ID
     return Detections(scene.proposals[keep], ids[keep], scores[keep])
+
+
+def detect_scenes(scenes, net, bank):
+    """`detect_scene` of every scene, in order, from one
+    `EmbeddingNet.embed` of all their proposals. The posteriors stay
+    per scene: one Q P^T product over every row would block the
+    float64 product otherwise and move scores in their last bits."""
+    # stacked straight into the net's dtype: for a float32 net, half the
+    # bytes of a float64 stack
+    emb = net.embed(np.concatenate([s.features for s in scenes], dtype=net.dtype))
+    ends = np.cumsum([len(s.features) for s in scenes])[:-1]
+    return [detect_scene(s, e, bank) for s, e in zip(scenes, np.split(emb, ends))]
 
 
 def assemble_protocol(mode, world, net, p0):

@@ -23,16 +23,19 @@ same value by the same arithmetic and returns None in place of each
 gradient.
 
 `episode_loss` closes the loop: one forward pass embeds support rows,
-background pool and queries together, and prototypes are segment means
-of that output. It computes every term's value, for the log, takes the
+queries and background pool together, each row once, and prototypes
+are segment means of that output. The pool rows serve twice: their
+mean embedding is p0, and they are background-labelled queries after
+the given ones. It computes every term's value, for the log, takes the
 score gradients of the terms whose weight is nonzero, weights and sums
 them, and applies one chain rule into the queries, the prototypes and
 the classifier. One backward pass carries the query and prototype
-gradients (each support or pool row receiving dP / n of its segment)
-into one vector in the parameter layout of `embedder.layout`. An
-episode has one shape, the training one: a support set, a non-empty
-background pool whose mean embedding is p0, and queries; every loss is
-the per-query mean of its term's sum. The loss weights
+gradients (each support or pool row receiving dP / n of its segment,
+and a pool row its query gradient too) into one vector in the
+parameter layout of `embedder.layout`. An episode has one shape, the
+training one: a support set, class-labelled queries and a non-empty
+background pool; every loss is the per-query mean of its term's sum,
+over the given queries and the pool rows. The loss weights
 (lambda_kl, lambda_align) and tau are plain arguments, the train
 config's values: the trainer, which owns the two-stage schedule,
 passes weights (0, 0) in stage 1, and the gradient audit passes its
@@ -145,12 +148,16 @@ def episode_loss(net, clf, support, query_features, query_labels, lambdas, tau,
                  bg_features, grad_weights=None, grads=True):
     """Full training objective for one episode, with parameter gradients.
 
-    One forward pass embeds the stacked rows [support; background pool;
-    queries]. Class prototypes and p0 are the means of their segments of
-    that output (`segment_means`); bg_features, the pool, must hold at
-    least one row. The prototype gradient dP goes back to the rows it
-    was averaged from, row j of class k receiving dP[k] / n_k, and one
-    backward pass over every row yields all net gradients.
+    One forward pass embeds the stacked rows [support; queries;
+    background pool], each row once. Class prototypes are the means of
+    their support segments of that output and p0 the mean of the pool
+    segment; bg_features, the pool, must hold at least one row. The
+    loss head's queries Q are every row after the support: the given
+    queries with their labels, then the pool rows labelled
+    BACKGROUND_ID. The prototype gradient dP goes back to the rows it
+    was averaged from, row j of class k receiving dP[k] / n_k; a pool
+    row's gradient is its p0 share plus its query gradient, summed in
+    one row. One backward pass over every row yields all net gradients.
 
     lambdas = (lambda_kl, lambda_align) weigh the KL and alignment terms
     in l_total (the match term has weight 1); tau is the alignment
@@ -174,21 +181,20 @@ def episode_loss(net, clf, support, query_features, query_labels, lambdas, tau,
     if bg.ndim != 2 or not len(bg):
         raise ValueError("episode needs a non-empty background pool")
     X_sup, counts = support.rows()
-    seg_ids = list(support.class_ids) + [BACKGROUND_ID]
-    counts.append(len(bg))
-    n_proto_rows = sum(counts)
-    E, cache = net.forward_batch(np.concatenate(
-        [X_sup, bg, np.asarray(query_features, dtype=np.float64)]))
+    X_q = np.asarray(query_features, dtype=np.float64)
+    labels = np.asarray(query_labels, dtype=np.int64)
+    if labels.shape != X_q.shape[:1]:
+        raise ValueError("labels do not match queries")
+    n_sup, n_bg = len(X_sup), len(bg)
+    E, cache = net.forward_batch(np.concatenate([X_sup, X_q, bg]))
     E = np.asarray(E, dtype=np.float64)     # the loss head runs in float64
 
-    bank = PrototypeBank(zip(seg_ids, segment_means(E, counts)))
-    Q, P = E[..., n_proto_rows:, :], bank.P
-    labels = np.asarray(query_labels, dtype=np.int64)
-    if Q.shape[-2] == 0:
-        raise ValueError("empty query batch")
-    if labels.shape != (Q.shape[-2],):
-        raise ValueError("labels do not match queries")
-    y_idx = _label_indices(labels, bank)
+    p0 = E[..., -n_bg:, :].mean(axis=-2)
+    bank = PrototypeBank(zip([*support.class_ids, BACKGROUND_ID],
+                             [*segment_means(E[..., :n_sup, :], counts), p0]))
+    Q, P = E[..., n_sup:, :], bank.P
+    y_idx = _label_indices(
+        np.concatenate([labels, np.full(n_bg, BACKGROUND_ID, dtype=np.int64)]), bank)
 
     lambda_kl, lambda_align = lambdas
     w_m, w_k, w_a = grad_weights if grad_weights is not None \
@@ -218,11 +224,13 @@ def episode_loss(net, clf, support, query_features, query_labels, lambdas, tau,
     dQ *= scale
     dP *= scale
 
-    # each support / pool row receives its prototype's gradient over the
-    # segment size; one backward pass over every row fills the net's views
-    seg_rows = np.repeat([bank.index_of(c) for c in seg_ids], counts)
+    # each support row receives its prototype's gradient over the segment
+    # size, each pool row p0's over the pool size on top of its query
+    # gradient; one backward pass over every row fills the net's views
+    sup_rows = np.repeat([bank.index_of(c) for c in support.class_ids], counts)
     seg_size = np.repeat(counts, counts).astype(np.float64)
-    dE = np.concatenate([dP[seg_rows] / seg_size[:, None], dQ])
+    dE = np.concatenate([dP[sup_rows] / seg_size[:, None], dQ])
+    dE[-n_bg:] += dP[bank.index_of(BACKGROUND_ID)] / n_bg
     bundle.grads, (*layer_grads, (dWc, dbc)) = param_vector(net, clf)
     net.backward_batch(cache, dE, layer_grads)
     dWc[...], dbc[...] = (0.0, 0.0) if dU is None else (

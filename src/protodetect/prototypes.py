@@ -96,10 +96,10 @@ def segment_means(E, counts):
 
 def build_prototypes(net, support):
     """Bank of class prototypes (no background) through the current net:
-    one forward over every support row, then one mean per class."""
+    one `EmbeddingNet.embed` of every support row, then one mean per
+    class."""
     X, counts = support.rows()
-    emb, _ = net.forward_batch(X)
-    return PrototypeBank(zip(support.class_ids, segment_means(emb, counts)))
+    return PrototypeBank(zip(support.class_ids, segment_means(net.embed(X), counts)))
 
 
 def background_pool(proposals, features, gt_boxes):

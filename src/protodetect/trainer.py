@@ -8,8 +8,11 @@ call, and one training scene's background pool serves both as the rows
 of p0 and as background-labelled queries. The step evaluates the full
 objective with one forward and one backward pass through the net
 (`losses.episode_loss`, which also rebuilds the prototypes through the
-current net). The gradient comes back as one
-vector in the layout of the parameter vector (`embedder.layout`),
+current net), which embeds and backpropagates each support, query and
+pool row once: the loop passes the pool once, as the pool, and
+`episode_loss` scores its rows as the background queries too. The
+gradient comes back as one vector in the layout of the parameter
+vector (`embedder.layout`),
 so clipping and the AdamW update are a few in-place vector operations.
 That vector, the net's arithmetic, the AdamW moments and the checkpoint
 are float32 (`TRAIN_DTYPE`); the loss head and the gradient norm are
@@ -26,7 +29,9 @@ dataset, seed), whatever the BLAS thread count.
 `background_prototype` computes p0 for the final bank, which the
 checkpoint stores; training refuses a world whose training scenes hold
 no background pool. `heldout_accuracy` scores the nearest-prototype
-decision of `prototypes.nearest_prototype`.
+decision of `prototypes.nearest_prototype`. Both, like the final
+bank's `build_prototypes`, embed their rows with `EmbeddingNet.embed`,
+which holds the activations of one block of rows at a time.
 """
 
 import json
@@ -163,9 +168,9 @@ def scene_background_features(scene):
 
 def background_prototype(net, pools):
     """p0: the mean embedding of the rows of the background pools, a
-    list of (n, d) arrays holding at least one row."""
-    emb, _ = net.forward_batch(np.concatenate(pools))
-    return emb.mean(axis=0)
+    list of (n, d) arrays holding at least one row; one
+    `EmbeddingNet.embed` of every row, then one mean."""
+    return net.embed(np.concatenate(pools)).mean(axis=0)
 
 
 def heldout_accuracy(net, bank, scenes):
@@ -184,7 +189,7 @@ def heldout_accuracy(net, bank, scenes):
         labels.append(y[keep])
     if not sum(map(len, labels)):
         return None
-    pred, _ = nearest_prototype(net.forward_batch(np.concatenate(feats))[0], bank)
+    pred, _ = nearest_prototype(net.embed(np.concatenate(feats)), bank)
     return float(np.mean(pred == np.concatenate(labels)))
 
 
@@ -241,9 +246,7 @@ def train(world, cfg):
 
             bg = pools[int(rng.integers(len(pools)))]
             qfeats, qlabels = make_episode(rng, support, cfg, sigma_f)
-            bg_labels = np.full(len(bg), BACKGROUND_ID, dtype=np.int64)
-            bundle = episode_loss(net, clf, support, np.concatenate([qfeats, bg]),
-                                  np.concatenate([qlabels, bg_labels]),
+            bundle = episode_loss(net, clf, support, qfeats, qlabels,
                                   lambdas, cfg.tau, bg_features=bg)
 
             if not np.isfinite(bundle.l_total):

@@ -13,10 +13,12 @@ import pytest
 
 import protodetect
 
-from protodetect.cli import main
+from protodetect import cli
+from protodetect.cli import main, run_protocol
 from protodetect.config import (ConfigError, RunConfig, apply_overrides,
                                 load_run_config)
 from protodetect.embedder import load_checkpoint, save_checkpoint
+from protodetect.inference import MODES, assemble_protocol, detect_scene, save_detections
 from protodetect import simulator
 from protodetect.simulator import load_world
 from protodetect.trainer import background_prototype, scene_background_features
@@ -374,19 +376,19 @@ def test_eval_rerun_byte_identical(trained, tmp_path):
 # rest on are float products, so a numpy or BLAS build that rounds them
 # differently moves them too (numpy 2.4 with OpenBLAS 0.3.31 on x86-64)
 PINNED_EVAL_ARTIFACTS = {
-    "fewshot": ("82b872087a34badf40c50f2ebdeaa626ad477c00f637c33db120ea09b140b82a",
+    "fewshot": ("e2ea8fae8c5d153a0aafacb3039af86d93bc880681770abc3cb7ab3b15fde45a",
                 "5705c5a4f12a54b128e5eb87233318bb7860244f197e57e1afb2991a48298e43",
                 "4cd440cb512e8be2e2dc6268343565c10f239bbed06c8c5b95a446af8a2233bb"),
-    "openset": ("9e15407b060ae37844808611ec0180c1cae732e3fcffbed134ae433ef495a705",
+    "openset": ("3cdc0cdebc4a1de1a0232d5c597fc54fafd6e03a6389df191a611b6b1adc991d",
                 "b6c880192cc1b5b87db4096c7dd8825ccbad560e61f72c8b97c81f4869ad6cb4",
                 "7c87818415949839027f01f1fea74507eb08b3e3a563c647423553188bf5868b"),
-    "zs-uo": ("4fa4a6af4a94df39096e223c4bfff149fa27b5d3d6d4c0c0a692be1da5223000",
+    "zs-uo": ("3886c403e5cc159dc31d091f24bfa505121189cf5241f675acdc30b651e5c577",
               "28d2f1d454ac12219cbe003fb59be0d61e18d729de4c7d63380f188284ddc21b",
               "1d76bb27669dc1e6031ea1ae98ea6019afd2863470cd25163520f02645b63cf6"),
-    "zs-mpu": ("1bb47c64f4e4e95d28282673da42509439faa266867193dadbc10dbfd00fc892",
+    "zs-mpu": ("de18c2c86a2430aa935c4b3bbf4c0ce1bfee65589ff9bcdb30559f0c1403c301",
                "4a1bc598904d9a2f8b8d4fbc9abf06a1ea3a16b523ccb3cf79c61b9bd884feb0",
                "40144a4a96d245bb0f3860fc9addfe006826edaad4f5717b7fb448342402e04d"),
-    "zs-mps": ("64e4604bc29c24653f4cbc302b644ff2680027a56cafeb440a63929666080ebf",
+    "zs-mps": ("fa344605e96e45e78abfedd043b239e90db82561917ff9ec371ed78d7940cef9",
                "d1ea2fa95b8639da3c09ec03f2e77d7679a57a965efa11484256f7f20581ea20",
                "77535c4b0c1f71efc9c8130f06c6dea2ccb414fb79b0d94d0dbb237bc2d8fc7f"),
 }
@@ -401,6 +403,37 @@ def test_eval_artifacts_are_pinned(trained, tmp_path):
         digests = tuple(hashlib.sha256(Path(f"{prefix}{suffix}").read_bytes()).hexdigest()
                         for suffix in (".detections.json", ".json", ".csv"))
         assert digests == pinned, mode
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_detection_from_one_embed_equals_per_scene_forwards(trained, tmp_path, mode):
+    # eval embeds every test scene in one pass; the detections file is
+    # byte for byte the one a forward pass per scene gives
+    _, data, ckpt, _ = trained
+    world = load_world(data)
+    net, _, p0 = load_checkpoint(ckpt)
+    per_scene, _ = run_protocol(world, net, mode, p0)
+    bank, _, _ = assemble_protocol(mode, world, net, p0)
+    one_by_one = [detect_scene(s, net.forward_batch(s.features)[0], bank)
+                  for s in world.test_scenes]
+    save_detections(tmp_path / "one.json", per_scene)
+    save_detections(tmp_path / "each.json", one_by_one)
+    assert (tmp_path / "one.json").read_bytes() == (tmp_path / "each.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_dataset_is_hashed_once(trained, tmp_path, monkeypatch, command):
+    # the expected-digest check and the provenance header share one hash
+    cfg, data, ckpt, _ = trained
+    digest = hashlib.sha256(data.read_bytes()).hexdigest()
+    calls = []
+    monkeypatch.setattr(cli, "file_digest",
+                        lambda path: calls.append(path) or digest)
+    args = {"train": ["--out", str(tmp_path / "c.npz")],
+            "eval": ["--checkpoint", str(ckpt), "--out-prefix", str(tmp_path / "r")]}
+    assert main([command, "--config", cfg, "--dataset", str(data), *args[command],
+                 "--set", f"expected_dataset_digest={digest}"]) == 0
+    assert calls == [str(data)]
 
 
 def test_eval_mode_defaults_to_fewshot(trained, tmp_path):

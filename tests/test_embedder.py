@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from protodetect.embedder import (EmbeddingNet, LinearClassifier,
+from protodetect.embedder import (EMBED_BLOCK_ROWS, EmbeddingNet, LinearClassifier,
                                   default_net_and_classifier, layout,
                                   load_checkpoint, save_checkpoint)
 from protodetect.gradcheck import random_instance
@@ -230,7 +230,7 @@ def test_default_init_draws_glorot_weights_in_layout_order(depth, dtype):
 
 @pytest.mark.parametrize("depth", [2, 3, 4])
 def test_stacked_forward_and_logits_equal_each_slice(depth):
-    inst = random_instance(depth, depth=depth)
+    inst = random_instance(depth, depth=depth, n_queries=12)
     (net, clf), rows = probe_stack(inst)
     Q, _ = net.forward_batch(inst.query_features)
     logits = clf.logits_batch(Q)
@@ -249,3 +249,33 @@ def test_stacked_parameters_need_matching_leading_shapes():
         EmbeddingNet([(np.zeros(3), np.zeros(()))])
     with pytest.raises(ValueError, match="inconsistent classifier shapes"):
         LinearClassifier(np.zeros((5, 3, 2)), np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, EMBED_BLOCK_ROWS + 3, 3 * EMBED_BLOCK_ROWS + 1])
+def test_blocked_embed_equals_one_forward(n_rows, monkeypatch):
+    # A3 layer sizes in float32, as training and eval run them: the
+    # blocks split the rows of every product, and each row stays
+    # bit-equal to one forward pass over all rows, across every block
+    # boundary; blocks differ by one row at most, so no tail block is a
+    # handful of rows
+    net = default_net_and_classifier(0, 64, 512, 128, 5, 2, np.float32)[0]
+    X = make_rng(3).normal(size=(n_rows, 64))
+    sizes = []
+    forward_batch = EmbeddingNet.forward_batch
+
+    def spy(self, X):
+        sizes.append(len(X))
+        return forward_batch(self, X)
+
+    monkeypatch.setattr(EmbeddingNet, "forward_batch", spy)
+    emb = net.embed(X)
+    whole = forward_batch(net, X)[0]
+    assert emb.dtype == whole.dtype == np.float32 and emb.shape == (n_rows, 128)
+    assert np.array_equal(emb, whole)
+    assert sum(sizes) == n_rows and len(sizes) == max(1, -(-n_rows // EMBED_BLOCK_ROWS))
+    assert max(sizes) <= EMBED_BLOCK_ROWS and max(sizes) - min(sizes) <= 1
+
+
+def test_embed_checks_its_input():
+    with pytest.raises(ValueError, match="expected"):
+        small_net().embed(np.zeros((3, 6)))

@@ -16,6 +16,12 @@ def identity_net(d):
     return EmbeddingNet([(np.eye(d), np.zeros(d)), (np.eye(d), np.zeros(d))])
 
 
+def identity_detect(scene, bank):
+    """detect_scene on the identity net's embedding of the scene."""
+    return detect_scene(scene, identity_net(scene.features.shape[1]).embed(scene.features),
+                        bank)
+
+
 def simple_bank():
     return PrototypeBank([(0, [0.0, 0.0]), (1, [4.0, 0.0]), (2, [0.0, 4.0])])
 
@@ -26,7 +32,7 @@ def classify(q, bank):
     (BACKGROUND_ID, None) when it rejects the proposal."""
     q = np.asarray(q, dtype=np.float64)
     scene = make_scene(proposals=[((0, 0, 1, 1), q)])
-    dets = detect_scene(scene, identity_net(len(q)), bank)
+    dets = identity_detect(scene, bank)
     return (dets.class_ids[0], dets.scores[0]) if len(dets) else (BACKGROUND_ID, None)
 
 
@@ -71,7 +77,7 @@ def test_detect_scene_is_nearest_prototype_scored_by_posterior():
     bank = PrototypeBank([(c, rng.uniform(0, 3, size=4)) for c in range(5)])
     proposals = [((i, i, i + 1, i + 1), rng.uniform(0, 3, size=4))
                  for i in range(40)]
-    dets = detect_scene(make_scene(proposals=proposals), identity_net(4), bank)
+    dets = identity_detect(make_scene(proposals=proposals), bank)
     expected = []
     for box, q in proposals:
         d = [sum((q[i] - p[i]) ** 2 for i in range(4)) for p in bank.P]
@@ -86,20 +92,18 @@ def test_detect_scene_is_nearest_prototype_scored_by_posterior():
 
 
 def test_detect_empty_scene():
-    net = identity_net(2)
-    dets = detect_scene(make_scene(d=2), net, simple_bank())
+    dets = identity_detect(make_scene(d=2), simple_bank())
     assert len(dets) == 0 and dets.boxes.shape == (0, 4)
     assert dets.class_ids.shape == dets.scores.shape == (0,)
 
 
 def test_detect_scene_classifies_and_rejects():
-    net = identity_net(2)
     scene = make_scene(proposals=[
         ((0, 0, 1, 1), np.array([4.0, 0.1])),   # class 1
         ((2, 2, 3, 3), np.array([0.1, 0.0])),   # background
         ((4, 4, 5, 5), np.array([0.0, 3.9])),   # class 2
     ])
-    dets = detect_scene(scene, net, simple_bank())
+    dets = identity_detect(scene, simple_bank())
     assert dets.class_ids.tolist() == [1, 2]
     assert dets.boxes.tolist() == [[0, 0, 1, 1], [4, 4, 5, 5]]
     assert all(0 < s <= 1 for s in dets.scores)

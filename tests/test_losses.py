@@ -175,12 +175,19 @@ def test_stage1_total_equals_match():
 
 
 def _raw_sums(inst, bundle):
-    """(match, kl, align): each term's sum over the instance's queries,
+    """(match, kl, align): each term's sum over the loss head's queries,
+    the instance's queries and then its pool rows labelled background,
     against the episode's bank, from the per-term functions."""
-    Q, _ = inst.net.forward_batch(inst.query_features)
-    return (matching_value(Q, inst.query_labels, bundle.bank),
+    Q, _ = inst.net.forward_batch(np.concatenate([inst.query_features, inst.bg_features]))
+    labels = np.concatenate([inst.query_labels, np.zeros(len(inst.bg_features), np.int64)])
+    return (matching_value(Q, labels, bundle.bank),
             kl_value(Q, bundle.bank, inst.clf),
-            alignment_value(Q, inst.query_labels, bundle.bank, inst.tau))
+            alignment_value(Q, labels, bundle.bank, inst.tau))
+
+
+def _n_queries(inst):
+    """Queries in the loss head: the instance's own, then its pool rows."""
+    return len(inst.query_labels) + len(inst.bg_features)
 
 
 def test_stage2_unit_weights_sum():
@@ -190,7 +197,7 @@ def test_stage2_unit_weights_sum():
                           inst.tau, bg_features=inst.bg_features)
     assert bundle.l_total == bundle.l_match + bundle.l_kl + bundle.l_align
     # the raw sums, n x the per-query means, add up the same way
-    n = len(inst.query_labels)
+    n = _n_queries(inst)
     assert n * bundle.l_total == pytest.approx(sum(_raw_sums(inst, bundle)), rel=1e-12)
 
 
@@ -199,7 +206,7 @@ def test_bundle_reports_raw_and_normalized():
     bundle = episode_loss(inst.net, inst.clf, inst.support,
                           inst.query_features, inst.query_labels, inst.lambdas,
                           inst.tau, bg_features=inst.bg_features)
-    n = len(inst.query_labels)
+    n = _n_queries(inst)
     for mean, raw in zip((bundle.l_match, bundle.l_kl, bundle.l_align),
                          _raw_sums(inst, bundle)):
         assert n * mean == pytest.approx(raw, rel=1e-12)

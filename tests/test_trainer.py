@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from protodetect.cli import main
+from protodetect.embedder import EmbeddingNet
 from protodetect.numeric import make_rng
 from protodetect.prototypes import SupportSet
 from protodetect.losses import episode_loss
@@ -295,6 +296,40 @@ def test_world_without_background_pool_is_refused_before_training(monkeypatch):
     monkeypatch.setattr(trainer, "episode_loss", no_step)
     with pytest.raises(ValueError, match="no background pool in training scenes"):
         train(world, small_train_cfg())
+
+
+def test_a_step_embeds_each_row_once(monkeypatch):
+    # one forward and one backward pass per step, over [support; queries;
+    # pool]: the pool rows are p0's segment and the background queries
+    # at once, so none is embedded twice
+    passes, forwards, backward_rows = [], [], []
+    forward_batch, backward_batch = EmbeddingNet.forward_batch, EmbeddingNet.backward_batch
+
+    def forward(self, X):
+        forwards.append(np.array(X))
+        return forward_batch(self, X)
+
+    def backward(self, cache, dQ, out):
+        backward_rows.append(len(dQ))
+        return backward_batch(self, cache, dQ, out)
+
+    def loss(net, clf, support, feats, labels, lambdas, tau, bg_features, **kw):
+        before = len(forwards)
+        bundle = episode_loss(net, clf, support, feats, labels, lambdas, tau,
+                              bg_features=bg_features, **kw)
+        passes.append((forwards[before:], support.rows()[0], feats, bg_features))
+        return bundle
+
+    monkeypatch.setattr(EmbeddingNet, "forward_batch", forward)
+    monkeypatch.setattr(EmbeddingNet, "backward_batch", backward)
+    monkeypatch.setattr(trainer, "episode_loss", loss)
+    cfg = small_train_cfg()
+    train(small_world(), cfg)
+    assert len(passes) == len(backward_rows) == cfg.stage1_steps + cfg.stage2_steps
+    for (step_forwards, sup, feats, bg), n_back in zip(passes, backward_rows):
+        (X,) = step_forwards
+        assert len(X) == n_back == len(sup) + len(feats) + len(bg)
+        assert np.array_equal(X, np.concatenate([sup, feats, bg]).astype(X.dtype))
 
 
 def test_steps_draw_only_non_empty_pools(monkeypatch):
