@@ -23,7 +23,9 @@ they are; this module decides nothing per mode.
 
 Every command is a pure function of (config, input files, seed);
 re-runs produce byte-identical outputs. Exit codes: 0 ok, 2 config or
-input error, 3 numerical divergence, 4 gradient-check failure.
+input error (an allocation the host cannot make included), 3 numerical
+divergence, 4 gradient-check failure. `python -m protodetect` runs the
+same command line.
 """
 
 import argparse
@@ -249,6 +251,11 @@ def main(argv=None):
     except CliError as e:
         print(str(e), file=sys.stderr)
         return e.code
+    except MemoryError as e:
+        # a config that asks for more memory than the host has is a
+        # config error; every temporary is gone by now (`_staged`)
+        print(f"out of memory: {e}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -13,6 +13,9 @@ other input becomes float64), and cast their inputs to it: training
 binds float32 parameters, the gradient audit float64 ones. Forward
 passes also take stacked parameters (W (B, out, in), b (B, out), one
 probe per row, `model_views`) and give stacked outputs; backward does not.
+A `Workspace` holds the buffers of forward and backward passes of up to
+a fixed number of rows, so a training loop that passes one allocates no
+activation, hidden gradient or ReLU mask per step.
 
 A checkpoint (format protodetect-checkpoint-v2) is one uncompressed
 .npz archive holding that vector, the (out, in) shape of every W, the
@@ -35,6 +38,9 @@ DTYPES = (np.float32, np.float64)
 # 512 KB at the default width. With 2048-row blocks (4 MB) the
 # large-world eval read 3-10% slower than one forward per scene
 EMBED_BLOCK_ROWS = 256
+# below this magnitude `backward_batch` zeroes an entry of the embedding
+# gradient: the square root of the dtype's smallest normal number
+_TINY_SQRT = {np.dtype(t): np.sqrt(np.finfo(t).tiny) for t in DTYPES}
 
 
 def _float(a):
@@ -83,14 +89,22 @@ class EmbeddingNet:
             raise ValueError(f"expected (N, {self.in_dim}) input, got {X.shape}")
         return X
 
-    def forward_batch(self, X):
-        """Embed rows of X (N, d) -> (Q (..., N, e), cache for backward)."""
+    def forward_batch(self, X, work=None):
+        """Embed rows of X (N, d) -> (Q (..., N, e), cache for backward).
+
+        With a `Workspace` (unstacked parameters only), each layer's
+        output is written into the first N rows of its buffer there, so
+        the pass allocates no array; without one, each is a new array.
+        """
         X = np.asarray(self._rows(X), dtype=self.dtype)
+        if work is not None and work.dtype != self.dtype:
+            raise ValueError(f"workspace is {work.dtype}, net is {self.dtype}")
         acts = [X]
         h = X
         for i, (W, b) in enumerate(self.layers):
             # bias and relu in place: no temporary beyond the product
-            h = h @ W.swapaxes(-1, -2)
+            h = np.matmul(h, W.swapaxes(-1, -2),
+                          out=None if work is None else work.acts[i][:len(X)])
             h += b[..., None, :]
             if i < len(self.layers) - 1:
                 np.maximum(h, 0.0, out=h)
@@ -117,35 +131,59 @@ class EmbeddingNet:
             out[lo:hi] = self.forward_batch(X[lo:hi])[0]
         return out
 
-    def backward_batch(self, cache, dQ, out):
+    def backward_batch(self, cache, dQ, out, work):
         """Backprop dQ (N, e) through a cached forward.
 
         Writes the layer grads into the arrays of `out`, [(dW, db), ...]
         shaped as the layers (the net's views of a gradient vector,
         `param_vector`), and returns it; the input gradient is never
-        formed. dQ is cast to the net's dtype, and entries whose
+        formed. dQ is copied in the net's dtype, and entries whose
         magnitude is below the square root of its smallest normal number (1.1e-19 in float32,
         1.5e-154 in float64) become 0. A product of two numbers that
         large is a normal number, so the hidden gradients `dQ @ W` keep
         out of the subnormal range too, for any weight above that bound.
         Subnormal operands slow float32 matrix products several-fold,
         and entries this small move no gradient entry that matters.
+        That copy, every hidden gradient and every ReLU mask go into the
+        buffers of `work`, a `Workspace` of at least N rows; dQ itself
+        is never written.
         """
         acts = cache
-        dQ = np.array(dQ, dtype=self.dtype)
-        if dQ.shape != (acts[0].shape[0], self.out_dim):
+        n = acts[0].shape[0]
+        if np.shape(dQ) != (n, self.out_dim):
             raise ValueError("gradient shape does not match cached forward")
-        dQ[np.abs(dQ) < np.sqrt(np.finfo(dQ.dtype).tiny)] = 0.0
-        dh = dQ
+        if work.dtype != self.dtype:
+            raise ValueError(f"workspace is {work.dtype}, net is {self.dtype}")
+        dh = work.dQ[:n]
+        dh[...] = dQ
+        dh[np.abs(dh) < _TINY_SQRT[dh.dtype]] = 0.0
         for i in range(len(self.layers) - 1, -1, -1):
             dW, db = out[i]
             np.matmul(dh.T, acts[i], out=dW)
             np.sum(dh, axis=0, out=db)
             if i > 0:
                 # acts[i] holds relu output of layer i-1; relu' at 0 is 0
-                dh = dh @ self.layers[i][0]
-                dh *= acts[i] > 0.0
+                dh = np.matmul(dh, self.layers[i][0], out=work.dh[i - 1][:n])
+                dh *= np.greater(acts[i], 0.0, out=work.relu[i - 1][:n])
         return out
+
+
+class Workspace:
+    """The buffers of forward and backward passes of up to `rows` rows
+    through one unstacked net: each layer's output, the copy of the
+    embedding gradient, and each hidden layer's gradient and ReLU mask,
+    all in the net's dtype (the masks bool). A pass over N rows uses the
+    first N rows of each, so one workspace serves every pass of a run
+    whose row count varies up to `rows`; each pass overwrites the last.
+    """
+
+    def __init__(self, net, rows):
+        self.dtype = net.dtype
+        self.acts = [np.empty((rows, W.shape[0]), net.dtype) for W, _ in net.layers]
+        self.dQ = np.empty((rows, net.out_dim), net.dtype)
+        hidden = [W.shape[1] for W, _ in net.layers[1:]]
+        self.dh = [np.empty((rows, h), net.dtype) for h in hidden]
+        self.relu = [np.empty((rows, h), bool) for h in hidden]
 
 
 class LinearClassifier:

@@ -18,7 +18,9 @@ of a block of probes, each bit-equal to a call on its row alone. A
 block's stack stays under `PROBE_BLOCK_BYTES` (a d=8 instance takes one
 block); the instance itself is never written. The analytic gradient of
 each term comes from one gradient-path `episode_loss` call with that
-term's weights, in the layout of the vector (`embedder.layout`).
+term's weights, in the layout of the vector (`embedder.layout`). Every
+call of a sweep shares one `losses.Episode` of the instance, built
+once, as training builds one per run.
 Instances are float64, since central differences at h = 1e-6 need it;
 training runs the same code on float32 parameters. The reported error
 for a term is
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedder import default_net_and_classifier, layout, model_views
-from .losses import episode_loss
+from .losses import Episode, episode_loss
 from .numeric import make_rng
 from .prototypes import SupportSet
 
@@ -66,6 +68,12 @@ class GradCheckInstance:
     query_labels: np.ndarray
     lambdas: tuple             # (lambda_kl, lambda_align)
     tau: float
+
+    def episode(self):
+        """The `losses.Episode` of this instance: its support set, query
+        labels and pool size, for its net and classifier."""
+        return Episode(self.net, self.clf, self.support, self.query_labels,
+                       len(self.bg_features))
 
 
 def random_instance(seed, d=8, hidden=10, e=6, n_classes=3, shots=3,
@@ -107,14 +115,16 @@ def check_term(inst, terms=TERMS, h=1e-6, corrupt=False):
     term before comparison; the harness must then report a failure
     for every term (sanity check of the check).
     """
+    episode = inst.episode()
+
     def loss(net=inst.net, clf=inst.clf, **kw):
-        return episode_loss(net, clf, inst.support,
-                            inst.query_features, inst.query_labels,
-                            inst.lambdas, inst.tau, bg_features=inst.bg_features, **kw)
+        return episode_loss(net, clf, episode, inst.query_features, inst.lambdas,
+                            inst.tau, bg_features=inst.bg_features, **kw)
 
     analytic = {}
     for t in terms:
-        analytic[t] = loss(grad_weights=_grad_weights(t, inst.lambdas)).grads
+        # the episode's gradient vector, which the next call overwrites
+        analytic[t] = loss(grad_weights=_grad_weights(t, inst.lambdas)).grads.copy()
         if corrupt:
             analytic[t][0] += 1.0
 

@@ -5,15 +5,24 @@ stage 2 activates the KL and alignment terms. Every step's episode has
 one shape: the prototypes come from the original support set, the
 queries are copies of it augmented by one batched `augment_feature`
 call, and one training scene's background pool serves both as the rows
-of p0 and as background-labelled queries. The step evaluates the full
-objective with one forward and one backward pass through the net
-(`losses.episode_loss`, which also rebuilds the prototypes through the
-current net), which embeds and backpropagates each support, query and
-pool row once: the loop passes the pool once, as the pool, and
+of p0 and as background-labelled queries. Only the pool's row count
+varies from step to step, so what the shape fixes is built once per
+run, before the first step: the support rows' query copies and their
+labels (`query_copies`), and the `losses.Episode`, which holds the
+support rows, the label and segment maps, the prototypes' id order,
+and every buffer of the gradient path (input rows, activations,
+embeddings and their gradients, the gradient vector), sized for the
+largest pool. A step then draws its pool and its augmentation, and
+`losses.episode_loss` writes the queries and the pool into the input
+rows and evaluates the full objective with one forward and one
+backward pass through the net into those buffers: the products, the
+loss head's O(n K) algebra over the queries and prototypes, and a few
+small copies. Each support, query and pool row is embedded and
+backpropagated once: the loop passes the pool once, as the pool, and
 `episode_loss` scores its rows as the background queries too. The
-gradient comes back as one vector in the layout of the parameter
-vector (`embedder.layout`),
-so clipping and the AdamW update are a few in-place vector operations.
+gradient comes back as the episode's one vector in the layout of the
+parameter vector (`embedder.layout`), so clipping and the AdamW update
+are a few in-place vector operations.
 That vector, the net's arithmetic, the AdamW moments and the checkpoint
 are float32 (`TRAIN_DTYPE`); the loss head and the gradient norm are
 computed in float64. The loop checks the gradient's finiteness through
@@ -41,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embedder import default_net_and_classifier
-from .losses import episode_loss
+from .losses import Episode, episode_loss
 from .numeric import make_rng
 from .prototypes import (PrototypeBank, SupportSet, background_pool, build_prototypes,
                          nearest_prototype)
@@ -148,18 +157,20 @@ def clip_global_norm(grads, max_norm):
     return norm
 
 
-def make_episode(rng, support, cfg, sigma_f=1.0):
-    """Queries for one step: queries_per_support copies of every support
-    vector, class-major, the copies of a vector next to each other, with
-    their labels. One `augment_feature` call augments them all
-    (strength 0 is the identity). Prototypes come from the support set
-    itself.
-    """
+def query_copies(support, copies):
+    """(rows, labels): `copies` copies of every support row, class-major,
+    the copies of a row next to each other, and their labels. Built once
+    per run; every step augments the same copies."""
     rows, counts = support.rows()
-    copies = cfg.queries_per_support
-    feats = np.repeat(rows, copies, axis=0)
     labels = np.repeat(support.class_ids, [n * copies for n in counts]).astype(np.int64)
-    return augment_feature(rng, feats, cfg.augment_strength, sigma_f), labels
+    return np.repeat(rows, copies, axis=0), labels
+
+
+def make_episode(rng, copies, cfg, sigma_f=1.0):
+    """Queries for one step: the support copies of `query_copies`, all
+    augmented by one `augment_feature` call (strength 0 is the
+    identity). Prototypes come from the support set itself."""
+    return augment_feature(rng, copies, cfg.augment_strength, sigma_f)
 
 
 def scene_background_features(scene):
@@ -231,6 +242,8 @@ def train(world, cfg):
     net, clf, theta = default_net_and_classifier(
         cfg.seed, support.feature_dim, cfg.hidden_dim, cfg.emb_dim,
         n_classes, cfg.mlp_depth, TRAIN_DTYPE)
+    copies, labels = query_copies(support, cfg.queries_per_support)
+    episode = Episode(net, clf, support, labels, max(map(len, pools)))
     rng = make_rng(cfg.seed + 1)
     opt = AdamW(theta, cfg)
     sigma_f = world.config.sigma_f
@@ -245,9 +258,9 @@ def train(world, cfg):
             lambdas = (0.0, 0.0) if stage == 1 else (cfg.lambda_kl, cfg.lambda_align)
 
             bg = pools[int(rng.integers(len(pools)))]
-            qfeats, qlabels = make_episode(rng, support, cfg, sigma_f)
-            bundle = episode_loss(net, clf, support, qfeats, qlabels,
-                                  lambdas, cfg.tau, bg_features=bg)
+            qfeats = make_episode(rng, copies, cfg, sigma_f)
+            bundle = episode_loss(net, clf, episode, qfeats, lambdas, cfg.tau,
+                                  bg_features=bg)
 
             if not np.isfinite(bundle.l_total):
                 raise FloatingPointError(f"non-finite loss at step {step}")

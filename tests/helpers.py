@@ -76,12 +76,15 @@ def per_entry_check_term(inst, terms=TERMS, h=1e-6):
     probe: entry i of inst.theta is written to orig + h, then orig - h,
     then restored, and each probe is a value-only `episode_loss` call on
     the instance's own net and classifier. {term: max relative error}."""
+    episode = inst.episode()
+
     def loss(**kw):
-        return episode_loss(inst.net, inst.clf, inst.support,
-                            inst.query_features, inst.query_labels,
+        return episode_loss(inst.net, inst.clf, episode, inst.query_features,
                             inst.lambdas, inst.tau, bg_features=inst.bg_features, **kw)
 
-    analytic = {t: loss(grad_weights=_grad_weights(t, inst.lambdas)).grads for t in terms}
+    # each call overwrites the episode's gradient vector
+    analytic = {t: loss(grad_weights=_grad_weights(t, inst.lambdas)).grads.copy()
+                for t in terms}
 
     def values():
         bundle = loss(grads=False)

@@ -405,6 +405,33 @@ def test_eval_artifacts_are_pinned(trained, tmp_path):
         assert digests == pinned, mode
 
 
+# sha256 of the checkpoint and of the train log on the A3 world (d=64,
+# hidden 512, emb 128, the benchmark's a3-train config) with a 10 + 5
+# step schedule, seed 7: the training step at its full sizes, each of
+# its products large enough for BLAS to block it. Like the pins above,
+# they rest on float products, so a numpy or BLAS build that rounds them
+# differently moves them (numpy 2.4 with OpenBLAS 0.3.31 on x86-64)
+A3_SHORT_CFG = {
+    "world": {"c_seen": 5, "c_unseen": 2, "d": 64, "delta": 10.0, "sigma_f": 1.0,
+              "shots": 5, "box_jitter": 0.0, "n_train_scenes": 20,
+              "n_test_scenes": 20, "seed": 7},
+    "train": {"lr": 1e-4, "weight_decay": 1e-4, "stage1_steps": 10, "stage2_steps": 5,
+              "shots": 5, "queries_per_support": 4, "tau": 10.0, "seed": 7},
+}
+PINNED_A3_TRAIN = ("f00f304d19d6847ee90f567e896701892f35c5e6f8d80604bdb76cbc643c9eb0",
+                   "7e0f58c11d801c3c3b8cbe36c73b398eb13207913e0a09566202ecb823539495")
+
+
+def test_a3_training_bytes_are_pinned(tmp_path):
+    cfg = write_cfg(tmp_path / "c.json", A3_SHORT_CFG)
+    data, ckpt = tmp_path / "d.npz", tmp_path / "k.npz"
+    assert main(["gen-data", "--config", cfg, "--out", str(data)]) == 0
+    assert main(["train", "--config", cfg, "--dataset", str(data), "--out", str(ckpt)]) == 0
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest()
+                    for path in (ckpt, Path(f"{ckpt}.log.jsonl")))
+    assert digests == PINNED_A3_TRAIN
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_detection_from_one_embed_equals_per_scene_forwards(trained, tmp_path, mode):
     # eval embeds every test scene in one pass; the detections file is
@@ -893,6 +920,18 @@ def test_world_without_background_pool_exit_2(trained, tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert "no background pool in training scenes" in capsys.readouterr().err
     assert not list(tmp_path.glob("c.npz*"))
+
+
+def test_python_m_protodetect_runs_the_cli():
+    src = str(Path(protodetect.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-m", "protodetect", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: protodetect")
+    for command in ("gen-data", "train", "eval", "gradcheck"):
+        assert command in proc.stdout
 
 
 # --- byte identity across BLAS thread counts ---------------------------------

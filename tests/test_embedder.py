@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from protodetect.embedder import (EMBED_BLOCK_ROWS, EmbeddingNet, LinearClassifier,
-                                  default_net_and_classifier, layout,
+                                  Workspace, default_net_and_classifier, layout,
                                   load_checkpoint, save_checkpoint)
 from protodetect.gradcheck import random_instance
 from protodetect.numeric import log_softmax, make_rng
@@ -23,7 +23,8 @@ def forward(net, v):
 def backward(net, cache, dQ):
     """The layer grads of backward_batch, written into new arrays."""
     return net.backward_batch(cache, dQ, [(np.empty_like(W), np.empty_like(b))
-                                          for W, b in net.layers])
+                                          for W, b in net.layers],
+                              Workspace(net, len(dQ)))
 
 
 def test_zero_net_gives_zero_output():

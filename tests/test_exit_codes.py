@@ -335,6 +335,25 @@ def test_eval_test_features_overflowing_float32_exit_2(tiny_run, tmp_path, mode,
     assert not list(tmp_path.glob("r*"))
 
 
+# Requests of at least 1 PiB: numpy refuses them at once, before any
+# memory is touched. gen-data's first array at d=2e14 takes 1.42 PiB,
+# train's parameter vector at hidden 1e14 takes 9.24 PiB
+@pytest.mark.parametrize("command,override", [
+    ("gen-data", "world.d=200000000000000"),
+    ("train", "train.hidden_dim=100000000000000"),
+])
+def test_impossible_allocation_exits_2(tiny_run, tmp_path, capsys, command, override):
+    cfg, dataset, _, _, _ = tiny_run
+    out = str(tmp_path / "out.npz")
+    argv = [command, "--config", cfg, "--set", override, "--out", out]
+    if command == "train":
+        argv += ["--dataset", dataset]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: Unable to allocate") and "PiB" in err
+    assert not list(tmp_path.iterdir())
+
+
 # every key of the tiny config; the default train section (700 steps at
 # hidden 512) is never dropped in, so every example stays tiny
 TINY_FULL = RunConfig.from_dict(TINY).to_dict()

@@ -1,4 +1,6 @@
+import errno
 import math
+import mmap
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ import pytest
 from protodetect import losses
 from protodetect.embedder import EmbeddingNet, LinearClassifier
 from protodetect.gradcheck import check_term, random_instance
-from protodetect.losses import alignment_loss, episode_loss
+from protodetect.losses import Episode, alignment_loss, episode_loss, mapped_empty
 from protodetect.numeric import log_softmax, make_rng, proto_logits
 from protodetect.prototypes import PrototypeBank, SupportSet
 
@@ -38,11 +40,12 @@ def test_matching_midpoint_is_log2():
 
 
 def test_matching_missing_prototype_errors():
+    # the episode maps every label to its prototype row once, when built
     inst = random_instance(0, lambdas=(0.0, 0.0))
     inst.query_labels = inst.query_labels.copy()
     inst.query_labels[-1] = 9
     with pytest.raises(ValueError, match="label 9"):
-        _episode(inst, grad_weights=(1.0, 0.0, 0.0))
+        inst.episode()
 
 
 def test_matching_translation_invariance():
@@ -166,9 +169,7 @@ def _clf_size(inst):
 
 def test_stage1_total_equals_match():
     inst = random_instance(7, lambdas=(0.0, 0.0))
-    bundle = episode_loss(inst.net, inst.clf, inst.support,
-                          inst.query_features, inst.query_labels, inst.lambdas,
-                          inst.tau, bg_features=inst.bg_features)
+    bundle = _episode(inst)
     assert bundle.l_total == bundle.l_match
     # stage-1 grads must not touch the classifier (the vector's tail)
     assert np.all(bundle.grads[-_clf_size(inst):] == 0)
@@ -177,12 +178,13 @@ def test_stage1_total_equals_match():
 def _raw_sums(inst, bundle):
     """(match, kl, align): each term's sum over the loss head's queries,
     the instance's queries and then its pool rows labelled background,
-    against the episode's bank, from the per-term functions."""
+    against the episode's prototypes, from the per-term functions."""
     Q, _ = inst.net.forward_batch(np.concatenate([inst.query_features, inst.bg_features]))
     labels = np.concatenate([inst.query_labels, np.zeros(len(inst.bg_features), np.int64)])
-    return (matching_value(Q, labels, bundle.bank),
-            kl_value(Q, bundle.bank, inst.clf),
-            alignment_value(Q, labels, bundle.bank, inst.tau))
+    bank = PrototypeBank(zip(inst.episode().ids, bundle.P))
+    return (matching_value(Q, labels, bank),
+            kl_value(Q, bank, inst.clf),
+            alignment_value(Q, labels, bank, inst.tau))
 
 
 def _n_queries(inst):
@@ -192,9 +194,7 @@ def _n_queries(inst):
 
 def test_stage2_unit_weights_sum():
     inst = random_instance(8)
-    bundle = episode_loss(inst.net, inst.clf, inst.support,
-                          inst.query_features, inst.query_labels, inst.lambdas,
-                          inst.tau, bg_features=inst.bg_features)
+    bundle = _episode(inst)
     assert bundle.l_total == bundle.l_match + bundle.l_kl + bundle.l_align
     # the raw sums, n x the per-query means, add up the same way
     n = _n_queries(inst)
@@ -203,19 +203,19 @@ def test_stage2_unit_weights_sum():
 
 def test_bundle_reports_raw_and_normalized():
     inst = random_instance(9)
-    bundle = episode_loss(inst.net, inst.clf, inst.support,
-                          inst.query_features, inst.query_labels, inst.lambdas,
-                          inst.tau, bg_features=inst.bg_features)
+    bundle = _episode(inst)
     n = _n_queries(inst)
     for mean, raw in zip((bundle.l_match, bundle.l_kl, bundle.l_align),
                          _raw_sums(inst, bundle)):
         assert n * mean == pytest.approx(raw, rel=1e-12)
 
 
-def _episode(inst, **kw):
+def _episode(inst, net=None, clf=None, episode=None, **kw):
+    """episode_loss on the instance's net, classifier and a new episode
+    of it, or on those given."""
     kw.setdefault("bg_features", inst.bg_features)
-    return episode_loss(inst.net, inst.clf, inst.support, inst.query_features,
-                        inst.query_labels, inst.lambdas, inst.tau, **kw)
+    return episode_loss(net or inst.net, clf or inst.clf, episode or inst.episode(),
+                        inst.query_features, inst.lambdas, inst.tau, **kw)
 
 
 def test_losses_nonnegative():
@@ -240,8 +240,7 @@ def test_value_only_path_equals_gradient_path(variant, monkeypatch):
     assert values.grads is None and full.grads is not None
     for name in ("l_match", "l_kl", "l_align", "l_total"):
         assert getattr(values, name) == getattr(full, name)
-    assert values.bank.ids == full.bank.ids
-    assert np.array_equal(values.bank.P, full.bank.P)
+    assert np.array_equal(values.P, full.P)
 
 
 @pytest.mark.parametrize("variant", ["stage1", "stage2", "all_background", "weighted"])
@@ -256,20 +255,19 @@ def test_stacked_value_path_equals_each_slice(variant):
     elif variant == "weighted":
         inst.lambdas, inst.tau = (0.5, 2.0), 3.0
     (net, clf), rows = probe_stack(inst)
+    episode = inst.episode()
 
     def values(net, clf):
-        return episode_loss(net, clf, inst.support, inst.query_features,
-                            inst.query_labels, inst.lambdas, inst.tau,
-                            bg_features=inst.bg_features, grads=False)
+        return _episode(inst, net, clf, episode, grads=False)
 
     stacked = values(net, clf)
-    assert stacked.bank.P.shape[0] == 5
+    assert stacked.P.shape == (5, 4, 6)
     for k, (net_k, clf_k) in enumerate(rows):
         single = values(net_k, clf_k)
         for name in ("l_match", "l_kl", "l_align", "l_total"):
             assert getattr(stacked, name).shape == (5,)
             assert getattr(stacked, name)[k] == getattr(single, name), name
-        assert np.array_equal(stacked.bank.P[k], single.bank.P)
+        assert np.array_equal(stacked.P[k], single.P)
 
 
 def test_gradient_path_rejects_stacked_parameters():
@@ -277,26 +275,28 @@ def test_gradient_path_rejects_stacked_parameters():
     (net, clf), _ = probe_stack(inst)
     for pair in ((net, clf), (inst.net, clf)):
         with pytest.raises(ValueError, match="unstacked"):
-            episode_loss(*pair, inst.support, inst.query_features, inst.query_labels,
-                         inst.lambdas, inst.tau, bg_features=inst.bg_features)
+            _episode(inst, *pair)
 
 
 def test_value_only_path_keeps_input_checks():
+    # the classifier, the pool and the queries are checked at every
+    # call, on both paths; tau by the alignment term
     inst = random_instance(13)
-    inst.query_labels = inst.query_labels.copy()
-    inst.query_labels[0] = 9
-    with pytest.raises(ValueError, match="label 9"):
-        _episode(inst, grads=False)
-    inst.query_labels[0] = 1
+    d = inst.query_features.shape[1]
+    episode = inst.episode()
     wide = LinearClassifier(np.zeros((inst.clf.n_classes + 1, inst.net.out_dim)),
                             np.zeros(inst.clf.n_classes + 1))
-    with pytest.raises(ValueError, match="classifier width"):
-        episode_loss(inst.net, wide, inst.support, inst.query_features, inst.query_labels,
-                     inst.lambdas, inst.tau, bg_features=inst.bg_features, grads=False)
-    for pool in (None, np.empty((0, inst.query_features.shape[1]))):
-        for grads in (False, True):
+    for grads in (False, True):
+        with pytest.raises(ValueError, match="classifier width"):
+            _episode(inst, clf=wide, episode=episode, grads=grads)
+        for pool in (None, np.empty((0, d)), np.zeros((4, d + 1))):
             with pytest.raises(ValueError, match="background pool"):
-                _episode(inst, bg_features=pool, grads=grads)
+                _episode(inst, episode=episode, bg_features=pool, grads=grads)
+        with pytest.raises(ValueError, match="the episode holds 4"):
+            _episode(inst, episode=episode, bg_features=np.zeros((5, d)), grads=grads)
+        with pytest.raises(ValueError, match="query features"):
+            episode_loss(inst.net, inst.clf, episode, inst.query_features[1:], inst.lambdas,
+                         inst.tau, bg_features=inst.bg_features, grads=grads)
     with pytest.raises(ValueError, match="tau"):
         alignment_loss(np.zeros((1, 1)), np.zeros(1, dtype=np.int64), tau=0.0, grads=False)
 
@@ -366,11 +366,11 @@ def test_float32_gradients_agree_with_float64(shape):
     for seed in range(4 if shape == "d8" else 2):
         inst = random_instance(seed, **kw)
         net32, clf32 = _float32_copy(inst)
+        episode32 = Episode(net32, clf32, inst.support, inst.query_labels,
+                            len(inst.bg_features))
         for weights in (None, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)):
             g64 = _episode(inst, grad_weights=weights).grads
-            g32 = episode_loss(net32, clf32, inst.support, inst.query_features,
-                               inst.query_labels, inst.lambdas, inst.tau,
-                               bg_features=inst.bg_features, grad_weights=weights).grads
+            g32 = _episode(inst, net32, clf32, episode32, grad_weights=weights).grads
             assert g64.dtype == np.float64 and g32.dtype == np.float32
             assert np.max(np.abs(g32 - g64)) <= 1e-5 * np.max(np.abs(g64))
 
@@ -407,3 +407,29 @@ def test_corrupted_gradient_is_flagged_for_every_term():
     errors = check_term(random_instance(0), corrupt=True)
     assert set(errors) == {"match", "kl", "align", "total"}
     assert all(err > 1e-4 for err in errors.values())
+
+
+def test_mapped_arrays_are_writable_mappings_of_their_own():
+    arrays = [mapped_empty((9, 7), np.float32), mapped_empty((9, 4), np.float64),
+              mapped_empty((3, 5), bool), mapped_empty((0, 4), np.float64)]
+    assert [(a.shape, a.dtype) for a in arrays] == [
+        ((9, 7), np.float32), ((9, 4), np.float64), ((3, 5), np.bool_), ((0, 4), np.float64)]
+    for a in arrays:
+        a[...] = 1
+        assert a.all() and isinstance(_buffer_owner(a), mmap.mmap)
+    assert len({id(_buffer_owner(a)) for a in arrays}) == len(arrays)
+
+
+def _buffer_owner(a):
+    """The object that owns the memory of an array built on a buffer."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return a.obj if isinstance(a, memoryview) else a
+
+
+def test_a_refused_mapping_is_a_memory_error(monkeypatch):
+    def refuse(*args, **kw):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+    monkeypatch.setattr(losses.mmap, "mmap", refuse)
+    with pytest.raises(MemoryError):
+        mapped_empty((4, 3), np.float32)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from protodetect.simulator import Scene, WorldConfig, augment_feature, generate_
 from protodetect import trainer
 from protodetect.trainer import (BETA1, BETA2, EPS, AdamW, TrainConfig,
                                  background_prototype, clip_global_norm, make_episode,
-                                 train)
+                                 query_copies, train)
 
 
 def small_world(seed=5, **kw):
@@ -36,10 +37,17 @@ def random_support(seed=0, C=3, shots=5, d=8):
 
 # --- episodes ---------------------------------------------------------------
 
+def episode_queries(rng, support, cfg, sigma_f=1.0):
+    """One step's augmented queries and their labels, from copies built
+    as `train` builds them."""
+    copies, labels = query_copies(support, cfg.queries_per_support)
+    return make_episode(rng, copies, cfg, sigma_f), labels
+
+
 def test_episode_no_augment_copies_support():
     cfg = small_train_cfg(augment_strength=0.0, queries_per_support=1)
     support = random_support()
-    feats, labels = make_episode(make_rng(0), support, cfg)
+    feats, labels = episode_queries(make_rng(0), support, cfg)
     expected = np.concatenate([support.by_class[c] for c in support.class_ids])
     assert np.array_equal(feats, expected)
 
@@ -47,7 +55,7 @@ def test_episode_no_augment_copies_support():
 def test_episode_query_count():
     cfg = small_train_cfg(queries_per_support=4)
     support = random_support(C=3, shots=5)
-    feats, labels = make_episode(make_rng(0), support, cfg)
+    feats, labels = episode_queries(make_rng(0), support, cfg)
     assert len(feats) == 3 * 5 * 4 == 60
     assert sorted(set(labels)) == [1, 2, 3]
 
@@ -55,7 +63,7 @@ def test_episode_query_count():
 def test_episode_keeps_class_major_order_with_one_augment_call():
     cfg = small_train_cfg(queries_per_support=3)
     support = random_support(C=3, shots=5)
-    feats, labels = make_episode(make_rng(11), support, cfg, sigma_f=0.7)
+    feats, labels = episode_queries(make_rng(11), support, cfg, sigma_f=0.7)
     rows = np.repeat(np.concatenate([support.by_class[c] for c in (1, 2, 3)]),
                      3, axis=0)
     expected = augment_feature(make_rng(11), rows, cfg.augment_strength, 0.7)
@@ -66,9 +74,29 @@ def test_episode_keeps_class_major_order_with_one_augment_call():
 def test_episode_deterministic():
     cfg = small_train_cfg()
     support = random_support()
-    f1, l1 = make_episode(make_rng(7), support, cfg)
-    f2, l2 = make_episode(make_rng(7), support, cfg)
+    f1, l1 = episode_queries(make_rng(7), support, cfg)
+    f2, l2 = episode_queries(make_rng(7), support, cfg)
     assert np.array_equal(f1, f2) and np.array_equal(l1, l2)
+
+
+def test_steps_augment_the_same_copies(monkeypatch):
+    # the support copies and their labels are built once per run: every
+    # step augments the one array, and the copies stay as built
+    seen = []
+
+    def spy(rng, copies, cfg, sigma_f=1.0):
+        seen.append((copies, copies.copy()))
+        return make_episode(rng, copies, cfg, sigma_f)
+
+    monkeypatch.setattr(trainer, "make_episode", spy)
+    world = small_world()
+    cfg = small_train_cfg()
+    train(world, cfg)
+    expected, _ = query_copies(SupportSet(world.support_seen), cfg.queries_per_support)
+    assert len(seen) == cfg.stage1_steps + cfg.stage2_steps
+    assert all(copies is seen[0][0] for copies, _ in seen)
+    assert all(np.array_equal(after, expected) for _, after in seen)
+    assert np.array_equal(seen[0][0], expected)
 
 
 # --- AdamW ------------------------------------------------------------------
@@ -223,9 +251,9 @@ def test_stage1_forces_zero_weights(monkeypatch):
     # whatever the config's, stage 2 the config's, and tau throughout
     weights = []
 
-    def spy(net, clf, support, feats, labels, lambdas, tau, **kw):
+    def spy(net, clf, episode, feats, lambdas, tau, **kw):
         weights.append((lambdas, tau))
-        return episode_loss(net, clf, support, feats, labels, lambdas, tau, **kw)
+        return episode_loss(net, clf, episode, feats, lambdas, tau, **kw)
 
     monkeypatch.setattr(trainer, "episode_loss", spy)
     train(small_world(), small_train_cfg(stage1_steps=3, stage2_steps=2, lambda_kl=5.0,
@@ -305,31 +333,70 @@ def test_a_step_embeds_each_row_once(monkeypatch):
     passes, forwards, backward_rows = [], [], []
     forward_batch, backward_batch = EmbeddingNet.forward_batch, EmbeddingNet.backward_batch
 
-    def forward(self, X):
+    def forward(self, X, work=None):
         forwards.append(np.array(X))
-        return forward_batch(self, X)
+        return forward_batch(self, X, work)
 
-    def backward(self, cache, dQ, out):
+    def backward(self, cache, dQ, out, work):
         backward_rows.append(len(dQ))
-        return backward_batch(self, cache, dQ, out)
+        return backward_batch(self, cache, dQ, out, work)
 
-    def loss(net, clf, support, feats, labels, lambdas, tau, bg_features, **kw):
+    def loss(net, clf, episode, feats, lambdas, tau, bg_features, **kw):
         before = len(forwards)
-        bundle = episode_loss(net, clf, support, feats, labels, lambdas, tau,
+        bundle = episode_loss(net, clf, episode, feats, lambdas, tau,
                               bg_features=bg_features, **kw)
-        passes.append((forwards[before:], support.rows()[0], feats, bg_features))
+        passes.append((forwards[before:], feats, bg_features))
         return bundle
 
     monkeypatch.setattr(EmbeddingNet, "forward_batch", forward)
     monkeypatch.setattr(EmbeddingNet, "backward_batch", backward)
     monkeypatch.setattr(trainer, "episode_loss", loss)
     cfg = small_train_cfg()
-    train(small_world(), cfg)
+    world = small_world()
+    train(world, cfg)
+    sup = SupportSet(world.support_seen).rows()[0]
     assert len(passes) == len(backward_rows) == cfg.stage1_steps + cfg.stage2_steps
-    for (step_forwards, sup, feats, bg), n_back in zip(passes, backward_rows):
+    for (step_forwards, feats, bg), n_back in zip(passes, backward_rows):
         (X,) = step_forwards
         assert len(X) == n_back == len(sup) + len(feats) + len(bg)
         assert np.array_equal(X, np.concatenate([sup, feats, bg]).astype(X.dtype))
+
+
+def test_a_step_allocates_no_large_array(monkeypatch):
+    # A3 sizes (d=64, hidden 512, emb 128, 25 support rows, 100 queries):
+    # the episode's buffers hold every array of a step's size, so from
+    # its augmentation to the returned gradient no step after the first
+    # allocates as much as its (N, hidden) float32 activations, in all
+    # its arrays together; and every step returns the one gradient vector
+    world = generate_world(WorldConfig(c_seen=5, c_unseen=2, d=64, delta=10.0, shots=5,
+                                       n_train_scenes=20, n_test_scenes=2, seed=7))
+    cfg = TrainConfig(stage1_steps=4, stage2_steps=3, seed=7)
+    steps, start = [], []
+    make, loss = trainer.make_episode, trainer.episode_loss
+
+    def make_spy(*args, **kw):
+        tracemalloc.reset_peak()
+        start.append(tracemalloc.get_traced_memory()[0])
+        return make(*args, **kw)
+
+    def loss_spy(net, clf, episode, feats, *args, bg_features, **kw):
+        bundle = loss(net, clf, episode, feats, *args, bg_features=bg_features, **kw)
+        rows = episode.n_sup + len(feats) + len(bg_features)
+        steps.append((tracemalloc.get_traced_memory()[1] - start[-1],
+                      rows * cfg.hidden_dim * 4, bundle.grads))
+        return bundle
+
+    monkeypatch.setattr(trainer, "make_episode", make_spy)
+    monkeypatch.setattr(trainer, "episode_loss", loss_spy)
+    tracemalloc.start()
+    try:
+        train(world, cfg)
+    finally:
+        tracemalloc.stop()
+    assert len(steps) == 7
+    for allocated, activations, grads in steps[1:]:
+        assert 0 < allocated < activations
+        assert grads is steps[0][2]
 
 
 def test_steps_draw_only_non_empty_pools(monkeypatch):
