@@ -11,8 +11,10 @@ suffix. Every command writes its files under temporary names beside
 them and renames them into place only after all are written, so a
 command that fails leaves none of its files and keeps any earlier ones
 at those paths. The checkpoint carries the background prototype p0, so
-eval embeds no training scene. A dataset or checkpoint that is not a v2
-archive, such as a JSON file of the older formats, exits 2.
+eval embeds no training scene: it reads only the dataset's test split
+and supports. A dataset or checkpoint that is not an .npz archive, such
+as a JSON file of the older formats, exits 2, as does a dataset of the
+retired format protodetect-dataset-v2.
 
 eval's `--mode`, fewshot by default, is the one input that selects the
 protocol; the run config holds none. eval is assemble -> detect ->
@@ -30,6 +32,7 @@ same command line.
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 
@@ -41,7 +44,7 @@ from .evaluation import evaluate
 from .gradcheck import run_suite
 from .inference import FEWSHOT, MODES, assemble_protocol, detect_scenes, save_detections
 from .prototypes import BACKGROUND_ID
-from .simulator import generate_world, load_world, save_world
+from .simulator import SPLITS, generate_world, load_world, save_world
 from .trainer import heldout_accuracy, train
 
 EXIT_OK = 0
@@ -104,11 +107,12 @@ def cmd_gen_data(args):
     return EXIT_OK
 
 
-def _load_world_checked(cfg, dataset_path):
-    """(world, digest): the dataset and its file digest, hashed once for
-    the expected-digest check and the provenance header alike."""
+def _load_world_checked(cfg, dataset_path, splits):
+    """(world, digest): the dataset's given splits and supports, and its
+    file digest, hashed once for the expected-digest check and the
+    provenance header alike."""
     try:
-        world = load_world(dataset_path)
+        world = load_world(dataset_path, splits)
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise CliError(f"cannot read dataset: {e}")
     digest = file_digest(dataset_path)
@@ -119,7 +123,7 @@ def _load_world_checked(cfg, dataset_path):
 
 def cmd_train(args):
     cfg = load_run_config(args.config, args.set or ())
-    world, digest = _load_world_checked(cfg, args.dataset)
+    world, digest = _load_world_checked(cfg, args.dataset, SPLITS)
     try:
         result = train(world, cfg.train)
     except FloatingPointError as e:
@@ -153,7 +157,7 @@ def run_protocol(world, net, mode, p0):
     try:
         with np.errstate(over="raise", invalid="raise"):
             bank, eval_ids, unknown_id = assemble_protocol(mode, world, net, p0)
-            per_scene = detect_scenes(world.test_scenes, net, bank)
+            per_scene = detect_scenes(world.test, net, bank)
     except ValueError as e:
         raise CliError(str(e))
     except FloatingPointError:
@@ -166,7 +170,7 @@ def run_protocol(world, net, mode, p0):
 
 def cmd_eval(args):
     cfg = load_run_config(args.config, args.set or ())
-    world, digest = _load_world_checked(cfg, args.dataset)
+    world, digest = _load_world_checked(cfg, args.dataset, ("test",))
     try:
         net, _, p0 = load_checkpoint(args.checkpoint)
     except (OSError, ValueError, KeyError, TypeError) as e:
@@ -206,6 +210,7 @@ def cmd_gradcheck(args):
     return EXIT_OK
 
 
+@functools.cache   # built once per process; every `main` call reuses it
 def build_parser():
     p = argparse.ArgumentParser(prog="protodetect")
     sub = p.add_subparsers(dest="command", required=True)

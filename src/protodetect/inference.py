@@ -8,7 +8,8 @@ the mean of the bank's prototypes (p0 included), under the world's
 unknown id, and `evaluation.evaluate` scores every GT class outside the
 scored set as that one class. No other module decides anything by mode.
 
-`detect_scenes` embeds the proposals of every scene in one pass. A
+`detect_scenes` embeds the proposals of every scene of a split in one
+pass, over a view of its feature block. A
 proposal goes to its nearest prototype (`prototypes.nearest_prototype`,
 lowest id on ties). One assigned to the background prototype is
 dropped as a spurious detection; everything else is scored with that
@@ -67,16 +68,16 @@ def detect_scene(scene, emb, bank):
     return Detections(scene.proposals[keep], ids[keep], scores[keep])
 
 
-def detect_scenes(scenes, net, bank):
-    """`detect_scene` of every scene, in order, from one
-    `EmbeddingNet.embed` of all their proposals. The posteriors stay
-    per scene: one Q P^T product over every row would block the
-    float64 product otherwise and move scores in their last bits."""
-    # stacked straight into the net's dtype: for a float32 net, half the
-    # bytes of a float64 stack
-    emb = net.embed(np.concatenate([s.features for s in scenes], dtype=net.dtype))
-    ends = np.cumsum([len(s.features) for s in scenes])[:-1]
-    return [detect_scene(s, e, bank) for s, e in zip(scenes, np.split(emb, ends))]
+def detect_scenes(split, net, bank):
+    """`detect_scene` of every scene of `split` (a `simulator.Split`), in
+    order, from one `EmbeddingNet.embed` of its (S, P, d) feature block
+    viewed as S P rows; embed casts each block of rows to the net's
+    dtype. The posteriors stay per scene: one Q P^T product over every
+    row would block the float64 product otherwise and move scores in
+    their last bits."""
+    S, P, d = split.features.shape
+    emb = net.embed(split.features.reshape(S * P, d)).reshape(S, P, net.out_dim)
+    return [detect_scene(s, e, bank) for s, e in zip(split.scenes, emb)]
 
 
 def assemble_protocol(mode, world, net, p0):

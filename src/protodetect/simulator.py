@@ -15,15 +15,16 @@ with every row of another.
 Datasets are fully determined by (config, seed). One generator, seeded
 once, draws the class means by rejection, then every support row in
 one block, then each split's class ids, boxes, GT jitter and features,
-one block per quantity for all of the split's scenes. `save_world` writes
-one uncompressed .npz archive (format protodetect-dataset-v2) whose
-bytes depend on the world only, so regeneration is byte-identical.
-`load_world` reads it back into the same columnar world, after one
-set of checks (the stored config's keys and types, as the run config
-is checked; shapes, offsets, finite values, non-degenerate boxes; each
-split's scene count equal to the stored n_train_scenes or n_test_scenes,
-so neither split is empty; seen support ids 1..c_seen, unseen ones
-c_seen+1..c_seen+c_unseen, and GT labels among them).
+one block per quantity for all of the split's scenes. A world keeps
+those blocks (`Split`, and a (C, shots, d) block per support set) and
+its scenes are views into them: every scene has proposals_per_scene
+proposals and objects_per_scene GT boxes, as a DETR-style backbone
+emits a fixed number of queries per image. `save_world` writes the
+blocks as they are to one uncompressed .npz archive (format
+protodetect-dataset-v3) whose bytes depend on the world only.
+`load_world` reads the splits it is asked for and the supports, and
+checks what it reads (see "dataset files" below); entries are read on
+access, so eval, which asks for the test split, never reads the other.
 """
 
 import json
@@ -108,13 +109,46 @@ class WorldConfig:
 
 
 @dataclass
+class Split:
+    """S scenes as blocks, as `_draw_split` draws them and a dataset
+    stores them: proposal boxes (S, P, 4), their features (S, P, d), GT
+    boxes (S, k, 4) and their class ids (S, k) int64. `scenes` holds one
+    Scene per row, views into the blocks."""
+    proposals: np.ndarray
+    features: np.ndarray
+    gt: np.ndarray
+    labels: np.ndarray
+
+    def __post_init__(self):
+        self.scenes = [Scene(*parts) for parts in
+                       zip(self.proposals, self.features, self.gt, self.labels)]
+
+
+@dataclass
 class World:
     config: WorldConfig
     class_means: np.ndarray     # (c_seen + c_unseen, d); class id c is row c - 1
-    train_scenes: list
-    test_scenes: list
-    support_seen: dict          # class_id -> (shots, d) array
-    support_unseen: dict
+    train: Split                # None in a world loaded without it
+    test: Split
+    seen: np.ndarray            # (c_seen, shots, d); class id c is row c - 1
+    unseen: np.ndarray          # (c_unseen, shots, d); class id c is row c - c_seen - 1
+
+    @property
+    def train_scenes(self):
+        return self.train.scenes
+
+    @property
+    def test_scenes(self):
+        return self.test.scenes
+
+    @property
+    def support_seen(self):
+        """{class id: (shots, d) rows}, views into `seen`."""
+        return dict(enumerate(self.seen, 1))
+
+    @property
+    def support_unseen(self):
+        return dict(enumerate(self.unseen, self.config.c_seen + 1))
 
     @property
     def unknown_id(self):
@@ -178,7 +212,7 @@ def _draw_split(rng, cfg, class_pool, means, n_scenes):
     proposals[:, :k] = np.where(ok[..., None], moved, gt)
     features = rng.normal(size=(n_scenes, n, cfg.d))
     features[:, :k] = means[labels - 1] + features[:, :k] * cfg.sigma_f
-    return [Scene(*parts) for parts in zip(proposals, features, gt, labels)]
+    return Split(proposals, features, gt, labels)
 
 
 def generate_world(cfg):
@@ -192,11 +226,9 @@ def generate_world(cfg):
     # every class's shots rows in one draw; class id c is row c - 1
     support = means[:, None] + rng.normal(size=(n_total, cfg.shots, cfg.d)) * cfg.sigma_f
     seen = list(range(1, cfg.c_seen + 1))
-    unseen = list(range(cfg.c_seen + 1, n_total + 1))
-    train_scenes = _draw_split(rng, cfg, seen, means, cfg.n_train_scenes)
-    test_scenes = _draw_split(rng, cfg, seen + unseen, means, cfg.n_test_scenes)
-    return World(cfg, means, train_scenes, test_scenes,
-                 {c: support[c - 1] for c in seen}, {c: support[c - 1] for c in unseen})
+    train = _draw_split(rng, cfg, seen, means, cfg.n_train_scenes)
+    test = _draw_split(rng, cfg, list(range(1, n_total + 1)), means, cfg.n_test_scenes)
+    return World(cfg, means, train, test, support[:cfg.c_seen], support[cfg.c_seen:])
 
 
 def augment_feature(rng, v, strength, sigma_f=1.0):
@@ -245,87 +277,63 @@ def label_proposals(scene):
 
 # --- dataset files -------------------------------------------------------------
 #
-# A v2 file is an uncompressed .npz archive with these entries:
-#   format, config            0-d strings: the format tag, the WorldConfig as JSON
-#   class_means               (c_seen + c_unseen, d)
-#   <split>_proposals         (sum P, 4)  every scene's proposal boxes, in scene order
-#   <split>_features          (sum P, d)
-#   <split>_proposal_offsets  (scenes + 1,)  scene s owns rows [o[s], o[s+1])
-#   <split>_gt, <split>_labels, <split>_gt_offsets   the same for GT boxes
-#   <support>, <support>_ids, <support>_offsets      rows, class ids, per-class offsets
-# for split in train, test and support in support_seen, support_unseen.
+# A v3 file is an uncompressed .npz archive of 13 entries; S is the split's
+# scene count, P, k, d, shots, c_seen and c_unseen those of the stored config:
+#   format, config                 0-d strings: the format tag, the WorldConfig as JSON
+#   class_means                    (c_seen + c_unseen, d)
+#   <split>_proposals, _features   (S, P, 4), (S, P, d)   scene s is row s
+#   <split>_gt, _labels            (S, k, 4), (S, k) int64
+#   support_seen, support_unseen   (c_seen, shots, d), (c_unseen, shots, d)
+# for split in train, test; every entry but the int64 labels is float64.
+# The loader checks the stored config as the run config is checked, then
+# each entry's dtype and exact shape (so each split holds its configured
+# scene count, at least 1), finite values, non-degenerate boxes and GT
+# labels in 1..c_seen + c_unseen. eval reads the 9 that are not train_*.
 
-FORMAT = "protodetect-dataset-v2"
-_SPLITS = ("train", "test")
-_SUPPORTS = ("support_seen", "support_unseen")
-
-
-def _stacked(parts, empty):
-    return np.concatenate(parts) if parts else empty
-
-
-def _offsets(counts):
-    return np.cumsum([0] + list(counts), dtype=np.int64)
+FORMAT = "protodetect-dataset-v3"
+RETIRED_FORMAT = "protodetect-dataset-v2"   # ragged rows with per-scene offsets
+SPLITS = ("train", "test")
+_BLOCKS = ("proposals", "features", "gt", "labels")
 
 
 def _world_entries(world):
-    d = world.config.d
     out = {"format": np.array(FORMAT),
            "config": np.array(json.dumps(asdict(world.config), sort_keys=True)),
-           "class_means": world.class_means}
-    for split, scenes in zip(_SPLITS, (world.train_scenes, world.test_scenes)):
-        out[split + "_proposals"] = _stacked([s.proposals for s in scenes], np.empty((0, 4)))
-        out[split + "_features"] = _stacked([s.features for s in scenes], np.empty((0, d)))
-        out[split + "_proposal_offsets"] = _offsets(len(s.proposals) for s in scenes)
-        out[split + "_gt"] = _stacked([s.gt for s in scenes], np.empty((0, 4)))
-        out[split + "_labels"] = _stacked([s.labels for s in scenes],
-                                          np.empty(0, dtype=np.int64))
-        out[split + "_gt_offsets"] = _offsets(len(s.gt) for s in scenes)
-    for name, support in zip(_SUPPORTS, (world.support_seen, world.support_unseen)):
-        ids = sorted(support)
-        out[name] = _stacked([support[c] for c in ids], np.empty((0, d)))
-        out[name + "_ids"] = np.array(ids, dtype=np.int64)
-        out[name + "_offsets"] = _offsets(len(support[c]) for c in ids)
+           "class_means": world.class_means,
+           "support_seen": world.seen, "support_unseen": world.unseen}
+    for split in SPLITS:
+        for name in _BLOCKS:
+            out[f"{split}_{name}"] = getattr(getattr(world, split), name)
     return out
 
 
-def _float_rows(entry, name, width):
+def _block(entry, name, shape, dtype=np.float64):
+    """Entry `name`, checked: its dtype, its exact shape and, for a float
+    entry, finite values."""
     a = entry(name)
-    if a.dtype != np.float64 or a.ndim != 2 or a.shape[1] != width:
+    if a.dtype != dtype or a.shape != shape:
         raise ValueError(f"{name}: {a.dtype} array of shape {a.shape}, "
-                         f"expected float64 rows of width {width}")
-    if not np.isfinite(a).all():
+                         f"expected {np.dtype(dtype)} of shape {shape}")
+    if a.dtype.kind == "f" and not np.isfinite(a).all():
         raise ValueError(f"{name}: non-finite values")
     return a
 
 
-def _boxes(entry, name):
-    a = _float_rows(entry, name, 4)
-    if not ((a[:, 2] > a[:, 0]) & (a[:, 3] > a[:, 1])).all():
+def _boxes(entry, name, shape):
+    a = _block(entry, name, shape + (4,))
+    if not ((a[..., 2] > a[..., 0]) & (a[..., 3] > a[..., 1])).all():
         raise ValueError(f"{name}: degenerate box")
     return a
 
 
-def _ints(entry, name):
-    a = entry(name)
-    if a.dtype.kind not in "iu" or a.ndim != 1:
-        raise ValueError(f"{name}: {a.dtype} array of shape {a.shape}, expected 1-d integers")
-    return a.astype(np.int64, copy=False)
-
-
-def _bounds(entry, name, n_rows):
-    """Offsets as (start, end) pairs, one per segment of n_rows rows."""
-    o = _ints(entry, name)
-    if len(o) < 1 or o[0] != 0 or o[-1] != n_rows or (np.diff(o) < 0).any():
-        raise ValueError(f"{name}: offsets do not cover {n_rows} rows")
-    o = o.tolist()
-    return list(zip(o[:-1], o[1:]))
-
-
-def _world_from_entries(entry):
-    """Check the entries of a dataset (entry(name) -> array) and build
-    its World; ValueError on anything malformed."""
+def _world_from_entries(entry, splits):
+    """Check the entries of a dataset (entry(name) -> array) that the
+    given splits and the supports need, and build its World, without
+    the splits not asked for; ValueError on anything malformed."""
     tag, text = entry("format"), entry("config")
+    if tag.shape == () and str(tag) == RETIRED_FORMAT:
+        raise ValueError(f"format {RETIRED_FORMAT} is no longer read: rerun gen-data "
+                         "with the config and seed that made the dataset")
     if tag.shape != () or str(tag) != FORMAT:
         raise ValueError("not a protodetect dataset")
     if text.dtype.kind != "U" or text.shape != ():
@@ -335,57 +343,36 @@ def _world_from_entries(entry):
         raise ValueError("config must be an object")
     cfg = build_dataclass(WorldConfig, doc, "config")
     cfg.validate()
-    d = cfg.d
-    means = _float_rows(entry, "class_means", d)
+    d, k, P = cfg.d, cfg.objects_per_scene, cfg.proposals_per_scene
     n_classes = cfg.c_seen + cfg.c_unseen
-    if len(means) != n_classes:
-        raise ValueError(f"class_means: {len(means)} rows for {n_classes} classes")
-    splits = []
-    for split, n_scenes in zip(_SPLITS, (cfg.n_train_scenes, cfg.n_test_scenes)):
-        P = _boxes(entry, split + "_proposals")
-        F = _float_rows(entry, split + "_features", d)
-        G = _boxes(entry, split + "_gt")
-        L = _ints(entry, split + "_labels")
-        if len(F) != len(P) or len(L) != len(G):
-            raise ValueError(f"{split}: boxes and their features or labels differ in count")
-        if ((L < 1) | (L > n_classes)).any():
+    means = _block(entry, "class_means", (n_classes, d))
+    blocks = dict.fromkeys(SPLITS)
+    for split in splits:
+        S = getattr(cfg, f"n_{split}_scenes")
+        labels = _block(entry, split + "_labels", (S, k), np.int64)
+        if ((labels < 1) | (labels > n_classes)).any():
             raise ValueError(f"{split}_labels: a class id outside 1..{n_classes}")
-        props = _bounds(entry, split + "_proposal_offsets", len(P))
-        gts = _bounds(entry, split + "_gt_offsets", len(G))
-        if not len(props) == len(gts) == n_scenes:
-            raise ValueError(f"{split}: {len(props)} proposal and {len(gts)} GT scenes, "
-                             f"config n_{split}_scenes is {n_scenes}")
-        splits.append([Scene(P[a:b], F[a:b], G[c:e], L[c:e])
-                       for (a, b), (c, e) in zip(props, gts)])
-    supports = []
-    # the ids generate_world gives: seen 1..c_seen, then the unseen ones
-    all_ids = list(range(1, n_classes + 1))
-    for name, expected in zip(_SUPPORTS, (all_ids[:cfg.c_seen], all_ids[cfg.c_seen:])):
-        rows = _float_rows(entry, name, d)
-        ids = _ints(entry, name + "_ids").tolist()
-        bounds = _bounds(entry, name + "_offsets", len(rows))
-        if len(bounds) != len(ids):
-            raise ValueError(f"{name}: class ids do not match the offsets")
-        if any(a == b for a, b in bounds):
-            raise ValueError(f"{name}: a class has no support rows")
-        if name == "support_seen" and not ids:
-            raise ValueError("dataset has no seen support classes")
-        if ids != expected:
-            raise ValueError(f"{name}: class ids {ids}, expected {expected}")
-        supports.append({c: rows[a:b] for c, (a, b) in zip(ids, bounds)})
-    return World(cfg, means, *splits, *supports)
+        blocks[split] = Split(_boxes(entry, split + "_proposals", (S, P)),
+                              _block(entry, split + "_features", (S, P, d)),
+                              _boxes(entry, split + "_gt", (S, k)), labels)
+    return World(cfg, means, blocks["train"], blocks["test"],
+                 _block(entry, "support_seen", (cfg.c_seen, cfg.shots, d)),
+                 _block(entry, "support_unseen", (cfg.c_unseen, cfg.shots, d)))
 
 
 def save_world(path, world):
-    """Write the world to `path` as a v2 archive (`archive.save_archive`,
-    so at exactly `path`, with stable bytes). ValueError, before anything
-    is written, on a world that `load_world` would refuse."""
+    """Write the world's blocks to `path` as a v3 archive
+    (`archive.save_archive`, so at exactly `path`, with stable bytes).
+    ValueError, before anything is written, on a world that `load_world`
+    would refuse."""
     entries = _world_entries(world)
-    _world_from_entries(entries.__getitem__)
+    _world_from_entries(entries.__getitem__, SPLITS)
     save_archive(path, entries)
 
 
-def load_world(path):
-    """Read a v2 archive; ValueError on a malformed or corrupt file, or
-    on one that is not an archive."""
-    return load_archive(path, "dataset", _world_from_entries)
+def load_world(path, splits=SPLITS):
+    """Read the given splits and the supports of a v3 archive; the other
+    split is None and its entries are never read. ValueError on a
+    malformed or corrupt file, on a v2 one, or on one that is not an
+    archive."""
+    return load_archive(path, "dataset", lambda entry: _world_from_entries(entry, splits))

@@ -13,9 +13,9 @@ import pytest
 
 import protodetect
 
-from protodetect import cli
+from protodetect import archive, cli
 from protodetect.cli import main, run_protocol
-from protodetect.config import (ConfigError, RunConfig, apply_overrides,
+from protodetect.config import (ConfigError, RunConfig, apply_overrides, file_digest,
                                 load_run_config)
 from protodetect.embedder import load_checkpoint, save_checkpoint
 from protodetect.inference import MODES, assemble_protocol, detect_scene, save_detections
@@ -267,14 +267,14 @@ def _refuse_constant(name):
 
 
 def test_train_without_scored_heldout_proposals_logs_null_accuracy(tmp_path, capsys):
-    # every test proposal is its own GT box, of an unseen class, so no
-    # held-out proposal is scored; the dataset passes every loader check
+    # every test proposal is one of its scene's GT boxes, of an unseen
+    # class, so no held-out proposal is scored; the dataset passes every
+    # loader check
     cfg = write_cfg(tmp_path / "c.json")
     world = simulator.generate_world(load_run_config(cfg).world)
-    unseen = min(world.support_unseen)
-    world.test_scenes = [simulator.Scene(s.gt, s.features[:len(s.gt)], s.gt,
-                                         np.full(len(s.gt), unseen, dtype=np.int64))
-                         for s in world.test_scenes]
+    test = world.test
+    test.proposals[:] = test.gt[:, np.arange(test.proposals.shape[1]) % test.gt.shape[1]]
+    test.labels[:] = min(world.support_unseen)
     data, ckpt = tmp_path / "d.npz", tmp_path / "k.npz"
     simulator.save_world(data, world)
     assert main(["train", "--config", cfg, "--dataset", str(data), "--out", str(ckpt)]) == 0
@@ -376,21 +376,21 @@ def test_eval_rerun_byte_identical(trained, tmp_path):
 # rest on are float products, so a numpy or BLAS build that rounds them
 # differently moves them too (numpy 2.4 with OpenBLAS 0.3.31 on x86-64)
 PINNED_EVAL_ARTIFACTS = {
-    "fewshot": ("e2ea8fae8c5d153a0aafacb3039af86d93bc880681770abc3cb7ab3b15fde45a",
-                "5705c5a4f12a54b128e5eb87233318bb7860244f197e57e1afb2991a48298e43",
-                "4cd440cb512e8be2e2dc6268343565c10f239bbed06c8c5b95a446af8a2233bb"),
-    "openset": ("3cdc0cdebc4a1de1a0232d5c597fc54fafd6e03a6389df191a611b6b1adc991d",
-                "b6c880192cc1b5b87db4096c7dd8825ccbad560e61f72c8b97c81f4869ad6cb4",
-                "7c87818415949839027f01f1fea74507eb08b3e3a563c647423553188bf5868b"),
-    "zs-uo": ("3886c403e5cc159dc31d091f24bfa505121189cf5241f675acdc30b651e5c577",
-              "28d2f1d454ac12219cbe003fb59be0d61e18d729de4c7d63380f188284ddc21b",
-              "1d76bb27669dc1e6031ea1ae98ea6019afd2863470cd25163520f02645b63cf6"),
-    "zs-mpu": ("de18c2c86a2430aa935c4b3bbf4c0ce1bfee65589ff9bcdb30559f0c1403c301",
-               "4a1bc598904d9a2f8b8d4fbc9abf06a1ea3a16b523ccb3cf79c61b9bd884feb0",
-               "40144a4a96d245bb0f3860fc9addfe006826edaad4f5717b7fb448342402e04d"),
-    "zs-mps": ("fa344605e96e45e78abfedd043b239e90db82561917ff9ec371ed78d7940cef9",
-               "d1ea2fa95b8639da3c09ec03f2e77d7679a57a965efa11484256f7f20581ea20",
-               "77535c4b0c1f71efc9c8130f06c6dea2ccb414fb79b0d94d0dbb237bc2d8fc7f"),
+    "fewshot": ("5deb3a3f0ffaa6fb423b065a45357517e2ae4f4aa212f3d57982b0ed00ee3365",
+                "52110c5e26680c946d2dabfac1c649d7eb8fd2f6329c9f46d4f5f942dbdb9b4d",
+                "ca6f2323845812e742902c1a3d19fe943f153b5944e37a5ec0fa70197f6208ac"),
+    "openset": ("b50d8b3e93da57b6e9f6333b74deb938c540fc10c9fc23ef3774832ce5041c65",
+                "a9c812266629f007535c261a2be43ff9a1fcfc56b0a1acecd399c4eb1624ad15",
+                "846d663655f7021446ba68526444b6aa820327f185cec9f547899f4f84fea2f1"),
+    "zs-uo": ("cc684ed36d0694d443f1482f25db828fb04e307dd175eab4354ba4173f8e3b5c",
+              "67f37aac84725245c9c28cba7de16ebcd2452b56b60c8e1ff36c3d931b2e14de",
+              "86150ff02311a931977775e42e4f1eeac5b3e6305dd819e2c881c429e90b1d5f"),
+    "zs-mpu": ("fef9ed8efa74c5af23dfb46fcdbc5769fc63361fa0a97099ad864bc66d3be7b8",
+               "864d96e538b4a839234e449ee27d691cb11996c02fd1cf4ff61144aeba7f86f8",
+               "06247f5da2fe1328a92c3cdb238963b4d218019b7ffbe1b816b913eee08eb7df"),
+    "zs-mps": ("e696398aab26f7b325fda9ef65495b80165f5b6263f19a19df5850bdc50afe0b",
+               "7935cd653c9336ad4b44a78b79f862e1860102feca81177fec6b9261faa00639",
+               "20baf593e2f8a9a3ae5886230c815b95c013d030fa83e0a5ebffffacd86991d7"),
 }
 
 
@@ -418,7 +418,7 @@ A3_SHORT_CFG = {
     "train": {"lr": 1e-4, "weight_decay": 1e-4, "stage1_steps": 10, "stage2_steps": 5,
               "shots": 5, "queries_per_support": 4, "tau": 10.0, "seed": 7},
 }
-PINNED_A3_TRAIN = ("f00f304d19d6847ee90f567e896701892f35c5e6f8d80604bdb76cbc643c9eb0",
+PINNED_A3_TRAIN = ("8a3cf36e3e667e609f97b5026a44c28c17de8c98e44478b9fbb5457d3c741e36",
                    "7e0f58c11d801c3c3b8cbe36c73b398eb13207913e0a09566202ecb823539495")
 
 
@@ -508,7 +508,7 @@ def test_train_non_numeric_lr_exit_2(trained, tmp_path, capsys):
 
 def test_zero_training_scenes_exit_2(trained, tmp_path):
     # a dataset whose training split holds no scene is refused too
-    # (V2_DATASET_MUTATIONS["no_train_scenes"])
+    # (TRAIN_ENTRY_MUTATIONS["no_train_scenes"])
     cfg, _, _, _ = trained
     assert main(["gen-data", "--config", cfg, "--out", str(tmp_path / "d.json"),
                  "--set", "world.n_train_scenes=0"]) == 2
@@ -575,68 +575,43 @@ def run_on_dataset(trained, command, dataset, out):
     return main([command, "--config", cfg, "--dataset", dataset, *argv])
 
 
-# v2 archives: the entries np.savez wrote, changed and written again
+# dataset archives: the entries np.savez wrote, changed and written again;
+# the tiny world has 4 scenes a split, 12 proposals and 4 GT boxes a
+# scene, d=8, 3 seen and 2 unseen classes of 5 shots
 
 
-def _object_entry(entries):
-    entries["train_labels"] = entries["train_labels"].astype(object)
+def _cast(name, dtype):
+    def mutate(entries):
+        entries[name] = entries[name].astype(dtype)
+    return mutate
 
 
-def _shifted_offsets(entries):
-    entries["test_proposal_offsets"][-1] -= 1
+def _resized(name, index):
+    def mutate(entries):
+        entries[name] = entries[name][index]
+    return mutate
 
 
-def _feature_dim(entries):
-    entries["train_features"] = entries["train_features"][:, :-1]
+def _dropped(name):
+    def mutate(entries):
+        del entries[name]
+    return mutate
+
+
+def _set_first(name, value):
+    def mutate(entries):
+        entries[name].reshape(-1)[0] = value
+    return mutate
 
 
 def _degenerate_box(entries):
-    entries["test_gt"][0, 2] = entries["test_gt"][0, 0]
-
-
-def _missing_entry(entries):
-    del entries["support_seen_offsets"]
-
-
-def _support_row_length(entries):
-    entries["support_seen"] = entries["support_seen"][:, :-1]
-
-
-def _support_class_empty(entries):
-    # the second class's rows go to the third
-    entries["support_seen_offsets"][2] = entries["support_seen_offsets"][1]
-
-
-def _support_empty(entries):
-    for name, keep in (("support_seen", 0), ("support_seen_ids", 0),
-                       ("support_seen_offsets", 1)):
-        entries[name] = entries[name][:keep]
-
-
-def _support_seen_id_zero(entries):
-    entries["support_seen_ids"][0] = 0
-
-
-def _support_unseen_id_seen(entries):
-    # the first unseen class would replace seen class 1 in a mixed bank
-    entries["support_unseen_ids"][0] = 1
-
-
-def _test_label_unknown(entries):
-    # c_seen + c_unseen = 5 classes
-    entries["test_labels"][0] = 6
-
-
-def _train_label_background(entries):
-    entries["train_labels"][0] = 0
+    entries["test_gt"][0, 0, 2] = entries["test_gt"][0, 0, 0]
 
 
 def _emptied(split):
     def mutate(entries):
         for name in ("proposals", "features", "gt", "labels"):
             entries[f"{split}_{name}"] = entries[f"{split}_{name}"][:0]
-        for name in ("proposal", "gt"):
-            entries[f"{split}_{name}_offsets"] = np.zeros(1, dtype=np.int64)
     return mutate
 
 
@@ -659,55 +634,154 @@ def _config_removed_key(entries):
     entries["config"] = np.array(json.dumps(doc))
 
 
-# each mutation, with a part of the message it must give
-V2_DATASET_MUTATIONS = {
+def _shape_error(name, shape, expected, dtype="float64"):
+    return f"{name}: {dtype} array of shape {shape}, expected {dtype} of shape {expected}"
+
+
+# mutations of entries that train and eval both read, each with a part
+# of the message it must give; the stored config fixes every shape
+DATASET_MUTATIONS = {
     "truncated": (None, "corrupt dataset archive"),
-    "object_dtype": (_object_entry, "dataset entry 'train_labels' cannot be loaded: "
-                                    "Object arrays cannot be loaded"),
-    "offsets": (_shifted_offsets, "test_proposal_offsets"),
-    "feature_dim": (_feature_dim, "train_features"),
-    "degenerate_box": (_degenerate_box, "degenerate box"),
-    "missing_entry": (_missing_entry, "no entry 'support_seen_offsets'"),
-    "support_row_length": (_support_row_length, "support_seen"),
-    "support_class_empty": (_support_class_empty, "a class has no support rows"),
-    "support_empty": (_support_empty, "dataset has no seen support classes"),
+    "object_dtype": (_cast("test_labels", object), "dataset entry 'test_labels' cannot be "
+                                                   "loaded: Object arrays cannot be loaded"),
+    "label_dtype": (_cast("test_labels", np.int32), "test_labels: int32 array of shape (4, 4), "
+                                                    "expected int64 of shape (4, 4)"),
+    "scene_count": (_resized("test_features", np.s_[:-1]),
+                    _shape_error("test_features", "(3, 12, 8)", "(4, 12, 8)")),
+    "proposal_count": (_resized("test_proposals", np.s_[:, :-1]),
+                       _shape_error("test_proposals", "(4, 11, 4)", "(4, 12, 4)")),
+    "gt_count": (_resized("test_gt", np.s_[:, 1:]),
+                 _shape_error("test_gt", "(4, 3, 4)", "(4, 4, 4)")),
+    "feature_dim": (_resized("test_features", np.s_[..., :-1]),
+                    _shape_error("test_features", "(4, 12, 7)", "(4, 12, 8)")),
+    "degenerate_box": (_degenerate_box, "test_gt: degenerate box"),
+    "missing_entry": (_dropped("support_seen"), "no entry 'support_seen'"),
+    "support_row_length": (_resized("support_seen", np.s_[..., :-1]),
+                           _shape_error("support_seen", "(3, 5, 7)", "(3, 5, 8)")),
+    "support_shots": (_resized("support_unseen", np.s_[:, 1:]),
+                      _shape_error("support_unseen", "(2, 4, 8)", "(2, 5, 8)")),
+    "support_class_empty": (_resized("support_seen", np.s_[:, :0]),
+                            _shape_error("support_seen", "(3, 0, 8)", "(3, 5, 8)")),
+    "support_empty": (_resized("support_seen", np.s_[:0]),
+                      _shape_error("support_seen", "(0, 5, 8)", "(3, 5, 8)")),
     "config_type": (_config_wrong_type, "'config.d' must be of type int, got 'x'"),
     "config_removed_key": (_config_removed_key,
                            "unknown keys in 'config': ['bg_feature_std']"),
-    "support_seen_id_zero": (_support_seen_id_zero,
-                             "support_seen: class ids [0, 2, 3], expected [1, 2, 3]"),
-    "support_unseen_id_seen": (_support_unseen_id_seen,
-                               "support_unseen: class ids [1, 5], expected [4, 5]"),
-    "test_label_unknown": (_test_label_unknown, "test_labels: a class id outside 1..5"),
-    "train_label_background": (_train_label_background,
-                               "train_labels: a class id outside 1..5"),
+    # c_seen + c_unseen = 5 classes
+    "test_label_unknown": (_set_first("test_labels", 6), "test_labels: a class id outside 1..5"),
     # each split's scene count is the stored n_train_scenes or
     # n_test_scenes (4 each), so neither split is empty
-    "no_train_scenes": (_emptied("train"),
-                        "train: 0 proposal and 0 GT scenes, config n_train_scenes is 4"),
     "no_test_scenes": (_emptied("test"),
-                       "test: 0 proposal and 0 GT scenes, config n_test_scenes is 4"),
+                       _shape_error("test_labels", "(0, 4)", "(4, 4)", "int64")),
     "stored_test_count_differs": (_more_test_scenes_stored,
-                                  "test: 4 proposal and 4 GT scenes, config n_test_scenes is 5"),
+                                  _shape_error("test_labels", "(4, 4)", "(5, 4)", "int64")),
+}
+
+# mutations of train_* entries only: train refuses each, eval reads none
+# of them (test_eval_ignores_malformed_train_entries)
+TRAIN_ENTRY_MUTATIONS = {
+    "no_train_scenes": (_emptied("train"),
+                        _shape_error("train_labels", "(0, 4)", "(4, 4)", "int64")),
+    "train_label_background": (_set_first("train_labels", 0),
+                               "train_labels: a class id outside 1..5"),
+    "train_object_dtype": (_cast("train_labels", object), "dataset entry 'train_labels' "
+                                                          "cannot be loaded: Object arrays "
+                                                          "cannot be loaded"),
+    "train_scene_count": (_resized("train_proposals", np.s_[1:]),
+                          _shape_error("train_proposals", "(3, 12, 4)", "(4, 12, 4)")),
+    "train_feature_dim": (_resized("train_features", np.s_[..., :-1]),
+                          _shape_error("train_features", "(4, 12, 7)", "(4, 12, 8)")),
+    "train_missing_entry": (_dropped("train_gt"), "no entry 'train_gt'"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(V2_DATASET_MUTATIONS))
-@pytest.mark.parametrize("command", ["train", "eval"])
-def test_malformed_v2_dataset_exit_2(trained, tmp_path, case, command, capsys):
-    data, (mutate, message) = trained[1], V2_DATASET_MUTATIONS[case]
-    bad = tmp_path / "bad.npz"
+def write_mutated(trained, dst, mutate):
+    """The trained dataset with `mutate` applied to its entries, at dst;
+    None truncates the file to half its bytes instead."""
+    data = trained[1]
     if mutate is None:
-        bad.write_bytes(data.read_bytes()[:data.stat().st_size // 2])
-    else:
-        entries = v2_entries(data)
-        mutate(entries)
-        write_v2(bad, entries)
-    assert run_on_dataset(trained, command, str(bad), tmp_path / "out") == 2
+        dst.write_bytes(data.read_bytes()[:data.stat().st_size // 2])
+        return str(dst)
+    entries = v2_entries(data)
+    mutate(entries)
+    return write_v2(dst, entries)
+
+
+# The name predates format v3; it is kept so that the ids of the cases
+# that carried over stay the same. Train refuses every mutation of both
+# tables, eval those of entries it reads.
+@pytest.mark.parametrize("command,case", [(command, case) for case in sorted(DATASET_MUTATIONS)
+                                          for command in ("eval", "train")]
+                         + [("train", case) for case in sorted(TRAIN_ENTRY_MUTATIONS)])
+def test_malformed_v2_dataset_exit_2(trained, tmp_path, case, command, capsys):
+    mutate, message = {**DATASET_MUTATIONS, **TRAIN_ENTRY_MUTATIONS}[case]
+    bad = write_mutated(trained, tmp_path / "bad.npz", mutate)
+    assert run_on_dataset(trained, command, bad, tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert "cannot read dataset" in err and message in err
     # no output and no temporary beside one
     assert [p.name for p in tmp_path.iterdir()] == ["bad.npz"]
+
+
+def _digest_masked(path, digest):
+    return Path(path).read_bytes().replace(digest.encode(), b"<dataset digest>")
+
+
+def test_eval_requests_no_train_entry(trained, tmp_path, monkeypatch):
+    # eval asks the archive for the 9 entries of the test split, the
+    # supports, the class means, the format and the config; train for
+    # those and the 4 of the training split
+    requested = []
+
+    def spied(path, kind, from_entries):
+        return archive.load_archive(path, kind, lambda entry: from_entries(
+            lambda name: requested.append(name) or entry(name)))
+
+    monkeypatch.setattr(simulator, "load_archive", spied)
+    blocks = ["proposals", "features", "gt", "labels"]
+    common = {"format", "config", "class_means", "support_seen", "support_unseen",
+              *(f"test_{name}" for name in blocks)}
+    for command, names in (("eval", common),
+                           ("train", common | {f"train_{name}" for name in blocks})):
+        requested.clear()
+        assert run_on_dataset(trained, command, str(trained[1]), tmp_path / command) == 0
+        assert set(requested) == names and len(requested) == len(names), command
+    assert len(common) == 9
+
+
+@pytest.mark.parametrize("case", sorted(TRAIN_ENTRY_MUTATIONS) + ["inf_train_feature"])
+def test_eval_ignores_malformed_train_entries(trained, tmp_path, case, capsys):
+    # eval never reads a train_* entry, so a dataset whose training split
+    # is malformed evaluates as the intact one: exit 0 and the same
+    # bytes once the provenance's dataset digest is masked
+    mutate = (TRAIN_ENTRY_MUTATIONS[case][0] if case in TRAIN_ENTRY_MUTATIONS
+              else _set_first(*NON_FINITE[case]))
+    bad = write_mutated(trained, tmp_path / "bad.npz", mutate)
+    outputs = []
+    for name, data in (("good", str(trained[1])), ("bad", bad)):
+        assert run_on_dataset(trained, "eval", data, tmp_path / name) == 0
+        digest = file_digest(data)
+        outputs.append([capsys.readouterr().out] + [
+            _digest_masked(f"{tmp_path / name}{suffix}", digest)
+            for suffix in (".detections.json", ".json", ".csv")])
+    assert outputs[0] == outputs[1]
+    assert file_digest(bad) != file_digest(trained[1])
+    assert run_on_dataset(trained, "train", bad, tmp_path / "ckpt") == 2
+
+
+def _retagged_v2(entries):
+    entries["format"] = np.array("protodetect-dataset-v2")
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_v2_dataset_exit_2(trained, tmp_path, command, capsys):
+    # the ragged v2 format (rows concatenated, with per-scene offsets) is
+    # no longer read; its tag is checked before any other entry
+    bad = write_mutated(trained, tmp_path / "v2.npz", _retagged_v2)
+    assert run_on_dataset(trained, command, bad, tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "format protodetect-dataset-v2 is no longer read: rerun gen-data" in err
+    assert not list(tmp_path.glob("out*"))
 
 
 def test_v1_json_dataset_exit_2(trained, tmp_path, capsys):
@@ -737,13 +811,12 @@ NON_FINITE = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(NON_FINITE))
-@pytest.mark.parametrize("command", ["train", "eval"])
+# eval reads no train_* entry (test_eval_ignores_malformed_train_entries)
+@pytest.mark.parametrize("command,case", [(command, case) for case in sorted(NON_FINITE)
+                                          for command in ("eval", "train")
+                                          if command == "train" or "train" not in case])
 def test_non_finite_dataset_exit_2(trained, tmp_path, case, command, capsys):
-    entry, value = NON_FINITE[case]
-    entries = v2_entries(trained[1])
-    entries[entry][0, 0] = value
-    bad = write_v2(tmp_path / "bad.npz", entries)
+    bad = write_mutated(trained, tmp_path / "bad.npz", _set_first(*NON_FINITE[case]))
     assert run_on_dataset(trained, command, bad, tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert "cannot read dataset" in err and "non-finite" in err
@@ -920,6 +993,46 @@ def test_world_without_background_pool_exit_2(trained, tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert "no background pool in training scenes" in capsys.readouterr().err
     assert not list(tmp_path.glob("c.npz*"))
+
+
+def test_one_parser_serves_every_call(trained, tmp_path, capsys):
+    # main reuses the parser it builds once per process: a run of
+    # commands, one an argparse usage error and two with different
+    # overrides, exits, prints and writes as with a fresh parser per call
+    cfg, data, ckpt, _ = trained
+    out = tmp_path / "out"
+    out.mkdir()
+    eval_argv = ["eval", "--config", cfg, "--dataset", str(data), "--checkpoint", str(ckpt),
+                 "--out-prefix", str(out / "r")]
+    runs = [["gen-data", "--config", cfg, "--out", str(out / "d.npz"),
+             "--set", "world.n_test_scenes=3"],
+            eval_argv + ["--mode", "openset"],
+            ["eval", "--config", cfg, "--mode", "bogus"],
+            ["train", "--config", cfg, "--dataset", str(data), "--out", str(out / "k.npz"),
+             "--set", "train.stage2_steps=1"],
+            eval_argv]
+
+    def outcomes(fresh):
+        for path in out.iterdir():
+            path.unlink()
+        seen = []
+        for argv in runs:
+            if fresh:
+                cli.build_parser.cache_clear()
+            try:
+                rc = main(argv)
+            except SystemExit as e:     # argparse's usage error
+                rc = f"SystemExit {e.code}"
+            files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                     for p in sorted(out.iterdir())}
+            seen.append((rc, *capsys.readouterr(), files))
+        return seen
+
+    assert cli.build_parser() is cli.build_parser()
+    reused = outcomes(fresh=False)
+    assert [o[0] for o in reused] == [0, 0, "SystemExit 2", 0, 0]
+    assert "invalid choice: 'bogus'" in reused[2][2]
+    assert outcomes(fresh=True) == reused
 
 
 def test_python_m_protodetect_runs_the_cli():

@@ -11,11 +11,12 @@ set out of range. Integers come from a small range, so no mutation
 builds a large net.
 
 Mutated archives go to the commands that read them, on a tiny world:
-v2 checkpoints to `protodetect eval`, v2 datasets to `protodetect train`
+v2 checkpoints to `protodetect eval`, v3 datasets to `protodetect train`
 and `eval`. Each example starts from the entries of the tiny run's
 archive and applies one to three mutations: an entry dropped or
 renamed, the format tag changed, an entry cast to another dtype or
-given another shape, an `_offsets` value shifted, a NaN or an Inf
+given another shape, a block's leading axis (a split's scenes, a
+support set's classes) cut or grown by one row, a NaN or an Inf
 written into a float entry (into a dataset also 1e39, which is finite
 in its float64 entries but overflows the float32 net), a leaf of a
 JSON string entry (the dataset's config, the checkpoint's provenance)
@@ -150,7 +151,8 @@ def tiny_run(tmp_path_factory):
 
 
 CHECKPOINT_TAGS = ("", "protodetect-checkpoint-v1", "protodetect-dataset-v2")
-DATASET_TAGS = ("", "protodetect-dataset-v1", "protodetect-checkpoint-v2")
+DATASET_TAGS = ("", "protodetect-dataset-v1", "protodetect-dataset-v2",
+                "protodetect-checkpoint-v2")
 DTYPES = (np.float16, np.float32, np.float64, np.int64, np.int8, np.bool_,
           np.complex128, "U4")
 
@@ -185,19 +187,16 @@ def mutated_archives(draw, entries, tags, values=NON_FINITE):
     entries = dict(entries)
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(["drop", "rename", "retag", "dtype", "shape",
-                                     "offsets", "value", "json"]))
+                                     "leading", "value", "json"]))
         if kind == "retag":
             entries["format"] = np.array(draw(st.sampled_from(tags)))
             continue
-        if kind == "offsets":
-            offsets = [n for n in sorted(entries) if n.endswith("_offsets")
-                       and entries[n].dtype.kind in "iu" and entries[n].size]
-            if offsets:
-                name = draw(st.sampled_from(offsets))
-                a = entries[name].copy()
-                a.reshape(-1)[draw(st.integers(0, a.size - 1))] += draw(
-                    st.sampled_from([-2, -1, 1, 2]))
-                entries[name] = a
+        if kind == "leading":
+            blocks = [n for n in sorted(entries) if entries[n].ndim >= 2 and len(entries[n])]
+            if blocks:
+                name = draw(st.sampled_from(blocks))
+                a = entries[name]
+                entries[name] = draw(st.sampled_from([a[:-1], np.concatenate([a, a[-1:]])]))
             continue
         if kind == "json":
             docs = {n: doc for n in sorted(entries)
@@ -278,10 +277,8 @@ def test_train_heldout_features_overflowing_float32_exit_2(tiny_run, tmp_path, c
     # the float32 net embeds it as inf; held-out scoring refuses that
     # before the checkpoint or its log is written
     cfg, _, _, entries, _ = tiny_run
-    start, stop = entries["test_proposal_offsets"][:2]
-    assert stop > start
     features = entries["test_features"].copy()
-    features[start:stop] = 1e39
+    features[0] = 1e39
     data = tmp_path / "overflow.npz"
     save_archive(str(data), {**entries, "test_features": features})
     out = tmp_path / "ckpt.npz"
@@ -303,11 +300,10 @@ def test_train_undrawn_training_features_overflowing_float32_exit_2(tmp_path, ca
     data = str(tmp_path / "d.npz")
     assert _quiet_main(["gen-data", "--config", str(cfg), "--out", data]) == 0
     entries = _entries(data)
-    offsets = entries["train_proposal_offsets"]
     codes = []
-    for start, stop in zip(offsets[:-1], offsets[1:]):
+    for scene in range(len(entries["train_features"])):
         features = entries["train_features"].copy()
-        features[start:stop] = 1e39
+        features[scene] = 1e39
         save_archive(data, {**entries, "train_features": features})
         out = str(tmp_path / "ckpt.npz")
         codes.append(main(["train", "--config", str(cfg), "--dataset", data, "--out", out]))
@@ -324,7 +320,7 @@ def test_eval_test_features_overflowing_float32_exit_2(tiny_run, tmp_path, mode,
     # them before any report is written, without numpy's warnings
     cfg, _, ckpt, entries, _ = tiny_run
     features = entries["test_features"].copy()
-    features[:entries["test_proposal_offsets"][1]] = 1e39
+    features[0] = 1e39
     data = tmp_path / "overflow.npz"
     save_archive(str(data), {**entries, "test_features": features})
     prefix = str(tmp_path / "r")

@@ -149,7 +149,7 @@ def test_world_stream_is_pinned():
             a = np.ascontiguousarray(a)
             h.update(f"{name} {a.dtype.str} {a.shape}\n".encode())
             h.update(a.tobytes())
-    assert h.hexdigest() == "12ade8108b07e595fc2f5c35d034b17d8b0af64ed5d9aaf4b7991af9f15a8adc"
+    assert h.hexdigest() == "c477f89cd70f3147eb502c18eaf09faed0cd6da7348aeea5836ce6908a7c3e31"
 
 
 def test_world_roundtrip(tmp_path):
