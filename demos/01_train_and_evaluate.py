@@ -33,7 +33,7 @@ def main():
         print(f"  step {rec['step']:4d} stage {rec['stage']}  "
               f"l_total {rec['l_total']:.4f}  grad {rec['grad_norm']:.3f}")
 
-    acc = heldout_accuracy(result.net, result.bank, world.test_scenes)
+    acc = heldout_accuracy(result.net, result.bank, world.test)
     print(f"\nheld-out nearest-prototype accuracy: {acc:.4f}")
 
     _, report = run_protocol(world, result.net, FEWSHOT,

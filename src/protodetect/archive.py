@@ -30,8 +30,8 @@ def load_archive(path, kind, from_entries):
     with open(path, "rb") as f:
         # sniffed first: np.load would call a JSON file pickled data
         if f.read(len(_ZIP_MAGIC)) != _ZIP_MAGIC:
-            raise ValueError(f"{kind} is not a v2 .npz archive; JSON files "
-                             f"of the older format are no longer read")
+            raise ValueError(f"{kind} is not an .npz archive; JSON files "
+                             f"of the older formats are no longer read")
         f.seek(0)
         try:
             with np.load(f, allow_pickle=False) as archive:

@@ -133,7 +133,7 @@ def cmd_train(args):
         raise CliError(str(e))
     try:
         with np.errstate(over="raise", invalid="raise"):
-            acc = heldout_accuracy(result.net, result.bank, world.test_scenes)
+            acc = heldout_accuracy(result.net, result.bank, world.test)
     except FloatingPointError:
         # held-out features that overflow the net's dtype: bad input, and
         # nothing is written
@@ -165,7 +165,7 @@ def run_protocol(world, net, mode, p0):
         # input, not divergence, and either input may be the bad one
         raise CliError("cannot evaluate: non-finite embeddings from the checkpoint "
                        "weights or the dataset features")
-    return per_scene, evaluate(per_scene, world.test_scenes, eval_ids, mode, unknown_id)
+    return per_scene, evaluate(per_scene, world.test.scenes, eval_ids, mode, unknown_id)
 
 
 def cmd_eval(args):

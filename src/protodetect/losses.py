@@ -151,7 +151,8 @@ def mapped_empty(shape, dtype):
     of the process allocates from: `Episode` keeps its input rows and
     float64 row buffers here. Whether glibc trims the heap and later
     commands of the same process fault it in again depends on what a
-    training run left there (ROADMAP item 5 has the measurements).
+    training run left there (the CHANGES.md entry that adds this function
+    has the measurements).
     """
     dtype = np.dtype(dtype)
     count = math.prod(shape)

@@ -10,8 +10,9 @@ training's loss head alike.
 `nearest_prototype` is the one decision: the nearest prototype of a
 query is the argmax of its `posteriors_batch` row, and `np.argmax`
 takes the first maximum, so ties go to the lowest id.
-The background prototype p0 is the mean embedding of the low-overlap
-proposals that `background_pool` collects.
+The background prototype p0 is the mean embedding of the proposals
+that `background_pool` collects: those that `simulator.label_proposals`,
+the owner of the IoU bands, labels background.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from .numeric import log_softmax, proto_logits
 # BACKGROUND_ID is defined in simulator.py beside the other label ids;
 # losses, inference, cli and the demos import it from here
-from .simulator import BACKGROUND_ID, BACKGROUND_IOU, iou
+from .simulator import BACKGROUND_ID
 
 
 class SupportSet:
@@ -102,10 +103,10 @@ def build_prototypes(net, support):
     return PrototypeBank(zip(support.class_ids, segment_means(net.embed(X), counts)))
 
 
-def background_pool(proposals, features, gt_boxes):
-    """Rows of features whose proposal's max IoU to any GT box is below
-    `simulator.BACKGROUND_IOU`."""
-    return features[iou(proposals, gt_boxes).max(axis=1, initial=0.0) < BACKGROUND_IOU]
+def background_pool(features, labels):
+    """The rows of features (P, d) whose `simulator.label_proposals`
+    label (P,) is BACKGROUND_ID."""
+    return features[labels == BACKGROUND_ID]
 
 
 def compose_unknown_prototype(bank):

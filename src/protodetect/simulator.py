@@ -10,7 +10,9 @@ space augmentation.
 A scene is columnar: one array of proposal boxes, one of their
 features, one of ground-truth boxes and one of their labels. Boxes are
 (x1, y1, x2, y2) rows, and `iou` compares every row of one box array
-with every row of another.
+with every row of another. `label_proposals` owns the IoU bands: it
+labels a scene, or a whole split in one stacked `iou`, and the
+background pools and held-out accuracy read its labels.
 
 Datasets are fully determined by (config, seed). One generator, seeded
 once, draws the class means by rejection, then every support row in
@@ -134,14 +136,6 @@ class World:
     unseen: np.ndarray          # (c_unseen, shots, d); class id c is row c - c_seen - 1
 
     @property
-    def train_scenes(self):
-        return self.train.scenes
-
-    @property
-    def test_scenes(self):
-        return self.test.scenes
-
-    @property
     def support_seen(self):
         """{class id: (shots, d) rows}, views into `seen`."""
         return dict(enumerate(self.seen, 1))
@@ -262,16 +256,17 @@ def augment_feature(rng, v, strength, sigma_f=1.0):
 
 
 def label_proposals(scene):
-    """Per-proposal training labels (P,): the class of the best-overlapping
-    GT box at IoU >= 0.5, BACKGROUND_ID below 0.3, IGNORE in between.
-    The best GT box is the first one of maximal IoU."""
+    """Training labels of a Scene's proposals (P,) or a Split's (S, P),
+    from one `iou` call: the class of the best-overlapping GT box (the
+    first of maximal IoU) at IoU >= 0.5, BACKGROUND_ID below
+    BACKGROUND_IOU, IGNORE in between."""
     ious = iou(scene.proposals, scene.gt)
-    background = ious.max(axis=1, initial=0.0) < BACKGROUND_IOU
+    background = ious.max(axis=-1, initial=0.0) < BACKGROUND_IOU
     labels = np.where(background, BACKGROUND_ID, IGNORE)
-    if ious.shape[1]:
-        best = np.argmax(ious, axis=1)
-        fg = ious[np.arange(len(best)), best] >= 0.5
-        labels[fg] = scene.labels[best[fg]]
+    if ious.shape[-1]:
+        best = np.argmax(ious, axis=-1)
+        fg = np.take_along_axis(ious, best[..., None], axis=-1)[..., 0] >= 0.5
+        labels = np.where(fg, np.take_along_axis(scene.labels, best, axis=-1), labels)
     return labels
 
 

@@ -30,17 +30,20 @@ the norm that `clip_global_norm` returns: a float64 sum of float32
 squares is finite exactly when every entry is, so no separate pass over
 the vector is needed. An overflow or invalid operation anywhere in a
 step raises FloatingPointError, as a non-finite loss or gradient does,
-so a diverging run stops at once, without numpy's warnings. Each step draws its pool from the non-empty pools
-taken from the training scenes before the first step. The loop
+so a diverging run stops at once, without numpy's warnings. Each step
+draws its pool from the non-empty pools taken before the first step:
+one `label_proposals` call labels the whole training split, and
+`background_pool` keeps each scene's background rows. The loop
 is single-threaded in Python and fully deterministic in (config,
 dataset, seed), whatever the BLAS thread count.
 
 `background_prototype` computes p0 for the final bank, which the
 checkpoint stores; training refuses a world whose training scenes hold
 no background pool. `heldout_accuracy` scores the nearest-prototype
-decision of `prototypes.nearest_prototype`. Both, like the final
-bank's `build_prototypes`, embed their rows with `EmbeddingNet.embed`,
-which holds the activations of one block of rows at a time.
+decision of `prototypes.nearest_prototype` on the test split's rows
+that one `label_proposals` call keeps. Both, like the final bank's
+`build_prototypes`, embed their rows with `EmbeddingNet.embed`, which
+holds the activations of one block of rows at a time.
 """
 
 import json
@@ -174,7 +177,7 @@ def make_episode(rng, copies, cfg, sigma_f=1.0):
 
 
 def scene_background_features(scene):
-    return background_pool(scene.proposals, scene.features, scene.gt)
+    return background_pool(scene.features, label_proposals(scene))
 
 
 def background_prototype(net, pools):
@@ -184,24 +187,21 @@ def background_prototype(net, pools):
     return net.embed(np.concatenate(pools)).mean(axis=0)
 
 
-def heldout_accuracy(net, bank, scenes):
-    """Nearest-prototype accuracy on labeled proposals from held-out scenes.
+def heldout_accuracy(net, bank, split):
+    """Nearest-prototype accuracy on the labeled proposals of a held-out
+    split: one `label_proposals` call, one embed of the rows it keeps.
 
     Proposals in the IoU ignore band or labeled with classes outside
     the bank are left out; background proposals count with label
     BACKGROUND_ID. None when no proposal counts. FloatingPointError, from
     `nearest_prototype`, when an embedding is not finite.
     """
-    feats, labels = [], []
-    for scene in scenes:
-        y = label_proposals(scene)
-        keep = (y != IGNORE) & np.isin(y, bank.ids)
-        feats.append(scene.features[keep])
-        labels.append(y[keep])
-    if not sum(map(len, labels)):
+    y = label_proposals(split)
+    keep = (y != IGNORE) & np.isin(y, bank.ids)
+    if not keep.any():
         return None
-    pred, _ = nearest_prototype(net.embed(np.concatenate(feats)), bank)
-    return float(np.mean(pred == np.concatenate(labels)))
+    pred, _ = nearest_prototype(net.embed(split.features[keep]), bank)
+    return float(np.mean(pred == y[keep]))
 
 
 @dataclass
@@ -232,9 +232,10 @@ def train(world, cfg):
     """
     cfg.validate()
     # the non-empty background pools of the training scenes, taken once
-    # before any step: each step draws one and the final bank's p0 is
-    # their mean
-    pools = [p for p in map(scene_background_features, world.train_scenes) if len(p)]
+    # before any step from one labelling of the split: each step draws
+    # one and the final bank's p0 is their mean
+    pools = [p for p in map(background_pool, world.train.features,
+                            label_proposals(world.train)) if len(p)]
     if not pools:
         raise ValueError(NO_POOL)
     support = SupportSet(world.support_seen)

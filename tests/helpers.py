@@ -115,12 +115,12 @@ def assert_worlds_equal(a, b):
     """Same config and bit-equal arrays, scene by scene."""
     assert a.config == b.config
     assert np.array_equal(a.class_means, b.class_means)
-    for sa, sb in zip(a.train_scenes + a.test_scenes, b.train_scenes + b.test_scenes):
+    for sa, sb in zip(a.train.scenes + a.test.scenes, b.train.scenes + b.test.scenes):
         for name in ("proposals", "features", "gt", "labels"):
             x, y = getattr(sa, name), getattr(sb, name)
             assert x.dtype == y.dtype and np.array_equal(x, y), name
-    assert len(a.train_scenes) == len(b.train_scenes)
-    assert len(a.test_scenes) == len(b.test_scenes)
+    assert len(a.train.scenes) == len(b.train.scenes)
+    assert len(a.test.scenes) == len(b.test.scenes)
     for sa, sb in ((a.support_seen, b.support_seen), (a.support_unseen, b.support_unseen)):
         assert sorted(sa) == sorted(sb)
         assert all(np.array_equal(sa[c], sb[c]) for c in sa)

@@ -116,7 +116,7 @@ def a3_run():
 
 def test_a3_separable_world_convergence(a3_run):
     cfg, world, result, elapsed = a3_run
-    acc = heldout_accuracy(result.net, result.bank, world.test_scenes)
+    acc = heldout_accuracy(result.net, result.bank, world.test)
     _, rep = run_protocol(world, result.net, FEWSHOT,
                           result.bank.get(BACKGROUND_ID))
     map50 = float(np.mean([rep.cells[(c, 0.5)]["ap"] for c in world.support_seen]))
@@ -135,7 +135,7 @@ def test_a4_open_set_rejection(a3_run):
     bank, _, _ = assemble_protocol(OPENSET, world, result.net, p0)
     n_bg = n_rej = 0
     seen_total = seen_correct = 0
-    for scene in world.test_scenes:
+    for scene in world.test.scenes:
         for feat, y in zip(scene.features, label_proposals(scene).tolist()):
             if y == IGNORE:
                 continue
@@ -154,7 +154,7 @@ def test_a4_open_set_rejection(a3_run):
     unknown_recall = rep.cells[(unknown_id, 0.5)]["ar"]
 
     # seen-class accuracy degradation versus the closed few-shot bank (A3)
-    acc_a3 = heldout_accuracy(result.net, result.bank, world.test_scenes)
+    acc_a3 = heldout_accuracy(result.net, result.bank, world.test)
     acc_openset = seen_correct / seen_total
     ok = (reject_rate >= 0.90 and unknown_recall >= 0.60
           and acc_openset >= acc_a3 - 0.05)

@@ -74,13 +74,13 @@ def test_traced_pipeline_counts_match_the_dataset(tmp_path):
     assert metrics["simulator.save_world.bytes"] == size
     assert metrics["simulator.load_world.calls"] == 2
     assert metrics["simulator.load_world.bytes"] == 2 * size
-    assert metrics["inference.proposals"] == sum(len(s.proposals) for s in world.test_scenes)
-    assert metrics["inference.detect_scene.calls"] == len(world.test_scenes)
+    assert metrics["inference.proposals"] == sum(len(s.proposals) for s in world.test.scenes)
+    assert metrics["inference.detect_scene.calls"] == len(world.test.scenes)
     # train pools every training scene once, before its steps, which
     # draw from those pools; eval takes p0 from the checkpoint and pools
     # no scene
-    pool_rows = sum(len(scene_background_features(s)) for s in world.train_scenes)
-    assert metrics["prototypes.background_pool.calls"] == len(world.train_scenes)
+    pool_rows = sum(len(scene_background_features(s)) for s in world.train.scenes)
+    assert metrics["prototypes.background_pool.calls"] == len(world.train.scenes)
     assert metrics["prototypes.background_pool.rows"] == \
         before_eval["prototypes.background_pool.rows"] == pool_rows > 0
 

@@ -230,7 +230,7 @@ def test_train_writes_checkpoint_and_log(trained):
 def test_stored_p0_equals_the_rebuilt_one(trained):
     _, data, ckpt, _ = trained
     net, _, p0 = load_checkpoint(ckpt)
-    pools = [scene_background_features(s) for s in load_world(data).train_scenes]
+    pools = [scene_background_features(s) for s in load_world(data).train.scenes]
     assert np.array_equal(p0, background_prototype(net, pools))
 
 
@@ -442,7 +442,7 @@ def test_detection_from_one_embed_equals_per_scene_forwards(trained, tmp_path, m
     per_scene, _ = run_protocol(world, net, mode, p0)
     bank, _, _ = assemble_protocol(mode, world, net, p0)
     one_by_one = [detect_scene(s, net.forward_batch(s.features)[0], bank)
-                  for s in world.test_scenes]
+                  for s in world.test.scenes]
     save_detections(tmp_path / "one.json", per_scene)
     save_detections(tmp_path / "each.json", one_by_one)
     assert (tmp_path / "one.json").read_bytes() == (tmp_path / "each.json").read_bytes()
@@ -794,7 +794,7 @@ def test_v1_json_dataset_exit_2(trained, tmp_path, capsys):
     for command in ("train", "eval"):
         assert run_on_dataset(trained, command, str(bad), tmp_path / "out") == 2
         err = capsys.readouterr().err
-        assert "cannot read dataset" in err and "not a v2 .npz archive" in err
+        assert "cannot read dataset" in err and "not an .npz archive" in err
     assert not list(tmp_path.glob("out*"))
 
 
@@ -838,7 +838,7 @@ def test_v1_json_checkpoint_exit_2(trained, tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     assert eval_on_checkpoint(trained, bad, tmp_path / "r") == 2
     err = capsys.readouterr().err
-    assert "cannot read checkpoint" in err and "not a v2 .npz archive" in err
+    assert "cannot read checkpoint" in err and "not an .npz archive" in err
     assert not list(tmp_path.glob("r.*"))
 
 

@@ -9,6 +9,7 @@ from protodetect.prototypes import (PrototypeBank, SupportSet,
                                     background_pool, build_prototypes,
                                     compose_unknown_prototype, nearest_prototype,
                                     posteriors_batch, segment_means)
+from protodetect.simulator import Scene, label_proposals
 from protodetect.trainer import background_prototype, scene_background_features
 
 from helpers import make_scene, scalar_iou
@@ -113,9 +114,11 @@ def test_background_pool_rows_equal_scalar_iou_filter():
     feats = rng.normal(size=(30, 3))
     keep = [max(scalar_iou(b, g) for g in gt.tolist()) < 0.3 for b in props.tolist()]
     assert 0 < sum(keep) < 30
-    assert np.array_equal(background_pool(props, feats, gt), feats[keep])
+    scene = Scene(props, feats, gt, np.array([1, 2]))
+    assert np.array_equal(background_pool(feats, label_proposals(scene)), feats[keep])
     # without GT boxes every proposal is background
-    assert np.array_equal(background_pool(props, feats, np.empty((0, 4))), feats)
+    bare = Scene(props, feats, np.empty((0, 4)), np.empty(0, dtype=np.int64))
+    assert np.array_equal(background_pool(feats, label_proposals(bare)), feats)
 
 
 def test_background_empty_pool_errors():

@@ -79,7 +79,7 @@ def test_degenerate_box_rejected(tmp_path):
     # a world is checked before it is written: no file for a bad box
     for corners in ((0, 0, 0, 1), (0, 5, 1, 5), (0, 0, float("nan"), 1)):
         world = generate_world(small_world_cfg())
-        world.train_scenes[0].proposals[0] = corners
+        world.train.scenes[0].proposals[0] = corners
         path = tmp_path / "w.npz"
         with pytest.raises(ValueError):
             save_world(path, world)
@@ -119,7 +119,7 @@ def test_world_mean_separation():
 
 def test_world_zero_noise_features_equal_class_mean():
     world = generate_world(small_world_cfg(sigma_f=1e-300))
-    scene = world.train_scenes[0]
+    scene = world.train.scenes[0]
     for cid, feat in zip(scene.labels, scene.features[:len(scene.gt)]):
         assert np.allclose(feat, world.class_means[cid - 1], atol=1e-290)
 
@@ -129,7 +129,7 @@ def test_world_without_background_proposals():
     world = generate_world(cfg)
     from protodetect.trainer import scene_background_features
     # GT-aligned proposals only; with zero jitter none fall below IoU 0.3
-    assert len(scene_background_features(world.train_scenes[0])) == 0
+    assert len(scene_background_features(world.train.scenes[0])) == 0
 
 
 def test_world_determinism_byte_identical(tmp_path):
@@ -192,8 +192,8 @@ def test_world_boxes_labels_and_gt_jitter(jitter):
     cfg = small_world_cfg(box_jitter=jitter, **kw)
     world, still = generate_world(cfg), generate_world(small_world_cfg(**kw))
     k = cfg.objects_per_scene
-    for scenes, still_scenes, ids in ((world.train_scenes, still.train_scenes, {1, 2, 3}),
-                                      (world.test_scenes, still.test_scenes,
+    for scenes, still_scenes, ids in ((world.train.scenes, still.train.scenes, {1, 2, 3}),
+                                      (world.test.scenes, still.test.scenes,
                                        {1, 2, 3, 4, 5})):
         P, G = stacked(scenes, "proposals"), stacked(scenes, "gt")
         # jitter is drawn whatever its size, so it moves the GT-aligned
@@ -210,7 +210,7 @@ def test_world_boxes_labels_and_gt_jitter(jitter):
         assert (np.abs(P[:, :k] - G) <= jitter).all()
         if jitter == 0.0:
             assert P[:, :k].tobytes() == G.tobytes()
-    G, P = stacked(world.train_scenes, "gt"), stacked(world.train_scenes, "proposals")[:, :k]
+    G, P = stacked(world.train.scenes, "gt"), stacked(world.train.scenes, "proposals")[:, :k]
     moved = G + replayed_train_jitter(cfg) * jitter
     degenerate = (moved[..., 2] <= moved[..., 0]) | (moved[..., 3] <= moved[..., 1])
     assert np.array_equal(P[degenerate], G[degenerate])
@@ -308,3 +308,29 @@ def test_label_proposals_picks_best_gt():
 def test_label_proposals_without_gt_are_background():
     scene = make_scene(proposals=[((0, 0, 1, 1), np.zeros(1))] * 3)
     assert label_proposals(scene).tolist() == [0, 0, 0]
+
+
+def scalar_labels(scene):
+    """label_proposals by its definition, one scalar IoU at a time."""
+    out = []
+    for box in scene.proposals.tolist():
+        ious = [scalar_iou(box, g) for g in scene.gt.tolist()]
+        best = max(ious, default=0.0)
+        out.append(int(scene.labels[ious.index(best)]) if best >= 0.5
+                   else 0 if best < 0.3 else IGNORE)
+    return out
+
+
+@pytest.mark.parametrize("kw", [{}, {"objects_per_scene": 0},
+                                {"objects_per_scene": 4, "proposals_per_scene": 4}],
+                         ids=["default", "no-objects", "gt-only"])
+def test_label_proposals_of_a_split_equal_the_per_scene_calls(kw):
+    world = generate_world(WorldConfig(**kw))
+    for split in (world.train, world.test):
+        labels = label_proposals(split)
+        assert labels.dtype == np.int64 and labels.shape == split.proposals.shape[:2]
+        assert np.array_equal(labels, np.stack([label_proposals(s) for s in split.scenes]))
+        assert labels.tolist() == [scalar_labels(s) for s in split.scenes]
+    if not kw:
+        # the default world's scenes reach every band
+        assert {0, IGNORE} < set(labels.ravel().tolist())

@@ -1,4 +1,5 @@
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,8 +10,8 @@ from protodetect.embedder import EmbeddingNet
 from protodetect.numeric import make_rng
 from protodetect.prototypes import SupportSet
 from protodetect.losses import episode_loss
-from protodetect.simulator import Scene, WorldConfig, augment_feature, generate_world
-from protodetect import trainer
+from protodetect.simulator import WorldConfig, augment_feature, generate_world
+from protodetect import simulator, trainer
 from protodetect.trainer import (BETA1, BETA2, EPS, AdamW, TrainConfig,
                                  background_prototype, clip_global_norm, make_episode,
                                  query_copies, train)
@@ -310,8 +311,29 @@ def test_final_bank_includes_background():
     world = small_world()
     res = train(world, small_train_cfg())
     assert sorted(res.bank.ids) == [0, 1, 2, 3]
-    pools = [trainer.scene_background_features(s) for s in world.train_scenes]
+    pools = [trainer.scene_background_features(s) for s in world.train.scenes]
     assert np.array_equal(res.bank.get(0), background_prototype(res.net, pools))
+
+
+def test_train_and_heldout_accuracy_take_one_iou_per_split(monkeypatch):
+    # wherever protodetect refers to simulator.iou, as the benchmark's
+    # tracer wraps it
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return original(*args)
+
+    original = simulator.iou
+    for name, module in list(sys.modules.items()):
+        if name.startswith("protodetect.") and module.__dict__.get("iou") is original:
+            monkeypatch.setattr(module, "iou", counted)
+    world = small_world()
+    res = train(world, small_train_cfg())
+    assert calls == [len(world.train.proposals)]
+    del calls[:]
+    assert trainer.heldout_accuracy(res.net, res.bank, world.test) is not None
+    assert calls == [len(world.test.proposals)]
 
 
 def test_world_without_background_pool_is_refused_before_training(monkeypatch):
@@ -400,14 +422,15 @@ def test_a_step_allocates_no_large_array(monkeypatch):
 
 
 def test_steps_draw_only_non_empty_pools(monkeypatch):
-    # scenes 0 and 2 keep only their GT-aligned proposals (zero jitter),
-    # so they have no pool; every step must still get one of the others'
+    # every proposal of scenes 0 and 2 is one of their GT boxes (zero
+    # jitter), so they have no pool; every step must still get one of
+    # the others'
     world = small_world()
+    split = world.train
+    P, k = split.proposals.shape[1], split.gt.shape[1]
     for i in (0, 2):
-        s = world.train_scenes[i]
-        n = len(s.gt)
-        world.train_scenes[i] = Scene(s.proposals[:n], s.features[:n], s.gt, s.labels)
-    pools = [trainer.scene_background_features(s) for s in world.train_scenes]
+        split.proposals[i] = split.gt[i, np.arange(P) % k]
+    pools = [trainer.scene_background_features(s) for s in split.scenes]
     assert [len(p) > 0 for p in pools] == [False, True, False, True]
     seen = []
 
