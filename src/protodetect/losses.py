@@ -111,7 +111,7 @@ def kl_loss(Q, clf, post, grads=True):
     logp_proto, p_proto = post
     if clf.n_classes != p_proto.shape[-1]:
         raise ValueError("classifier width must equal bank size")
-    logp_clf = log_softmax(clf.logits_batch(Q), axis=-1)
+    logp_clf = log_softmax(clf.logits_batch(Q))
     delta_log = logp_proto - logp_clf
     row_kl = np.sum(p_proto * delta_log, axis=-1)
     value = _query_sum(row_kl)
@@ -127,7 +127,7 @@ def alignment_loss(S, y_idx, tau, grads=True):
     similarities."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    logp = log_softmax(S / tau, axis=-1)
+    logp = log_softmax(S / tau)
     rows = np.arange(S.shape[-2])
     value = -_query_sum(logp[..., rows, y_idx])
     if not grads:

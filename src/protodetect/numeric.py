@@ -1,5 +1,5 @@
-"""Small numeric core: stable log-softmax/log-sum-exp, prototype logits,
-distances, seeded RNG.
+"""Small numeric core: stable log-softmax over the last axis, prototype
+logits, distances, seeded RNG.
 
 Everything here works on plain float64 numpy arrays. Vectors are 1-D
 arrays, matrices are 2-D row-major arrays or stacks of them (leading
@@ -17,19 +17,36 @@ def make_rng(seed):
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
-def logsumexp(z, axis=-1, keepdims=False):
-    """Stable log(sum(exp(z))) via max subtraction."""
-    z = np.asarray(z, dtype=np.float64)
-    zmax = np.max(z, axis=axis, keepdims=True)
-    out = zmax + np.log(np.sum(np.exp(z - zmax), axis=axis, keepdims=True))
-    if not keepdims:
-        out = np.squeeze(out, axis=axis)
+def _reduce_columns(ufunc, a):
+    """`ufunc` folded over the last axis of `a`, one call per column, so
+    each call covers every row at once."""
+    out = a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        ufunc(out, a[..., j], out=out)
     return out
 
 
-def log_softmax(z, axis=-1):
+def log_softmax(z):
+    """Stable log-softmax over the last axis, via max subtraction.
+
+    numpy reduces the last axis one row at a time, which is slow for
+    the loss head's many short rows (a few prototypes per query). So
+    from 32 rows of fewer than 8 columns on, the max and the sum run
+    column by column, one call over every row per column. A max is
+    exact in any order, and numpy sums a row that short in sequence,
+    so the result is bit-equal to `np.max` / `np.sum` over the last
+    axis. Fewer rows are cheaper in numpy's own reductions, and from 8
+    columns on numpy sums pairwise, so those keep them.
+    """
     z = np.asarray(z, dtype=np.float64)
-    return z - logsumexp(z, axis=axis, keepdims=True)
+    k = z.shape[-1]
+    if k < 8 and z.size >= 32 * k:
+        zmax = _reduce_columns(np.maximum, z)
+        total = _reduce_columns(np.add, np.exp(z - zmax[..., None]))
+    else:
+        zmax = np.max(z, axis=-1)
+        total = np.sum(np.exp(z - zmax[..., None]), axis=-1)
+    return z - (zmax + np.log(total))[..., None]
 
 
 def _row_stacks(Q, P):

@@ -119,7 +119,7 @@ def proto_posteriors(Z):
     """(log P(prototype k | q), P(prototype k | q)) for each query row:
     the log-softmax of the prototype logits Z of `proto_logits`, which
     is that of -|q - p_k|^2, and its exp."""
-    logp = log_softmax(Z, axis=-1)
+    logp = log_softmax(Z)
     return logp, np.exp(logp)
 
 

@@ -68,6 +68,15 @@ def test_sweep_leaves_the_instance_untouched(monkeypatch):
     assert inst.theta.tobytes() == before
 
 
+def test_suite_errors_are_pinned():
+    # the audit's printed errors at the default instance settings, bit
+    # for bit; a change to the loss head's arithmetic moves them
+    assert run_suite() == {"match": 1.3063852095257834e-09,
+                           "kl": 9.664681170351673e-10,
+                           "align": 1.8995417871970447e-08,
+                           "total": 1.899988908751587e-09}
+
+
 def test_suite_keeps_a_nan_error():
     # a lambda_kl of 1e308 overflows the total gradient, so every
     # instance's total error is NaN; a plain max() would drop it

@@ -133,7 +133,7 @@ def test_alignment_value_keeps_its_product(stack):
     rng = make_rng(21)
     Q, P = rng.normal(size=(*stack, 40, 16)), rng.normal(size=(*stack, 6, 16))
     y_idx, tau = rng.integers(6, size=40), 10.0
-    logp = log_softmax((Q @ P.swapaxes(-1, -2)) / tau, axis=-1)
+    logp = log_softmax((Q @ P.swapaxes(-1, -2)) / tau)
     expected = -np.sum(np.ascontiguousarray(logp[..., np.arange(40), y_idx]), axis=-1)
     value, _ = alignment_loss(proto_logits(Q, P)[0], y_idx, tau, grads=False)
     assert np.array_equal(value, expected)

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from protodetect.numeric import (log_softmax, logsumexp, make_rng, proto_logits,
-                                 sq_distances)
+from protodetect.numeric import log_softmax, make_rng, proto_logits, sq_distances
 
 finite_floats = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -176,5 +175,47 @@ def test_rng_different_seeds_differ():
     assert not np.array_equal(make_rng(1).random(100), make_rng(2).random(100))
 
 
-def test_logsumexp_stability():
-    assert logsumexp([1000.0, 1000.0]) == pytest.approx(1000.0 + math.log(2.0))
+def test_log_softmax_stability():
+    assert log_softmax([1000.0, 1000.0])[0] == pytest.approx(-math.log(2.0))
+
+
+# log_softmax reduces column by column; these pin it bit for bit to
+# numpy's own row reductions, so a numpy release that changes its
+# reduction order fails here instead of moving artifact bytes
+
+def row_log_softmax(z):
+    """The oracle: numpy's max and sum over the last axis, row by row."""
+    z = np.asarray(z, dtype=np.float64)
+    zmax = np.max(z, axis=-1, keepdims=True)
+    return z - (zmax + np.log(np.sum(np.exp(z - zmax), axis=-1, keepdims=True)))
+
+
+def assert_same_bits(z):
+    with np.errstate(all="ignore"):
+        got, expected = log_softmax(z), row_log_softmax(z)
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 7e299, -3.0])
+
+
+@pytest.mark.parametrize("k", range(1, 129))
+def test_log_softmax_is_bit_equal_to_row_reductions(k):
+    rng = make_rng(k)
+    # 31 and 32 rows straddle the switch to column passes
+    for shape in [(k,), (31, k), (32, k), (5, 12, k)]:
+        z = rng.normal(scale=20.0, size=shape)
+        assert_same_bits(z)
+        # signed zeros, infinities, NaNs and magnitudes near 1e300
+        special = z.copy()
+        mask = rng.random(shape) < 0.3
+        special[mask] = rng.choice(SPECIAL, size=int(mask.sum()))
+        assert_same_bits(special)
+        assert_same_bits(rng.choice([0.0, -0.0], size=shape))
+        assert_same_bits(rng.choice([1e300, -1e300, 5e299, np.inf], size=shape))
+    # non-contiguous views: a stacked gather with a step, and a
+    # transpose whose last axis is not the fastest
+    block = rng.normal(scale=20.0, size=(9, 24, k))
+    assert_same_bits(block[[3, 0, 3, 8]][:, ::2])
+    assert_same_bits(rng.normal(size=(k, 8, 6)).transpose(2, 1, 0))
