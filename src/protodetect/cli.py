@@ -13,8 +13,11 @@ command that fails leaves none of its files and keeps any earlier ones
 at those paths. The checkpoint carries the background prototype p0, so
 eval embeds no training scene: it reads only the dataset's test split
 and supports. A dataset or checkpoint that is not an .npz archive, such
-as a JSON file of the older formats, exits 2, as does a dataset of the
-retired format protodetect-dataset-v2.
+as a JSON file of the older formats, exits 2, as does a dataset of a
+retired format: protodetect-dataset-v2 (ragged rows) or
+protodetect-dataset-v3 (float64 features). gen-data exits 2 and writes
+nothing when the world's features are beyond float32's range, the dtype
+a dataset stores them in.
 
 eval's `--mode`, fewshot by default, is the one input that selects the
 protocol; the run config holds none. eval is assemble -> detect ->

@@ -115,8 +115,10 @@ class EmbeddingNet:
         """Embed rows of X (N, d) -> (N, e) for inference, unstacked
         parameters only: one `forward_batch` per block of at most
         `EMBED_BLOCK_ROWS` rows, written into one output array. Each
-        block is cast to the net's dtype and its cache goes with it, so
-        the pass holds one block's input copy and hidden activations.
+        block is read in the net's dtype, through a copy only when X has
+        another (dataset features are float32, as a trained net is), and
+        its cache goes with it, so the pass holds at most one block's
+        input copy and its hidden activations.
 
         Blocking splits only the rows of each product; the tests check
         that every row stays bit-equal to that of one `forward_batch`

@@ -71,10 +71,11 @@ def detect_scene(scene, emb, bank):
 def detect_scenes(split, net, bank):
     """`detect_scene` of every scene of `split` (a `simulator.Split`), in
     order, from one `EmbeddingNet.embed` of its (S, P, d) feature block
-    viewed as S P rows; embed casts each block of rows to the net's
-    dtype. The posteriors stay per scene: one Q P^T product over every
-    row would block the float64 product otherwise and move scores in
-    their last bits."""
+    viewed as S P rows. The block is float32, as a dataset stores it and
+    a trained net reads it, so embed copies no row; a float64 net casts
+    each block of rows. The posteriors stay per scene: one Q P^T product
+    over every row would block the float64 product otherwise and move
+    scores in their last bits."""
     S, P, d = split.features.shape
     emb = net.embed(split.features.reshape(S * P, d)).reshape(S, P, net.out_dim)
     return [detect_scene(s, e, bank) for s, e in zip(split.scenes, emb)]

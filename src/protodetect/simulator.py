@@ -21,9 +21,12 @@ one block per quantity for all of the split's scenes. A world keeps
 those blocks (`Split`, and a (C, shots, d) block per support set) and
 its scenes are views into them: every scene has proposals_per_scene
 proposals and objects_per_scene GT boxes, as a DETR-style backbone
-emits a fixed number of queries per image. `save_world` writes the
+emits a fixed number of queries per image. Features are drawn in
+float64 and kept in float32, the dtype the trained net reads them in,
+as a frozen backbone hands its query features to the detection head;
+supports, class means and boxes stay float64. `save_world` writes the
 blocks as they are to one uncompressed .npz archive (format
-protodetect-dataset-v3) whose bytes depend on the world only.
+protodetect-dataset-v4) whose bytes depend on the world only.
 `load_world` reads the splits it is asked for and the supports, and
 checks what it reads (see "dataset files" below); entries are read on
 access, so eval, which asks for the test split, never reads the other.
@@ -113,9 +116,9 @@ class WorldConfig:
 @dataclass
 class Split:
     """S scenes as blocks, as `_draw_split` draws them and a dataset
-    stores them: proposal boxes (S, P, 4), their features (S, P, d), GT
-    boxes (S, k, 4) and their class ids (S, k) int64. `scenes` holds one
-    Scene per row, views into the blocks."""
+    stores them: proposal boxes (S, P, 4), their features (S, P, d)
+    float32, GT boxes (S, k, 4) and their class ids (S, k) int64.
+    `scenes` holds one Scene per row, views into the blocks."""
     proposals: np.ndarray
     features: np.ndarray
     gt: np.ndarray
@@ -188,7 +191,10 @@ def _draw_split(rng, cfg, class_pool, means, n_scenes):
     (S, k, 4), features (S, n, d).
     The first k boxes of a scene are its GT boxes; their proposals are
     the GT boxes jittered, except where jitter would make a box
-    degenerate, and their features are class mean + noise * sigma_f."""
+    degenerate, and their features are class mean + noise * sigma_f.
+    Features are computed in float64 and kept in float32, rounded once
+    here; `generate_world` runs this under np.errstate(over="raise"), so
+    a value beyond float32's range raises FloatingPointError."""
     k, n = cfg.objects_per_scene, cfg.proposals_per_scene
     labels = np.asarray(class_pool, dtype=np.int64)[
         rng.integers(len(class_pool), size=(n_scenes, k))]
@@ -206,22 +212,35 @@ def _draw_split(rng, cfg, class_pool, means, n_scenes):
     proposals[:, :k] = np.where(ok[..., None], moved, gt)
     features = rng.normal(size=(n_scenes, n, cfg.d))
     features[:, :k] = means[labels - 1] + features[:, :k] * cfg.sigma_f
-    return Split(proposals, features, gt, labels)
+    return Split(proposals, features.astype(np.float32), gt, labels)
 
 
 def generate_world(cfg):
     """Build class means, support sets, and train/test scenes from (cfg, seed),
     in that order. Training scenes hold seen classes only, test scenes
-    seen and unseen."""
+    seen and unseen.
+
+    ValueError, without numpy's warnings, when a delta or sigma_f that
+    `WorldConfig.validate` accepts puts features beyond float32's range:
+    when their float32 cast overflows, or a float64 draw on the way to
+    them does (from delta about 1e154 on, the norms of `_place_means`)."""
     cfg.validate()
     rng = make_rng(cfg.seed)
     n_total = cfg.c_seen + cfg.c_unseen
-    means = _place_means(rng, cfg.c_seen, cfg.c_unseen, cfg.d, cfg.delta)
-    # every class's shots rows in one draw; class id c is row c - 1
-    support = means[:, None] + rng.normal(size=(n_total, cfg.shots, cfg.d)) * cfg.sigma_f
-    seen = list(range(1, cfg.c_seen + 1))
-    train = _draw_split(rng, cfg, seen, means, cfg.n_train_scenes)
-    test = _draw_split(rng, cfg, list(range(1, n_total + 1)), means, cfg.n_test_scenes)
+    try:
+        with np.errstate(over="raise"):
+            means = _place_means(rng, cfg.c_seen, cfg.c_unseen, cfg.d, cfg.delta)
+            # every class's shots rows in one draw; class id c is row c - 1
+            support = (means[:, None]
+                       + rng.normal(size=(n_total, cfg.shots, cfg.d)) * cfg.sigma_f)
+            seen = list(range(1, cfg.c_seen + 1))
+            train = _draw_split(rng, cfg, seen, means, cfg.n_train_scenes)
+            test = _draw_split(rng, cfg, list(range(1, n_total + 1)), means,
+                               cfg.n_test_scenes)
+    except FloatingPointError as e:
+        raise ValueError(f"proposal features beyond float32's range, the dtype a "
+                         f"dataset stores them in ({e}): lower world.delta or "
+                         "world.sigma_f") from None
     return World(cfg, means, train, test, support[:cfg.c_seen], support[cfg.c_seen:])
 
 
@@ -272,21 +291,23 @@ def label_proposals(scene):
 
 # --- dataset files -------------------------------------------------------------
 #
-# A v3 file is an uncompressed .npz archive of 13 entries; S is the split's
+# A v4 file is an uncompressed .npz archive of 13 entries; S is the split's
 # scene count, P, k, d, shots, c_seen and c_unseen those of the stored config:
 #   format, config                 0-d strings: the format tag, the WorldConfig as JSON
 #   class_means                    (c_seen + c_unseen, d)
-#   <split>_proposals, _features   (S, P, 4), (S, P, d)   scene s is row s
+#   <split>_proposals, _features   (S, P, 4), (S, P, d) float32   scene s is row s
 #   <split>_gt, _labels            (S, k, 4), (S, k) int64
 #   support_seen, support_unseen   (c_seen, shots, d), (c_unseen, shots, d)
-# for split in train, test; every entry but the int64 labels is float64.
+# for split in train, test; the features are float32, the labels int64 and
+# every other array entry float64.
 # The loader checks the stored config as the run config is checked, then
 # each entry's dtype and exact shape (so each split holds its configured
 # scene count, at least 1), finite values, non-degenerate boxes and GT
 # labels in 1..c_seen + c_unseen. eval reads the 9 that are not train_*.
 
-FORMAT = "protodetect-dataset-v3"
-RETIRED_FORMAT = "protodetect-dataset-v2"   # ragged rows with per-scene offsets
+FORMAT = "protodetect-dataset-v4"
+# v2: ragged rows with per-scene offsets; v3: the v4 layout, float64 features
+RETIRED_FORMATS = ("protodetect-dataset-v2", "protodetect-dataset-v3")
 SPLITS = ("train", "test")
 _BLOCKS = ("proposals", "features", "gt", "labels")
 
@@ -326,8 +347,8 @@ def _world_from_entries(entry, splits):
     given splits and the supports need, and build its World, without
     the splits not asked for; ValueError on anything malformed."""
     tag, text = entry("format"), entry("config")
-    if tag.shape == () and str(tag) == RETIRED_FORMAT:
-        raise ValueError(f"format {RETIRED_FORMAT} is no longer read: rerun gen-data "
+    if tag.shape == () and str(tag) in RETIRED_FORMATS:
+        raise ValueError(f"format {tag} is no longer read: rerun gen-data "
                          "with the config and seed that made the dataset")
     if tag.shape != () or str(tag) != FORMAT:
         raise ValueError("not a protodetect dataset")
@@ -348,7 +369,7 @@ def _world_from_entries(entry, splits):
         if ((labels < 1) | (labels > n_classes)).any():
             raise ValueError(f"{split}_labels: a class id outside 1..{n_classes}")
         blocks[split] = Split(_boxes(entry, split + "_proposals", (S, P)),
-                              _block(entry, split + "_features", (S, P, d)),
+                              _block(entry, split + "_features", (S, P, d), np.float32),
                               _boxes(entry, split + "_gt", (S, k)), labels)
     return World(cfg, means, blocks["train"], blocks["test"],
                  _block(entry, "support_seen", (cfg.c_seen, cfg.shots, d)),
@@ -356,7 +377,7 @@ def _world_from_entries(entry, splits):
 
 
 def save_world(path, world):
-    """Write the world's blocks to `path` as a v3 archive
+    """Write the world's blocks to `path` as a v4 archive
     (`archive.save_archive`, so at exactly `path`, with stable bytes).
     ValueError, before anything is written, on a world that `load_world`
     would refuse."""
@@ -366,8 +387,8 @@ def save_world(path, world):
 
 
 def load_world(path, splits=SPLITS):
-    """Read the given splits and the supports of a v3 archive; the other
+    """Read the given splits and the supports of a v4 archive; the other
     split is None and its entries are never read. ValueError on a
-    malformed or corrupt file, on a v2 one, or on one that is not an
-    archive."""
+    malformed or corrupt file, on one of a retired format (v2, v3), or
+    on one that is not an archive."""
     return load_archive(path, "dataset", lambda entry: _world_from_entries(entry, splits))

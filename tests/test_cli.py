@@ -374,23 +374,25 @@ def test_eval_rerun_byte_identical(trained, tmp_path):
 # every mode. The evaluator and the JSON encoder may change only in ways
 # that keep these bytes; the detection scores and the checkpoint they
 # rest on are float products, so a numpy or BLAS build that rounds them
-# differently moves them too (numpy 2.4 with OpenBLAS 0.3.31 on x86-64)
+# differently moves them too (numpy 2.4 with OpenBLAS 0.3.31 on x86-64).
+# Each file's provenance holds the dataset digest, so a change of the
+# dataset's bytes alone (as from v3 to v4) moves all of them
 PINNED_EVAL_ARTIFACTS = {
-    "fewshot": ("5deb3a3f0ffaa6fb423b065a45357517e2ae4f4aa212f3d57982b0ed00ee3365",
-                "52110c5e26680c946d2dabfac1c649d7eb8fd2f6329c9f46d4f5f942dbdb9b4d",
-                "ca6f2323845812e742902c1a3d19fe943f153b5944e37a5ec0fa70197f6208ac"),
-    "openset": ("b50d8b3e93da57b6e9f6333b74deb938c540fc10c9fc23ef3774832ce5041c65",
-                "a9c812266629f007535c261a2be43ff9a1fcfc56b0a1acecd399c4eb1624ad15",
-                "846d663655f7021446ba68526444b6aa820327f185cec9f547899f4f84fea2f1"),
-    "zs-uo": ("cc684ed36d0694d443f1482f25db828fb04e307dd175eab4354ba4173f8e3b5c",
-              "67f37aac84725245c9c28cba7de16ebcd2452b56b60c8e1ff36c3d931b2e14de",
-              "86150ff02311a931977775e42e4f1eeac5b3e6305dd819e2c881c429e90b1d5f"),
-    "zs-mpu": ("fef9ed8efa74c5af23dfb46fcdbc5769fc63361fa0a97099ad864bc66d3be7b8",
-               "864d96e538b4a839234e449ee27d691cb11996c02fd1cf4ff61144aeba7f86f8",
-               "06247f5da2fe1328a92c3cdb238963b4d218019b7ffbe1b816b913eee08eb7df"),
-    "zs-mps": ("e696398aab26f7b325fda9ef65495b80165f5b6263f19a19df5850bdc50afe0b",
-               "7935cd653c9336ad4b44a78b79f862e1860102feca81177fec6b9261faa00639",
-               "20baf593e2f8a9a3ae5886230c815b95c013d030fa83e0a5ebffffacd86991d7"),
+    "fewshot": ("28f5a71148a2b9f9b8cfe4b13210c02ec70ae992b1757069871798cc8d9e0358",
+                "75c840b828cbffc7fd7ceee0d36a94e003bb11656476a49383b6bcc41e5045da",
+                "03a8ff475d524de13f2dc95016a6a2e63ba6593cbd7ac71cb2e94c3df0e2f593"),
+    "openset": ("2a1c4216224aceff518ddbebc9ef712947586a0384dcf087acaae82cf8baee82",
+                "9124ceb04638b95c5d6e90c329ea77654324aec22b0c042d0d9da399910a736b",
+                "e67af914f54f5bde12a9b9affae176f8ae143d48250f94e0173f4915ff9ee037"),
+    "zs-uo": ("b5e8a128e5ffc36601d960e89c0d5ef60833c91d7c4285a6312d0a9b02815458",
+              "aa436cbf24300d90a9441f8498c5010845ab4d0d8f0401f28fe6389e6abee7ac",
+              "8404eb6a2dfa64b023742af38e66b7d86a96a450ea8d3087fee38039bcc56494"),
+    "zs-mpu": ("82c06d2e13747e45b0c7517fa4f0d4a861ab346424172de4f41fab8fab3b72fc",
+               "1eee563fa8a75e1c77455541c463e7a8aca2252a3ba39f73a145d28cc9659779",
+               "842f86e0ed27b0f73ce2a829d51d0b373aa981da530a6f2605c47eb297c1582d"),
+    "zs-mps": ("a4a4f0dae4974d2247a4cc3fbc81b1be234c285942490013acf66b319d0ff34a",
+               "1e8654bb3b07a75112d33ddb906fa8488d3d101cbcb11e1525307aee9963d2d2",
+               "fe09d66989ada53f2a5b7e0a0244c40bd19810f70b17f648ed70f4ceaa79e44f"),
 }
 
 
@@ -410,7 +412,8 @@ def test_eval_artifacts_are_pinned(trained, tmp_path):
 # step schedule, seed 7: the training step at its full sizes, each of
 # its products large enough for BLAS to block it. Like the pins above,
 # they rest on float products, so a numpy or BLAS build that rounds them
-# differently moves them (numpy 2.4 with OpenBLAS 0.3.31 on x86-64)
+# differently moves them (numpy 2.4 with OpenBLAS 0.3.31 on x86-64). The
+# checkpoint's provenance holds the dataset digest; the log does not
 A3_SHORT_CFG = {
     "world": {"c_seen": 5, "c_unseen": 2, "d": 64, "delta": 10.0, "sigma_f": 1.0,
               "shots": 5, "box_jitter": 0.0, "n_train_scenes": 20,
@@ -418,7 +421,7 @@ A3_SHORT_CFG = {
     "train": {"lr": 1e-4, "weight_decay": 1e-4, "stage1_steps": 10, "stage2_steps": 5,
               "shots": 5, "queries_per_support": 4, "tau": 10.0, "seed": 7},
 }
-PINNED_A3_TRAIN = ("8a3cf36e3e667e609f97b5026a44c28c17de8c98e44478b9fbb5457d3c741e36",
+PINNED_A3_TRAIN = ("ba69604024c79208d653d95b9b781b16decae478d9e0a7b87406e9b4a198cee1",
                    "7e0f58c11d801c3c3b8cbe36c73b398eb13207913e0a09566202ecb823539495")
 
 
@@ -531,6 +534,21 @@ def test_gen_data_delta_without_finite_draw_bound_exit_2(tmp_path, capsys):
                  "--set", "world.delta=1e308"]) == 2
     assert "delta out of range" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_gen_data_features_beyond_float32_exit_2(tmp_path, capsys):
+    # a dataset stores features in float32: delta = 1e39 is a valid,
+    # finite float64 config, but its features cannot be stored, so
+    # gen-data exits 2 naming them, writes nothing and prints no numpy
+    # warning (tier-1 turns every warning into an error)
+    out = tmp_path / "d.npz"
+    assert main(["gen-data", "--config", write_cfg(tmp_path / "c.json"), "--out", str(out),
+                 "--set", "world.delta=1e39"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("proposal features beyond float32's range, the dtype a dataset stores "
+                   "them in (overflow encountered in cast): lower world.delta or "
+                   "world.sigma_f\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
 
 def test_train_augment_strength_without_finite_draw_width_exit_2(trained, tmp_path, capsys):
@@ -647,13 +665,18 @@ DATASET_MUTATIONS = {
     "label_dtype": (_cast("test_labels", np.int32), "test_labels: int32 array of shape (4, 4), "
                                                     "expected int64 of shape (4, 4)"),
     "scene_count": (_resized("test_features", np.s_[:-1]),
-                    _shape_error("test_features", "(3, 12, 8)", "(4, 12, 8)")),
+                    _shape_error("test_features", "(3, 12, 8)", "(4, 12, 8)", "float32")),
     "proposal_count": (_resized("test_proposals", np.s_[:, :-1]),
                        _shape_error("test_proposals", "(4, 11, 4)", "(4, 12, 4)")),
     "gt_count": (_resized("test_gt", np.s_[:, 1:]),
                  _shape_error("test_gt", "(4, 3, 4)", "(4, 4, 4)")),
     "feature_dim": (_resized("test_features", np.s_[..., :-1]),
-                    _shape_error("test_features", "(4, 12, 7)", "(4, 12, 8)")),
+                    _shape_error("test_features", "(4, 12, 7)", "(4, 12, 8)", "float32")),
+    # features are float32 since v4; a v4 file with float64 ones, as v3
+    # stored them, is refused by its dtype
+    "features_float64": (_cast("test_features", np.float64),
+                         "test_features: float64 array of shape (4, 12, 8), "
+                         "expected float32 of shape (4, 12, 8)"),
     "degenerate_box": (_degenerate_box, "test_gt: degenerate box"),
     "missing_entry": (_dropped("support_seen"), "no entry 'support_seen'"),
     "support_row_length": (_resized("support_seen", np.s_[..., :-1]),
@@ -690,7 +713,8 @@ TRAIN_ENTRY_MUTATIONS = {
     "train_scene_count": (_resized("train_proposals", np.s_[1:]),
                           _shape_error("train_proposals", "(3, 12, 4)", "(4, 12, 4)")),
     "train_feature_dim": (_resized("train_features", np.s_[..., :-1]),
-                          _shape_error("train_features", "(4, 12, 7)", "(4, 12, 8)")),
+                          _shape_error("train_features", "(4, 12, 7)", "(4, 12, 8)",
+                                       "float32")),
     "train_missing_entry": (_dropped("train_gt"), "no entry 'train_gt'"),
 }
 
@@ -707,7 +731,7 @@ def write_mutated(trained, dst, mutate):
     return write_v2(dst, entries)
 
 
-# The name predates format v3; it is kept so that the ids of the cases
+# The name predates formats v3 and v4; it is kept so that the ids of the cases
 # that carried over stay the same. Train refuses every mutation of both
 # tables, eval those of entries it reads.
 @pytest.mark.parametrize("command,case", [(command, case) for case in sorted(DATASET_MUTATIONS)
@@ -769,18 +793,25 @@ def test_eval_ignores_malformed_train_entries(trained, tmp_path, case, capsys):
     assert run_on_dataset(trained, "train", bad, tmp_path / "ckpt") == 2
 
 
-def _retagged_v2(entries):
-    entries["format"] = np.array("protodetect-dataset-v2")
+def _retagged(tag):
+    def mutate(entries):
+        entries["format"] = np.array(tag)
+    return mutate
 
 
-@pytest.mark.parametrize("command", ["train", "eval"])
-def test_v2_dataset_exit_2(trained, tmp_path, command, capsys):
-    # the ragged v2 format (rows concatenated, with per-scene offsets) is
-    # no longer read; its tag is checked before any other entry
-    bad = write_mutated(trained, tmp_path / "v2.npz", _retagged_v2)
+# ids: the command alone for v2, as before v3 was retired too
+@pytest.mark.parametrize("command,tag", [
+    pytest.param(command, f"protodetect-dataset-{v}",
+                 id=command if v == "v2" else f"{command}-{v}")
+    for v in ("v2", "v3") for command in ("train", "eval")])
+def test_v2_dataset_exit_2(trained, tmp_path, command, tag, capsys):
+    # the retired formats are no longer read: ragged v2 (rows
+    # concatenated, with per-scene offsets) and v3 (float64 features);
+    # the tag is checked before any other entry
+    bad = write_mutated(trained, tmp_path / "old.npz", _retagged(tag))
     assert run_on_dataset(trained, command, bad, tmp_path / "out") == 2
     err = capsys.readouterr().err
-    assert "format protodetect-dataset-v2 is no longer read: rerun gen-data" in err
+    assert f"format {tag} is no longer read: rerun gen-data" in err
     assert not list(tmp_path.glob("out*"))
 
 

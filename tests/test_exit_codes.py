@@ -11,14 +11,15 @@ set out of range. Integers come from a small range, so no mutation
 builds a large net.
 
 Mutated archives go to the commands that read them, on a tiny world:
-v2 checkpoints to `protodetect eval`, v3 datasets to `protodetect train`
+v2 checkpoints to `protodetect eval`, v4 datasets to `protodetect train`
 and `eval`. Each example starts from the entries of the tiny run's
 archive and applies one to three mutations: an entry dropped or
 renamed, the format tag changed, an entry cast to another dtype or
 given another shape, a block's leading axis (a split's scenes, a
 support set's classes) cut or grown by one row, a NaN or an Inf
 written into a float entry (into a dataset also 1e39, which is finite
-in its float64 entries but overflows the float32 net), a leaf of a
+in its float64 entries but overflows the float32 net, and 3e38, which
+is finite in its float32 features too), a leaf of a
 JSON string entry (the dataset's config, the checkpoint's provenance)
 replaced; the archive is then written, and maybe truncated.
 
@@ -152,7 +153,7 @@ def tiny_run(tmp_path_factory):
 
 CHECKPOINT_TAGS = ("", "protodetect-checkpoint-v1", "protodetect-dataset-v2")
 DATASET_TAGS = ("", "protodetect-dataset-v1", "protodetect-dataset-v2",
-                "protodetect-checkpoint-v2")
+                "protodetect-dataset-v3", "protodetect-checkpoint-v2")
 DTYPES = (np.float16, np.float32, np.float64, np.int64, np.int8, np.bool_,
           np.complex128, "U4")
 
@@ -176,7 +177,7 @@ def _json_object(a):
 
 
 NON_FINITE = (np.nan, np.inf, -np.inf)
-DATASET_VALUES = NON_FINITE + (1e39,)
+DATASET_VALUES = NON_FINITE + (1e39, 3e38)
 
 
 @st.composite
@@ -272,13 +273,17 @@ def test_train_and_eval_exit_code_on_mutated_datasets(tiny_run, data, mode):
     assert rc in EXIT_CODES
 
 
+# finite in the dataset's float32 features, so the reader accepts it, but
+# the float32 net's first product overflows on it
+BIG_FEATURE = 3e38
+
+
 def test_train_heldout_features_overflowing_float32_exit_2(tiny_run, tmp_path, capsys):
-    # 1e39 is finite in the float64 dataset, so the reader accepts it, but
-    # the float32 net embeds it as inf; held-out scoring refuses that
-    # before the checkpoint or its log is written
+    # held-out scoring refuses features whose embeddings overflow before
+    # the checkpoint or its log is written
     cfg, _, _, entries, _ = tiny_run
     features = entries["test_features"].copy()
-    features[0] = 1e39
+    features[0] = BIG_FEATURE
     data = tmp_path / "overflow.npz"
     save_archive(str(data), {**entries, "test_features": features})
     out = tmp_path / "ckpt.npz"
@@ -289,8 +294,8 @@ def test_train_heldout_features_overflowing_float32_exit_2(tiny_run, tmp_path, c
 
 
 def test_train_undrawn_training_features_overflowing_float32_exit_2(tmp_path, capsys):
-    # one step draws one of six training pools; 1e39 in the scene it
-    # draws diverges in that step (exit 3), while 1e39 in any other
+    # one step draws one of six training pools; 3e38 in the scene it
+    # draws diverges in that step (exit 3), while 3e38 in any other
     # scene first meets the net in the final bank's p0, which refuses it
     # as bad input (exit 2), both without numpy's warnings
     cfg = tmp_path / "c.json"
@@ -303,24 +308,24 @@ def test_train_undrawn_training_features_overflowing_float32_exit_2(tmp_path, ca
     codes = []
     for scene in range(len(entries["train_features"])):
         features = entries["train_features"].copy()
-        features[scene] = 1e39
+        features[scene] = BIG_FEATURE
         save_archive(data, {**entries, "train_features": features})
         out = str(tmp_path / "ckpt.npz")
         codes.append(main(["train", "--config", str(cfg), "--dataset", data, "--out", out]))
         err = capsys.readouterr().err
         assert err == {2: "cannot embed training scenes: non-finite embeddings\n",
-                       3: "training diverged: overflow encountered in cast\n"}[codes[-1]]
+                       3: "training diverged: overflow encountered in matmul\n"}[codes[-1]]
         assert not list(tmp_path.glob("ckpt*"))
     assert sorted(codes) == [2, 2, 2, 2, 2, 3]
 
 
 @pytest.mark.parametrize("mode", ["fewshot", "openset"])
 def test_eval_test_features_overflowing_float32_exit_2(tiny_run, tmp_path, mode, capsys):
-    # the same 1e39 features reach eval through detection, which refuses
+    # the same features reach eval through detection, which refuses
     # them before any report is written, without numpy's warnings
     cfg, _, ckpt, entries, _ = tiny_run
     features = entries["test_features"].copy()
-    features[0] = 1e39
+    features[0] = BIG_FEATURE
     data = tmp_path / "overflow.npz"
     save_archive(str(data), {**entries, "test_features": features})
     prefix = str(tmp_path / "r")
@@ -329,6 +334,38 @@ def test_eval_test_features_overflowing_float32_exit_2(tiny_run, tmp_path, mode,
     assert ("cannot evaluate: non-finite embeddings from the checkpoint weights "
             "or the dataset features" in capsys.readouterr().err)
     assert not list(tmp_path.glob("r*"))
+
+
+# delta and sigma_f of ordinary sizes, or m * 10^e up to 1e308, where 2
+# delta is no longer finite: features beyond float32's range are refused
+scales = st.one_of(st.floats(0.01, 100.0), st.builds(lambda m, e: m * 10.0 ** e,
+                                                     st.floats(1.0, 9.99),
+                                                     st.integers(30, 307)))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None, database=None)
+@given(delta=scales, sigma_f=scales)
+def test_gen_data_exit_code_on_large_scales(tmp_path_factory, delta, sigma_f):
+    # gen-data exits 0 with a float32 dataset, or 2 writing nothing and
+    # naming the out-of-range field or the features, without numpy's
+    # warnings (tier-1 turns every warning into an error)
+    d = tmp_path_factory.getbasetemp() / "scales"
+    d.mkdir(exist_ok=True)
+    cfg, out = d / "c.json", str(d / "d.npz")
+    cfg.write_text(json.dumps({"world": {**TINY["world"], "delta": delta, "sigma_f": sigma_f}}))
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(out)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(["gen-data", "--config", str(cfg), "--out", out])
+    assert rc in (0, 2)
+    if rc == 2:
+        assert ("delta out of range" in err.getvalue()
+                or "proposal features beyond float32's range" in err.getvalue())
+        assert sorted(os.listdir(d)) == ["c.json"]
+    else:
+        with np.load(out) as archive:
+            assert archive["train_features"].dtype == np.float32
 
 
 # Requests of at least 1 PiB: numpy refuses them at once, before any

@@ -149,7 +149,7 @@ def test_world_stream_is_pinned():
             a = np.ascontiguousarray(a)
             h.update(f"{name} {a.dtype.str} {a.shape}\n".encode())
             h.update(a.tobytes())
-    assert h.hexdigest() == "c477f89cd70f3147eb502c18eaf09faed0cd6da7348aeea5836ce6908a7c3e31"
+    assert h.hexdigest() == "3fb4c51b06713ed2fc0a7a1bfbf15337b41d83641de61d8170d5ec92cbf684af"
 
 
 def test_world_roundtrip(tmp_path):
@@ -178,6 +178,26 @@ def replayed_train_jitter(cfg):
     rng.integers(cfg.c_seen, size=(S, k))
     rng.random((S, cfg.proposals_per_scene, 4))
     return rng.uniform(-1.0, 1.0, size=(S, k, 4))
+
+
+def test_features_are_the_float64_draw_rounded_to_float32():
+    # features are drawn in float64, as before datasets stored them in
+    # float32, and rounded once: replaying the training split's draw and
+    # rounding it gives its features bit for bit
+    cfg = small_world_cfg()
+    rng = make_rng(cfg.seed)
+    means = _place_means(rng, cfg.c_seen, cfg.c_unseen, cfg.d, cfg.delta)
+    rng.normal(size=(cfg.c_seen + cfg.c_unseen, cfg.shots, cfg.d))
+    S, k, P = cfg.n_train_scenes, cfg.objects_per_scene, cfg.proposals_per_scene
+    labels = 1 + rng.integers(cfg.c_seen, size=(S, k))
+    rng.random((S, P, 4))
+    rng.uniform(-1.0, 1.0, size=(S, k, 4))
+    features = rng.normal(size=(S, P, cfg.d))
+    features[:, :k] = means[labels - 1] + features[:, :k] * cfg.sigma_f
+    train = generate_world(cfg).train
+    assert np.array_equal(train.labels, labels)
+    assert train.features.dtype == np.float32
+    assert train.features.tobytes() == features.astype(np.float32).tobytes()
 
 
 def stacked(scenes, name):

@@ -7,14 +7,15 @@ import pytest
 
 from protodetect.cli import main
 from protodetect.embedder import EmbeddingNet
+from protodetect.inference import MODES, assemble_protocol, detect_scenes
 from protodetect.numeric import make_rng
-from protodetect.prototypes import SupportSet
+from protodetect.prototypes import BACKGROUND_ID, SupportSet, nearest_prototype
 from protodetect.losses import episode_loss
 from protodetect.simulator import WorldConfig, augment_feature, generate_world
 from protodetect import simulator, trainer
 from protodetect.trainer import (BETA1, BETA2, EPS, AdamW, TrainConfig,
-                                 background_prototype, clip_global_norm, make_episode,
-                                 query_copies, train)
+                                 background_prototype, clip_global_norm, heldout_accuracy,
+                                 make_episode, query_copies, train)
 
 
 def small_world(seed=5, **kw):
@@ -294,6 +295,48 @@ def test_training_binds_float32_parameters():
     # the gradient audit's instances stay float64
     from protodetect.gradcheck import random_instance
     assert random_instance(0).theta.dtype == np.float64
+
+
+def test_features_cast_at_rest_equal_cast_at_use(monkeypatch):
+    # a dataset stores features in float32, rounded once by gen-data:
+    # every reader of split features (the training pools, p0, held-out
+    # scoring, detection) takes them in the float32 net's dtype, so a
+    # world holding a float64 block F and one holding F rounded to
+    # float32 give the same bits. This fails once a reader computes in
+    # float64 on split features
+    base = small_world()
+    rng = make_rng(3)
+    F = [s.features + rng.normal(size=s.features.shape) * 1e-3
+         for s in (base.train, base.test)]
+    assert F[0].dtype == np.float64 and not np.array_equal(F[0], F[0].astype(np.float32))
+
+    def holding(train_features, test_features):
+        splits = [simulator.Split(s.proposals, f, s.gt, s.labels)
+                  for s, f in zip((base.train, base.test), (train_features, test_features))]
+        return simulator.World(base.config, base.class_means, *splits, base.seen, base.unseen)
+
+    worlds = [holding(*F), holding(*(f.astype(np.float32) for f in F))]
+    results = [train(w, small_train_cfg()) for w in worlds]
+    assert results[0].theta.tobytes() == results[1].theta.tobytes()
+    assert results[0].bank.P.tobytes() == results[1].bank.P.tobytes()
+    assert json.dumps(results[0].log) == json.dumps(results[1].log)
+    net, bank = results[0].net, results[0].bank
+    # the accuracy is a count, so the embeddings it is taken from are
+    # compared too
+    embedded = []
+    monkeypatch.setattr(trainer, "nearest_prototype", lambda emb, b: (
+        embedded.append(emb.tobytes()) or nearest_prototype(emb, b)))
+    accs = [heldout_accuracy(net, bank, w.test) for w in worlds]
+    assert accs[0] is not None and accs[0] == accs[1]
+    assert len(embedded) == 2 and embedded[0] == embedded[1]
+    p0 = bank.get(BACKGROUND_ID)
+    for mode in MODES:
+        mode_bank = assemble_protocol(mode, worlds[0], net, p0)[0]
+        dets = [detect_scenes(w.test, net, mode_bank) for w in worlds]
+        assert sum(map(len, dets[0])) > 0
+        for a, b in zip(*dets):
+            for name in ("boxes", "class_ids", "scores"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), mode
 
 
 def test_training_log_serializes(tmp_path):
