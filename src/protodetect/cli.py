@@ -26,8 +26,12 @@ reads the mode's row of `inference.PROTOCOLS` and returns the bank, the
 scored class ids and the open-set unknown id, which `evaluate` takes as
 they are; this module decides nothing per mode.
 
-Every command is a pure function of (config, input files, seed);
-re-runs produce byte-identical outputs. Exit codes: 0 ok, 2 config or
+train and eval hash a dataset of 1 MB or more on a second thread while
+they load it, and embed large inputs on two threads
+(`EmbeddingNet.embed`), when the process may run on two or more CPUs;
+every thread ends with its command. Every command is a pure function of
+(config, input files, seed), whatever the CPU count; re-runs produce
+byte-identical outputs. Exit codes: 0 ok, 2 config or
 input error (an allocation the host cannot make included), 3 numerical
 divergence, 4 gradient-check failure. `python -m protodetect` runs the
 same command line.
@@ -46,6 +50,7 @@ from .embedder import layout, load_checkpoint, save_checkpoint
 from .evaluation import evaluate
 from .gradcheck import run_suite
 from .inference import FEWSHOT, MODES, assemble_protocol, detect_scenes, save_detections
+from .parallel import has_second_cpu, in_parallel
 from .prototypes import BACKGROUND_ID
 from .simulator import SPLITS, generate_world, load_world, save_world
 from .trainer import heldout_accuracy, train
@@ -54,6 +59,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_GRADCHECK = 4
+# dataset bytes from which the hash runs beside the load. Load and hash
+# of the eval entries, serial -> two threads, 2-vCPU AMD EPYC: 0.24 MB
+# 0.54 -> 0.70 ms, 0.6 MB 0.72 -> 0.62 ms, 2.3 MB 1.74 -> 1.48 ms
+PARALLEL_HASH_BYTES = 1 << 20
 
 
 class CliError(Exception):
@@ -113,12 +122,23 @@ def cmd_gen_data(args):
 def _load_world_checked(cfg, dataset_path, splits):
     """(world, digest): the dataset's given splits and supports, and its
     file digest, hashed once for the expected-digest check and the
-    provenance header alike."""
-    try:
-        world = load_world(dataset_path, splits)
-    except (OSError, ValueError, KeyError, TypeError) as e:
-        raise CliError(f"cannot read dataset: {e}")
-    digest = file_digest(dataset_path)
+    provenance header alike. A file of `PARALLEL_HASH_BYTES` or more is
+    hashed on a second thread while this one loads it, on a host that
+    gives the process two or more CPUs. Either way a load error is
+    reported first, then a hash error, then a digest mismatch."""
+    def load():
+        try:
+            return load_world(dataset_path, splits)
+        except (OSError, ValueError, KeyError, TypeError) as e:
+            raise CliError(f"cannot read dataset: {e}")
+
+    size = 0
+    with contextlib.suppress(OSError):   # load() reports the file
+        size = os.path.getsize(dataset_path)
+    if size >= PARALLEL_HASH_BYTES and has_second_cpu():
+        digest, world = in_parallel(lambda: file_digest(dataset_path), load)
+    else:
+        world, digest = load(), file_digest(dataset_path)
     if cfg.expected_dataset_digest not in (None, digest):
         raise CliError(f"dataset digest mismatch: {digest}")
     return world, digest
@@ -167,7 +187,7 @@ def run_protocol(world, net, mode, p0):
         # finite weights or features whose activations overflow: bad
         # input, not divergence, and either input may be the bad one
         raise CliError("cannot evaluate: non-finite embeddings from the checkpoint "
-                       "weights or the dataset features")
+                       "weights or the dataset features and supports")
     return per_scene, evaluate(per_scene, world.test.scenes, eval_ids, mode, unknown_id)
 
 

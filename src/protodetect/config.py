@@ -87,8 +87,11 @@ def load_run_config(path, overrides=()):
 
 
 def file_digest(path):
+    """The SHA-256 hex digest of the file at path, read through one
+    reused 256 KB buffer."""
     h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
+    buf = memoryview(bytearray(1 << 18))
+    with open(path, "rb", buffering=0) as f:
+        while n := f.readinto(buf):
+            h.update(buf[:n])
     return h.hexdigest()

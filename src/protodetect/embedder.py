@@ -30,6 +30,7 @@ import numpy as np
 
 from .archive import load_archive, save_archive
 from .numeric import make_rng
+from .parallel import has_second_cpu, in_parallel
 
 
 DTYPES = (np.float32, np.float64)
@@ -38,9 +39,19 @@ DTYPES = (np.float32, np.float64)
 # 512 KB at the default width. With 2048-row blocks (4 MB) the
 # large-world eval read 3-10% slower than one forward per scene
 EMBED_BLOCK_ROWS = 256
+# blocks from which `EmbeddingNet.embed` hands half of them to a second
+# thread. A3 sizes in float32, one thread -> two, 2-vCPU AMD EPYC: 2
+# blocks 0.55 -> 0.55 ms, 3 blocks 0.83 -> 0.76 ms, 4 blocks 1.08 -> 0.76 ms
+PARALLEL_BLOCKS = 4
 # below this magnitude `backward_batch` zeroes an entry of the embedding
 # gradient: the square root of the dtype's smallest normal number
 _TINY_SQRT = {np.dtype(t): np.sqrt(np.finfo(t).tiny) for t in DTYPES}
+
+
+def even_ends(n, parts):
+    """The ends [0, ..., n] of `parts` consecutive ranges of n rows
+    whose sizes differ by one at most."""
+    return [i * n // parts for i in range(parts + 1)]
 
 
 def _float(a):
@@ -120,17 +131,33 @@ class EmbeddingNet:
         its cache goes with it, so the pass holds at most one block's
         input copy and its hidden activations.
 
+        From `PARALLEL_BLOCKS` blocks on, on a host that gives the
+        process two or more CPUs, the caller's thread embeds the first
+        half of the blocks and a worker thread the second half
+        (`parallel.in_parallel`), each through its own `Workspace` into
+        its own rows of the output; an overflow on either thread raises
+        as it would on one.
+
         Blocking splits only the rows of each product; the tests check
         that every row stays bit-equal to that of one `forward_batch`
-        over all of X. Blocks differ in size by one row at most: a
-        product over a handful of rows can take another BLAS kernel,
-        which rounds differently."""
+        over all of X, on one thread or two. Blocks differ in size by
+        one row at most: a product over a handful of rows can take
+        another BLAS kernel, which rounds differently."""
         X = self._rows(X)
         out = np.empty((len(X), self.out_dim), dtype=self.dtype)
         n_blocks = max(1, -(-len(X) // EMBED_BLOCK_ROWS))
-        ends = [i * len(X) // n_blocks for i in range(n_blocks + 1)]
-        for lo, hi in zip(ends, ends[1:]):
-            out[lo:hi] = self.forward_batch(X[lo:hi])[0]
+        ends = even_ends(len(X), n_blocks)
+
+        def run(ends, work=None):
+            for lo, hi in zip(ends, ends[1:]):
+                out[lo:hi] = self.forward_batch(X[lo:hi], work)[0]
+
+        if n_blocks >= PARALLEL_BLOCKS and has_second_cpu():
+            half = n_blocks // 2
+            first, second = (Workspace(self, -(-len(X) // n_blocks)) for _ in range(2))
+            in_parallel(lambda: run(ends[half:], second), lambda: run(ends[:half + 1], first))
+        else:
+            run(ends)
         return out
 
     def backward_batch(self, cache, dQ, out, work):

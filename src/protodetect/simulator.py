@@ -302,8 +302,9 @@ def label_proposals(scene):
 # every other array entry float64.
 # The loader checks the stored config as the run config is checked, then
 # each entry's dtype and exact shape (so each split holds its configured
-# scene count, at least 1), finite values, non-degenerate boxes and GT
-# labels in 1..c_seen + c_unseen. eval reads the 9 that are not train_*.
+# scene count, at least 1), finite values, supports within float32's
+# range, non-degenerate boxes and GT labels in 1..c_seen + c_unseen.
+# eval reads the 9 that are not train_*.
 
 FORMAT = "protodetect-dataset-v4"
 # v2: ragged rows with per-scene offsets; v3: the v4 layout, float64 features
@@ -342,6 +343,15 @@ def _boxes(entry, name, shape):
     return a
 
 
+def _support(entry, name, shape):
+    """A support block, checked as `_block` does and within float32's
+    range: the trained net reads its rows in float32."""
+    a = _block(entry, name, shape)
+    if (np.abs(a) > np.finfo(np.float32).max).any():
+        raise ValueError(f"{name}: values beyond float32's range")
+    return a
+
+
 def _world_from_entries(entry, splits):
     """Check the entries of a dataset (entry(name) -> array) that the
     given splits and the supports need, and build its World, without
@@ -372,8 +382,8 @@ def _world_from_entries(entry, splits):
                               _block(entry, split + "_features", (S, P, d), np.float32),
                               _boxes(entry, split + "_gt", (S, k)), labels)
     return World(cfg, means, blocks["train"], blocks["test"],
-                 _block(entry, "support_seen", (cfg.c_seen, cfg.shots, d)),
-                 _block(entry, "support_unseen", (cfg.c_unseen, cfg.shots, d)))
+                 _support(entry, "support_seen", (cfg.c_seen, cfg.shots, d)),
+                 _support(entry, "support_unseen", (cfg.c_unseen, cfg.shots, d)))
 
 
 def save_world(path, world):

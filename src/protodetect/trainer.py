@@ -41,9 +41,14 @@ dataset, seed), whatever the BLAS thread count.
 checkpoint stores; training refuses a world whose training scenes hold
 no background pool. `heldout_accuracy` scores the nearest-prototype
 decision of `prototypes.nearest_prototype` on the test split's rows
-that one `label_proposals` call keeps. Both, like the final bank's
+that one `label_proposals` call keeps. Both reduce world-sized
+embeddings one balanced chunk of rows at a time, to a running sum or a
+count, with the bytes of one pass over every row, so neither holds the
+embeddings of the whole split. They, like the final bank's
 `build_prototypes`, embed their rows with `EmbeddingNet.embed`, which
-holds the activations of one block of rows at a time.
+holds the activations of one block of rows per thread at a time and
+takes a second thread for large inputs on a host with two or more CPUs;
+its output does not depend on that.
 """
 
 import json
@@ -52,7 +57,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedder import default_net_and_classifier
+from .embedder import default_net_and_classifier, even_ends
 from .losses import Episode, episode_loss
 from .numeric import make_rng
 from .prototypes import (PrototypeBank, SupportSet, background_pool, build_prototypes,
@@ -67,6 +72,12 @@ TRAIN_DTYPE = np.float32
 # gradient is clipped to; Python floats, as `AdamW` explains
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 GRAD_CLIP = 10.0
+# rows per chunk of p0 and of held-out scoring (`_chunks`), which bound
+# their transients. A float64 logits product of fewer than about 1,200
+# rows x prototypes (600 rows at 2 prototypes) took another BLAS kernel,
+# which moved logits in their last bits (numpy 2.4, OpenBLAS 0.3.31,
+# AMD EPYC); a chunk holds 768 rows or more
+CHUNK_ROWS = 1024
 
 
 @dataclass
@@ -180,28 +191,57 @@ def scene_background_features(scene):
     return background_pool(scene.features, label_proposals(scene))
 
 
+def _chunks(n, rows):
+    """The ends of `n` items, `rows` rows in all, in balanced chunks that
+    the world-sized reductions embed one at a time: the chunk count
+    nearest to rows / `CHUNK_ROWS`, at most n and at least 1."""
+    return even_ends(n, max(1, min(n, round(rows / CHUNK_ROWS))))
+
+
 def background_prototype(net, pools):
     """p0: the mean embedding of the rows of the background pools, a
-    list of (n, d) arrays holding at least one row; one
-    `EmbeddingNet.embed` of every row, then one mean."""
-    return net.embed(np.concatenate(pools)).mean(axis=0)
+    list of (n, d) arrays holding at least one row, embedded one chunk
+    of consecutive pools at a time (`_chunks`). The sum, in the net's
+    dtype, is carried from chunk to chunk as one more row: numpy adds
+    the rows of an axis-0 sum in order, so the sum, and the division
+    np.mean makes, give the bytes of one mean over one embed of every
+    row. (That holds for embeddings two or more wide: numpy sums a
+    single column pairwise, so with emb_dim 1 and more than one chunk,
+    p0 can move in its last bit.)"""
+    n = sum(map(len, pools))
+    ends = _chunks(len(pools), n)
+    total = None
+    for lo, hi in zip(ends, ends[1:]):
+        rows = net.embed(np.concatenate(pools[lo:hi]))
+        if total is not None:
+            rows = np.concatenate([total[None], rows])
+        total = rows.sum(axis=0)
+    return np.true_divide(total, np.intp(n), out=total, casting="unsafe")
 
 
 def heldout_accuracy(net, bank, split):
     """Nearest-prototype accuracy on the labeled proposals of a held-out
-    split: one `label_proposals` call, one embed of the rows it keeps.
+    split: one `label_proposals` call, then the rows it keeps embedded
+    and decided one balanced chunk at a time (`_chunks`), counting the
+    correct ones. Chunks of `CHUNK_ROWS` rows or so keep every float64
+    logit, and so every decision, that of one pass over all rows.
 
     Proposals in the IoU ignore band or labeled with classes outside
     the bank are left out; background proposals count with label
     BACKGROUND_ID. None when no proposal counts. FloatingPointError, from
     `nearest_prototype`, when an embedding is not finite.
     """
-    y = label_proposals(split)
-    keep = (y != IGNORE) & np.isin(y, bank.ids)
-    if not keep.any():
+    y = label_proposals(split).reshape(-1)
+    rows = np.flatnonzero((y != IGNORE) & np.isin(y, bank.ids))
+    if not len(rows):
         return None
-    pred, _ = nearest_prototype(net.embed(split.features[keep]), bank)
-    return float(np.mean(pred == y[keep]))
+    features = split.features.reshape(len(y), -1)
+    ends = _chunks(len(rows), len(rows))
+    correct = 0
+    for lo, hi in zip(ends, ends[1:]):
+        pred, _ = nearest_prototype(net.embed(features[rows[lo:hi]]), bank)
+        correct += int(np.count_nonzero(pred == y[rows[lo:hi]]))
+    return correct / len(rows)
 
 
 @dataclass

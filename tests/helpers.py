@@ -2,7 +2,9 @@
 scenes and detections from per-box tuples, the value of each loss term
 for queries and a bank, the per-entry finite-difference sweep that the
 stacked gradient audit must equal, stacks of perturbed parameter
-vectors, and a bit-equality check of two worlds."""
+vectors, a bit-equality check of two worlds, and a forced CPU count."""
+
+import os
 
 import numpy as np
 
@@ -125,3 +127,9 @@ def assert_worlds_equal(a, b):
         assert sorted(sa) == sorted(sb)
         assert all(np.array_equal(sa[c], sb[c]) for c in sa)
 
+
+
+def force_cpus(monkeypatch, n):
+    """Make the process look as if it may run on n CPUs
+    (`parallel.has_second_cpu` reads its affinity mask)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 
 import protodetect
 
-from protodetect import archive, cli
+from protodetect import archive, cli, embedder
 from protodetect.cli import main, run_protocol
 from protodetect.config import (ConfigError, RunConfig, apply_overrides, file_digest,
                                 load_run_config)
@@ -22,6 +23,8 @@ from protodetect.inference import MODES, assemble_protocol, detect_scene, save_d
 from protodetect import simulator
 from protodetect.simulator import load_world
 from protodetect.trainer import background_prototype, scene_background_features
+
+from helpers import force_cpus
 
 
 BASE_CFG = {
@@ -453,17 +456,92 @@ def test_detection_from_one_embed_equals_per_scene_forwards(trained, tmp_path, m
 
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_dataset_is_hashed_once(trained, tmp_path, monkeypatch, command):
-    # the expected-digest check and the provenance header share one hash
+    # the expected-digest check and the provenance header share one hash,
+    # taken after the load or, from PARALLEL_HASH_BYTES on, beside it
     cfg, data, ckpt, _ = trained
     digest = hashlib.sha256(data.read_bytes()).hexdigest()
-    calls = []
-    monkeypatch.setattr(cli, "file_digest",
-                        lambda path: calls.append(path) or digest)
+    force_cpus(monkeypatch, 2)
     args = {"train": ["--out", str(tmp_path / "c.npz")],
             "eval": ["--checkpoint", str(ckpt), "--out-prefix", str(tmp_path / "r")]}
-    assert main([command, "--config", cfg, "--dataset", str(data), *args[command],
-                 "--set", f"expected_dataset_digest={digest}"]) == 0
-    assert calls == [str(data)]
+    for hash_bytes in (cli.PARALLEL_HASH_BYTES, 0):
+        monkeypatch.setattr(cli, "PARALLEL_HASH_BYTES", hash_bytes)
+        calls = []
+        monkeypatch.setattr(cli, "file_digest",
+                            lambda path: calls.append(path) or digest)
+        assert main([command, "--config", cfg, "--dataset", str(data), *args[command],
+                     "--set", f"expected_dataset_digest={digest}"]) == 0
+        assert calls == [str(data)]
+
+
+def _counted(fn, calls):
+    """fn, appending its name to `calls` on every call."""
+    def wrapper(*args):
+        calls.append(fn.__name__)
+        return fn(*args)
+    return wrapper
+
+
+@pytest.mark.parametrize("case", ["missing", "truncated", "not_an_archive"])
+def test_unreadable_dataset_hashed_beside_the_load_exit_2(trained, tmp_path, monkeypatch,
+                                                          case, capsys):
+    # a dataset the load refuses while the other thread hashes it is
+    # reported as the serial path reports it, and no thread is left
+    cfg, data, ckpt, _ = trained
+    path = tmp_path / "d.npz"
+    if case == "truncated":
+        path.write_bytes(data.read_bytes()[:len(data.read_bytes()) // 2])
+    elif case == "not_an_archive":
+        path.write_text("{}")
+    force_cpus(monkeypatch, 2)
+    monkeypatch.setattr(cli, "PARALLEL_HASH_BYTES", 0)
+    calls = []
+    monkeypatch.setattr(cli, "in_parallel", _counted(cli.in_parallel, calls))
+    threads = threading.active_count()
+    for argv in (["train", "--out", str(tmp_path / "c.npz")],
+                 ["eval", "--checkpoint", str(ckpt), "--out-prefix", str(tmp_path / "r")]):
+        assert main([*argv[:1], "--config", cfg, "--dataset", str(path), *argv[1:]]) == 2
+        assert capsys.readouterr().err.startswith("cannot read dataset: ")
+        assert threading.active_count() == threads
+    assert calls == ["in_parallel"] * 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if case == "missing" else ["d.npz"])
+
+
+def test_artifacts_identical_with_and_without_a_second_thread(tmp_path, monkeypatch, capsys):
+    # every command's files and printout are the same bytes whether the
+    # process may use one CPU or two; with 8-row embed blocks and no
+    # hash threshold, every embed of the 48 test rows and every dataset
+    # hash takes the second thread when there are two, and none outlives
+    # its command
+    monkeypatch.setattr(embedder, "EMBED_BLOCK_ROWS", 8)
+    monkeypatch.setattr(cli, "PARALLEL_HASH_BYTES", 0)
+    calls = []
+    for module in (cli, embedder):
+        monkeypatch.setattr(module, "in_parallel", _counted(module.in_parallel, calls))
+    cfg = write_cfg(tmp_path / "c.json")
+    threads = threading.active_count()
+    runs = []
+    for cpus in (1, 2):
+        force_cpus(monkeypatch, cpus)
+        d = tmp_path / f"cpus{cpus}"
+        d.mkdir()
+        data, ckpt = str(d / "data.npz"), str(d / "ckpt.npz")
+        commands = [["gen-data", "--out", data], ["train", "--dataset", data, "--out", ckpt]]
+        commands += [["eval", "--dataset", data, "--checkpoint", ckpt, "--mode", mode,
+                      "--out-prefix", str(d / mode)] for mode in MODES]
+        out, counts = [], []
+        for argv in commands:
+            assert main([argv[0], "--config", cfg, *argv[1:]]) == 0
+            assert threading.active_count() == threads
+            out.append(capsys.readouterr().out.replace(str(d), ""))
+            counts.append(len(calls))
+            del calls[:]
+        runs.append((out, {p.name: p.read_bytes() for p in sorted(d.iterdir())}))
+        # gen-data reads nothing back; with two CPUs, train and eval hash
+        # the dataset and embed held-out or test rows on two threads each
+        assert counts == [0] * len(counts) if cpus == 1 else (
+            counts[0] == 0 and min(counts[1:]) >= 2)
+    assert len(runs[0][1]) == 3 + 3 * len(MODES)
+    assert runs[0] == runs[1]
 
 
 def test_eval_mode_defaults_to_fewshot(trained, tmp_path):

@@ -1,13 +1,15 @@
+import threading
+
 import numpy as np
 import pytest
 
-from protodetect.embedder import (EMBED_BLOCK_ROWS, EmbeddingNet, LinearClassifier,
-                                  Workspace, default_net_and_classifier, layout,
-                                  load_checkpoint, save_checkpoint)
+from protodetect.embedder import (EMBED_BLOCK_ROWS, PARALLEL_BLOCKS, EmbeddingNet,
+                                  LinearClassifier, Workspace, default_net_and_classifier,
+                                  layout, load_checkpoint, save_checkpoint)
 from protodetect.gradcheck import random_instance
 from protodetect.numeric import log_softmax, make_rng
 
-from helpers import probe_stack
+from helpers import force_cpus, probe_stack
 
 
 def small_net(seed=0, d=5, hidden=7, e=4, depth=2):
@@ -252,29 +254,42 @@ def test_stacked_parameters_need_matching_leading_shapes():
         LinearClassifier(np.zeros((5, 3, 2)), np.zeros((4, 3)))
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, EMBED_BLOCK_ROWS + 3, 3 * EMBED_BLOCK_ROWS + 1])
+@pytest.mark.parametrize("n_rows", [0, 1, EMBED_BLOCK_ROWS + 3, 3 * EMBED_BLOCK_ROWS,
+                                    3 * EMBED_BLOCK_ROWS + 1])
 def test_blocked_embed_equals_one_forward(n_rows, monkeypatch):
     # A3 layer sizes in float32, as training and eval run them: the
     # blocks split the rows of every product, and each row stays
     # bit-equal to one forward pass over all rows, across every block
-    # boundary; blocks differ by one row at most, so no tail block is a
-    # handful of rows
+    # boundary, on one CPU or two; blocks differ by one row at most, so
+    # no tail block is a handful of rows. With two CPUs and at least
+    # PARALLEL_BLOCKS blocks (769 rows make 4, 768 make 3), a worker
+    # thread embeds the second half of the blocks
     net = default_net_and_classifier(0, 64, 512, 128, 5, 2, np.float32)[0]
     X = make_rng(3).normal(size=(n_rows, 64))
-    sizes = []
     forward_batch = EmbeddingNet.forward_batch
-
-    def spy(self, X):
-        sizes.append(len(X))
-        return forward_batch(self, X)
-
-    monkeypatch.setattr(EmbeddingNet, "forward_batch", spy)
-    emb = net.embed(X)
     whole = forward_batch(net, X)[0]
-    assert emb.dtype == whole.dtype == np.float32 and emb.shape == (n_rows, 128)
-    assert np.array_equal(emb, whole)
-    assert sum(sizes) == n_rows and len(sizes) == max(1, -(-n_rows // EMBED_BLOCK_ROWS))
-    assert max(sizes) <= EMBED_BLOCK_ROWS and max(sizes) - min(sizes) <= 1
+    n_blocks = max(1, -(-n_rows // EMBED_BLOCK_ROWS))
+    for cpus in (1, 2):
+        force_cpus(monkeypatch, cpus)
+        calls = []
+
+        def spy(self, block, work=None):
+            # (first row, rows, thread) of each block, a view into X
+            first = (block.ctypes.data - X.ctypes.data) // (X.itemsize * X.shape[1])
+            calls.append((first, len(block), threading.current_thread()))
+            return forward_batch(self, block, work)
+
+        monkeypatch.setattr(EmbeddingNet, "forward_batch", spy)
+        emb = net.embed(X)
+        assert emb.dtype == whole.dtype == np.float32 and emb.shape == (n_rows, 128)
+        assert np.array_equal(emb, whole)
+        calls.sort(key=lambda call: call[0])
+        sizes = [n for _, n, _ in calls]
+        assert sum(sizes) == n_rows and len(sizes) == n_blocks
+        assert max(sizes) <= EMBED_BLOCK_ROWS and max(sizes) - min(sizes) <= 1
+        on_worker = [t is not threading.current_thread() for _, _, t in calls]
+        parallel = cpus == 2 and n_blocks >= PARALLEL_BLOCKS
+        assert on_worker == [parallel and i >= n_blocks // 2 for i in range(n_blocks)]
 
 
 def test_embed_checks_its_input():

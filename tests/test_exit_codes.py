@@ -34,15 +34,19 @@ import glob
 import io
 import json
 import os
+import threading
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from protodetect import embedder
 from protodetect.archive import save_archive
 from protodetect.cli import main
 from protodetect.config import RunConfig
+
+from helpers import force_cpus
 
 BASE = RunConfig.from_dict({}).to_dict()
 SECTIONS = ("world", "train")
@@ -334,6 +338,86 @@ def test_eval_test_features_overflowing_float32_exit_2(tiny_run, tmp_path, mode,
     assert ("cannot evaluate: non-finite embeddings from the checkpoint weights "
             "or the dataset features" in capsys.readouterr().err)
     assert not list(tmp_path.glob("r*"))
+
+
+@pytest.mark.parametrize("command", ["train", "eval-fewshot", "eval-openset"])
+def test_overflow_on_the_worker_thread_exit_2(tiny_run, tmp_path, monkeypatch, command,
+                                              capsys):
+    # with two CPUs and 4-row embed blocks, the last test scene's rows
+    # fall in the half of each embed that a worker thread takes: held-out
+    # scoring in train, detection in eval. The worker runs under the
+    # caller's np.errstate, so its overflow raises as on the caller's
+    # thread (a RuntimeWarning would fail the suite, which turns warnings
+    # into errors), and the command exits 2 with the same message,
+    # writing nothing and leaving no thread behind
+    cfg, _, ckpt, entries, _ = tiny_run
+    features = entries["test_features"].copy()
+    features[-1] = BIG_FEATURE
+    data = tmp_path / "overflow.npz"
+    save_archive(str(data), {**entries, "test_features": features})
+    force_cpus(monkeypatch, 2)
+    monkeypatch.setattr(embedder, "EMBED_BLOCK_ROWS", 4)
+    overflowed = []
+    forward_batch = embedder.EmbeddingNet.forward_batch
+
+    def spy(self, X, work=None):
+        if np.max(X) == np.float32(BIG_FEATURE):
+            overflowed.append(threading.current_thread() is threading.main_thread())
+        return forward_batch(self, X, work)
+
+    monkeypatch.setattr(embedder.EmbeddingNet, "forward_batch", spy)
+    argv = {"train": ["train", "--out", str(tmp_path / "ckpt.npz")],
+            "eval-fewshot": ["eval", "--mode", "fewshot"],
+            "eval-openset": ["eval", "--mode", "openset"]}[command]
+    if argv[0] == "eval":
+        argv += ["--checkpoint", ckpt, "--out-prefix", str(tmp_path / "r")]
+    threads = threading.active_count()
+    assert main([argv[0], "--config", cfg, "--dataset", str(data), *argv[1:]]) == 2
+    assert threading.active_count() == threads
+    assert overflowed and not any(overflowed)
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "cannot score held-out scenes: non-finite embeddings\n" if command == "train" else
+        "cannot evaluate: non-finite embeddings from the checkpoint weights or the "
+        "dataset features and supports\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["overflow.npz"]
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_support_beyond_float32_exit_2(tiny_run, tmp_path, command, capsys):
+    # 1e39 is finite in a float64 support block but beyond the float32
+    # net's range: the loader refuses it, naming the entry, before any
+    # step or embed could meet it, without numpy's warnings and writing
+    # nothing (train would otherwise exit 3, eval blame the features)
+    cfg, _, ckpt, entries, _ = tiny_run
+    name = {"train": "support_seen", "eval": "support_unseen"}[command]
+    support = entries[name].copy()
+    support[0, 0, 0] = 1e39
+    data = tmp_path / "big.npz"
+    save_archive(str(data), {**entries, name: support})
+    argv = {"train": ["--out", str(tmp_path / "ckpt.npz")],
+            "eval": ["--checkpoint", ckpt, "--mode", "zs-uo",
+                     "--out-prefix", str(tmp_path / "r")]}[command]
+    assert main([command, "--config", cfg, "--dataset", str(data), *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"cannot read dataset: {name}: values beyond float32's range\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["big.npz"]
+
+
+def test_eval_support_overflowing_the_net_names_the_supports(tiny_run, tmp_path, capsys):
+    # 3e38 is within float32's range, so the loader takes it, but the
+    # net's first product overflows on it while the bank is built
+    cfg, _, ckpt, entries, _ = tiny_run
+    support = entries["support_unseen"].copy()
+    support[0] = BIG_FEATURE
+    data = tmp_path / "big.npz"
+    save_archive(str(data), {**entries, "support_unseen": support})
+    assert main(["eval", "--config", cfg, "--dataset", str(data), "--checkpoint", ckpt,
+                 "--mode", "zs-uo", "--out-prefix", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err == ("cannot evaluate: non-finite embeddings from the "
+                                       "checkpoint weights or the dataset features and "
+                                       "supports\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["big.npz"]
 
 
 # delta and sigma_f of ordinary sizes, or m * 10^e up to 1e308, where 2

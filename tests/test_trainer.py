@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from protodetect.cli import main
-from protodetect.embedder import EmbeddingNet
+from protodetect.embedder import EmbeddingNet, default_net_and_classifier
 from protodetect.inference import MODES, assemble_protocol, detect_scenes
 from protodetect.numeric import make_rng
-from protodetect.prototypes import BACKGROUND_ID, SupportSet, nearest_prototype
+from protodetect.prototypes import (BACKGROUND_ID, SupportSet, background_pool,
+                                   build_prototypes, nearest_prototype)
 from protodetect.losses import episode_loss
-from protodetect.simulator import WorldConfig, augment_feature, generate_world
+from protodetect.simulator import (WorldConfig, augment_feature, generate_world,
+                                  label_proposals)
 from protodetect import simulator, trainer
 from protodetect.trainer import (BETA1, BETA2, EPS, AdamW, TrainConfig,
                                  background_prototype, clip_global_norm, heldout_accuracy,
@@ -356,6 +358,41 @@ def test_final_bank_includes_background():
     assert sorted(res.bank.ids) == [0, 1, 2, 3]
     pools = [trainer.scene_background_features(s) for s in world.train.scenes]
     assert np.array_equal(res.bank.get(0), background_prototype(res.net, pools))
+
+
+@pytest.mark.parametrize("n_scenes", [3, 17, 45, 100])
+def test_chunked_p0_and_heldout_equal_one_pass(n_scenes, monkeypatch):
+    # p0 and the held-out accuracy reduce world-sized embeddings one
+    # chunk of about CHUNK_ROWS rows at a time, with the bytes of one
+    # embed of every row: p0 of one mean, every held-out decision of one
+    # nearest_prototype pass. 3 to 100 scenes of 100 proposals make 1 to
+    # 9 chunks of p0 rows and of kept rows
+    world = small_world(d=64, n_train_scenes=n_scenes, n_test_scenes=n_scenes,
+                        proposals_per_scene=100)
+    net = default_net_and_classifier(0, 64, 512, 128, 3, 2, np.float32)[0]
+    pools = [p for p in map(background_pool, world.train.features,
+                            label_proposals(world.train)) if len(p)]
+    p0 = background_prototype(net, pools)
+    assert p0.tobytes() == net.embed(np.concatenate(pools)).mean(axis=0).tobytes()
+    bank = build_prototypes(net, SupportSet(world.support_seen)).with_entry(BACKGROUND_ID, p0)
+    decided = []
+
+    def spy(emb, b):
+        ids, scores = nearest_prototype(emb, b)
+        decided.append(ids)
+        return ids, scores
+
+    monkeypatch.setattr(trainer, "nearest_prototype", spy)
+    acc = heldout_accuracy(net, bank, world.test)
+    y = label_proposals(world.test)
+    keep = (y != simulator.IGNORE) & np.isin(y, bank.ids)
+    pred, _ = nearest_prototype(net.embed(world.test.features[keep]), bank)
+    assert np.array_equal(np.concatenate(decided), pred)
+    assert acc == float(np.mean(pred == y[keep]))
+    sizes = [len(ids) for ids in decided]
+    assert len(sizes) == max(1, round(keep.sum() / trainer.CHUNK_ROWS))
+    assert max(sizes) - min(sizes) <= 1
+    assert min(sizes) >= min(keep.sum(), 3 * trainer.CHUNK_ROWS // 4)
 
 
 def test_train_and_heldout_accuracy_take_one_iou_per_split(monkeypatch):
